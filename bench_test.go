@@ -21,7 +21,6 @@ import (
 	"peerwindow/internal/sim"
 	"peerwindow/internal/wire"
 	"peerwindow/internal/workload"
-	"peerwindow/internal/xrand"
 )
 
 // benchOpt keeps figure benches affordable while preserving the shapes.
@@ -401,22 +400,4 @@ func BenchmarkScaled1M(b *testing.B) {
 		share = shareL0(s.LevelCounts())
 	}
 	b.ReportMetric(share, "share_level0_1M")
-}
-
-// BenchmarkWindowStrongest measures the §3 strongest-selection helper on
-// a 10,000-pointer window — the size the paper's common system hands a
-// level-3 node. The former insertion sort was O(n·k) and dominated
-// selection cost at this scale.
-func BenchmarkWindowStrongest(b *testing.B) {
-	rng := xrand.New(99)
-	w := make(Window, 10000)
-	for i := range w {
-		w[i] = Pointer{ID: "p", Level: rng.Intn(16)}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if got := w.Strongest(8); len(got) != 8 {
-			b.Fatalf("got %d pointers", len(got))
-		}
-	}
 }

@@ -9,7 +9,7 @@ import (
 	"time"
 
 	"peerwindow/internal/query"
-	"peerwindow/internal/udptransport"
+	"peerwindow/internal/transport"
 	"peerwindow/internal/wire"
 )
 
@@ -76,13 +76,13 @@ func endpoint(a wire.Addr) string {
 // startDebugServer binds addr and serves the debug endpoints for n in a
 // background goroutine. It returns the bound listener so callers (and
 // tests) learn the effective port when addr ends in :0.
-func startDebugServer(addr, name string, n *udptransport.Node) (net.Listener, error) {
+func startDebugServer(addr, name string, n *transport.Host) (net.Listener, error) {
 	ln, err := net.Listen("tcp", addr)
 	if err != nil {
 		return nil, fmt.Errorf("pwnode: debug server: %w", err)
 	}
-	n.EnableTrace(debugTraceCapacity)
-	n.EnableSpans(debugSpanCapacity)
+	ring := n.EnableTrace(debugTraceCapacity)
+	spans := n.EnableSpans(debugSpanCapacity)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
@@ -150,23 +150,13 @@ func startDebugServer(addr, name string, n *udptransport.Node) (net.Listener, er
 	})
 	mux.HandleFunc("/debug/trace", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		ring := n.TraceRing()
-		if ring == nil {
-			fmt.Fprintln(w, "trace ring not enabled")
-			return
-		}
 		fmt.Fprintf(w, "# %d events recorded, newest last\n", ring.Total())
 		ring.Dump(w)
 	})
 
 	mux.HandleFunc("/debug/spans", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "application/x-ndjson")
-		buf := n.Spans()
-		if buf == nil {
-			http.Error(w, "span buffer not enabled", http.StatusNotFound)
-			return
-		}
-		buf.WriteJSONL(w)
+		spans.WriteJSONL(w)
 	})
 
 	// The profiler endpoints register on http.DefaultServeMux via the

@@ -114,7 +114,7 @@ func main() {
 		case <-tick.C:
 			ps := n.Pointers()
 			sent, recv := n.Counters()
-			fmt.Printf("window=%d level=%d datagrams out/in=%d/%d\n",
+			fmt.Printf("window=%d level=%d messages out/in=%d/%d\n",
 				len(ps), n.Level(), sent, recv)
 			for _, p := range ps {
 				pip, pport := p.Addr.IPv4()

@@ -11,17 +11,18 @@ import (
 	"time"
 
 	"peerwindow/internal/telemetry"
-	"peerwindow/internal/udptransport"
+	"peerwindow/internal/transport"
 )
 
 // telemetrySpanCapacity bounds the span buffer drained by the exporter
-// when tracing was not already enabled by -debug-addr.
+// when -debug-addr has not already attached one (EnableSpans returns the
+// buffer in place, so the two consumers share it).
 const telemetrySpanCapacity = 8192
 
 // startTelemetry dials the collector and starts the flush loop. Closing
 // the returned stop channel triggers one final flush; done closes when
 // it has been sent.
-func startTelemetry(addr string, interval time.Duration, name string, n *udptransport.Node) (stop, done chan struct{}, err error) {
+func startTelemetry(addr string, interval time.Duration, name string, n *transport.Host) (stop, done chan struct{}, err error) {
 	raddr, err := net.ResolveUDPAddr("udp4", addr)
 	if err != nil {
 		return nil, nil, fmt.Errorf("pwnode: telemetry: %w", err)

@@ -2,7 +2,6 @@ package peerwindow_test
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"time"
 
@@ -97,39 +96,4 @@ func ExamplePeer_Subscribe() {
 	ev := <-sub.Events()
 	fmt.Println(ev.Kind, "info:", string(ev.Pointer().Info))
 	// Output: added info: role=archive
-}
-
-// ExampleWindow_Strongest demonstrates the §3 selection helper: smaller
-// level values mark stronger (and statistically longer-lived) peers.
-func ExampleWindow_Strongest() {
-	w := peerwindow.Window{
-		{ID: "deep", Level: 5},
-		{ID: "top", Level: 0},
-		{ID: "mid", Level: 2},
-	}
-	for _, p := range w.Strongest(2) {
-		fmt.Println(p.ID, p.Level)
-	}
-	// Output:
-	// top 0
-	// mid 2
-}
-
-// ExampleWindow_ByInfo filters a window by application-attached info.
-func ExampleWindow_ByInfo() {
-	w := peerwindow.Window{
-		{ID: "a", Info: []byte("os=linux;disk=2T")},
-		{ID: "b", Info: []byte("os=plan9")},
-		{ID: "c", Info: []byte("os=linux;disk=500G")},
-	}
-	linux := w.ByInfo(func(info []byte) bool {
-		return strings.Contains(string(info), "os=linux")
-	})
-	ids := make([]string, 0, len(linux))
-	for _, p := range linux {
-		ids = append(ids, p.ID)
-	}
-	sort.Strings(ids)
-	fmt.Println(ids)
-	// Output: [a c]
 }

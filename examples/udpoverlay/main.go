@@ -21,6 +21,7 @@ import (
 
 	"peerwindow/internal/core"
 	"peerwindow/internal/des"
+	"peerwindow/internal/transport"
 	"peerwindow/internal/udptransport"
 )
 
@@ -35,7 +36,7 @@ func main() {
 	cfg.ReconcileDelay = 1 * des.Second
 
 	const count = 6
-	nodes := make([]*udptransport.Node, 0, count)
+	nodes := make([]*transport.Host, 0, count)
 	for i := 0; i < count; i++ {
 		n, err := udptransport.Listen("127.0.0.1:0", fmt.Sprintf("peer-%d", i), 1e9, cfg)
 		if err != nil {
@@ -65,7 +66,7 @@ func main() {
 	fmt.Println("\nconverged windows:")
 	for i, n := range nodes {
 		sent, recv := n.Counters()
-		fmt.Printf("  peer-%d: %d pointers, %d datagrams out, %d in\n",
+		fmt.Printf("  peer-%d: %d pointers, %d messages out, %d in\n",
 			i, len(n.Pointers()), sent, recv)
 	}
 

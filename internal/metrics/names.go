@@ -23,6 +23,13 @@ const (
 	MetricNetRecvBytes = "net.recv_bytes"
 	MetricNetGarbage   = "net.garbage_datagrams"
 	MetricNetBulkSends = "net.bulk_sends"
+	// MetricNetBulkRejected counts inbound TCP-sidecar transfers refused
+	// over the connection cap, oversized, cut short or undecodable.
+	MetricNetBulkRejected = "net.bulk_rejected"
+	// MetricNetSendErrors counts messages the socket layer could not
+	// send: failed datagram writes and bulk transfers that were skipped
+	// over the in-flight cap or failed to dial or write.
+	MetricNetSendErrors = "net.send_errors"
 
 	// MetricNetSendUnknownDest counts sends addressed to an endpoint the
 	// substrate has never heard of (a stale pointer to a recycled or

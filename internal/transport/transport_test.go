@@ -10,13 +10,18 @@ import (
 	"peerwindow/internal/des"
 )
 
+// Tests of what only the in-process Link does: identifier assignment,
+// network-wide shutdown, loss injection and the per-type net.* counters.
+// What every Host does over any Link is in conformance_test.go.
+
 // testNetwork runs at 100× — fast enough for tests while keeping the
 // virtual 3 s ack timeout at 30 ms of wall time, well clear of Go timer
 // jitter (at higher dilation, false failure detections appear).
-func testNetwork(seed uint64) *Network {
+func testNetwork(seed uint64, lossRate float64) *Network {
 	return NewNetwork(NetworkConfig{
 		Core:     core.DefaultConfig(),
 		Dilation: 100,
+		LossRate: lossRate,
 		Seed:     seed,
 	})
 }
@@ -26,136 +31,22 @@ func settle(n *Network, d des.Time) {
 	time.Sleep(n.toWall(d) + 10*time.Millisecond)
 }
 
-func buildOverlay(t *testing.T, n *Network, count int) []*Host {
-	t.Helper()
-	hosts := make([]*Host, 0, count)
-	first := n.Spawn("host-0", 1e9)
-	first.Bootstrap()
-	hosts = append(hosts, first)
-	for i := 1; i < count; i++ {
-		h := n.Spawn(fmt.Sprintf("host-%d", i), 1e9)
-		boot := hosts[i/2] // any existing member works as bootstrap
-		if err := h.Join(boot.Self()); err != nil {
-			t.Fatalf("join %d: %v", i, err)
-		}
-		hosts = append(hosts, h)
-		settle(n, 20*des.Second)
-	}
-	return hosts
-}
-
-func TestLiveOverlayConverges(t *testing.T) {
-	n := testNetwork(1)
-	defer n.Close()
-	hosts := buildOverlay(t, n, 10)
-	settle(n, 2*des.Minute)
-	for i, h := range hosts {
-		got := len(h.Pointers())
-		if got != len(hosts)-1 {
-			t.Fatalf("host %d sees %d peers, want %d", i, got, len(hosts)-1)
-		}
-	}
-}
-
-func TestLiveInfoChangePropagates(t *testing.T) {
-	n := testNetwork(2)
-	defer n.Close()
-	hosts := buildOverlay(t, n, 8)
-	settle(n, time30())
-	hosts[3].SetInfo([]byte("os=plan9"))
-	settle(n, 2*des.Minute)
-	subject := hosts[3].Self()
-	for i, h := range hosts {
-		if i == 3 {
-			continue
-		}
-		found := false
-		for _, p := range h.Pointers() {
-			if p.ID == subject.ID && string(p.Info) == "os=plan9" {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("host %d did not learn the info change", i)
-		}
-	}
-}
-
-func time30() des.Time { return 30 * des.Second }
-
-func TestLiveLeavePropagates(t *testing.T) {
-	n := testNetwork(3)
-	defer n.Close()
-	hosts := buildOverlay(t, n, 8)
-	settle(n, time30())
-	leaver := hosts[5]
-	leaverID := leaver.Self().ID
-	leaver.Leave()
-	settle(n, 2*des.Minute)
-	for i, h := range hosts {
-		if i == 5 {
-			continue
-		}
-		for _, p := range h.Pointers() {
-			if p.ID == leaverID {
-				t.Fatalf("host %d still lists the departed node", i)
-			}
-		}
-	}
-}
-
-func TestLiveCrashDetected(t *testing.T) {
-	n := testNetwork(4)
-	defer n.Close()
-	hosts := buildOverlay(t, n, 8)
-	settle(n, time30())
-	victim := hosts[2]
-	victimID := victim.Self().ID
-	victim.Shutdown() // silent crash
-	// Ring probing (30 s virtual) + timeout + multicast.
-	settle(n, 5*des.Minute)
-	for i, h := range hosts {
-		if i == 2 {
-			continue
-		}
-		for _, p := range h.Pointers() {
-			if p.ID == victimID {
-				t.Fatalf("host %d still lists the crashed node", i)
-			}
-		}
-	}
-}
-
-func TestJoinAgainstDeadBootstrapFails(t *testing.T) {
-	n := testNetwork(5)
-	defer n.Close()
-	a := n.Spawn("a", 1e9)
-	a.Bootstrap()
-	dead := a.Self()
-	a.Shutdown()
-	b := n.Spawn("b", 1e9)
-	if err := b.Join(dead); err == nil {
-		t.Fatal("join through a dead bootstrap should fail")
-	}
-}
-
-func TestShutdownIdempotentAndCloseStopsAll(t *testing.T) {
-	n := testNetwork(6)
+func TestCloseStopsAllAndSpawnAfterClosePanics(t *testing.T) {
+	n := testNetwork(6, 0)
 	a := n.Spawn("a", 1e9)
 	a.Bootstrap()
 	b := n.Spawn("b", 1e9)
-	if err := b.Join(a.Self()); err != nil {
+	if err := b.Join(a.Self(), 5*time.Second); err != nil {
 		t.Fatalf("join: %v", err)
 	}
-	a.Shutdown()
-	a.Shutdown() // no panic, no deadlock
+	a.Close()
 	n.Close()
 	n.Close()
-}
-
-func TestSpawnAfterClosePanics(t *testing.T) {
-	n := testNetwork(7)
-	n.Close()
+	select {
+	case <-b.done:
+	default:
+		t.Fatal("Network.Close left a host's executor running")
+	}
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Spawn after Close did not panic")
@@ -165,7 +56,7 @@ func TestSpawnAfterClosePanics(t *testing.T) {
 }
 
 func TestDistinctIdentifiers(t *testing.T) {
-	n := testNetwork(8)
+	n := testNetwork(8, 0)
 	defer n.Close()
 	a := n.Spawn("same-name", 0)
 	b := n.Spawn("same-name", 0)
@@ -174,70 +65,53 @@ func TestDistinctIdentifiers(t *testing.T) {
 	}
 }
 
-// TestNetworkMetricsMatchStats holds the per-type net.* counters to the
-// legacy aggregate Stats: summed over message types, sends must equal
-// Messages, send bits must equal Bits, and drops must equal Dropped.
-func TestNetworkMetricsMatchStats(t *testing.T) {
-	n := NewNetwork(NetworkConfig{
-		Core:     core.DefaultConfig(),
-		Dilation: 100,
-		LossRate: 0.05,
-		Seed:     9,
-	})
+// TestNetworkMetricsUnderLoss checks the per-type net.* counters against
+// each other under injected loss: every message offered is either
+// dropped, delivered, or still in flight, and bits follow messages.
+func TestNetworkMetricsUnderLoss(t *testing.T) {
+	n := testNetwork(9, 0.05)
 	defer n.Close()
-	buildOverlay(t, n, 6)
+	first := n.Spawn("host-0", 1e9)
+	first.Bootstrap()
+	for i := 1; i < 6; i++ {
+		h := n.Spawn(fmt.Sprintf("host-%d", i), 1e9)
+		if err := h.Join(first.Self(), 5*time.Second); err != nil {
+			t.Fatalf("join %d: %v", i, err)
+		}
+		settle(n, 20*des.Second)
+	}
 	settle(n, 2*des.Minute)
 
-	s := n.Stats()
 	m := n.Metrics()
-	var sends, bits, drops uint64
+	var sends, recvs, drops, sendBits, recvBits uint64
 	for name, v := range m.Counters {
 		switch {
 		case strings.HasPrefix(name, "net.send_bits."):
-			bits += v
+			sendBits += v
+		case strings.HasPrefix(name, "net.recv_bits."):
+			recvBits += v
 		case strings.HasPrefix(name, "net.send."):
 			sends += v
+		case strings.HasPrefix(name, "net.recv."):
+			recvs += v
 		case strings.HasPrefix(name, "net.drop."):
 			drops += v
 		}
 	}
-	// Stats counters advance atomically but not in the same instant as
-	// the per-type counters, so snapshot skew of a few in-flight
-	// messages is possible; the totals must agree to within that.
-	if diff := int64(sends) - int64(s.Messages); diff < -5 || diff > 5 {
-		t.Fatalf("summed net.send.* = %d, Stats.Messages = %d", sends, s.Messages)
-	}
-	if s.Messages == 0 || bits == 0 {
+	if sends == 0 || sendBits == 0 {
 		t.Fatal("no traffic recorded")
 	}
-	if float64(bits) < 0.9*float64(s.Bits) || float64(bits) > 1.1*float64(s.Bits) {
-		t.Fatalf("summed net.send_bits.* = %d, Stats.Bits = %d", bits, s.Bits)
-	}
-	if s.Dropped == 0 {
+	if drops == 0 {
 		t.Fatal("loss injection recorded no drops")
 	}
-	if diff := int64(drops) - int64(s.Dropped); diff < -5 || diff > 5 {
-		t.Fatalf("summed net.drop.* = %d, Stats.Dropped = %d", drops, s.Dropped)
+	// The snapshot reads counter by counter while messages are in flight.
+	if diff := int64(sends) - int64(recvs+drops); diff < -5 || diff > 5 {
+		t.Fatalf("net.send.* = %d, net.recv.* + net.drop.* = %d + %d", sends, recvs, drops)
+	}
+	if recvBits == 0 || recvBits > sendBits {
+		t.Fatalf("net.recv_bits.* = %d, net.send_bits.* = %d", recvBits, sendBits)
 	}
 	if got := m.Gauges["net.hosts"]; got != 6 {
 		t.Fatalf("net.hosts = %d, want 6", got)
-	}
-}
-
-// TestHostMetricsSnapshot exercises the per-host instrument surface.
-func TestHostMetricsSnapshot(t *testing.T) {
-	n := testNetwork(10)
-	defer n.Close()
-	hosts := buildOverlay(t, n, 4)
-	settle(n, 2*des.Minute)
-	s := hosts[0].MetricsSnapshot()
-	if got := s.Counters["peers.added"]; got < 3 {
-		t.Fatalf("peers.added = %d, want >= 3", got)
-	}
-	if got := s.Gauges["peer.window_size"]; got != 3 {
-		t.Fatalf("peer.window_size = %d, want 3", got)
-	}
-	if _, ok := s.Histograms["multicast.step_depth"]; !ok {
-		t.Fatal("missing multicast.step_depth histogram")
 	}
 }

@@ -1,10 +1,11 @@
-// Package udptransport runs a PeerWindow node over real UDP sockets —
-// the deployment form of the protocol. It is the proof of the claim in
-// the README: the core state machine never touches the network, so a
-// socket transport is just another core.Env. Every protocol message is
-// one datagram in the internal/wire encoding (all messages except bulk
-// peer-list responses fit comfortably in a typical MTU; list responses
-// are paginated to stay under the datagram limit).
+// Package udptransport is the socket Link under transport.Host — the
+// deployment form of the protocol. It is the proof of the claim in the
+// README: the core state machine never touches the network, so putting
+// it on real sockets means supplying a clock, a Send and a reader, and
+// nothing else. Every protocol message is one datagram in the
+// internal/wire encoding; pointer lists too large for a datagram travel
+// over a TCP sidecar bound to the same port number, so no message is
+// ever truncated.
 //
 // Endpoint addressing: pointers carry real endpoints, packed into
 // wire.Addr as IPv4:port (see wire.AddrFromIPv4), so a pointer received
@@ -19,65 +20,70 @@
 package udptransport
 
 import (
+	"context"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"net"
+	"net/netip"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"peerwindow/internal/core"
 	"peerwindow/internal/des"
 	"peerwindow/internal/metrics"
 	"peerwindow/internal/nodeid"
-	"peerwindow/internal/query"
-	"peerwindow/internal/trace"
+	"peerwindow/internal/transport"
 	"peerwindow/internal/wire"
 	"peerwindow/internal/xrand"
 )
 
-// maxDatagram bounds outgoing datagrams; peer-list responses are split
-// into pages that respect it.
-const maxDatagram = 60000
+const (
+	// maxDatagram bounds outgoing datagrams.
+	maxDatagram = 60000
+	// maxPointersPerDatagram bounds list payloads: ≥26 bytes per bare
+	// pointer plus header slack under maxDatagram. Longer lists go over
+	// the TCP sidecar.
+	maxPointersPerDatagram = (maxDatagram - 64) / 30
 
-// Node is one UDP-backed PeerWindow participant. Bulk pointer-list
-// responses that exceed a datagram travel over a TCP sidecar bound to
-// the same port number, so no message is ever truncated.
-type Node struct {
+	// maxBulkBytes is the largest sidecar transfer a receiver accepts.
+	maxBulkBytes = 64 << 20
+	// maxBulkConns caps concurrent sidecar transfers in each direction:
+	// connections beyond it are refused inbound and not attempted
+	// outbound (the protocol's retries cover both).
+	maxBulkConns = 16
+	// bulkTimeout bounds one sidecar transfer end to end.
+	bulkTimeout = 10 * time.Second
+)
+
+// link is one node's UDP socket plus TCP sidecar.
+type link struct {
 	conn  *net.UDPConn
 	tcp   *net.TCPListener
-	node  *core.Node
-	self  wire.Pointer
+	host  *transport.Host
 	start time.Time
 
-	inbox chan func()
-	quit  chan struct{}
-	once  sync.Once
-	wg    sync.WaitGroup
+	// ctx is cancelled by Close; it aborts sidecar dials and closes open
+	// sidecar connections so wg drains promptly.
+	ctx    context.Context
+	cancel context.CancelFunc
+	wg     sync.WaitGroup
+	// inbound and outbound are the sidecar's counting semaphores.
+	inbound, outbound chan struct{}
 
-	rng *xrand.Source
-
-	sent, received, bulkSends uint64
-
-	// reg holds the socket-level instruments: per-message-type send/recv
-	// counts and bytes, bulk-transfer and garbage-datagram counters.
-	reg                           *metrics.Registry
-	send                          [wire.MsgTopListResp + 1]*metrics.Counter
-	recv                          [wire.MsgTopListResp + 1]*metrics.Counter
-	sendBytes, recvBytes, garbage *metrics.Counter
-
-	ring  *trace.Ring
-	spans *trace.SpanBuffer
-
-	// store is the query-plane snapshot store fed by the node's delta
-	// stream (see internal/query).
-	store *query.Store
+	// reg holds the socket-level instruments.
+	reg                  *metrics.Registry
+	send, recv           [wire.MsgTopListResp + 1]*metrics.Counter
+	sendBytes, recvBytes *metrics.Counter
+	garbage, bulkReject  *metrics.Counter
+	sendErrors           *metrics.Counter
+	bulkSends            *metrics.Gauge
 }
 
-// Listen binds a UDP socket (addr like "127.0.0.1:0") and starts the
-// node's executor and reader. name seeds the identifier; budget is the
-// collection budget in bit/s (0 keeps cfg's default).
-func Listen(addr, name string, budget float64, cfg core.Config) (*Node, error) {
+// Listen binds a UDP socket (addr like "127.0.0.1:0") with its TCP
+// sidecar and starts a host over them. name seeds the identifier; budget
+// is the collection budget in bit/s (0 keeps cfg's default).
+func Listen(addr, name string, budget float64, cfg core.Config) (*transport.Host, error) {
 	udpAddr, err := net.ResolveUDPAddr("udp4", addr)
 	if err != nil {
 		return nil, fmt.Errorf("udptransport: %w", err)
@@ -86,345 +92,185 @@ func Listen(addr, name string, budget float64, cfg core.Config) (*Node, error) {
 	if err != nil {
 		return nil, fmt.Errorf("udptransport: %w", err)
 	}
-	local := conn.LocalAddr().(*net.UDPAddr)
-	ip4 := local.IP.To4()
-	if ip4 == nil {
-		conn.Close()
-		return nil, fmt.Errorf("udptransport: %v is not IPv4", local.IP)
-	}
-	var ip [4]byte
-	copy(ip[:], ip4)
-	if budget > 0 {
-		cfg.ThresholdBits = budget
-	}
-	n := &Node{
-		conn:  conn,
-		start: time.Now(),
-		inbox: make(chan func(), 1024),
-		quit:  make(chan struct{}),
-		rng:   xrand.New(uint64(local.Port)*2654435761 + 1),
-		reg:   metrics.NewRegistry(),
-	}
-	for t := wire.MsgEvent; t <= wire.MsgTopListResp; t++ {
-		n.send[t] = n.reg.Counter(metrics.MetricNetSendPrefix + t.String())
-		n.recv[t] = n.reg.Counter(metrics.MetricNetRecvPrefix + t.String())
-	}
-	n.sendBytes = n.reg.Counter(metrics.MetricNetSendBytes)
-	n.recvBytes = n.reg.Counter(metrics.MetricNetRecvBytes)
-	n.garbage = n.reg.Counter(metrics.MetricNetGarbage)
-	n.self = wire.Pointer{
-		Addr: wire.AddrFromIPv4(ip, uint16(local.Port)),
-		ID:   nodeid.Hash([]byte(fmt.Sprintf("%s@%s", name, local))),
-	}
+	local := conn.LocalAddr().(*net.UDPAddr) // IPv4: the socket is udp4
 	// TCP sidecar on the same port number for bulk responses.
 	tcp, err := net.ListenTCP("tcp4", &net.TCPAddr{IP: local.IP, Port: local.Port})
 	if err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("udptransport: tcp sidecar: %w", err)
 	}
-	n.tcp = tcp
-	n.node = core.NewNode(cfg, n, core.Observer{}, n.self)
-	n.store = query.NewStore(nil)
-	n.node.SetDeltas(n.store)
-	n.wg.Add(3)
-	go n.loop()
-	go n.read()
-	go n.accept()
-	return n, nil
-}
-
-// accept receives bulk messages over the TCP sidecar: a 4-byte
-// big-endian length prefix followed by one wire-encoded message per
-// connection.
-func (n *Node) accept() {
-	defer n.wg.Done()
-	for {
-		c, err := n.tcp.Accept()
-		if err != nil {
-			return // listener closed
-		}
-		go func() {
-			defer c.Close()
-			c.SetReadDeadline(time.Now().Add(10 * time.Second))
-			var hdr [4]byte
-			if _, err := io.ReadFull(c, hdr[:]); err != nil {
-				return
-			}
-			size := int(hdr[0])<<24 | int(hdr[1])<<16 | int(hdr[2])<<8 | int(hdr[3])
-			if size <= 0 || size > 64<<20 {
-				return
-			}
-			buf := make([]byte, size)
-			if _, err := io.ReadFull(c, buf); err != nil {
-				return
-			}
-			msg, err := wire.Unmarshal(buf)
-			if err != nil {
-				return
-			}
-			atomic.AddUint64(&n.received, 1)
-			if msg.Type.Valid() {
-				n.recv[msg.Type].Inc()
-			}
-			n.recvBytes.Add(uint64(size))
-			n.exec(func() { n.node.HandleMessage(msg) })
-		}()
+	if budget > 0 {
+		cfg.ThresholdBits = budget
 	}
-}
-
-// loop serializes all node activity.
-func (n *Node) loop() {
-	defer n.wg.Done()
-	for {
-		select {
-		case fn := <-n.inbox:
-			fn()
-		case <-n.quit:
-			return
-		}
+	reg := metrics.NewRegistry()
+	l := &link{
+		conn:       conn,
+		tcp:        tcp,
+		start:      time.Now(),
+		inbound:    make(chan struct{}, maxBulkConns),
+		outbound:   make(chan struct{}, maxBulkConns),
+		reg:        reg,
+		sendBytes:  reg.Counter(metrics.MetricNetSendBytes),
+		recvBytes:  reg.Counter(metrics.MetricNetRecvBytes),
+		garbage:    reg.Counter(metrics.MetricNetGarbage),
+		bulkReject: reg.Counter(metrics.MetricNetBulkRejected),
+		sendErrors: reg.Counter(metrics.MetricNetSendErrors),
+		bulkSends:  reg.Gauge(metrics.MetricNetBulkSends),
 	}
+	l.ctx, l.cancel = context.WithCancel(context.Background())
+	for t := wire.MsgEvent; t <= wire.MsgTopListResp; t++ {
+		l.send[t] = reg.Counter(metrics.MetricNetSendPrefix + t.String())
+		l.recv[t] = reg.Counter(metrics.MetricNetRecvPrefix + t.String())
+	}
+	self := wire.Pointer{
+		Addr: wire.AddrFromIPv4([4]byte(local.IP.To4()), uint16(local.Port)),
+		ID:   nodeid.Hash([]byte(fmt.Sprintf("%s@%s", name, local))),
+	}
+	l.host = transport.NewHost(cfg, self, xrand.New(uint64(local.Port)*2654435761+1), l)
+	l.wg.Add(2)
+	go l.read()
+	go l.accept()
+	return l.host, nil
 }
 
-// read pumps datagrams into the executor.
-func (n *Node) read() {
-	defer n.wg.Done()
+// Now implements transport.Link: real nanoseconds since start.
+func (l *link) Now() des.Time { return des.Time(time.Since(l.start)) }
+
+// Wall implements transport.Link: virtual time is wall time.
+func (l *link) Wall(d des.Time) time.Duration { return time.Duration(d) }
+
+// Metrics implements transport.Link.
+func (l *link) Metrics() metrics.Snapshot { return l.reg.Snapshot() }
+
+// Close implements transport.Link. The host calls it after its executor
+// has stopped, so no Send races the wait.
+func (l *link) Close() {
+	l.cancel()
+	l.conn.Close()
+	l.tcp.Close()
+	l.wg.Wait()
+}
+
+// read pumps datagrams into the host.
+func (l *link) read() {
+	defer l.wg.Done()
 	buf := make([]byte, maxDatagram+1)
 	for {
-		nr, _, err := n.conn.ReadFromUDP(buf)
+		nr, _, err := l.conn.ReadFromUDP(buf)
 		if err != nil {
 			return // socket closed
 		}
-		msg, err := wire.Unmarshal(buf[:nr])
-		if err != nil {
-			n.garbage.Inc()
-			continue // garbage datagram
-		}
-		atomic.AddUint64(&n.received, 1)
-		if msg.Type.Valid() {
-			n.recv[msg.Type].Inc()
-		}
-		n.recvBytes.Add(uint64(nr))
-		n.exec(func() { n.node.HandleMessage(msg) })
+		l.receive(buf[:nr], l.garbage)
 	}
 }
 
-func (n *Node) exec(fn func()) {
-	select {
-	case n.inbox <- fn:
-	case <-n.quit:
-	}
-}
-
-func (n *Node) call(fn func()) {
-	done := make(chan struct{})
-	n.exec(func() {
-		fn()
-		close(done)
-	})
-	select {
-	case <-done:
-	case <-n.quit:
-	}
-}
-
-// Close stops the node without announcement (a crash); use Leave first
-// for a polite departure.
-func (n *Node) Close() {
-	n.once.Do(func() {
-		n.call(func() { n.node.Stop() })
-		close(n.quit)
-		n.conn.Close()
-		n.tcp.Close()
-		n.wg.Wait()
-	})
-}
-
-// Self returns the node's pointer; its Addr routes over UDP.
-func (n *Node) Self() wire.Pointer {
-	var p wire.Pointer
-	n.call(func() { p = n.node.Self() })
-	return p
-}
-
-// Level returns the node's current level.
-func (n *Node) Level() int {
-	var l int
-	n.call(func() { l = n.node.Level() })
-	return l
-}
-
-// Pointers snapshots the peer list.
-func (n *Node) Pointers() []wire.Pointer {
-	var ps []wire.Pointer
-	n.call(func() { ps = n.node.Peers().Pointers() })
-	return ps
-}
-
-// Bootstrap makes this node the first member of a fresh overlay.
-func (n *Node) Bootstrap() { n.call(func() { n.node.Bootstrap() }) }
-
-// Join runs the §4.3 process against a bootstrap pointer and blocks.
-func (n *Node) Join(bootstrap wire.Pointer, timeout time.Duration) error {
-	errc := make(chan error, 1)
-	n.exec(func() { n.node.Join(bootstrap, func(err error) { errc <- err }) })
-	select {
-	case err := <-errc:
-		return err
-	case <-n.quit:
-		return core.ErrJoinFailed
-	case <-time.After(timeout):
-		return fmt.Errorf("udptransport: join timed out: %w", core.ErrJoinFailed)
-	}
-}
-
-// Leave departs politely and closes the socket.
-func (n *Node) Leave() {
-	n.call(func() { n.node.Leave() })
-	n.Close()
-}
-
-// SetInfo announces new attached info (§3).
-func (n *Node) SetInfo(info []byte) { n.call(func() { n.node.SetInfo(info) }) }
-
-// Counters returns datagrams sent and received.
-func (n *Node) Counters() (sent, received uint64) {
-	return atomic.LoadUint64(&n.sent), atomic.LoadUint64(&n.received)
-}
-
-// BulkSends returns how many oversized list responses travelled over
-// the TCP sidecar (see Send).
-func (n *Node) BulkSends() uint64 { return atomic.LoadUint64(&n.bulkSends) }
-
-// MetricsSnapshot merges the protocol instruments (multicast, probe,
-// level-shift, refresh counters and the detection-latency histogram —
-// read through the executor) with the socket-level per-type counters
-// into one snapshot; the pwnode debug endpoint serves it verbatim.
-func (n *Node) MetricsSnapshot() metrics.Snapshot {
-	var s metrics.Snapshot
-	n.call(func() { s = n.node.MetricsSnapshot() })
-	n.reg.Gauge(metrics.MetricNetBulkSends).Set(int64(n.BulkSends()))
-	s.Merge(n.reg.Snapshot())
-	s.Merge(n.store.MetricsSnapshot())
-	return s
-}
-
-// Query returns the node's query-plane store. Safe from any goroutine;
-// reading a view or subscribing never touches the executor.
-func (n *Node) Query() *query.Store { return n.store }
-
-// EnableTrace attaches a fresh ring of the given capacity to the node:
-// protocol-level moments (probe rounds, detections, shifts, retries) are
-// recorded with timestamps relative to node start. Call it before
-// Bootstrap or Join; it returns the ring for dumping.
-func (n *Node) EnableTrace(capacity int) *trace.Ring {
-	ring := trace.NewRing(capacity)
-	n.call(func() {
-		n.ring = ring
-		n.node.SetTrace(ring)
-	})
-	return ring
-}
-
-// TraceRing returns the ring attached by EnableTrace, or nil.
-func (n *Node) TraceRing() *trace.Ring { return n.ring }
-
-// EnableSpans attaches a causal span buffer of the given capacity: the
-// node stamps trace IDs on the events it announces and records spans
-// (origin, receive, deliver, duplicate, forward, redirect, drop) into
-// it. Call it before Bootstrap or Join; it returns the buffer for
-// /debug/spans-style JSONL dumps.
-func (n *Node) EnableSpans(capacity int) *trace.SpanBuffer {
-	buf := trace.NewSpanBuffer(capacity)
-	n.call(func() {
-		n.spans = buf
-		n.node.SetSpanSink(buf)
-	})
-	return buf
-}
-
-// Spans returns the buffer attached by EnableSpans, or nil.
-func (n *Node) Spans() *trace.SpanBuffer { return n.spans }
-
-// --- core.Env -------------------------------------------------------------
-
-// Now implements core.Env: real nanoseconds since start.
-func (n *Node) Now() des.Time { return des.Time(time.Since(n.start)) }
-
-// Rand implements core.Env.
-func (n *Node) Rand() *xrand.Source { return n.rng }
-
-// Send implements core.Env: one datagram per message. Pointer lists too
-// large for a datagram go over the TCP sidecar to the same port number
-// instead (counted in BulkSends) — bulk downloads of 100k-pointer
-// windows are stream transfers, exactly as a production deployment
-// would do them.
-func (n *Node) Send(msg wire.Message) {
-	ip, port := msg.To.IPv4()
-	if msg.Type.Valid() {
-		n.send[msg.Type].Inc()
-	}
-	if len(msg.Pointers) > maxPointersPerDatagram {
-		b := msg.Marshal()
-		n.sendBytes.Add(uint64(len(b)))
-		go n.sendBulk(b, ip, port)
+// receive decodes one inbound message — a datagram or a sidecar payload
+// — and delivers it; what does not decode is counted in bad.
+func (l *link) receive(b []byte, bad *metrics.Counter) {
+	msg, err := wire.Unmarshal(b)
+	if err != nil {
+		bad.Inc()
 		return
 	}
+	if msg.Type.Valid() {
+		l.recv[msg.Type].Inc()
+	}
+	l.recvBytes.Add(uint64(len(b)))
+	l.host.Deliver(msg)
+}
+
+// accept admits sidecar connections up to maxBulkConns at a time.
+func (l *link) accept() {
+	defer l.wg.Done()
+	for {
+		c, err := l.tcp.Accept()
+		if err != nil {
+			return // listener closed
+		}
+		select {
+		case l.inbound <- struct{}{}:
+			l.wg.Add(1)
+			go l.recvBulk(c)
+		default:
+			l.bulkReject.Inc()
+			c.Close()
+		}
+	}
+}
+
+// recvBulk reads one sidecar transfer: a 4-byte big-endian length prefix
+// followed by one wire-encoded message.
+func (l *link) recvBulk(c net.Conn) {
+	defer l.wg.Done()
+	defer func() { <-l.inbound }()
+	defer c.Close()
+	defer context.AfterFunc(l.ctx, func() { c.Close() })()
+	c.SetReadDeadline(time.Now().Add(bulkTimeout))
+	var hdr [4]byte
+	_, err := io.ReadFull(c, hdr[:])
+	size := int64(binary.BigEndian.Uint32(hdr[:]))
+	if err != nil || size > maxBulkBytes {
+		l.bulkReject.Inc()
+		return
+	}
+	// ReadAll grows its buffer as bytes arrive, so the claimed size costs
+	// nothing until the sender actually delivers it.
+	buf, err := io.ReadAll(io.LimitReader(c, size))
+	if err != nil || int64(len(buf)) != size {
+		l.bulkReject.Inc()
+		return
+	}
+	l.receive(buf, l.bulkReject)
+}
+
+// Send implements transport.Link: one datagram per message. Pointer
+// lists too large for a datagram go over the TCP sidecar instead —
+// bulk downloads of 100k-pointer windows are stream transfers, exactly
+// as a production deployment would do them. Failures of either path
+// count in net.send_errors; the protocol's ack timeouts do the retrying.
+func (l *link) Send(msg wire.Message) {
+	if msg.Type.Valid() {
+		l.send[msg.Type].Inc()
+	}
 	b := msg.Marshal()
-	n.sendBytes.Add(uint64(len(b)))
-	dst := &net.UDPAddr{IP: net.IPv4(ip[0], ip[1], ip[2], ip[3]), Port: int(port)}
-	if _, err := n.conn.WriteToUDP(b, dst); err == nil {
-		atomic.AddUint64(&n.sent, 1)
+	l.sendBytes.Add(uint64(len(b)))
+	ip, port := msg.To.IPv4()
+	dst := netip.AddrPortFrom(netip.AddrFrom4(ip), port)
+	if len(msg.Pointers) > maxPointersPerDatagram {
+		select {
+		case l.outbound <- struct{}{}:
+			l.wg.Add(1)
+			go l.sendBulk(b, dst)
+		default:
+			l.sendErrors.Inc()
+		}
+		return
+	}
+	if _, err := l.conn.WriteToUDPAddrPort(b, dst); err != nil {
+		l.sendErrors.Inc()
 	}
 }
 
 // sendBulk ships one length-prefixed message over a short-lived TCP
 // connection.
-func (n *Node) sendBulk(b []byte, ip [4]byte, port uint16) {
-	dst := &net.TCPAddr{IP: net.IPv4(ip[0], ip[1], ip[2], ip[3]), Port: int(port)}
-	c, err := net.DialTCP("tcp4", nil, dst)
+func (l *link) sendBulk(b []byte, dst netip.AddrPort) {
+	defer l.wg.Done()
+	defer func() { <-l.outbound }()
+	ctx, cancel := context.WithTimeout(l.ctx, bulkTimeout)
+	defer cancel()
+	var d net.Dialer
+	c, err := d.DialContext(ctx, "tcp4", dst.String())
 	if err != nil {
+		l.sendErrors.Inc()
 		return
 	}
 	defer c.Close()
-	c.SetWriteDeadline(time.Now().Add(10 * time.Second))
-	hdr := []byte{byte(len(b) >> 24), byte(len(b) >> 16), byte(len(b) >> 8), byte(len(b))}
-	if _, err := c.Write(hdr); err != nil {
+	defer context.AfterFunc(l.ctx, func() { c.Close() })()
+	c.SetWriteDeadline(time.Now().Add(bulkTimeout))
+	hdr := binary.BigEndian.AppendUint32(nil, uint32(len(b)))
+	if _, err := (&net.Buffers{hdr, b}).WriteTo(c); err != nil {
+		l.sendErrors.Inc()
 		return
 	}
-	if _, err := c.Write(b); err != nil {
-		return
-	}
-	atomic.AddUint64(&n.bulkSends, 1)
-}
-
-// maxPointersPerDatagram bounds list payloads: ≥26 bytes per bare
-// pointer plus header slack under maxDatagram.
-const maxPointersPerDatagram = (maxDatagram - 64) / 30
-
-// udpTimer adapts time.Timer to core.Timer with the same guard the
-// in-process transport uses.
-type udpTimer struct {
-	state int32
-	t     *time.Timer
-}
-
-func (t *udpTimer) Cancel() bool {
-	if atomic.CompareAndSwapInt32(&t.state, 0, 2) {
-		t.t.Stop()
-		return true
-	}
-	return false
-}
-
-// SetTimer implements core.Env.
-func (n *Node) SetTimer(delay des.Time, fn func()) core.Timer {
-	ut := &udpTimer{}
-	ut.t = time.AfterFunc(time.Duration(delay), func() {
-		n.exec(func() {
-			if atomic.CompareAndSwapInt32(&ut.state, 0, 1) {
-				fn()
-			}
-		})
-	})
-	return ut
+	l.bulkSends.Add(1)
 }

@@ -2,14 +2,22 @@ package udptransport
 
 import (
 	"fmt"
+	"net"
+	"runtime"
 	"testing"
 	"time"
 
 	"peerwindow/internal/core"
 	"peerwindow/internal/des"
+	"peerwindow/internal/metrics"
 	"peerwindow/internal/nodeid"
+	"peerwindow/internal/transport"
 	"peerwindow/internal/wire"
 )
+
+// Tests of what only the socket Link does: the TCP sidecar and its
+// bounds. What every Host does over any Link is in
+// internal/transport/conformance_test.go.
 
 // fastConfig scales the paper's constants down so loopback tests finish
 // in seconds while keeping every ratio intact.
@@ -19,164 +27,47 @@ func fastConfig() core.Config {
 	cfg.ProbeTimeout = 120 * des.Millisecond
 	cfg.AckTimeout = 120 * des.Millisecond
 	cfg.ForwardDelay = 10 * des.Millisecond
-	cfg.ShiftCheckInterval = 1 * des.Second
-	cfg.MeterWindow = 2 * des.Second
 	cfg.RefreshEnabled = false
-	cfg.ReconcileDelay = 500 * des.Millisecond
 	return cfg
 }
 
-func spawnOverlay(t *testing.T, count int) []*Node {
+func listen(t *testing.T, name string) *transport.Host {
 	t.Helper()
-	cfg := fastConfig()
-	nodes := make([]*Node, 0, count)
-	for i := 0; i < count; i++ {
-		n, err := Listen("127.0.0.1:0", fmt.Sprintf("udp-%d", i), 1e9, cfg)
-		if err != nil {
-			t.Fatalf("listen %d: %v", i, err)
-		}
-		nodes = append(nodes, n)
-		if i == 0 {
-			n.Bootstrap()
-			continue
-		}
-		boot := nodes[i/2].Self()
-		if err := n.Join(boot, 10*time.Second); err != nil {
-			t.Fatalf("join %d: %v", i, err)
-		}
-		time.Sleep(150 * time.Millisecond)
-	}
-	return nodes
-}
-
-func closeAll(nodes []*Node) {
-	for _, n := range nodes {
-		n.Close()
-	}
-}
-
-func TestUDPOverlayConverges(t *testing.T) {
-	nodes := spawnOverlay(t, 6)
-	defer closeAll(nodes)
-	time.Sleep(800 * time.Millisecond)
-	for i, n := range nodes {
-		if got := len(n.Pointers()); got != len(nodes)-1 {
-			t.Fatalf("node %d sees %d peers, want %d", i, got, len(nodes)-1)
-		}
-	}
-	sent, received := nodes[0].Counters()
-	if sent == 0 || received == 0 {
-		t.Fatal("no datagrams flowed")
-	}
-	if nodes[0].BulkSends() != 0 {
-		t.Fatal("unexpected bulk transfer at this scale")
-	}
-}
-
-func TestUDPInfoChangePropagates(t *testing.T) {
-	nodes := spawnOverlay(t, 5)
-	defer closeAll(nodes)
-	nodes[2].SetInfo([]byte("zone=eu"))
-	time.Sleep(800 * time.Millisecond)
-	subject := nodes[2].Self()
-	for i, n := range nodes {
-		if i == 2 {
-			continue
-		}
-		found := false
-		for _, p := range n.Pointers() {
-			if p.ID == subject.ID && string(p.Info) == "zone=eu" {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("node %d missed the info change over UDP", i)
-		}
-	}
-}
-
-func TestUDPLeavePropagates(t *testing.T) {
-	nodes := spawnOverlay(t, 5)
-	defer closeAll(nodes)
-	leaver := nodes[3]
-	leaverID := leaver.Self().ID
-	leaver.Leave()
-	time.Sleep(time.Second)
-	for i, n := range nodes {
-		if i == 3 {
-			continue
-		}
-		for _, p := range n.Pointers() {
-			if p.ID == leaverID {
-				t.Fatalf("node %d still lists the departed node", i)
-			}
-		}
-	}
-}
-
-func TestUDPCrashDetected(t *testing.T) {
-	nodes := spawnOverlay(t, 5)
-	defer closeAll(nodes)
-	victim := nodes[1]
-	victimID := victim.Self().ID
-	victim.Close() // silent crash
-	// Ring probing: interval 400ms, 3 retries of 120ms, then multicast.
-	time.Sleep(3 * time.Second)
-	for i, n := range nodes {
-		if i == 1 {
-			continue
-		}
-		for _, p := range n.Pointers() {
-			if p.ID == victimID {
-				t.Fatalf("node %d still lists the crashed node", i)
-			}
-		}
-	}
-}
-
-func TestUDPJoinDeadBootstrapFails(t *testing.T) {
-	cfg := fastConfig()
-	a, err := Listen("127.0.0.1:0", "a", 0, cfg)
+	h, err := Listen("127.0.0.1:0", name, 0, fastConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
-	a.Bootstrap()
-	dead := a.Self()
-	a.Close()
-	b, err := Listen("127.0.0.1:0", "b", 0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	if err := b.Join(dead, 5*time.Second); err == nil {
-		t.Fatal("join through a closed socket should fail")
-	}
+	t.Cleanup(h.Close)
+	h.Bootstrap()
+	return h
 }
 
-func TestUDPCloseIdempotent(t *testing.T) {
-	n, err := Listen("127.0.0.1:0", "solo", 0, fastConfig())
+// sidecar dials h's TCP sidecar.
+func sidecar(t *testing.T, h *transport.Host) net.Conn {
+	t.Helper()
+	ip, port := h.Self().Addr.IPv4()
+	c, err := net.DialTCP("tcp4", nil, &net.TCPAddr{IP: ip[:], Port: int(port)})
 	if err != nil {
 		t.Fatal(err)
 	}
-	n.Bootstrap()
-	n.Close()
-	n.Close()
+	t.Cleanup(func() { c.Close() })
+	return c
+}
+
+// eventually polls cond for up to five seconds.
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); {
+		if cond() {
+			return
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	t.Fatalf("timed out waiting until %s", what)
 }
 
 func TestBulkResponsesUseTCPSidecar(t *testing.T) {
-	cfg := fastConfig()
-	a, err := Listen("127.0.0.1:0", "bulk-a", 0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer a.Close()
-	b, err := Listen("127.0.0.1:0", "bulk-b", 0, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer b.Close()
-	a.Bootstrap()
-	b.Bootstrap()
+	a, b := listen(t, "bulk-a"), listen(t, "bulk-b")
 
 	// A response far beyond one datagram.
 	ptrs := make([]wire.Pointer, 3*maxPointersPerDatagram)
@@ -186,20 +77,81 @@ func TestBulkResponsesUseTCPSidecar(t *testing.T) {
 			ID:   nodeid.Hash([]byte(fmt.Sprintf("bulk-%d", i))),
 		}
 	}
-	msg := wire.Message{
+	a.Send(wire.Message{
 		Type: wire.MsgTopListResp, From: a.Self().Addr, To: b.Self().Addr,
 		AckID: 99, Pointers: ptrs,
+	})
+	eventually(t, "the transfer arrives whole over TCP", func() bool {
+		_, received := b.Counters()
+		return received == 1 && a.MetricsSnapshot().Gauges[metrics.MetricNetBulkSends] == 1
+	})
+	if got := b.MetricsSnapshot().Counters[metrics.MetricNetBulkRejected]; got != 0 {
+		t.Fatalf("%s = %d after a good transfer", metrics.MetricNetBulkRejected, got)
 	}
-	_, beforeRecv := b.Counters()
-	a.Send(msg)
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		if a.BulkSends() == 1 {
-			if _, recv := b.Counters(); recv > beforeRecv {
-				return // delivered whole over TCP
-			}
-		}
-		time.Sleep(20 * time.Millisecond)
+}
+
+// TestBulkHeaderAllocatesNothingUpFront: a header claiming the maximum
+// size, then silence, must not make the receiver allocate the claim; the
+// short transfer is counted once the sender gives up.
+func TestBulkHeaderAllocatesNothingUpFront(t *testing.T) {
+	h := listen(t, "victim")
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c := sidecar(t, h)
+	if _, err := c.Write([]byte{0x04, 0, 0, 0}); err != nil { // 64 MiB
+		t.Fatal(err)
 	}
-	t.Fatalf("bulk transfer incomplete: sends=%d", a.BulkSends())
+	time.Sleep(200 * time.Millisecond) // let the receiver read the header and wait for more
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 1<<20 {
+		t.Fatalf("receiver allocated %d bytes for a 4-byte header", grew)
+	}
+	c.Close()
+	eventually(t, "the short transfer is counted", func() bool {
+		return h.MetricsSnapshot().Counters[metrics.MetricNetBulkRejected] == 1
+	})
+}
+
+// TestCloseWaitsForBulkConnections opens more sidecar connections than
+// the cap and leaves them idle: the excess is refused and counted, and
+// Close tears the rest down instead of leaking their goroutines.
+func TestCloseWaitsForBulkConnections(t *testing.T) {
+	base := runtime.NumGoroutine()
+	h := listen(t, "busy")
+	const extra = 3
+	for i := 0; i < maxBulkConns+extra; i++ {
+		sidecar(t, h)
+	}
+	eventually(t, "connections over the cap are refused", func() bool {
+		return h.MetricsSnapshot().Counters[metrics.MetricNetBulkRejected] == extra
+	})
+	if got := runtime.NumGoroutine(); got < base+maxBulkConns {
+		t.Fatalf("%d goroutines with %d transfers open (baseline %d)", got, maxBulkConns, base)
+	}
+	h.Close()
+	// Close has waited for the link's goroutines; the runtime may still
+	// be retiring the ones that closed the connections for it.
+	eventually(t, "the goroutine count returns to baseline", func() bool {
+		return runtime.NumGoroutine() <= base
+	})
+}
+
+// TestSendErrorsAreCounted: a datagram the kernel refuses and a bulk
+// transfer nobody accepts both show up in net.send_errors.
+func TestSendErrorsAreCounted(t *testing.T) {
+	h := listen(t, "sender")
+	self := h.Self().Addr
+	// Port 0 is not a destination: WriteToUDP fails synchronously.
+	h.Send(wire.Message{Type: wire.MsgAck, From: self, To: wire.AddrFromIPv4([4]byte{127, 0, 0, 1}, 0)})
+	// A bulk transfer to a port with no listener: the dial is refused.
+	dead := listen(t, "dead")
+	to := dead.Self().Addr
+	dead.Close()
+	h.Send(wire.Message{
+		Type: wire.MsgTopListResp, From: self, To: to,
+		Pointers: make([]wire.Pointer, maxPointersPerDatagram+1),
+	})
+	eventually(t, "both failures are counted", func() bool {
+		return h.MetricsSnapshot().Counters[metrics.MetricNetSendErrors] == 2
+	})
 }

@@ -32,15 +32,12 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 
 	"peerwindow/internal/core"
 	"peerwindow/internal/des"
 	"peerwindow/internal/metrics"
-	"peerwindow/internal/query"
 	"peerwindow/internal/topology"
 	"peerwindow/internal/trace"
 	"peerwindow/internal/transport"
@@ -185,18 +182,6 @@ type Overlay struct {
 	rng   *xrand.Source
 }
 
-// New builds an overlay, panicking on invalid options.
-//
-// Deprecated: use NewOverlay, which validates the options and returns
-// an error instead of panicking.
-func New(o Options) *Overlay {
-	ov, err := NewOverlay(o)
-	if err != nil {
-		panic(err)
-	}
-	return ov
-}
-
 // NewOverlay validates o (see Options.Validate) and builds an overlay.
 func NewOverlay(o Options) (*Overlay, error) {
 	if err := o.Validate(); err != nil {
@@ -248,31 +233,14 @@ func (o *Overlay) Close() { o.net.Close() }
 // ErrDuplicateName reports a Spawn with a name already in use.
 var ErrDuplicateName = errors.New("peerwindow: peer name already in use")
 
-// Change notifies a Watcher about one window mutation.
-type Change struct {
-	// Added is true for a new pointer, false for a removal.
-	Added bool
-	// Pointer is the affected entry.
-	Pointer Pointer
-	// Reason classifies removals: "leave", "stale", "expired" or
-	// "shift"; empty for additions.
-	Reason string
-}
-
-// Watcher receives window changes. Calls arrive on the peer's internal
-// executor: return quickly and do not call Peer/Overlay methods from
-// inside (hand work to your own goroutine instead).
-type Watcher func(Change)
-
 // SpawnOption customizes one Spawn call. Options compose; later ones
 // win on conflict.
 type SpawnOption func(*spawnConfig)
 
 // spawnConfig collects the effects of SpawnOptions.
 type spawnConfig struct {
-	budget  float64
-	watcher Watcher
-	info    []byte
+	budget float64
+	info   []byte
 }
 
 // WithBudget sets the peer's collection budget in bit/s — the
@@ -280,15 +248,6 @@ type spawnConfig struct {
 // default.
 func WithBudget(bitsPerSec float64) SpawnOption {
 	return func(c *spawnConfig) { c.budget = bitsPerSec }
-}
-
-// WithWatcher registers a Watcher for the peer's window changes.
-//
-// Deprecated: use Peer.Subscribe, which adds update events, epoch
-// alignment with View snapshots, and bounded buffering with drop
-// accounting instead of synchronous callbacks on the protocol path.
-func WithWatcher(w Watcher) SpawnOption {
-	return func(c *spawnConfig) { c.watcher = w }
 }
 
 // WithInfo attaches application info to the peer's pointer before it
@@ -308,24 +267,6 @@ func (o *Overlay) Spawn(name string, opts ...SpawnOption) (*Peer, error) {
 	for _, opt := range opts {
 		opt(&c)
 	}
-	return o.spawn(name, c)
-}
-
-// SpawnBudget is Spawn with an explicit collection budget in bit/s.
-//
-// Deprecated: use Spawn with WithBudget.
-func (o *Overlay) SpawnBudget(name string, budget float64) (*Peer, error) {
-	return o.Spawn(name, WithBudget(budget))
-}
-
-// SpawnWatched is Spawn with a budget and a Watcher for window changes.
-//
-// Deprecated: use Spawn with WithBudget and WithWatcher.
-func (o *Overlay) SpawnWatched(name string, budget float64, w Watcher) (*Peer, error) {
-	return o.Spawn(name, WithBudget(budget), WithWatcher(w))
-}
-
-func (o *Overlay) spawn(name string, c spawnConfig) (*Peer, error) {
 	if len(c.info) > MaxInfoLen {
 		return nil, fmt.Errorf("peerwindow: %q: info %d bytes exceeds %d", name, len(c.info), MaxInfoLen)
 	}
@@ -349,18 +290,7 @@ func (o *Overlay) spawn(name string, c spawnConfig) (*Peer, error) {
 	}
 	o.mu.Unlock()
 
-	var obs core.Observer
-	if w := c.watcher; w != nil {
-		obs = core.Observer{
-			PeerAdded: func(q wire.Pointer) {
-				w(Change{Added: true, Pointer: toPublic(q)})
-			},
-			PeerRemoved: func(q wire.Pointer, reason core.RemoveReason) {
-				w(Change{Pointer: toPublic(q), Reason: reason.String()})
-			},
-		}
-	}
-	h := o.net.SpawnObserved(name, c.budget, obs)
+	h := o.net.Spawn(name, c.budget)
 	if len(c.info) > 0 {
 		// Before Bootstrap/Join, so the pointer carries the info from its
 		// first announcement on.
@@ -369,8 +299,8 @@ func (o *Overlay) spawn(name string, c spawnConfig) (*Peer, error) {
 	p := &Peer{name: name, host: h, overlay: o}
 	if boot == nil {
 		h.Bootstrap()
-	} else if err := h.Join(boot.host.Self()); err != nil {
-		h.Shutdown()
+	} else if err := h.Join(boot.host.Self(), o.wall(joinTimeout)); err != nil {
+		h.Close()
 		return nil, fmt.Errorf("peerwindow: %q could not join: %w", name, err)
 	}
 	o.mu.Lock()
@@ -399,26 +329,6 @@ func (o *Overlay) Peers() []*Peer {
 		}
 	}
 	return out
-}
-
-// Stats reports the overlay's traffic totals: messages and bits offered
-// to the network, losses injected, and the live peer count.
-//
-// Deprecated: use Overlay.Metrics, which carries the same totals broken
-// down per message type plus the full protocol instrument set.
-type Stats struct {
-	Messages uint64
-	Bits     uint64
-	Dropped  uint64
-	Peers    int
-}
-
-// Stats returns a snapshot of the overlay's traffic counters.
-//
-// Deprecated: use Overlay.Metrics.
-func (o *Overlay) Stats() Stats {
-	s := o.net.Stats()
-	return Stats{Messages: s.Messages, Bits: s.Bits, Dropped: s.Dropped, Peers: s.Hosts}
 }
 
 // Histogram is one latency/size distribution inside a MetricsSnapshot.
@@ -489,7 +399,16 @@ func (o *Overlay) Metrics() MetricsSnapshot {
 // Settle sleeps for the given virtual duration — convenience for demos
 // that need multicasts to propagate.
 func (o *Overlay) Settle(virtual time.Duration) {
-	time.Sleep(time.Duration(float64(virtual)/o.dilation) + 5*time.Millisecond)
+	time.Sleep(o.wall(virtual) + 5*time.Millisecond)
+}
+
+// joinTimeout is how long (virtual) Spawn waits for a join.
+const joinTimeout = 5 * time.Minute
+
+// wall converts a virtual duration to wall time under the overlay's
+// dilation.
+func (o *Overlay) wall(virtual time.Duration) time.Duration {
+	return time.Duration(float64(virtual) / o.dilation)
 }
 
 // Peer is one live PeerWindow participant.
@@ -541,7 +460,7 @@ func (p *Peer) Leave() {
 // Crash stops the peer silently; ring probing will detect it.
 func (p *Peer) Crash() {
 	p.markGone()
-	p.host.Shutdown()
+	p.host.Close()
 }
 
 func (p *Peer) markGone() {
@@ -563,145 +482,6 @@ type Pointer struct {
 	Level int
 	// Info is the application-attached payload.
 	Info []byte
-}
-
-// Window is a snapshot of collected pointers with the §3 selection
-// helpers.
-type Window []Pointer
-
-// toPublic converts a wire pointer into the public form.
-func toPublic(q wire.Pointer) Pointer {
-	return Pointer{
-		ID:    q.ID.String(),
-		Addr:  uint64(q.Addr),
-		Level: int(q.Level),
-		Info:  append([]byte(nil), q.Info...),
-	}
-}
-
-// Window returns the peer's current window snapshot, materialized as a
-// flat copy in ascending ID order.
-//
-// Deprecated: Window copies all N pointers on every call and its helpers
-// scan them linearly. Use View, which snapshots the same window without
-// copying and answers Lookup/Strongest/InfoContains/WithField through
-// incremental indexes; Window() is now View().Window().
-func (p *Peer) Window() Window {
-	return p.View().Window()
-}
-
-// Filter keeps pointers satisfying pred.
-func (w Window) Filter(pred func(Pointer) bool) Window {
-	out := make(Window, 0, len(w))
-	for _, p := range w {
-		if pred(p) {
-			out = append(out, p)
-		}
-	}
-	return out
-}
-
-// ByInfo keeps pointers whose attached info satisfies pred — "directly
-// using the attached info" (§3).
-func (w Window) ByInfo(pred func(info []byte) bool) Window {
-	return w.Filter(func(p Pointer) bool { return pred(p.Info) })
-}
-
-// InfoContains keeps pointers whose info contains the substring — the
-// most common ByInfo shorthand.
-func (w Window) InfoContains(substr string) Window {
-	return w.ByInfo(func(b []byte) bool { return strings.Contains(string(b), substr) })
-}
-
-// Strongest returns up to k pointers with the smallest level values —
-// "looking at the level value for powerful nodes" (§3) — ordered by
-// ascending level, original window order within a level (exactly the
-// prefix a stable sort by level would produce). A bounded k-element
-// selection keeps the cost at O(n·log k) time and O(k) space instead of
-// copying and sorting the whole window.
-func (w Window) Strongest(k int) Window {
-	if k >= len(w) {
-		out := append(Window(nil), w...)
-		sort.SliceStable(out, func(i, j int) bool { return out[i].Level < out[j].Level })
-		return out
-	}
-	if k <= 0 {
-		return Window{}
-	}
-	// Max-heap on (level, index): the root is the worst kept candidate,
-	// evicted whenever a strictly better pointer appears.
-	type cand struct{ level, idx int }
-	h := make([]cand, 0, k)
-	worse := func(a, b cand) bool {
-		if a.level != b.level {
-			return a.level > b.level
-		}
-		return a.idx > b.idx
-	}
-	up := func(i int) {
-		for i > 0 {
-			p := (i - 1) / 2
-			if !worse(h[i], h[p]) {
-				return
-			}
-			h[i], h[p] = h[p], h[i]
-			i = p
-		}
-	}
-	down := func(i int) {
-		for {
-			l, r, m := 2*i+1, 2*i+2, i
-			if l < len(h) && worse(h[l], h[m]) {
-				m = l
-			}
-			if r < len(h) && worse(h[r], h[m]) {
-				m = r
-			}
-			if m == i {
-				return
-			}
-			h[i], h[m] = h[m], h[i]
-			i = m
-		}
-	}
-	for i := range w {
-		c := cand{level: w[i].Level, idx: i}
-		if len(h) < k {
-			h = append(h, c)
-			up(len(h) - 1)
-		} else if worse(h[0], c) {
-			h[0] = c
-			down(0)
-		}
-	}
-	sort.Slice(h, func(i, j int) bool {
-		if h[i].level != h[j].level {
-			return h[i].level < h[j].level
-		}
-		return h[i].idx < h[j].idx
-	})
-	out := make(Window, len(h))
-	for i, c := range h {
-		out[i] = w[c.idx]
-	}
-	return out
-}
-
-// Sample returns up to k uniformly random pointers, reproducible from
-// seed. A partial Fisher–Yates shuffle draws only k values from the
-// generator (the old implementation permuted the entire window), so
-// sampling a handful of peers from a large window is O(k); on the same
-// snapshot, View.Sample selects exactly the same peers.
-func (w Window) Sample(k int, seed uint64) Window {
-	if k >= len(w) {
-		return append(Window(nil), w...)
-	}
-	idx := query.SampleIndexes(len(w), k, seed)
-	out := make(Window, 0, k)
-	for _, i := range idx {
-		out = append(out, w[i])
-	}
-	return out
 }
 
 // MaxInfoLen is the largest attached-info payload a pointer may carry

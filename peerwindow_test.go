@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"errors"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 )
@@ -47,7 +46,7 @@ func TestOverlayWindowsConverge(t *testing.T) {
 	peers := buildPeers(t, ov, "a", "b", "c", "d", "e", "f")
 	ov.Settle(2 * time.Minute)
 	for _, p := range peers {
-		if got := len(p.Window()); got != len(peers)-1 {
+		if got := p.View().Len(); got != len(peers)-1 {
 			t.Fatalf("%s window has %d pointers, want %d", p.Name(), got, len(peers)-1)
 		}
 	}
@@ -97,46 +96,17 @@ func TestInfoSelection(t *testing.T) {
 	peers[3].SetInfo([]byte("os=linux;disk=500G"))
 	ov.Settle(2 * time.Minute)
 
-	w := peers[0].Window()
-	linux := w.InfoContains("os=linux")
+	v := peers[0].View()
+	linux := v.InfoContains("os=linux")
 	if len(linux) != 2 {
 		t.Fatalf("found %d linux peers, want 2", len(linux))
 	}
-	plan9 := w.ByInfo(func(b []byte) bool { return strings.Contains(string(b), "plan9") })
+	plan9 := v.ByInfo(func(b []byte) bool { return strings.Contains(string(b), "plan9") })
 	if len(plan9) != 1 {
 		t.Fatalf("found %d plan9 peers, want 1", len(plan9))
 	}
-	if got := w.Filter(func(p Pointer) bool { return len(p.Info) == 0 }); len(got) != 1 {
-		t.Fatalf("peers without info = %d, want 1", len(got))
-	}
-}
-
-func TestWindowHelpers(t *testing.T) {
-	w := Window{
-		{ID: "a", Level: 3},
-		{ID: "b", Level: 0},
-		{ID: "c", Level: 1},
-		{ID: "d", Level: 0},
-	}
-	s := w.Strongest(2)
-	if len(s) != 2 || s[0].Level != 0 || s[1].Level != 0 {
-		t.Fatalf("Strongest(2) = %+v", s)
-	}
-	if got := w.Strongest(10); len(got) != 4 {
-		t.Fatalf("Strongest(10) should return all: %d", len(got))
-	}
-	sample := w.Sample(2, 7)
-	if len(sample) != 2 {
-		t.Fatalf("Sample(2) = %d", len(sample))
-	}
-	if got := w.Sample(99, 7); len(got) != 4 {
-		t.Fatalf("Sample(99) should return all: %d", len(got))
-	}
-	// Deterministic under equal seeds.
-	a := w.Sample(2, 9)
-	b := w.Sample(2, 9)
-	if a[0].ID != b[0].ID || a[1].ID != b[1].ID {
-		t.Fatal("Sample not deterministic")
+	if got := v.CountWhere(func(r Ref) bool { return r.Info() == "" }); got != 1 {
+		t.Fatalf("peers without info = %d, want 1", got)
 	}
 }
 
@@ -148,10 +118,8 @@ func TestLeaveRemovesFromWindows(t *testing.T) {
 	peers[2].Leave()
 	ov.Settle(2 * time.Minute)
 	for _, p := range ov.Peers() {
-		for _, q := range p.Window() {
-			if q.ID == leaverID {
-				t.Fatalf("%s still lists the departed peer", p.Name())
-			}
+		if _, ok := p.View().Lookup(leaverID); ok {
+			t.Fatalf("%s still lists the departed peer", p.Name())
 		}
 	}
 }
@@ -268,49 +236,6 @@ func min(a, b int) int {
 	return b
 }
 
-func TestSpawnWatchedSeesChanges(t *testing.T) {
-	ov := newTestOverlay(t, testOptions(10))
-	defer ov.Close()
-	var mu sync.Mutex
-	var changes []Change
-	watcher := func(c Change) {
-		mu.Lock()
-		changes = append(changes, c)
-		mu.Unlock()
-	}
-	if _, err := ov.Spawn("watcher", WithWatcher(watcher)); err != nil {
-		t.Fatal(err)
-	}
-	ov.Settle(20 * time.Second)
-	buildPeers(t, ov, "w1", "w2")
-	ov.Settle(time.Minute)
-	p, _ := ov.Peer("w2")
-	goneID := p.ID()
-	p.Leave()
-	ov.Settle(2 * time.Minute)
-
-	mu.Lock()
-	defer mu.Unlock()
-	var adds, removes int
-	removeSeen := false
-	for _, c := range changes {
-		if c.Added {
-			adds++
-		} else {
-			removes++
-			if c.Pointer.ID == goneID && c.Reason == "leave" {
-				removeSeen = true
-			}
-		}
-	}
-	if adds < 2 {
-		t.Fatalf("watcher saw %d additions, want >= 2", adds)
-	}
-	if !removeSeen {
-		t.Fatalf("watcher missed the leave removal: %+v", changes)
-	}
-}
-
 func TestNewOverlayValidates(t *testing.T) {
 	if _, err := NewOverlay(testOptions(70)); err != nil {
 		t.Fatalf("valid options rejected: %v", err)
@@ -338,13 +263,6 @@ func TestNewOverlayValidates(t *testing.T) {
 	if !strings.Contains(bad.Validate().Error(), "wall time") {
 		t.Fatalf("unhelpful error: %v", bad.Validate())
 	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("New did not panic on invalid options")
-		}
-	}()
-	New(bad)
 }
 
 func TestSpawnOptions(t *testing.T) {
@@ -354,19 +272,7 @@ func TestSpawnOptions(t *testing.T) {
 	}
 	defer ov.Close()
 
-	var mu sync.Mutex
-	var adds int
-	if _, err := ov.Spawn("first",
-		WithBudget(2e9),
-		WithInfo([]byte("role=seed")),
-		WithWatcher(func(c Change) {
-			mu.Lock()
-			if c.Added {
-				adds++
-			}
-			mu.Unlock()
-		}),
-	); err != nil {
+	if _, err := ov.Spawn("first", WithBudget(2e9), WithInfo([]byte("role=seed"))); err != nil {
 		t.Fatal(err)
 	}
 	ov.Settle(20 * time.Second)
@@ -378,14 +284,9 @@ func TestSpawnOptions(t *testing.T) {
 
 	// WithInfo applied before the join, so second's window already
 	// carries it without a separate info-change announcement.
-	got := second.Window().InfoContains("role=seed")
+	got := second.View().InfoContains("role=seed")
 	if len(got) != 1 {
 		t.Fatalf("second sees %d pointers with role=seed, want 1", len(got))
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if adds == 0 {
-		t.Fatal("WithWatcher saw no additions")
 	}
 }
 
@@ -443,37 +344,6 @@ func TestPeerAndOverlayMetrics(t *testing.T) {
 	if got := om.Gauge("peer.window_size"); got != 6 {
 		t.Fatalf("summed peer.window_size = %d, want 6", got)
 	}
-	// Consistency with the deprecated Stats surface.
-	if s := ov.Stats(); s.Peers != 3 {
-		t.Fatalf("Stats().Peers = %d, want 3", s.Peers)
-	}
-}
-
-// TestDeprecatedWrappers keeps the pre-NewOverlay surface covered: the
-// wrappers stay intact for old callers even though everything else here
-// uses the current API.
-func TestDeprecatedWrappers(t *testing.T) {
-	ov := New(testOptions(77))
-	defer ov.Close()
-	if _, err := ov.SpawnBudget("b", 2e9); err != nil {
-		t.Fatal(err)
-	}
-	var mu sync.Mutex
-	seen := 0
-	watch := func(Change) { mu.Lock(); seen++; mu.Unlock() }
-	if _, err := ov.SpawnWatched("w", 0, watch); err != nil {
-		t.Fatal(err)
-	}
-	ov.Settle(time.Minute)
-	s := ov.Stats()
-	if s.Peers != 2 || s.Messages == 0 {
-		t.Fatalf("Stats() = %+v", s)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	if seen == 0 {
-		t.Fatal("SpawnWatched watcher saw nothing")
-	}
 }
 
 func TestHistogramMean(t *testing.T) {
@@ -483,22 +353,5 @@ func TestHistogramMean(t *testing.T) {
 	}
 	if got := (Histogram{}).Mean(); got != 0 {
 		t.Fatalf("empty Mean = %g, want 0", got)
-	}
-}
-
-func TestStrongestSortedStable(t *testing.T) {
-	w := Window{
-		{ID: "d", Level: 3}, {ID: "a", Level: 1}, {ID: "c", Level: 1},
-		{ID: "b", Level: 0}, {ID: "e", Level: 2},
-	}
-	got := w.Strongest(3)
-	want := []string{"b", "a", "c"} // level order, ties in input order
-	for i, id := range want {
-		if got[i].ID != id {
-			t.Fatalf("Strongest[%d] = %q, want %q (full: %+v)", i, got[i].ID, id, got)
-		}
-	}
-	if len(w.Strongest(100)) != len(w) {
-		t.Fatal("Strongest(k>len) should return everything")
 	}
 }

@@ -13,9 +13,9 @@ import (
 // Obtaining a View is a single atomic load — it never blocks and never
 // waits for the protocol path — and the snapshot never changes afterwards:
 // every method returns the same answer no matter how long the View is
-// held or what the overlay does meanwhile. Unlike Window, the indexed
-// methods (Lookup, Strongest, WithField, InfoContains) answer without
-// copying or scanning the whole window.
+// held or what the overlay does meanwhile. The indexed methods (Lookup,
+// Strongest, WithField, InfoContains) answer without copying or scanning
+// the whole window.
 type View struct {
 	v *query.View
 }
@@ -52,19 +52,6 @@ func (v View) MinLevel() int { return v.qv().MinLevel() }
 // against the level index.
 func (v View) CountAtLevel(l int) int { return v.qv().CountAtLevel(l) }
 
-// Window materializes the snapshot as a Window, in ascending ID order.
-// This copies every pointer — prefer the indexed methods or Each for hot
-// paths.
-func (v View) Window() Window {
-	qv := v.qv()
-	out := make(Window, 0, qv.Len())
-	qv.Each(func(e query.Entry) bool {
-		out = append(out, refToPublic(e))
-		return true
-	})
-	return out
-}
-
 // Each calls fn for every pointer in ascending ID order until fn returns
 // false. The Ref accessor reads the underlying entry without conversions
 // or copies; it is only valid during the call.
@@ -87,10 +74,10 @@ func (v View) Lookup(id string) (Pointer, bool) {
 }
 
 // Strongest returns up to k pointers with the smallest level values —
-// "looking at the level value for powerful nodes" (§3) — in the same
-// order Window.Strongest produces: ascending level, ID order within a
-// level. O(k) against the level index instead of a full sort.
-func (v View) Strongest(k int) Window {
+// "looking at the level value for powerful nodes" (§3) — by ascending
+// level, ID order within a level. O(k) against the level index instead
+// of a full sort.
+func (v View) Strongest(k int) []Pointer {
 	return entriesToPublic(v.qv().Strongest(k))
 }
 
@@ -98,21 +85,21 @@ func (v View) Strongest(k int) Window {
 // ';'-separated field, e.g. WithField("os=linux") over infos like
 // "os=linux;rel=stable". Sub-linear against the field index: buckets
 // without a matching field are never touched.
-func (v View) WithField(field string) Window {
+func (v View) WithField(field string) []Pointer {
 	return entriesToPublic(v.qv().WithField(field))
 }
 
-// InfoContains returns the pointers whose attached info contains substr —
-// the indexed equivalent of Window.InfoContains, with identical results.
-func (v View) InfoContains(substr string) Window {
+// InfoContains returns the pointers whose attached info contains substr,
+// through the field index when substr has no ';' and by scan otherwise.
+func (v View) InfoContains(substr string) []Pointer {
 	return entriesToPublic(v.qv().InfoContains(substr))
 }
 
 // ByInfo returns the pointers whose attached info satisfies pred —
 // "directly using the attached info" (§3). An arbitrary predicate cannot
 // use the index, so this scans; pred receives the stored info bytes.
-func (v View) ByInfo(pred func(info []byte) bool) Window {
-	var out Window
+func (v View) ByInfo(pred func(info []byte) bool) []Pointer {
+	var out []Pointer
 	v.qv().Each(func(e query.Entry) bool {
 		if pred(e.InfoBytes()) {
 			out = append(out, refToPublic(e))
@@ -132,16 +119,15 @@ func (v View) CountWhere(pred func(Ref) bool) int {
 // score ties in ID order. Pointers for which score returns ok=false are
 // excluded. The scan keeps only k candidates (O(N·log k) time, O(k)
 // space); score must not return NaN.
-func (v View) TopK(k int, score func(Ref) (float64, bool)) Window {
+func (v View) TopK(k int, score func(Ref) (float64, bool)) []Pointer {
 	return entriesToPublic(v.qv().TopK(k, func(e query.Entry) (float64, bool) {
 		return score(Ref{e: e})
 	}))
 }
 
 // Sample returns up to k pointers drawn uniformly without replacement,
-// reproducible from seed. On the same snapshot it selects exactly the
-// peers Window.Sample selects.
-func (v View) Sample(k int, seed uint64) Window {
+// reproducible from seed.
+func (v View) Sample(k int, seed uint64) []Pointer {
 	return entriesToPublic(v.qv().Sample(k, seed))
 }
 
@@ -178,8 +164,8 @@ func refToPublic(e query.Entry) Pointer {
 	}
 }
 
-func entriesToPublic(es []query.Entry) Window {
-	out := make(Window, len(es))
+func entriesToPublic(es []query.Entry) []Pointer {
+	out := make([]Pointer, len(es))
 	for i := range es {
 		out[i] = refToPublic(es[i])
 	}

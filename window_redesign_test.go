@@ -2,8 +2,6 @@ package peerwindow
 
 import (
 	"fmt"
-	"math/rand"
-	"sort"
 	"testing"
 
 	"peerwindow/internal/query"
@@ -37,9 +35,9 @@ func refSampleIndexes(n, k int, seed uint64) []int {
 }
 
 // TestSampleIndexesPinned pins concrete outputs of the sampling helper.
-// These values are part of the compatibility surface: Window.Sample and
-// View.Sample promise seed-reproducible selections, so a change here is
-// a breaking change for callers that persist seeds.
+// These values are part of the compatibility surface: View.Sample
+// promises seed-reproducible selections, so a change here is a breaking
+// change for callers that persist seeds.
 func TestSampleIndexesPinned(t *testing.T) {
 	cases := []struct {
 		n, k int
@@ -85,91 +83,5 @@ func TestSampleIndexesBranchAgreement(t *testing.T) {
 				}
 			}
 		}
-	}
-}
-
-// TestWindowSamplePinned pins Window.Sample against a concrete window so
-// the seed → selection mapping cannot drift silently.
-func TestWindowSamplePinned(t *testing.T) {
-	w := make(Window, 10)
-	for i := range w {
-		w[i] = Pointer{ID: fmt.Sprintf("n%02d", i), Level: i % 3}
-	}
-	got := w.Sample(4, 7)
-	want := []string{"n07", "n03", "n08", "n09"} // SampleIndexes(10, 4, 7)
-	if len(got) != len(want) {
-		t.Fatalf("Sample(4, 7) returned %d pointers, want %d", len(got), len(want))
-	}
-	for i, id := range want {
-		if got[i].ID != id {
-			t.Fatalf("Sample(4, 7)[%d] = %q, want %q", i, got[i].ID, id)
-		}
-	}
-	// k >= len keeps the historical copy-everything behavior, in order.
-	all := w.Sample(10, 99)
-	for i := range all {
-		if all[i].ID != w[i].ID {
-			t.Fatalf("Sample(len) should copy in order; [%d] = %q", i, all[i].ID)
-		}
-	}
-}
-
-// TestStrongestHeapMatchesStableSort is the equivalence property for the
-// bounded-heap Strongest: for random windows and every k it must return
-// exactly what the old implementation — stable sort by level, take the
-// prefix — returned.
-func TestStrongestHeapMatchesStableSort(t *testing.T) {
-	rng := rand.New(rand.NewSource(191))
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(60)
-		w := make(Window, n)
-		for i := range w {
-			w[i] = Pointer{ID: fmt.Sprintf("p%03d", i), Level: rng.Intn(6)}
-		}
-		ref := append(Window(nil), w...)
-		sort.SliceStable(ref, func(i, j int) bool { return ref[i].Level < ref[j].Level })
-		for _, k := range []int{0, 1, 2, n / 2, n - 1, n, n + 5} {
-			got := w.Strongest(k)
-			wantLen := k
-			if wantLen > n {
-				wantLen = n
-			}
-			if wantLen < 0 {
-				wantLen = 0
-			}
-			if len(got) != wantLen {
-				t.Fatalf("trial %d: Strongest(%d) returned %d of %d", trial, k, len(got), wantLen)
-			}
-			for i := 0; i < wantLen; i++ {
-				if got[i].ID != ref[i].ID {
-					t.Fatalf("trial %d: Strongest(%d)[%d] = %q, stable sort gives %q",
-						trial, k, i, got[i].ID, ref[i].ID)
-				}
-			}
-		}
-	}
-}
-
-// TestStrongestAllocsIndependentOfN guards the redesign's point: picking
-// k strongest peers must allocate proportionally to k, not to the window
-// size, so the allocation count at N=256 and N=4096 must be identical.
-func TestStrongestAllocsIndependentOfN(t *testing.T) {
-	mk := func(n int) Window {
-		w := make(Window, n)
-		for i := range w {
-			w[i] = Pointer{ID: fmt.Sprintf("p%05d", i), Level: i % 7}
-		}
-		return w
-	}
-	small, large := mk(256), mk(4096)
-	const k = 8
-	allocsSmall := testing.AllocsPerRun(50, func() { _ = small.Strongest(k) })
-	allocsLarge := testing.AllocsPerRun(50, func() { _ = large.Strongest(k) })
-	if allocsSmall != allocsLarge {
-		t.Fatalf("Strongest(%d) allocations scale with N: %.0f at N=256 vs %.0f at N=4096",
-			k, allocsSmall, allocsLarge)
-	}
-	if allocsLarge > 8 {
-		t.Fatalf("Strongest(%d) makes %.0f allocations, want a small constant", k, allocsLarge)
 	}
 }
