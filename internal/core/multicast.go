@@ -43,14 +43,56 @@ func (n *Node) handleEvent(m wire.Message) {
 	}
 	// The paper charges each hop 1 s of processing before it re-sends
 	// (§5.1); model that as a single delay before all forwards.
-	ev, step, tid := m.Event, int(m.Step), m.Trace
 	if n.cfg.ForwardDelay > 0 {
-		n.env.SetTimer(n.cfg.ForwardDelay, func() {
-			n.forwardEvent(ev, step, tid)
-		})
+		h := n.acquireHop()
+		h.ev, h.step, h.tid = m.Event, int(m.Step), m.Trace
+		n.env.SetTimer(n.cfg.ForwardDelay, h.fire)
 	} else {
+		n.forwardEvent(m.Event, int(m.Step), m.Trace)
+	}
+}
+
+// forwardHop is one delivered event waiting out ForwardDelay before it is
+// forwarded. Records are pooled per Node; one is released when its timer
+// fires, and a hop whose timer never fires (the node stopped first) is
+// simply left to the garbage collector.
+type forwardHop struct {
+	ev   wire.Event
+	step int
+	tid  wire.TraceID
+	// fire is the timer callback, bound to this record once when it is
+	// first created.
+	fire func()
+}
+
+// acquireHop takes a record from the node's pool.
+//
+//pwlint:noalloc
+func (n *Node) acquireHop() *forwardHop {
+	if k := len(n.hopPool); k > 0 {
+		h := n.hopPool[k-1]
+		n.hopPool = n.hopPool[:k-1]
+		return h
+	}
+	return n.newForwardHop() //pwlint:allow noalloc pool miss; steady state reuses released records
+}
+
+func (n *Node) newForwardHop() *forwardHop {
+	h := &forwardHop{}
+	h.fire = func() {
+		ev, step, tid := h.ev, h.step, h.tid
+		n.releaseHop(h)
 		n.forwardEvent(ev, step, tid)
 	}
+	return h
+}
+
+// releaseHop returns a fired record to the pool.
+//
+//pwlint:noalloc
+func (n *Node) releaseHop(h *forwardHop) {
+	h.ev = wire.Event{} // drop the subject's info slice
+	n.hopPool = append(n.hopPool, h)
 }
 
 // originateMulticast starts the tree at this node, which has just applied
@@ -152,15 +194,20 @@ func (n *Node) sendGossipCopy(ev wire.Event, target wire.Pointer, tid wire.Trace
 	msg := wire.Message{Type: wire.MsgEvent, To: target.Addr, Step: 0, Event: ev, Trace: tid}
 	n.m.mcForwards.Inc()
 	n.span(tid, trace.SpanForward, 0, target.Addr, 0, ev)
-	n.sendReliable(msg, n.cfg.RetryAttempts, nil, func() {
-		if e, had := n.peers.Remove(target.ID); had {
-			n.m.removed(RemoveStale)
-			n.deltaRemove(e.ptr, RemoveStale)
-			if n.obs.PeerRemoved != nil {
-				n.obs.PeerRemoved(e.ptr, RemoveStale)
-			}
+	n.sendTracked(msg, sendGossipCopy, target, nil)
+}
+
+// dropStale removes the pointer of a target that stayed silent through a
+// whole attempt budget (§4.2). For a gossip push that is all a failure
+// does: other copies provide the redundancy a tree lacks.
+func (n *Node) dropStale(target wire.Pointer) {
+	if e, had := n.peers.Remove(target.ID); had {
+		n.m.removed(RemoveStale)
+		n.deltaRemove(e.ptr, RemoveStale)
+		if n.obs.PeerRemoved != nil {
+			n.obs.PeerRemoved(e.ptr, RemoveStale)
 		}
-	})
+	}
 }
 
 func minInt(a, b int) int {
@@ -187,33 +234,32 @@ func (n *Node) sendStep(ev wire.Event, s int, tid wire.TraceID, failed map[nodei
 	}
 	n.m.mcForwards.Inc()
 	n.span(tid, trace.SpanForward, 0, target.Addr, s+1, ev)
-	n.sendReliable(msg, n.cfg.RetryAttempts, nil, func() {
-		// §4.2: no response after the attempt budget — remove the stale
-		// pointer and redirect to a new target for the same step.
-		n.m.mcRedirects.Inc()
-		n.tracef("mc-redirect", "step=%d stale=%s", s, target.ID)
-		n.span(tid, trace.SpanRedirect, 0, target.Addr, s+1, ev)
-		if e, had := n.peers.Remove(target.ID); had {
-			n.m.removed(RemoveStale)
-			n.deltaRemove(e.ptr, RemoveStale)
-			if n.obs.PeerRemoved != nil {
-				n.obs.PeerRemoved(e.ptr, RemoveStale)
-			}
-		}
-		// Before announcing the death system-wide, verify it with an
-		// independent probe round: under message loss, one failed send
-		// chain alone produces enough false positives to flood the
-		// overlay with bogus leave events (each one a full multicast,
-		// whose extra sends produce more false positives in turn).
-		if !(ev.Kind == wire.EventLeave && ev.Subject.ID == target.ID) {
-			n.verifyFailure(target)
-		}
-		if failed == nil {
-			failed = make(map[nodeid.ID]bool)
-		}
-		failed[target.ID] = true
-		n.sendStep(ev, s, tid, failed)
-	})
+	n.sendTracked(msg, sendMulticastStep, target, failed)
+}
+
+// stepFailed is §4.2's "turn back to line (3)": no response after the
+// attempt budget — remove the stale pointer and redirect to a new target
+// for the same step.
+func (n *Node) stepFailed(p *pendingSend) {
+	ev, s, tid, target := p.msg.Event, int(p.msg.Step)-1, p.msg.Trace, p.target
+	n.m.mcRedirects.Inc()
+	n.tracef("mc-redirect", "step=%d stale=%s", s, target.ID)
+	n.span(tid, trace.SpanRedirect, 0, target.Addr, s+1, ev)
+	n.dropStale(target)
+	// Before announcing the death system-wide, verify it with an
+	// independent probe round: under message loss, one failed send
+	// chain alone produces enough false positives to flood the
+	// overlay with bogus leave events (each one a full multicast,
+	// whose extra sends produce more false positives in turn).
+	if !(ev.Kind == wire.EventLeave && ev.Subject.ID == target.ID) {
+		n.verifyFailure(target)
+	}
+	failed := p.failed
+	if failed == nil {
+		failed = make(map[nodeid.ID]bool)
+	}
+	failed[target.ID] = true
+	n.sendStep(ev, s, tid, failed)
 }
 
 // verifyFailure double-checks a suspected death with a reliable
@@ -225,45 +271,49 @@ func (n *Node) verifyFailure(target wire.Pointer) {
 		return
 	}
 	hb := wire.Message{Type: wire.MsgHeartbeat, To: target.Addr}
-	n.sendReliable(hb, n.cfg.RetryAttempts,
-		func(wire.Message) {
-			// Alive after all — the earlier send chain lost to the
-			// network, not to a death. Restore the pointer we dropped.
-			n.m.failFalseAlarms.Inc()
-			n.tracef("false-alarm", "target=%s", target.ID)
-			if !n.stopped && !n.dead[target.ID] && n.eigen.Contains(target.ID) {
-				var prev wire.Pointer
-				var had bool
-				if n.deltas != nil {
-					prev, had = n.peers.Lookup(target.ID)
-				}
-				if n.peers.Upsert(target, n.env.Now()) {
-					n.m.peersAdded.Inc()
-					n.deltaAdd(target)
-					if n.obs.PeerAdded != nil {
-						n.obs.PeerAdded(target)
-					}
-				} else if had {
-					n.deltaUpdate(prev, target)
-				}
+	n.sendTracked(hb, sendVerify, target, nil)
+}
+
+// verifyAnswered handles a suspect that answered its verification
+// heartbeat: alive after all — the earlier send chain lost to the
+// network, not to a death. Restore the pointer we dropped.
+func (n *Node) verifyAnswered(target wire.Pointer) {
+	n.m.failFalseAlarms.Inc()
+	n.tracef("false-alarm", "target=%s", target.ID)
+	if !n.stopped && !n.dead[target.ID] && n.eigen.Contains(target.ID) {
+		var prev wire.Pointer
+		var had bool
+		if n.deltas != nil {
+			prev, had = n.peers.Lookup(target.ID)
+		}
+		if n.peers.Upsert(target, n.env.Now()) {
+			n.m.peersAdded.Inc()
+			n.deltaAdd(target)
+			if n.obs.PeerAdded != nil {
+				n.obs.PeerAdded(target)
 			}
-		},
-		func() {
-			if n.dead[target.ID] {
-				return
-			}
-			n.dead[target.ID] = true
-			n.m.failVerified.Inc()
-			n.tracef("verify-detect", "target=%s", target.ID)
-			if n.obs.FailureReported != nil {
-				n.obs.FailureReported(target, "verify")
-			}
-			leave := wire.Event{
-				Kind:    wire.EventLeave,
-				Subject: target,
-				Seq:     n.seen[target.ID] + 1,
-			}
-			n.report(leave, n.newTrace())
-		},
-	)
+		} else if had {
+			n.deltaUpdate(prev, target)
+		}
+	}
+}
+
+// verifyFailed reports the leave of a suspect that stayed silent through
+// the whole verification round.
+func (n *Node) verifyFailed(target wire.Pointer) {
+	if n.dead[target.ID] {
+		return
+	}
+	n.dead[target.ID] = true
+	n.m.failVerified.Inc()
+	n.tracef("verify-detect", "target=%s", target.ID)
+	if n.obs.FailureReported != nil {
+		n.obs.FailureReported(target, "verify")
+	}
+	leave := wire.Event{
+		Kind:    wire.EventLeave,
+		Subject: target,
+		Seq:     n.seen[target.ID] + 1,
+	}
+	n.report(leave, n.newTrace())
 }

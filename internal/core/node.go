@@ -40,9 +40,13 @@ type Node struct {
 	seen map[nodeid.ID]uint64
 	dead map[nodeid.ID]bool
 
-	// pending tracks reliable sends awaiting acks.
+	// pending tracks reliable sends awaiting acks. sendPool and hopPool
+	// hold released pendingSend and forwardHop records for reuse, so the
+	// per-message send and forward paths allocate nothing once warm.
 	nextAckID uint64
 	pending   map[uint64]*pendingSend
+	sendPool  []*pendingSend
+	hopPool   []*forwardHop
 
 	// Probing state (§4.1). probeStart is when the current round's first
 	// heartbeat went out — the zero point of the detection-latency

@@ -1,9 +1,11 @@
 package sim
 
 import (
+	"runtime"
 	"testing"
 
 	"peerwindow/internal/des"
+	"peerwindow/internal/workload"
 )
 
 // A sliding window of timestamps far exceeding the initial capacity
@@ -88,5 +90,41 @@ func BenchmarkScaledChurnAllocs(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		s.Run(des.Minute)
+	}
+}
+
+// TestClusterSteadyStateAllocBudget is the end-to-end guard of the
+// message path's allocation diet: a seeded 200-node cluster under churn
+// (the cluster_churn benchmark workload in miniature) must stay within a
+// malloc budget per simulated message. The pinned message and bit counts
+// are the parent commit's, from before deliveries, timers and pending
+// sends were pooled and SizeBits became arithmetic — equal counts prove
+// the diet moved no protocol behaviour and no wire size.
+func TestClusterSteadyStateAllocBudget(t *testing.T) {
+	c := NewCluster(ClusterConfig{Core: DefaultFullCore(), Seed: 1})
+	wl := workload.DefaultConfig()
+	const target = 200
+	c.WarmStart(target, wl, 2)
+	ch := NewChurn(c, ChurnConfig{Workload: wl, TargetPopulation: target, CrashFraction: 0.5})
+	ch.Start()
+	c.Run(2 * des.Minute) // every periodic timer has fired once; the pools are warm
+
+	msgs0, bits0 := c.MessagesSent, c.BitsSent
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c.Run(6 * des.Minute)
+	runtime.ReadMemStats(&after)
+	ch.Stop()
+
+	msgs, bits := c.MessagesSent-msgs0, c.BitsSent-bits0
+	const wantMsgs, wantBits = 15634, 5663576
+	if msgs != wantMsgs || bits != wantBits {
+		t.Errorf("window carried msgs=%d bits=%d, parent commit carried msgs=%d bits=%d", msgs, bits, wantMsgs, wantBits)
+	}
+	perMsg := float64(after.Mallocs-before.Mallocs) / float64(msgs)
+	t.Logf("%d messages, %.3f mallocs/message", msgs, perMsg)
+	if perMsg > 6.5 {
+		t.Errorf("%.3f mallocs per message, budget 6.5", perMsg)
 	}
 }

@@ -114,10 +114,18 @@ type Cluster struct {
 	DeliveryHook func(sn *SimNode, ev wire.Event, step int)
 
 	// inflight maps the engine sequence number of each pending delivery
-	// event to its message, so a chooser-injected drop (see NoteDropped)
+	// event to its record, so a chooser-injected drop (see NoteDropped)
 	// can be recorded as a trace span. Only maintained when a span sink
 	// is attached; nil otherwise.
-	inflight map[uint64]wire.Message
+	inflight map[uint64]*delivery
+
+	// deliveryPool and timerPool hold fired delivery and timerFire records
+	// for reuse (see those types), so Send and SetTimer create no closure
+	// per call once the pools are warm. They are plain per-cluster free
+	// lists: a cluster runs on one goroutine, and reuse order is a pure
+	// function of the event order, so seeded runs stay bit-identical.
+	deliveryPool []*delivery
+	timerPool    []*timerFire
 
 	// keyed makes deliveries and timers carry shard-invariant (sender,
 	// issue-order) tie-break keys instead of relying on engine insertion
@@ -457,25 +465,76 @@ func (sn *SimNode) Send(msg wire.Message) {
 		c.unknownDest.Inc()
 		return
 	}
-	lat := c.latency(sn, dst)
-	var seq uint64
-	h := c.Engine.AtKey(c.Engine.Now()+lat, key, des.EventTag{Owner: uint64(msg.To), Kind: TagDeliver}, func() {
+	c.deliverAt(c.Engine.Now()+c.latency(sn, dst), key, dst, msg)
+}
+
+// delivery is one message in flight: the engine event that hands msg to
+// dst. Records are pooled per Cluster. One is live from deliverAt until it
+// fires — or until NoteDropped, when a chooser discards its event — and
+// only then returns to the pool, so the engine never holds a callback to a
+// recycled record. A delivery dropped without NoteDropped (no span sink
+// attached) is simply left to the garbage collector.
+type delivery struct {
+	dst *SimNode
+	msg wire.Message
+	// seq is the engine sequence number of the delivery event, the
+	// inflight key; set only while the cluster keeps an inflight map.
+	seq uint64
+	// fire is the engine callback, bound to this record once when it is
+	// first created.
+	fire func()
+}
+
+// acquireDelivery takes a record from the cluster's pool.
+//
+//pwlint:noalloc
+func (c *Cluster) acquireDelivery() *delivery {
+	if k := len(c.deliveryPool); k > 0 {
+		d := c.deliveryPool[k-1]
+		c.deliveryPool = c.deliveryPool[:k-1]
+		return d
+	}
+	return c.newDelivery() //pwlint:allow noalloc pool miss; steady state reuses released records
+}
+
+func (c *Cluster) newDelivery() *delivery {
+	d := &delivery{}
+	d.fire = func() {
 		if c.inflight != nil {
-			delete(c.inflight, seq)
+			delete(c.inflight, d.seq)
 		}
-		if dst.alive {
-			dst.Node.HandleMessage(msg)
+		if d.dst.alive {
+			d.dst.Node.HandleMessage(d.msg)
 			if invariant.Enabled {
-				invariant.Check(dst.Node)
+				invariant.Check(d.dst.Node)
 			}
 		}
-	})
+		c.releaseDelivery(d)
+	}
+	return d
+}
+
+// releaseDelivery returns a fired or dropped record to the pool.
+//
+//pwlint:noalloc
+func (c *Cluster) releaseDelivery(d *delivery) {
+	d.dst = nil
+	d.msg.Pointers = nil // a peer-list download must not outlive its delivery
+	c.deliveryPool = append(c.deliveryPool, d)
+}
+
+// deliverAt schedules the delivery of msg to the local node dst at the
+// absolute time at.
+func (c *Cluster) deliverAt(at des.Time, key uint64, dst *SimNode, msg wire.Message) {
+	d := c.acquireDelivery()
+	d.dst, d.msg = dst, msg
+	h := c.Engine.AtKey(at, key, des.EventTag{Owner: uint64(msg.To), Kind: TagDeliver}, d.fire)
 	if c.cfg.Spans != nil {
-		seq = h.Seq()
+		d.seq = h.Seq()
 		if c.inflight == nil {
-			c.inflight = make(map[uint64]wire.Message)
+			c.inflight = make(map[uint64]*delivery)
 		}
-		c.inflight[seq] = msg
+		c.inflight[d.seq] = d
 	}
 }
 
@@ -484,14 +543,15 @@ func (sn *SimNode) Send(msg wire.Message) {
 // event inside the engine, where the message content is out of reach, so
 // it reports the seq back here for span accounting. Traced messages get
 // the same SpanDrop a random network loss would; untraced ones (or an
-// unknown seq) are a no-op.
+// unknown seq) are a no-op. Either way the delivery's record goes back to
+// the pool: its event will never fire.
 func (c *Cluster) NoteDropped(seq uint64) {
-	msg, ok := c.inflight[seq]
+	d, ok := c.inflight[seq]
 	if !ok {
 		return
 	}
 	delete(c.inflight, seq)
-	if c.cfg.Spans != nil && !msg.Trace.IsZero() {
+	if msg := &d.msg; c.cfg.Spans != nil && !msg.Trace.IsZero() {
 		c.cfg.Spans.RecordSpan(trace.Span{
 			At: c.Engine.Now(), Node: uint64(msg.From), Trace: msg.Trace,
 			Kind: trace.SpanDrop, Child: uint64(msg.To), Step: int(msg.Step),
@@ -499,26 +559,86 @@ func (c *Cluster) NoteDropped(seq uint64) {
 			EventSeq: msg.Event.Seq,
 		})
 	}
+	c.releaseDelivery(d)
 }
 
-// simTimer adapts a des.Handle to core.Timer with an aliveness guard.
-type simTimer struct{ h des.Handle }
+// simTimer is the core.Timer a SetTimer returns. It is allocated per
+// timer and never reused, so a stale Cancel can only ever reach its own
+// (generation-checked) engine handle: cancelling after the timer fired is
+// a no-op and cannot touch a successor.
+type simTimer struct {
+	h    des.Handle
+	fire *timerFire
+}
 
-func (t simTimer) Cancel() bool { return t.h.Cancel() }
-
-// SetTimer implements core.Env.
-func (sn *SimNode) SetTimer(delay des.Time, fn func()) core.Timer {
-	var key uint64
-	if sn.c.keyed {
-		key = sn.nextKey()
+// Cancel implements core.Timer.
+func (t *simTimer) Cancel() bool {
+	if !t.h.Cancel() {
+		return false
 	}
-	h := sn.c.Engine.AtKey(sn.c.Engine.Now()+delay, key, des.EventTag{Owner: uint64(sn.Addr), Kind: TagTimer}, func() {
+	// The event was still pending, so its record is still this timer's
+	// and will now never fire.
+	t.fire.sn.c.releaseTimerFire(t.fire)
+	return true
+}
+
+// timerFire is the engine-side half of a timer: the aliveness guard
+// around the node's callback. Records are pooled per Cluster; one is
+// live from SetTimer until it fires or its timer is cancelled.
+type timerFire struct {
+	sn *SimNode
+	fn func()
+	// fire is the engine callback, bound to this record once when it is
+	// first created.
+	fire func()
+}
+
+// acquireTimerFire takes a record from the cluster's pool.
+//
+//pwlint:noalloc
+func (c *Cluster) acquireTimerFire() *timerFire {
+	if k := len(c.timerPool); k > 0 {
+		f := c.timerPool[k-1]
+		c.timerPool = c.timerPool[:k-1]
+		return f
+	}
+	return c.newTimerFire() //pwlint:allow noalloc pool miss; steady state reuses released records
+}
+
+func (c *Cluster) newTimerFire() *timerFire {
+	f := &timerFire{}
+	f.fire = func() {
+		// Release first, so a callback that re-arms its timer (most do)
+		// reuses this record instead of growing the pool.
+		sn, fn := f.sn, f.fn
+		c.releaseTimerFire(f)
 		if sn.alive {
 			fn()
 			if invariant.Enabled && sn.alive {
 				invariant.Check(sn.Node)
 			}
 		}
-	})
-	return simTimer{h: h}
+	}
+	return f
+}
+
+// releaseTimerFire returns a fired or cancelled record to the pool.
+//
+//pwlint:noalloc
+func (c *Cluster) releaseTimerFire(f *timerFire) {
+	f.sn, f.fn = nil, nil
+	c.timerPool = append(c.timerPool, f)
+}
+
+// SetTimer implements core.Env.
+func (sn *SimNode) SetTimer(delay des.Time, fn func()) core.Timer {
+	c := sn.c
+	var key uint64
+	if c.keyed {
+		key = sn.nextKey()
+	}
+	f := c.acquireTimerFire()
+	f.sn, f.fn = sn, fn
+	h := c.Engine.AtKey(c.Engine.Now()+delay, key, des.EventTag{Owner: uint64(sn.Addr), Kind: TagTimer}, f.fire)
+	return &simTimer{h: h, fire: f}
 }

@@ -7,7 +7,6 @@ import (
 
 	"peerwindow/internal/core"
 	"peerwindow/internal/des"
-	"peerwindow/internal/invariant"
 	"peerwindow/internal/nodeid"
 	"peerwindow/internal/oracle"
 	"peerwindow/internal/shard"
@@ -198,20 +197,9 @@ func (sc *ShardedCluster) exchange(des.Time) {
 	for i := range sc.outbox {
 		sc.outbox[i].Drain(func(env des.Envelope[wire.Message]) {
 			dc := sc.shards[env.Dst]
-			msg := env.Payload
-			dc.Engine.AtKey(env.At, env.Key, des.EventTag{Owner: uint64(msg.To), Kind: TagDeliver}, func() {
-				dst, ok := dc.byAddr[msg.To]
-				if !ok {
-					dc.unknownDest.Inc()
-					return
-				}
-				if dst.alive {
-					dst.Node.HandleMessage(msg)
-					if invariant.Enabled {
-						invariant.Check(dst.Node)
-					}
-				}
-			})
+			// routeFrom accepted the message because its address has a
+			// home shard, and nodes are never removed from byAddr.
+			dc.deliverAt(env.At, env.Key, dc.byAddr[env.Payload.To], env.Payload)
 		})
 	}
 }

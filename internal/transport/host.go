@@ -56,10 +56,12 @@ type Host struct {
 	store *query.Store
 	rng   *xrand.Source
 
-	inbox chan func()
-	quit  chan struct{}
-	done  chan struct{} // closed when loop has returned
-	once  sync.Once
+	inbox chan *task
+	// free recycles the tasks work crosses the inbox in.
+	free chan *task
+	quit chan struct{}
+	done chan struct{} // closed when loop has returned
+	once sync.Once
 
 	sent, received atomic.Uint64
 
@@ -76,9 +78,12 @@ func NewHost(cfg core.Config, self wire.Pointer, rng *xrand.Source, link Link) *
 		rng:  rng,
 		// Deep enough that a multicast burst from the socket reader or the
 		// latency timers queues instead of stalling its sender.
-		inbox: make(chan func(), 1024),
-		quit:  make(chan struct{}),
-		done:  make(chan struct{}),
+		inbox: make(chan *task, 1024),
+		// A steady receiver has a handful of messages between its reader
+		// and its executor; a burst deeper than this just allocates tasks.
+		free: make(chan *task, 16),
+		quit: make(chan struct{}),
+		done: make(chan struct{}),
 	}
 	h.node = core.NewNode(cfg, h, core.Observer{}, self)
 	// The store is attached before Bootstrap/Join, so it folds the window
@@ -89,26 +94,61 @@ func NewHost(cfg core.Config, self wire.Pointer, rng *xrand.Source, link Link) *
 	return h
 }
 
+// task is one unit of executor work: a function to run or, when fn is
+// nil, an inbound message to hand to the node. Tasks are recycled through
+// Host.free and cross the inbox by pointer, so an inbox slot stays one
+// word wide however large a message is.
+type task struct {
+	fn  func()
+	msg wire.Message
+}
+
 // loop is the executor: everything that touches the node runs here,
 // satisfying core.Env's serialization contract.
 func (h *Host) loop() {
 	defer close(h.done)
 	for {
 		select {
-		case fn := <-h.inbox:
-			fn()
+		case t := <-h.inbox:
+			if t.fn != nil {
+				t.fn()
+			} else {
+				h.node.HandleMessage(t.msg)
+			}
+			*t = task{} // a parked task must not pin a closure or a payload
+			select {
+			case h.free <- t:
+			default:
+			}
 		case <-h.quit:
 			return
 		}
 	}
 }
 
-// exec posts fn to the executor; it drops work after Close.
-func (h *Host) exec(fn func()) {
+// newTask returns a blank task, recycled when one is parked.
+func (h *Host) newTask() *task {
 	select {
-	case h.inbox <- fn:
+	case t := <-h.free:
+		return t
+	default:
+		return new(task)
+	}
+}
+
+// post queues t for the executor; it drops work after Close.
+func (h *Host) post(t *task) {
+	select {
+	case h.inbox <- t:
 	case <-h.quit:
 	}
+}
+
+// exec posts fn to the executor; it drops work after Close.
+func (h *Host) exec(fn func()) {
+	t := h.newTask()
+	t.fn = fn
+	h.post(t)
 }
 
 // call runs fn on the executor and waits for it.
@@ -128,7 +168,9 @@ func (h *Host) call(fn func()) {
 // goroutine; after Close it is a no-op.
 func (h *Host) Deliver(msg wire.Message) {
 	h.received.Add(1)
-	h.exec(func() { h.node.HandleMessage(msg) })
+	t := h.newTask()
+	t.msg = msg
+	h.post(t)
 }
 
 // Close stops the host without announcement (a crash as far as the

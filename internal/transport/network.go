@@ -207,9 +207,11 @@ func (p *port) Close() {
 
 // deliver routes a message asynchronously with latency and loss.
 func (n *Network) deliver(from *port, msg wire.Message) {
+	var bits uint64 // sized once per hop, charged to both ends
 	if msg.Type.Valid() {
+		bits = uint64(msg.SizeBits())
 		n.tc.send[msg.Type].Inc()
-		n.tc.sendBits[msg.Type].Add(uint64(msg.SizeBits()))
+		n.tc.sendBits[msg.Type].Add(bits)
 	}
 	if n.cfg.Trace != nil {
 		n.cfg.Trace.Record(n.now(), uint64(msg.From), "send",
@@ -239,7 +241,7 @@ func (n *Network) deliver(from *port, msg wire.Message) {
 	time.AfterFunc(n.toWall(lat), func() {
 		if msg.Type.Valid() {
 			n.tc.recv[msg.Type].Inc()
-			n.tc.recvBits[msg.Type].Add(uint64(msg.SizeBits()))
+			n.tc.recvBits[msg.Type].Add(bits)
 		}
 		if n.cfg.Trace != nil {
 			n.cfg.Trace.Record(n.now(), uint64(msg.To), "deliver",

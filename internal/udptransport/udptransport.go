@@ -71,6 +71,10 @@ type link struct {
 	// inbound and outbound are the sidecar's counting semaphores.
 	inbound, outbound chan struct{}
 
+	// sendBuf is the datagram encode buffer, reused across sends; only the
+	// executor (Send) touches it.
+	sendBuf []byte
+
 	// reg holds the socket-level instruments.
 	reg                  *metrics.Registry
 	send, recv           [wire.MsgTopListResp + 1]*metrics.Counter
@@ -232,11 +236,12 @@ func (l *link) Send(msg wire.Message) {
 	if msg.Type.Valid() {
 		l.send[msg.Type].Inc()
 	}
-	b := msg.Marshal()
-	l.sendBytes.Add(uint64(len(b)))
 	ip, port := msg.To.IPv4()
 	dst := netip.AddrPortFrom(netip.AddrFrom4(ip), port)
 	if len(msg.Pointers) > maxPointersPerDatagram {
+		// The transfer outlives this call, so it gets a buffer of its own.
+		b := msg.Marshal()
+		l.sendBytes.Add(uint64(len(b)))
 		select {
 		case l.outbound <- struct{}{}:
 			l.wg.Add(1)
@@ -246,7 +251,9 @@ func (l *link) Send(msg wire.Message) {
 		}
 		return
 	}
-	if _, err := l.conn.WriteToUDPAddrPort(b, dst); err != nil {
+	l.sendBuf = msg.AppendTo(l.sendBuf[:0])
+	l.sendBytes.Add(uint64(len(l.sendBuf)))
+	if _, err := l.conn.WriteToUDPAddrPort(l.sendBuf, dst); err != nil {
 		l.sendErrors.Inc()
 	}
 }

@@ -107,14 +107,23 @@ type Message struct {
 // header layout: type(1) from(8) to(8).
 const headerSize = 1 + 8 + 8
 
-// Marshal encodes the message. The wire layout per type is documented by
-// the decoder; unknown field combinations for a type are simply not
-// encoded.
+// Marshal encodes the message into a fresh, exactly sized buffer. The wire
+// layout per type is documented by the decoder; unknown field combinations
+// for a type are simply not encoded.
 func (m Message) Marshal() []byte {
+	return m.AppendTo(make([]byte, 0, m.encodedSize()))
+}
+
+// AppendTo appends the message's wire form to b, builder-style, and
+// returns the extended slice. With m.SizeBits()/8 spare capacity in b it
+// allocates nothing, which is how a sender reuses one buffer across
+// messages.
+//
+//pwlint:noalloc
+func (m Message) AppendTo(b []byte) []byte {
 	if !m.Type.Valid() {
-		panic(fmt.Sprintf("wire: marshalling invalid message type %d", m.Type))
+		panic(fmt.Sprintf("wire: marshalling invalid message type %d", m.Type)) //pwlint:allow noalloc panic path, an invalid type is a caller bug
 	}
-	b := make([]byte, 0, headerSize+32)
 	b = append(b, uint8(m.Type))
 	b = binary.BigEndian.AppendUint64(b, uint64(m.From))
 	b = binary.BigEndian.AppendUint64(b, uint64(m.To))
@@ -126,15 +135,11 @@ func (m Message) Marshal() []byte {
 	case MsgReport:
 		b = binary.BigEndian.AppendUint64(b, m.AckID)
 		b = m.Event.marshal(b)
-	case MsgAck:
-		b = binary.BigEndian.AppendUint64(b, m.AckID)
-	case MsgHeartbeat, MsgHeartbeatAck:
+	case MsgAck, MsgHeartbeat, MsgHeartbeatAck, MsgJoinQuery:
 		b = binary.BigEndian.AppendUint64(b, m.AckID)
 	case MsgReportAck, MsgPeerListResp, MsgTopListResp:
 		b = binary.BigEndian.AppendUint64(b, m.AckID)
 		b = marshalPointers(b, m.Pointers)
-	case MsgJoinQuery:
-		b = binary.BigEndian.AppendUint64(b, m.AckID)
 	case MsgJoinInfo:
 		b = binary.BigEndian.AppendUint64(b, m.AckID)
 		b = binary.BigEndian.AppendUint64(b, m.Cost)
@@ -155,13 +160,51 @@ func (m Message) Marshal() []byte {
 	return b
 }
 
-// SizeBits returns the encoded size in bits without allocating when
-// possible; it matches len(Marshal())*8.
-func (m Message) SizeBits() int { return len(m.Marshal()) * 8 }
+// encodedSize returns the exact length of the message's wire form in
+// bytes, by arithmetic: one case per AppendTo case, field for field. (A
+// pointer receiver only to spare the callers a second 240-byte copy.)
+//
+//pwlint:noalloc
+func (m *Message) encodedSize() int {
+	n := headerSize + 8 // every type carries the AckID
+	switch m.Type {
+	case MsgEvent:
+		n += 1 + m.Event.encodedSize()
+	case MsgReport:
+		n += m.Event.encodedSize()
+	case MsgAck, MsgHeartbeat, MsgHeartbeatAck, MsgJoinQuery:
+	case MsgReportAck, MsgPeerListResp, MsgTopListResp:
+		n += 2
+		for i := range m.Pointers {
+			n += m.Pointers[i].encodedSize()
+		}
+	case MsgJoinInfo:
+		n += 8 + m.Sender.encodedSize()
+	case MsgPeerListReq:
+		n += m.Sender.encodedSize()
+	case MsgTopListReq:
+		n += 1 + len(m.PartPrefix)
+	default:
+		panic("wire: sizing invalid message type")
+	}
+	if !m.Trace.IsZero() {
+		n += traceBlockSize
+	}
+	return n
+}
 
+// SizeBits returns the encoded size in bits, computed from the field
+// lengths without encoding anything; it equals len(Marshal())*8.
+//
+//pwlint:noalloc
+func (m Message) SizeBits() int { return 8 * m.encodedSize() }
+
+// marshalPointers appends a length-prefixed pointer list to b.
+//
+//pwlint:noalloc
 func marshalPointers(b []byte, ps []Pointer) []byte {
 	if len(ps) > 0xffff {
-		panic(fmt.Sprintf("wire: %d pointers exceed message capacity", len(ps)))
+		panic(fmt.Sprintf("wire: %d pointers exceed message capacity", len(ps))) //pwlint:allow noalloc panic path, an oversized list is a caller bug
 	}
 	b = binary.BigEndian.AppendUint16(b, uint16(len(ps)))
 	for _, p := range ps {

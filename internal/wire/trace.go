@@ -73,6 +73,8 @@ const (
 )
 
 // marshalTrace appends the trace block; callers skip it for zero IDs.
+//
+//pwlint:noalloc
 func (t TraceID) marshalTrace(b []byte) []byte {
 	b = append(b, traceMarker)
 	ob := t.Origin.Bytes()

@@ -133,6 +133,9 @@ func FuzzMessageRoundTrip(f *testing.F) {
 		if !bytes.Equal(out, data) {
 			t.Fatalf("re-marshal mismatch:\n in  %x\n out %x", data, out)
 		}
+		if got := m.SizeBits(); got != 8*len(out) {
+			t.Fatalf("SizeBits = %d, marshalled %d bits: %+v", got, 8*len(out), m)
+		}
 		back, err := Unmarshal(out)
 		if err != nil {
 			t.Fatalf("re-unmarshal: %v", err)

@@ -174,8 +174,12 @@ type Event struct {
 	Seq     uint64  // per-subject sequence number
 }
 
+// encodedSize returns the exact marshalled size of the event in bytes:
+// 1 (kind) + 8 (seq) + the subject pointer.
+func (e Event) encodedSize() int { return 1 + 8 + e.Subject.encodedSize() }
+
 // SizeBits returns the marshalled event size in bits.
-func (e Event) SizeBits() int { return 8 * (1 + 8 + e.Subject.encodedSize()) }
+func (e Event) SizeBits() int { return 8 * e.encodedSize() }
 
 // marshal appends the event's wire form to b.
 //

@@ -349,6 +349,52 @@ func TestMarshalUnmarshalQuickProperty(t *testing.T) {
 	}
 }
 
+// TestSizeBitsMatchesMarshal pins the arithmetic size to the encoder for
+// every message type, with and without the trace block, over every
+// payload shape a type can carry.
+func TestSizeBitsMatchesMarshal(t *testing.T) {
+	bare := Pointer{Addr: 1, ID: nodeid.HashString("bare")}
+	info := samplePointer()
+	full := Pointer{Addr: 2, ID: nodeid.HashString("full"), Level: 9, Info: make([]byte, MaxInfoLen)}
+	many := make([]Pointer, 300)
+	for i := range many {
+		many[i] = Pointer{Addr: Addr(i + 1), ID: nodeid.HashString("p"), Info: make([]byte, i%7)}
+	}
+	var shapes []Message
+	for typ := MsgEvent; typ <= MsgTopListResp; typ++ {
+		for _, subj := range []Pointer{bare, info, full} {
+			for _, ps := range [][]Pointer{nil, {info}, many} {
+				shapes = append(shapes, Message{
+					Type: typ, From: 3, To: 4, Step: 5, AckID: 6, Cost: 7,
+					Event:    Event{Kind: EventInfoChange, Subject: subj, Seq: 8},
+					Pointers: ps, Sender: subj,
+					PartBits: 3, PartPrefix: [16]byte{0xa0},
+				})
+			}
+		}
+	}
+	seen := map[MsgType]bool{}
+	for _, m := range shapes {
+		for _, tid := range []TraceID{{}, sampleTrace()} {
+			m.Trace = tid
+			b := m.Marshal()
+			if got := m.SizeBits(); got != 8*len(b) {
+				t.Errorf("%v trace=%v: SizeBits = %d, Marshal gives %d bits", m.Type, !tid.IsZero(), got, 8*len(b))
+			}
+			if cap(b) != len(b) {
+				t.Errorf("%v: Marshal buffer has cap %d for %d bytes, want exact", m.Type, cap(b), len(b))
+			}
+			if again := m.AppendTo(b[:0]); !bytes.Equal(again, b) || &again[0] != &b[0] {
+				t.Errorf("%v: AppendTo into an exactly sized buffer moved or changed the bytes", m.Type)
+			}
+		}
+		seen[m.Type] = true
+	}
+	if len(seen) != int(MsgTopListResp) {
+		t.Fatalf("covered %d message types, want %d", len(seen), MsgTopListResp)
+	}
+}
+
 func TestAddrIPv4RoundTrip(t *testing.T) {
 	ip := [4]byte{192, 168, 1, 7}
 	a := AddrFromIPv4(ip, 4242)
