@@ -338,9 +338,9 @@ func BenchmarkAblationFidelity(b *testing.B) {
 		}
 		fullShare = float64(l0) / float64(joined)
 
-		cfg := sim.DefaultScaledConfig(n, uint64(i+1))
+		cfg := sim.DefaultShardedScaledConfig(n, uint64(i+1), 1)
 		cfg.Workload = wl
-		s := sim.NewScaled(cfg)
+		s := sim.NewShardedScaled(cfg)
 		s.Run(30 * des.Minute)
 		scaledShare = shareL0(s.LevelCounts())
 	}
@@ -352,7 +352,7 @@ func BenchmarkAblationFidelity(b *testing.B) {
 // one virtual hour of a 100,000-node system per iteration.
 func BenchmarkScaled100k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		s := sim.NewScaled(sim.DefaultScaledConfig(100000, uint64(i+1)))
+		s := sim.NewShardedScaled(sim.DefaultShardedScaledConfig(100000, uint64(i+1), 1))
 		s.Run(des.Hour)
 	}
 }
@@ -395,7 +395,7 @@ func BenchmarkAblationProtocolGossip(b *testing.B) {
 func BenchmarkScaled1M(b *testing.B) {
 	var share float64
 	for i := 0; i < b.N; i++ {
-		s := sim.NewScaled(sim.DefaultScaledConfig(1000000, uint64(i+1)))
+		s := sim.NewShardedScaled(sim.DefaultShardedScaledConfig(1000000, uint64(i+1), 1))
 		s.Run(20 * des.Minute)
 		share = shareL0(s.LevelCounts())
 	}

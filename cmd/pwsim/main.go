@@ -23,6 +23,7 @@ import (
 	"peerwindow/internal/core"
 	"peerwindow/internal/des"
 	"peerwindow/internal/metrics"
+	"peerwindow/internal/shard"
 	"peerwindow/internal/sim"
 	"peerwindow/internal/trace"
 	"peerwindow/internal/wire"
@@ -81,10 +82,11 @@ func main() {
 			fmt.Println(sim.Fig12Table(rr).Render())
 		}
 	case "sharded":
-		r, dg := sim.RunCommonSharded(*n, *rate, *seed, *shards, *workers, opt)
+		r, s := sim.RunCommonSharded(*n, *rate, *seed, *shards, *workers, opt)
 		printCommon(r)
+		fmt.Println(speedupLine(s.DriverStats(), *shards))
 		if *digest {
-			fmt.Printf("digest %016x\n", dg)
+			fmt.Printf("digest %016x\n", s.Digest())
 		}
 	case "million":
 		mn := *n
@@ -170,6 +172,10 @@ func millionTable(n int, rate float64, seed uint64, shards, workers int, opt sim
 	t.AddRow("run wall time", runWall.Round(time.Millisecond).String())
 	t.AddRow("events executed", events)
 	t.AddRow("events/sec (wall)", fmt.Sprintf("%.0f", float64(events)/runWall.Seconds()))
+	st := s.DriverStats()
+	t.AddRow("driver windows", st.Windows)
+	t.AddRow("events / critical path", fmt.Sprintf("%d / %d", st.Events, st.CriticalPath))
+	t.AddRow(fmt.Sprintf("max speed-up at %d shards", shards), fmt.Sprintf("%.2fx", st.MaxSpeedup()))
 	t.AddRow("node-state bytes/node", fmt.Sprintf("%.1f", float64(bytes)/float64(nodes)))
 	levels := s.LevelCounts()
 	for l, c := range levels {
@@ -181,6 +187,14 @@ func millionTable(n int, rate float64, seed uint64, shards, workers int, opt sim
 		t.AddRow("digest", fmt.Sprintf("%016x", s.Digest()))
 	}
 	return t
+}
+
+// speedupLine renders the shard driver's counts as the host-independent
+// bound they give: total events over the critical path (the busiest
+// shard of every window, summed) is the most K shards can gain.
+func speedupLine(st shard.Stats, shards int) string {
+	return fmt.Sprintf("%d events / %d critical path over %d windows = max speed-up %.2fx at %d shards",
+		st.Events, st.CriticalPath, st.Windows, st.MaxSpeedup(), shards)
 }
 
 // workloadForFull compresses lifetimes so a short full-fidelity run sees

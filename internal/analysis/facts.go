@@ -9,6 +9,11 @@ package analysis
 //	           known blocking callees)
 //	factAlloc  may allocate on the Go heap
 //	factGo     may start a goroutine
+//	factOrder  may schedule a simulation event or draw from a seeded
+//	           random stream (des.Engine.At/After…, xrand.Source,
+//	           core.Env.Send/SetTimer) — harmless in itself, but its
+//	           outcome depends on the order of the calls, which is what
+//	           nodeterminism's map-range rule asks about
 //
 // — computed as (intrinsic effects of the body) OR (facts of callees,
 // per the edge policy below) and propagated to a fixpoint over the call
@@ -23,11 +28,12 @@ package analysis
 //
 // Edge policy per fact:
 //
-//   - clock/rand/go propagate through static edges only. Interface
-//     calls are deliberately ignored: the Env capability interface is
-//     the repo's *sanctioned* seam between deterministic simulation
-//     code and live wall-clock transports, and CHA would fuse the two
-//     worlds back together.
+//   - clock/rand/go/order propagate through static edges only.
+//     Interface calls are deliberately ignored: the Env capability
+//     interface is the repo's *sanctioned* seam between deterministic
+//     simulation code and live wall-clock transports, and CHA would
+//     fuse the two worlds back together. (The order fact recognizes
+//     Env.Send and Env.SetTimer themselves, by name, as primitives.)
 //   - block propagates through static edges and CHA interface
 //     candidates, and skips call sites inside function literals
 //     (locksafe's long-standing bias: a literal blocks in whoever
@@ -54,6 +60,7 @@ import (
 	"path/filepath"
 	"sort"
 	"strconv"
+	"strings"
 )
 
 type factKind int
@@ -64,6 +71,7 @@ const (
 	factBlock
 	factAlloc
 	factGo
+	factOrder
 	numFacts
 )
 
@@ -146,9 +154,40 @@ func externalFact(key funcKey, k factKind) bool {
 		return blockingNames[key.name]
 	case factAlloc:
 		return !externalAllocFree(key)
-	default: // factGo
+	default: // factGo, factOrder
 		return false
 	}
+}
+
+// engineScheduleFuncs are the des.Engine methods that put an event on
+// the queue.
+var engineScheduleFuncs = map[string]bool{
+	"At": true, "AtTag": true, "AtKey": true, "After": true, "AfterTag": true,
+}
+
+// orderSensitiveCallee reports whether key is one of the primitives
+// whose effect depends on call order: scheduling on the DES engine
+// (same-instant events run in scheduling order), sending or arming a
+// timer through core.Env, and every method of a seeded xrand.Source
+// (each draw advances the stream). Packages match by import-path suffix
+// so analysistest fixtures fall under the same rule.
+func orderSensitiveCallee(key funcKey) bool {
+	switch {
+	case isDesPath(key.pkg):
+		return key.recv == "Engine" && engineScheduleFuncs[key.name]
+	case pathHasSuffix(key.pkg, "internal/xrand"):
+		return key.recv == "Source"
+	case pathHasSuffix(key.pkg, "internal/core"):
+		return key.recv == "Env" && (key.name == "Send" || key.name == "SetTimer")
+	}
+	return false
+}
+
+// pathHasSuffix reports whether an import path is suffix or ends in
+// /suffix — how every scope rule names a package, so that analysistest
+// fixtures (module pwfixture) match like the real tree.
+func pathHasSuffix(path, suffix string) bool {
+	return path == suffix || strings.HasSuffix(path, "/"+suffix)
 }
 
 // binaryAllocFree are the encoding/binary primitives that write into
@@ -206,6 +245,9 @@ func (g *callGraph) edgeFact(cs callSite, k factKind) (bad bool, callee funcKey,
 	}
 	if k == factBlock && cs.inLit {
 		return false, funcKey{}, false
+	}
+	if k == factOrder && cs.kind != callDynamic && orderSensitiveCallee(cs.static) {
+		return true, cs.static, true
 	}
 	switch cs.kind {
 	case callStatic:
@@ -467,11 +509,16 @@ func (s *bodyScanner) usedOnlyAsCallee(v *types.Var) bool {
 
 // isBuiltin reports whether call invokes the named builtin.
 func (s *bodyScanner) isBuiltin(call *ast.CallExpr, name string) bool {
+	return isBuiltinCall(s.pkg.Info, call, name)
+}
+
+// isBuiltinCall reports whether call invokes the named builtin.
+func isBuiltinCall(info *types.Info, call *ast.CallExpr, name string) bool {
 	id, ok := ast.Unparen(call.Fun).(*ast.Ident)
-	if !ok || id.Name != name {
+	if !ok {
 		return false
 	}
-	b, ok := s.pkg.Info.Uses[id].(*types.Builtin)
+	b, ok := info.Uses[id].(*types.Builtin)
 	return ok && b.Name() == name
 }
 

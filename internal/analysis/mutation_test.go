@@ -9,11 +9,13 @@ import (
 	"peerwindow/internal/analysis"
 )
 
-// TestMutatedRepoIsCaught seeds the two canonical evasions into a copy
-// of the real repository — a wall-clock read hidden behind an
-// out-of-contract helper package, and a transitive allocation under a
-// //pwlint:noalloc contract — and requires the suite to report both,
-// each with the offending call path. This is the in-process twin of the
+// TestMutatedRepoIsCaught seeds the canonical evasions into a copy of
+// the real repository — a wall-clock read hidden behind an
+// out-of-contract helper package, a transitive allocation under a
+// //pwlint:noalloc contract, and a "first element of a map" sampler of
+// the kind that made the legacy scaled simulator irreproducible — and
+// requires the suite to report all three, the interprocedural two with
+// the offending call path. This is the in-process twin of the
 // CI mutation gate (see .github/workflows/ci.yml): it proves the
 // analyzers keep their teeth against the codebase they actually guard,
 // not just against fixtures.
@@ -49,6 +51,16 @@ func mutantScratch(n int) []byte { return make([]byte, n) }
 
 //pwlint:noalloc
 func mutantAlloc(n int) int { return len(mutantScratch(n)) }
+
+func mutantSample(m map[uint64]int, k int) (sum int) {
+	for _, v := range m {
+		if k--; k < 0 {
+			break
+		}
+		sum += v
+	}
+	return sum
+}
 `)
 
 	prog, err := analysis.Load(root, "./...")
@@ -60,7 +72,7 @@ func mutantAlloc(n int) int { return len(mutantScratch(n)) }
 		t.Fatalf("running suite: %v", err)
 	}
 
-	var gotClock, gotAlloc bool
+	var gotClock, gotAlloc, gotMapRange bool
 	for _, d := range diags {
 		switch {
 		case d.Analyzer == "nodeterminism" && strings.Contains(d.Message, "zzmutant.Coarse") &&
@@ -75,6 +87,9 @@ func mutantAlloc(n int) int { return len(mutantScratch(n)) }
 			if len(d.Path) == 0 {
 				t.Errorf("alloc finding carries no call path: %s", d)
 			}
+		case d.Analyzer == "nodeterminism" && strings.Contains(d.Message, "range over map m") &&
+			strings.Contains(d.Message, "breaks out early"):
+			gotMapRange = true
 		default:
 			t.Errorf("unexpected diagnostic on mutated repo: %s", d)
 		}
@@ -84,6 +99,9 @@ func mutantAlloc(n int) int { return len(mutantScratch(n)) }
 	}
 	if !gotAlloc {
 		t.Error("transitive noalloc violation not reported")
+	}
+	if !gotMapRange {
+		t.Error("order-sensitive range over a map not reported")
 	}
 }
 

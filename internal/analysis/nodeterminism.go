@@ -12,7 +12,8 @@ package analysis
 // package: it concentrates the worker/barrier discipline that keeps
 // sharded runs bit-reproducible, so `go` statements are allowed there
 // — no per-site //pwlint:allow needed — and nowhere else in the
-// simulation stack.
+// simulation stack. The same packages must not let Go's randomized map
+// iteration order reach a result: maporder.go holds that rule.
 
 import (
 	"go/ast"
@@ -63,14 +64,18 @@ var NoDeterminism = &Analyzer{
 		"through any statically resolved helper chain; the simulation must stay a " +
 		"pure function of its seed (use des virtual time, internal/xrand, and the " +
 		"DES engine). internal/shard alone may start goroutines — it is the " +
-		"sanctioned shard-driver package (escape hatch: //pwlint:allow nodeterminism)",
+		"sanctioned shard-driver package. Also flags a range over a map whose body " +
+		"depends on iteration order: it appends to a slice that outlives the loop " +
+		"and is not sorted afterwards, breaks or returns a value early, or calls " +
+		"something that schedules an event or draws from a seeded stream " +
+		"(escape hatch: //pwlint:allow nodeterminism)",
 	Run: runNoDeterminism,
 }
 
 func inDeterministicScope(pkg *Package) bool {
 	base := strings.TrimSuffix(pkg.BasePath, "_test")
 	for _, suffix := range deterministicPkgSuffixes {
-		if base == suffix || strings.HasSuffix(base, "/"+suffix) {
+		if pathHasSuffix(base, suffix) {
 			return true
 		}
 	}
@@ -79,7 +84,7 @@ func inDeterministicScope(pkg *Package) bool {
 
 func inGoroutineSanctionedScope(pkg *Package) bool {
 	base := strings.TrimSuffix(pkg.BasePath, "_test")
-	return base == goroutinePkgSuffix || strings.HasSuffix(base, "/"+goroutinePkgSuffix)
+	return pathHasSuffix(base, goroutinePkgSuffix)
 }
 
 func runNoDeterminism(pass *Pass) error {
@@ -119,6 +124,7 @@ func runNoDeterminism(pass *Pass) error {
 			return true
 		})
 	}
+	checkMapRanges(pass)
 	return checkInterprocedural(pass, goAllowed)
 }
 
@@ -129,6 +135,8 @@ func detFactDescription(k factKind) string {
 		return "may read the wall clock"
 	case factRand:
 		return "may draw from global math/rand"
+	case factOrder:
+		return "may schedule an event or draw from a seeded stream"
 	default:
 		return "may start goroutines"
 	}

@@ -53,11 +53,11 @@ var SchedPure = &Analyzer{
 
 func inSchedPureScope(pkg *Package) bool {
 	base := strings.TrimSuffix(pkg.BasePath, "_test")
-	return base == schedPureScopeSuffix || strings.HasSuffix(base, "/"+schedPureScopeSuffix)
+	return pathHasSuffix(base, schedPureScopeSuffix)
 }
 
 func isDesPath(path string) bool {
-	return path == "internal/des" || strings.HasSuffix(path, "/internal/des")
+	return pathHasSuffix(path, "internal/des")
 }
 
 // isTimeMethod reports whether obj is a method whose receiver is the

@@ -35,3 +35,30 @@ func okPureHelper(x int) int {
 func allowedEvasion() int64 {
 	return outside.SneakyNow() //pwlint:allow nodeterminism wall clock used for coarse logging only
 }
+
+// Env stands in for core.Env, the capability seam: Send and SetTimer are
+// order-sensitive primitives the map-range rule knows by name, even
+// though interface calls carry no other determinism fact.
+type Env interface {
+	Now() int64
+	Send(to uint64)
+	SetTimer(delay int64, fn func())
+}
+
+type peerSet struct {
+	env   Env
+	peers map[uint64]int
+}
+
+func (p *peerSet) announce() {
+	for id := range p.peers { // want `range over map p\.peers in deterministic package: iteration order is random and the body calls core\.Env\.Send`
+		p.env.Send(id)
+	}
+}
+
+// okStamp: reading the clock through the seam is order-insensitive.
+func (p *peerSet) okStamp() {
+	for id := range p.peers {
+		p.peers[id] = int(p.env.Now())
+	}
+}

@@ -91,16 +91,7 @@ func (n *Node) AppendDigest(b []byte) []byte {
 	}
 
 	// Cross-part tops, canonicalized by part then nodeId.
-	parts := make([]nodeid.Eigenstring, 0, len(n.crossTop))
-	for part := range n.crossTop {
-		parts = append(parts, part)
-	}
-	sort.Slice(parts, func(i, j int) bool {
-		if parts[i].Len != parts[j].Len {
-			return parts[i].Len < parts[j].Len
-		}
-		return parts[i].Prefix.Less(parts[j].Prefix)
-	})
+	parts := n.sortedCrossParts()
 	b = appendU64(b, uint64(len(parts)))
 	for _, part := range parts {
 		b = appendID(b, part.Prefix)

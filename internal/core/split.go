@@ -1,6 +1,8 @@
 package core
 
 import (
+	"sort"
+
 	"peerwindow/internal/nodeid"
 	"peerwindow/internal/wire"
 )
@@ -107,46 +109,68 @@ func (n *Node) crossPartJoin(z wire.Pointer, done func(error)) {
 	)
 }
 
+// sortedCrossParts returns the remembered parts ordered by eigenstring
+// length, then prefix. Go randomizes map iteration, so anything that picks
+// among the parts or serializes them goes through here.
+func (n *Node) sortedCrossParts() []nodeid.Eigenstring {
+	parts := make([]nodeid.Eigenstring, 0, len(n.crossTop))
+	for part := range n.crossTop {
+		parts = append(parts, part)
+	}
+	sort.Slice(parts, func(i, j int) bool {
+		if parts[i].Len != parts[j].Len {
+			return parts[i].Len < parts[j].Len
+		}
+		return parts[i].Prefix.Less(parts[j].Prefix)
+	})
+	return parts
+}
+
 // refreshCrossTop implements the §4.5 lazy maintenance: "when a top node
 // T works for another node's joining process, it chooses a live pointer
 // from its top-node list and asks the corresponding node for t−1
 // pointers to top nodes of that part." It refreshes one remembered part
-// per trigger, round-robin by map iteration.
+// per trigger, drawn from the node's own random stream.
 func (n *Node) refreshCrossTop() {
 	if !n.isTopNode() || len(n.crossTop) == 0 {
 		return
 	}
-	for part, ps := range n.crossTop {
-		if len(ps) == 0 {
-			continue
+	parts := n.sortedCrossParts()
+	live := parts[:0]
+	for _, part := range parts {
+		if len(n.crossTop[part]) > 0 {
+			live = append(live, part)
 		}
-		target := ps[n.env.Rand().Intn(len(ps))]
-		n.m.topListRefreshes.Inc()
-		part := part
-		msg := wire.Message{Type: wire.MsgTopListReq, To: target.Addr}
-		n.sendReliable(msg, 1,
-			func(resp wire.Message) {
-				// Keep only pointers that really belong to that part.
-				keep := resp.Pointers[:0]
-				for _, p := range resp.Pointers {
-					if part.Contains(p.ID) {
-						keep = append(keep, p)
-					}
-				}
-				n.rememberCrossPart(part, keep)
-			},
-			func() {
-				// Drop the dead pointer; the rest of the part list
-				// remains.
-				out := n.crossTop[part][:0]
-				for _, p := range n.crossTop[part] {
-					if p.ID != target.ID {
-						out = append(out, p)
-					}
-				}
-				n.crossTop[part] = out
-			},
-		)
-		return // one part per trigger
 	}
+	if len(live) == 0 {
+		return
+	}
+	part := live[n.env.Rand().Intn(len(live))]
+	ps := n.crossTop[part]
+	target := ps[n.env.Rand().Intn(len(ps))]
+	n.m.topListRefreshes.Inc()
+	msg := wire.Message{Type: wire.MsgTopListReq, To: target.Addr}
+	n.sendReliable(msg, 1,
+		func(resp wire.Message) {
+			// Keep only pointers that really belong to that part.
+			keep := resp.Pointers[:0]
+			for _, p := range resp.Pointers {
+				if part.Contains(p.ID) {
+					keep = append(keep, p)
+				}
+			}
+			n.rememberCrossPart(part, keep)
+		},
+		func() {
+			// Drop the dead pointer; the rest of the part list
+			// remains.
+			out := n.crossTop[part][:0]
+			for _, p := range n.crossTop[part] {
+				if p.ID != target.ID {
+					out = append(out, p)
+				}
+			}
+			n.crossTop[part] = out
+		},
+	)
 }

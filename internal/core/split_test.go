@@ -238,3 +238,44 @@ func TestRefreshCrossTopDropsDeadPointer(t *testing.T) {
 		t.Fatalf("dead cross-part pointer survived: %+v", got)
 	}
 }
+
+// Which remembered part a refresh asks is drawn from the node's seeded
+// stream, not from Go's map iteration order: nodes built alike must send
+// the same sequence of requests. (Ranging over the map picked a random
+// part per run, and with it a different random draw and send order.)
+func TestRefreshCrossTopDeterministic(t *testing.T) {
+	targets := func() []wire.Addr {
+		env := newFakeEnv(36)
+		n := newTopNode(t, env)
+		for i, bits := range []string{"1000", "1010", "1100", "1110", "0100", "0110"} {
+			part, _ := nodeid.ParseEigenstring(bits[:3])
+			n.rememberCrossPart(part, []wire.Pointer{ptrAt(bits, 3, wire.Addr(20+i))})
+		}
+		var out []wire.Addr
+		for i := 0; i < 8; i++ {
+			n.HandleMessage(wire.Message{Type: wire.MsgJoinQuery, From: 9, To: 1, AckID: uint64(i + 1)})
+			reqs := env.takeType(wire.MsgTopListReq)
+			if len(reqs) != 1 {
+				t.Fatalf("trigger %d sent %d refresh requests, want 1", i, len(reqs))
+			}
+			out = append(out, reqs[0].To)
+		}
+		return out
+	}
+	want := targets()
+	distinct := map[wire.Addr]bool{}
+	for _, a := range want {
+		distinct[a] = true
+	}
+	if len(distinct) < 2 {
+		t.Fatalf("eight refreshes all asked one part: %v", want)
+	}
+	for run := 0; run < 5; run++ {
+		got := targets()
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("run %d asked %v, first run asked %v", run, got, want)
+			}
+		}
+	}
+}

@@ -37,7 +37,9 @@ import (
 
 // Shard is one partition of a simulation: a des.Engine (which satisfies
 // this interface directly) or any wrapper that can report its next event
-// time and execute a bounded window.
+// time and execute a bounded window. A shard that also has
+// Executed() uint64, as des.Engine does, feeds the driver's event and
+// critical-path counts (see Stats).
 type Shard interface {
 	// NextAt returns the time of the earliest pending event; ok is false
 	// when the shard is idle.
@@ -65,6 +67,38 @@ type Config struct {
 	Exchange func(horizon des.Time)
 }
 
+// Stats is what a Driver has counted over its Runs so far. All three are
+// pure functions of the simulation (never of the worker count), counted
+// once per window at the barrier.
+type Stats struct {
+	// Windows is the number of windows executed.
+	Windows uint64
+	// Events is the number of events executed across all shards; it
+	// stays 0 when some shard does not report Executed.
+	Events uint64
+	// CriticalPath is the sum over windows of the busiest shard's event
+	// count: the events one worker per shard would still run back to
+	// back.
+	CriticalPath uint64
+}
+
+// MaxSpeedup returns Events / CriticalPath, the host-independent upper
+// bound on parallel speed-up at this shard count: what lookahead and
+// load skew leave, before any scheduling or memory cost. It is 0 until
+// an event has been counted.
+func (s Stats) MaxSpeedup() float64 {
+	if s.CriticalPath == 0 {
+		return 0
+	}
+	return float64(s.Events) / float64(s.CriticalPath)
+}
+
+// eventCounter is the optional Shard method behind Stats.Events and
+// Stats.CriticalPath; des.Engine has it.
+type eventCounter interface {
+	Executed() uint64
+}
+
 // Driver coordinates a fixed set of shards through conservative time
 // windows. It is not safe for concurrent use; one Run at a time.
 type Driver struct {
@@ -72,6 +106,10 @@ type Driver struct {
 	shards []Shard
 
 	horizon des.Time // current window bound, set by the coordinator before workers start
+
+	counters []eventCounter // nil unless every shard counts its events
+	executed []uint64       // per shard, as of the last barrier
+	stats    Stats
 }
 
 // NewDriver builds a driver over the given shards. The shard slice is
@@ -83,7 +121,38 @@ func NewDriver(cfg Config, shards ...Shard) *Driver {
 	if len(shards) == 0 {
 		panic("shard: no shards")
 	}
-	return &Driver{cfg: cfg, shards: shards}
+	d := &Driver{cfg: cfg, shards: shards}
+	counters := make([]eventCounter, len(shards))
+	for i, s := range shards {
+		c, ok := s.(eventCounter)
+		if !ok {
+			return d
+		}
+		counters[i] = c
+	}
+	d.counters = counters
+	d.executed = make([]uint64, len(shards))
+	return d
+}
+
+// Stats returns the counts accumulated over every Run so far.
+func (d *Driver) Stats() Stats { return d.stats }
+
+// countWindow folds the window that just ended into the stats. It runs
+// on the coordinator while the workers are parked.
+func (d *Driver) countWindow() {
+	d.stats.Windows++
+	var busiest uint64
+	for i, c := range d.counters {
+		now := c.Executed()
+		n := now - d.executed[i]
+		d.executed[i] = now
+		d.stats.Events += n
+		if n > busiest {
+			busiest = n
+		}
+	}
+	d.stats.CriticalPath += busiest
 }
 
 // nextEventAt returns the earliest pending event time across all shards;
@@ -139,6 +208,10 @@ func (d *Driver) Run(until des.Time) {
 		}()
 	}
 
+	// Events a shard ran outside the driver are not this driver's.
+	for i, c := range d.counters {
+		d.executed[i] = c.Executed()
+	}
 	lastBarrier := des.Time(-1)
 	for {
 		t, ok := d.nextEventAt()
@@ -163,6 +236,7 @@ func (d *Driver) Run(until des.Time) {
 				s.RunWindow(h)
 			}
 		}
+		d.countWindow()
 		if d.cfg.Exchange != nil {
 			d.cfg.Exchange(h)
 		}

@@ -119,6 +119,64 @@ func TestDriverCrossShardMailboxPattern(t *testing.T) {
 	}
 }
 
+// Stats must count every window and event, price the critical path at the
+// busiest shard of each window, and not depend on the worker count.
+func TestDriverStats(t *testing.T) {
+	run := func(workers int) Stats {
+		const k = 4
+		shards := make([]Shard, k)
+		for i := 0; i < k; i++ {
+			e := des.New()
+			// Shard i fires i+1 events every 10 ticks: a 4:1 load skew.
+			for j := 0; j <= i; j++ {
+				var tick func()
+				tick = func() { e.After(10, tick) }
+				e.After(10, tick)
+			}
+			shards[i] = e
+		}
+		d := NewDriver(Config{Lookahead: 3, Workers: workers}, shards...)
+		d.Run(50)
+		d.Run(100) // stats accumulate across Runs
+		return d.Stats()
+	}
+	base := run(1)
+	// Events fire at t = 10, 20, …, 90 (the one at 100 is not before the
+	// deadline): 9 windows of 1+2+3+4 events, the busiest shard running 4.
+	if want := (Stats{Windows: 9, Events: 90, CriticalPath: 36}); base != want {
+		t.Fatalf("stats = %+v, want %+v", base, want)
+	}
+	if got := base.MaxSpeedup(); got != 2.5 {
+		t.Fatalf("MaxSpeedup = %v, want 2.5", got)
+	}
+	for _, workers := range []int{2, 8} {
+		if got := run(workers); got != base {
+			t.Fatalf("workers=%d: stats %+v != workers=1 %+v", workers, got, base)
+		}
+	}
+}
+
+// windowOnly is a Shard without the optional Executed method.
+type windowOnly struct{ e *des.Engine }
+
+func (w windowOnly) NextAt() (des.Time, bool) { return w.e.NextAt() }
+func (w windowOnly) RunWindow(limit des.Time) { w.e.RunWindow(limit) }
+
+// A shard that cannot count its events leaves the event counts at zero;
+// windows are still counted.
+func TestDriverStatsWithoutEventCounts(t *testing.T) {
+	e := des.New()
+	var tick func()
+	tick = func() { e.After(10, tick) }
+	e.After(10, tick)
+	d := NewDriver(Config{Lookahead: 3}, windowOnly{e}, des.New())
+	d.Run(35)
+	st := d.Stats()
+	if st.Windows != 3 || st.Events != 0 || st.CriticalPath != 0 || st.MaxSpeedup() != 0 {
+		t.Fatalf("stats = %+v (max speed-up %v), want 3 windows and no event counts", st, st.MaxSpeedup())
+	}
+}
+
 func TestDriverValidation(t *testing.T) {
 	e := des.New()
 	for _, tc := range []struct {

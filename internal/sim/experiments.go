@@ -3,6 +3,7 @@ package sim
 import (
 	"fmt"
 	"math"
+	"sort"
 
 	"peerwindow/internal/core"
 	"peerwindow/internal/des"
@@ -69,51 +70,49 @@ func (o *CommonOptions) defaults() {
 }
 
 // RunCommon executes the paper's common experiment (§5.1) at the given
-// scale and Lifetime_Rate using the scaled (centralized-peer-list)
-// simulator — the same methodology as the paper's own 100,000-node runs.
+// scale and Lifetime_Rate on the scaled (centralized-peer-list) simulator
+// — the methodology of the paper's own 100,000-node runs — and returns
+// what figures 5–8 read. The result is a pure function of
+// (n, lifetimeRate, seed, opt): every sample is taken in (slice, slot)
+// order, so two calls agree to the last bit, Fig 7's aggregates included.
 func RunCommon(n int, lifetimeRate float64, seed uint64, opt CommonOptions) CommonResult {
-	opt.defaults()
-	cfg := DefaultScaledConfig(n, seed)
-	cfg.Workload.LifetimeRate = lifetimeRate
-	s := NewScaled(cfg)
-	s.Run(opt.Warm)
-	s.ResetTraffic()
-
-	errAggs := make([]metrics.Agg, cfg.MaxLevel+1)
-	gap := opt.Measure / des.Time(opt.Instants)
-	for i := 0; i < opt.Instants; i++ {
-		s.Run(gap)
-		inst := s.ErrorRates(opt.Sample)
-		for l := range inst {
-			errAggs[l].Merge(inst[l])
-		}
-	}
-	in, out := s.Bandwidth()
-	res := CommonResult{
-		N:            n,
-		LifetimeRate: lifetimeRate,
-		Population:   s.Population(),
-		LevelCounts:  s.LevelCounts(),
-		ListSizes:    s.PeerListSizes(0),
-		ErrorRates:   errAggs,
-		InBps:        in,
-		OutBps:       out,
-	}
-	return res
+	r, _ := RunCommonSharded(n, lifetimeRate, seed, 1, 1, opt)
+	return r
 }
 
-// RunCommonSharded executes the common experiment on the sharded
-// struct-of-arrays simulator — the same measurements as RunCommon, with
-// the event work spread across shard workers and the node state packed
-// for million-node populations. Results are a pure function of
-// (n, lifetimeRate, seed): shard and worker counts only change wall
-// time.
-func RunCommonSharded(n int, lifetimeRate float64, seed uint64, shards, workers int, opt CommonOptions) (CommonResult, uint64) {
-	opt.defaults()
+// RunCommonSharded is RunCommon with the event work spread over shards
+// engines driven by workers goroutines (pwsim's sharded experiment passes
+// its flags); the result does not depend on either. The simulator is
+// returned in its end state for callers that also want its digest or
+// driver statistics.
+func RunCommonSharded(n int, lifetimeRate float64, seed uint64, shards, workers int, opt CommonOptions) (CommonResult, *ShardedScaled) {
 	cfg := DefaultShardedScaledConfig(n, seed, shards)
 	cfg.Workers = workers
 	cfg.Workload.LifetimeRate = lifetimeRate
 	s := NewShardedScaled(cfg)
+	return measureCommon(s, cfg.ScaledConfig, opt), s
+}
+
+// commonSim is what the common experiment asks of a scaled simulator.
+// ShardedScaled is the implementation every caller uses; the interface
+// exists so TestShardedFiguresAgreeWithLegacy can put the legacy Scaled
+// through the identical procedure.
+type commonSim interface {
+	Run(d des.Time)
+	ResetTraffic()
+	ErrorRates(sample int) []metrics.Agg
+	Bandwidth() (in, out []metrics.Agg)
+	Population() int
+	LevelCounts() []int
+	PeerListSizes(sample int) []metrics.Agg
+}
+
+// measureCommon is the one body of the common experiment: warm up, reset
+// the traffic meters, sample error rates at opt.Instants evenly spaced
+// instants of the measurement window, then read bandwidth, the level
+// census and every node's list size.
+func measureCommon(s commonSim, cfg ScaledConfig, opt CommonOptions) CommonResult {
+	opt.defaults()
 	s.Run(opt.Warm)
 	s.ResetTraffic()
 
@@ -128,15 +127,15 @@ func RunCommonSharded(n int, lifetimeRate float64, seed uint64, shards, workers 
 	}
 	in, out := s.Bandwidth()
 	return CommonResult{
-		N:            n,
-		LifetimeRate: lifetimeRate,
+		N:            cfg.N,
+		LifetimeRate: cfg.Workload.LifetimeRate,
 		Population:   s.Population(),
 		LevelCounts:  s.LevelCounts(),
 		ListSizes:    s.PeerListSizes(0),
 		ErrorRates:   errAggs,
 		InBps:        in,
 		OutBps:       out,
-	}, s.Digest()
+	}
 }
 
 // Fig5Table renders the figure 5 reproduction: node distribution per
@@ -219,16 +218,32 @@ type ScaleResult struct {
 func DefaultScales() []int { return []int{5000, 10000, 20000, 50000, 100000} }
 
 // RunScales executes the §5.2 scalability sweep, one run per scale, in
-// parallel.
+// parallel. Point i runs with seed+i*1000 and lands in out[i], so the
+// table does not depend on the dispatch order or on GOMAXPROCS.
 func RunScales(scales []int, seed uint64, opt CommonOptions) []ScaleResult {
 	out := make([]ScaleResult, len(scales))
-	shard.RunParallel(len(scales), 0, func(i int) {
+	order := costliestFirst(len(scales), func(i int) float64 { return float64(scales[i]) })
+	shard.RunParallel(len(order), 0, func(k int) {
+		i := order[k]
 		out[i] = ScaleResult{
 			N:      scales[i],
 			Common: RunCommon(scales[i], 1.0, seed+uint64(i)*1000, opt),
 		}
 	})
 	return out
+}
+
+// costliestFirst returns the indices 0..n-1 by descending cost (ties in
+// index order). RunParallel hands tasks out in slice order, so leading
+// with the longest run keeps a worker from idling while a sweep's most
+// expensive point — N = 100,000 is half of figure 9's work — runs last.
+func costliestFirst(n int, cost func(i int) float64) []int {
+	order := make([]int, n)
+	for i := range order {
+		order[i] = i
+	}
+	sort.SliceStable(order, func(a, b int) bool { return cost(order[a]) > cost(order[b]) })
+	return order
 }
 
 // Fig9Table renders figure 9: level distribution vs system scale.
@@ -281,16 +296,18 @@ type RateResult struct {
 // DefaultLifetimeRates are the figure 11/12 x-axis points.
 func DefaultLifetimeRates() []float64 { return []float64{0.1, 0.2, 0.5, 1, 2, 5, 10} }
 
-// RunLifetimeRates executes the §5.3 adaptivity sweep at fixed scale.
+// RunLifetimeRates executes the §5.3 adaptivity sweep at fixed scale, in
+// parallel; seeds and result order follow RunScales. Churn, and with it
+// the event count, is inversely proportional to Lifetime_Rate, so the
+// shortest lifetimes go first.
 func RunLifetimeRates(n int, rates []float64, seed uint64, opt CommonOptions) []RateResult {
 	out := make([]RateResult, len(rates))
-	shard.RunParallel(len(rates), 0, func(i int) {
-		o := opt
-		// Short lifetimes need proportionally less settling; long ones
-		// need no more than the default.
+	order := costliestFirst(len(rates), func(i int) float64 { return 1 / rates[i] })
+	shard.RunParallel(len(order), 0, func(k int) {
+		i := order[k]
 		out[i] = RateResult{
 			LifetimeRate: rates[i],
-			Common:       RunCommon(n, rates[i], seed+uint64(i)*1000, o),
+			Common:       RunCommon(n, rates[i], seed+uint64(i)*1000, opt),
 		}
 	})
 	return out

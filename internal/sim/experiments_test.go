@@ -276,9 +276,9 @@ func TestScaledMatchesFullFidelity(t *testing.T) {
 	fullShare := float64(fullL0) / float64(fullJoined)
 
 	// Scaled.
-	cfg := DefaultScaledConfig(n, 77)
+	cfg := DefaultShardedScaledConfig(n, 77, 1)
 	cfg.Workload = wl
-	s := NewScaled(cfg)
+	s := NewShardedScaled(cfg)
 	s.Run(40 * des.Minute)
 	scaledShare := shareLevel0(s.LevelCounts())
 	var scaledErr float64
@@ -371,7 +371,7 @@ func TestMillionNodeExtension(t *testing.T) {
 	// level-0 share keeps falling and more levels open up, while the
 	// error rate stays in the sub-percent regime (it grows only with
 	// log2 N).
-	s := NewScaled(DefaultScaledConfig(1000000, 1))
+	s := NewShardedScaled(DefaultShardedScaledConfig(1000000, 1, 1))
 	s.Run(20 * des.Minute)
 	if pop := s.Population(); pop < 950000 || pop > 1050000 {
 		t.Fatalf("population drifted to %d", pop)

@@ -48,6 +48,26 @@ func (pc *prefixCount) Add(id nodeid.ID) {
 	pc.total++
 }
 
+// addLeaf counts a node at the deepest prefix only, leaving every shorter
+// prefix stale until fold runs. Warm starts count a whole population this
+// way: one increment per node and one sequential pass per level, instead
+// of depth+1 scattered increments per node.
+func (pc *prefixCount) addLeaf(id nodeid.ID) {
+	pc.counts[pc.depth][bucket(id, pc.depth)]++
+	pc.total++
+}
+
+// fold recomputes every prefix's count as the sum of its two children,
+// deepest level first — the state Add maintains incrementally.
+func (pc *prefixCount) fold() {
+	for l := pc.depth - 1; l >= 0; l-- {
+		parent, child := pc.counts[l], pc.counts[l+1]
+		for p := range parent {
+			parent[p] = child[2*p] + child[2*p+1]
+		}
+	}
+}
+
 // Remove uncounts a node.
 func (pc *prefixCount) Remove(id nodeid.ID) {
 	for l := 0; l <= pc.depth; l++ {
@@ -72,8 +92,12 @@ func (pc *prefixCount) Total() int { return pc.total }
 // figure 2: the number of level-l nodes whose eigenstring is a prefix of
 // a subject S is one array read.
 type levelPrefixCount struct {
-	depth  int
-	counts [][]int32 // counts[l][p]: level-l nodes with eigenstring p
+	depth int
+	// counts[l][p] is the number of level-l nodes with eigenstring p. A
+	// level's array is allocated when its first node arrives: populations
+	// use the top ten or so of the 21 levels, and the deep arrays are the
+	// large ones.
+	counts [][]int32
 	perLvl []int
 }
 
@@ -81,19 +105,18 @@ func newLevelPrefixCount(depth int) *levelPrefixCount {
 	if depth < 0 || depth > maxPrefixDepth {
 		panic("sim: levelPrefixCount depth out of range")
 	}
-	lc := &levelPrefixCount{
+	return &levelPrefixCount{
 		depth:  depth,
 		counts: make([][]int32, depth+1),
 		perLvl: make([]int, depth+1),
 	}
-	for l := 0; l <= depth; l++ {
-		lc.counts[l] = make([]int32, 1<<uint(l))
-	}
-	return lc
 }
 
 // Add counts a node operating at the given level.
 func (lc *levelPrefixCount) Add(id nodeid.ID, level int) {
+	if lc.counts[level] == nil {
+		lc.counts[level] = make([]int32, 1<<uint(level))
+	}
 	lc.counts[level][bucket(id, level)]++
 	lc.perLvl[level]++
 }
@@ -107,6 +130,9 @@ func (lc *levelPrefixCount) Remove(id nodeid.ID, level int) {
 // Audience returns the number of level-l nodes whose eigenstring is a
 // prefix of subject.
 func (lc *levelPrefixCount) Audience(subject nodeid.ID, l int) int {
+	if lc.counts[l] == nil {
+		return 0
+	}
 	return int(lc.counts[l][bucket(subject, l)])
 }
 

@@ -51,6 +51,61 @@ func TestPrefixCountMatchesBruteForce(t *testing.T) {
 	}
 }
 
+// A population counted leaf-only and folded must equal the same
+// population counted by Add, at every prefix of every level, and take
+// Add/Remove afterwards like any other.
+func TestPrefixCountFoldMatchesAdd(t *testing.T) {
+	const depth = 12
+	byAdd, byFold := newPrefixCount(depth), newPrefixCount(depth)
+	rng := xrand.New(7)
+	var ids []nodeid.ID
+	for i := 0; i < 3000; i++ {
+		id := nodeid.ID{Hi: rng.Uint64(), Lo: rng.Uint64()}
+		ids = append(ids, id)
+		byAdd.Add(id)
+		byFold.addLeaf(id)
+	}
+	byFold.fold()
+	for i := 0; i < 100; i++ {
+		byAdd.Remove(ids[i])
+		byFold.Remove(ids[i])
+		extra := nodeid.ID{Hi: rng.Uint64(), Lo: rng.Uint64()}
+		byAdd.Add(extra)
+		byFold.Add(extra)
+	}
+	if byAdd.Total() != byFold.Total() {
+		t.Fatalf("Total: %d by Add, %d by fold", byAdd.Total(), byFold.Total())
+	}
+	for l := 0; l <= depth; l++ {
+		for p := range byAdd.counts[l] {
+			if byAdd.counts[l][p] != byFold.counts[l][p] {
+				t.Fatalf("level %d prefix %d: %d by Add, %d by fold", l, p, byAdd.counts[l][p], byFold.counts[l][p])
+			}
+		}
+	}
+}
+
+// Level arrays appear with their first node; a level nobody runs at has an
+// audience of zero.
+func TestLevelPrefixCountAllocatesLevelsOnDemand(t *testing.T) {
+	lc := newLevelPrefixCount(maxPrefixDepth)
+	id := nodeid.ID{Hi: 0xABCD << 48}
+	if got := lc.Audience(id, maxPrefixDepth); got != 0 {
+		t.Fatalf("audience at an unpopulated level = %d", got)
+	}
+	lc.Add(id, 3)
+	lc.Add(id, 3)
+	lc.Remove(id, 3)
+	if got := lc.Audience(id, 3); got != 1 || lc.LevelCount(3) != 1 {
+		t.Fatalf("audience %d, level count %d, want 1 and 1", got, lc.LevelCount(3))
+	}
+	for l, c := range lc.counts {
+		if (c != nil) != (l == 3) {
+			t.Fatalf("level %d array allocated = %v", l, c != nil)
+		}
+	}
+}
+
 func TestPrefixCountDepthClamp(t *testing.T) {
 	pc := newPrefixCount(4)
 	id := nodeid.ID{Hi: ^uint64(0)}

@@ -13,11 +13,21 @@ import (
 	"peerwindow/internal/xrand"
 )
 
-// Scaled is the 100,000-node simulator, built the way the paper built its
-// own experiment (§5): "considering that PeerWindow nodes with the same
-// eigenstring would have the same peer list, we record all the correct
-// peer lists in a centralized data structure, and only record erroneous
-// items in nodes' individual data structures."
+// Scaled is the legacy scaled simulator, kept only for pwbench's
+// sim.scaled.* probe rows; delete together with them. Every figure and
+// every Run* entry point runs on ShardedScaled, which implements the same
+// model over struct-of-arrays storage; apart from pwbench's probe, this
+// type's only callers are its own tests and
+// TestShardedFiguresAgreeWithLegacy. It keeps its nodes in a Go map and
+// walks them in map order (sweep, PeerListSizes, ErrorRates), so its
+// samples — Fig 7's error rates above all — differ from run to run on one
+// seed.
+//
+// The model, as the paper built its own experiment (§5): "considering that
+// PeerWindow nodes with the same eigenstring would have the same peer
+// list, we record all the correct peer lists in a centralized data
+// structure, and only record erroneous items in nodes' individual data
+// structures."
 //
 // Concretely: ground truth lives in per-level oracle registries (one
 // binary search yields any group's correct peer list and size), nodes
@@ -326,6 +336,7 @@ func (s *Scaled) sweep() {
 	var moves []move
 	now := s.Engine.Now()
 	cooldown := 2 * s.cfg.SweepInterval
+	//pwlint:allow nodeterminism legacy engine, no product caller; deleted with pwbench's sim.scaled.* rows
 	for _, n := range s.nodes {
 		if now-n.lastShift < cooldown && n.lastShift > 0 {
 			continue
@@ -476,6 +487,7 @@ func (s *Scaled) LevelCounts() []int {
 func (s *Scaled) PeerListSizes(sample int) []metrics.Agg {
 	aggs := make([]metrics.Agg, s.cfg.MaxLevel+1)
 	i := 0
+	//pwlint:allow nodeterminism legacy engine, no product caller; deleted with pwbench's sim.scaled.* rows
 	for _, n := range s.nodes {
 		if i >= sample && sample > 0 {
 			break
@@ -498,6 +510,7 @@ func (s *Scaled) ErrorRates(sample int) []metrics.Agg {
 	s.pruneInflight(now)
 	aggs := make([]metrics.Agg, s.cfg.MaxLevel+1)
 	i := 0
+	//pwlint:allow nodeterminism legacy engine, no product caller; deleted with pwbench's sim.scaled.* rows
 	for _, n := range s.nodes {
 		if sample > 0 && i >= sample {
 			break

@@ -13,10 +13,13 @@ import (
 	"peerwindow/internal/xrand"
 )
 
-// ShardedScaled is the parallel, struct-of-arrays successor of Scaled:
-// the same centralized-peer-list methodology (§5), re-architected so a
-// one-million-node churn run fits in RAM and the event work of the 256
-// identifier-space slices can be spread across shard worker goroutines.
+// ShardedScaled is the scaled simulator: the one engine behind every
+// figure (RunCommon and the sweeps run it at one shard) and behind the
+// million-node runs. It implements the paper's centralized-peer-list
+// methodology (§5; the model is written out at the legacy Scaled, which it
+// replaced) over struct-of-arrays storage, so a one-million-node churn run
+// fits in RAM and the event work of the 256 identifier-space slices can be
+// spread across shard worker goroutines.
 //
 // The design problem is that the scaled model's decisions read *global*
 // state — prefix population counts and the measured churn rate — which
@@ -235,7 +238,7 @@ func (s *ShardedScaled) populate() {
 			level := SteadyLevel(s.cfg.N, meanLife, 2, perEvent, profile.Threshold, s.cfg.MaxLevel)
 			slot := sl.alloc()
 			sl.put(slot, id, profile.Threshold, level)
-			s.pop.Add(id)
+			s.pop.addLeaf(id)
 			s.lvl.Add(id, level)
 			sl.deaths.push(deathEntry{
 				at:   des.Time(s.cfg.Workload.SampleResidualLifetime(sl.rng)),
@@ -243,6 +246,7 @@ func (s *ShardedScaled) populate() {
 			})
 		}
 	}
+	s.pop.fold()
 }
 
 // scheduleArrival arms the slice's next Poisson arrival. Each slice runs
@@ -583,6 +587,12 @@ func (s *ShardedScaled) EventsExecuted() uint64 {
 	return n
 }
 
+// DriverStats returns the shard driver's window, event and critical-path
+// counts for the run so far. They depend on the shard count (that is the
+// point: events ÷ critical path bounds the speed-up K shards can give)
+// but never on the worker count.
+func (s *ShardedScaled) DriverStats() shard.Stats { return s.driver.Stats() }
+
 // forEachNode visits live nodes in canonical (slice, slot) order until
 // fn returns false.
 func (s *ShardedScaled) forEachNode(fn func(sl *popSlice, slot int) bool) {
@@ -630,12 +640,19 @@ func (s *ShardedScaled) PeerListSizes(sample int) []metrics.Agg {
 }
 
 // ErrorRates samples nodes and returns per-level mean peer-list error
-// rates at the current instant (figures 7 / 10 / 12) — Scaled.ErrorRates
-// over the SoA storage.
+// rates at the current instant (figures 7 / 10 / 12): for a node at level
+// l, every in-flight join/leave whose subject matches its eigenstring and
+// whose level-l delivery is still pending is one erroneous item. Nodes
+// are sampled in (slice, slot) order, so the result is a pure function of
+// the simulation state.
 func (s *ShardedScaled) ErrorRates(sample int) []metrics.Agg {
 	now := s.Now()
 	s.pruneInflight(now)
 	aggs := make([]metrics.Agg, s.cfg.MaxLevel+1)
+	// pending[l] counts, per l-bit prefix, the events not yet delivered at
+	// level l; built at a level's first sampled node, it turns each node's
+	// erroneous items into one lookup instead of a scan of every event.
+	pending := make([]map[uint64]int, s.cfg.MaxLevel+1)
 	i := 0
 	s.forEachNode(func(sl *popSlice, slot int) bool {
 		if sample > 0 && i >= sample {
@@ -643,14 +660,16 @@ func (s *ShardedScaled) ErrorRates(sample int) []metrics.Agg {
 		}
 		i++
 		l := int(sl.level[slot])
-		eig := nodeid.EigenstringOf(sl.ids[slot], l)
-		errs := 0
-		for fi := range s.inflight {
-			fe := &s.inflight[fi]
-			if fe.doneAt[l] > now && eig.Contains(fe.subject) {
-				errs++
+		if pending[l] == nil {
+			m := make(map[uint64]int)
+			for fi := range s.inflight {
+				if fe := &s.inflight[fi]; fe.doneAt[l] > now {
+					m[bucket(fe.subject, l)]++
+				}
 			}
+			pending[l] = m
 		}
+		errs := pending[l][bucket(sl.ids[slot], l)]
 		size := s.pop.Count(sl.ids[slot], l) - 1
 		if size > 0 {
 			aggs[l].Add(float64(errs) / float64(size))
@@ -701,8 +720,8 @@ func (s *ShardedScaled) ResetTraffic() {
 // Digest hashes the complete simulation state — every live node in
 // (slice, slot) order, the level census, counters, in-flight events and
 // the frozen rate — into one 64-bit value. Two runs from the same seed
-// must produce the same digest regardless of Shards and Workers; the CI
-// bench-smoke job and the determinism tests compare exactly this.
+// must produce the same digest regardless of Shards and Workers; the
+// determinism tests and pwbench's fingerprint compare exactly this.
 func (s *ShardedScaled) Digest() uint64 {
 	const (
 		offset64 = 14695981039346656037

@@ -52,6 +52,7 @@ func (s *Source) Pareto(alpha, lo, hi float64) float64 {
 type PiecewiseCDF struct {
 	values []float64 // strictly increasing
 	cum    []float64 // strictly increasing, last entry 1.0
+	logs   []float64 // math.Log(values[i]), so Quantile takes no logarithm
 }
 
 // NewPiecewiseCDF validates and builds a PiecewiseCDF. values must be
@@ -75,9 +76,13 @@ func NewPiecewiseCDF(values, cum []float64) *PiecewiseCDF {
 	}
 	v := make([]float64, len(values))
 	c := make([]float64, len(cum))
+	logs := make([]float64, len(values))
 	copy(v, values)
 	copy(c, cum)
-	return &PiecewiseCDF{values: v, cum: c}
+	for i, x := range v {
+		logs[i] = math.Log(x)
+	}
+	return &PiecewiseCDF{values: v, cum: c, logs: logs}
 }
 
 // Quantile returns the value at cumulative probability p in [0,1], using
@@ -101,8 +106,7 @@ func (d *PiecewiseCDF) Quantile(p float64) float64 {
 		}
 	}
 	frac := (p - d.cum[lo]) / (d.cum[hi] - d.cum[lo])
-	lv := math.Log(d.values[lo])
-	hv := math.Log(d.values[hi])
+	lv, hv := d.logs[lo], d.logs[hi]
 	return math.Exp(lv + frac*(hv-lv))
 }
 
