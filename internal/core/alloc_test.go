@@ -167,6 +167,25 @@ func TestMessagePathDoesNotAllocate(t *testing.T) {
 		t.Fatalf("%d sends still pending after their acks", len(n.pending))
 	}
 
+	// A fresh event that changes the info of the held pointer: the info
+	// table overwrites its entry in place.
+	infos := [][]byte{[]byte("slot=14"), []byte("slot=15")}
+	k := 0
+	if allocs := testing.AllocsPerRun(runs, func() {
+		changed := peer
+		changed.Info = infos[k%len(infos)]
+		k++
+		seq++
+		id = freshEvent(n, env, changed, seq)
+		n.HandleMessage(wire.Message{Type: wire.MsgAck, From: peer.Addr, To: 1, AckID: id})
+		env.disarm()
+	}); allocs > 0 {
+		t.Errorf("fresh event changing a held pointer's info: %v allocs per round, want 0", allocs)
+	}
+	if held, _ := n.peers.Lookup(peer.ID); string(held.Info) != string(infos[(k-1)%len(infos)]) {
+		t.Fatalf("held info %q after the last change to %q", held.Info, infos[(k-1)%len(infos)])
+	}
+
 	// An ack that resolves a pending send, on its own.
 	ids := make([]uint64, runs+1)
 	for i := range ids {

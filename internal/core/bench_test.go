@@ -1,6 +1,7 @@
 package core
 
 import (
+	"maps"
 	"sort"
 	"testing"
 
@@ -46,7 +47,8 @@ func benchSortedPointers(n, maxLevel int, rng *xrand.Source) []wire.Pointer {
 // the same warm state.
 func (pl *PeerList) clone() *PeerList {
 	cp := *pl
-	cp.entries = append([]peerEntry(nil), pl.entries...)
+	cp.slots = append([]peerSlot(nil), pl.slots...)
+	cp.info = maps.Clone(pl.info)
 	return &cp
 }
 

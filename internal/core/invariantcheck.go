@@ -18,27 +18,39 @@ import (
 //   - every entry's level is within [0, nodeid.Bits];
 //   - the cached per-level histogram matches a recount;
 //   - for every populated level, the cached first-entry index points at
-//     the first entry of that level in ID order.
+//     the first entry of that level in ID order;
+//   - the info table holds exactly the IDs whose slot is flagged as
+//     carrying info, each with a non-empty value.
 //
 // It returns nil when the list is consistent and a descriptive error for
 // the first violation found.
 func (pl *PeerList) CheckInvariants() error {
 	var levels [nodeid.Bits + 1]int32
 	var firstAt [nodeid.Bits + 1]int32
-	for i := range pl.entries {
-		e := &pl.entries[i]
-		if i > 0 && !pl.entries[i-1].ptr.ID.Less(e.ptr.ID) {
+	flagged := 0
+	for i := range pl.slots {
+		s := &pl.slots[i]
+		if i > 0 && !pl.slots[i-1].id.Less(s.id) {
 			return fmt.Errorf("peer list unsorted at index %d: %v is not above %v",
-				i, e.ptr.ID, pl.entries[i-1].ptr.ID)
+				i, s.id, pl.slots[i-1].id)
 		}
-		l := int(e.ptr.Level)
+		l := int(s.level)
 		if l >= len(levels) {
-			return fmt.Errorf("peer %v has level %d beyond nodeid.Bits", e.ptr.ID, l)
+			return fmt.Errorf("peer %v has level %d beyond nodeid.Bits", s.id, l)
 		}
 		if levels[l] == 0 {
 			firstAt[l] = int32(i)
 		}
 		levels[l]++
+		if s.hasInfo {
+			flagged++
+			if len(pl.info[s.id]) == 0 {
+				return fmt.Errorf("peer %v is flagged as carrying info but the info table has none", s.id)
+			}
+		}
+	}
+	if len(pl.info) != flagged {
+		return fmt.Errorf("info table holds %d entries for %d flagged peers", len(pl.info), flagged)
 	}
 	for l := range levels {
 		if levels[l] != pl.levels[l] {

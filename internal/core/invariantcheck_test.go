@@ -12,7 +12,11 @@ import (
 func TestPeerListInvariantsHoldThroughMutation(t *testing.T) {
 	var pl PeerList
 	for i, bits := range []string{"0001", "0100", "0110", "1011", "1110"} {
-		pl.Upsert(ptrAt(bits, i%3, wire.Addr(i+2)), 0)
+		p := ptrAt(bits, i%3, wire.Addr(i+2))
+		if i%2 == 0 {
+			p.Info = []byte{byte(i + 1)}
+		}
+		pl.Upsert(p, 0)
 	}
 	if err := pl.CheckInvariants(); err != nil {
 		t.Fatalf("after upserts: %v", err)
@@ -36,7 +40,11 @@ func TestPeerListInvariantsCatchCorruption(t *testing.T) {
 	build := func() *PeerList {
 		pl := &PeerList{}
 		for i, bits := range []string{"0001", "0100", "1011"} {
-			pl.Upsert(ptrAt(bits, i, wire.Addr(i+2)), 0)
+			p := ptrAt(bits, i, wire.Addr(i+2))
+			if i == 2 {
+				p.Info = []byte("cpu=4")
+			}
+			pl.Upsert(p, 0)
 		}
 		return pl
 	}
@@ -45,11 +53,11 @@ func TestPeerListInvariantsCatchCorruption(t *testing.T) {
 		want    string
 	}{
 		"swapped entries": {
-			func(pl *PeerList) { pl.entries[0], pl.entries[1] = pl.entries[1], pl.entries[0] },
+			func(pl *PeerList) { pl.slots[0], pl.slots[1] = pl.slots[1], pl.slots[0] },
 			"unsorted",
 		},
 		"duplicate entry": {
-			func(pl *PeerList) { pl.entries[1] = pl.entries[0] },
+			func(pl *PeerList) { pl.slots[1] = pl.slots[0] },
 			"unsorted",
 		},
 		"histogram drift": {
@@ -60,8 +68,20 @@ func TestPeerListInvariantsCatchCorruption(t *testing.T) {
 			func(pl *PeerList) { pl.firstAt[1] = 2 },
 			"level index drift",
 		},
+		"flag without info": {
+			func(pl *PeerList) { pl.slots[0].hasInfo = true },
+			"info table has none",
+		},
+		"info without flag": {
+			func(pl *PeerList) { pl.slots[2].hasInfo = false },
+			"info table holds",
+		},
+		"empty info value": {
+			func(pl *PeerList) { pl.info[pl.slots[2].id] = []byte{} },
+			"info table has none",
+		},
 		"level out of range": {
-			func(pl *PeerList) { pl.entries[0].ptr.Level = 200 },
+			func(pl *PeerList) { pl.slots[0].level = 200 },
 			"beyond nodeid.Bits",
 		},
 	}

@@ -9,12 +9,26 @@ import (
 	"peerwindow/internal/xrand"
 )
 
-// peerEntry is one peer-list slot: the pointer plus the timestamps the
-// refresh mechanism (§4.6) and lifetime measurement need.
-type peerEntry struct {
-	ptr       wire.Pointer
+// peerSlot is one stored peer-list entry: the pointer's fixed fields
+// plus the timestamps the refresh mechanism (§4.6) and lifetime
+// measurement need, in 48 bytes. A pointer's Info — empty for most
+// nodes — lives out of line in PeerList.info, so the slot carries no
+// slice header; §3 keeps pointers small because "large pointers will
+// finally deflate the peer lists".
+type peerSlot struct {
+	id        nodeid.ID
+	addr      wire.Addr
 	firstSeen des.Time // when we first learned of this node (lifetime measurement)
 	lastSeen  des.Time // last event/refresh mentioning it (expiry)
+	level     uint8
+	hasInfo   bool // the pointer's non-empty Info is in PeerList.info
+}
+
+// removedPeer is what the removal paths hand back: the full pointer and
+// when it was first seen, for lifetime measurement.
+type removedPeer struct {
+	ptr       wire.Pointer
+	firstSeen des.Time
 }
 
 // PeerList is the node's collection of pointers, kept sorted by nodeId so
@@ -22,7 +36,11 @@ type peerEntry struct {
 // protocol needs — are binary searches. It is not safe for concurrent
 // use; the owning Node serializes access.
 type PeerList struct {
-	entries []peerEntry
+	slots []peerSlot
+	// info holds the non-empty Info of exactly the slots flagged
+	// hasInfo, keyed by ID. It stays nil until a held pointer carries
+	// info.
+	info map[nodeid.ID][]byte
 	// levels counts entries per level so MinLevel — the "is there anyone
 	// stronger than me" question behind top-node checks — is O(1).
 	levels [nodeid.Bits + 1]int32
@@ -31,6 +49,51 @@ type PeerList struct {
 	// needs no initialization. It makes Strongest — asked on every
 	// report and escalation — O(1) instead of a full-list scan.
 	firstAt [nodeid.Bits + 1]int32
+}
+
+// pointer rebuilds the full pointer stored in s.
+//
+//pwlint:noalloc
+func (pl *PeerList) pointer(s *peerSlot) wire.Pointer {
+	p := wire.Pointer{Addr: s.addr, ID: s.id, Level: s.level}
+	if s.hasInfo {
+		p.Info = pl.info[s.id]
+	}
+	return p
+}
+
+// store writes p's address, level and info into s, whose ID is p.ID,
+// keeping the info table exact.
+//
+//pwlint:noalloc
+func (pl *PeerList) store(s *peerSlot, p wire.Pointer) {
+	s.addr, s.level = p.Addr, p.Level
+	switch {
+	case len(p.Info) > 0:
+		pl.info = withInfo(pl.info, p.ID, p.Info) //pwlint:allow noalloc a new ID grows the info table; only pointers carrying info reach here
+		s.hasInfo = true
+	case s.hasInfo:
+		delete(pl.info, p.ID)
+		s.hasInfo = false
+	}
+}
+
+// withInfo returns t with id mapped to info, creating t on first use.
+func withInfo(t map[nodeid.ID][]byte, id nodeid.ID, info []byte) map[nodeid.ID][]byte {
+	if t == nil {
+		t = make(map[nodeid.ID][]byte)
+	}
+	t[id] = info
+	return t
+}
+
+// removed packages slot s for a removal path and drops its info.
+func (pl *PeerList) removed(s *peerSlot) removedPeer {
+	r := removedPeer{ptr: pl.pointer(s), firstSeen: s.firstSeen}
+	if s.hasInfo {
+		delete(pl.info, s.id)
+	}
+	return r
 }
 
 // indexInsert updates the per-level first-index bookkeeping for an entry
@@ -61,8 +124,8 @@ func (pl *PeerList) indexRemove(i int, level uint8) {
 	if rescan {
 		// The removed entry was the first of its level; the next one (if
 		// any) can only sit at or after the removal point.
-		for j := i; j < len(pl.entries); j++ {
-			if pl.entries[j].ptr.Level == level {
+		for j := i; j < len(pl.slots); j++ {
+			if pl.slots[j].level == level {
 				pl.firstAt[level] = int32(j)
 				break
 			}
@@ -78,8 +141,8 @@ func (pl *PeerList) indexRelevel(i int, old, new uint8) {
 	}
 	pl.levels[old]--
 	if pl.levels[old] > 0 && pl.firstAt[old] == int32(i) {
-		for j := i + 1; j < len(pl.entries); j++ {
-			if pl.entries[j].ptr.Level == old {
+		for j := i + 1; j < len(pl.slots); j++ {
+			if pl.slots[j].level == old {
 				pl.firstAt[old] = int32(j)
 				break
 			}
@@ -96,20 +159,20 @@ func (pl *PeerList) indexRelevel(i int, old, new uint8) {
 // instead of per-entry maintenance.
 func (pl *PeerList) rebuildLevelIndex() {
 	pl.levels = [nodeid.Bits + 1]int32{}
-	for i := len(pl.entries) - 1; i >= 0; i-- {
-		l := pl.entries[i].ptr.Level
+	for i := len(pl.slots) - 1; i >= 0; i-- {
+		l := pl.slots[i].level
 		pl.levels[l]++
 		pl.firstAt[l] = int32(i)
 	}
 }
 
 // Len returns the number of pointers held.
-func (pl *PeerList) Len() int { return len(pl.entries) }
+func (pl *PeerList) Len() int { return len(pl.slots) }
 
 // search returns the index of the first entry with ID >= id.
 func (pl *PeerList) search(id nodeid.ID) int {
-	return sort.Search(len(pl.entries), func(i int) bool {
-		return !pl.entries[i].ptr.ID.Less(id)
+	return sort.Search(len(pl.slots), func(i int) bool {
+		return !pl.slots[i].id.Less(id)
 	})
 }
 
@@ -118,8 +181,8 @@ func (pl *PeerList) search(id nodeid.ID) int {
 //pwlint:noalloc
 func (pl *PeerList) Lookup(id nodeid.ID) (wire.Pointer, bool) {
 	i := pl.search(id)
-	if i < len(pl.entries) && pl.entries[i].ptr.ID == id {
-		return pl.entries[i].ptr, true
+	if i < len(pl.slots) && pl.slots[i].id == id {
+		return pl.pointer(&pl.slots[i]), true
 	}
 	return wire.Pointer{}, false
 }
@@ -127,21 +190,23 @@ func (pl *PeerList) Lookup(id nodeid.ID) (wire.Pointer, bool) {
 // Upsert inserts the pointer or updates it in place, returning true when
 // the pointer was new. Updates refresh lastSeen but preserve firstSeen,
 // so lifetime measurement spans the node's whole observed life. The
-// entries append is the amortized self-append builder.
+// slots append is the amortized self-append builder.
 //
 //pwlint:noalloc
 func (pl *PeerList) Upsert(p wire.Pointer, now des.Time) bool {
 	i := pl.search(p.ID)
-	if i < len(pl.entries) && pl.entries[i].ptr.ID == p.ID {
-		old := pl.entries[i].ptr.Level
-		pl.entries[i].ptr = p
-		pl.entries[i].lastSeen = now
+	if i < len(pl.slots) && pl.slots[i].id == p.ID {
+		s := &pl.slots[i]
+		old := s.level
+		pl.store(s, p)
+		s.lastSeen = now
 		pl.indexRelevel(i, old, p.Level)
 		return false
 	}
-	pl.entries = append(pl.entries, peerEntry{})
-	copy(pl.entries[i+1:], pl.entries[i:])
-	pl.entries[i] = peerEntry{ptr: p, firstSeen: now, lastSeen: now}
+	pl.slots = append(pl.slots, peerSlot{})
+	copy(pl.slots[i+1:], pl.slots[i:])
+	pl.slots[i] = peerSlot{id: p.ID, firstSeen: now, lastSeen: now}
+	pl.store(&pl.slots[i], p)
 	pl.indexInsert(i, p.Level)
 	return true
 }
@@ -190,15 +255,15 @@ func (pl *PeerList) MergeSorted(ps []wire.Pointer, now des.Time, onNew func(wire
 			return added
 		}
 	}
-	n := len(pl.entries)
+	n := len(pl.slots)
 	// Pass 1: count the IDs not already held, two-pointer over both
 	// sorted sequences.
 	i, newCount := 0, 0
 	for j := range ps {
-		for i < n && pl.entries[i].ptr.ID.Less(ps[j].ID) {
+		for i < n && pl.slots[i].id.Less(ps[j].ID) {
 			i++
 		}
-		if i >= n || pl.entries[i].ptr.ID != ps[j].ID {
+		if i >= n || pl.slots[i].id != ps[j].ID {
 			newCount++
 		}
 	}
@@ -217,12 +282,13 @@ func (pl *PeerList) MergeSorted(ps []wire.Pointer, now des.Time, onNew func(wire
 		// Updates only: second two-pointer pass, no entry moves.
 		i = 0
 		for j := range ps {
-			for pl.entries[i].ptr.ID.Less(ps[j].ID) {
+			for pl.slots[i].id.Less(ps[j].ID) {
 				i++
 			}
-			old := pl.entries[i].ptr
-			pl.entries[i].ptr = ps[j]
-			pl.entries[i].lastSeen = now
+			s := &pl.slots[i]
+			old := pl.pointer(s)
+			pl.store(s, ps[j])
+			s.lastSeen = now
 			pl.indexRelevel(i, old.Level, ps[j].Level)
 			noteUpdate(old, ps[j])
 		}
@@ -233,24 +299,26 @@ func (pl *PeerList) MergeSorted(ps []wire.Pointer, now des.Time, onNew func(wire
 	}
 	// Pass 2: grow once and merge backwards so existing entries shift at
 	// most one position past each insertion — no per-insert O(N) copy.
-	pl.entries = append(pl.entries, make([]peerEntry, newCount)...)
+	// The info table is keyed by ID, so moving a slot leaves it alone.
+	pl.slots = append(pl.slots, make([]peerSlot, newCount)...)
 	w := n + newCount - 1
 	i = n - 1
 	for j := len(ps) - 1; j >= 0; {
 		switch {
-		case i >= 0 && ps[j].ID.Less(pl.entries[i].ptr.ID):
-			pl.entries[w] = pl.entries[i]
+		case i >= 0 && ps[j].ID.Less(pl.slots[i].id):
+			pl.slots[w] = pl.slots[i]
 			i--
-		case i >= 0 && pl.entries[i].ptr.ID == ps[j].ID:
-			e := pl.entries[i]
-			noteUpdate(e.ptr, ps[j])
-			e.ptr = ps[j]
-			e.lastSeen = now
-			pl.entries[w] = e
+		case i >= 0 && pl.slots[i].id == ps[j].ID:
+			s := pl.slots[i]
+			noteUpdate(pl.pointer(&s), ps[j])
+			pl.store(&s, ps[j])
+			s.lastSeen = now
+			pl.slots[w] = s
 			i--
 			j--
 		default:
-			pl.entries[w] = peerEntry{ptr: ps[j], firstSeen: now, lastSeen: now}
+			pl.slots[w] = peerSlot{id: ps[j].ID, firstSeen: now, lastSeen: now}
+			pl.store(&pl.slots[w], ps[j])
 			if added != nil {
 				added = append(added, ps[j])
 			}
@@ -291,7 +359,7 @@ func (pl *PeerList) Strongest() (wire.Pointer, bool) {
 	if min < 0 {
 		return wire.Pointer{}, false
 	}
-	return pl.entries[pl.firstAt[min]].ptr, true
+	return pl.pointer(&pl.slots[pl.firstAt[min]]), true
 }
 
 // Touch updates lastSeen for id, reporting whether it was present.
@@ -299,24 +367,24 @@ func (pl *PeerList) Strongest() (wire.Pointer, bool) {
 //pwlint:noalloc
 func (pl *PeerList) Touch(id nodeid.ID, now des.Time) bool {
 	i := pl.search(id)
-	if i < len(pl.entries) && pl.entries[i].ptr.ID == id {
-		pl.entries[i].lastSeen = now
+	if i < len(pl.slots) && pl.slots[i].id == id {
+		pl.slots[i].lastSeen = now
 		return true
 	}
 	return false
 }
 
-// Remove deletes id, returning the removed entry and whether it existed.
-func (pl *PeerList) Remove(id nodeid.ID) (peerEntry, bool) {
+// Remove deletes id, returning the removed pointer and whether it existed.
+func (pl *PeerList) Remove(id nodeid.ID) (removedPeer, bool) {
 	i := pl.search(id)
-	if i >= len(pl.entries) || pl.entries[i].ptr.ID != id {
-		return peerEntry{}, false
+	if i >= len(pl.slots) || pl.slots[i].id != id {
+		return removedPeer{}, false
 	}
-	e := pl.entries[i]
-	copy(pl.entries[i:], pl.entries[i+1:])
-	pl.entries = pl.entries[:len(pl.entries)-1]
-	pl.indexRemove(i, e.ptr.Level)
-	return e, true
+	r := pl.removed(&pl.slots[i])
+	copy(pl.slots[i:], pl.slots[i+1:])
+	pl.slots = pl.slots[:len(pl.slots)-1]
+	pl.indexRemove(i, r.ptr.Level)
+	return r, true
 }
 
 // Successor returns the first pointer clockwise of id (strictly greater,
@@ -324,22 +392,22 @@ func (pl *PeerList) Remove(id nodeid.ID) (peerEntry, bool) {
 // when no entry satisfies keep. This is the §4.1 "right neighbour in the
 // circle" query, with keep selecting the caller's eigenstring group.
 func (pl *PeerList) Successor(id nodeid.ID, keep func(wire.Pointer) bool) (wire.Pointer, bool) {
-	n := len(pl.entries)
+	n := len(pl.slots)
 	if n == 0 {
 		return wire.Pointer{}, false
 	}
 	start := pl.search(id)
 	// Skip id itself if present.
-	if start < n && pl.entries[start].ptr.ID == id {
+	if start < n && pl.slots[start].id == id {
 		start++
 	}
 	for k := 0; k < n; k++ {
-		e := &pl.entries[(start+k)%n]
-		if e.ptr.ID == id {
+		s := &pl.slots[(start+k)%n]
+		if s.id == id {
 			continue
 		}
-		if keep == nil || keep(e.ptr) {
-			return e.ptr, true
+		if p := pl.pointer(s); keep == nil || keep(p) {
+			return p, true
 		}
 	}
 	return wire.Pointer{}, false
@@ -350,7 +418,7 @@ func (pl *PeerList) Successor(id nodeid.ID, keep func(wire.Pointer) bool) (wire.
 func (pl *PeerList) prefixRange(e nodeid.Eigenstring) (lo, hi int) {
 	lo = pl.search(e.Prefix)
 	if e.Len == 0 {
-		return 0, len(pl.entries)
+		return 0, len(pl.slots)
 	}
 	// Upper bound: first ID beyond the prefix subtree. The subtree spans
 	// 2^(128-Len) IDs starting at the (zero-padded) prefix.
@@ -360,10 +428,10 @@ func (pl *PeerList) prefixRange(e nodeid.Eigenstring) (lo, hi int) {
 	upper := e.Prefix.Add(delta)
 	if upper.IsZero() {
 		// Wrapped past the top of the space: range extends to the end.
-		return lo, len(pl.entries)
+		return lo, len(pl.slots)
 	}
-	hi = sort.Search(len(pl.entries), func(i int) bool {
-		return !pl.entries[i].ptr.ID.Less(upper)
+	hi = sort.Search(len(pl.slots), func(i int) bool {
+		return !pl.slots[i].id.Less(upper)
 	})
 	return lo, hi
 }
@@ -378,7 +446,7 @@ func (pl *PeerList) InPrefix(e nodeid.Eigenstring) []wire.Pointer {
 	}
 	out := make([]wire.Pointer, 0, hi-lo)
 	for i := lo; i < hi; i++ {
-		out = append(out, pl.entries[i].ptr)
+		out = append(out, pl.pointer(&pl.slots[i]))
 	}
 	return out
 }
@@ -393,19 +461,21 @@ func (pl *PeerList) CountInPrefix(e nodeid.Eigenstring) int {
 }
 
 // DropOutsidePrefix removes every pointer whose ID does not match the
-// eigenstring, returning the removed entries. A node lowering its level
+// eigenstring, returning the removed pointers. A node lowering its level
 // uses it to shed the now-out-of-scope half of its list (§4.3).
-func (pl *PeerList) DropOutsidePrefix(e nodeid.Eigenstring) []peerEntry {
+func (pl *PeerList) DropOutsidePrefix(e nodeid.Eigenstring) []removedPeer {
 	lo, hi := pl.prefixRange(e)
-	if lo == 0 && hi == len(pl.entries) {
+	if lo == 0 && hi == len(pl.slots) {
 		return nil
 	}
-	dropped := make([]peerEntry, 0, len(pl.entries)-(hi-lo))
-	dropped = append(dropped, pl.entries[:lo]...)
-	dropped = append(dropped, pl.entries[hi:]...)
-	kept := pl.entries[:0]
-	kept = append(kept, pl.entries[lo:hi]...)
-	pl.entries = kept
+	dropped := make([]removedPeer, 0, len(pl.slots)-(hi-lo))
+	for i := 0; i < lo; i++ {
+		dropped = append(dropped, pl.removed(&pl.slots[i]))
+	}
+	for i := hi; i < len(pl.slots); i++ {
+		dropped = append(dropped, pl.removed(&pl.slots[i]))
+	}
+	pl.slots = append(pl.slots[:0], pl.slots[lo:hi]...)
 	pl.rebuildLevelIndex()
 	return dropped
 }
@@ -413,20 +483,20 @@ func (pl *PeerList) DropOutsidePrefix(e nodeid.Eigenstring) []peerEntry {
 // ForEach visits every entry in ID order; the visitor must not mutate the
 // list.
 func (pl *PeerList) ForEach(fn func(p wire.Pointer, firstSeen, lastSeen des.Time)) {
-	for i := range pl.entries {
-		e := &pl.entries[i]
-		fn(e.ptr, e.firstSeen, e.lastSeen)
+	for i := range pl.slots {
+		s := &pl.slots[i]
+		fn(pl.pointer(s), s.firstSeen, s.lastSeen)
 	}
 }
 
 // At returns the i-th pointer in ID order; it panics when out of range.
-func (pl *PeerList) At(i int) wire.Pointer { return pl.entries[i].ptr }
+func (pl *PeerList) At(i int) wire.Pointer { return pl.pointer(&pl.slots[i]) }
 
 // Pointers returns a copy of all pointers in ID order.
 func (pl *PeerList) Pointers() []wire.Pointer {
-	out := make([]wire.Pointer, len(pl.entries))
-	for i := range pl.entries {
-		out[i] = pl.entries[i].ptr
+	out := make([]wire.Pointer, len(pl.slots))
+	for i := range pl.slots {
+		out[i] = pl.pointer(&pl.slots[i])
 	}
 	return out
 }
@@ -445,7 +515,7 @@ func (pl *PeerList) RandomInPrefix(e nodeid.Eigenstring, want int, pred func(wir
 		// Small range: filter then shuffle.
 		cands := make([]wire.Pointer, 0, span)
 		for i := lo; i < hi; i++ {
-			p := pl.entries[i].ptr
+			p := pl.pointer(&pl.slots[i])
 			if (pred == nil || pred(p)) && (skip == nil || !skip[p.ID]) {
 				cands = append(cands, p)
 			}
@@ -459,10 +529,11 @@ func (pl *PeerList) RandomInPrefix(e nodeid.Eigenstring, want int, pred func(wir
 	// Large range: bounded rejection sampling.
 	seen := make(map[nodeid.ID]bool, want)
 	for tries := 0; tries < 16*want && len(out) < want; tries++ {
-		p := pl.entries[lo+rng.Intn(span)].ptr
-		if seen[p.ID] || (skip != nil && skip[p.ID]) {
+		s := &pl.slots[lo+rng.Intn(span)]
+		if seen[s.id] || (skip != nil && skip[s.id]) {
 			continue
 		}
+		p := pl.pointer(s)
 		if pred != nil && !pred(p) {
 			continue
 		}
@@ -508,20 +579,20 @@ func (pl *PeerList) StrongestForStep(selfID nodeid.ID, s int, subject nodeid.ID,
 		if i >= hi {
 			i -= span
 		}
-		p := &pl.entries[i].ptr
-		if int(p.Level) >= bestLevel {
+		c := &pl.slots[i]
+		if int(c.level) >= bestLevel {
 			continue
 		}
-		if skip != nil && skip[p.ID] {
+		if skip != nil && skip[c.id] {
 			continue
 		}
 		// Audience check: the candidate's eigenstring must be a prefix
 		// of the subject's ID.
-		if p.ID.Prefix(int(p.Level)) != subject.Prefix(int(p.Level)) {
+		if c.id.Prefix(int(c.level)) != subject.Prefix(int(c.level)) {
 			continue
 		}
 		best = i
-		bestLevel = int(p.Level)
+		bestLevel = int(c.level)
 		if bestLevel == 0 {
 			break
 		}
@@ -529,5 +600,5 @@ func (pl *PeerList) StrongestForStep(selfID nodeid.ID, s int, subject nodeid.ID,
 	if best < 0 {
 		return wire.Pointer{}, false
 	}
-	return pl.entries[best].ptr, true
+	return pl.pointer(&pl.slots[best]), true
 }

@@ -3,6 +3,7 @@ package core
 import (
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"peerwindow/internal/des"
 	"peerwindow/internal/nodeid"
@@ -16,6 +17,14 @@ func mkPtr(bits string, level int) wire.Pointer {
 		panic(err)
 	}
 	return wire.Pointer{Addr: wire.Addr(1 + id.Hi>>48), ID: id, Level: uint8(level)}
+}
+
+// A stored peer-list slot is 48 bytes: ID, address, two exact
+// timestamps, level and the has-info flag. Info lives out of line.
+func TestPeerSlotIs48Bytes(t *testing.T) {
+	if got := unsafe.Sizeof(peerSlot{}); got != 48 {
+		t.Fatalf("peerSlot is %d bytes, want 48", got)
+	}
 }
 
 func TestPeerListUpsertRemove(t *testing.T) {

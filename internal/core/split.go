@@ -61,7 +61,7 @@ func (n *Node) CrossPartTops(part nodeid.Eigenstring) []wire.Pointer {
 // a top node — the moment a split deepens. The pointers it is about to
 // shed for the sibling part are that part's population; the strongest of
 // them are its top nodes, and §4.4 requires us to remember t of them.
-func (n *Node) captureSplitPointers(dropped []peerEntry, newEigen nodeid.Eigenstring) {
+func (n *Node) captureSplitPointers(dropped []removedPeer, newEigen nodeid.Eigenstring) {
 	if len(dropped) == 0 || newEigen.Len == 0 {
 		return
 	}

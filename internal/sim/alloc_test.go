@@ -128,3 +128,31 @@ func TestClusterSteadyStateAllocBudget(t *testing.T) {
 		t.Errorf("%.3f mallocs per message, budget 6.5", perMsg)
 	}
 }
+
+// TestClusterHeapPerHeldPointer guards the peer-list footprint, the
+// memory cost that grows as O(N) per node: after a seeded 1,000-node warm
+// start (the cluster_churn benchmark shape), the live heap divided by
+// the pointers held across all peer lists must stay at or below 64 B. A
+// stored slot is 48 B with the pointer's info out of line; the rest is
+// append's geometric slack and the per-node state spread over ~1,000
+// pointers each. Slots holding a full wire.Pointer measured 80 B here.
+func TestClusterHeapPerHeldPointer(t *testing.T) {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := NewCluster(ClusterConfig{Core: DefaultFullCore(), Seed: 1})
+	c.WarmStart(1000, workload.DefaultConfig(), 2)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	held := 0
+	for _, sn := range c.Nodes() {
+		held += sn.Node.Peers().Len()
+	}
+	runtime.KeepAlive(c)
+	perPtr := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(held)
+	t.Logf("%d pointers held, %.1f B of heap per pointer", held, perPtr)
+	if perPtr > 64 {
+		t.Errorf("%.1f B of heap per held pointer, budget 64", perPtr)
+	}
+}
