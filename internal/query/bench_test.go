@@ -207,8 +207,8 @@ func BenchmarkMixedReadsUnderChurn10k(b *testing.B) {
 
 // BenchmarkBulkFieldReadsUnderChurn10k isolates the worst read shape: an
 // unselective field query materializing ~25% of the window per call,
-// racing the writer (whose every delta invalidates one bucket's lazily
-// built field index).
+// racing the writer (whose removes and adds leave a bucket without its
+// lazily built field index; its level-only updates hand the index on).
 func BenchmarkBulkFieldReadsUnderChurn10k(b *testing.B) {
 	s, ps := benchStore(10_000)
 	stop := churnWriter(s, ps)
@@ -220,4 +220,17 @@ func BenchmarkBulkFieldReadsUnderChurn10k(b *testing.B) {
 	})
 	b.StopTimer()
 	b.ReportMetric(float64(stop()), "mutations")
+}
+
+// BenchmarkFieldIndexBuild is the cost a reader pays the first time a
+// field query touches a bucket no earlier view indexed: one full bucket of
+// benchStore-shaped infos.
+func BenchmarkFieldIndexBuild(b *testing.B) {
+	s, _ := benchStore(2 * maxBucket)
+	ents := s.View().buckets[0].ents
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buildFieldIndex(ents)
+	}
 }

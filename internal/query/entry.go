@@ -13,6 +13,8 @@
 package query
 
 import (
+	"strings"
+
 	"peerwindow/internal/nodeid"
 	"peerwindow/internal/wire"
 )
@@ -65,16 +67,23 @@ func (e Entry) equalPtr(p wire.Pointer) bool {
 func (e Entry) eachField(fn func(f string)) {
 	s := e.info
 	for len(s) > 0 {
-		i := 0
-		for i < len(s) && s[i] != ';' {
-			i++
+		i := strings.IndexByte(s, ';')
+		if i < 0 {
+			fn(s)
+			return
 		}
 		if i > 0 {
 			fn(s[:i])
 		}
-		if i == len(s) {
-			return
-		}
 		s = s[i+1:]
 	}
+}
+
+// fieldBound returns an upper bound on the number of fields eachField
+// yields: one per separator-delimited segment, empty ones included.
+func (e Entry) fieldBound() int {
+	if e.info == "" {
+		return 0
+	}
+	return strings.Count(e.info, ";") + 1
 }

@@ -17,9 +17,10 @@ import (
 // sequence through that hook proves the copy-on-write discipline — no
 // insert, split, merge or removal path writes into a published bucket.
 //
-// CI runs this alongside the sim invariants:
+// The same hook also requires every published field index to equal a
+// fresh build of its bucket; CI runs the whole package with it armed:
 //
-//	go test -tags pwinvariants -race ./internal/query
+//	go test -tags pwinvariants ./internal/query
 func TestPublishedViewsNeverMutate(t *testing.T) {
 	if !invariant.Enabled {
 		t.Fatal("built without the pwinvariants tag")

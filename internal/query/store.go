@@ -90,9 +90,7 @@ func (s *Store) Subscribe(buffer int, filter func(Delta) bool) *Sub {
 // PeerAdded implements core.DeltaSink. Adding an ID that is already present
 // degrades to an update so the store can never diverge from the peer list.
 func (s *Store) PeerAdded(p wire.Pointer) {
-	e := EntryOf(p)
-	v := s.cur.Load()
-	nv, replaced := insertView(v, e)
+	nv, e, _, replaced := insertView(s.cur.Load(), p)
 	s.m.deltaAdd.Inc()
 	kind := DeltaAdd
 	if replaced {
@@ -102,18 +100,14 @@ func (s *Store) PeerAdded(p wire.Pointer) {
 }
 
 // PeerUpdated implements core.DeltaSink. Updating an ID that is absent
-// degrades to an add.
-func (s *Store) PeerUpdated(prev, p wire.Pointer) {
-	e := EntryOf(p)
-	v := s.cur.Load()
-	nv, replaced := insertView(v, e)
+// degrades to an add. The delta's Prev is the entry the store held, which
+// is prev whenever the store tracks the peer list.
+func (s *Store) PeerUpdated(_, p wire.Pointer) {
+	nv, e, old, replaced := insertView(s.cur.Load(), p)
 	s.m.deltaUpdate.Inc()
-	d := Delta{Kind: DeltaUpdate, Entry: e}
+	d := Delta{Kind: DeltaAdd, Entry: e}
 	if replaced {
-		d.Prev = EntryOf(prev)
-		d.HasPrev = true
-	} else {
-		d.Kind = DeltaAdd
+		d.Kind, d.Prev, d.HasPrev = DeltaUpdate, old, true
 	}
 	s.publish(nv, d)
 }
@@ -138,6 +132,14 @@ func (s *Store) publish(nv *View, d Delta) {
 		// preceding epoch.
 		if prev := s.cur.Load(); prev.Digest() != s.lastDigest {
 			panic("query: published view mutated after publication")
+		}
+		// A field index handed on to a clone must describe the clone
+		// exactly; checking every published one catches a wrong hand-on
+		// at the epoch that made it.
+		for _, b := range nv.buckets {
+			if x := b.index.Load(); x != nil && !x.equal(buildFieldIndex(b.ents)) {
+				panic("query: field index differs from a fresh build of its bucket")
+			}
 		}
 		s.lastDigest = nv.Digest()
 	}
@@ -190,42 +192,48 @@ func (s *Store) CheckAgainst(ps []wire.Pointer) error {
 	return err
 }
 
-// insertView returns a new view with e upserted, reporting whether an
-// existing entry was replaced. Cost: clone of one bucket plus the bucket
-// table.
-func insertView(v *View, e Entry) (*View, bool) {
+// insertView returns a new view with p upserted, the entry as stored, and
+// the entry it replaced, if any. Cost: clone of one bucket plus the bucket
+// table. A replacement whose Info bytes equal the stored info keeps the
+// stored string and hands the clone the predecessor's published field
+// index: offsets and field strings are unchanged.
+func insertView(v *View, p wire.Pointer) (nv *View, e, old Entry, replaced bool) {
 	if v.total == 0 {
-		b := newBucket([]Entry{e})
-		return remake(v, []*bucket{b}), false
+		e = EntryOf(p)
+		return remake(v, splice(v, 0, 0, newBucket([]Entry{e}))), e, Entry{}, false
 	}
-	bi := v.bucketFor(e.ID)
-	b := v.buckets[bi]
-	off, found := b.find(e.ID)
-	var ents []Entry
+	bi := v.bucketFor(p.ID)
+	b := v.buckets[bi].bucket
+	off, found := b.find(p.ID)
 	if found {
-		ents = make([]Entry, len(b.ents))
+		old = b.ents[off]
+		e = old
+		e.Addr, e.Level = p.Addr, p.Level
+		keep := old.info == string(p.Info)
+		if !keep {
+			e.info = string(p.Info)
+		}
+		ents := make([]Entry, len(b.ents))
 		copy(ents, b.ents)
 		ents[off] = e
-	} else {
-		ents = make([]Entry, 0, len(b.ents)+1)
-		ents = append(ents, b.ents[:off]...)
-		ents = append(ents, e)
-		ents = append(ents, b.ents[off:]...)
+		nb := newBucket(ents)
+		if keep {
+			nb.index.Store(b.index.Load())
+		}
+		return remake(v, splice(v, bi, bi+1, nb)), e, old, true
 	}
-	var repl []*bucket
-	if len(ents) > maxBucket {
-		mid := len(ents) / 2
-		left := make([]Entry, mid)
-		copy(left, ents[:mid])
-		repl = []*bucket{newBucket(left), newBucket(ents[mid:])}
-	} else {
-		repl = []*bucket{newBucket(ents)}
+	e = EntryOf(p)
+	ents := make([]Entry, 0, len(b.ents)+1)
+	ents = append(ents, b.ents[:off]...)
+	ents = append(ents, e)
+	ents = append(ents, b.ents[off:]...)
+	if len(ents) <= maxBucket {
+		return remake(v, splice(v, bi, bi+1, newBucket(ents))), e, Entry{}, false
 	}
-	buckets := make([]*bucket, 0, len(v.buckets)+len(repl)-1)
-	buckets = append(buckets, v.buckets[:bi]...)
-	buckets = append(buckets, repl...)
-	buckets = append(buckets, v.buckets[bi+1:]...)
-	return remake(v, buckets), found
+	mid := len(ents) / 2
+	left := make([]Entry, mid)
+	copy(left, ents[:mid])
+	return remake(v, splice(v, bi, bi+1, newBucket(left), newBucket(ents[mid:]))), e, Entry{}, false
 }
 
 // removeView returns a new view without id, the removed entry, and whether
@@ -282,23 +290,30 @@ func removeView(v *View, id nodeid.ID) (*View, Entry, bool) {
 	default:
 		repl = []*bucket{newBucket(ents)}
 	}
-	buckets := make([]*bucket, 0, len(v.buckets)-(hi-lo)+len(repl))
-	buckets = append(buckets, v.buckets[:lo]...)
-	buckets = append(buckets, repl...)
-	buckets = append(buckets, v.buckets[hi:]...)
-	return remake(v, buckets), old, true
+	return remake(v, splice(v, lo, hi, repl...)), old, true
 }
 
-// remake assembles the successor view: next epoch, fresh bucket table and
-// recomputed start offsets and level histogram. The level recount walks the
-// per-bucket tables (not the entries), so it is O(buckets · levelSlots)
-// on top of the O(buckets) table copy.
-func remake(v *View, buckets []*bucket) *View {
+// splice returns a fresh bucket table: v's with rows [lo, hi) replaced by
+// repl.
+func splice(v *View, lo, hi int, repl ...*bucket) []bucketRef {
+	t := make([]bucketRef, 0, len(v.buckets)-(hi-lo)+len(repl))
+	t = append(t, v.buckets[:lo]...)
+	for _, b := range repl {
+		t = append(t, bucketRef{bucket: b})
+	}
+	return append(t, v.buckets[hi:]...)
+}
+
+// remake assembles the successor view over a fresh bucket table: next
+// epoch, recomputed start offsets and level histogram. The level recount
+// walks the per-bucket tables (not the entries), so it is
+// O(buckets · levelSlots) on top of the O(buckets) table copy.
+func remake(v *View, buckets []bucketRef) *View {
 	nv := &View{epoch: v.epoch + 1, buckets: buckets}
-	nv.starts = make([]int, len(buckets))
 	t := 0
-	for i, b := range buckets {
-		nv.starts[i] = t
+	for i := range buckets {
+		b := &buckets[i]
+		b.start = t
 		t += len(b.ents)
 		for l := int(b.minLevel); l >= 0 && l <= int(b.maxLevel); l++ {
 			if c := b.levels[l]; c > 0 {

@@ -2,6 +2,7 @@ package query
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -187,8 +188,8 @@ func checkBuckets(t *testing.T, v *View) {
 		if len(b.ents) == 0 || len(b.ents) > maxBucket {
 			t.Fatalf("bucket %d has %d entries", bi, len(b.ents))
 		}
-		if v.starts[bi] != total {
-			t.Fatalf("bucket %d starts at %d, want %d", bi, v.starts[bi], total)
+		if b.start != total {
+			t.Fatalf("bucket %d starts at %d, want %d", bi, b.start, total)
 		}
 		for _, e := range b.ents {
 			if !first && !prev.Less(e.ID) {
@@ -239,59 +240,11 @@ func TestQueryFamiliesMatchNaiveScan(t *testing.T) {
 	}
 
 	// InfoContains: field-dictionary path, ';'-crossing fallback path,
-	// empty-substring path.
-	for _, sub := range []string{"os=linux", "role=", "x;role", "linux;role=db", "", "nosuch", "=", ";"} {
-		var want []string
-		for _, p := range sh.ps {
-			if strings.Contains(string(p.Info), sub) {
-				want = append(want, p.ID.String())
-			}
-		}
-		got := idsOf(v.InfoContains(sub))
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("InfoContains(%q): indexed %d, scan %d", sub, len(got), len(want))
-		}
-	}
-
-	// WithField: exact ';'-separated fields only.
-	for _, f := range []string{"os=linux", "role=db", "os=", "nosuch", ""} {
-		var want []string
-		for _, p := range sh.ps {
-			match := false
-			for _, field := range strings.Split(string(p.Info), ";") {
-				if field != "" && field == f {
-					match = true
-				}
-			}
-			if match {
-				want = append(want, p.ID.String())
-			}
-		}
-		got := idsOf(v.WithField(f))
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("WithField(%q): indexed %d, scan %d", f, len(got), len(want))
-		}
-	}
-
-	// FieldPrefix.
-	for _, pre := range []string{"os=", "role=", "os=l", "zz", ""} {
-		var want []string
-		for _, p := range sh.ps {
-			match := false
-			for _, field := range strings.Split(string(p.Info), ";") {
-				if field != "" && strings.HasPrefix(field, pre) {
-					match = true
-				}
-			}
-			if match {
-				want = append(want, p.ID.String())
-			}
-		}
-		got := idsOf(v.FieldPrefix(pre))
-		if fmt.Sprint(got) != fmt.Sprint(want) {
-			t.Fatalf("FieldPrefix(%q): indexed %d, scan %d", pre, len(got), len(want))
-		}
-	}
+	// empty-substring path. WithField: exact ';'-separated fields only.
+	checkFieldFamilies(t, v, sh.ps,
+		[]string{"os=linux", "role=", "x;role", "linux;role=db", "", "nosuch", "=", ";"},
+		[]string{"os=linux", "role=db", "os=", "nosuch", ""},
+		[]string{"os=", "role=", "os=l", "zz", ""})
 
 	// Strongest: reference is a stable sort by level over the ID order.
 	for _, k := range []int{0, 1, 5, 100, 700, 9999} {
@@ -401,12 +354,148 @@ func TestQueryFamiliesMatchNaiveScan(t *testing.T) {
 	}
 }
 
-func idsOf(es []Entry) []string {
-	out := make([]string, len(es))
-	for i, e := range es {
-		out[i] = e.ID.String()
+// checkFieldFamilies requires InfoContains, WithField and FieldPrefix on
+// v to return exactly what naive scans of ps, the same window as an
+// ID-sorted pointer list, return.
+func checkFieldFamilies(t *testing.T, v *View, ps []wire.Pointer, substrs, fields, prefixes []string) {
+	t.Helper()
+	scan := func(match func(info string) bool) []nodeid.ID {
+		var ids []nodeid.ID
+		for _, p := range ps {
+			if match(string(p.Info)) {
+				ids = append(ids, p.ID)
+			}
+		}
+		return ids
 	}
-	return out
+	same := func(got []Entry, want []nodeid.ID) bool {
+		return slices.EqualFunc(got, want, func(e Entry, id nodeid.ID) bool { return e.ID == id })
+	}
+	anyField := func(info string, match func(f string) bool) bool {
+		for _, f := range strings.Split(info, ";") {
+			if f != "" && match(f) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, sub := range substrs {
+		want := scan(func(info string) bool { return strings.Contains(info, sub) })
+		if got := v.InfoContains(sub); !same(got, want) {
+			t.Fatalf("epoch %d: InfoContains(%q): indexed %d, scan %d", v.Epoch(), sub, len(got), len(want))
+		}
+	}
+	for _, val := range fields {
+		want := scan(func(info string) bool {
+			return anyField(info, func(f string) bool { return f == val })
+		})
+		if got := v.WithField(val); !same(got, want) {
+			t.Fatalf("epoch %d: WithField(%q): indexed %d, scan %d", v.Epoch(), val, len(got), len(want))
+		}
+	}
+	for _, pre := range prefixes {
+		want := scan(func(info string) bool {
+			return anyField(info, func(f string) bool { return strings.HasPrefix(f, pre) })
+		})
+		if got := v.FieldPrefix(pre); !same(got, want) {
+			t.Fatalf("epoch %d: FieldPrefix(%q): indexed %d, scan %d", v.Epoch(), pre, len(got), len(want))
+		}
+	}
+}
+
+// TestFieldIndexMatchesFreshBuildUnderMutation drives random level-only
+// updates, info changes, adds (some of present IDs) and removes through a
+// grow phase past the split point and a shrink phase below the merge
+// point, querying every view so that field indexes are published. After
+// each step every published index must equal a fresh build of its bucket,
+// a bucket new to the view must hold its predecessor's index exactly when
+// the step kept the entry's info, and the field families must match the
+// naive scan.
+func TestFieldIndexMatchesFreshBuildUnderMutation(t *testing.T) {
+	s := NewStore(nil)
+	sh := &shadow{}
+	rng := xrand.New(29)
+	infos := []string{"", "os=linux", "os=plan9;role=db", "role=db;role=db", "os=linux;;role=edge;", "slot=1;slot=12"}
+	info := func() string { return infos[rng.Intn(len(infos))] }
+	next, reused := 0, 0
+	for step := 0; step < 2400; step++ {
+		// Out of ten draws: grow with 1 remove, 4 updates and 5 adds, then
+		// shrink with 7 removes, 2 updates and 1 add.
+		removes, updates := 1, 5
+		if step >= 1200 {
+			removes, updates = 7, 9
+		}
+		prev := s.View()
+		kept := false // the step replaced an entry and kept its info bytes
+		var id nodeid.ID
+		switch r := rng.Intn(10); {
+		case len(sh.ps) > 0 && r < removes:
+			p := sh.ps[rng.Intn(len(sh.ps))]
+			s.PeerRemoved(p, core.RemoveStale)
+			sh.remove(p.ID)
+		case len(sh.ps) > 0 && r < updates:
+			p := sh.ps[rng.Intn(len(sh.ps))]
+			up := p
+			up.Level = uint8(rng.Intn(6))
+			if rng.Intn(3) == 0 {
+				up.Addr++
+			}
+			if rng.Intn(4) == 0 {
+				up.Info = []byte(info())
+			}
+			kept = string(up.Info) == string(p.Info)
+			if rng.Intn(2) == 0 {
+				s.PeerUpdated(p, up)
+			} else {
+				s.PeerAdded(up) // an add of a present ID is an update
+			}
+			sh.upsert(up)
+			id = p.ID
+		default:
+			p := ptr(fmt.Sprintf("fi-%d", next), rng.Intn(6), info())
+			next++
+			s.PeerAdded(p)
+			sh.upsert(p)
+		}
+		v := s.View()
+		old := make(map[*bucket]bool, len(prev.buckets))
+		for _, b := range prev.buckets {
+			old[b.bucket] = true
+		}
+		for _, b := range v.buckets {
+			x := b.index.Load()
+			if x != nil && !x.equal(buildFieldIndex(b.ents)) {
+				t.Fatalf("step %d: published field index differs from a fresh build", step)
+			}
+			if old[b.bucket] {
+				continue
+			}
+			var want *fieldIndex
+			if kept {
+				want = prev.buckets[prev.bucketFor(id)].index.Load()
+			}
+			if x != want {
+				t.Fatalf("step %d: new bucket holds index %p, want %p (kept info: %v)", step, x, want, kept)
+			}
+			if x != nil {
+				reused++
+			}
+		}
+		checkFieldFamilies(t, v, sh.ps,
+			[]string{"linux", "role=db", "b;r"},
+			[]string{"os=linux", "role=db", "slot=1"},
+			[]string{"os=", "slot=1", "role=e"})
+		if step == 1199 && len(v.buckets) < 2 {
+			t.Fatalf("grow phase ended with %d entries in %d buckets: no splits", v.Len(), len(v.buckets))
+		}
+	}
+	if v := s.View(); v.Len() >= minBucket {
+		t.Fatalf("shrink phase ended with %d entries, not below the merge point %d", v.Len(), minBucket)
+	}
+	if reused == 0 {
+		t.Fatal("no clone ever reused its predecessor's field index")
+	}
+	t.Logf("%d clones reused their predecessor's field index", reused)
 }
 
 // TestViewImmutableAcrossMutations holds every intermediate view of a

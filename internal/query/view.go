@@ -1,9 +1,11 @@
 package query
 
 import (
+	"cmp"
+	"slices"
 	"sort"
 	"strings"
-	"sync"
+	"sync/atomic"
 
 	"peerwindow/internal/nodeid"
 	"peerwindow/internal/wire"
@@ -26,29 +28,121 @@ const (
 // stay below nodeid.Bits.
 const levelSlots = 256
 
-// fieldPosting records, for one distinct ';'-separated info field value in a
-// bucket, the offsets of the entries carrying it. The val string shares the
-// backing array of some entry's info — the index adds no string copies.
+// fieldIndex is a bucket's field postings: for each distinct
+// ';'-separated info field value, the ascending offsets of the entries
+// carrying it. The val strings share the backing arrays of the entries'
+// infos — the index adds no string copies — and every posting list is a
+// range of the one offs arena.
+type fieldIndex struct {
+	fields []fieldPosting // sorted by val
+	offs   []uint16
+}
+
+// fieldPosting is one distinct field value and its posting list
+// offs[lo:hi] in the enclosing index.
 type fieldPosting struct {
-	val  string
-	offs []uint16 // ascending entry offsets within the bucket
+	val    string
+	lo, hi uint32
+}
+
+// noFields is the index of every bucket whose entries carry no fields.
+var noFields = &fieldIndex{}
+
+// buildFieldIndex indexes ents in three allocations, however many
+// distinct fields they hold: the postings slice, sized to a bound on the
+// number of field occurrences; the offs arena; the index header. The postings
+// slice first holds one unsorted (field, entry offset) ref per occurrence,
+// the offset parked in lo, and is then sorted and compacted in place.
+// Duplicate fields within one entry's info contribute a single offset.
+func buildFieldIndex(ents []Entry) *fieldIndex {
+	n := 0
+	for i := range ents {
+		n += ents[i].fieldBound()
+	}
+	if n == 0 {
+		return noFields
+	}
+	fields := make([]fieldPosting, 0, n)
+	for i := range ents {
+		off := uint32(i)
+		ents[i].eachField(func(f string) {
+			fields = append(fields, fieldPosting{val: f, lo: off})
+		})
+	}
+	slices.SortFunc(fields, func(a, b fieldPosting) int {
+		if c := strings.Compare(a.val, b.val); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.lo, b.lo)
+	})
+	offs := make([]uint16, 0, len(fields))
+	w := 0 // compacted postings so far; never ahead of the ref being read
+	for _, r := range fields {
+		off := uint16(r.lo)
+		if w > 0 && fields[w-1].val == r.val {
+			if offs[len(offs)-1] != off {
+				offs = append(offs, off)
+				fields[w-1].hi++
+			}
+			continue
+		}
+		fields[w] = fieldPosting{val: r.val, lo: uint32(len(offs)), hi: uint32(len(offs)) + 1}
+		offs = append(offs, off)
+		w++
+	}
+	clear(fields[w:]) // else the GC traces the stale refs' strings for the index's lifetime
+	return &fieldIndex{fields: fields[:w], offs: offs}
+}
+
+// search returns the position of the first field not below val.
+func (x *fieldIndex) search(val string) int {
+	return sort.Search(len(x.fields), func(i int) bool { return x.fields[i].val >= val })
+}
+
+// at returns the offsets of the entries carrying the i-th field.
+func (x *fieldIndex) at(i int) []uint16 {
+	f := &x.fields[i]
+	return x.offs[f.lo:f.hi]
+}
+
+// postings returns the offsets of the entries carrying the field val.
+func (x *fieldIndex) postings(val string) []uint16 {
+	i := x.search(val)
+	if i == len(x.fields) || x.fields[i].val != val {
+		return nil
+	}
+	return x.at(i)
+}
+
+// equal reports whether x and y index the same fields at the same offsets.
+func (x *fieldIndex) equal(y *fieldIndex) bool {
+	if len(x.fields) != len(y.fields) {
+		return false
+	}
+	for i := range x.fields {
+		if x.fields[i].val != y.fields[i].val || !slices.Equal(x.at(i), y.at(i)) {
+			return false
+		}
+	}
+	return true
 }
 
 // bucket is an immutable run of consecutive (ID-sorted) entries plus the
 // per-bucket secondary indexes. Buckets are shared between views; their
-// entries and level tables are never mutated after construction. The field
-// index is built lazily, on the first field query touching the bucket —
-// the write path pays nothing for it, and because untouched buckets are
-// shared between epochs a built index keeps serving every later view that
-// references the bucket.
+// entries and level tables are never mutated after construction.
 type bucket struct {
 	ents     []Entry
 	levels   [levelSlots]uint16 // count of entries per level value
 	minLevel int16              // smallest level present, -1 if empty
 	maxLevel int16              // largest level present, -1 if empty
 
-	fieldsOnce sync.Once
-	fields     []fieldPosting // sorted by val; access via fieldIndex
+	// index holds the field index once published, nil before. Readers
+	// build it lazily on the first field query touching the bucket; the
+	// writer never builds, it only hands a predecessor's index on to a
+	// clone whose infos are unchanged (see insertView). Because untouched
+	// buckets are shared between epochs, a published index keeps serving
+	// every later view that references the bucket.
+	index atomic.Pointer[fieldIndex]
 }
 
 // newBucket builds a bucket (and its level index) from an already ID-sorted
@@ -68,51 +162,19 @@ func newBucket(ents []Entry) *bucket {
 	return b
 }
 
-// fieldIndex returns the bucket's field posting list, building it on first
-// use. Safe for concurrent readers: the once guarantees a single build and
-// publishes the result to every caller.
-func (b *bucket) fieldIndex() []fieldPosting {
-	b.fieldsOnce.Do(b.buildFields)
-	return b.fields
-}
-
-// buildFields constructs the sorted field-value posting list for the bucket.
-// Duplicate fields within one entry's info contribute a single posting
-// offset.
-func (b *bucket) buildFields() {
-	type fieldRef struct {
-		val string
-		off uint16
+// fields returns the bucket's field index, building and publishing it if
+// no reader has yet. Safe for concurrent readers: racing builds of one
+// immutable bucket are equal, and every caller gets the one the CAS
+// published.
+func (b *bucket) fields() *fieldIndex {
+	if x := b.index.Load(); x != nil {
+		return x
 	}
-	refs := make([]fieldRef, 0, 2*len(b.ents))
-	for i := range b.ents {
-		off := uint16(i)
-		b.ents[i].eachField(func(f string) {
-			refs = append(refs, fieldRef{val: f, off: off})
-		})
+	x := buildFieldIndex(b.ents)
+	if !b.index.CompareAndSwap(nil, x) {
+		return b.index.Load()
 	}
-	if len(refs) == 0 {
-		b.fields = nil
-		return
-	}
-	sort.Slice(refs, func(i, j int) bool {
-		if refs[i].val != refs[j].val {
-			return refs[i].val < refs[j].val
-		}
-		return refs[i].off < refs[j].off
-	})
-	fields := make([]fieldPosting, 0, len(refs))
-	for _, r := range refs {
-		if n := len(fields); n > 0 && fields[n-1].val == r.val {
-			offs := fields[n-1].offs
-			if offs[len(offs)-1] != r.off {
-				fields[n-1].offs = append(offs, r.off)
-			}
-			continue
-		}
-		fields = append(fields, fieldPosting{val: r.val, offs: []uint16{r.off}})
-	}
-	b.fields = fields
+	return x
 }
 
 // find returns the offset of id within the bucket and whether it is present.
@@ -135,9 +197,15 @@ func (b *bucket) find(id nodeid.ID) (int, bool) {
 type View struct {
 	epoch   uint64
 	total   int
-	buckets []*bucket
-	starts  []int // starts[i] = global index of buckets[i].ents[0]
+	buckets []bucketRef
 	levels  [levelSlots]int32
+}
+
+// bucketRef is one row of a view's bucket table: a bucket, which views
+// share, and where its entries start in this view's global order.
+type bucketRef struct {
+	*bucket
+	start int // global index of ents[0]
 }
 
 // emptyView is the epoch-0 snapshot shared by all fresh stores.
@@ -156,8 +224,9 @@ func (v *View) Len() int { return v.total }
 //
 //pwlint:noalloc
 func (v *View) At(i int) Entry {
-	bi := sort.Search(len(v.starts), func(b int) bool { return v.starts[b] > i }) - 1
-	return v.buckets[bi].ents[i-v.starts[bi]]
+	bi := sort.Search(len(v.buckets), func(b int) bool { return v.buckets[b].start > i }) - 1
+	r := v.buckets[bi]
+	return r.ents[i-r.start]
 }
 
 // bucketFor returns the index of the bucket that does or would contain id.
@@ -287,30 +356,19 @@ func (v *View) Strongest(k int) []Entry {
 // where B is the bucket count and F the distinct fields per bucket — it
 // never scans entries that do not match.
 func (v *View) WithField(val string) []Entry {
-	// Two passes: locate the posting in each bucket and size the result
-	// exactly, then fill. Avoids growth reallocations for large results.
-	type hit struct {
-		b    *bucket
-		offs []uint16
-	}
-	var hits []hit
+	// Two passes, count then fill, so the result is allocated once at its
+	// exact size.
 	n := 0
 	for _, b := range v.buckets {
-		fields := b.fieldIndex()
-		i := sort.Search(len(fields), func(i int) bool { return fields[i].val >= val })
-		if i == len(fields) || fields[i].val != val {
-			continue
-		}
-		hits = append(hits, hit{b, fields[i].offs})
-		n += len(fields[i].offs)
+		n += len(b.fields().postings(val))
 	}
 	if n == 0 {
 		return nil
 	}
 	out := make([]Entry, 0, n)
-	for _, h := range hits {
-		for _, off := range h.offs {
-			out = append(out, h.b.ents[off])
+	for _, b := range v.buckets {
+		for _, off := range b.fields().postings(val) {
+			out = append(out, b.ents[off])
 		}
 	}
 	return out
@@ -323,9 +381,9 @@ func (v *View) FieldPrefix(prefix string) []Entry {
 	var out []Entry
 	var seen []bool
 	for _, b := range v.buckets {
-		fields := b.fieldIndex()
-		i := sort.Search(len(fields), func(i int) bool { return fields[i].val >= prefix })
-		if i == len(fields) || !strings.HasPrefix(fields[i].val, prefix) {
+		x := b.fields()
+		i := x.search(prefix)
+		if i == len(x.fields) || !strings.HasPrefix(x.fields[i].val, prefix) {
 			continue
 		}
 		if cap(seen) < len(b.ents) {
@@ -334,8 +392,8 @@ func (v *View) FieldPrefix(prefix string) []Entry {
 			seen = seen[:len(b.ents)]
 			clear(seen)
 		}
-		for ; i < len(fields) && strings.HasPrefix(fields[i].val, prefix); i++ {
-			for _, off := range fields[i].offs {
+		for ; i < len(x.fields) && strings.HasPrefix(x.fields[i].val, prefix); i++ {
+			for _, off := range x.at(i) {
 				seen[off] = true
 			}
 		}
@@ -373,10 +431,10 @@ func (v *View) InfoContains(substr string) []Entry {
 	}
 	var seen []bool
 	for _, b := range v.buckets {
-		fields := b.fieldIndex()
+		x := b.fields()
 		hit := false
-		for i := range fields {
-			if strings.Contains(fields[i].val, substr) {
+		for i := range x.fields {
+			if strings.Contains(x.fields[i].val, substr) {
 				hit = true
 				break
 			}
@@ -390,9 +448,9 @@ func (v *View) InfoContains(substr string) []Entry {
 			seen = seen[:len(b.ents)]
 			clear(seen)
 		}
-		for i := range fields {
-			if strings.Contains(fields[i].val, substr) {
-				for _, off := range fields[i].offs {
+		for i := range x.fields {
+			if strings.Contains(x.fields[i].val, substr) {
+				for _, off := range x.at(i) {
 					seen[off] = true
 				}
 			}

@@ -155,12 +155,14 @@ func (l *link) Close() {
 	l.wg.Wait()
 }
 
-// read pumps datagrams into the host.
+// read pumps datagrams into the host. Messages carry their sender's
+// address, so the socket's is not asked for: net allocates a copy of it
+// per datagram.
 func (l *link) read() {
 	defer l.wg.Done()
 	buf := make([]byte, maxDatagram+1)
 	for {
-		nr, _, err := l.conn.ReadFromUDP(buf)
+		nr, err := l.conn.Read(buf)
 		if err != nil {
 			return // socket closed
 		}

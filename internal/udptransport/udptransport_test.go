@@ -155,3 +155,45 @@ func TestSendErrorsAreCounted(t *testing.T) {
 		return h.MetricsSnapshot().Counters[metrics.MetricNetSendErrors] == 2
 	})
 }
+
+// TestAckDatagramsDoNotAllocate: receiving a datagram costs the reader no
+// allocation, not even for the sender's address, and an ack then
+// unmarshals and resolves on the executor without allocating either.
+func TestAckDatagramsDoNotAllocate(t *testing.T) {
+	h := listen(t, "acks")
+	ip, port := h.Self().Addr.IPv4()
+	c, err := net.DialUDP("udp4", nil, &net.UDPAddr{IP: ip[:], Port: int(port)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	ack := wire.Message{Type: wire.MsgAck, From: h.Self().Addr, To: h.Self().Addr, AckID: 1}.Marshal()
+	deadline := time.Now().Add(10 * time.Second)
+	// send writes n acks one at a time, each once the previous one has
+	// been read, so neither the socket buffer nor the executor's task
+	// pool overflows.
+	send := func(n int) {
+		for i := 0; i < n; i++ {
+			_, before := h.Counters()
+			if _, err := c.Write(ack); err != nil {
+				t.Fatal(err)
+			}
+			for _, got := h.Counters(); got == before; _, got = h.Counters() {
+				if time.Now().After(deadline) {
+					t.Fatalf("ack %d never arrived", i)
+				}
+				runtime.Gosched()
+			}
+		}
+	}
+	send(50) // warm the executor's task pool
+	const n = 1000
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	send(n)
+	h.Level() // returns once the executor has handled every ack
+	runtime.ReadMemStats(&after)
+	if m := after.Mallocs - before.Mallocs; m > n/10 {
+		t.Fatalf("%d allocations for %d ack datagrams", m, n)
+	}
+}
