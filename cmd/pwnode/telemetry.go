@@ -32,13 +32,20 @@ func startTelemetry(addr string, interval time.Duration, name string, n *transpo
 		return nil, nil, fmt.Errorf("pwnode: telemetry: %w", err)
 	}
 
+	// Each frame is one datagram. A full socket buffer (or a transient
+	// network error) reports back as a refused frame, so the exporter
+	// re-buffers the deltas instead of losing them.
+	sink := telemetry.SinkFunc(func(b []byte) error {
+		_, err := conn.Write(b)
+		return err
+	})
 	self := n.Self()
 	e := telemetry.NewExporter(telemetry.ExporterConfig{
 		Node:  self.Addr,
 		Name:  name,
 		ID:    self.ID,
 		Spans: n.EnableSpans(telemetrySpanCapacity),
-	}, udpSink{conn})
+	}, sink)
 
 	stop = make(chan struct{})
 	done = make(chan struct{})
@@ -60,14 +67,4 @@ func startTelemetry(addr string, interval time.Duration, name string, n *transpo
 		}, stop)
 	}()
 	return stop, done, nil
-}
-
-// udpSink sends each frame as one datagram. A full socket buffer (or a
-// transient network error) reports back as a refused frame, so the
-// exporter re-buffers the deltas instead of losing them.
-type udpSink struct{ conn *net.UDPConn }
-
-func (s udpSink) Send(b []byte) error {
-	_, err := s.conn.Write(b)
-	return err
 }

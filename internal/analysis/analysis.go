@@ -26,7 +26,7 @@ import (
 
 // Analyzer is one named check. Run is invoked once per loaded package;
 // the optional Init hook sees the whole program first (for checks that
-// need cross-package facts, like the deprecated-symbol table), and the
+// need cross-package facts, like the metric-name constant table), and the
 // optional Finish hook runs after every package (for whole-program
 // verdicts, like duplicate metric names).
 type Analyzer struct {
@@ -294,7 +294,6 @@ func All() []*Analyzer {
 		LockSafe,
 		NoAlloc,
 		MetricName,
-		NoDeprecated,
 	}
 }
 

@@ -31,10 +31,6 @@ func TestMetricName(t *testing.T) {
 	analysistest.Run(t, analysis.MetricName, "metricname")
 }
 
-func TestNoDeprecated(t *testing.T) {
-	analysistest.Run(t, analysis.NoDeprecated, "nodeprecated")
-}
-
 // TestSuiteCleanOnRepo is the acceptance gate pwlint enforces in CI,
 // asserted here too so `go test ./...` catches regressions even when the
 // pwlint step is skipped: the repository itself carries zero

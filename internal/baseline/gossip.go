@@ -38,17 +38,6 @@ func (p GossipParams) Validate() error {
 	return nil
 }
 
-// ExpectedRedundancy returns the asymptotic messages-per-member for push
-// gossip run to (near-)full coverage: every infected member sends Fanout
-// copies per round until it stops, so total messages ≈ members × Fanout
-// × activeRounds; with stop-after-Rounds this is at least Fanout per
-// member per active round. The practical figure measured by Sim is what
-// the ablation bench reports; this closed form gives the lower bound
-// Fanout/ln(2) ≈ 2.89 per member at Fanout 2.
-func (p GossipParams) ExpectedRedundancy() float64 {
-	return float64(p.Fanout) / math.Ln2
-}
-
 // GossipSim runs one push-gossip dissemination over n members and
 // reports coverage, per-member redundancy and completion time.
 type GossipSim struct {

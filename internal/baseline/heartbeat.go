@@ -84,10 +84,6 @@ func (p HeartbeatParams) WastedFraction() float64 {
 	return f
 }
 
-// StalenessBound returns the worst-case time a failed neighbour stays
-// undetected: one probe interval (plus the timeout, which callers add).
-func (p HeartbeatParams) StalenessBound() des.Time { return p.ProbeInterval }
-
 // HeartbeatSim is a compact event-driven simulation of one collector
 // node maintaining M pointers under churn, confirming the closed forms:
 // it counts probes sent, wasted (positive) replies, and detection

@@ -67,8 +67,3 @@ func (p OneHopParams) AffordableFraction(budgetAtQuantile func(q float64) float6
 	}
 	return 1 - hi
 }
-
-// PeerWindowWeakNodeCost returns what the weakest acceptable node pays
-// under PeerWindow at its chosen level: at most its own budget, by
-// construction — the §2 heterogeneity property the one-hop design lacks.
-func PeerWindowWeakNodeCost(budget float64) float64 { return budget }

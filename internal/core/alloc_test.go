@@ -37,9 +37,6 @@ func TestPeerListReadPathDoesNotAllocate(t *testing.T) {
 		if _, ok := pl.Lookup(p.ID); !ok {
 			t.Fatal("lookup miss")
 		}
-		if !pl.Touch(p.ID, 1) {
-			t.Fatal("touch miss")
-		}
 		if pl.MinLevel() != 0 {
 			t.Fatal("bad min level")
 		}

@@ -362,18 +362,6 @@ func (pl *PeerList) Strongest() (wire.Pointer, bool) {
 	return pl.pointer(&pl.slots[pl.firstAt[min]]), true
 }
 
-// Touch updates lastSeen for id, reporting whether it was present.
-//
-//pwlint:noalloc
-func (pl *PeerList) Touch(id nodeid.ID, now des.Time) bool {
-	i := pl.search(id)
-	if i < len(pl.slots) && pl.slots[i].id == id {
-		pl.slots[i].lastSeen = now
-		return true
-	}
-	return false
-}
-
 // Remove deletes id, returning the removed pointer and whether it existed.
 func (pl *PeerList) Remove(id nodeid.ID) (removedPeer, bool) {
 	i := pl.search(id)

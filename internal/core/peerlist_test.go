@@ -214,20 +214,19 @@ func TestPeerListDropOutsidePrefix(t *testing.T) {
 	}
 }
 
+// Re-upserting a held pointer touches it: lastSeen moves to now while
+// firstSeen keeps the node's first sighting.
 func TestPeerListTouch(t *testing.T) {
 	var pl PeerList
 	p := mkPtr("0101", 1)
 	pl.Upsert(p, 5)
-	if !pl.Touch(p.ID, 77) {
-		t.Fatal("touch of present entry failed")
+	if pl.Upsert(p, 77) {
+		t.Fatal("touch of present entry inserted a new one")
 	}
-	var lastSeen des.Time
-	pl.ForEach(func(_ wire.Pointer, _, ls des.Time) { lastSeen = ls })
-	if lastSeen != 77 {
-		t.Fatalf("lastSeen = %v", lastSeen)
-	}
-	if pl.Touch(mkPtr("1111", 0).ID, 99) {
-		t.Fatal("touch of absent entry succeeded")
+	var firstSeen, lastSeen des.Time
+	pl.ForEach(func(_ wire.Pointer, fs, ls des.Time) { firstSeen, lastSeen = fs, ls })
+	if firstSeen != 5 || lastSeen != 77 {
+		t.Fatalf("firstSeen, lastSeen = %v, %v, want 5, 77", firstSeen, lastSeen)
 	}
 }
 

@@ -1,7 +1,5 @@
 package des
 
-import "fmt"
-
 // Envelope is one unit of cross-shard work: a payload to be scheduled on
 // the destination shard's engine at an absolute instant, carrying the
 // shard-invariant tie-break key it must be ordered by (see AtKey).
@@ -51,25 +49,3 @@ func (m *Mailbox[T]) Drain(fn func(Envelope[T])) {
 // Drained returns the lifetime count of envelopes handed to Drain — the
 // cross-shard traffic volume, for instrumentation.
 func (m *Mailbox[T]) Drained() uint64 { return m.drained }
-
-// MinAt returns the earliest At among queued envelopes, or MaxTime when
-// the mailbox is empty. A conservative driver folds this into its next
-// horizon so a barrier never skips past undelivered work.
-func (m *Mailbox[T]) MinAt() Time {
-	min := MaxTime
-	for i := range m.queue {
-		if m.queue[i].At < min {
-			min = m.queue[i].At
-		}
-	}
-	return min
-}
-
-// CheckEmpty panics unless the mailbox was fully drained; drivers call
-// it at end of run to surface lost cross-shard work instead of silently
-// dropping it.
-func (m *Mailbox[T]) CheckEmpty() {
-	if len(m.queue) != 0 {
-		panic(fmt.Sprintf("des: mailbox still holds %d undelivered envelopes", len(m.queue)))
-	}
-}

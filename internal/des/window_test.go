@@ -91,17 +91,11 @@ func TestAtKeyEqualKeysKeepSeqOrder(t *testing.T) {
 
 func TestMailboxDrainOrderAndReuse(t *testing.T) {
 	var mb Mailbox[string]
-	if at := mb.MinAt(); at != MaxTime {
-		t.Fatalf("MinAt() of empty mailbox = %v", at)
-	}
 	mb.Put(Envelope[string]{Dst: 1, At: 30, Key: 2, Payload: "b"})
 	mb.Put(Envelope[string]{Dst: 0, At: 10, Key: 1, Payload: "a"})
 	mb.Put(Envelope[string]{Dst: 2, At: 20, Key: 3, Payload: "c"})
 	if mb.Len() != 3 {
 		t.Fatalf("Len() = %d", mb.Len())
-	}
-	if at := mb.MinAt(); at != 10 {
-		t.Fatalf("MinAt() = %v, want 10", at)
 	}
 	var got []string
 	mb.Drain(func(env Envelope[string]) { got = append(got, env.Payload) })
@@ -113,12 +107,11 @@ func TestMailboxDrainOrderAndReuse(t *testing.T) {
 	if mb.Len() != 0 {
 		t.Fatalf("Len() = %d after drain", mb.Len())
 	}
-	mb.CheckEmpty() // must not panic
+	// The drained mailbox is reused for the next window.
 	mb.Put(Envelope[string]{Dst: 0, At: 5, Payload: "d"})
-	defer func() {
-		if recover() == nil {
-			t.Fatalf("CheckEmpty did not panic on a non-empty mailbox")
-		}
-	}()
-	mb.CheckEmpty()
+	got = got[:0]
+	mb.Drain(func(env Envelope[string]) { got = append(got, env.Payload) })
+	if len(got) != 1 || got[0] != "d" || mb.Drained() != 4 {
+		t.Fatalf("second window drained %v (%d in total), want [d] (4)", got, mb.Drained())
+	}
 }

@@ -7,17 +7,16 @@ package metrics
 
 import (
 	"fmt"
-	"math"
 	"sort"
 
 	"peerwindow/internal/des"
 )
 
-// Agg is a streaming aggregate: count, mean, min, max and variance via
-// Welford's algorithm. The zero value is ready to use.
+// Agg is a streaming aggregate: count, running mean, min and max. The
+// zero value is ready to use.
 type Agg struct {
 	n          int64
-	mean, m2   float64
+	mean       float64
 	min, max   float64
 	hasExtrema bool
 }
@@ -27,7 +26,6 @@ func (a *Agg) Add(v float64) {
 	a.n++
 	d := v - a.mean
 	a.mean += d / float64(a.n)
-	a.m2 += d * (v - a.mean)
 	if !a.hasExtrema || v < a.min {
 		a.min = v
 	}
@@ -48,7 +46,6 @@ func (a *Agg) Merge(b Agg) {
 	}
 	n := a.n + b.n
 	d := b.mean - a.mean
-	a.m2 += b.m2 + d*d*float64(a.n)*float64(b.n)/float64(n)
 	a.mean += d * float64(b.n) / float64(n)
 	a.n = n
 	if b.min < a.min {
@@ -70,14 +67,6 @@ func (a Agg) Min() float64 { return a.min }
 
 // Max returns the largest observation, or 0 with none.
 func (a Agg) Max() float64 { return a.max }
-
-// Std returns the sample standard deviation, or 0 for n < 2.
-func (a Agg) Std() float64 {
-	if a.n < 2 {
-		return 0
-	}
-	return math.Sqrt(a.m2 / float64(a.n-1))
-}
 
 // PerLevel keys aggregates by PeerWindow level, growing on demand. The
 // zero value is ready to use.
@@ -104,26 +93,6 @@ func (p *PerLevel) Level(level int) Agg {
 	return p.aggs[level]
 }
 
-// MaxLevel returns the highest level index with at least one observation,
-// or -1 if empty.
-func (p *PerLevel) MaxLevel() int {
-	for l := len(p.aggs) - 1; l >= 0; l-- {
-		if p.aggs[l].N() > 0 {
-			return l
-		}
-	}
-	return -1
-}
-
-// TotalN returns the observation count across all levels.
-func (p *PerLevel) TotalN() int64 {
-	var n int64
-	for i := range p.aggs {
-		n += p.aggs[i].N()
-	}
-	return n
-}
-
 // Overall merges every level into one aggregate.
 func (p *PerLevel) Overall() Agg {
 	var out Agg
@@ -131,71 +100,6 @@ func (p *PerLevel) Overall() Agg {
 		out.Merge(p.aggs[i])
 	}
 	return out
-}
-
-// Histogram counts observations in half-open buckets
-// [bounds[i], bounds[i+1]); values below bounds[0] or >= the last bound
-// land in underflow/overflow.
-type Histogram struct {
-	bounds              []float64
-	counts              []int64
-	underflow, overflow int64
-}
-
-// NewHistogram builds a histogram over strictly increasing bounds (at
-// least two).
-func NewHistogram(bounds []float64) *Histogram {
-	if len(bounds) < 2 {
-		panic("metrics: histogram needs >= 2 bounds")
-	}
-	for i := 1; i < len(bounds); i++ {
-		if bounds[i] <= bounds[i-1] {
-			panic("metrics: histogram bounds must be strictly increasing")
-		}
-	}
-	b := append([]float64(nil), bounds...)
-	return &Histogram{bounds: b, counts: make([]int64, len(b)-1)}
-}
-
-// Add counts one observation.
-func (h *Histogram) Add(v float64) {
-	if v < h.bounds[0] {
-		h.underflow++
-		return
-	}
-	if v >= h.bounds[len(h.bounds)-1] {
-		h.overflow++
-		return
-	}
-	// Binary search for the containing bucket.
-	lo, hi := 0, len(h.bounds)-1
-	for lo+1 < hi {
-		mid := (lo + hi) / 2
-		if h.bounds[mid] <= v {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	h.counts[lo]++
-}
-
-// Bucket returns the count of bucket i.
-func (h *Histogram) Bucket(i int) int64 { return h.counts[i] }
-
-// Buckets returns the number of buckets.
-func (h *Histogram) Buckets() int { return len(h.counts) }
-
-// Outliers returns the underflow and overflow counts.
-func (h *Histogram) Outliers() (under, over int64) { return h.underflow, h.overflow }
-
-// Total returns all observations including outliers.
-func (h *Histogram) Total() int64 {
-	n := h.underflow + h.overflow
-	for _, c := range h.counts {
-		n += c
-	}
-	return n
 }
 
 // Meter measures a node's bandwidth cost over a sliding window of virtual

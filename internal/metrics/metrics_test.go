@@ -1,6 +1,7 @@
 package metrics
 
 import (
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -10,7 +11,7 @@ import (
 
 func TestAggBasics(t *testing.T) {
 	var a Agg
-	if a.N() != 0 || a.Mean() != 0 || a.Std() != 0 {
+	if a.N() != 0 || a.Mean() != 0 || a.Min() != 0 || a.Max() != 0 {
 		t.Fatal("zero aggregate not zero")
 	}
 	for _, v := range []float64{2, 4, 4, 4, 5, 5, 7, 9} {
@@ -25,11 +26,10 @@ func TestAggBasics(t *testing.T) {
 	if a.Min() != 2 || a.Max() != 9 {
 		t.Fatalf("extrema = %g,%g", a.Min(), a.Max())
 	}
-	// Population std of this classic set is 2; sample std is
-	// sqrt(32/7).
-	want := math.Sqrt(32.0 / 7.0)
-	if math.Abs(a.Std()-want) > 1e-12 {
-		t.Fatalf("Std = %g want %g", a.Std(), want)
+	// The running mean stays exact through a non-monotone stream.
+	a.Add(-40)
+	if a.N() != 9 || a.Mean() != 0 || a.Min() != -40 || a.Max() != 9 {
+		t.Fatalf("after -40: N=%d mean=%g extrema=%g,%g", a.N(), a.Mean(), a.Min(), a.Max())
 	}
 }
 
@@ -53,43 +53,46 @@ func TestAggMergeMatchesSequential(t *testing.T) {
 			right.Add(v)
 		}
 	}
+	// The minimum lands in left and the maximum in right, so the merge
+	// must take each extremum from a different side.
+	left.Add(-50)
+	right.Add(60)
+	whole.Add(-50)
+	whole.Add(60)
 	left.Merge(right)
-	if left.N() != whole.N() {
-		t.Fatalf("merged N = %d want %d", left.N(), whole.N())
-	}
-	if math.Abs(left.Mean()-whole.Mean()) > 1e-9 {
-		t.Fatalf("merged mean = %g want %g", left.Mean(), whole.Mean())
-	}
-	if math.Abs(left.Std()-whole.Std()) > 1e-9 {
-		t.Fatalf("merged std = %g want %g", left.Std(), whole.Std())
-	}
-	if left.Min() != whole.Min() || left.Max() != whole.Max() {
-		t.Fatal("merged extrema wrong")
+	sameAgg(t, "merged halves", left, whole)
+}
+
+// sameAgg requires got and want to agree on N, Mean, Min and Max.
+func sameAgg(t *testing.T, what string, got, want Agg) {
+	t.Helper()
+	if got.N() != want.N() || math.Abs(got.Mean()-want.Mean()) > 1e-9 ||
+		got.Min() != want.Min() || got.Max() != want.Max() {
+		t.Fatalf("%s: N=%d mean=%g extrema=%g,%g, want N=%d mean=%g extrema=%g,%g", what,
+			got.N(), got.Mean(), got.Min(), got.Max(), want.N(), want.Mean(), want.Min(), want.Max())
 	}
 }
 
 func TestAggMergeEmptyCases(t *testing.T) {
 	var a, b Agg
 	a.Merge(b) // empty into empty
-	if a.N() != 0 {
-		t.Fatal("empty merge changed aggregate")
+	sameAgg(t, "empty into empty", a, Agg{})
+	var whole Agg
+	for _, v := range []float64{3, -4, 7} {
+		b.Add(v)
+		whole.Add(v)
 	}
-	b.Add(3)
 	a.Merge(b) // non-empty into empty
-	if a.N() != 1 || a.Mean() != 3 {
-		t.Fatal("merge into empty broken")
-	}
+	sameAgg(t, "non-empty into empty", a, whole)
 	var c Agg
 	a.Merge(c) // empty into non-empty
-	if a.N() != 1 {
-		t.Fatal("merging empty changed aggregate")
-	}
+	sameAgg(t, "empty into non-empty", a, whole)
 }
 
 func TestPerLevel(t *testing.T) {
 	var p PerLevel
-	if p.MaxLevel() != -1 {
-		t.Fatal("empty PerLevel MaxLevel should be -1")
+	if p.Overall().N() != 0 {
+		t.Fatal("empty PerLevel should hold no observations")
 	}
 	p.Add(0, 1)
 	p.Add(0, 3)
@@ -103,11 +106,8 @@ func TestPerLevel(t *testing.T) {
 	if p.Level(-1).N() != 0 || p.Level(99).N() != 0 {
 		t.Fatal("out-of-range Level should return empty aggregate")
 	}
-	if p.MaxLevel() != 3 {
-		t.Fatalf("MaxLevel = %d", p.MaxLevel())
-	}
-	if p.TotalN() != 3 {
-		t.Fatalf("TotalN = %d", p.TotalN())
+	if p.Level(3).N() != 1 || p.Overall().N() != 3 {
+		t.Fatalf("level 3 holds %d, all levels %d", p.Level(3).N(), p.Overall().N())
 	}
 	if math.Abs(p.Overall().Mean()-(1.0+3+10)/3) > 1e-12 {
 		t.Fatalf("Overall mean = %g", p.Overall().Mean())
@@ -124,41 +124,40 @@ func TestPerLevelNegativePanics(t *testing.T) {
 	p.Add(-1, 0)
 }
 
+// The registry histogram's buckets are upper-inclusive: a value on a
+// bound counts in that bound's bucket, everything at or below the first
+// bound (negatives included) in bucket 0, everything above the last in
+// the overflow bucket.
 func TestHistogram(t *testing.T) {
-	h := NewHistogram([]float64{0, 10, 100, 1000})
+	r := NewRegistry()
+	h := r.Histogram("h", []float64{0, 10, 100, 1000})
 	for _, v := range []float64{-1, 0, 5, 9.99, 10, 50, 999, 1000, 5000} {
-		h.Add(v)
+		h.Observe(v)
 	}
-	if h.Buckets() != 3 {
-		t.Fatalf("Buckets = %d", h.Buckets())
+	s := r.Snapshot().Histograms["h"]
+	want := []uint64{2, 3, 1, 2, 1} // {-1, 0}, {5, 9.99, 10}, {50}, {999, 1000}, {5000}
+	if len(s.Counts) != len(want) {
+		t.Fatalf("%d buckets, want %d", len(s.Counts), len(want))
 	}
-	if h.Bucket(0) != 3 { // 0, 5, 9.99
-		t.Fatalf("bucket 0 = %d", h.Bucket(0))
+	for i, w := range want {
+		if s.Counts[i] != w {
+			t.Fatalf("bucket %d = %d want %d (%v)", i, s.Counts[i], w, s.Counts)
+		}
 	}
-	if h.Bucket(1) != 2 { // 10, 50
-		t.Fatalf("bucket 1 = %d", h.Bucket(1))
-	}
-	if h.Bucket(2) != 1 { // 999
-		t.Fatalf("bucket 2 = %d", h.Bucket(2))
-	}
-	under, over := h.Outliers()
-	if under != 1 || over != 2 {
-		t.Fatalf("outliers = %d,%d", under, over)
-	}
-	if h.Total() != 9 {
-		t.Fatalf("Total = %d", h.Total())
+	if h.Count() != 9 {
+		t.Fatalf("Count = %d", h.Count())
 	}
 }
 
 func TestHistogramValidation(t *testing.T) {
-	for _, bounds := range [][]float64{{}, {1}, {1, 1}, {2, 1}} {
+	for i, bounds := range [][]float64{{}, {1, 1}, {2, 1}} {
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("bounds %v did not panic", bounds)
 				}
 			}()
-			NewHistogram(bounds)
+			NewRegistry().Histogram(fmt.Sprint("h", i), bounds)
 		}()
 	}
 }
@@ -211,9 +210,6 @@ func TestTableRender(t *testing.T) {
 	tb.AddRow(0, 55000, 0.55)
 	tb.AddRow(1, 30000, 0.30123)
 	tb.AddRow("total", 85000, 1.0)
-	if tb.Rows() != 3 {
-		t.Fatalf("Rows = %d", tb.Rows())
-	}
 	out := tb.Render()
 	for _, want := range []string{"Figure X", "level", "55000", "0.30", "total"} {
 		if !strings.Contains(out, want) {

@@ -35,9 +35,6 @@ func (t *Table) AddRow(cells ...interface{}) {
 	t.rows = append(t.rows, row)
 }
 
-// Rows returns the number of data rows added so far.
-func (t *Table) Rows() int { return len(t.rows) }
-
 // formatFloat picks a compact human representation: integers plainly,
 // small fractions with precision, large values with thousands kept
 // readable.

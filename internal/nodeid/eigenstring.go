@@ -60,30 +60,6 @@ func (e Eigenstring) IsPrefixOf(other Eigenstring) bool {
 	return e.Len <= other.Len && other.Prefix.Prefix(e.Len) == e.Prefix
 }
 
-// StrongerThan reports whether e is a strict prefix of other, i.e. a node
-// with eigenstring e is stronger than one with eigenstring other.
-func (e Eigenstring) StrongerThan(other Eigenstring) bool {
-	return e.Len < other.Len && e.IsPrefixOf(other)
-}
-
-// Extend appends one bit to the eigenstring, yielding one of its two
-// children in the prefix tree.
-func (e Eigenstring) Extend(bit uint) Eigenstring {
-	if e.Len >= Bits {
-		panic("nodeid: cannot extend a full-length eigenstring")
-	}
-	return Eigenstring{Prefix: e.Prefix.WithBit(e.Len, bit), Len: e.Len + 1}
-}
-
-// Parent removes the last bit of the eigenstring. Calling Parent on the
-// blank eigenstring panics.
-func (e Eigenstring) Parent() Eigenstring {
-	if e.Len == 0 {
-		panic("nodeid: blank eigenstring has no parent")
-	}
-	return Eigenstring{Prefix: e.Prefix.Prefix(e.Len - 1), Len: e.Len - 1}
-}
-
 // Sibling flips the last bit of the eigenstring. Calling Sibling on the
 // blank eigenstring panics.
 func (e Eigenstring) Sibling() Eigenstring {
@@ -91,30 +67,4 @@ func (e Eigenstring) Sibling() Eigenstring {
 		panic("nodeid: blank eigenstring has no sibling")
 	}
 	return Eigenstring{Prefix: e.Prefix.FlipBit(e.Len - 1), Len: e.Len}
-}
-
-// InAudienceOf reports whether a node with this eigenstring belongs to the
-// audience set of a node whose identifier is subject — that is, whether
-// this eigenstring is a prefix of subject. This is the protocol's central
-// predicate (§2): it decides pointer responsibility from identifiers
-// alone, without any stored membership state.
-func (e Eigenstring) InAudienceOf(subject ID) bool {
-	return e.Contains(subject)
-}
-
-// AudienceEigenstrings enumerates every eigenstring whose holders form the
-// audience set of subject, from the blank string (level 0) down to
-// maxLevel inclusive: "", "N₀", "N₀N₁", … as in the paper's figure 2.
-func AudienceEigenstrings(subject ID, maxLevel int) []Eigenstring {
-	if maxLevel < 0 {
-		return nil
-	}
-	if maxLevel > Bits {
-		maxLevel = Bits
-	}
-	out := make([]Eigenstring, maxLevel+1)
-	for l := 0; l <= maxLevel; l++ {
-		out[l] = EigenstringOf(subject, l)
-	}
-	return out
 }

@@ -20,14 +20,15 @@ func TestEigenstringOfPaperExample(t *testing.T) {
 	if hs.String() != "10" {
 		t.Fatalf("eigenstring = %q want \"10\"", hs)
 	}
-	if !hs.InAudienceOf(e) {
+	if !hs.Contains(e) {
 		t.Fatal("\"10\" should be in the audience of 1011")
 	}
-	// Property 2 of §2: E ("1") is stronger than H ("10").
-	if !es.StrongerThan(hs) {
+	// Property 2 of §2: E ("1") is stronger than H ("10"), i.e. a strict
+	// prefix of it.
+	if !es.IsPrefixOf(hs) || es == hs {
 		t.Fatal("\"1\" should be stronger than \"10\"")
 	}
-	if hs.StrongerThan(es) {
+	if hs.IsPrefixOf(es) {
 		t.Fatal("\"10\" must not be stronger than \"1\"")
 	}
 }
@@ -100,16 +101,26 @@ func TestIsPrefixOf(t *testing.T) {
 	}
 }
 
+// The prefix tree around a node's eigenstring: one level down is the
+// child on the node's own path (its sibling is the other child), one level
+// up the parent.
 func TestExtendParentSibling(t *testing.T) {
-	e, _ := ParseEigenstring("10")
-	if got := e.Extend(1).String(); got != "101" {
-		t.Fatalf("Extend(1) = %q", got)
+	id, _ := FromBitString("1011")
+	e := EigenstringOf(id, 2)
+	child := EigenstringOf(id, e.Len+1)
+	if got := child.String(); got != "101" {
+		t.Fatalf("child = %q", got)
 	}
-	if got := e.Extend(0).String(); got != "100" {
-		t.Fatalf("Extend(0) = %q", got)
+	if got := child.Sibling().String(); got != "100" {
+		t.Fatalf("other child = %q", got)
 	}
-	if got := e.Parent().String(); got != "1" {
-		t.Fatalf("Parent = %q", got)
+	for _, c := range []Eigenstring{child, child.Sibling()} {
+		if !e.IsPrefixOf(c) || EigenstringOf(c.Prefix, e.Len) != e {
+			t.Fatalf("%q is not a child of %q", c, e)
+		}
+	}
+	if got := EigenstringOf(id, e.Len-1).String(); got != "1" {
+		t.Fatalf("parent = %q", got)
 	}
 	if got := e.Sibling().String(); got != "11" {
 		t.Fatalf("Sibling = %q", got)
@@ -117,18 +128,15 @@ func TestExtendParentSibling(t *testing.T) {
 	if e.Sibling().Sibling() != e {
 		t.Fatal("double sibling should be identity")
 	}
-	if e.Extend(1).Parent() != e {
-		t.Fatal("Extend then Parent should be identity")
-	}
 }
 
 func TestParentOfBlankPanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Parent of blank did not panic")
+			t.Fatal("parent of blank did not panic")
 		}
 	}()
-	_ = (Eigenstring{}).Parent()
+	_ = EigenstringOf(ID{}, Eigenstring{}.Len-1)
 }
 
 func TestSiblingOfBlankPanics(t *testing.T) {
@@ -141,40 +149,39 @@ func TestSiblingOfBlankPanics(t *testing.T) {
 }
 
 func TestAudienceEigenstrings(t *testing.T) {
-	// The audience set of the paper's node E (1011) down to level 2 is
-	// {ε, "1", "10"} — exactly what figure 2 depicts.
+	// Of every eigenstring down to level 2, the audience set of the
+	// paper's node E (1011) holds exactly {ε, "1", "10"} — what figure 2
+	// depicts.
 	e, _ := FromBitString("1011")
-	got := AudienceEigenstrings(e, 2)
+	var got []string
+	for _, s := range []string{"", "0", "1", "00", "01", "10", "11"} {
+		es, _ := ParseEigenstring(s)
+		if es.Contains(e) {
+			got = append(got, es.String())
+		}
+	}
 	want := []string{"ε", "1", "10"}
 	if len(got) != len(want) {
-		t.Fatalf("got %d strings want %d", len(got), len(want))
+		t.Fatalf("audience %v want %v", got, want)
 	}
 	for i, w := range want {
-		if got[i].String() != w {
+		if got[i] != w {
 			t.Fatalf("audience[%d] = %q want %q", i, got[i], w)
 		}
-		if !got[i].InAudienceOf(e) {
-			t.Fatalf("audience[%d] not in audience of subject", i)
-		}
-	}
-	if AudienceEigenstrings(e, -1) != nil {
-		t.Fatal("negative maxLevel should return nil")
-	}
-	if got := AudienceEigenstrings(e, Bits+10); len(got) != Bits+1 {
-		t.Fatalf("maxLevel should clamp to %d, got %d entries", Bits, len(got))
 	}
 }
 
 func TestAudienceIsPrefixChain(t *testing.T) {
-	// Every eigenstring in an audience set is a prefix of the next —
-	// the "stronger covers weaker" property (§2 property 2).
+	// The audience set of a subject holds one eigenstring per level, each
+	// a strict prefix of the next — the "stronger covers weaker" property
+	// (§2 property 2).
 	r := rand.New(rand.NewSource(7))
 	for i := 0; i < 20; i++ {
 		subj := randomID(r)
-		chain := AudienceEigenstrings(subj, 12)
-		for j := 1; j < len(chain); j++ {
-			if !chain[j-1].StrongerThan(chain[j]) {
-				t.Fatalf("chain[%d] not stronger than chain[%d]", j-1, j)
+		for l := 1; l <= 12; l++ {
+			prev, cur := EigenstringOf(subj, l-1), EigenstringOf(subj, l)
+			if !cur.Contains(subj) || !prev.IsPrefixOf(cur) || prev == cur {
+				t.Fatalf("level %d of the audience chain is not stronger than level %d", l-1, l)
 			}
 		}
 	}

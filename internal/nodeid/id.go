@@ -222,13 +222,6 @@ func (id ID) Sub(delta ID) ID {
 	return ID{Hi: hi, Lo: lo}
 }
 
-// Distance returns the clockwise ring distance from id to other, i.e. how
-// far one must travel in increasing-ID direction (mod 2^128) to reach
-// other.
-func (id ID) Distance(other ID) ID {
-	return other.Sub(id)
-}
-
 // IsZero reports whether the identifier is all zeros.
 func (id ID) IsZero() bool { return id.Hi == 0 && id.Lo == 0 }
 

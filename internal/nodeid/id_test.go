@@ -247,16 +247,17 @@ func TestAddCarry(t *testing.T) {
 	}
 }
 
+// The clockwise ring distance from a to b is b.Sub(a).
 func TestDistanceRing(t *testing.T) {
 	a := ID{Lo: 10}
 	b := ID{Lo: 3}
 	// Clockwise from a to b wraps around the whole ring.
-	d := a.Distance(b)
-	if a.Add(d) != b {
-		t.Fatal("Distance is not the additive delta")
+	d := b.Sub(a)
+	if d != (ID{Hi: ^uint64(0), Lo: ^uint64(6)}) || a.Add(d) != b {
+		t.Fatalf("distance from a to b = %v, not 2^128 - 7", d)
 	}
-	if b.Distance(a) != (ID{Lo: 7}) {
-		t.Fatalf("Distance(b,a) = %v want 7", b.Distance(a))
+	if a.Sub(b) != (ID{Lo: 7}) {
+		t.Fatalf("distance from b to a = %v want 7", a.Sub(b))
 	}
 }
 

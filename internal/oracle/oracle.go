@@ -107,30 +107,10 @@ func (r *Registry) InPrefix(e nodeid.Eigenstring) []wire.Pointer {
 	return r.members[lo:hi]
 }
 
-// CountInPrefix returns the correct peer-list size for an eigenstring.
-func (r *Registry) CountInPrefix(e nodeid.Eigenstring) int {
-	return len(r.InPrefix(e))
-}
-
-// AudienceSize returns the number of members in the audience set of
-// subject: everyone whose eigenstring is a prefix of subject's ID.
-// It runs in O(membership); use sparingly.
-func (r *Registry) AudienceSize(subject nodeid.ID) int {
-	n := 0
-	for i := range r.members {
-		m := &r.members[i]
-		if m.ID.Prefix(int(m.Level)) == subject.Prefix(int(m.Level)) {
-			n++
-		}
-	}
-	return n
-}
-
 // Audience enumerates the audience set of subject — every member whose
-// eigenstring is a prefix of subject's ID, in ID order. It is the
-// set-valued companion of AudienceSize, used to cross-check reconstructed
-// multicast-tree coverage; like AudienceSize it is O(membership). The
-// returned slice is the caller's.
+// eigenstring is a prefix of subject's ID, in ID order. It is used to
+// cross-check reconstructed multicast-tree coverage and runs in
+// O(membership). The returned slice is the caller's.
 func (r *Registry) Audience(subject nodeid.ID) []wire.Pointer {
 	out := make([]wire.Pointer, 0, 32)
 	for i := range r.members {

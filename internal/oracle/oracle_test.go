@@ -88,8 +88,8 @@ func TestRegistryInPrefixMatchesBruteForce(t *testing.T) {
 				want++
 			}
 		}
-		if got := r.CountInPrefix(e); got != want {
-			t.Fatalf("level %d: CountInPrefix = %d want %d", l, got, want)
+		if got := len(r.InPrefix(e)); got != want {
+			t.Fatalf("level %d: InPrefix holds %d want %d", l, got, want)
 		}
 	}
 }
@@ -135,8 +135,14 @@ func TestAudienceSize(t *testing.T) {
 	r.Join(ptr("1110", 2)) // "11": NOT
 	r.Join(ptr("0100", 1)) // "0": NOT
 	subject, _ := nodeid.FromBitString("1011")
-	if got := r.AudienceSize(subject); got != 3 {
-		t.Fatalf("AudienceSize = %d want 3", got)
+	got := r.Audience(subject)
+	if len(got) != 3 {
+		t.Fatalf("audience size = %d want 3", len(got))
+	}
+	for i, want := range []string{"0000", "1000", "1010"} {
+		if got[i].ID != ptr(want, 0).ID {
+			t.Fatalf("audience[%d] = %v want %s", i, got[i].ID, want)
+		}
 	}
 }
 

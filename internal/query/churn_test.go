@@ -212,7 +212,6 @@ func TestConcurrentReadersAndSubscribersUnderChurn(t *testing.T) {
 				_ = v.Strongest(4)
 				_ = v.InfoContains("b")
 				_ = v.WithField("soak=b")
-				_ = v.FieldPrefix("soak=")
 				_ = v.MinLevel()
 				_ = v.Sample(3, uint64(r))
 				if n2 := v.Len(); n2 != n {

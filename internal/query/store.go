@@ -53,9 +53,6 @@ func NewStore(reg *metrics.Registry) *Store {
 // safe from any goroutine, and the returned view never changes.
 func (s *Store) View() *View { return s.cur.Load() }
 
-// Registry returns the registry holding the store's query.* series.
-func (s *Store) Registry() *metrics.Registry { return s.reg }
-
 // MetricsSnapshot returns a point-in-time copy of the store's metrics.
 func (s *Store) MetricsSnapshot() metrics.Snapshot { return s.reg.Snapshot() }
 

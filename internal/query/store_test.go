@@ -243,8 +243,7 @@ func TestQueryFamiliesMatchNaiveScan(t *testing.T) {
 	// empty-substring path. WithField: exact ';'-separated fields only.
 	checkFieldFamilies(t, v, sh.ps,
 		[]string{"os=linux", "role=", "x;role", "linux;role=db", "", "nosuch", "=", ";"},
-		[]string{"os=linux", "role=db", "os=", "nosuch", ""},
-		[]string{"os=", "role=", "os=l", "zz", ""})
+		[]string{"os=linux", "role=db", "os=", "nosuch", ""})
 
 	// Strongest: reference is a stable sort by level over the ID order.
 	for _, k := range []int{0, 1, 5, 100, 700, 9999} {
@@ -354,10 +353,10 @@ func TestQueryFamiliesMatchNaiveScan(t *testing.T) {
 	}
 }
 
-// checkFieldFamilies requires InfoContains, WithField and FieldPrefix on
-// v to return exactly what naive scans of ps, the same window as an
-// ID-sorted pointer list, return.
-func checkFieldFamilies(t *testing.T, v *View, ps []wire.Pointer, substrs, fields, prefixes []string) {
+// checkFieldFamilies requires InfoContains and WithField on v to return
+// exactly what naive scans of ps, the same window as an ID-sorted pointer
+// list, return.
+func checkFieldFamilies(t *testing.T, v *View, ps []wire.Pointer, substrs, fields []string) {
 	t.Helper()
 	scan := func(match func(info string) bool) []nodeid.ID {
 		var ids []nodeid.ID
@@ -391,14 +390,6 @@ func checkFieldFamilies(t *testing.T, v *View, ps []wire.Pointer, substrs, field
 		})
 		if got := v.WithField(val); !same(got, want) {
 			t.Fatalf("epoch %d: WithField(%q): indexed %d, scan %d", v.Epoch(), val, len(got), len(want))
-		}
-	}
-	for _, pre := range prefixes {
-		want := scan(func(info string) bool {
-			return anyField(info, func(f string) bool { return strings.HasPrefix(f, pre) })
-		})
-		if got := v.FieldPrefix(pre); !same(got, want) {
-			t.Fatalf("epoch %d: FieldPrefix(%q): indexed %d, scan %d", v.Epoch(), pre, len(got), len(want))
 		}
 	}
 }
@@ -483,8 +474,7 @@ func TestFieldIndexMatchesFreshBuildUnderMutation(t *testing.T) {
 		}
 		checkFieldFamilies(t, v, sh.ps,
 			[]string{"linux", "role=db", "b;r"},
-			[]string{"os=linux", "role=db", "slot=1"},
-			[]string{"os=", "slot=1", "role=e"})
+			[]string{"os=linux", "role=db", "slot=1"})
 		if step == 1199 && len(v.buckets) < 2 {
 			t.Fatalf("grow phase ended with %d entries in %d buckets: no splits", v.Len(), len(v.buckets))
 		}

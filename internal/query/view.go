@@ -8,7 +8,6 @@ import (
 	"sync/atomic"
 
 	"peerwindow/internal/nodeid"
-	"peerwindow/internal/wire"
 )
 
 // Bucketing parameters. Entries are kept sorted by ID and partitioned into
@@ -279,18 +278,6 @@ func (v *View) Entries() []Entry {
 	return out
 }
 
-// Pointers converts the snapshot to wire pointers in ascending ID order,
-// copying each entry's info.
-func (v *View) Pointers() []wire.Pointer {
-	out := make([]wire.Pointer, 0, v.total)
-	for _, b := range v.buckets {
-		for i := range b.ents {
-			out = append(out, b.ents[i].Pointer())
-		}
-	}
-	return out
-}
-
 // MinLevel returns the smallest level present in the snapshot, or -1 if the
 // snapshot is empty. O(1) amortized over the level table.
 //
@@ -369,38 +356,6 @@ func (v *View) WithField(val string) []Entry {
 	for _, b := range v.buckets {
 		for _, off := range b.fields().postings(val) {
 			out = append(out, b.ents[off])
-		}
-	}
-	return out
-}
-
-// FieldPrefix returns all entries having at least one info field that
-// starts with prefix (e.g. "os=" to select every entry that declares an
-// os), in ascending ID order. Sub-linear via the sorted field index.
-func (v *View) FieldPrefix(prefix string) []Entry {
-	var out []Entry
-	var seen []bool
-	for _, b := range v.buckets {
-		x := b.fields()
-		i := x.search(prefix)
-		if i == len(x.fields) || !strings.HasPrefix(x.fields[i].val, prefix) {
-			continue
-		}
-		if cap(seen) < len(b.ents) {
-			seen = make([]bool, len(b.ents))
-		} else {
-			seen = seen[:len(b.ents)]
-			clear(seen)
-		}
-		for ; i < len(x.fields) && strings.HasPrefix(x.fields[i].val, prefix); i++ {
-			for _, off := range x.at(i) {
-				seen[off] = true
-			}
-		}
-		for off := range b.ents {
-			if seen[off] {
-				out = append(out, b.ents[off])
-			}
 		}
 	}
 	return out

@@ -8,12 +8,15 @@
 //     calibration reference — but O(N²) memory in peer lists, so it is
 //     run at thousands of nodes, not 100,000.
 //
-//   - Scaled (scaled.go): the paper's own trick — one canonical peer
-//     list per eigenstring group held centrally (internal/oracle), with
+//   - ShardedScaled (shardedscaled.go): the paper's own trick — one
+//     canonical peer list per eigenstring group held centrally, with
 //     per-node error accounting driven by an analytic multicast-delay
 //     model measured from the full-fidelity mode. This reproduces the
 //     100,000-node figures on a laptop, exactly as ONSP + the shared
-//     peer-list structure did for the authors.
+//     peer-list structure did for the authors; every figure runs on it
+//     at one shard, the million-node runs at several. (The legacy Scaled
+//     in scaled.go implements the same model and now serves only
+//     pwbench's sim.scaled.* probe rows.)
 package sim
 
 import (

@@ -214,9 +214,6 @@ type ScaleResult struct {
 	Common CommonResult
 }
 
-// DefaultScales are the figure 9/10 x-axis points.
-func DefaultScales() []int { return []int{5000, 10000, 20000, 50000, 100000} }
-
 // RunScales executes the §5.2 scalability sweep, one run per scale, in
 // parallel. Point i runs with seed+i*1000 and lands in out[i], so the
 // table does not depend on the dispatch order or on GOMAXPROCS.

@@ -140,10 +140,6 @@ func (sc *ShardedCluster) shardOf(id nodeid.ID) int {
 	return int(id.Hi >> (64 - sc.shiftLog))
 }
 
-// Shards returns the per-shard sub-clusters (read their counters in
-// shard order for deterministic aggregates).
-func (sc *ShardedCluster) Shards() []*Cluster { return sc.shards }
-
 // AddNode creates a node on the shard its identifier belongs to. All
 // global draws (attachment, RNG stream, identifier) come from the
 // sharded cluster's own setup stream in call order, so setup is

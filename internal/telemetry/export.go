@@ -38,8 +38,8 @@ type Sink interface {
 	Send(b []byte) error
 }
 
-// SinkFunc adapts a function to the Sink interface (test fault
-// injection, in-process delivery).
+// SinkFunc adapts a function to the Sink interface (a socket write,
+// in-process delivery, test fault injection).
 type SinkFunc func(b []byte) error
 
 // Send implements Sink.

@@ -10,16 +10,14 @@ package telemetry
 const (
 	// Collector self-instruments, exposed on /metrics alongside the
 	// cluster aggregate.
-	MetricTelemetryFramesReceived  = "telemetry.frames_received"
-	MetricTelemetryFramesBad       = "telemetry.frames_bad"
-	MetricTelemetryFramesLate      = "telemetry.frames_late"
-	MetricTelemetryFramesMissing   = "telemetry.frames_missing"
-	MetricTelemetrySpansReceived   = "telemetry.spans_received"
-	MetricTelemetryRegressions     = "telemetry.counter_regressions"
-	MetricTelemetryNodes           = "telemetry.nodes"
-	MetricTelemetryBytesReceived   = "telemetry.bytes_received"
-	MetricTelemetryExporterDrops   = "telemetry.exporter_frame_drops"
-	MetricTelemetrySpanDropsRemote = "telemetry.exporter_span_drops"
+	MetricTelemetryFramesReceived = "telemetry.frames_received"
+	MetricTelemetryFramesBad      = "telemetry.frames_bad"
+	MetricTelemetryFramesLate     = "telemetry.frames_late"
+	MetricTelemetryFramesMissing  = "telemetry.frames_missing"
+	MetricTelemetrySpansReceived  = "telemetry.spans_received"
+	MetricTelemetryRegressions    = "telemetry.counter_regressions"
+	MetricTelemetryNodes          = "telemetry.nodes"
+	MetricTelemetryBytesReceived  = "telemetry.bytes_received"
 
 	// Per-node health signals: the raw inputs of the score, keyed into
 	// the /health document's scores map.

@@ -266,18 +266,3 @@ func (n *Network) LatencyFloor() des.Time {
 	}
 	return floor
 }
-
-// MeanLatency estimates the average pairwise latency by sampling; it is
-// used by calibration tests and to report the multicast step cost.
-func (n *Network) MeanLatency(rng *xrand.Source, samples int) des.Time {
-	if samples <= 0 {
-		samples = 10000
-	}
-	var sum des.Time
-	for i := 0; i < samples; i++ {
-		a := n.RandomAttachment(rng)
-		b := n.RandomAttachment(rng)
-		sum += n.Latency(a, b)
-	}
-	return sum / des.Time(samples)
-}

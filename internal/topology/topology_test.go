@@ -152,7 +152,13 @@ func TestMeanLatencyPlausible(t *testing.T) {
 	// of milliseconds — the same order as the paper's assumed ~500 ms
 	// multicast step (§5.1).
 	n := defaultNet(t)
-	mean := n.MeanLatency(xrand.New(7), 20000)
+	rng := xrand.New(7)
+	const samples = 20000
+	var sum des.Time
+	for i := 0; i < samples; i++ {
+		sum += n.Latency(n.RandomAttachment(rng), n.RandomAttachment(rng))
+	}
+	mean := sum / samples
 	if mean < 100*des.Millisecond || mean > 1200*des.Millisecond {
 		t.Fatalf("mean latency %v outside plausible range", mean)
 	}

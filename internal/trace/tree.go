@@ -73,17 +73,6 @@ func (t *Tree) Depth() int {
 // RootOutDegree returns the origin's forward count.
 func (t *Tree) RootOutDegree() int { return t.OutDeg[t.Origin] }
 
-// MaxOutDegree returns the largest per-node forward count.
-func (t *Tree) MaxOutDegree() int {
-	max := 0
-	for _, d := range t.OutDeg {
-		if d > max {
-			max = d
-		}
-	}
-	return max
-}
-
 // Redundancy returns received messages per delivery — the paper's r,
 // which the tree scheme keeps at 1 (every extra receive is a duplicate).
 func (t *Tree) Redundancy() float64 {

@@ -58,8 +58,8 @@ func TestBuildTreesReconstruction(t *testing.T) {
 	if tr.RootOutDegree() != 2 {
 		t.Errorf("root out-degree = %d want 2", tr.RootOutDegree())
 	}
-	if tr.MaxOutDegree() != 2 {
-		t.Errorf("max out-degree = %d want 2", tr.MaxOutDegree())
+	if tr.OutDeg[2] != 1 || tr.OutDeg[3] != 0 || tr.OutDeg[4] != 0 {
+		t.Errorf("out-degrees = %v want 1:2 2:1", tr.OutDeg)
 	}
 	if tr.Receives != 4 || tr.Duplicates != 1 {
 		t.Errorf("receives/duplicates = %d/%d want 4/1", tr.Receives, tr.Duplicates)

@@ -29,7 +29,6 @@ package workload
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"peerwindow/internal/des"
 	"peerwindow/internal/xrand"
@@ -48,9 +47,9 @@ type Config struct {
 	// multiplied by it. 1 is the common case.
 	LifetimeRate float64
 	// LifetimeCDF, when non-nil, replaces the log-normal lifetime model
-	// with an empirical distribution (see EmpiricalCDF) — the path for
-	// replaying measured traces. Draws are in nanoseconds and are still
-	// scaled by LifetimeRate.
+	// with an empirical distribution — the path for replaying measured
+	// traces. Draws are in nanoseconds and are still scaled by
+	// LifetimeRate.
 	LifetimeCDF *xrand.PiecewiseCDF
 	// Bandwidth is the node total-bandwidth distribution in bit/s.
 	Bandwidth *xrand.PiecewiseCDF
@@ -211,50 +210,4 @@ func (c Config) ArrivalInterval(rng *xrand.Source, n int) des.Time {
 	}
 	mean := float64(c.EffectiveMeanLifetime()) / float64(n)
 	return des.Time(rng.Exp(mean))
-}
-
-// EventRate returns the expected number of state-changing events per
-// virtual second for a population of n nodes when each node changes state
-// m times per lifetime (m = 3 in the paper's efficiency estimate counts a
-// join, a leave, and one other change; m = 2 counts join and leave only).
-func (c Config) EventRate(n int, m float64) float64 {
-	return float64(n) * m / c.EffectiveMeanLifetime().Seconds()
-}
-
-// EmpiricalCDF builds a lifetime distribution directly from measured
-// samples (e.g. a real session trace), for workloads where the
-// parametric log-normal is not faithful enough. The samples become
-// quantile breakpoints of a piecewise CDF.
-func EmpiricalCDF(samples []des.Time) *xrand.PiecewiseCDF {
-	if len(samples) < 2 {
-		panic("workload: EmpiricalCDF needs at least 2 samples")
-	}
-	vals := make([]float64, len(samples))
-	for i, s := range samples {
-		if s <= 0 {
-			panic("workload: non-positive lifetime sample")
-		}
-		vals[i] = float64(s)
-	}
-	sort.Float64s(vals)
-	// Deduplicate equal values (PiecewiseCDF needs strictly increasing
-	// breakpoints) by nudging ties up by a nanosecond.
-	for i := 1; i < len(vals); i++ {
-		if vals[i] <= vals[i-1] {
-			vals[i] = vals[i-1] + 1
-		}
-	}
-	cum := make([]float64, len(vals))
-	for i := range cum {
-		cum[i] = float64(i+1) / float64(len(vals))
-	}
-	return xrand.NewPiecewiseCDF(vals, cum)
-}
-
-// WithEmpiricalLifetimes returns a copy of the config that draws
-// lifetimes from the given empirical distribution instead of the
-// log-normal model; LifetimeRate still scales every draw.
-func (c Config) WithEmpiricalLifetimes(dist *xrand.PiecewiseCDF) Config {
-	c.LifetimeCDF = dist
-	return c
 }

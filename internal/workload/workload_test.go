@@ -183,19 +183,19 @@ func TestArrivalIntervalPanics(t *testing.T) {
 	DefaultConfig().ArrivalInterval(xrand.New(1), 0)
 }
 
+// Rate scaling: 10× shorter lives mean 10× the join events, so the same
+// draws give arrival gaps a tenth as long.
 func TestEventRate(t *testing.T) {
-	c := DefaultConfig()
-	// 100k nodes, 2 events (join+leave) per 135-minute lifetime:
-	// 200000 / 8100s ≈ 24.7 events/s.
-	got := c.EventRate(100000, 2)
-	want := 200000.0 / (135 * 60)
-	if math.Abs(got-want)/want > 1e-9 {
-		t.Fatalf("EventRate = %g want %g", got, want)
-	}
-	// Rate scaling: 10× shorter lives means 10× the events.
-	c.LifetimeRate = 0.1
-	if got := c.EventRate(100000, 2); math.Abs(got-10*want)/want > 1e-6 {
-		t.Fatalf("EventRate at rate 0.1 = %g want %g", got, 10*want)
+	a := DefaultConfig()
+	b := DefaultConfig()
+	b.LifetimeRate = 0.1
+	ra, rb := xrand.New(24), xrand.New(24)
+	for i := 0; i < 100; i++ {
+		ga := float64(a.ArrivalInterval(ra, 100000))
+		gb := float64(b.ArrivalInterval(rb, 100000))
+		if math.Abs(gb-ga/10) > 1 {
+			t.Fatalf("draw %d: arrival gap %g at rate 0.1, want %g", i, gb, ga/10)
+		}
 	}
 }
 
@@ -259,20 +259,24 @@ func TestResidualLifetimeScalesWithRate(t *testing.T) {
 	}
 }
 
-func TestEmpiricalCDFFromSamples(t *testing.T) {
-	// Feed log-normal samples in; the empirical distribution must
-	// reproduce their mean closely.
-	gen := DefaultConfig()
-	rng := xrand.New(31)
-	samples := make([]des.Time, 5000)
-	var sum float64
-	for i := range samples {
-		samples[i] = gen.SampleLifetime(rng)
-		sum += float64(samples[i])
+// minutesCDF is an empirical lifetime distribution over the given
+// minute breakpoints, equally weighted.
+func minutesCDF(minutes ...float64) *xrand.PiecewiseCDF {
+	vals := make([]float64, len(minutes))
+	cum := make([]float64, len(minutes))
+	for i, m := range minutes {
+		vals[i] = m * float64(des.Minute)
+		cum[i] = float64(i+1) / float64(len(minutes))
 	}
-	sampleMean := sum / float64(len(samples))
+	return xrand.NewPiecewiseCDF(vals, cum)
+}
 
-	c := DefaultConfig().WithEmpiricalLifetimes(EmpiricalCDF(samples))
+func TestEmpiricalCDFFromSamples(t *testing.T) {
+	// Lifetimes drawn through an empirical LifetimeCDF must reproduce the
+	// distribution's mean, scaled by LifetimeRate.
+	c := DefaultConfig()
+	c.LifetimeCDF = minutesCDF(5, 30, 60, 135, 400)
+	c.LifetimeRate = 2
 	draw := xrand.New(32)
 	var got float64
 	const n = 100000
@@ -280,40 +284,15 @@ func TestEmpiricalCDFFromSamples(t *testing.T) {
 		got += float64(c.SampleLifetime(draw))
 	}
 	got /= n
-	if math.Abs(got-sampleMean)/sampleMean > 0.05 {
-		t.Fatalf("empirical mean %v vs sample mean %v",
-			des.Time(got), des.Time(sampleMean))
-	}
-}
-
-func TestEmpiricalCDFHandlesTies(t *testing.T) {
-	samples := []des.Time{des.Minute, des.Minute, des.Minute, 2 * des.Minute}
-	d := EmpiricalCDF(samples)
-	rng := xrand.New(33)
-	for i := 0; i < 1000; i++ {
-		v := d.Sample(rng)
-		if v < float64(des.Minute)*0.99 || v > float64(2*des.Minute)*1.01 {
-			t.Fatalf("draw %g outside sample range", v)
-		}
-	}
-}
-
-func TestEmpiricalCDFValidation(t *testing.T) {
-	for _, samples := range [][]des.Time{{}, {des.Minute}, {des.Minute, 0}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("samples %v did not panic", samples)
-				}
-			}()
-			EmpiricalCDF(samples)
-		}()
+	want := 2 * c.LifetimeCDF.Mean()
+	if math.Abs(got-want)/want > 0.05 {
+		t.Fatalf("empirical mean %v want %v", des.Time(got), des.Time(want))
 	}
 }
 
 func TestEmpiricalResidualBounded(t *testing.T) {
-	samples := []des.Time{10 * des.Minute, 20 * des.Minute, 30 * des.Minute}
-	c := DefaultConfig().WithEmpiricalLifetimes(EmpiricalCDF(samples))
+	c := DefaultConfig()
+	c.LifetimeCDF = minutesCDF(10, 20, 30)
 	rng := xrand.New(34)
 	for i := 0; i < 2000; i++ {
 		r := c.SampleResidualLifetime(rng)

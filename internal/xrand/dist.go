@@ -32,19 +32,6 @@ func (s *Source) Normal() float64 {
 	}
 }
 
-// Pareto returns a draw from a bounded Pareto distribution on
-// [lo, hi] with tail index alpha. Bounded Pareto models the heavy upper
-// tail of node bandwidth in measured systems.
-func (s *Source) Pareto(alpha, lo, hi float64) float64 {
-	if alpha <= 0 || lo <= 0 || hi <= lo {
-		panic("xrand: Pareto with invalid parameters")
-	}
-	u := s.Float64()
-	la := math.Pow(lo, alpha)
-	ha := math.Pow(hi, alpha)
-	return math.Pow(-(u*ha-u*la-ha)/(ha*la), -1/alpha)
-}
-
 // PiecewiseCDF draws from an empirical distribution described as a list of
 // (value, cumulative-probability) breakpoints with log-linear
 // interpolation between them. It is the workhorse for reproducing the

@@ -227,25 +227,6 @@ func TestLogNormalMedian(t *testing.T) {
 	}
 }
 
-func TestParetoBounds(t *testing.T) {
-	s := New(14)
-	for i := 0; i < 10000; i++ {
-		v := s.Pareto(1.1, 56, 100000)
-		if v < 56 || v > 100000 {
-			t.Fatalf("Pareto out of bounds: %g", v)
-		}
-	}
-}
-
-func TestParetoPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("invalid Pareto did not panic")
-		}
-	}()
-	New(1).Pareto(0, 1, 2)
-}
-
 func TestPiecewiseCDFQuantile(t *testing.T) {
 	d := NewPiecewiseCDF(
 		[]float64{1, 10, 100},
