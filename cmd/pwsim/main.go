@@ -140,8 +140,8 @@ func main() {
 
 // millionTable runs the common experiment at million-node scale on the
 // sharded struct-of-arrays simulator and reports throughput and memory
-// alongside the level census — the scale the legacy pointer-per-node
-// layout cannot reach in RAM.
+// alongside the level census — a scale a heap object per node could not
+// reach in RAM.
 func millionTable(n int, rate float64, seed uint64, shards, workers int, opt sim.CommonOptions, digest bool) *metrics.Table {
 	cfg := sim.DefaultShardedScaledConfig(n, seed, shards)
 	cfg.Workers = workers

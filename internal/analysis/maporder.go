@@ -18,8 +18,8 @@ package analysis
 //     stream, directly or through statically resolved helpers, so the
 //     schedule or the stream ends up in iteration order.
 //
-// It is what would have caught the legacy sim.Scaled sampling Fig 7 from
-// "the first 1,000 nodes in map order". Float accumulation and
+// It is what would have caught the first, map-backed scaled simulator
+// sampling Fig 7 from "the first 1,000 nodes in map order". Float accumulation and
 // last-writer-wins assignments are order-sensitive too and are not
 // detected; test files are exempt, as for the transitive rule.
 

@@ -24,7 +24,7 @@ type world struct {
 
 // --- findings -----------------------------------------------------------
 
-// The legacy Scaled.sweep shape: moves end up in map order.
+// A level sweep over a node map: moves end up in map order.
 func (w *world) collectMoves() []*node {
 	var moves []*node
 	for _, n := range w.nodes { // want `range over map w\.nodes in deterministic package: iteration order is random and the body appends to moves, which outlives the loop`
@@ -35,7 +35,7 @@ func (w *world) collectMoves() []*node {
 	return moves
 }
 
-// The legacy Scaled.ErrorRates shape: "the first k nodes" of a map.
+// An error-rate sampler over a node map: "the first k nodes" of a map.
 func (w *world) sampleFirst(k int) int {
 	sum, i := 0, 0
 	for _, n := range w.nodes { // want `range over map w\.nodes .* the body breaks out early`

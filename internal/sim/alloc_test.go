@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"reflect"
 	"runtime"
 	"testing"
 
@@ -8,89 +9,32 @@ import (
 	"peerwindow/internal/workload"
 )
 
-// A sliding window of timestamps far exceeding the initial capacity
-// must stabilise the buffer at ~2x the live window, never regrow: the
-// copy-down compaction keeps the base array where the old front-reslice
-// bled capacity on every burst.
-func TestPruneTimesCapacityStabilises(t *testing.T) {
-	buf := make([]des.Time, 0, 8)
-	const live = 100
-	maxCap := 0
-	for i := 0; i < 50000; i++ {
-		buf = append(buf, des.Time(i))
-		pruneTimes(&buf, des.Time(i-live))
-		if cap(buf) > maxCap {
-			maxCap = cap(buf)
-		}
-	}
-	// Amortised compaction keeps at most a dead prefix the size of the
-	// live tail, so the steady-state need is ~2·live; the cap should be
-	// within one append-doubling of that, not proportional to the 50000
-	// appends.
-	if maxCap > 8*live {
-		t.Fatalf("buffer capacity grew to %d for a live window of %d", maxCap, live)
-	}
-}
-
-func TestPruneTimesCounts(t *testing.T) {
-	buf := []des.Time{1, 2, 3, 10, 20}
-	if n := pruneTimes(&buf, 4); n != 2 {
-		t.Fatalf("live = %d, want 2", n)
-	}
-	if len(buf) != 2 || buf[0] != 10 || buf[1] != 20 {
-		t.Fatalf("buffer after prune = %v", buf)
-	}
-	// No dead prefix: nothing moves, count unchanged.
-	if n := pruneTimes(&buf, 4); n != 2 || len(buf) != 2 {
-		t.Fatalf("second prune changed state: n=%d buf=%v", n, len(buf))
-	}
-	// Everything dead.
-	if n := pruneTimes(&buf, 100); n != 0 || len(buf) != 0 {
-		t.Fatalf("full prune left n=%d len=%d", n, len(buf))
-	}
-}
-
-// The rate query itself must not allocate.
-func TestRateOfDoesNotAllocate(t *testing.T) {
-	s := NewScaled(DefaultScaledConfig(2000, 5))
-	s.Run(10 * des.Minute)
-	if allocs := testing.AllocsPerRun(200, func() { s.eventRate() }); allocs != 0 {
-		t.Fatalf("eventRate allocates %v per call", allocs)
-	}
-}
-
-// Steady churn must not regrow the pre-sized rate buffers: after the
-// warm-up reaches the stationary regime, further simulated hours leave
-// both capacities untouched.
-func TestScaledRateBuffersDoNotRegrow(t *testing.T) {
-	cfg := DefaultScaledConfig(2000, 5)
-	cfg.Workload.LifetimeRate = 5 // brisker churn makes regrowth visible fast
-	s := NewScaled(cfg)
+// Steady churn must not regrow the scaled engine's rate and flight
+// buffers: once a warm-up reaches the stationary regime, two more
+// simulated hours leave the churn-rate log, the in-flight list and every
+// shard's doneAt free list at their capacities. Compacting a buffer by
+// reslicing its front instead of copying it down bleeds capacity and
+// regrows it on every flash-crowd burst; returning doneAt buffers to the
+// shards round-robin starves one shard while another's free list grows.
+// Two shards make the second visible.
+func TestShardedScaledSteadyStateDoesNotGrow(t *testing.T) {
+	cfg := DefaultShardedScaledConfig(2000, 5, 2)
+	cfg.Workload.LifetimeRate = 0.2 // brisker churn makes regrowth visible fast
+	s := NewShardedScaled(cfg)
 	s.Run(20 * des.Minute)
-	churnCap, eventCap := cap(s.churnTimes), cap(s.eventTimes)
-	s.Run(40 * des.Minute)
-	if cap(s.churnTimes) != churnCap {
-		t.Fatalf("churnTimes regrew: %d -> %d", churnCap, cap(s.churnTimes))
+	caps := func() []int {
+		c := []int{cap(s.churnLog), cap(s.inflight)}
+		for _, sh := range s.shards {
+			c = append(c, cap(sh.doneAtFree))
+		}
+		return c
 	}
-	if cap(s.eventTimes) != eventCap {
-		t.Fatalf("eventTimes regrew: %d -> %d", eventCap, cap(s.eventTimes))
+	before := caps()
+	s.Run(2 * des.Hour)
+	if after := caps(); !reflect.DeepEqual(after, before) {
+		t.Fatalf("capacities (churnLog, inflight, doneAtFree per shard) changed: %v -> %v", before, after)
 	}
-}
-
-// BenchmarkScaledChurnAllocs is the alloc-regression guard for the
-// churn hot path: allocations per simulated event must stay flat (the
-// per-event flightEvent and doneAt allocations), not grow with run
-// length as the leaking rate buffers made them.
-func BenchmarkScaledChurnAllocs(b *testing.B) {
-	cfg := DefaultScaledConfig(5000, 11)
-	cfg.Workload.LifetimeRate = 2
-	s := NewScaled(cfg)
-	s.Run(10 * des.Minute) // reach the stationary regime before measuring
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Run(des.Minute)
-	}
+	t.Logf("capacities (churnLog, inflight, doneAtFree per shard): %v", before)
 }
 
 // TestClusterSteadyStateAllocBudget is the end-to-end guard of the

@@ -4,10 +4,13 @@ import (
 	"fmt"
 	"math"
 
+	"peerwindow/internal/core"
 	"peerwindow/internal/des"
 	"peerwindow/internal/nodeid"
+	"peerwindow/internal/oracle"
 	"peerwindow/internal/wire"
 	"peerwindow/internal/workload"
+	"peerwindow/internal/xrand"
 )
 
 // ChurnConfig drives the §5.1 population dynamics: Poisson arrivals at
@@ -178,6 +181,14 @@ func EventBits(infoLen int) float64 {
 // started — equivalent to a long-running system at t=0. m is the assumed
 // state changes per lifetime (2 = join+leave).
 func (c *Cluster) WarmStart(n int, wl workload.Config, m float64) []*SimNode {
+	return warmStart(c.rng, c.AddNode, c.Truth, c.cfg.Core, n, wl, m)
+}
+
+// warmStart is the body of both WarmStarts: profiles and top-list samples
+// come from rng, nodes from add, and each node's converged level, peer
+// list and top list are restored from truth under the protocol config.
+func warmStart(rng *xrand.Source, add func(threshold float64) *SimNode, truth *oracle.Registry,
+	cfg core.Config, n int, wl workload.Config, m float64) []*SimNode {
 	if err := wl.Validate(); err != nil {
 		panic(err)
 	}
@@ -188,14 +199,14 @@ func (c *Cluster) WarmStart(n int, wl workload.Config, m float64) []*SimNode {
 	}
 	preps := make([]prep, n)
 	for i := 0; i < n; i++ {
-		profile := wl.SampleProfile(c.rng)
-		sn := c.AddNode(profile.Threshold)
+		profile := wl.SampleProfile(rng)
+		sn := add(profile.Threshold)
 		level := SteadyLevel(n, wl.EffectiveMeanLifetime(), m, eventBits,
-			profile.Threshold, c.cfg.Core.MaxLevel)
+			profile.Threshold, cfg.MaxLevel)
 		preps[i] = prep{sn: sn, level: level}
 		self := sn.Node.Self()
 		self.Level = uint8(level)
-		c.Truth.Join(self)
+		truth.Join(self)
 	}
 	// Top nodes: the strongest level present. Collect them all so each
 	// node can receive its own random sample — concentrating every
@@ -208,22 +219,22 @@ func (c *Cluster) WarmStart(n int, wl workload.Config, m float64) []*SimNode {
 		}
 	}
 	var allTops []wire.Pointer
-	c.Truth.ForEach(func(p wire.Pointer) {
+	truth.ForEach(func(p wire.Pointer) {
 		if int(p.Level) == minLevel {
 			allTops = append(allTops, p)
 		}
 	})
-	t := c.cfg.Core.TopListSize
+	t := cfg.TopListSize
 	out := make([]*SimNode, n)
 	for i, p := range preps {
 		self := p.sn.Node.Self()
 		eig := nodeid.EigenstringOf(self.ID, p.level)
-		peers := c.Truth.InPrefix(eig)
+		peers := truth.InPrefix(eig)
 		tops := make([]wire.Pointer, 0, t)
 		if len(allTops) <= t {
 			tops = append(tops, allTops...)
 		} else {
-			for _, j := range c.rng.Perm(len(allTops))[:t] {
+			for _, j := range rng.Perm(len(allTops))[:t] {
 				tops = append(tops, allTops[j])
 			}
 		}

@@ -14,9 +14,7 @@
 //     model measured from the full-fidelity mode. This reproduces the
 //     100,000-node figures on a laptop, exactly as ONSP + the shared
 //     peer-list structure did for the authors; every figure runs on it
-//     at one shard, the million-node runs at several. (The legacy Scaled
-//     in scaled.go implements the same model and now serves only
-//     pwbench's sim.scaled.* probe rows.)
+//     at one shard, the million-node runs at several.
 package sim
 
 import (

@@ -90,28 +90,15 @@ func RunCommonSharded(n int, lifetimeRate float64, seed uint64, shards, workers 
 	cfg.Workers = workers
 	cfg.Workload.LifetimeRate = lifetimeRate
 	s := NewShardedScaled(cfg)
-	return measureCommon(s, cfg.ScaledConfig, opt), s
-}
-
-// commonSim is what the common experiment asks of a scaled simulator.
-// ShardedScaled is the implementation every caller uses; the interface
-// exists so TestShardedFiguresAgreeWithLegacy can put the legacy Scaled
-// through the identical procedure.
-type commonSim interface {
-	Run(d des.Time)
-	ResetTraffic()
-	ErrorRates(sample int) []metrics.Agg
-	Bandwidth() (in, out []metrics.Agg)
-	Population() int
-	LevelCounts() []int
-	PeerListSizes(sample int) []metrics.Agg
+	return measureCommon(s, opt), s
 }
 
 // measureCommon is the one body of the common experiment: warm up, reset
 // the traffic meters, sample error rates at opt.Instants evenly spaced
 // instants of the measurement window, then read bandwidth, the level
 // census and every node's list size.
-func measureCommon(s commonSim, cfg ScaledConfig, opt CommonOptions) CommonResult {
+func measureCommon(s *ShardedScaled, opt CommonOptions) CommonResult {
+	cfg := s.cfg
 	opt.defaults()
 	s.Run(opt.Warm)
 	s.ResetTraffic()

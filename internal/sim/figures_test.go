@@ -2,7 +2,6 @@ package sim
 
 import (
 	"flag"
-	"math"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -15,8 +14,7 @@ import (
 
 // These tests pin the figures to the one scaled engine: RunCommon is a
 // pure function of its arguments, the sweeps are the same points whatever
-// order and however many workers ran them, the tables agree with the
-// legacy Scaled inside a measured tolerance, and the rendered Fig 5–12
+// order and however many workers ran them, and the rendered Fig 5–12
 // output for one seed is a golden file.
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
@@ -31,8 +29,8 @@ func underGOMAXPROCS(fn func()) {
 }
 
 // Two runs of one seed must agree to the last bit in everything a figure
-// reads — Fig 7's per-level error aggregates included, which the legacy
-// engine sampled in map order.
+// reads — Fig 7's per-level error aggregates included, which an engine
+// sampling nodes in map order would not reproduce.
 func TestRunCommonBitReproducible(t *testing.T) {
 	var first CommonResult
 	underGOMAXPROCS(func() {
@@ -86,75 +84,6 @@ func TestCostliestFirst(t *testing.T) {
 	got := costliestFirst(len(cost), func(i int) float64 { return cost[i] })
 	if want := []int{3, 1, 0, 2}; !reflect.DeepEqual(got, want) {
 		t.Fatalf("costliestFirst = %v, want %v", got, want)
-	}
-}
-
-// The figures moved from the legacy Scaled to ShardedScaled. The two
-// engines implement one model but are different programs — one global
-// arrival process and RNG against 256 per-slice ones, per-event reads
-// against reads frozen for a 1.5 s window — so the same seed gives
-// statistically equal, not identical, tables. This test puts both through
-// the identical procedure (measureCommon) at N = 20,000 and holds every
-// figure quantity to a tolerance.
-//
-// Tolerances were measured over seeds 1–8 at this size, two runs each
-// (largest delta seen in parentheses): every level's share within 1.5
-// points (0.59); mean list size within 3 % (1.42 %); in-bit/s per 1,000
-// pointers within 10 % (6.4 %), both at every level holding at least 100
-// nodes on either side; population-weighted mean error rate within 12 %
-// (5.5 %; the legacy side samples 1,000 nodes in map order and by itself
-// moves 0.4 % between two runs of one seed). At N = 100,000, seed 1, the
-// deltas are +3.3 % error, at most 6.4 % bit/s at any level, every level
-// share within 0.2 points (EXPERIMENTS.md has the table).
-func TestShardedFiguresAgreeWithLegacy(t *testing.T) {
-	if testing.Short() {
-		t.Skip("two 20,000-node hours skipped in -short")
-	}
-	const n, seed = 20000, 3
-	cfg := DefaultScaledConfig(n, seed)
-	legacy := measureCommon(NewScaled(cfg), cfg, CommonOptions{})
-	sharded := RunCommon(n, 1, seed, CommonOptions{})
-
-	share := func(r CommonResult, l int) float64 {
-		if l >= len(r.LevelCounts) {
-			return 0
-		}
-		return float64(r.LevelCounts[l]) / float64(r.Population)
-	}
-	per1000 := func(r CommonResult, l int) float64 {
-		return r.InBps[l].Mean() / r.ListSizes[l].Mean() * 1000
-	}
-	rel := func(a, b float64) float64 { return math.Abs(a-b) / b }
-
-	levels := len(legacy.LevelCounts)
-	if len(sharded.LevelCounts) > levels {
-		levels = len(sharded.LevelCounts)
-	}
-	for l := 0; l < levels; l++ {
-		ls, ss := share(legacy, l), share(sharded, l)
-		t.Logf("level %d: share %.4f vs %.4f", l, ss, ls)
-		if math.Abs(ls-ss) > 0.015 {
-			t.Errorf("level %d share: sharded %.4f vs legacy %.4f, more than 1.5 points apart", l, ss, ls)
-		}
-		// Size and bandwidth per level only where both have a real group.
-		if l >= len(legacy.LevelCounts) || l >= len(sharded.LevelCounts) ||
-			legacy.LevelCounts[l] < 100 || sharded.LevelCounts[l] < 100 {
-			continue
-		}
-		if d := rel(sharded.ListSizes[l].Mean(), legacy.ListSizes[l].Mean()); d > 0.03 {
-			t.Errorf("level %d mean list size: sharded %.1f vs legacy %.1f (%.1f %% apart, tolerance 3 %%)",
-				l, sharded.ListSizes[l].Mean(), legacy.ListSizes[l].Mean(), 100*d)
-		}
-		if d := rel(per1000(sharded, l), per1000(legacy, l)); d > 0.10 {
-			t.Errorf("level %d in-bit/s per 1000 pointers: sharded %.1f vs legacy %.1f (%.1f %% apart, tolerance 10 %%)",
-				l, per1000(sharded, l), per1000(legacy, l), 100*d)
-		}
-	}
-	d := rel(sharded.MeanErrorRate(), legacy.MeanErrorRate())
-	t.Logf("mean error rate %.6f vs %.6f (%.1f %% apart)", sharded.MeanErrorRate(), legacy.MeanErrorRate(), 100*d)
-	if d > 0.12 {
-		t.Errorf("mean error rate: sharded %.6f vs legacy %.6f (%.1f %% apart, tolerance 12 %%)",
-			sharded.MeanErrorRate(), legacy.MeanErrorRate(), 100*d)
 	}
 }
 

@@ -192,27 +192,6 @@ func TestPrefixCountAddRemoveInverse(t *testing.T) {
 	}
 }
 
-func TestScaledDeterministicReplay(t *testing.T) {
-	run := func() ([]int, uint64, uint64) {
-		s := NewScaled(DefaultScaledConfig(5000, 42))
-		s.Run(20 * 60 * 1e9) // 20 virtual minutes in nanoseconds
-		return s.LevelCounts(), s.Joins, s.Leaves
-	}
-	l1, j1, d1 := run()
-	l2, j2, d2 := run()
-	if j1 != j2 || d1 != d2 {
-		t.Fatalf("churn counters diverged: %d/%d vs %d/%d", j1, d1, j2, d2)
-	}
-	if len(l1) != len(l2) {
-		t.Fatalf("level count lengths diverged")
-	}
-	for i := range l1 {
-		if l1[i] != l2[i] {
-			t.Fatalf("level %d diverged: %d vs %d", i, l1[i], l2[i])
-		}
-	}
-}
-
 func TestClusterDeterministicReplay(t *testing.T) {
 	run := func() (uint64, uint64) {
 		c := smallCluster(t, 12, 99)

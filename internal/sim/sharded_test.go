@@ -80,7 +80,7 @@ func TestShardedScaledDigestSensitivity(t *testing.T) {
 	}
 }
 
-// The sharded scaled metrics surface must behave like the legacy one:
+// The sharded scaled metrics surface must be sane at eight shards:
 // population near target, levels populated, error rates finite.
 func TestShardedScaledMetricsSane(t *testing.T) {
 	cfg := DefaultShardedScaledConfig(5000, 7, 8)

@@ -6,32 +6,19 @@ import (
 	"peerwindow/internal/des"
 )
 
-// The legacy scaled simulator at the paper's common scale: the
-// baseline the sharded struct-of-arrays engine is measured against.
-// events/sec is the headline metric (wall time to push the same
-// virtual minute of churn at N=100,000).
-func BenchmarkScaledEvents100k(b *testing.B) {
-	s := NewScaled(DefaultScaledConfig(100000, 1))
-	s.Run(10 * des.Minute) // reach the stationary regime first
-	before := s.Engine.Executed()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		s.Run(des.Minute)
-	}
-	b.StopTimer()
-	b.ReportMetric(float64(s.Engine.Executed()-before)/b.Elapsed().Seconds(), "events/sec")
-}
-
-// The sharded SoA simulator on the same workload. Run with
-// -benchtime=Nx and compare events/sec against BenchmarkScaledEvents100k;
-// sub-benchmarks cover shard counts so the conservative-window overhead
-// is visible too.
+// The scaled simulator at the paper's common scale: events/sec is the
+// headline metric (wall time to push one virtual minute of churn at
+// N=100,000). Sub-benchmarks cover shard counts so the conservative-window
+// overhead is visible too. allocs/op is the churn hot path's
+// alloc-regression guard: it must stay flat per simulated minute, not
+// grow with run length.
 func BenchmarkShardedScaledEvents100k(b *testing.B) {
 	for _, shards := range []int{1, 8} {
 		b.Run(map[int]string{1: "shards1", 8: "shards8"}[shards], func(b *testing.B) {
 			s := NewShardedScaled(DefaultShardedScaledConfig(100000, 1, shards))
 			s.Run(10 * des.Minute)
 			before := s.EventsExecuted()
+			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				s.Run(des.Minute)

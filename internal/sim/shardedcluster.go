@@ -204,55 +204,7 @@ func (sc *ShardedCluster) exchange(des.Time) {
 // exactly as Cluster.WarmStart does — sampled from the global stream so
 // the population is shard-count-invariant.
 func (sc *ShardedCluster) WarmStart(n int, wl workload.Config, m float64) []*SimNode {
-	if err := wl.Validate(); err != nil {
-		panic(err)
-	}
-	eventBits := EventBits(0)
-	type prep struct {
-		sn    *SimNode
-		level int
-	}
-	preps := make([]prep, n)
-	for i := 0; i < n; i++ {
-		profile := wl.SampleProfile(sc.rng)
-		sn := sc.AddNode(profile.Threshold)
-		level := SteadyLevel(n, wl.EffectiveMeanLifetime(), m, eventBits,
-			profile.Threshold, sc.cfg.Core.MaxLevel)
-		preps[i] = prep{sn: sn, level: level}
-		self := sn.Node.Self()
-		self.Level = uint8(level)
-		sc.Truth.Join(self)
-	}
-	minLevel := 255
-	for _, p := range preps {
-		if p.level < minLevel {
-			minLevel = p.level
-		}
-	}
-	var allTops []wire.Pointer
-	sc.Truth.ForEach(func(p wire.Pointer) {
-		if int(p.Level) == minLevel {
-			allTops = append(allTops, p)
-		}
-	})
-	t := sc.cfg.Core.TopListSize
-	out := make([]*SimNode, n)
-	for i, p := range preps {
-		self := p.sn.Node.Self()
-		eig := nodeid.EigenstringOf(self.ID, p.level)
-		peers := sc.Truth.InPrefix(eig)
-		tops := make([]wire.Pointer, 0, t)
-		if len(allTops) <= t {
-			tops = append(tops, allTops...)
-		} else {
-			for _, j := range sc.rng.Perm(len(allTops))[:t] {
-				tops = append(tops, allTops[j])
-			}
-		}
-		p.sn.Node.Restore(p.level, peers, tops)
-		out[i] = p.sn
-	}
-	return out
+	return warmStart(sc.rng, sc.AddNode, sc.Truth, sc.cfg.Core, n, wl, m)
 }
 
 // Now returns the current virtual time.

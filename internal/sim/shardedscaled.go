@@ -10,16 +10,35 @@ import (
 	"peerwindow/internal/metrics"
 	"peerwindow/internal/nodeid"
 	"peerwindow/internal/shard"
+	"peerwindow/internal/workload"
 	"peerwindow/internal/xrand"
 )
 
 // ShardedScaled is the scaled simulator: the one engine behind every
 // figure (RunCommon and the sweeps run it at one shard) and behind the
-// million-node runs. It implements the paper's centralized-peer-list
-// methodology (§5; the model is written out at the legacy Scaled, which it
-// replaced) over struct-of-arrays storage, so a one-million-node churn run
-// fits in RAM and the event work of the 256 identifier-space slices can be
-// spread across shard worker goroutines.
+// million-node runs. It models the paper's own experiment (§5):
+// "considering that PeerWindow nodes with the same eigenstring would have
+// the same peer list, we record all the correct peer lists in a
+// centralized data structure, and only record erroneous items in nodes'
+// individual data structures."
+//
+// Concretely: ground truth lives in per-level prefix counts (one lookup
+// yields any group's correct peer-list size), nodes carry only a profile
+// (threshold, level, last shift), and the erroneous items are exactly the
+// in-flight events — a join or leave is an error for an audience member
+// at level l until the tree multicast reaches that level, which the delay
+// model prices at
+//
+//	d_l = StepCost · ceil(log2(1 + Σ_{j<=l} A_j))
+//
+// where A_j is the number of level-j audience members and StepCost is the
+// per-hop cost (the paper's 1 s forwarding delay plus ~0.5 s network
+// latency, §5.1). The full-fidelity Cluster validates this model at small
+// scale (TestScaledMatchesFullFidelity, RunCommonFull).
+//
+// Node state is struct-of-arrays storage (soa.go), so a one-million-node
+// churn run fits in RAM and the event work of the 256 identifier-space
+// slices can be spread across shard worker goroutines.
 //
 // The design problem is that the scaled model's decisions read *global*
 // state — prefix population counts and the measured churn rate — which
@@ -59,17 +78,81 @@ type ShardedScaled struct {
 	// inflight holds undelivered join/leave events, oldest first,
 	// merged from all shards in deterministic (time, key) order.
 	inflight []shardFlight
-	poolRR   int // round-robin return of recycled doneAt buffers
 
 	// churnLog holds per-window join+leave counts inside the trailing
-	// rate window — the windowed replacement of Scaled's churnTimes
-	// timestamp buffer.
+	// rate window, oldest first.
 	churnLog []rateSample
 
 	trafficSince des.Time
 
 	// Counters, aggregated from the shards at each barrier.
 	Joins, Leaves, Shifts uint64
+}
+
+// ScaledConfig parameterises the scaled model.
+type ScaledConfig struct {
+	// N is the stationary population.
+	N int
+	// Workload supplies lifetimes, bandwidths and thresholds (§5.1).
+	Workload workload.Config
+	// Seed drives all sampling.
+	Seed uint64
+	// EventBits is the event message size; the paper uses 1000 bits.
+	EventBits float64
+	// AckBits is the acknowledgement size charged per delivered event.
+	AckBits float64
+	// StepCost is the per-hop multicast cost; the paper's analysis uses
+	// 1 s forwarding + ~0.5 s latency.
+	StepCost des.Time
+	// SweepInterval is how often the autonomic level sweep re-evaluates
+	// every node's level against its budget (the scaled analogue of each
+	// node's ShiftCheckInterval).
+	SweepInterval des.Time
+	// ShiftUpFactor/ShiftDownFactor reproduce the §2 hysteresis.
+	ShiftUpFactor   float64
+	ShiftDownFactor float64
+	// MaxLevel bounds node levels.
+	MaxLevel int
+}
+
+// DefaultScaledConfig returns the paper's common-experiment parameters
+// (§5.1) for the given scale.
+func DefaultScaledConfig(n int, seed uint64) ScaledConfig {
+	return ScaledConfig{
+		N:               n,
+		Workload:        workload.DefaultConfig(),
+		Seed:            seed,
+		EventBits:       1000,
+		AckBits:         200,
+		StepCost:        1500 * des.Millisecond,
+		SweepInterval:   5 * des.Minute,
+		ShiftUpFactor:   0.5,
+		ShiftDownFactor: 1.0,
+		MaxLevel:        maxPrefixDepth,
+	}
+}
+
+// Validate reports whether the configuration is usable.
+func (sc ScaledConfig) Validate() error {
+	if sc.N <= 1 {
+		return fmt.Errorf("sim: scaled N = %d", sc.N)
+	}
+	if err := sc.Workload.Validate(); err != nil {
+		return err
+	}
+	if sc.EventBits <= 0 || sc.AckBits < 0 {
+		return fmt.Errorf("sim: bad message sizes")
+	}
+	if sc.StepCost <= 0 || sc.SweepInterval <= 0 {
+		return fmt.Errorf("sim: bad timing")
+	}
+	if sc.ShiftUpFactor <= 0 || sc.ShiftUpFactor >= sc.ShiftDownFactor {
+		return fmt.Errorf("sim: bad hysteresis")
+	}
+	if sc.MaxLevel <= 0 || sc.MaxLevel > maxPrefixDepth {
+		return fmt.Errorf("sim: MaxLevel = %d (scaled mode caps at %d)", sc.MaxLevel, maxPrefixDepth)
+	}
+	return nil
 }
 
 // ShardedScaledConfig parameterises a sharded scaled run.
@@ -101,10 +184,11 @@ type rateSample struct {
 	count int32
 }
 
-// shardFlight is one undelivered membership event, the sharded analogue
-// of flightEvent: seq carries the (slice, counter) tie-break key that
-// makes the barrier merge order shard-count-invariant, and doneAt comes
-// from a free-list pool instead of a fresh allocation per event.
+// shardFlight is one undelivered membership event: an error for audience
+// members at level l until doneAt[l] (len(doneAt) == MaxLevel+1). seq
+// carries the (slice, counter) tie-break key that makes the barrier merge
+// order shard-count-invariant, and doneAt comes from a free-list pool
+// instead of a fresh allocation per event.
 type shardFlight struct {
 	subject nodeid.ID
 	at      des.Time
@@ -153,11 +237,11 @@ func (sh *scaledShard) takeDoneAt(n int) []des.Time {
 	return make([]des.Time, n)
 }
 
-// NewShardedScaled builds the simulator and warm-starts the population,
-// exactly as NewScaled does — except nodes are dealt to the 256 slices
-// (cfg.N/256 each, remainder to the lowest slices) and each slice draws
-// from its own label-split RNG stream, so the construction too is
-// independent of the shard count.
+// NewShardedScaled builds the simulator and warm-starts the population at
+// its steady-state levels. Nodes are dealt to the 256 slices (cfg.N/256
+// each, remainder to the lowest slices) and each slice draws from its own
+// label-split RNG stream, so the construction too is independent of the
+// shard count.
 func NewShardedScaled(cfg ShardedScaledConfig) *ShardedScaled {
 	if err := cfg.ScaledConfig.Validate(); err != nil {
 		panic(err)
@@ -226,8 +310,10 @@ func NewShardedScaled(cfg ShardedScaledConfig) *ShardedScaled {
 }
 
 // populate warm-starts every slice's share of the population at steady
-// levels, mid-life (residual lifetimes), and arms the per-slice death
-// timers.
+// levels and queues its departures. A warm start observes nodes mid-life,
+// so lifetimes come from the residual-life distribution, not a fresh
+// draw, or the population sags through a long synchronized-cohort
+// transient.
 func (s *ShardedScaled) populate() {
 	meanLife := s.cfg.Workload.EffectiveMeanLifetime()
 	perEvent := s.cfg.EventBits + s.cfg.AckBits
@@ -249,10 +335,9 @@ func (s *ShardedScaled) populate() {
 	s.pop.fold()
 }
 
-// scheduleArrival arms the slice's next Poisson arrival. Each slice runs
-// an independent process at its share of the global rate; the
-// superposition is the same Poisson process the single-engine simulator
-// drives globally.
+// scheduleArrival arms the slice's next Poisson arrival (§5.1). Each
+// slice runs an independent process at its share of the global rate; the
+// superposition is the global Poisson process.
 func (s *ShardedScaled) scheduleArrival(sl *popSlice) {
 	gap := s.cfg.Workload.ArrivalInterval(sl.rng, sl.target)
 	sl.shard.engine.AtKey(sl.shard.engine.Now()+gap, sl.key(), des.EventTag{}, sl.arriveFn)
@@ -299,7 +384,10 @@ func (s *ShardedScaled) arrive(sl *popSlice) {
 	s.armDeath(sl)
 }
 
-// reap departs every node whose time has come and re-arms the timer.
+// reap departs every node whose time has come and re-arms the timer. The
+// model does not distinguish crash from announce: both end as one leave
+// event after detection, and the detection delay is folded into the
+// StepCost calibration.
 func (s *ShardedScaled) reap(sl *popSlice) {
 	sl.deathAt = 0
 	sh := sl.shard
@@ -318,15 +406,25 @@ func (s *ShardedScaled) reap(sl *popSlice) {
 }
 
 // costAtFrozen prices a node's maintenance input cost (bit/s) at a level
-// against the frozen snapshot — Scaled.costAt with windowed reads.
+// against the frozen snapshot: the share of events whose subject falls in
+// its prefix, priced at event plus ack size — the p = W·L/(m·r·i) formula
+// of §2 driven by the measured rate.
 func (s *ShardedScaled) costAtFrozen(id nodeid.ID, level int, lambda float64) float64 {
 	group := s.pop.Count(id, level)
 	frac := float64(group) / float64(maxInt(1, s.pop.Total()))
 	return lambda * frac * (s.cfg.EventBits + s.cfg.AckBits)
 }
 
-// chooseLevel picks an arriving node's level from the frozen rate and
-// counts (Scaled.chooseLevel against the snapshot).
+func maxInt(a, b int) int {
+	if a > b {
+		return a
+	}
+	return b
+}
+
+// chooseLevel is the scaled analogue of the §4.3 estimation: an arriving
+// node takes the strongest level whose cost fits its budget under the
+// frozen rate and counts.
 func (s *ShardedScaled) chooseLevel(threshold float64, id nodeid.ID) int {
 	lambda := s.frozenRate
 	if lambda == 0 {
@@ -340,11 +438,11 @@ func (s *ShardedScaled) chooseLevel(threshold float64, id nodeid.ID) int {
 	return s.cfg.MaxLevel
 }
 
-// sweepSlice re-evaluates every node of one slice with the §2
-// hysteresis. Decisions read only the frozen snapshot (Scaled collects
-// all moves before applying for the same read-before-write effect), so
-// level changes apply to the slice immediately and reach other slices'
-// view at the next barrier.
+// sweepSlice is the autonomic loop for one slice: every node re-evaluates
+// its level with the §2 hysteresis, the deterministic batch equivalent of
+// independent ShiftCheck timers. Decisions read only the frozen snapshot,
+// so level changes apply to the slice immediately without feeding back
+// into the same sweep, and reach other slices' view at the next barrier.
 func (s *ShardedScaled) sweepSlice(sl *popSlice) {
 	s.scheduleSweep(sl)
 	lambda := s.frozenRate
@@ -371,7 +469,8 @@ func (s *ShardedScaled) sweepSlice(sl *popSlice) {
 			to = l + 1
 		case l > 0 && s.costAtFrozen(id, l-1, lambda) <= th*s.cfg.ShiftUpFactor*2:
 			// Raise only when the cost at the stronger level would still
-			// fit comfortably (see Scaled.sweep).
+			// fit comfortably (the §2 example: cost halves below W/2, so
+			// doubling it stays below W).
 			if cost < th*s.cfg.ShiftUpFactor {
 				to = l - 1
 			}
@@ -388,12 +487,14 @@ func (s *ShardedScaled) sweepSlice(sl *popSlice) {
 }
 
 // record prices one state change against the frozen snapshot: delivery
-// deadlines per level for the error model and per-level traffic for the
-// bandwidth figures — Scaled.recordEvent, with three changes. Reads are
-// frozen (windowed, not instantaneous). The level loop stops at the
-// snapshot's deepest populated level instead of always walking all 21
-// (audiences above it are zero, so the tail of doneAt is constant).
-// And the doneAt buffer is pooled, not allocated per event.
+// deadlines per level for the error model (joins and leaves only) and
+// per-level traffic for the bandwidth figures. Send attribution: a member
+// informed at step s forwards at steps s..sTot, so stronger
+// (earlier-informed) groups send more; each group is weighted by
+// (sTot - s_l + 1) and normalised so the total equals the true message
+// count (audience - 1, r = 1). The level loop stops at the snapshot's
+// deepest populated level (audiences above it are zero, so the tail of
+// doneAt is constant), and the doneAt buffer is pooled.
 func (s *ShardedScaled) record(sl *popSlice, subject nodeid.ID, churn bool) {
 	sh := sl.shard
 	now := sh.engine.Now()
@@ -427,6 +528,7 @@ func (s *ShardedScaled) record(sl *popSlice, subject nodeid.ID, churn bool) {
 			}
 			w[l] = wt
 			weightSum += wt
+			// Each member receives the event once and sends one ack up.
 			sl.inBits[l] += float64(aud[l]) * (s.cfg.EventBits + s.cfg.AckBits)
 			sl.outBits[l] += float64(aud[l]) * s.cfg.AckBits
 		}
@@ -436,6 +538,7 @@ func (s *ShardedScaled) record(sl *popSlice, subject nodeid.ID, churn bool) {
 		for l := 0; l <= deep; l++ {
 			if w[l] > 0 {
 				share := w[l] / weightSum * totalMsgs
+				// Senders also receive the ack for each copy they send.
 				sl.outBits[l] += share * s.cfg.EventBits
 				sl.inBits[l] += share * s.cfg.AckBits
 			}
@@ -450,6 +553,17 @@ func (s *ShardedScaled) record(sl *popSlice, subject nodeid.ID, churn bool) {
 			subject: subject, at: now, maxAt: last, seq: sl.key(), doneAt: doneAt,
 		})
 	}
+}
+
+// stepsFor returns the number of multicast steps needed to inform n
+// members: each step doubles the informed set. ceil(log2(n+1)) is
+// exactly the bit length of n, so no float math is needed — this runs
+// once per (event, level) on the hot path.
+func stepsFor(n int) int {
+	if n <= 0 {
+		return 0
+	}
+	return bits.Len(uint(n))
 }
 
 // exchange is the window barrier: single-threaded between windows, it
@@ -504,13 +618,16 @@ func (s *ShardedScaled) exchange(h des.Time) {
 	s.pruneInflight(h)
 }
 
-// rateWindow is the trailing window the churn rate is measured over,
-// matching Scaled.rateOf.
+// rateWindow is the trailing window the churn rate is measured over.
 const rateWindow = 5 * des.Minute
 
 // recordRate folds one window's churn count into the trailing-rate log
-// and refreezes the rate, window-granular where Scaled is per-event —
-// windows (default 1.5 s) are far smaller than the 5-minute rate window.
+// and refreezes the rate. Only joins and leaves count — the structural
+// rate the level decisions are based on — so shift traffic cannot feed
+// back into shift decisions. The rate is window-granular; windows
+// (default 1.5 s) are far smaller than the 5-minute rate window. Expired
+// samples are copied down on the same base array, so the log reaches its
+// steady-state capacity once and never regrows.
 func (s *ShardedScaled) recordRate(h des.Time, churn int) {
 	s.churnLog = append(s.churnLog, rateSample{until: h, count: int32(churn)})
 	cut := 0
@@ -545,13 +662,14 @@ func (s *ShardedScaled) refreshDeepest() {
 }
 
 // pruneInflight drops fully delivered flights from the front and
-// recycles their doneAt buffers to the shards round-robin (pool
-// placement affects allocation only, never results).
+// recycles each doneAt buffer to the shard that took it (the slice index
+// is seq's top half), so every shard's pool stays at its own peak demand
+// however unevenly churn falls across shards. Pool placement affects
+// allocation only, never results.
 func (s *ShardedScaled) pruneInflight(now des.Time) {
 	cut := 0
 	for cut < len(s.inflight) && s.inflight[cut].maxAt <= now {
-		sh := s.shards[s.poolRR%len(s.shards)]
-		s.poolRR++
+		sh := s.slices[s.inflight[cut].seq>>32].shard
 		sh.doneAtFree = append(sh.doneAtFree, s.inflight[cut].doneAt)
 		s.inflight[cut].doneAt = nil
 		cut++
@@ -780,4 +898,18 @@ func (s *ShardedScaled) MemoryFootprint() (bytes uint64, nodes int) {
 		nodes += sl.live
 	}
 	return bytes, nodes
+}
+
+// Scaled is ShardedScaled at one shard under the name its only caller,
+// cmd/pwbench's traced probe, reads: Run, ErrorRates and Engine.Executed.
+// It goes when pwbench drops its sim.scaled.* rows.
+type Scaled struct {
+	*ShardedScaled
+	Engine *des.Engine
+}
+
+// NewScaled builds a one-shard ShardedScaled and exposes its engine.
+func NewScaled(cfg ScaledConfig) *Scaled {
+	s := NewShardedScaled(ShardedScaledConfig{ScaledConfig: cfg, Shards: 1})
+	return &Scaled{ShardedScaled: s, Engine: s.shards[0].engine}
 }

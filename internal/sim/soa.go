@@ -7,12 +7,11 @@ import (
 )
 
 // This file holds the struct-of-arrays node storage of the sharded
-// scaled simulator (shardedscaled.go). The legacy Scaled keeps a
-// map[nodeid.ID]*scaledNode — two pointers, a map bucket and a 56-byte
-// heap object per node, all of it scanned by the GC every cycle. At one
-// million nodes that layout is the bottleneck: the profile of a 100k run
-// shows ~30% of cycles in GC write barriers and object scanning alone.
-// Here a node is a slot index into parallel arrays (id, threshold,
+// scaled simulator (shardedscaled.go). A map from ID to a per-node heap
+// object costs two pointers, a map bucket and a 56-byte object per node,
+// all of it scanned by the GC every cycle; at one million nodes that
+// layout is the bottleneck (a 100k profile showed ~30% of cycles in GC
+// write barriers and object scanning alone). Here a node is a slot index into parallel arrays (id, threshold,
 // level, last-shift time) owned by one of 256 fixed identifier-space
 // slices; departures push the slot onto a free list and arrivals pop it
 // back, so the arrays never shrink, never move, and hold zero pointers —
