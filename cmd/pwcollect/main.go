@@ -43,10 +43,10 @@ func main() {
 
 	start := time.Now()
 	c := telemetry.NewCollector(telemetry.CollectorConfig{
-		Clock:        func() des.Time { return des.Time(time.Since(start)) },
-		RingCapacity: *ring,
-		SpanCapacity: *spans,
-		Health:       telemetry.HealthConfig{BeaconInterval: des.Time(*beacon)},
+		Clock:          func() des.Time { return des.Time(time.Since(start)) },
+		RingCapacity:   *ring,
+		SpanCapacity:   *spans,
+		BeaconInterval: des.Time(*beacon),
 	})
 
 	uaddr, err := net.ResolveUDPAddr("udp4", *listen)

@@ -17,8 +17,8 @@ func collectUDP(t *testing.T) (*telemetry.Collector, string, func()) {
 	t.Helper()
 	start := time.Now()
 	c := telemetry.NewCollector(telemetry.CollectorConfig{
-		Clock:  func() des.Time { return des.Time(time.Since(start)) },
-		Health: telemetry.HealthConfig{BeaconInterval: des.Time(200 * time.Millisecond)},
+		Clock:          func() des.Time { return des.Time(time.Since(start)) },
+		BeaconInterval: des.Time(200 * time.Millisecond),
 	})
 	conn, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
 	if err != nil {

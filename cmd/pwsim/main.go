@@ -260,7 +260,7 @@ func introTable() *metrics.Table {
 
 // mcastTable measures the §4.2 multicast properties on a full-fidelity
 // cluster: coverage, step counts, out-degrees. When spansFile is set,
-// causal spans for the measured multicast are exported as JSONL for
+// the causal spans of the measured window are exported as JSONL for
 // pwtrace.
 func mcastTable(n int, seed uint64, spansFile string) *metrics.Table {
 	if n < 8 {
@@ -269,7 +269,10 @@ func mcastTable(n int, seed uint64, spansFile string) *metrics.Table {
 	if n > 256 {
 		n = 256 // full fidelity: keep it small
 	}
-	c := sim.NewCluster(sim.ClusterConfig{Core: core.DefaultConfig(), Seed: seed})
+	// Every node records spans from the start, so the measured multicast is
+	// traced and its deliver spans carry each receiver's step.
+	spans := trace.NewSpanBuffer(64 * n)
+	c := sim.NewCluster(sim.ClusterConfig{Core: core.DefaultConfig(), Seed: seed, Spans: spans})
 	first := c.AddNode(1e9)
 	c.Bootstrap(first)
 	for i := 1; i < n; i++ {
@@ -281,27 +284,32 @@ func mcastTable(n int, seed uint64, spansFile string) *metrics.Table {
 		c.Run(30 * des.Second)
 	}
 	c.Run(2 * des.Minute)
-	before := make(map[*sim.SimNode]uint64)
+	type tally struct{ delivered, forwards uint64 }
+	before := make(map[*sim.SimNode]tally)
 	for _, sn := range c.Alive() {
-		sn.SentEvents = 0
-		sn.MaxStep = 0
-		before[sn] = sn.Delivered
+		reg := sn.Node.Metrics()
+		before[sn] = tally{
+			delivered: reg.Counter(core.MetricMulticastDelivered).Value(),
+			forwards:  reg.Counter(core.MetricMulticastForwards).Value(),
+		}
 	}
 	evBefore := c.SentByType[wire.MsgEvent]
-	var collector *sim.TraceCollector
-	if spansFile != "" {
-		collector = c.EnableSpanCollection(64 * n)
-	}
+	mark := spans.Total()
 	subject := c.Alive()[0]
 	subject.Node.SetInfo([]byte("probe"))
 	c.Run(2 * des.Minute)
-	if collector != nil {
+	window, _, missed := spans.SnapshotSince(mark)
+	if missed > 0 {
+		fmt.Fprintf(os.Stderr, "spans: buffer evicted %d spans of the measured window\n", missed)
+		os.Exit(1)
+	}
+	if spansFile != "" {
 		f, err := os.Create(spansFile)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "spans: %v\n", err)
 			os.Exit(1)
 		}
-		werr := trace.WriteSpans(f, collector.Snapshot())
+		werr := trace.WriteSpans(f, window)
 		if cerr := f.Close(); werr == nil {
 			werr = cerr
 		}
@@ -311,20 +319,25 @@ func mcastTable(n int, seed uint64, spansFile string) *metrics.Table {
 		}
 	}
 
-	delivered, maxStep := 0, 0
+	maxStep := 0
+	for _, s := range window {
+		if s.Kind == trace.SpanDeliver && s.Step > maxStep {
+			maxStep = s.Step
+		}
+	}
+	delivered := 0
 	var maxOut uint64
 	zeroOut := 0
 	for _, sn := range c.Alive() {
-		if sn.Delivered > before[sn] {
+		reg := sn.Node.Metrics()
+		if reg.Counter(core.MetricMulticastDelivered).Value() > before[sn].delivered {
 			delivered++
 		}
-		if sn.MaxStep > maxStep {
-			maxStep = sn.MaxStep
+		out := reg.Counter(core.MetricMulticastForwards).Value() - before[sn].forwards
+		if out > maxOut {
+			maxOut = out
 		}
-		if sn.SentEvents > maxOut {
-			maxOut = sn.SentEvents
-		}
-		if sn.SentEvents == 0 {
+		if out == 0 {
 			zeroOut++
 		}
 	}
@@ -378,14 +391,14 @@ func splitTable(seed uint64) *metrics.Table {
 	// An info change in part 0.
 	before := map[*sim.SimNode]uint64{}
 	for _, sn := range c.Alive() {
-		before[sn] = sn.Delivered
+		before[sn] = sn.Node.Metrics().Counter(core.MetricMulticastDelivered).Value()
 	}
 	parts[0].nodes[0].Node.SetInfo([]byte("part0"))
 	c.Run(2 * des.Minute)
 	informed := [2]int{}
 	for b := range parts {
 		for _, sn := range parts[b].nodes {
-			if sn.Delivered > before[sn] {
+			if sn.Node.Metrics().Counter(core.MetricMulticastDelivered).Value() > before[sn] {
 				informed[b]++
 			}
 		}

@@ -79,7 +79,6 @@ func runLockSafe(pass *Pass) error {
 // source text of its receiver expression ("n.mu", "h.net.mu").
 type heldLock struct {
 	key string
-	pos token.Pos
 }
 
 type lockWalker struct {
@@ -101,7 +100,7 @@ func (w *lockWalker) walkStmts(stmts []ast.Stmt, held []heldLock) (after []heldL
 			if key, op, ok := w.mutexOp(s.X); ok {
 				switch op {
 				case "Lock", "RLock":
-					held = append(held, heldLock{key: key, pos: s.Pos()})
+					held = append(held, heldLock{key: key})
 				case "Unlock", "RUnlock":
 					held = removeLock(held, key)
 				}

@@ -67,19 +67,16 @@ func newMetricName() *Analyzer {
 
 // metricConst is one Metric* constant declaration.
 type metricConst struct {
-	name  string // identifier, e.g. MetricProbeRounds
-	value string
-	pos   token.Position
+	name string // identifier, e.g. MetricProbeRounds
+	pos  token.Position
 }
 
 type metricState struct {
 	// byValue collects declarations per metric name string.
 	byValue map[string][]metricConst
-	prog    *Program
 }
 
 func (st *metricState) init(prog *Program) {
-	st.prog = prog
 	st.byValue = make(map[string][]metricConst)
 	seenFile := make(map[string]bool)
 	for _, pkg := range prog.Packages {
@@ -103,7 +100,7 @@ func (st *metricState) init(prog *Program) {
 			}
 			seenFile[key] = true
 			st.byValue[constant.StringVal(c.Val())] = append(st.byValue[constant.StringVal(c.Val())],
-				metricConst{name: id.Name, value: constant.StringVal(c.Val()), pos: pos})
+				metricConst{name: id.Name, pos: pos})
 		}
 	}
 }

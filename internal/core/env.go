@@ -36,21 +36,12 @@ type Env interface {
 	Rand() *xrand.Source
 }
 
-// Observer receives protocol-level notifications for the experiment
-// harness's ground-truth accounting; peer-list changes go to a DeltaSink.
-// All methods are called synchronously from the node's executor;
-// implementations must not block. Any field may be nil.
-type Observer struct {
-	// EventOriginated fires on the top node that starts a multicast.
-	EventOriginated func(ev wire.Event)
-	// EventDelivered fires when a multicast event is first accepted
-	// (deduplicated) by this node.
-	EventDelivered func(ev wire.Event, step int)
-	// FailureReported fires when this node reports another node's death,
-	// tagged with the detection path ("probe" or "verify"). Used by the
-	// simulator's diagnostics.
-	FailureReported func(target wire.Pointer, path string)
-}
+// Observer is empty: a node is watched through what it already records —
+// its metrics registry (Metrics), its spans (SetSpanSink) and its
+// peer-list deltas (SetDeltas). It survives, with NewNode's parameter,
+// only because the benchmark module (cmd/pwbench) constructs it; both go
+// when that module stops doing so.
+type Observer struct{}
 
 // RemoveReason says why a pointer left the peer list.
 type RemoveReason uint8

@@ -38,9 +38,6 @@ func (n *Node) handleEvent(m wire.Message) {
 	n.m.mcDelivered.Inc()
 	n.m.mcStepDepth.Observe(float64(m.Step))
 	n.span(m.Trace, trace.SpanDeliver, m.From, 0, int(m.Step), m.Event)
-	if n.obs.EventDelivered != nil {
-		n.obs.EventDelivered(m.Event, int(m.Step))
-	}
 	// The paper charges each hop 1 s of processing before it re-sends
 	// (§5.1); model that as a single delay before all forwards.
 	if n.cfg.ForwardDelay > 0 {
@@ -106,9 +103,6 @@ func (n *Node) originateMulticast(ev wire.Event, tid wire.TraceID) {
 		tid = n.newTrace()
 	}
 	n.span(tid, trace.SpanOrigin, 0, 0, int(n.self.Level), ev)
-	if n.obs.EventOriginated != nil {
-		n.obs.EventOriginated(ev)
-	}
 	n.forwardEvent(ev, int(n.self.Level), tid)
 }
 
@@ -299,9 +293,6 @@ func (n *Node) verifyFailed(target wire.Pointer) {
 	n.dead[target.ID] = true
 	n.m.failVerified.Inc()
 	n.moment(trace.SpanVerifyDetect, target.Addr, 0)
-	if n.obs.FailureReported != nil {
-		n.obs.FailureReported(target, "verify")
-	}
 	leave := wire.Event{
 		Kind:    wire.EventLeave,
 		Subject: target,

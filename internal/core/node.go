@@ -17,7 +17,6 @@ import (
 type Node struct {
 	cfg Config
 	env Env
-	obs Observer
 
 	self  wire.Pointer
 	eigen nodeid.Eigenstring
@@ -54,7 +53,6 @@ type Node struct {
 	probeTimer    Timer
 	probeAckID    uint64
 	probeAttempts int
-	probeTarget   wire.Pointer
 	probeWait     Timer
 	probeStart    des.Time
 
@@ -112,7 +110,7 @@ type Node struct {
 // NewNode builds a node that is not yet part of any overlay; call
 // Bootstrap or Join next. self.Level is ignored (the join process decides
 // the level); self.Addr and self.ID must be set and unique.
-func NewNode(cfg Config, env Env, obs Observer, self wire.Pointer) *Node {
+func NewNode(cfg Config, env Env, _ Observer, self wire.Pointer) *Node {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
@@ -125,7 +123,6 @@ func NewNode(cfg Config, env Env, obs Observer, self wire.Pointer) *Node {
 	n := &Node{
 		cfg:        cfg,
 		env:        env,
-		obs:        obs,
 		self:       self,
 		seen:       make(map[nodeid.ID]uint64),
 		dead:       make(map[nodeid.ID]bool),

@@ -45,7 +45,6 @@ func (n *Node) probeOnce() {
 	if !ok {
 		return // alone in the group; nothing to probe
 	}
-	n.probeTarget = target
 	n.probeAttempts = 0
 	n.probeStart = n.env.Now()
 	n.m.probeRounds.Inc()
@@ -110,9 +109,6 @@ func (n *Node) onProbeTimeout(target wire.Pointer) {
 	// already applied or announced.
 	if !n.dead[target.ID] {
 		n.dead[target.ID] = true
-		if n.obs.FailureReported != nil {
-			n.obs.FailureReported(target, "probe")
-		}
 		seq := n.seen[target.ID] + 1
 		ev := wire.Event{Kind: wire.EventLeave, Subject: target, Seq: seq}
 		n.report(ev, n.newTrace())

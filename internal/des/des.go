@@ -154,7 +154,6 @@ func (h Handle) Cancel() bool {
 	}
 	ev.fn = nil // release the closure promptly; the corpse stays queued
 	h.e.live--
-	h.e.cancelled++
 	h.e.maybeCompact()
 	return true
 }
@@ -193,11 +192,10 @@ type Engine struct {
 	heap []int32 // slot indices ordered as a 4-ary min-heap by (at, seq)
 	free []int32 // released slots available for reuse
 
-	live      int // queued events that have not been cancelled
-	executed  uint64
-	cancelled uint64
-	dropped   uint64
-	running   bool
+	live     int // queued events that have not been cancelled
+	executed uint64
+	dropped  uint64
+	running  bool
 
 	// chooser, when set, decides which runnable event each Step fires
 	// (see Chooser); choiceBuf and choiceSlots are its scratch space.

@@ -50,11 +50,9 @@ type Churn struct {
 	arrival des.Handle
 
 	// Counters for the harness.
-	JoinsStarted uint64
-	JoinsOK      uint64
-	JoinsFailed  uint64
-	Crashes      uint64
-	Leaves       uint64
+	JoinsOK uint64
+	Crashes uint64
+	Leaves  uint64
 }
 
 // NewChurn attaches a churn process to a cluster; call Start to begin.
@@ -107,10 +105,8 @@ func (ch *Churn) arrive() {
 		ch.scheduleDeparture(sn, profile.Lifetime)
 		return
 	}
-	ch.JoinsStarted++
 	sn.Node.Join(boot.Node.Self(), func(err error) {
 		if err != nil || !sn.alive {
-			ch.JoinsFailed++
 			ch.c.Kill(sn)
 			return
 		}

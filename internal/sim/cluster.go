@@ -96,19 +96,6 @@ type Cluster struct {
 	// sends whose destination address is not in the cluster.
 	netReg      *metrics.Registry
 	unknownDest *metrics.Counter
-	// OriginatedByKind counts multicasts started by top nodes, per event
-	// kind.
-	OriginatedByKind map[wire.EventKind]uint64
-
-	// FalseLeaves counts leave multicasts originated for subjects that
-	// were still alive — false failure detections; FalseDetections
-	// breaks the *reports* down by detection path.
-	FalseLeaves     uint64
-	FalseDetections map[string]uint64
-
-	// DeliveryHook, when set, observes every first-hand event delivery —
-	// the measurement tap for the multicast-delay experiment.
-	DeliveryHook func(sn *SimNode, ev wire.Event, step int)
 
 	// inflight maps the engine sequence number of each pending delivery
 	// event to its record, so a chooser-injected drop (see NoteDropped)
@@ -152,15 +139,6 @@ type SimNode struct {
 	rng    *xrand.Source
 	alive  bool
 
-	// Delivered counts multicast events accepted first-hand, and
-	// StepSum their step counters, for the multicast property checks.
-	Delivered uint64
-	StepSum   uint64
-	MaxStep   int
-	// SentEvents counts MsgEvent messages this node sent — its multicast
-	// out-degree accumulated over all events.
-	SentEvents uint64
-
 	// issueSeq feeds nextKey in keyed mode.
 	issueSeq uint32
 }
@@ -187,17 +165,15 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	root := xrand.New(cfg.Seed)
 	netReg := metrics.NewRegistry()
 	return &Cluster{
-		cfg:              cfg,
-		Engine:           des.New(),
-		rng:              root.Split(1),
-		netRng:           root.Split(2),
-		byAddr:           make(map[wire.Addr]*SimNode),
-		Truth:            oracle.NewRegistry(),
-		SentByType:       make(map[wire.MsgType]uint64),
-		OriginatedByKind: make(map[wire.EventKind]uint64),
-		FalseDetections:  make(map[string]uint64),
-		netReg:           netReg,
-		unknownDest:      netReg.Counter(metrics.MetricNetSendUnknownDest),
+		cfg:         cfg,
+		Engine:      des.New(),
+		rng:         root.Split(1),
+		netRng:      root.Split(2),
+		byAddr:      make(map[wire.Addr]*SimNode),
+		Truth:       oracle.NewRegistry(),
+		SentByType:  make(map[wire.MsgType]uint64),
+		netReg:      netReg,
+		unknownDest: netReg.Counter(metrics.MetricNetSendUnknownDest),
 	}
 }
 
@@ -274,32 +250,7 @@ func (c *Cluster) addNodeAt(addr wire.Addr, attach topology.Attachment, rng *xra
 		coreCfg.ThresholdBits = threshold
 	}
 	self := wire.Pointer{Addr: addr, ID: id}
-	obs := core.Observer{
-		EventDelivered: func(ev wire.Event, step int) {
-			sn.Delivered++
-			sn.StepSum += uint64(step)
-			if step > sn.MaxStep {
-				sn.MaxStep = step
-			}
-			if c.DeliveryHook != nil {
-				c.DeliveryHook(sn, ev, step)
-			}
-		},
-		FailureReported: func(target wire.Pointer, path string) {
-			if _, alive := c.Truth.Lookup(target.ID); alive {
-				c.FalseDetections[path]++
-			}
-		},
-		EventOriginated: func(ev wire.Event) {
-			c.OriginatedByKind[ev.Kind]++
-			if ev.Kind == wire.EventLeave {
-				if _, alive := c.Truth.Lookup(ev.Subject.ID); alive {
-					c.FalseLeaves++
-				}
-			}
-		},
-	}
-	sn.Node = core.NewNode(coreCfg, sn, obs, self)
+	sn.Node = core.NewNode(coreCfg, sn, core.Observer{}, self)
 	if c.cfg.Spans != nil {
 		sn.Node.SetSpanSink(c.cfg.Spans)
 	}
@@ -428,9 +379,6 @@ func (sn *SimNode) Send(msg wire.Message) {
 	c.MessagesSent++
 	c.BitsSent += uint64(msg.SizeBits())
 	c.SentByType[msg.Type]++
-	if msg.Type == wire.MsgEvent {
-		sn.SentEvents++
-	}
 	var key uint64
 	if c.keyed {
 		key = sn.nextKey()

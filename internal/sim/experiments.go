@@ -10,7 +10,7 @@ import (
 	"peerwindow/internal/metrics"
 	"peerwindow/internal/shard"
 	"peerwindow/internal/topology"
-	"peerwindow/internal/wire"
+	"peerwindow/internal/trace"
 	"peerwindow/internal/xrand"
 )
 
@@ -103,7 +103,7 @@ func measureCommon(s *ShardedScaled, opt CommonOptions) CommonResult {
 	s.Run(opt.Warm)
 	s.ResetTraffic()
 
-	errAggs := make([]metrics.Agg, cfg.MaxLevel+1)
+	errAggs := make([]metrics.Agg, maxPrefixDepth+1)
 	gap := opt.Measure / des.Time(opt.Instants)
 	for i := 0; i < opt.Instants; i++ {
 		s.Run(gap)
@@ -358,7 +358,10 @@ type DelayResult struct {
 func MeasureMulticastDelay(n, events int, seed uint64) DelayResult {
 	coreCfg := core.DefaultConfig()
 	net := topology.Generate(topology.DefaultParams(), xrand.New(seed))
-	c := NewCluster(ClusterConfig{Core: coreCfg, Net: net, Seed: seed})
+	// Every node records spans from the start, so every multicast is traced
+	// and its deliver spans carry the delivery times.
+	spans := trace.NewSpanBuffer(64 * n)
+	c := NewCluster(ClusterConfig{Core: coreCfg, Net: net, Seed: seed, Spans: spans})
 	first := c.AddNode(1e9)
 	c.Bootstrap(first)
 	for i := 1; i < n; i++ {
@@ -371,26 +374,29 @@ func MeasureMulticastDelay(n, events int, seed uint64) DelayResult {
 	c.Run(2 * des.Minute)
 
 	res := DelayResult{N: n, Events: events, PerDeliver: metrics.NewReservoir(4096, seed)}
-	var t0 des.Time
-	var last des.Time
-	c.DeliveryHook = func(sn *SimNode, ev wire.Event, step int) {
-		d := c.Engine.Now() - t0
-		res.PerDeliver.Add(d.Seconds())
-		if c.Engine.Now() > last {
-			last = c.Engine.Now()
-		}
-	}
 	rng := xrand.New(seed + 99)
 	for e := 0; e < events; e++ {
 		alive := c.Alive()
 		subject := alive[rng.Intn(len(alive))]
-		t0 = c.Engine.Now()
-		last = t0
+		t0 := c.Engine.Now()
+		mark := spans.Total()
 		subject.Node.SetInfo([]byte{byte(e)})
 		c.Run(3 * des.Minute)
+		window, _, missed := spans.SnapshotSince(mark)
+		if missed > 0 {
+			panic(fmt.Sprintf("sim: delay experiment span buffer evicted %d spans", missed))
+		}
+		last := t0
+		for _, s := range window {
+			if s.Kind == trace.SpanDeliver {
+				res.PerDeliver.Add((s.At - t0).Seconds())
+				if s.At > last {
+					last = s.At
+				}
+			}
+		}
 		res.Completion.Add((last - t0).Seconds())
 	}
-	c.DeliveryHook = nil
 	logN := math.Log2(float64(n))
 	res.StepCost = des.FromSeconds(res.Completion.Mean() / logN)
 	return res

@@ -68,11 +68,19 @@ func TestCrashMetricsMatchTrace(t *testing.T) {
 	// it, so "most recent" means record order, not timestamp order.
 	lastRound := make(map[uint64]trace.Span)
 	var wantSum float64
+	// perNode counts each survivor's tree spans: every multicast is traced
+	// (the sink was attached before the first node), so the multicast
+	// counters must equal them node by node.
+	perNode := make(map[uint64]map[trace.SpanKind]uint64)
 	for _, s := range spans.Snapshot() {
 		if s.Node == dead {
 			continue
 		}
 		kinds[s.Kind]++
+		if perNode[s.Node] == nil {
+			perNode[s.Node] = make(map[trace.SpanKind]uint64)
+		}
+		perNode[s.Node][s.Kind]++
 		switch s.Kind {
 		case trace.SpanProbeRound:
 			lastRound[s.Node] = s
@@ -95,6 +103,25 @@ func TestCrashMetricsMatchTrace(t *testing.T) {
 	}
 	if math.Abs(wantSum-latSum) > 1e-6 {
 		t.Fatalf("histogram sum %.9f s, span timeline says %.9f s", latSum, wantSum)
+	}
+	for _, sn := range c.Alive() {
+		s := sn.Node.MetricsSnapshot()
+		got := perNode[uint64(sn.Addr)]
+		for _, pair := range []struct {
+			metric string
+			kind   trace.SpanKind
+		}{
+			{core.MetricMulticastDelivered, trace.SpanDeliver},
+			{core.MetricMulticastForwards, trace.SpanForward},
+			{core.MetricMulticastOriginated, trace.SpanOrigin},
+		} {
+			if s.Counters[pair.metric] != got[pair.kind] {
+				t.Fatalf("node %d: %s = %d, %d %s spans", sn.Addr, pair.metric, s.Counters[pair.metric], got[pair.kind], pair.kind)
+			}
+		}
+	}
+	if kinds[trace.SpanDeliver] == 0 || kinds[trace.SpanOrigin] == 0 {
+		t.Fatalf("no multicast recorded: %d deliver, %d origin spans", kinds[trace.SpanDeliver], kinds[trace.SpanOrigin])
 	}
 	// And a detection cannot be instantaneous: it waits out at least one
 	// probe timeout.

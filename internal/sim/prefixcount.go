@@ -92,7 +92,6 @@ func (pc *prefixCount) Total() int { return pc.total }
 // figure 2: the number of level-l nodes whose eigenstring is a prefix of
 // a subject S is one array read.
 type levelPrefixCount struct {
-	depth int
 	// counts[l][p] is the number of level-l nodes with eigenstring p. A
 	// level's array is allocated when its first node arrives: populations
 	// use the top ten or so of the 21 levels, and the deep arrays are the
@@ -106,7 +105,6 @@ func newLevelPrefixCount(depth int) *levelPrefixCount {
 		panic("sim: levelPrefixCount depth out of range")
 	}
 	return &levelPrefixCount{
-		depth:  depth,
 		counts: make([][]int32, depth+1),
 		perLvl: make([]int, depth+1),
 	}

@@ -6,6 +6,7 @@ import (
 
 	"peerwindow/internal/core"
 	"peerwindow/internal/des"
+	"peerwindow/internal/trace"
 	"peerwindow/internal/wire"
 	"peerwindow/internal/workload"
 )
@@ -18,16 +19,32 @@ func shortLifeWorkload(mean des.Time) workload.Config {
 	return wl
 }
 
+// delivered is the node's count of multicast events accepted first-hand.
+func delivered(sn *SimNode) uint64 {
+	return sn.Node.Metrics().Counter(core.MetricMulticastDelivered).Value()
+}
+
+// deliveredBefore snapshots delivered for every live node.
+func deliveredBefore(c *Cluster) map[wire.Addr]uint64 {
+	before := make(map[wire.Addr]uint64)
+	for _, sn := range c.Alive() {
+		before[sn.Addr] = delivered(sn)
+	}
+	return before
+}
+
+// spanSinkFunc adapts a function to trace.SpanSink.
+type spanSinkFunc func(s trace.Span)
+
+func (f spanSinkFunc) RecordSpan(s trace.Span) { f(s) }
+
 // --- Multicast properties (§4.2) ---------------------------------------
 
 func TestMulticastReachesWholeAudienceExactlyOnce(t *testing.T) {
 	const n = 32
 	c := smallCluster(t, n, 10)
 	c.Run(time2())
-	before := make(map[wire.Addr]uint64)
-	for _, sn := range c.Alive() {
-		before[sn.Addr] = sn.Delivered
-	}
+	before := deliveredBefore(c)
 	evBefore := c.SentByType[wire.MsgEvent]
 	subject := c.Alive()[5]
 	subject.Node.SetInfo([]byte("changed"))
@@ -37,7 +54,7 @@ func TestMulticastReachesWholeAudienceExactlyOnce(t *testing.T) {
 	// exactly once.
 	origin := 0
 	for _, sn := range c.Alive() {
-		got := sn.Delivered - before[sn.Addr]
+		got := delivered(sn) - before[sn.Addr]
 		switch got {
 		case 1:
 		case 0:
@@ -63,6 +80,7 @@ func TestMulticastStepCountLogarithmic(t *testing.T) {
 	const n = 64
 	c := smallCluster(t, n, 11)
 	c.Run(time2())
+	tc := c.EnableSpanCollection(1 << 12)
 	subject := c.Alive()[3]
 	subject.Node.SetInfo([]byte("x"))
 	c.Run(2 * des.Minute)
@@ -70,9 +88,9 @@ func TestMulticastStepCountLogarithmic(t *testing.T) {
 	// counters are bounded by the longest shared prefix among random
 	// IDs, which concentrates near log2 N; allow generous slack.
 	maxStep := 0
-	for _, sn := range c.Alive() {
-		if sn.MaxStep > maxStep {
-			maxStep = sn.MaxStep
+	for _, s := range tc.Snapshot() {
+		if s.Kind == trace.SpanDeliver && s.Step > maxStep {
+			maxStep = s.Step
 		}
 	}
 	logN := int(math.Log2(n))
@@ -88,8 +106,12 @@ func TestMulticastOutDegreeConcentratedAtRoot(t *testing.T) {
 	const n = 64
 	c := smallCluster(t, n, 12)
 	c.Run(time2())
+	forwards := func(sn *SimNode) uint64 {
+		return sn.Node.Metrics().Counter(core.MetricMulticastForwards).Value()
+	}
+	before := make(map[wire.Addr]uint64)
 	for _, sn := range c.Alive() {
-		sn.SentEvents = 0
+		before[sn.Addr] = forwards(sn)
 	}
 	subject := c.Alive()[9]
 	subject.Node.SetInfo([]byte("y"))
@@ -99,10 +121,11 @@ func TestMulticastOutDegreeConcentratedAtRoot(t *testing.T) {
 	var max uint64
 	zero := 0
 	for _, sn := range c.Alive() {
-		if sn.SentEvents > max {
-			max = sn.SentEvents
+		out := forwards(sn) - before[sn.Addr]
+		if out > max {
+			max = out
 		}
-		if sn.SentEvents == 0 {
+		if out == 0 {
 			zero++
 		}
 	}
@@ -125,16 +148,13 @@ func TestMulticastSurvivesDeadTargets(t *testing.T) {
 	for _, idx := range []int{2, 7, 11} {
 		c.Kill(c.Nodes()[idx])
 	}
-	before := make(map[wire.Addr]uint64)
-	for _, sn := range c.Alive() {
-		before[sn.Addr] = sn.Delivered
-	}
+	before := deliveredBefore(c)
 	subject := c.Alive()[0]
 	subject.Node.SetInfo([]byte("z"))
 	c.Run(3 * des.Minute)
 	missed := 0
 	for _, sn := range c.Alive() {
-		if sn.Delivered-before[sn.Addr] == 0 {
+		if delivered(sn)-before[sn.Addr] == 0 {
 			missed++
 		}
 	}
@@ -387,7 +407,13 @@ func TestRefreshMulticastsHappen(t *testing.T) {
 	}
 	coreCfg := core.DefaultConfig()
 	coreCfg.RefreshFloor = 1 * des.Minute
-	cfg := ClusterConfig{Core: coreCfg, Seed: 27}
+	refreshes := 0
+	countRefresh := spanSinkFunc(func(s trace.Span) {
+		if s.Kind == trace.SpanOrigin && s.EventKind == wire.EventRefresh {
+			refreshes++
+		}
+	})
+	cfg := ClusterConfig{Core: coreCfg, Seed: 27, Spans: countRefresh}
 	c := NewCluster(cfg)
 	wl := shortLifeWorkload(5 * des.Minute)
 	const target = 100
@@ -395,7 +421,7 @@ func TestRefreshMulticastsHappen(t *testing.T) {
 	ch := NewChurn(c, ChurnConfig{Workload: wl, TargetPopulation: target, CrashFraction: 0.5})
 	ch.Start()
 	c.Run(40 * des.Minute)
-	if c.OriginatedByKind[wire.EventRefresh] == 0 {
+	if refreshes == 0 {
 		t.Fatal("no refresh multicast was ever originated")
 	}
 }
@@ -448,20 +474,17 @@ func TestSplitPartsOperateIndependently(t *testing.T) {
 
 	// An info change in part 0 must reach all of part 0 and none of
 	// part 1.
-	before := make(map[wire.Addr]uint64)
-	for _, sn := range c.Alive() {
-		before[sn.Addr] = sn.Delivered
-	}
+	before := deliveredBefore(c)
 	part0[0].Node.SetInfo([]byte("p0"))
 	c.Run(2 * des.Minute)
 	for _, sn := range part1 {
-		if sn.Delivered != before[sn.Addr] {
+		if delivered(sn) != before[sn.Addr] {
 			t.Fatalf("part-1 node %v received a part-0 event", sn.Addr)
 		}
 	}
 	reached := 0
 	for _, sn := range part0 {
-		if sn.Delivered > before[sn.Addr] {
+		if delivered(sn) > before[sn.Addr] {
 			reached++
 		}
 	}
@@ -562,27 +585,17 @@ func TestGossipMulticastCoversAudienceRedundantly(t *testing.T) {
 		c.Run(30 * des.Second)
 	}
 	c.Run(2 * des.Minute)
-	before := make(map[wire.Addr]uint64)
-	for _, sn := range c.Alive() {
-		before[sn.Addr] = sn.Delivered
-	}
+	before := deliveredBefore(c)
 	evBefore := c.SentByType[wire.MsgEvent]
 	subject := c.Alive()[5]
 	subject.Node.SetInfo([]byte("gossip"))
 	c.Run(3 * des.Minute)
-	missed, origin := 0, 0
+	missed := 0
 	for _, sn := range c.Alive() {
-		switch sn.Delivered - before[sn.Addr] {
-		case 0:
-			origin++
-		default:
-			// gossip may deliver once (dedup applies), that's fine
-		}
-		if sn.Delivered == before[sn.Addr] {
+		if delivered(sn) == before[sn.Addr] {
 			missed++
 		}
 	}
-	_ = origin
 	// Everyone except the originator must learn the event.
 	if missed > 1 {
 		t.Fatalf("%d nodes missed the gossip", missed)

@@ -29,9 +29,9 @@ import (
 // at level l until the tree multicast reaches that level, which the delay
 // model prices at
 //
-//	d_l = StepCost · ceil(log2(1 + Σ_{j<=l} A_j))
+//	d_l = stepCost · ceil(log2(1 + Σ_{j<=l} A_j))
 //
-// where A_j is the number of level-j audience members and StepCost is the
+// where A_j is the number of level-j audience members and stepCost is the
 // per-hop cost (the paper's 1 s forwarding delay plus ~0.5 s network
 // latency, §5.1). The full-fidelity Cluster validates this model at small
 // scale (TestScaledMatchesFullFidelity, RunCommonFull).
@@ -48,9 +48,9 @@ import (
 // snapshot that every slice reads during a window, and every membership
 // change is a delta queued by the owning shard and applied at the
 // single-threaded window barrier. A window spans one conservative
-// horizon (min next event + the configured Window lookahead, by default
-// one multicast step): remote knowledge in the real system propagates no
-// faster than a multicast hop, so reading counts one window stale is the
+// horizon (min next event + one multicast step, stepCost): remote
+// knowledge in the real system propagates no faster than a multicast
+// hop, so reading counts one window stale is the
 // physically honest choice — and it makes every decision a pure function
 // of (frozen snapshot, slice-local state), independent of how slices are
 // grouped into shards or scheduled onto workers. A run with Shards=1
@@ -97,39 +97,33 @@ type ScaledConfig struct {
 	Workload workload.Config
 	// Seed drives all sampling.
 	Seed uint64
-	// EventBits is the event message size; the paper uses 1000 bits.
-	EventBits float64
-	// AckBits is the acknowledgement size charged per delivered event.
-	AckBits float64
-	// StepCost is the per-hop multicast cost; the paper's analysis uses
-	// 1 s forwarding + ~0.5 s latency.
-	StepCost des.Time
-	// SweepInterval is how often the autonomic level sweep re-evaluates
+}
+
+// The scaled model's fixed parameters (§5.1). Node levels are bounded by
+// maxPrefixDepth, the deepest prefix the counts resolve.
+const (
+	// eventBits is the event message size; the paper uses 1000 bits.
+	eventBits float64 = 1000
+	// ackBits is the acknowledgement size charged per delivered event.
+	ackBits float64 = 200
+	// stepCost is the per-hop multicast cost; the paper's analysis uses
+	// 1 s forwarding + ~0.5 s latency. It is also the window lookahead:
+	// membership knowledge propagates no faster than one hop.
+	stepCost = 1500 * des.Millisecond
+	// sweepInterval is how often the autonomic level sweep re-evaluates
 	// every node's level against its budget (the scaled analogue of each
 	// node's ShiftCheckInterval).
-	SweepInterval des.Time
-	// ShiftUpFactor/ShiftDownFactor reproduce the §2 hysteresis.
-	ShiftUpFactor   float64
-	ShiftDownFactor float64
-	// MaxLevel bounds node levels.
-	MaxLevel int
-}
+	sweepInterval = 5 * des.Minute
+	// shiftUpFactor and shiftDownFactor reproduce the §2 hysteresis with
+	// core.DefaultConfig's values.
+	shiftUpFactor   = 0.5
+	shiftDownFactor = 1.0
+)
 
 // DefaultScaledConfig returns the paper's common-experiment parameters
 // (§5.1) for the given scale.
 func DefaultScaledConfig(n int, seed uint64) ScaledConfig {
-	return ScaledConfig{
-		N:               n,
-		Workload:        workload.DefaultConfig(),
-		Seed:            seed,
-		EventBits:       1000,
-		AckBits:         200,
-		StepCost:        1500 * des.Millisecond,
-		SweepInterval:   5 * des.Minute,
-		ShiftUpFactor:   0.5,
-		ShiftDownFactor: 1.0,
-		MaxLevel:        maxPrefixDepth,
-	}
+	return ScaledConfig{N: n, Workload: workload.DefaultConfig(), Seed: seed}
 }
 
 // Validate reports whether the configuration is usable.
@@ -137,22 +131,7 @@ func (sc ScaledConfig) Validate() error {
 	if sc.N <= 1 {
 		return fmt.Errorf("sim: scaled N = %d", sc.N)
 	}
-	if err := sc.Workload.Validate(); err != nil {
-		return err
-	}
-	if sc.EventBits <= 0 || sc.AckBits < 0 {
-		return fmt.Errorf("sim: bad message sizes")
-	}
-	if sc.StepCost <= 0 || sc.SweepInterval <= 0 {
-		return fmt.Errorf("sim: bad timing")
-	}
-	if sc.ShiftUpFactor <= 0 || sc.ShiftUpFactor >= sc.ShiftDownFactor {
-		return fmt.Errorf("sim: bad hysteresis")
-	}
-	if sc.MaxLevel <= 0 || sc.MaxLevel > maxPrefixDepth {
-		return fmt.Errorf("sim: MaxLevel = %d (scaled mode caps at %d)", sc.MaxLevel, maxPrefixDepth)
-	}
-	return nil
+	return sc.Workload.Validate()
 }
 
 // ShardedScaledConfig parameterises a sharded scaled run.
@@ -164,11 +143,6 @@ type ShardedScaledConfig struct {
 	// Workers is the number of goroutines driving the shards; <= 0 means
 	// GOMAXPROCS. Worker count never affects results, only wall time.
 	Workers int
-	// Window is the conservative synchronization horizon — how stale the
-	// frozen global snapshot may get before a barrier refreshes it. 0
-	// defaults to StepCost (one multicast hop), the propagation delay of
-	// membership knowledge in the modelled system.
-	Window des.Time
 }
 
 // DefaultShardedScaledConfig mirrors DefaultScaledConfig with the given
@@ -185,7 +159,7 @@ type rateSample struct {
 }
 
 // shardFlight is one undelivered membership event: an error for audience
-// members at level l until doneAt[l] (len(doneAt) == MaxLevel+1). seq
+// members at level l until doneAt[l] (len(doneAt) == maxPrefixDepth+1). seq
 // carries the (slice, counter) tie-break key that makes the barrier merge
 // order shard-count-invariant, and doneAt comes from a free-list pool
 // instead of a fresh allocation per event.
@@ -215,8 +189,6 @@ const (
 // scaledShard is one engine's worth of slices plus the single-writer
 // buffers its worker fills during a window and the barrier drains.
 type scaledShard struct {
-	parent *ShardedScaled
-	idx    int
 	engine *des.Engine
 	slices []*popSlice
 
@@ -252,17 +224,14 @@ func NewShardedScaled(cfg ShardedScaledConfig) *ShardedScaled {
 	if cfg.Shards < 1 || cfg.Shards > sliceCount || bits.OnesCount(uint(cfg.Shards)) != 1 {
 		panic(fmt.Sprintf("sim: Shards = %d (need a power of two in [1, %d])", cfg.Shards, sliceCount))
 	}
-	if cfg.Window <= 0 {
-		cfg.Window = cfg.StepCost
-	}
 	s := &ShardedScaled{
 		cfg: cfg,
-		pop: newPrefixCount(cfg.MaxLevel),
-		lvl: newLevelPrefixCount(cfg.MaxLevel),
+		pop: newPrefixCount(maxPrefixDepth),
+		lvl: newLevelPrefixCount(maxPrefixDepth),
 	}
 	perShard := sliceCount / cfg.Shards
 	for i := 0; i < cfg.Shards; i++ {
-		s.shards = append(s.shards, &scaledShard{parent: s, idx: i, engine: des.New()})
+		s.shards = append(s.shards, &scaledShard{engine: des.New()})
 	}
 	root := xrand.New(cfg.Seed)
 	for i := 0; i < sliceCount; i++ {
@@ -272,10 +241,10 @@ func NewShardedScaled(cfg ShardedScaledConfig) *ShardedScaled {
 			idx:      int32(i),
 			target:   cfg.N / sliceCount,
 			rng:      root.Split(uint64(i)),
-			inBits:   make([]float64, cfg.MaxLevel+1),
-			outBits:  make([]float64, cfg.MaxLevel+1),
-			audience: make([]int32, cfg.MaxLevel+1),
-			weights:  make([]float64, cfg.MaxLevel+1),
+			inBits:   make([]float64, maxPrefixDepth+1),
+			outBits:  make([]float64, maxPrefixDepth+1),
+			audience: make([]int32, maxPrefixDepth+1),
+			weights:  make([]float64, maxPrefixDepth+1),
 		}
 		if i < cfg.N%sliceCount {
 			sl.target++
@@ -302,7 +271,7 @@ func NewShardedScaled(cfg ShardedScaledConfig) *ShardedScaled {
 		engines[i] = sh.engine
 	}
 	s.driver = shard.NewDriver(shard.Config{
-		Lookahead: cfg.Window,
+		Lookahead: stepCost,
 		Workers:   cfg.Workers,
 		Exchange:  s.exchange,
 	}, engines...)
@@ -316,12 +285,12 @@ func NewShardedScaled(cfg ShardedScaledConfig) *ShardedScaled {
 // transient.
 func (s *ShardedScaled) populate() {
 	meanLife := s.cfg.Workload.EffectiveMeanLifetime()
-	perEvent := s.cfg.EventBits + s.cfg.AckBits
+	perEvent := eventBits + ackBits
 	for _, sl := range s.slices {
 		for j := 0; j < sl.target; j++ {
 			profile := s.cfg.Workload.SampleProfile(sl.rng)
 			id := sliceID(sl.idx, sl.rng)
-			level := SteadyLevel(s.cfg.N, meanLife, 2, perEvent, profile.Threshold, s.cfg.MaxLevel)
+			level := SteadyLevel(s.cfg.N, meanLife, 2, perEvent, profile.Threshold, maxPrefixDepth)
 			slot := sl.alloc()
 			sl.put(slot, id, profile.Threshold, level)
 			s.pop.addLeaf(id)
@@ -345,7 +314,7 @@ func (s *ShardedScaled) scheduleArrival(sl *popSlice) {
 
 // scheduleSweep arms the slice's next autonomic level sweep.
 func (s *ShardedScaled) scheduleSweep(sl *popSlice) {
-	sl.shard.engine.AtKey(sl.shard.engine.Now()+s.cfg.SweepInterval, sl.key(), des.EventTag{}, sl.sweepFn)
+	sl.shard.engine.AtKey(sl.shard.engine.Now()+sweepInterval, sl.key(), des.EventTag{}, sl.sweepFn)
 }
 
 // armDeath keeps exactly one engine timer armed per slice, at the heap's
@@ -387,7 +356,7 @@ func (s *ShardedScaled) arrive(sl *popSlice) {
 // reap departs every node whose time has come and re-arms the timer. The
 // model does not distinguish crash from announce: both end as one leave
 // event after detection, and the detection delay is folded into the
-// StepCost calibration.
+// stepCost calibration.
 func (s *ShardedScaled) reap(sl *popSlice) {
 	sl.deathAt = 0
 	sh := sl.shard
@@ -412,7 +381,7 @@ func (s *ShardedScaled) reap(sl *popSlice) {
 func (s *ShardedScaled) costAtFrozen(id nodeid.ID, level int, lambda float64) float64 {
 	group := s.pop.Count(id, level)
 	frac := float64(group) / float64(maxInt(1, s.pop.Total()))
-	return lambda * frac * (s.cfg.EventBits + s.cfg.AckBits)
+	return lambda * frac * (eventBits + ackBits)
 }
 
 func maxInt(a, b int) int {
@@ -430,12 +399,12 @@ func (s *ShardedScaled) chooseLevel(threshold float64, id nodeid.ID) int {
 	if lambda == 0 {
 		lambda = 2 * float64(s.cfg.N) / s.cfg.Workload.EffectiveMeanLifetime().Seconds()
 	}
-	for l := 0; l <= s.cfg.MaxLevel; l++ {
+	for l := 0; l <= maxPrefixDepth; l++ {
 		if s.costAtFrozen(id, l, lambda) <= threshold {
 			return l
 		}
 	}
-	return s.cfg.MaxLevel
+	return maxPrefixDepth
 }
 
 // sweepSlice is the autonomic loop for one slice: every node re-evaluates
@@ -451,7 +420,7 @@ func (s *ShardedScaled) sweepSlice(sl *popSlice) {
 	}
 	sh := sl.shard
 	now := sh.engine.Now()
-	cooldown := 2 * s.cfg.SweepInterval
+	cooldown := 2 * sweepInterval
 	for slot := range sl.level {
 		l := int(sl.level[slot])
 		if l == levelFree {
@@ -465,13 +434,13 @@ func (s *ShardedScaled) sweepSlice(sl *popSlice) {
 		cost := s.costAtFrozen(id, l, lambda)
 		to := -1
 		switch {
-		case cost > th*s.cfg.ShiftDownFactor && l < s.cfg.MaxLevel:
+		case cost > th*shiftDownFactor && l < maxPrefixDepth:
 			to = l + 1
-		case l > 0 && s.costAtFrozen(id, l-1, lambda) <= th*s.cfg.ShiftUpFactor*2:
+		case l > 0 && s.costAtFrozen(id, l-1, lambda) <= th*shiftUpFactor*2:
 			// Raise only when the cost at the stronger level would still
 			// fit comfortably (the §2 example: cost halves below W/2, so
 			// doubling it stays below W).
-			if cost < th*s.cfg.ShiftUpFactor {
+			if cost < th*shiftUpFactor {
 				to = l - 1
 			}
 		}
@@ -509,7 +478,7 @@ func (s *ShardedScaled) record(sl *popSlice, subject nodeid.ID, churn bool) {
 	sTot := stepsFor(totalAudience)
 	var doneAt []des.Time
 	if churn {
-		doneAt = sh.takeDoneAt(s.cfg.MaxLevel + 1)
+		doneAt = sh.takeDoneAt(maxPrefixDepth + 1)
 	}
 	cum := 0
 	w := sl.weights[:deep+1]
@@ -518,7 +487,7 @@ func (s *ShardedScaled) record(sl *popSlice, subject nodeid.ID, churn bool) {
 		cum += int(aud[l])
 		steps := stepsFor(cum)
 		if doneAt != nil {
-			doneAt[l] = now + des.Time(steps)*s.cfg.StepCost
+			doneAt[l] = now + des.Time(steps)*stepCost
 		}
 		w[l] = 0
 		if aud[l] > 0 {
@@ -529,8 +498,8 @@ func (s *ShardedScaled) record(sl *popSlice, subject nodeid.ID, churn bool) {
 			w[l] = wt
 			weightSum += wt
 			// Each member receives the event once and sends one ack up.
-			sl.inBits[l] += float64(aud[l]) * (s.cfg.EventBits + s.cfg.AckBits)
-			sl.outBits[l] += float64(aud[l]) * s.cfg.AckBits
+			sl.inBits[l] += float64(aud[l]) * (eventBits + ackBits)
+			sl.outBits[l] += float64(aud[l]) * ackBits
 		}
 	}
 	if weightSum > 0 && totalAudience > 1 {
@@ -539,14 +508,14 @@ func (s *ShardedScaled) record(sl *popSlice, subject nodeid.ID, churn bool) {
 			if w[l] > 0 {
 				share := w[l] / weightSum * totalMsgs
 				// Senders also receive the ack for each copy they send.
-				sl.outBits[l] += share * s.cfg.EventBits
-				sl.inBits[l] += share * s.cfg.AckBits
+				sl.outBits[l] += share * eventBits
+				sl.inBits[l] += share * ackBits
 			}
 		}
 	}
 	if doneAt != nil {
 		last := doneAt[deep]
-		for l := deep + 1; l <= s.cfg.MaxLevel; l++ {
+		for l := deep + 1; l <= maxPrefixDepth; l++ {
 			doneAt[l] = last
 		}
 		sh.flights = append(sh.flights, shardFlight{
@@ -570,7 +539,7 @@ func stepsFor(n int) int {
 // applies every shard's queued deltas to the snapshot, merges the new
 // flights in (time, key) order, refreshes the frozen churn rate, and
 // prunes delivered flights. The horizon sequence it runs at is itself
-// shard-count-invariant (min next event + Window, both global), so the
+// shard-count-invariant (min next event + stepCost, both global), so the
 // snapshot every window reads is too.
 func (s *ShardedScaled) exchange(h des.Time) {
 	churn := 0
@@ -652,7 +621,7 @@ func (s *ShardedScaled) recordRate(h des.Time, churn int) {
 // refreshDeepest recomputes the deepest populated level of the snapshot.
 func (s *ShardedScaled) refreshDeepest() {
 	deep := 0
-	for l := s.cfg.MaxLevel; l >= 0; l-- {
+	for l := maxPrefixDepth; l >= 0; l-- {
 		if s.lvl.LevelCount(l) > 0 {
 			deep = l
 			break
@@ -728,7 +697,7 @@ func (s *ShardedScaled) forEachNode(fn func(sl *popSlice, slot int) bool) {
 
 // LevelCounts returns the population per level (figure 5 / 9 / 11).
 func (s *ShardedScaled) LevelCounts() []int {
-	out := make([]int, s.cfg.MaxLevel+1)
+	out := make([]int, maxPrefixDepth+1)
 	for l := range out {
 		out[l] = s.lvl.LevelCount(l)
 	}
@@ -742,7 +711,7 @@ func (s *ShardedScaled) LevelCounts() []int {
 // PeerListSizes returns per-level min/mean/max correct peer-list sizes
 // over a sample of nodes (figure 6), sampled in (slice, slot) order.
 func (s *ShardedScaled) PeerListSizes(sample int) []metrics.Agg {
-	aggs := make([]metrics.Agg, s.cfg.MaxLevel+1)
+	aggs := make([]metrics.Agg, maxPrefixDepth+1)
 	i := 0
 	s.forEachNode(func(sl *popSlice, slot int) bool {
 		if sample > 0 && i >= sample {
@@ -766,11 +735,11 @@ func (s *ShardedScaled) PeerListSizes(sample int) []metrics.Agg {
 func (s *ShardedScaled) ErrorRates(sample int) []metrics.Agg {
 	now := s.Now()
 	s.pruneInflight(now)
-	aggs := make([]metrics.Agg, s.cfg.MaxLevel+1)
+	aggs := make([]metrics.Agg, maxPrefixDepth+1)
 	// pending[l] counts, per l-bit prefix, the events not yet delivered at
 	// level l; built at a level's first sampled node, it turns each node's
 	// erroneous items into one lookup instead of a scan of every event.
-	pending := make([]map[uint64]int, s.cfg.MaxLevel+1)
+	pending := make([]map[uint64]int, maxPrefixDepth+1)
 	i := 0
 	s.forEachNode(func(sl *popSlice, slot int) bool {
 		if sample > 0 && i >= sample {
@@ -805,9 +774,9 @@ func (s *ShardedScaled) Bandwidth() (in, out []metrics.Agg) {
 	if elapsed <= 0 {
 		elapsed = 1
 	}
-	in = make([]metrics.Agg, s.cfg.MaxLevel+1)
-	out = make([]metrics.Agg, s.cfg.MaxLevel+1)
-	for l := 0; l <= s.cfg.MaxLevel; l++ {
+	in = make([]metrics.Agg, maxPrefixDepth+1)
+	out = make([]metrics.Agg, maxPrefixDepth+1)
+	for l := 0; l <= maxPrefixDepth; l++ {
 		pop := s.lvl.LevelCount(l)
 		if pop == 0 {
 			continue
@@ -851,7 +820,7 @@ func (s *ShardedScaled) Digest() uint64 {
 		h *= prime64
 	}
 	mix(uint64(s.pop.Total()))
-	for l := 0; l <= s.cfg.MaxLevel; l++ {
+	for l := 0; l <= maxPrefixDepth; l++ {
 		mix(uint64(s.lvl.LevelCount(l)))
 	}
 	for _, sl := range s.slices {

@@ -22,10 +22,9 @@ import (
 // TelemetryConfig parameterises ExportTelemetry.
 type TelemetryConfig struct {
 	// Interval is the per-node flush cadence in virtual time (default
-	// 2 s); Jitter (0..1, default 0.2) spreads each gap uniformly over
-	// ±Jitter×Interval from the cluster's seeded RNG.
+	// 2 s); each gap is spread uniformly over ±telemetry.Jitter×Interval
+	// from the cluster's seeded RNG.
 	Interval des.Time
-	Jitter   float64
 	// Collector, when nil, is built internally on the engine clock.
 	Collector *telemetry.Collector
 	// Sink, when set, intercepts each node's frames before the
@@ -33,8 +32,6 @@ type TelemetryConfig struct {
 	// the frame (exporter re-buffers the deltas); swallow it without
 	// forwarding to model network loss (a collector sequence gap).
 	Sink func(sn *SimNode, b []byte) error
-	// MaxSpansPerFrame caps span sections (default 256).
-	MaxSpansPerFrame int
 }
 
 // ClusterTelemetry wires every node of a cluster (present and future)
@@ -59,13 +56,10 @@ func (c *Cluster) ExportTelemetry(cfg TelemetryConfig) *ClusterTelemetry {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 2 * des.Second
 	}
-	if cfg.Jitter <= 0 || cfg.Jitter > 1 {
-		cfg.Jitter = 0.2
-	}
 	if cfg.Collector == nil {
 		cfg.Collector = telemetry.NewCollector(telemetry.CollectorConfig{
-			Clock:  c.Engine.Now,
-			Health: telemetry.HealthConfig{BeaconInterval: cfg.Interval},
+			Clock:          c.Engine.Now,
+			BeaconInterval: cfg.Interval,
 		})
 	}
 	ct := &ClusterTelemetry{
@@ -102,10 +96,9 @@ func (ct *ClusterTelemetry) attach(sn *SimNode) {
 		sink = func(b []byte) error { return hook(sn, b) }
 	}
 	e := telemetry.NewExporter(telemetry.ExporterConfig{
-		Node:             sn.Addr,
-		Name:             fmt.Sprintf("sim-%d", sn.Addr),
-		ID:               sn.Node.Self().ID,
-		MaxSpansPerFrame: ct.cfg.MaxSpansPerFrame,
+		Node: sn.Addr,
+		Name: fmt.Sprintf("sim-%d", sn.Addr),
+		ID:   sn.Node.Self().ID,
 	}, sink)
 	ct.exporters[sn.Addr] = e
 	ct.tracked = append(ct.tracked, sn)
@@ -127,7 +120,7 @@ func (ct *ClusterTelemetry) schedule(sn *SimNode, e *telemetry.Exporter) {
 }
 
 func (ct *ClusterTelemetry) jittered() des.Time {
-	span := float64(ct.cfg.Interval) * ct.cfg.Jitter
+	span := float64(ct.cfg.Interval) * telemetry.Jitter
 	return des.Time(float64(ct.cfg.Interval) + span*(2*ct.rng.Float64()-1))
 }
 

@@ -18,8 +18,8 @@ import (
 
 func engineCollector(c *Cluster, interval des.Time) *telemetry.Collector {
 	return telemetry.NewCollector(telemetry.CollectorConfig{
-		Clock:  c.Engine.Now,
-		Health: telemetry.HealthConfig{BeaconInterval: interval},
+		Clock:          c.Engine.Now,
+		BeaconInterval: interval,
 	})
 }
 

@@ -44,8 +44,9 @@ type CollectorConfig struct {
 	// SpanCapacity bounds the merged span retention (0 disables span
 	// retention; span counts are still accounted). Default 16384.
 	SpanCapacity int
-	// Health holds the detector thresholds (zero values get defaults).
-	Health HealthConfig
+	// BeaconInterval is the exporters' expected flush cadence; the health
+	// detectors measure ages and windows in units of it. Default 2 s.
+	BeaconInterval des.Time
 }
 
 // Sample is one stored timeseries point for one node.
@@ -71,20 +72,17 @@ type nodeState struct {
 	level  int
 	window int
 
-	firstSeen des.Time
-	lastSeen  des.Time
-	lastAt    des.Time
-	started   bool
-	lastSeq   uint64
+	lastSeen des.Time
+	lastAt   des.Time
+	started  bool
+	lastSeq  uint64
 
 	framesReceived     uint64
 	framesMissing      uint64
-	framesLate         uint64
 	exporterFrameDrops uint64
 	exporterSpanDrops  uint64
 	exporterRegression uint64
 	spansReceived      uint64
-	regressions        uint64 // collector-side, from delta resyncs
 
 	// totals accumulates the deltas: the node's reconstructed
 	// instrument snapshot.
@@ -132,7 +130,9 @@ func NewCollector(cfg CollectorConfig) *Collector {
 	if cfg.SpanCapacity == 0 {
 		cfg.SpanCapacity = 16384
 	}
-	cfg.Health.fill()
+	if cfg.BeaconInterval <= 0 {
+		cfg.BeaconInterval = 2 * des.Second
+	}
 	reg := metrics.NewRegistry()
 	c := &Collector{
 		cfg:            cfg,
@@ -188,9 +188,8 @@ func (c *Collector) IngestFrame(f *Frame) {
 	ns, ok := c.nodes[f.Node]
 	if !ok {
 		ns = &nodeState{
-			addr:      f.Node,
-			firstSeen: now,
-			ring:      make([]Sample, c.cfg.RingCapacity),
+			addr: f.Node,
+			ring: make([]Sample, c.cfg.RingCapacity),
 		}
 		c.nodes[f.Node] = ns
 		c.nodesGauge.Set(int64(len(c.nodes)))
@@ -209,7 +208,6 @@ func (c *Collector) IngestFrame(f *Frame) {
 			// commute, so apply them and take back one presumed-missing
 			// count, but don't let its stale beacon overwrite state.
 			inOrder = false
-			ns.framesLate++
 			c.framesLate.Inc()
 			if ns.framesMissing > 0 {
 				ns.framesMissing--
@@ -394,11 +392,11 @@ func (c *Collector) Health() HealthDoc {
 	c.mu.Lock()
 	doc := HealthDoc{
 		AtSeconds:     now.Seconds(),
-		BeaconSeconds: c.cfg.Health.BeaconInterval.Seconds(),
+		BeaconSeconds: c.cfg.BeaconInterval.Seconds(),
 		Nodes:         make([]NodeHealth, 0, len(c.nodes)),
 	}
 	for _, ns := range c.nodes {
-		doc.Nodes = append(doc.Nodes, scoreNode(ns, now, c.cfg.Health))
+		doc.Nodes = append(doc.Nodes, scoreNode(ns, now, c.cfg.BeaconInterval))
 	}
 	c.mu.Unlock()
 	sort.Slice(doc.Nodes, func(i, j int) bool { return doc.Nodes[i].Addr < doc.Nodes[j].Addr })

@@ -20,8 +20,8 @@ func (c *testClock) Now() des.Time { return c.now }
 
 func newTestCollector(clk *testClock) *Collector {
 	return NewCollector(CollectorConfig{
-		Clock:  clk.Now,
-		Health: HealthConfig{BeaconInterval: 2 * des.Second},
+		Clock:          clk.Now,
+		BeaconInterval: 2 * des.Second,
 	})
 }
 

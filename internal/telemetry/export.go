@@ -55,11 +55,17 @@ type ExporterConfig struct {
 	// Spans, when non-nil, is drained each flush (SnapshotSince batch
 	// draining); evictions between flushes count as span drops.
 	Spans *trace.SpanBuffer
-	// MaxSpansPerFrame caps the span section so a frame stays inside a
-	// UDP datagram; excess spans in one flush are carried by follow-up
-	// frames. Default 256.
-	MaxSpansPerFrame int
 }
+
+// maxSpansPerFrame caps a frame's span section so the frame stays inside
+// a UDP datagram; excess spans in one flush ride follow-up frames.
+const maxSpansPerFrame = 256
+
+// Jitter spreads each flush gap uniformly over ±Jitter×interval so a
+// cluster of nodes started together does not synchronize its datagram
+// bursts at the collector. The wall-clock loop (Run) and the simulator's
+// engine-driven flushes both use it.
+const Jitter = 0.2
 
 // Exporter ships one node's telemetry as delta frames. Methods are safe
 // for use from a single flushing goroutine (or the sim engine); Stats
@@ -90,9 +96,6 @@ type ExporterStats struct {
 
 // NewExporter builds an exporter pushing frames at sink.
 func NewExporter(cfg ExporterConfig, sink Sink) *Exporter {
-	if cfg.MaxSpansPerFrame <= 0 {
-		cfg.MaxSpansPerFrame = 256
-	}
 	return &Exporter{cfg: cfg, sink: sink}
 }
 
@@ -109,7 +112,7 @@ func (e *Exporter) Stats() ExporterStats {
 }
 
 // Flush diffs snap against the previous flush, drains the span buffer,
-// and pushes one or more frames (spans beyond MaxSpansPerFrame ride
+// and pushes one or more frames (spans beyond maxSpansPerFrame ride
 // follow-up frames carrying no metric delta). beacon is embedded in the
 // first frame. The error is the first sink error, after drop
 // accounting; callers may ignore it (the counters already did).
@@ -138,8 +141,8 @@ func (e *Exporter) Flush(at des.Time, snap metrics.Snapshot, beacon Beacon) erro
 	first := true
 	for {
 		batch := spans
-		if len(batch) > e.cfg.MaxSpansPerFrame {
-			batch = batch[:e.cfg.MaxSpansPerFrame]
+		if len(batch) > maxSpansPerFrame {
+			batch = batch[:maxSpansPerFrame]
 		}
 		spans = spans[len(batch):]
 		f := &Frame{Node: e.cfg.Node, At: at, Spans: batch}
@@ -203,12 +206,8 @@ func (e *Exporter) send(f *Frame, carriesDelta bool, delta metrics.Snapshot) err
 // processes (pwnode). The deterministic harness never calls Run; it
 // schedules Flush from engine events instead.
 type LiveConfig struct {
-	// Interval is the base flush cadence; Jitter (0..1, default 0.2)
-	// spreads each sleep uniformly over ±Jitter×Interval so a cluster
-	// of nodes started together does not synchronize its datagram
-	// bursts at the collector.
+	// Interval is the base flush cadence, jittered by ±Jitter.
 	Interval time.Duration
-	Jitter   float64
 	// Now supplies the node's virtual timestamp for frames (for pwnode,
 	// nanoseconds since node start).
 	Now func() des.Time
@@ -225,17 +224,14 @@ func (e *Exporter) Run(cfg LiveConfig, stop <-chan struct{}) {
 	if cfg.Interval <= 0 {
 		cfg.Interval = 2 * time.Second
 	}
-	if cfg.Jitter <= 0 || cfg.Jitter > 1 {
-		cfg.Jitter = 0.2
-	}
 	rng := rand.New(rand.NewSource(int64(e.cfg.Node)*2654435761 + 97))
-	timer := time.NewTimer(jittered(cfg.Interval, cfg.Jitter, rng))
+	timer := time.NewTimer(jittered(cfg.Interval, rng))
 	defer timer.Stop()
 	for {
 		select {
 		case <-timer.C:
 			e.Flush(cfg.Now(), cfg.Snapshot(), cfg.Beacon())
-			timer.Reset(jittered(cfg.Interval, cfg.Jitter, rng))
+			timer.Reset(jittered(cfg.Interval, rng))
 		case <-stop:
 			e.Flush(cfg.Now(), cfg.Snapshot(), cfg.Beacon())
 			return
@@ -243,7 +239,7 @@ func (e *Exporter) Run(cfg LiveConfig, stop <-chan struct{}) {
 	}
 }
 
-func jittered(d time.Duration, jitter float64, rng *rand.Rand) time.Duration {
-	span := float64(d) * jitter
+func jittered(d time.Duration, rng *rand.Rand) time.Duration {
+	span := float64(d) * Jitter
 	return time.Duration(float64(d) + span*(2*rng.Float64()-1))
 }

@@ -93,15 +93,17 @@ func TestExporterRefoldsRefusedDeltas(t *testing.T) {
 }
 
 func TestExporterDrainsAndBatchesSpans(t *testing.T) {
-	buf := trace.NewSpanBuffer(16)
-	for i := 0; i < 5; i++ {
+	const total = 2*maxSpansPerFrame + 1
+	buf := trace.NewSpanBuffer(1024)
+	for i := 0; i < total; i++ {
 		buf.RecordSpan(trace.Span{At: des.Time(i), Node: 1, EventSeq: uint64(i)})
 	}
 	sink := &captureSink{}
-	e := NewExporter(ExporterConfig{Node: 1, Spans: buf, MaxSpansPerFrame: 2}, sink)
+	e := NewExporter(ExporterConfig{Node: 1, Spans: buf}, sink)
 	e.Flush(1*des.Second, metrics.Snapshot{}, Beacon{})
 
-	// 5 spans at 2 per frame: 3 frames, only the first carrying a beacon.
+	// Two full frames and one with the last span; only the first carries
+	// a beacon.
 	if len(sink.frames) != 3 {
 		t.Fatalf("got %d frames, want 3", len(sink.frames))
 	}
@@ -112,8 +114,8 @@ func TestExporterDrainsAndBatchesSpans(t *testing.T) {
 			t.Fatalf("follow-up frame %d carries a beacon", i)
 		}
 	}
-	if n != 5 {
-		t.Fatalf("delivered %d spans, want 5", n)
+	if n != total {
+		t.Fatalf("delivered %d spans, want %d", n, total)
 	}
 
 	// Second flush drains nothing new.

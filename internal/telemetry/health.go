@@ -24,57 +24,21 @@ type HealthScores map[string]float64
 // Set records one signal.
 func (h HealthScores) Set(name string, v float64) { h[name] = v }
 
-// HealthConfig holds the detector thresholds.
-type HealthConfig struct {
-	// BeaconInterval is the exporters' expected flush cadence; the
-	// staleness detector measures ages in units of it.
-	BeaconInterval des.Time
-	// StaleAfter flags a node as stale (crashed or partitioned) when no
-	// frame arrived for this long. Default 1.8× BeaconInterval, so a
-	// crashed node is flagged within 2 beacon intervals even with the
-	// exporter's ±20% jitter.
-	StaleAfter des.Time
-	// DownAfter writes the node off entirely (score 0). Default 4×.
-	DownAfter des.Time
-	// DetectP99Budget is the failure-detection latency the overlay is
-	// expected to stay under; p99 above it costs score
-	// proportionally. Default 60 virtual seconds (2× the paper's 30 s
-	// probe interval).
-	DetectP99Budget des.Time
-	// FlapWindow / FlapThreshold: more than FlapThreshold level changes
-	// within FlapWindow raises the "flapping" alert. Defaults: 5
-	// changes in 10 beacon intervals.
-	FlapWindow    des.Time
-	FlapThreshold int
-	// StallSamples: a node whose protocol counters advanced by nothing
-	// across this many consecutive stored samples (while still
-	// beaconing) is "stalled". Default 5.
-	StallSamples int
-}
-
-func (c *HealthConfig) fill() {
-	if c.BeaconInterval <= 0 {
-		c.BeaconInterval = 2 * des.Second
-	}
-	if c.StaleAfter <= 0 {
-		c.StaleAfter = c.BeaconInterval + (c.BeaconInterval*4)/5
-	}
-	if c.DownAfter <= 0 {
-		c.DownAfter = 4 * c.BeaconInterval
-	}
-	if c.DetectP99Budget <= 0 {
-		c.DetectP99Budget = 60 * des.Second
-	}
-	if c.FlapWindow <= 0 {
-		c.FlapWindow = 10 * c.BeaconInterval
-	}
-	if c.FlapThreshold <= 0 {
-		c.FlapThreshold = 5
-	}
-	if c.StallSamples <= 0 {
-		c.StallSamples = 5
-	}
-}
+// The detector thresholds. Ages and windows are fixed multiples of the
+// collector's beacon interval (see scoreNode); the rest are constants.
+const (
+	// detectP99Budget is the failure-detection latency the overlay is
+	// expected to stay under; p99 above it costs score proportionally.
+	// 60 virtual seconds is 2× the paper's 30 s probe interval.
+	detectP99Budget = 60 * des.Second
+	// More than flapThreshold level changes within ten beacon intervals
+	// raises the "flapping" alert.
+	flapThreshold = 5
+	// A node whose protocol counters advanced by nothing across
+	// stallSamples consecutive stored samples (while still beaconing) is
+	// "stalled".
+	stallSamples = 5
+)
 
 // NodeHealth is one node's row in the /health document.
 type NodeHealth struct {
@@ -104,8 +68,14 @@ type HealthDoc struct {
 	Alerts        []string     `json:"alerts"`
 }
 
-// scoreNode computes one node's health row at collector time now.
-func scoreNode(ns *nodeState, now des.Time, cfg HealthConfig) NodeHealth {
+// scoreNode computes one node's health row at collector time now, for
+// exporters expected every beacon.
+func scoreNode(ns *nodeState, now, beacon des.Time) NodeHealth {
+	// A node is stale (crashed or partitioned) after 1.8 beacon intervals
+	// of silence, so a crash is flagged within 2 intervals even with the
+	// exporters' ±Jitter; after 4 it is written off (score 0).
+	staleAfter := beacon + beacon*4/5
+	downAfter := 4 * beacon
 	h := NodeHealth{
 		Addr:               uint64(ns.addr),
 		Name:               ns.name,
@@ -127,18 +97,18 @@ func scoreNode(ns *nodeState, now des.Time, cfg HealthConfig) NodeHealth {
 	score := 1.0
 
 	// Heartbeat staleness: full credit inside one beacon interval,
-	// linear decay to zero at StaleAfter; past it the node is presumed
+	// linear decay to zero at staleAfter; past it the node is presumed
 	// crashed or partitioned.
 	h.Scores.Set(MetricHealthStalenessSeconds, age.Seconds())
 	switch {
-	case age >= cfg.DownAfter:
+	case age >= downAfter:
 		h.Alerts = append(h.Alerts, "down")
 		score = 0
-	case age >= cfg.StaleAfter:
+	case age >= staleAfter:
 		h.Alerts = append(h.Alerts, "stale")
 		score = 0
-	case age > cfg.BeaconInterval:
-		score *= 1 - float64(age-cfg.BeaconInterval)/float64(cfg.StaleAfter-cfg.BeaconInterval)
+	case age > beacon:
+		score *= 1 - float64(age-beacon)/float64(staleAfter-beacon)
 	}
 
 	// Failure-detection latency: p99 of the accumulated detect-latency
@@ -146,7 +116,7 @@ func scoreNode(ns *nodeState, now des.Time, cfg HealthConfig) NodeHealth {
 	if dh, ok := ns.totals.Histograms[detectLatencyName]; ok && dh.Count > 0 {
 		p99 := dh.Quantile(0.99)
 		h.Scores.Set(MetricHealthDetectP99Seconds, p99)
-		if budget := cfg.DetectP99Budget.Seconds(); p99 > budget {
+		if budget := detectP99Budget.Seconds(); p99 > budget {
 			score *= budget / p99
 		}
 	}
@@ -182,16 +152,16 @@ func scoreNode(ns *nodeState, now des.Time, cfg HealthConfig) NodeHealth {
 
 	// Event rate over the stored window, plus the stall detector:
 	// frozen protocol counters while the node still beacons.
-	rate, flat := ns.eventRate(cfg.StallSamples)
+	rate, flat := ns.eventRate(stallSamples)
 	h.EventsPerSec = rate
 	h.Scores.Set(MetricHealthEventsPerSec, rate)
-	if flat && age < cfg.StaleAfter && ns.ringCount >= cfg.StallSamples {
+	if flat && age < staleAfter && ns.ringCount >= stallSamples {
 		h.Alerts = append(h.Alerts, "stalled")
 		score *= 0.5
 	}
 
 	// Flap detector: level changes inside the window.
-	if flaps := ns.levelChangesSince(now - cfg.FlapWindow); flaps > cfg.FlapThreshold {
+	if flaps := ns.levelChangesSince(now - 10*beacon); flaps > flapThreshold {
 		h.Alerts = append(h.Alerts, "flapping")
 		score *= 0.7
 	}

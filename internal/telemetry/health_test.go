@@ -30,7 +30,7 @@ func healthOf(doc HealthDoc, addr uint64) NodeHealth {
 // intervals have elapsed since its last frame.
 func TestHealthStaleWithinTwoBeaconIntervals(t *testing.T) {
 	clk := &testClock{}
-	c := newTestCollector(clk) // BeaconInterval = 2 s → StaleAfter = 3.6 s
+	c := newTestCollector(clk) // BeaconInterval = 2 s → stale after 3.6 s
 	beaconAt(c, clk, 1, 0, 1*des.Second, metrics.Snapshot{})
 
 	clk.now = 1*des.Second + 2*des.Second - des.Millisecond // just under one interval
@@ -48,7 +48,7 @@ func TestHealthStaleWithinTwoBeaconIntervals(t *testing.T) {
 		t.Fatalf("stale node health %v, want 0", n.Health)
 	}
 
-	clk.now = 1*des.Second + 9*des.Second // past DownAfter = 8 s
+	clk.now = 1*des.Second + 9*des.Second // past 4 intervals = 8 s
 	n = healthOf(c.Health(), 1)
 	if !hasAlert(n, "down") {
 		t.Fatalf("node not down after 4 intervals: %v", n.Alerts)

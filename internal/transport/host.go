@@ -48,8 +48,8 @@ type Link interface {
 }
 
 // Host is one live node. All methods are safe from any goroutine except
-// the host's own executor (core.Observer-style callbacks and subscription
-// filters), where they would deadlock it.
+// the host's own executor (delta and span sinks and subscription filters),
+// where they would deadlock it.
 type Host struct {
 	link  Link
 	node  *core.Node

@@ -66,9 +66,6 @@ type Options struct {
 	MaxLevel int
 	// Refresh enables the anti-entropy mechanism of §4.6.
 	Refresh bool
-	// Gossip switches event dissemination from the §4.2 tree to the §2
-	// level-gossip variant — more robust, roughly fanout× the bandwidth.
-	Gossip bool
 	// WarmUp makes joining peers start small and grow in the background
 	// (§4.3).
 	WarmUp bool
@@ -167,7 +164,6 @@ func (o Options) toCore() core.Config {
 	cfg.ThresholdBits = o.Budget
 	cfg.MaxLevel = o.MaxLevel
 	cfg.RefreshEnabled = o.Refresh
-	cfg.GossipMulticast = o.Gossip
 	cfg.WarmUp = o.WarmUp
 	return cfg
 }
