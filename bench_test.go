@@ -357,39 +357,6 @@ func BenchmarkScaled100k(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationProtocolGossip runs the in-protocol gossip variant
-// (core.Config.GossipMulticast) against the tree on identical clusters
-// and reports the event-message cost of one dissemination.
-func BenchmarkAblationProtocolGossip(b *testing.B) {
-	run := func(gossip bool, seed uint64) uint64 {
-		coreCfg := core.DefaultConfig()
-		coreCfg.GossipMulticast = gossip
-		c := sim.NewCluster(sim.ClusterConfig{Core: coreCfg, Seed: seed})
-		first := c.AddNode(1e9)
-		c.Bootstrap(first)
-		const n = 48
-		for j := 1; j < n; j++ {
-			sn := c.AddNode(1e9)
-			if err := c.Join(sn, c.RandomJoined(sn), des.Hour); err != nil {
-				b.Fatalf("join: %v", err)
-			}
-			c.Run(30 * des.Second)
-		}
-		c.Run(2 * des.Minute)
-		before := c.SentByType[wire.MsgEvent]
-		c.Alive()[0].Node.SetInfo([]byte("x"))
-		c.Run(3 * des.Minute)
-		return c.SentByType[wire.MsgEvent] - before
-	}
-	var tree, gossip uint64
-	for i := 0; i < b.N; i++ {
-		tree = run(false, uint64(i+1))
-		gossip = run(true, uint64(i+1))
-	}
-	b.ReportMetric(float64(tree), "tree_event_msgs")
-	b.ReportMetric(float64(gossip), "gossip_event_msgs")
-}
-
 // BenchmarkScaled1M pushes the scaled simulator an order of magnitude
 // past the paper: one million nodes, 20 virtual minutes per iteration.
 func BenchmarkScaled1M(b *testing.B) {

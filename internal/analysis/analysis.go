@@ -127,15 +127,8 @@ type Package struct {
 	ListPath string
 	// BasePath is ListPath without the test-variant suffix.
 	BasePath string
-	// ForTest names the package this is a test variant of ("" for plain
-	// packages). External test packages ("foo_test") carry the tested
-	// package's path here too.
-	ForTest string
-	// Dir is the package's source directory.
-	Dir string
 
 	Files []*ast.File
-	Types *types.Package
 	Info  *types.Info
 }
 

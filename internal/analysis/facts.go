@@ -568,7 +568,16 @@ func (s *bodyScanner) walk(n ast.Node, inLit bool) {
 			if !inGoroutineSanctionedScope(s.pkg) {
 				s.addIntrinsic(factGo, m.Pos(), "go statement")
 			}
-			return true
+			// The spawned call runs on its own goroutine: for the blocking
+			// fact it is a literal not invoked on the spot. Its function
+			// value and arguments still evaluate in the spawner.
+			s.callEffects(m.Call, true)
+			_, isLit := ast.Unparen(m.Call.Fun).(*ast.FuncLit)
+			s.walk(m.Call.Fun, inLit || isLit)
+			for _, a := range m.Call.Args {
+				s.walk(a, inLit)
+			}
+			return false
 		case *ast.SendStmt:
 			if !s.inSelect[m] && !inLit {
 				s.addIntrinsic(factBlock, m.Arrow, "channel send")

@@ -170,17 +170,13 @@ func typeCheck(fset *token.FileSet, p *listPackage, byPath map[string]*listPacka
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
 	}
 	base := baseImportPath(p.ImportPath)
-	tpkg, err := conf.Check(base, fset, files, info)
-	if err != nil {
+	if _, err := conf.Check(base, fset, files, info); err != nil {
 		return nil, fmt.Errorf("analysis: type-checking %s: %v", p.ImportPath, err)
 	}
 	return &Package{
 		ListPath: p.ImportPath,
 		BasePath: base,
-		ForTest:  p.ForTest,
-		Dir:      p.Dir,
 		Files:    files,
-		Types:    tpkg,
 		Info:     info,
 	}, nil
 }

@@ -1,7 +1,9 @@
 package analysis_test
 
 import (
+	"encoding/json"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -15,10 +17,11 @@ import (
 // //pwlint:noalloc contract, and a "first element of a map" sampler of
 // the kind that made the legacy scaled simulator irreproducible — and
 // requires the suite to report all three, the interprocedural two with
-// the offending call path. This is the in-process twin of the
-// CI mutation gate (see .github/workflows/ci.yml): it proves the
-// analyzers keep their teeth against the codebase they actually guard,
-// not just against fixtures.
+// the offending call path. It proves the analyzers keep their teeth
+// against the codebase they actually guard, not just against fixtures.
+// It then runs the pwlint command on the same copy to pin its CLI
+// contract: with -json it exits 1 and prints one object per diagnostic,
+// each naming its analyzer.
 func TestMutatedRepoIsCaught(t *testing.T) {
 	if testing.Short() {
 		t.Skip("whole-repo load skipped in -short")
@@ -102,6 +105,29 @@ func mutantSample(m map[uint64]int, k int) (sum int) {
 	}
 	if !gotMapRange {
 		t.Error("order-sensitive range over a map not reported")
+	}
+
+	cmd := exec.Command("go", "run", "./cmd/pwlint", "-json", "./...")
+	cmd.Dir = root
+	out, err := cmd.Output()
+	if ee, ok := err.(*exec.ExitError); !ok || ee.ExitCode() != 1 {
+		t.Fatalf("pwlint -json on the mutated repo: %v, want exit status 1\n%s", err, out)
+	}
+	analyzers := make(map[string]bool)
+	for _, line := range strings.Split(strings.TrimSpace(string(out)), "\n") {
+		var d struct{ Analyzer string }
+		if err := json.Unmarshal([]byte(line), &d); err != nil || d.Analyzer == "" {
+			t.Fatalf("pwlint -json printed %q, not a diagnostic object (%v)", line, err)
+		}
+		analyzers[d.Analyzer] = true
+	}
+	if !analyzers["nodeterminism"] || !analyzers["noalloc"] {
+		t.Errorf("pwlint -json named analyzers %v, want nodeterminism and noalloc", analyzers)
+	}
+	for _, want := range []string{"zzmutant.Coarse", "mutantScratch", "range over map m"} {
+		if !strings.Contains(string(out), want) {
+			t.Errorf("pwlint -json output does not mention %q", want)
+		}
 	}
 }
 

@@ -118,6 +118,18 @@ func (h *host) goodProvenQuiet(b []byte) {
 	h.quiet.Send(b)
 }
 
+// pump blocks on its channel, but it runs on the goroutine startPump
+// spawns: starting it does not block the spawner.
+func (h *host) pump() { <-h.ch }
+
+func (h *host) startPump() { go h.pump() }
+
+func (h *host) goodSpawnUnderLock() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	h.startPump()
+}
+
 func (h *host) allowedSend(b []byte) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

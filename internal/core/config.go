@@ -39,19 +39,6 @@ type Config struct {
 	// "three continuous attempts").
 	RetryAttempts int
 
-	// GossipMulticast switches event dissemination from the §4.2 tree to
-	// the level-by-level gossip §2 sketches ("the top node first
-	// initiates a gossip around all the top nodes, and then sends the
-	// event message to a level-1 node…"). Gossip is robust but pays a
-	// redundancy factor r > 1 in maintenance bandwidth; the tree is the
-	// paper's basic design. Exposed for the DESIGN.md ablation.
-	GossipMulticast bool
-	// GossipFanout is the push fan-out per round in gossip mode.
-	GossipFanout int
-	// GossipRounds is how many rounds an infected node keeps pushing;
-	// push gossip needs fanout×rounds ≳ ln N for full coverage.
-	GossipRounds int
-
 	// ForwardDelay models the per-hop processing cost of a multicast
 	// step: "every medium node delays the message for 1 second that is
 	// spent on receiving, calculating and sending" (§5.1).
@@ -66,26 +53,12 @@ type Config struct {
 	MeterWindow des.Time
 	// ShiftCheckInterval is how often the node re-evaluates its level.
 	ShiftCheckInterval des.Time
-	// ShiftDownFactor: measured cost above ThresholdBits shifts the node
-	// one level down (smaller peer list). ShiftUpFactor: cost below
-	// ThresholdBits*ShiftUpFactor shifts it up (larger peer list). The
-	// paper's example uses 1 and 0.5: "once the bandwidth cost drops to a
-	// value below 2.5kbps [half of 5kbps], the node will automatically
-	// shift the level to l−1".
-	ShiftDownFactor float64
-	ShiftUpFactor   float64
 
 	// MaxLevel bounds how far down a node may shift.
 	MaxLevel int
 
 	// RefreshEnabled turns the §4.6 anti-entropy mechanism on.
 	RefreshEnabled bool
-	// RefreshMultiple is the factor on the measured per-level mean
-	// lifetime LT_l between self-refresh multicasts (paper: 2).
-	RefreshMultiple float64
-	// ExpireMultiple is the factor on LT_m after which an unrefreshed
-	// m-level pointer is dropped without probing (paper: 3).
-	ExpireMultiple float64
 	// RefreshFloor is the minimum interval between refresh multicasts,
 	// guarding the start-up phase when no lifetime samples exist yet.
 	RefreshFloor des.Time
@@ -101,14 +74,32 @@ type Config struct {
 	// DESIGN.md.)
 	ReconcileDelay des.Time
 
-	// WarmUp, when true, makes a joining node first enter at a weak
-	// level (small peer list), then raise its level in the background
-	// (§4.3 "warm-up").
+	// WarmUp, when true, makes a joining node first enter warmUpLevels
+	// below its estimated level (small peer list), then raise its level in
+	// the background (§4.3 "warm-up").
 	WarmUp bool
-	// WarmUpLevels is how many levels below the estimate the node starts
-	// at while warming up.
-	WarmUpLevels int
 }
+
+// Fixed protocol factors: the paper's values, and warm-up's depth.
+const (
+	// shiftDownFactor: measured cost above ThresholdBits shifts the node
+	// one level down (smaller peer list). shiftUpFactor: cost below
+	// ThresholdBits*shiftUpFactor shifts it up (larger peer list). The
+	// paper's example uses 1 and 0.5: "once the bandwidth cost drops to a
+	// value below 2.5kbps [half of 5kbps], the node will automatically
+	// shift the level to l−1".
+	shiftDownFactor = 1.0
+	shiftUpFactor   = 0.5
+	// refreshMultiple is the factor on the measured per-level mean
+	// lifetime LT_l between self-refresh multicasts (§4.6: 2).
+	refreshMultiple = 2
+	// expireMultiple is the factor on LT_m after which an unrefreshed
+	// m-level pointer is dropped without probing (§4.6: 3).
+	expireMultiple = 3
+	// warmUpLevels is how many levels below the estimate a warming-up
+	// node starts at.
+	warmUpLevels = 2
+)
 
 // DefaultConfig returns the paper's parameters where given, and sensible
 // engineering choices where the paper is silent.
@@ -119,23 +110,15 @@ func DefaultConfig() Config {
 		ProbeTimeout:       5 * des.Second,
 		AckTimeout:         3 * des.Second,
 		RetryAttempts:      3,
-		GossipMulticast:    false,
-		GossipFanout:       2,
-		GossipRounds:       3,
 		ForwardDelay:       1 * des.Second,
 		ThresholdBits:      5000,
 		MeterWindow:        2 * des.Minute,
 		ShiftCheckInterval: 30 * des.Second,
-		ShiftDownFactor:    1.0,
-		ShiftUpFactor:      0.5,
 		MaxLevel:           30,
 		RefreshEnabled:     true,
-		RefreshMultiple:    2,
-		ExpireMultiple:     3,
 		RefreshFloor:       10 * des.Minute,
 		ReconcileDelay:     60 * des.Second,
 		WarmUp:             false,
-		WarmUpLevels:       2,
 	}
 }
 
@@ -152,24 +135,16 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: RetryAttempts = %d", c.RetryAttempts)
 	case c.ForwardDelay < 0:
 		return fmt.Errorf("core: ForwardDelay = %v", c.ForwardDelay)
-	case c.GossipMulticast && (c.GossipFanout <= 0 || c.GossipRounds <= 0):
-		return fmt.Errorf("core: gossip fanout/rounds must be positive")
 	case c.ThresholdBits <= 0:
 		return fmt.Errorf("core: ThresholdBits = %g", c.ThresholdBits)
 	case c.MeterWindow <= 0 || c.ShiftCheckInterval <= 0:
 		return fmt.Errorf("core: meter timing must be positive")
-	case c.ShiftUpFactor <= 0 || c.ShiftUpFactor >= c.ShiftDownFactor:
-		return fmt.Errorf("core: need 0 < ShiftUpFactor < ShiftDownFactor")
 	case c.MaxLevel < 0 || c.MaxLevel > 127:
 		return fmt.Errorf("core: MaxLevel = %d", c.MaxLevel)
-	case c.RefreshEnabled && (c.RefreshMultiple <= 0 || c.ExpireMultiple <= c.RefreshMultiple):
-		return fmt.Errorf("core: need 0 < RefreshMultiple < ExpireMultiple")
 	case c.RefreshEnabled && c.RefreshFloor <= 0:
 		return fmt.Errorf("core: RefreshFloor = %v", c.RefreshFloor)
 	case c.ReconcileDelay < 0:
 		return fmt.Errorf("core: ReconcileDelay = %v", c.ReconcileDelay)
-	case c.WarmUp && c.WarmUpLevels <= 0:
-		return fmt.Errorf("core: WarmUpLevels = %d", c.WarmUpLevels)
 	}
 	return nil
 }

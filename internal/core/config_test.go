@@ -26,13 +26,10 @@ func TestConfigValidateRejects(t *testing.T) {
 		{"zero threshold", func(c *Config) { c.ThresholdBits = 0 }},
 		{"zero meter window", func(c *Config) { c.MeterWindow = 0 }},
 		{"zero shift interval", func(c *Config) { c.ShiftCheckInterval = 0 }},
-		{"inverted hysteresis", func(c *Config) { c.ShiftUpFactor = 2; c.ShiftDownFactor = 1 }},
 		{"max level too deep", func(c *Config) { c.MaxLevel = 128 }},
 		{"negative max level", func(c *Config) { c.MaxLevel = -1 }},
-		{"refresh multiples inverted", func(c *Config) { c.RefreshMultiple = 3; c.ExpireMultiple = 2 }},
 		{"zero refresh floor", func(c *Config) { c.RefreshFloor = 0 }},
 		{"negative reconcile", func(c *Config) { c.ReconcileDelay = -des.Second }},
-		{"warmup without levels", func(c *Config) { c.WarmUp = true; c.WarmUpLevels = 0 }},
 	}
 	for _, c := range cases {
 		cfg := DefaultConfig()

@@ -51,7 +51,7 @@ func EstimateLevel(lT int, wT, wX float64, maxLevel int) int {
 //     to the top node).
 //
 // done is called exactly once, with nil on success. With cfg.WarmUp the
-// node first enters WarmUpLevels below the estimate and raises its level
+// node first enters warmUpLevels below the estimate and raises its level
 // in the background afterwards.
 func (n *Node) Join(bootstrap wire.Pointer, done func(error)) {
 	if n.joined || n.stopped {
@@ -73,30 +73,17 @@ func (n *Node) Join(bootstrap wire.Pointer, done func(error)) {
 				// be a top node of a young overlay.
 				tops = []wire.Pointer{bootstrap}
 			}
-			n.joinStep2(tops, done)
+			n.joinStep2(tops, done, true)
 		},
 		func() { done(ErrJoinFailed) },
 	)
 }
 
 // joinStep2 queries top-node candidates for the level-estimation inputs,
-// walking the list on failure.
-func (n *Node) joinStep2(tops []wire.Pointer, done func(error)) {
-	n.joinStep2Inner(tops, done, true)
-}
-
-// joinStep2Referred is joinStep2 after a §4.4 cross-part referral; it
-// will not refer a second time.
-func (n *Node) joinStep2Referred(tops []wire.Pointer, done func(error)) {
-	n.joinStep2Inner(tops, done, false)
-}
-
-func (n *Node) joinStep2Inner(tops []wire.Pointer, done func(error), mayRefer bool) {
-	if n.stopped {
-		done(ErrJoinFailed)
-		return
-	}
-	if len(tops) == 0 {
+// walking the list on failure. mayRefer is false after a §4.4 cross-part
+// referral, so a join is referred at most once.
+func (n *Node) joinStep2(tops []wire.Pointer, done func(error), mayRefer bool) {
+	if n.stopped || len(tops) == 0 {
 		done(ErrJoinFailed)
 		return
 	}
@@ -119,7 +106,7 @@ func (n *Node) joinStep2Inner(tops []wire.Pointer, done func(error), mayRefer bo
 			target := EstimateLevel(lT, wT, n.cfg.ThresholdBits, n.cfg.MaxLevel)
 			start := target
 			if n.cfg.WarmUp {
-				start = target + n.cfg.WarmUpLevels
+				start = target + warmUpLevels
 				if start > n.cfg.MaxLevel {
 					start = n.cfg.MaxLevel
 				}
@@ -130,7 +117,7 @@ func (n *Node) joinStep2Inner(tops []wire.Pointer, done func(error), mayRefer bo
 			n.setLevel(start)
 			n.joinStep3(z, done)
 		},
-		func() { n.joinStep2Inner(tops[1:], done, mayRefer) },
+		func() { n.joinStep2(tops[1:], done, mayRefer) },
 	)
 }
 
@@ -267,10 +254,8 @@ func (n *Node) reconcileFrom(donor wire.Pointer, onFail func()) {
 				}
 			})
 			for _, id := range drop {
-				if e, had := n.peers.Remove(id); had {
+				if _, had := n.removePeer(id, RemoveStale); had {
 					n.m.reconcileDrops.Inc()
-					n.m.removed(RemoveStale)
-					n.deltaRemove(e.ptr, RemoveStale)
 				}
 			}
 		},
@@ -315,12 +300,12 @@ func (n *Node) onShiftCheck() {
 	w := n.InputRate()
 	budget := n.cfg.ThresholdBits
 	switch {
-	case w > budget*n.cfg.ShiftDownFactor && n.Level() < n.cfg.MaxLevel &&
+	case w > budget*shiftDownFactor && n.Level() < n.cfg.MaxLevel &&
 		n.peers.Len() >= 2:
 		// With fewer than two peers a lower level cannot reduce cost —
 		// it would only maroon the node in an empty region.
 		n.lowerLevel()
-	case w < budget*n.cfg.ShiftUpFactor && n.Level() > 0:
+	case w < budget*shiftUpFactor && n.Level() > 0:
 		n.raiseLevel(nil)
 	}
 }
@@ -340,8 +325,7 @@ func (n *Node) lowerLevel() {
 		n.captureSplitPointers(dropped, n.eigen)
 	}
 	for _, e := range dropped {
-		n.m.removed(RemoveShift)
-		n.deltaRemove(e.ptr, RemoveShift)
+		n.evicted(e.ptr, RemoveShift)
 	}
 	n.m.shiftsDown.Inc()
 	n.moment(trace.SpanShiftDown, 0, len(dropped))

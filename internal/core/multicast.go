@@ -106,14 +106,9 @@ func (n *Node) originateMulticast(ev wire.Event, tid wire.TraceID) {
 	n.forwardEvent(ev, int(n.self.Level), tid)
 }
 
-// forwardEvent continues the dissemination: the §4.2 tree by default,
-// or the §2 level-gossip sketch when configured (the ablation variant).
+// forwardEvent continues the §4.2 tree from step fromStep.
 func (n *Node) forwardEvent(ev wire.Event, fromStep int, tid wire.TraceID) {
 	if n.stopped {
-		return
-	}
-	if n.cfg.GossipMulticast {
-		n.forwardEventGossip(ev, tid)
 		return
 	}
 	for s := fromStep; s < nodeid.Bits; s++ {
@@ -124,87 +119,6 @@ func (n *Node) forwardEvent(ev wire.Event, fromStep int, tid wire.TraceID) {
 		}
 		n.sendStep(ev, s, tid, nil)
 	}
-}
-
-// forwardEventGossip implements the §2 alternative: on first receipt, a
-// node pushes the event to GossipFanout random audience members at its
-// own level (the intra-level gossip) and hands it to one audience member
-// at each deeper level that exists (the downward step). Duplicates die
-// at the receiver's dedup, which is what terminates the rumor. Expected
-// cost is a redundancy factor of roughly the fanout over the tree's
-// r = 1 — the trade the paper declines.
-func (n *Node) forwardEventGossip(ev wire.Event, tid wire.TraceID) {
-	subject := ev.Subject.ID
-	// Downward handoff happens once, on first receipt: one member per
-	// deeper level, if any.
-	rng := n.env.Rand()
-	for l := n.Level() + 1; l <= n.cfg.MaxLevel; l++ {
-		l := l
-		deeper := func(p wire.Pointer) bool {
-			return int(p.Level) == l &&
-				p.ID.Prefix(l) == subject.Prefix(l)
-		}
-		sub := nodeid.EigenstringOf(subject, minInt(l, nodeid.Bits))
-		picks := n.peers.RandomInPrefix(sub, 1, deeper, nil, rng)
-		if len(picks) == 1 {
-			n.sendGossipCopy(ev, picks[0], tid)
-		}
-	}
-	// Intra-level rumor mongering: GossipRounds rounds of GossipFanout
-	// pushes, one ForwardDelay (or ack timeout) apart.
-	n.gossipRound(ev, n.cfg.GossipRounds, tid)
-}
-
-// gossipRound pushes one round of intra-level copies and schedules the
-// next.
-func (n *Node) gossipRound(ev wire.Event, remaining int, tid wire.TraceID) {
-	if n.stopped || remaining <= 0 {
-		return
-	}
-	subject := ev.Subject.ID
-	rng := n.env.Rand()
-	sameLevel := func(p wire.Pointer) bool {
-		return int(p.Level) == n.Level() &&
-			p.ID.Prefix(int(p.Level)) == subject.Prefix(int(p.Level))
-	}
-	region := nodeid.EigenstringOf(subject, minInt(n.Level(), nodeid.Bits))
-	for _, target := range n.peers.RandomInPrefix(region, n.cfg.GossipFanout, sameLevel, nil, rng) {
-		n.sendGossipCopy(ev, target, tid)
-	}
-	gap := n.cfg.ForwardDelay
-	if gap <= 0 {
-		gap = n.cfg.AckTimeout
-	}
-	n.env.SetTimer(gap, func() { n.gossipRound(ev, remaining-1, tid) })
-}
-
-// sendGossipCopy transmits one gossip push; failures just drop the stale
-// pointer (other copies provide the redundancy a tree lacks).
-func (n *Node) sendGossipCopy(ev wire.Event, target wire.Pointer, tid wire.TraceID) {
-	if target.ID == n.self.ID {
-		return
-	}
-	msg := wire.Message{Type: wire.MsgEvent, To: target.Addr, Step: 0, Event: ev, Trace: tid}
-	n.m.mcForwards.Inc()
-	n.span(tid, trace.SpanForward, 0, target.Addr, 0, ev)
-	n.sendTracked(msg, sendGossipCopy, target, nil)
-}
-
-// dropStale removes the pointer of a target that stayed silent through a
-// whole attempt budget (§4.2). For a gossip push that is all a failure
-// does: other copies provide the redundancy a tree lacks.
-func (n *Node) dropStale(target wire.Pointer) {
-	if e, had := n.peers.Remove(target.ID); had {
-		n.m.removed(RemoveStale)
-		n.deltaRemove(e.ptr, RemoveStale)
-	}
-}
-
-func minInt(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // sendStep picks the strongest candidate for step s (excluding already
@@ -234,7 +148,7 @@ func (n *Node) stepFailed(p *pendingSend) {
 	ev, s, tid, target := p.msg.Event, int(p.msg.Step)-1, p.msg.Trace, p.target
 	n.m.mcRedirects.Inc()
 	n.span(tid, trace.SpanRedirect, 0, target.Addr, s+1, ev)
-	n.dropStale(target)
+	n.removePeer(target.ID, RemoveStale)
 	// Before announcing the death system-wide, verify it with an
 	// independent probe round: under message loss, one failed send
 	// chain alone produces enough false positives to flood the
@@ -270,17 +184,7 @@ func (n *Node) verifyAnswered(target wire.Pointer) {
 	n.m.failFalseAlarms.Inc()
 	n.moment(trace.SpanFalseAlarm, target.Addr, 0)
 	if !n.stopped && !n.dead[target.ID] && n.eigen.Contains(target.ID) {
-		var prev wire.Pointer
-		var had bool
-		if n.deltas != nil {
-			prev, had = n.peers.Lookup(target.ID)
-		}
-		if n.peers.Upsert(target, n.env.Now()) {
-			n.m.peersAdded.Inc()
-			n.deltaAdd(target)
-		} else if had {
-			n.deltaUpdate(prev, target)
-		}
+		n.upsertPeer(target)
 	}
 }
 

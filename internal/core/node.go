@@ -165,23 +165,39 @@ func (n *Node) SetDeltas(sink DeltaSink) {
 	})
 }
 
-// deltaAdd forwards a list insertion to the delta sink, if any.
-func (n *Node) deltaAdd(p wire.Pointer) {
+// upsertPeer is the one writer of single pointers into the peer list
+// (applyPointers is the bulk path): it inserts or refreshes p, counts an
+// insertion in peers.added, and tells the delta sink of an insertion or
+// of an update that changed the stored pointer.
+func (n *Node) upsertPeer(p wire.Pointer) {
+	var prev wire.Pointer
 	if n.deltas != nil {
-		n.deltas.PeerAdded(p)
+		prev, _ = n.peers.Lookup(p.ID)
 	}
-}
-
-// deltaUpdate forwards an in-place pointer change to the delta sink,
-// suppressing no-op upserts that left the stored pointer bit-identical.
-func (n *Node) deltaUpdate(prev, p wire.Pointer) {
-	if n.deltas != nil && !prev.Equal(p) {
+	if n.peers.Upsert(p, n.env.Now()) {
+		n.m.peersAdded.Inc()
+		if n.deltas != nil {
+			n.deltas.PeerAdded(p)
+		}
+	} else if n.deltas != nil && !prev.Equal(p) {
 		n.deltas.PeerUpdated(prev, p)
 	}
 }
 
-// deltaRemove forwards a list eviction to the delta sink, if any.
-func (n *Node) deltaRemove(p wire.Pointer, reason RemoveReason) {
+// removePeer is the one remover of single pointers: it drops id, if held,
+// and reports the eviction (see evicted).
+func (n *Node) removePeer(id nodeid.ID, reason RemoveReason) (removedPeer, bool) {
+	e, ok := n.peers.Remove(id)
+	if ok {
+		n.evicted(e.ptr, reason)
+	}
+	return e, ok
+}
+
+// evicted accounts for a pointer that has left the peer list: it bumps
+// peers.removed.<reason> and tells the delta sink.
+func (n *Node) evicted(p wire.Pointer, reason RemoveReason) {
+	n.m.removed(reason)
 	if n.deltas != nil {
 		n.deltas.PeerRemoved(p, reason)
 	}
@@ -611,16 +627,12 @@ func (n *Node) applyEvent(ev wire.Event) bool {
 		}
 		return true
 	}
-	now := n.env.Now()
 	switch ev.Kind {
 	case wire.EventLeave:
 		n.dead[subj.ID] = true
-		removed := false
-		if e, ok := n.peers.Remove(subj.ID); ok {
-			removed = true
-			n.lifetimes.Add(int(e.ptr.Level), float64(now-e.firstSeen))
-			n.m.removed(RemoveLeave)
-			n.deltaRemove(e.ptr, RemoveLeave)
+		e, removed := n.removePeer(subj.ID, RemoveLeave)
+		if removed {
+			n.lifetimes.Add(int(e.ptr.Level), float64(n.env.Now()-e.firstSeen))
 		}
 		if !removed && ev.Seq <= last {
 			return false
@@ -641,18 +653,7 @@ func (n *Node) applyEvent(ev wire.Event) bool {
 		if !n.eigen.Contains(subj.ID) {
 			return true
 		}
-		var prev wire.Pointer
-		var had bool
-		if n.deltas != nil {
-			prev, had = n.peers.Lookup(subj.ID)
-		}
-		isNew := n.peers.Upsert(subj, now)
-		if isNew {
-			n.m.peersAdded.Inc()
-			n.deltaAdd(subj)
-		} else if had {
-			n.deltaUpdate(prev, subj)
-		}
+		n.upsertPeer(subj)
 		return true
 	}
 }

@@ -688,7 +688,6 @@ func TestWarmUpStartsWeakAndRises(t *testing.T) {
 	env := newFakeEnv(21)
 	cfg := quietConfig()
 	cfg.WarmUp = true
-	cfg.WarmUpLevels = 2
 	cfg.ShiftCheckInterval = 10 * des.Second
 	self := ptrAt("1111", 0, 1)
 	n := NewNode(cfg, env, Observer{}, self)

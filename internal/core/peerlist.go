@@ -489,48 +489,6 @@ func (pl *PeerList) Pointers() []wire.Pointer {
 	return out
 }
 
-// RandomInPrefix returns up to want distinct random pointers matching
-// the eigenstring and satisfying pred, excluding the skip set. It
-// samples without replacement from the prefix range.
-func (pl *PeerList) RandomInPrefix(e nodeid.Eigenstring, want int, pred func(wire.Pointer) bool, skip map[nodeid.ID]bool, rng *xrand.Source) []wire.Pointer {
-	lo, hi := pl.prefixRange(e)
-	span := hi - lo
-	if span <= 0 || want <= 0 {
-		return nil
-	}
-	out := make([]wire.Pointer, 0, want)
-	if span <= 4*want {
-		// Small range: filter then shuffle.
-		cands := make([]wire.Pointer, 0, span)
-		for i := lo; i < hi; i++ {
-			p := pl.pointer(&pl.slots[i])
-			if (pred == nil || pred(p)) && (skip == nil || !skip[p.ID]) {
-				cands = append(cands, p)
-			}
-		}
-		rng.Shuffle(len(cands), func(i, j int) { cands[i], cands[j] = cands[j], cands[i] })
-		if len(cands) > want {
-			cands = cands[:want]
-		}
-		return cands
-	}
-	// Large range: bounded rejection sampling.
-	seen := make(map[nodeid.ID]bool, want)
-	for tries := 0; tries < 16*want && len(out) < want; tries++ {
-		s := &pl.slots[lo+rng.Intn(span)]
-		if seen[s.id] || (skip != nil && skip[s.id]) {
-			continue
-		}
-		p := pl.pointer(s)
-		if pred != nil && !pred(p) {
-			continue
-		}
-		seen[p.ID] = true
-		out = append(out, p)
-	}
-	return out
-}
-
 // StrongestForStep finds the multicast target for step s of figure 4: an
 // audience member of subject whose ID shares the first s bits of selfID
 // and differs at bit s, preferring the highest level (smallest level

@@ -98,10 +98,8 @@ func (n *Node) onProbeTimeout(target wire.Pointer) {
 	n.m.probeFailures.Inc()
 	n.m.detectLatency.Observe(detectLatency.Seconds())
 	n.moment(trace.SpanProbeDetect, target.Addr, 0)
-	if e, ok := n.peers.Remove(target.ID); ok {
+	if e, ok := n.removePeer(target.ID, RemoveStale); ok {
 		n.lifetimes.Add(int(e.ptr.Level), float64(n.env.Now()-e.firstSeen))
-		n.m.removed(RemoveStale)
-		n.deltaRemove(e.ptr, RemoveStale)
 	}
 	// Report the failure with the next sequence number we know for the
 	// subject, so every concurrent detector produces the same event and

@@ -11,8 +11,8 @@ import (
 // over an asynchronous network is never perfectly reliable, so peer lists
 // accumulate two error kinds: absent pointers and stale pointers. Every
 // node measures the lifetimes of departed peers per level (LT_i); an
-// l-level node re-multicasts its own state every RefreshMultiple·LT_l,
-// and an m-level pointer unrefreshed for ExpireMultiple·LT_m is dropped
+// l-level node re-multicasts its own state every refreshMultiple·LT_l,
+// and an m-level pointer unrefreshed for expireMultiple·LT_m is dropped
 // without probing. In practice most nodes die before their refresh comes
 // due — exactly as the paper observes.
 
@@ -47,26 +47,24 @@ func (n *Node) onRefreshTick() {
 		if lt <= 0 {
 			return
 		}
-		deadline := des.Time(n.cfg.ExpireMultiple * float64(lt))
+		deadline := des.Time(expireMultiple * float64(lt))
 		if now-lastSeen > deadline {
 			expired = append(expired, p.ID)
 		}
 	})
 	for _, id := range expired {
-		if e, ok := n.peers.Remove(id); ok {
+		if e, ok := n.removePeer(id, RemoveExpired); ok {
 			n.m.refreshExpired.Inc()
-			n.m.removed(RemoveExpired)
-			n.deltaRemove(e.ptr, RemoveExpired)
 			n.moment(trace.SpanExpire, e.ptr.Addr, 0)
 		}
 	}
 
-	// Self refresh: every RefreshMultiple·LT_l for our own level l.
+	// Self refresh: every refreshMultiple·LT_l for our own level l.
 	lt := n.lifetimeEstimate(n.Level())
 	if lt <= 0 {
 		return
 	}
-	period := des.Time(n.cfg.RefreshMultiple * float64(lt))
+	period := des.Time(refreshMultiple * float64(lt))
 	if period < n.cfg.RefreshFloor {
 		period = n.cfg.RefreshFloor
 	}

@@ -13,8 +13,6 @@ func refreshConfig() Config {
 	cfg := quietConfig()
 	cfg.RefreshEnabled = true
 	cfg.RefreshFloor = 1 * des.Minute
-	cfg.RefreshMultiple = 2
-	cfg.ExpireMultiple = 3
 	return cfg
 }
 

@@ -17,9 +17,6 @@ const (
 	sendGeneric sendKind = iota
 	// sendMulticastStep is one §4.2 tree forward (see stepFailed).
 	sendMulticastStep
-	// sendGossipCopy is one gossip push; a failure only drops the stale
-	// pointer (see dropStale).
-	sendGossipCopy
 	// sendVerify is the heartbeat round that double-checks a suspected
 	// death (see verifyAnswered, verifyFailed).
 	sendVerify
@@ -39,8 +36,7 @@ type pendingSend struct {
 	timer    Timer
 	kind     sendKind
 
-	// target is the peer a multicast step, gossip copy or verification
-	// addresses; failed is the set of targets a multicast step has already
+	// target is the peer a multicast step or verification addresses; failed is the set of targets a multicast step has already
 	// given up on (nil until the first redirect).
 	target wire.Pointer
 	failed map[nodeid.ID]bool
@@ -144,8 +140,6 @@ func (n *Node) onAckTimeout(p *pendingSend) {
 	switch p.kind {
 	case sendMulticastStep:
 		n.stepFailed(p)
-	case sendGossipCopy:
-		n.dropStale(p.target)
 	case sendVerify:
 		n.verifyFailed(p.target)
 	default:

@@ -26,9 +26,7 @@ func (n *Node) announce(kind wire.EventKind) {
 // the announcer; it rides the MsgReport envelope to the originator.
 func (n *Node) report(ev wire.Event, tid wire.TraceID) {
 	if n.isTopNode() {
-		if n.applyEvent(ev) {
-			n.originateMulticast(ev, tid)
-		}
+		n.originate(ev, tid)
 		return
 	}
 	n.reportVia(ev, tid, n.shuffledTops(), false)
@@ -80,21 +78,28 @@ func (n *Node) reportVia(ev wire.Event, tid wire.TraceID, tops []wire.Pointer, r
 	})
 }
 
-// reportEscalate is the degraded path when no top node can be reached:
-// hand the event to the strongest known peer, or originate the multicast
-// ourselves (covering at least our own subtree of the audience).
+// reportEscalate is the degraded path when no top node can be reached.
 func (n *Node) reportEscalate(ev wire.Event, tid wire.TraceID) {
 	n.m.reportEscalations.Inc()
 	n.span(tid, trace.SpanReportEscalate, 0, 0, 0, ev)
+	n.passUp(ev, tid)
+}
+
+// passUp hands ev to the strongest known peer when it is stronger than
+// us, or originates the multicast here (a top node, or the last resort
+// when that peer is unreachable: it covers at least our own subtree of
+// the audience).
+func (n *Node) passUp(ev wire.Event, tid wire.TraceID) {
 	if p, ok := n.peers.Strongest(); ok && int(p.Level) < int(n.self.Level) {
 		msg := wire.Message{Type: wire.MsgReport, To: p.Addr, Event: ev, Trace: tid}
-		n.sendReliable(msg, n.cfg.RetryAttempts, nil, func() {
-			if n.applyEvent(ev) {
-				n.originateMulticast(ev, tid)
-			}
-		})
+		n.sendReliable(msg, n.cfg.RetryAttempts, nil, func() { n.originate(ev, tid) })
 		return
 	}
+	n.originate(ev, tid)
+}
+
+// originate applies ev here and, if it was fresh, starts its tree.
+func (n *Node) originate(ev wire.Event, tid wire.TraceID) {
 	if n.applyEvent(ev) {
 		n.originateMulticast(ev, tid)
 	}
@@ -115,29 +120,12 @@ func (n *Node) dropTop(id nodeid.ID) {
 // top pointers (§4.5), then either originate the multicast (top node) or
 // pass the report toward a stronger node WITHOUT applying the event — the
 // tree will deliver it back to us, and applying early would make the
-// delivery look like a duplicate and cut off our subtree.
+// delivery look like a duplicate and cut off our subtree. passUp's test
+// for a stronger peer is exactly "not a top node" (see isTopNode).
 func (n *Node) handleReport(m wire.Message) {
 	tops := n.ackPointers()
 	n.send(wire.Message{Type: wire.MsgReportAck, To: m.From, AckID: m.AckID, Pointers: tops})
-	ev, tid := m.Event, m.Trace
-	if n.isTopNode() {
-		if n.applyEvent(ev) {
-			n.originateMulticast(ev, tid)
-		}
-		return
-	}
-	if p, ok := n.peers.Strongest(); ok && int(p.Level) < int(n.self.Level) {
-		msg := wire.Message{Type: wire.MsgReport, To: p.Addr, Event: ev, Trace: tid}
-		n.sendReliable(msg, n.cfg.RetryAttempts, nil, func() {
-			if n.applyEvent(ev) {
-				n.originateMulticast(ev, tid)
-			}
-		})
-		return
-	}
-	if n.applyEvent(ev) {
-		n.originateMulticast(ev, tid)
-	}
+	n.passUp(m.Event, m.Trace)
 }
 
 // ackPointers builds the t−1 top-node pointers piggybacked on report

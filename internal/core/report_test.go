@@ -83,43 +83,6 @@ func TestReportFallbackToTopListRefresh(t *testing.T) {
 	}
 }
 
-func TestGossipModeForwardsRedundantly(t *testing.T) {
-	env := newFakeEnv(83)
-	cfg := quietConfig()
-	cfg.GossipMulticast = true
-	cfg.GossipFanout = 2
-	cfg.GossipRounds = 2
-	self := ptrAt("0000", 0, 1)
-	n := NewNode(cfg, env, Observer{}, self)
-	peers := []wire.Pointer{
-		ptrAt("0100", 0, 10), ptrAt("1000", 0, 11),
-		ptrAt("1100", 0, 12), ptrAt("0010", 0, 13),
-		ptrAt("1010", 1, 14), // a deeper node: downward handoff target
-	}
-	n.Restore(0, peers, nil)
-	env.take()
-	subject := ptrAt("1011", 0, 30)
-	ev := wire.Event{Kind: wire.EventJoin, Subject: subject, Seq: 5}
-	n.HandleMessage(wire.Message{Type: wire.MsgEvent, From: 9, To: 1, AckID: 1, Step: 0, Event: ev})
-	// Round 1 fires immediately; round 2 after the gap.
-	env.run(cfg.AckTimeout * 2)
-	events := env.takeType(wire.MsgEvent)
-	if len(events) < cfg.GossipFanout+1 {
-		t.Fatalf("gossip sent only %d copies", len(events))
-	}
-	// The deeper level-1 node in the subject's region must get its
-	// downward handoff.
-	handoff := false
-	for _, m := range events {
-		if m.To == 14 {
-			handoff = true
-		}
-	}
-	if !handoff {
-		t.Fatal("no downward handoff to the deeper level")
-	}
-}
-
 func TestVerifyFailureRestoresAlivePointer(t *testing.T) {
 	env := newFakeEnv(84)
 	cfg := quietConfig()

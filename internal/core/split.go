@@ -104,7 +104,7 @@ func (n *Node) crossPartJoin(z wire.Pointer, done func(error)) {
 				done(ErrJoinFailed)
 				return
 			}
-			n.joinStep2Referred(resp.Pointers, done)
+			n.joinStep2(resp.Pointers, done, false)
 		},
 		func() { done(ErrJoinFailed) },
 	)

@@ -120,7 +120,6 @@ type Registry struct {
 	counters map[string]*Counter
 	gauges   map[string]*Gauge
 	hists    map[string]*Hist
-	order    []string // registration order, for stable rendering
 }
 
 // NewRegistry builds an empty registry.
@@ -141,7 +140,6 @@ func (r *Registry) Counter(name string) *Counter {
 	}
 	c := &Counter{}
 	r.counters[name] = c
-	r.order = append(r.order, name)
 	return c
 }
 
@@ -154,7 +152,6 @@ func (r *Registry) Gauge(name string) *Gauge {
 	}
 	g := &Gauge{}
 	r.gauges[name] = g
-	r.order = append(r.order, name)
 	return g
 }
 
@@ -168,7 +165,6 @@ func (r *Registry) Histogram(name string, bounds []float64) *Hist {
 	}
 	h := newHist(bounds)
 	r.hists[name] = h
-	r.order = append(r.order, name)
 	return h
 }
 

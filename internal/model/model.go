@@ -533,7 +533,7 @@ func auditLeaf(cl *sim.Cluster, opts Options) *Violation {
 			}
 		}
 		if cfg.RefreshEnabled {
-			if v := expiryCheck(sn, cfg.ExpireMultiple, cfg.RefreshFloor); v != nil {
+			if v := expiryCheck(sn, cfg.RefreshFloor); v != nil {
 				return v
 			}
 		}
@@ -547,10 +547,12 @@ func auditDetail(e oracle.Errors) string {
 }
 
 // expiryCheck mirrors the onRefreshTick expiry rule as an oracle: at a
-// quiescent leaf no pointer may be unrefreshed past ExpireMultiple times
-// the node's lifetime estimate for its level, plus one refresh tick of
-// slack (expiry only runs on ticks).
-func expiryCheck(sn *sim.SimNode, expireMultiple float64, refreshFloor des.Time) *Violation {
+// quiescent leaf no pointer may be unrefreshed past three times the
+// node's lifetime estimate for its level (§4.6: "3·LT_m"), plus one
+// refresh tick of slack (expiry only runs on ticks). The factor is the
+// paper's, not read from the code under test.
+func expiryCheck(sn *sim.SimNode, refreshFloor des.Time) *Violation {
+	const expireMultiple = 3
 	var v *Violation
 	nowT := sn.Now()
 	sn.Node.Peers().ForEach(func(p wire.Pointer, _, lastSeen des.Time) {

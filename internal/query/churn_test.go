@@ -89,14 +89,31 @@ func verifyAgainstNode(t *testing.T, tr tracked) {
 	if v.MinLevel() != minL {
 		t.Fatalf("node %v: MinLevel = %d, scan = %d", tr.sn.Addr, v.MinLevel(), minL)
 	}
+
+	// The node counts each insertion and eviction where it tells the sink,
+	// so its counters and the store's delta counters must agree.
+	node, store := tr.sn.Node.Metrics().Snapshot().Counters, tr.store.MetricsSnapshot().Counters
+	var removed uint64
+	for name, c := range node {
+		if strings.HasPrefix(name, core.MetricPeersRemovedPrefix) {
+			removed += c
+		}
+	}
+	if node[core.MetricPeersAdded] != store[MetricQueryDeltasAdd] || removed != store[MetricQueryDeltasRemove] {
+		t.Fatalf("node %v: %s = %d and %s* = %d, store saw %d adds and %d removes", tr.sn.Addr,
+			core.MetricPeersAdded, node[core.MetricPeersAdded], core.MetricPeersRemovedPrefix, removed,
+			store[MetricQueryDeltasAdd], store[MetricQueryDeltasRemove])
+	}
 }
 
 // TestStoreTracksWindowUnderChurn attaches stores to live nodes of a
 // seeded cluster, runs stationary churn with crashes and leaves, and at
 // every checkpoint requires the indexed views to be bit-identical to the
-// nodes' peer lists. This is the acceptance property from the redesign:
-// the query plane may never drift from the window, no matter which of
-// the protocol's ten mutation paths fired.
+// nodes' peer lists, and each node's peers.added and peers.removed.*
+// counters to equal its store's add and remove delta counts. This is the
+// acceptance property from the redesign: the query plane may never drift
+// from the window, no matter which of the protocol's mutation paths
+// fired.
 func TestStoreTracksWindowUnderChurn(t *testing.T) {
 	cfg := sim.ClusterConfig{Core: core.DefaultConfig(), Seed: 77}
 	c := sim.NewCluster(cfg)

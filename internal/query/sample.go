@@ -11,8 +11,8 @@ import "peerwindow/internal/xrand"
 // tracked in a map (O(k) space). Both branches perform the identical swap
 // sequence and therefore return identical indexes.
 //
-// Window.Sample and View.Sample share this helper, so sampling the same
-// snapshot through either API yields the same peers.
+// View.Sample draws through this helper, so its result is pinned by the
+// helper's (n, k, seed) contract.
 func SampleIndexes(n, k int, seed uint64) []int {
 	if k > n {
 		k = n

@@ -186,11 +186,11 @@ const (
 	deltaShift
 )
 
-// scaledShard is one engine's worth of slices plus the single-writer
-// buffers its worker fills during a window and the barrier drains.
+// scaledShard is one engine, which runs a contiguous run of slices, plus
+// the single-writer buffers its worker fills during a window and the
+// barrier drains.
 type scaledShard struct {
 	engine *des.Engine
-	slices []*popSlice
 
 	flights               []shardFlight
 	deltas                []countDelta
@@ -250,7 +250,6 @@ func NewShardedScaled(cfg ShardedScaledConfig) *ShardedScaled {
 			sl.target++
 		}
 		s.slices[i] = sl
-		sh.slices = append(sh.slices, sl)
 	}
 	s.populate()
 	for _, sl := range s.slices {

@@ -89,7 +89,7 @@ func NewHost(cfg core.Config, self wire.Pointer, rng *xrand.Source, link Link) *
 	// from empty and its views are always exactly the peer list.
 	h.store = query.NewStore(nil)
 	h.node.SetDeltas(h.store)
-	go h.loop() //pwlint:allow locksafe starting the executor does not wait on it
+	go h.loop()
 	return h
 }
 
