@@ -74,14 +74,22 @@ func TestMergeSortedUpdateOnlyDoesNotAllocate(t *testing.T) {
 }
 
 // countingEnv is an Env that does no work of its own: it keeps the last
-// message sent and the callbacks of armed timers in reused storage, so
-// every allocation a guard sees is the node's.
+// message sent and the armed timers in reused storage, so every
+// allocation a guard sees is the node's. Time moves only when a timer
+// fires: now advances to that timer's deadline.
 type countingEnv struct {
-	now   des.Time
-	rng   *xrand.Source
-	sends int
-	last  wire.Message
-	armed []func()
+	now    des.Time
+	rng    *xrand.Source
+	sends  int
+	timers int // SetTimer calls
+	last   wire.Message
+	armed  []armedTimer
+}
+
+// armedTimer is one timer waiting in a countingEnv.
+type armedTimer struct {
+	at des.Time
+	fn func()
 }
 
 type nopTimer struct{}
@@ -91,18 +99,30 @@ func (nopTimer) Cancel() bool { return true }
 func (e *countingEnv) Now() des.Time         { return e.now }
 func (e *countingEnv) Rand() *xrand.Source   { return e.rng }
 func (e *countingEnv) Send(msg wire.Message) { e.sends++; e.last = msg }
-func (e *countingEnv) SetTimer(_ des.Time, fn func()) Timer {
-	e.armed = append(e.armed, fn)
+func (e *countingEnv) SetTimer(d des.Time, fn func()) Timer {
+	e.timers++
+	e.armed = append(e.armed, armedTimer{at: e.now + d, fn: fn})
 	return nopTimer{}
 }
 
-// fireArmed runs and forgets the timer callbacks armed so far; timers
-// they arm in turn stay armed.
+// fireArmed runs and forgets the timers armed so far, earliest deadline
+// first, advancing now to each one's deadline; timers they arm in turn
+// stay armed.
 func (e *countingEnv) fireArmed() {
 	k := len(e.armed)
-	for i := 0; i < k; i++ {
-		e.armed[i]()
+	for i := 1; i < k; i++ { // insertion sort: sort.Slice would allocate
+		for j := i; j > 0 && e.armed[j].at < e.armed[j-1].at; j-- {
+			e.armed[j], e.armed[j-1] = e.armed[j-1], e.armed[j]
+		}
 	}
+	for i := 0; i < k; i++ {
+		t := e.armed[i]
+		if t.at > e.now {
+			e.now = t.at
+		}
+		t.fn()
+	}
+	clear(e.armed[:k])
 	e.armed = e.armed[:copy(e.armed, e.armed[k:])]
 }
 
@@ -113,7 +133,7 @@ func (e *countingEnv) disarm() { e.armed = e.armed[:0] }
 // and a single peer on the other side of bit 0, so every fresh event about
 // that peer is forwarded exactly once (to the peer, at step 0).
 func messagePathNode() (*Node, *countingEnv, wire.Pointer) {
-	env := &countingEnv{rng: xrand.New(1), armed: make([]func(), 0, 8)}
+	env := &countingEnv{rng: xrand.New(1), armed: make([]armedTimer, 0, 8)}
 	cfg := quietConfig()
 	cfg.ForwardDelay = des.Second
 	peer := ptrAt("1000", 0, 2)
@@ -125,19 +145,21 @@ func messagePathNode() (*Node, *countingEnv, wire.Pointer) {
 }
 
 // freshEvent delivers an info change about peer with sequence number seq,
-// lets the forward delay expire and returns the ack id of the one forward.
+// lets the forward delay expire (and any timer armed before it) and
+// returns the ack id of the one forward.
 func freshEvent(n *Node, env *countingEnv, peer wire.Pointer, seq uint64) uint64 {
 	n.HandleMessage(wire.Message{
 		Type: wire.MsgEvent, From: peer.Addr, To: 1, AckID: seq,
 		Event: wire.Event{Kind: wire.EventInfoChange, Subject: peer, Seq: seq},
 	})
-	env.fireArmed() // the forward hop; leaves the forward's retry timer armed
+	env.fireArmed() // the forward hop; leaves the ack queue's timer armed
 	return env.last.AckID
 }
 
 // The recv → HandleMessage → send path for event, ack and heartbeat works
-// out of per-node pools (pendingSend, forwardHop) and the arithmetic
-// SizeBits; once the pools are warm it must not allocate at all.
+// out of the per-node pendingSend pool, the ack and hop deadline queues
+// and the arithmetic SizeBits; once they are warm it must not allocate at
+// all.
 func TestMessagePathDoesNotAllocate(t *testing.T) {
 	n, env, peer := messagePathNode()
 	const runs = 200
@@ -232,15 +254,23 @@ func TestLateAckForRecycledPendingSendIsIgnored(t *testing.T) {
 	if len(n.pending) != 0 {
 		t.Fatal("ack did not resolve the send")
 	}
-	env.disarm()
 
+	// The ack queue's timer, armed for the first send, stays armed: it
+	// fires after the second forward and finds the first entry answered.
 	second := freshEvent(n, env, peer, 2)
 	if n.pending[second] != rec {
 		t.Fatal("the second send did not recycle the first one's record; the case is not exercised")
 	}
 	n.HandleMessage(wire.Message{Type: wire.MsgAck, From: peer.Addr, To: 1, AckID: first}) // late duplicate
-	if n.pending[second] != rec || rec.id != second || rec.msg.Event.Seq != 2 || rec.timer == nil {
+	if n.pending[second] != rec || rec.id != second || rec.msg.Event.Seq != 2 {
 		t.Fatalf("late ack %d disturbed the recycled record now serving send %d: %+v", first, second, rec)
+	}
+	if n.acks.len() != 1 || n.acks.items[n.acks.head].v != second || n.acks.timer == nil {
+		t.Fatalf("ack queue holds %d entries (timer armed: %v), want only send %d's",
+			n.acks.len(), n.acks.timer != nil, second)
+	}
+	if n.m.ackRetries.Value() != 0 {
+		t.Fatal("the answered first send was retried")
 	}
 
 	// The recycled send still times out, retries and fails as its own.

@@ -76,7 +76,12 @@ func (pl *PeerList) CheckInvariants() error {
 //   - the top-node list is within its configured cap and holds no
 //     duplicates and not the node itself;
 //   - the ring successor is well-defined: a joined node with a non-empty
-//     peer list can always name its clockwise neighbour.
+//     peer list can always name its clockwise neighbour;
+//   - each deadline queue keeps its rules: deadlines never decrease from
+//     the head, and a queue holding a live entry has its timer armed
+//     outside the tick;
+//   - each pending send has exactly one entry in the ack queue, due no
+//     later than now + AckTimeout.
 func (n *Node) CheckInvariants() error {
 	if err := n.peers.CheckInvariants(); err != nil {
 		return err
@@ -117,6 +122,36 @@ func (n *Node) CheckInvariants() error {
 		if _, ok := n.peers.Successor(n.self.ID, nil); !ok {
 			return fmt.Errorf("ring successor undefined with %d peers held", n.peers.Len())
 		}
+	}
+	return n.checkQueues()
+}
+
+// checkQueues is CheckInvariants' deadline-queue clause.
+func (n *Node) checkQueues() error {
+	if err := n.acks.check(); err != nil {
+		return fmt.Errorf("ack queue: %w", err)
+	}
+	if err := n.hops.check(); err != nil {
+		return fmt.Errorf("hop queue: %w", err)
+	}
+	if err := n.defends.check(); err != nil {
+		return fmt.Errorf("defend queue: %w", err)
+	}
+	queued := make(map[uint64]int, len(n.pending))
+	limit := n.env.Now() + n.cfg.AckTimeout
+	for _, e := range n.acks.items[n.acks.head:] {
+		if !n.awaited(e.v) {
+			continue
+		}
+		if queued[e.v]++; queued[e.v] > 1 {
+			return fmt.Errorf("pending send %d is queued twice", e.v)
+		}
+		if e.at > limit {
+			return fmt.Errorf("pending send %d times out at %v, after now + AckTimeout = %v", e.v, e.at, limit)
+		}
+	}
+	if len(queued) != len(n.pending) {
+		return fmt.Errorf("%d sends pending, %d of them in the ack queue", len(n.pending), len(queued))
 	}
 	return nil
 }

@@ -170,10 +170,10 @@ func (n *Node) joinStep4(top wire.Pointer, done func(error)) {
 			n.joinTop = top
 			n.startTimers()
 			if n.warmTarget >= 0 && n.warmTarget < n.Level() {
-				n.env.SetTimer(n.cfg.ShiftCheckInterval, n.warmUpStep)
+				n.warmUpTimer = n.env.SetTimer(n.cfg.ShiftCheckInterval, n.warmUpStep)
 			}
 			if n.cfg.ReconcileDelay > 0 {
-				n.env.SetTimer(n.cfg.ReconcileDelay, n.reconcile)
+				n.reconcileTimer = n.env.SetTimer(n.cfg.ReconcileDelay, n.reconcile)
 			}
 			done(nil)
 		},
@@ -279,7 +279,7 @@ func (n *Node) warmUpStep() {
 			n.warmTarget = -1 // cannot raise further; settle here
 			return
 		}
-		n.env.SetTimer(n.cfg.ShiftCheckInterval, n.warmUpStep)
+		n.warmUpTimer = n.env.SetTimer(n.cfg.ShiftCheckInterval, n.warmUpStep)
 	})
 }
 

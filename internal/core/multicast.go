@@ -41,56 +41,22 @@ func (n *Node) handleEvent(m wire.Message) {
 	// The paper charges each hop 1 s of processing before it re-sends
 	// (§5.1); model that as a single delay before all forwards.
 	if n.cfg.ForwardDelay > 0 {
-		h := n.acquireHop()
-		h.ev, h.step, h.tid = m.Event, int(m.Step), m.Trace
-		n.env.SetTimer(n.cfg.ForwardDelay, h.fire)
+		n.hops.push(n.cfg.ForwardDelay, forwardHop{ev: m.Event, step: int(m.Step), tid: m.Trace})
 	} else {
 		n.forwardEvent(m.Event, int(m.Step), m.Trace)
 	}
 }
 
-// forwardHop is one delivered event waiting out ForwardDelay before it is
-// forwarded. Records are pooled per Node; one is released when its timer
-// fires, and a hop whose timer never fires (the node stopped first) is
-// simply left to the garbage collector.
+// forwardHop is one delivered event waiting out ForwardDelay in the hop
+// queue before it is forwarded.
 type forwardHop struct {
 	ev   wire.Event
 	step int
 	tid  wire.TraceID
-	// fire is the timer callback, bound to this record once when it is
-	// first created.
-	fire func()
 }
 
-// acquireHop takes a record from the node's pool.
-//
-//pwlint:noalloc
-func (n *Node) acquireHop() *forwardHop {
-	if k := len(n.hopPool); k > 0 {
-		h := n.hopPool[k-1]
-		n.hopPool = n.hopPool[:k-1]
-		return h
-	}
-	return n.newForwardHop() //pwlint:allow noalloc pool miss; steady state reuses released records
-}
-
-func (n *Node) newForwardHop() *forwardHop {
-	h := &forwardHop{}
-	h.fire = func() {
-		ev, step, tid := h.ev, h.step, h.tid
-		n.releaseHop(h)
-		n.forwardEvent(ev, step, tid)
-	}
-	return h
-}
-
-// releaseHop returns a fired record to the pool.
-//
-//pwlint:noalloc
-func (n *Node) releaseHop(h *forwardHop) {
-	h.ev = wire.Event{} // drop the subject's info slice
-	n.hopPool = append(n.hopPool, h)
-}
+// forwardDue forwards a hop whose ForwardDelay has passed.
+func (n *Node) forwardDue(h forwardHop) { n.forwardEvent(h.ev, h.step, h.tid) }
 
 // originateMulticast starts the tree at this node, which has just applied
 // the event (top-node path, §2). A top node of a split part at level L

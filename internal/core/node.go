@@ -39,13 +39,20 @@ type Node struct {
 	seen map[nodeid.ID]uint64
 	dead map[nodeid.ID]bool
 
-	// pending tracks reliable sends awaiting acks. sendPool and hopPool
-	// hold released pendingSend and forwardHop records for reuse, so the
-	// per-message send and forward paths allocate nothing once warm.
+	// pending tracks reliable sends awaiting acks; sendPool holds released
+	// records for reuse, so the per-message send path allocates nothing
+	// once warm.
 	nextAckID uint64
 	pending   map[uint64]*pendingSend
 	sendPool  []*pendingSend
-	hopPool   []*forwardHop
+
+	// The deadline queues (deadline.go): acks holds the ack id of every
+	// attempt awaiting its AckTimeout, hops the delivered events waiting
+	// out ForwardDelay, and defends the self-defense re-announcements
+	// (applyEvent) waiting out AckTimeout. Each arms one Env timer.
+	acks    deadlineQueue[uint64]
+	hops    deadlineQueue[forwardHop]
+	defends deadlineQueue[struct{}]
 
 	// Probing state (§4.1). probeStart is when the current round's first
 	// heartbeat went out — the zero point of the detection-latency
@@ -80,8 +87,10 @@ type Node struct {
 	// free of any extra work.
 	deltas DeltaSink
 
-	shiftTimer   Timer
-	refreshTimer Timer
+	shiftTimer     Timer
+	refreshTimer   Timer
+	warmUpTimer    Timer
+	reconcileTimer Timer
 
 	// lastShift is when the node last changed level (or joined); level
 	// checks are suppressed for one MeterWindow afterwards so the meter
@@ -132,6 +141,9 @@ func NewNode(cfg Config, env Env, _ Observer, self wire.Pointer) *Node {
 		m:          newNodeMetrics(),
 		warmTarget: -1,
 	}
+	n.acks.init(env, n.onAckTimeout, n.awaited)
+	n.hops.init(env, n.forwardDue, nil)
+	n.defends.init(env, n.defendSelf, nil)
 	n.setLevel(0)
 	return n
 }
@@ -326,23 +338,22 @@ func (n *Node) Leave() {
 
 // Stop halts all timers and message processing without any announcement —
 // a crash. The ring probing of some neighbour (§4.1) will eventually
-// detect it.
+// detect it. Every timer the node armed is cancelled, so a live host's
+// clock holds no reference to the stopped node.
 func (n *Node) Stop() {
 	if n.stopped {
 		return
 	}
 	n.stopped = true
 	n.joined = false
-	for _, t := range []Timer{n.probeTimer, n.probeWait, n.shiftTimer, n.refreshTimer} {
+	for _, t := range []Timer{n.probeTimer, n.probeWait, n.shiftTimer, n.refreshTimer, n.warmUpTimer, n.reconcileTimer} {
 		if t != nil {
 			t.Cancel()
 		}
 	}
-	for _, p := range n.pending {
-		if p.timer != nil {
-			p.timer.Cancel()
-		}
-	}
+	n.acks.stop()
+	n.hops.stop()
+	n.defends.stop()
 	n.pending = make(map[uint64]*pendingSend)
 }
 
@@ -576,6 +587,14 @@ func (n *Node) applyPointers(ps []wire.Pointer) int {
 	return added
 }
 
+// defendSelf re-announces the node AckTimeout after it heard its own
+// leave (see applyEvent).
+func (n *Node) defendSelf(struct{}) {
+	if n.joined && !n.stopped {
+		n.announce(wire.EventRefresh)
+	}
+}
+
 // pruneDedup bounds the seen/dead bookkeeping: entries for subjects that
 // are no longer in the peer list are only needed to dedup in-flight
 // retries, so once the maps grow well past the list size the stale
@@ -619,11 +638,7 @@ func (n *Node) applyEvent(ev wire.Event) bool {
 		// detection slipped past the probe retries), re-announce
 		// ourselves so every window restores our pointer.
 		if ev.Kind == wire.EventLeave && n.joined && !n.stopped {
-			n.env.SetTimer(n.cfg.AckTimeout, func() {
-				if n.joined && !n.stopped {
-					n.announce(wire.EventRefresh)
-				}
-			})
+			n.defends.push(n.cfg.AckTimeout, struct{}{})
 		}
 		return true
 	}

@@ -738,11 +738,23 @@ func TestStopCancelsEverything(t *testing.T) {
 	env := newFakeEnv(22)
 	cfg := quietConfig()
 	cfg.ProbeInterval = 10 * des.Second
+	cfg.ForwardDelay = des.Second
+	peer := ptrAt("0100", 0, 10)
 	n := NewNode(cfg, env, Observer{}, ptrAt("0000", 0, 1))
-	n.Restore(0, []wire.Pointer{ptrAt("0100", 0, 10)}, nil)
+	n.Restore(0, []wire.Pointer{peer}, nil)
+	// A forward awaiting its ack, and an event waiting out ForwardDelay.
+	deliver(n, peer, 1)
+	env.run(des.Second)
+	deliver(n, peer, 2)
 	n.Stop()
 	if !n.Stopped() {
 		t.Fatal("not stopped")
+	}
+	if armed := env.engine.Pending(); armed != 0 {
+		t.Fatalf("%d timers still armed after Stop", armed)
+	}
+	if n.acks.len() != 0 || n.hops.len() != 0 {
+		t.Fatalf("after Stop: %d acks and %d hops still queued", n.acks.len(), n.hops.len())
 	}
 	env.take()
 	env.run(des.Hour)

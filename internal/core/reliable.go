@@ -25,15 +25,14 @@ const (
 // pendingSend tracks one reliable request awaiting its ack/response.
 //
 // Records are pooled per Node. One is live from acquireSend until
-// releaseSend, which runs only after its pending[id] entry is deleted and
-// its timer has fired or been cancelled, so neither an ack nor a timeout
-// can reach a recycled record: ack ids are never reused, and a late ack
-// finds no pending entry.
+// releaseSend, which runs only after its pending[id] entry is deleted, so
+// neither an ack nor a timeout can reach a recycled record: ack ids are
+// never reused, a late ack finds no pending entry, and the ack queue
+// skips an entry whose id is no longer pending.
 type pendingSend struct {
 	id       uint64
 	msg      wire.Message
 	attempts int
-	timer    Timer
 	kind     sendKind
 
 	// target is the peer a multicast step or verification addresses; failed is the set of targets a multicast step has already
@@ -45,10 +44,6 @@ type pendingSend struct {
 	// onFail fires after the attempt budget is exhausted.
 	onResponse func(resp wire.Message)
 	onFail     func()
-
-	// timeout is the retry-timer callback, bound to this record once when
-	// it is first created.
-	timeout func()
 }
 
 // acquireSend takes a blank record from the node's pool.
@@ -60,22 +55,15 @@ func (n *Node) acquireSend() *pendingSend {
 		n.sendPool = n.sendPool[:k-1]
 		return p
 	}
-	return n.newPendingSend() //pwlint:allow noalloc pool miss; steady state reuses released records
-}
-
-func (n *Node) newPendingSend() *pendingSend {
-	p := &pendingSend{}
-	p.timeout = func() { n.onAckTimeout(p) }
-	return p
+	return &pendingSend{} //pwlint:allow noalloc pool miss; steady state reuses released records
 }
 
 // releaseSend blanks a record and returns it to the pool. The caller has
-// already deleted its pending entry and its timer has fired or been
-// cancelled.
+// already deleted its pending entry.
 //
 //pwlint:noalloc
 func (n *Node) releaseSend(p *pendingSend) {
-	*p = pendingSend{timeout: p.timeout}
+	*p = pendingSend{}
 	n.sendPool = append(n.sendPool, p)
 }
 
@@ -116,16 +104,25 @@ func (n *Node) arm(p *pendingSend) uint64 {
 	return p.id
 }
 
-// transmit performs one attempt and arms the retry timer.
+// transmit performs one attempt and queues its timeout AckTimeout later.
 func (n *Node) transmit(p *pendingSend) {
 	p.attempts--
 	n.send(p.msg)
-	p.timer = n.env.SetTimer(n.cfg.AckTimeout, p.timeout)
+	n.acks.push(n.cfg.AckTimeout, p.id)
 }
 
-// onAckTimeout retries or gives up on a pending send.
-func (n *Node) onAckTimeout(p *pendingSend) {
-	if n.stopped || n.pending[p.id] != p {
+// awaited reports whether ack id is still pending: the ack queue's
+// liveness test.
+func (n *Node) awaited(id uint64) bool {
+	_, ok := n.pending[id]
+	return ok
+}
+
+// onAckTimeout retries or gives up on the pending send id; the ack queue
+// calls it AckTimeout after each attempt that is still unanswered.
+func (n *Node) onAckTimeout(id uint64) {
+	p := n.pending[id]
+	if n.stopped || p == nil {
 		return
 	}
 	if p.attempts > 0 {
@@ -157,9 +154,6 @@ func (n *Node) resolveAck(id uint64, resp wire.Message) {
 		return // duplicate or late ack
 	}
 	delete(n.pending, id)
-	if p.timer != nil {
-		p.timer.Cancel()
-	}
 	switch p.kind {
 	case sendVerify:
 		n.verifyAnswered(p.target)

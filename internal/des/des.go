@@ -477,7 +477,9 @@ func (r *runnableSort) Swap(i, j int) {
 
 // Step executes the single earliest pending event — or, with a chooser
 // installed, whichever runnable event the chooser picks. It reports
-// false when no live events remain.
+// false when no live events remain. The clock never moves back: an event
+// a chooser skipped past fires late, at the current time, after the
+// chooser is cleared too.
 func (e *Engine) Step() bool {
 	if e.chooser != nil {
 		return e.chosenStep()
@@ -489,7 +491,9 @@ func (e *Engine) Step() bool {
 			e.release(s)
 			continue
 		}
-		e.now = ev.at
+		if ev.at > e.now {
+			e.now = ev.at
+		}
 		fn := ev.fn
 		e.live--
 		e.release(s)

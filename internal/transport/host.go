@@ -20,6 +20,7 @@ import (
 
 	"peerwindow/internal/core"
 	"peerwindow/internal/des"
+	"peerwindow/internal/invariant"
 	"peerwindow/internal/metrics"
 	"peerwindow/internal/query"
 	"peerwindow/internal/trace"
@@ -103,7 +104,8 @@ type task struct {
 }
 
 // loop is the executor: everything that touches the node runs here,
-// satisfying core.Env's serialization contract.
+// satisfying core.Env's serialization contract. Under the pwinvariants
+// build tag it re-validates the node after every task.
 func (h *Host) loop() {
 	defer close(h.done)
 	for {
@@ -113,6 +115,9 @@ func (h *Host) loop() {
 				t.fn()
 			} else {
 				h.node.HandleMessage(t.msg)
+			}
+			if invariant.Enabled {
+				invariant.Check(h.node)
 			}
 			*t = task{} // a parked task must not pin a closure or a payload
 			select {
@@ -291,29 +296,45 @@ func (h *Host) Send(msg wire.Message) {
 
 // timer adapts time.Timer to core.Timer with a fired/cancelled guard so a
 // cancelled callback never runs even if the wall timer already fired and
-// queued it.
+// queued it. The wall timer's callback reaches the host and fn only
+// through the timer, and Cancel clears both: a stopped time.Timer can
+// linger in the runtime's timer heap until the heap is next cleaned, and
+// must not keep a closed host reachable meanwhile.
 type timer struct {
 	state atomic.Int32 // 0 pending, 1 fired, 2 cancelled
+	host  atomic.Pointer[Host]
+	fn    func() // touched only by whichever of run and Cancel wins state
 	t     *time.Timer
 }
 
 func (t *timer) Cancel() bool {
 	if t.state.CompareAndSwap(0, 2) {
 		t.t.Stop()
+		t.host.Store(nil)
+		t.fn = nil
 		return true
 	}
 	return false
 }
 
+// expire runs on the wall timer's goroutine and queues run.
+func (t *timer) expire() {
+	if h := t.host.Load(); h != nil {
+		h.exec(t.run)
+	}
+}
+
+// run fires the callback on the executor unless Cancel came first.
+func (t *timer) run() {
+	if t.state.CompareAndSwap(0, 1) {
+		t.fn()
+	}
+}
+
 // SetTimer implements core.Env.
 func (h *Host) SetTimer(delay des.Time, fn func()) core.Timer {
-	t := &timer{}
-	t.t = time.AfterFunc(h.link.Wall(delay), func() {
-		h.exec(func() {
-			if t.state.CompareAndSwap(0, 1) {
-				fn()
-			}
-		})
-	})
+	t := &timer{fn: fn}
+	t.host.Store(h)
+	t.t = time.AfterFunc(h.link.Wall(delay), t.expire)
 	return t
 }

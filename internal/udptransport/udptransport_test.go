@@ -11,6 +11,7 @@ import (
 	"peerwindow/internal/des"
 	"peerwindow/internal/metrics"
 	"peerwindow/internal/nodeid"
+	"peerwindow/internal/trace"
 	"peerwindow/internal/transport"
 	"peerwindow/internal/wire"
 )
@@ -196,4 +197,48 @@ func TestAckDatagramsDoNotAllocate(t *testing.T) {
 	if m := after.Mallocs - before.Mallocs; m > n/10 {
 		t.Fatalf("%d allocations for %d ack datagrams", m, n)
 	}
+}
+
+// TestClosedHostIsCollected: once Close returns, nothing the node armed
+// keeps a joined host reachable. Node.Stop cancels every timer it set —
+// the periodic ones, the reconcile and warm-up timers and the deadline
+// queues' — so the runtime's timers let go of the callbacks that point
+// back at the host, and a few GC cycles collect it. A finalizer cannot
+// watch the host itself (its node's Env points back at it, and a
+// finalizer on a cycle never runs), so it watches the host's span
+// buffer, which only the host and its node reference.
+func TestClosedHostIsCollected(t *testing.T) {
+	seed := listen(t, "gc-seed")
+	collected := make(chan struct{})
+	func() {
+		h, err := Listen("127.0.0.1:0", "gc-joiner", 0, fastConfig())
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer h.Close()
+		runtime.SetFinalizer(h.EnableSpans(16), func(*trace.SpanBuffer) { close(collected) })
+		if err := h.Join(seed.Self(), 5*time.Second); err != nil {
+			t.Fatal(err)
+		}
+		// An announcement: a report, the seed's forward to us, our ack.
+		h.SetInfo([]byte("gc=1"))
+		self := h.Self().ID
+		eventually(t, "the seed applies the announcement", func() bool {
+			for _, p := range seed.Pointers() {
+				if p.ID == self && string(p.Info) == "gc=1" {
+					return true
+				}
+			}
+			return false
+		})
+	}()
+	for i := 0; i < 10; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			return
+		case <-time.After(20 * time.Millisecond):
+		}
+	}
+	t.Fatal("a closed host is still reachable after 10 GC cycles")
 }
