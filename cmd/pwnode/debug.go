@@ -83,7 +83,7 @@ func startDebugServer(addr, name string, n *transport.Host) (net.Listener, error
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		n.MetricsSnapshot().WritePrometheus(w, "pw")
+		n.MetricsSnapshot().WritePrometheus(w)
 	})
 	mux.HandleFunc("/debug/window", func(w http.ResponseWriter, r *http.Request) {
 		self := n.Self()
@@ -94,12 +94,12 @@ func startDebugServer(addr, name string, n *transport.Host) (net.Listener, error
 			Level:  n.Level(),
 			Window: []pointerJSON{},
 		}
-		for _, p := range n.Pointers() {
+		for _, e := range n.Query().View().Entries() {
 			doc.Window = append(doc.Window, pointerJSON{
-				ID:    p.ID.String(),
-				Addr:  endpoint(p.Addr),
-				Level: int(p.Level),
-				Info:  string(p.Info),
+				ID:    e.ID.String(),
+				Addr:  endpoint(e.Addr),
+				Level: int(e.Level),
+				Info:  e.Info(),
 			})
 		}
 		w.Header().Set("Content-Type", "application/json")

@@ -73,7 +73,7 @@ func TestDebugServerSmoke(t *testing.T) {
 
 	// Let the join multicast land in seed's window.
 	deadline := time.Now().Add(5 * time.Second)
-	for len(seed.Pointers()) == 0 && time.Now().Before(deadline) {
+	for seed.Query().View().Len() == 0 && time.Now().Before(deadline) {
 		time.Sleep(50 * time.Millisecond)
 	}
 

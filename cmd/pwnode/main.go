@@ -112,15 +112,15 @@ func main() {
 	for {
 		select {
 		case <-tick.C:
-			ps := n.Pointers()
+			window := n.Query().View().Entries()
 			sent, recv := n.Counters()
 			fmt.Printf("window=%d level=%d messages out/in=%d/%d\n",
-				len(ps), n.Level(), sent, recv)
-			for _, p := range ps {
-				pip, pport := p.Addr.IPv4()
+				len(window), n.Level(), sent, recv)
+			for _, e := range window {
+				pip, pport := e.Addr.IPv4()
 				fmt.Printf("  %s… %d.%d.%d.%d:%d L%d %q\n",
-					p.ID.String()[:8], pip[0], pip[1], pip[2], pip[3], pport,
-					p.Level, p.Info)
+					e.ID.String()[:8], pip[0], pip[1], pip[2], pip[3], pport,
+					e.Level, e.Info())
 			}
 		case <-sig:
 			fmt.Println("leaving politely…")

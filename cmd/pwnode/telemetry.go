@@ -61,7 +61,7 @@ func startTelemetry(addr string, interval time.Duration, name string, n *transpo
 					Name:   name,
 					ID:     self.ID,
 					Level:  n.Level(),
-					Window: len(n.Pointers()),
+					Window: n.Query().View().Len(),
 				}
 			},
 		}, stop)

@@ -67,7 +67,7 @@ func main() {
 	for i, n := range nodes {
 		sent, recv := n.Counters()
 		fmt.Printf("  peer-%d: %d pointers, %d messages out, %d in\n",
-			i, len(n.Pointers()), sent, recv)
+			i, n.Query().View().Len(), sent, recv)
 	}
 
 	victim := nodes[2]
@@ -83,10 +83,8 @@ func main() {
 			if i == 2 {
 				continue
 			}
-			for _, p := range n.Pointers() {
-				if p.ID == victimID {
-					clean = false
-				}
+			if _, held := n.Query().View().Get(victimID); held {
+				clean = false
 			}
 		}
 		if clean {

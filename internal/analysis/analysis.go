@@ -25,23 +25,16 @@ import (
 )
 
 // Analyzer is one named check. Run is invoked once per loaded package;
-// the optional Init hook sees the whole program first (for checks that
-// need cross-package facts, like the metric-name constant table), and the
-// optional Finish hook runs after every package (for whole-program
-// verdicts, like duplicate metric names).
+// checks that need the whole program share its call graph and facts
+// (Program.graph).
 type Analyzer struct {
 	// Name identifies the analyzer in diagnostics and in
 	// //pwlint:allow directives. Lower-case, no spaces.
 	Name string
 	// Doc is a one-paragraph description shown by `pwlint -help`.
 	Doc string
-	// Init, if non-nil, observes the full program before any Run call.
-	Init func(prog *Program)
 	// Run performs the per-package check.
 	Run func(pass *Pass) error
-	// Finish, if non-nil, reports whole-program diagnostics after the
-	// last Run call.
-	Finish func(report func(d Diagnostic))
 }
 
 // Diagnostic is one reported finding, with its position resolved. Path,
@@ -148,10 +141,9 @@ func Run(prog *Program, analyzers []*Analyzer) ([]Diagnostic, error) {
 }
 
 // RunTimed is Run plus per-analyzer wall times. Analyzers execute in
-// order (their Init/Finish hooks see a quiet program), but each
-// analyzer's per-package Run calls execute concurrently — pwlint itself
-// is not under the nodeterminism contract, and every Run implementation
-// only reads the program and its Init-built state.
+// order, but each analyzer's per-package Run calls execute concurrently —
+// pwlint itself is not under the nodeterminism contract, and every Run
+// implementation only reads the program.
 func RunTimed(prog *Program, analyzers []*Analyzer) ([]Diagnostic, []Timing, error) {
 	prog.buildAllows()
 	var diags []Diagnostic
@@ -163,9 +155,6 @@ func RunTimed(prog *Program, analyzers []*Analyzer) ([]Diagnostic, []Timing, err
 			mu.Lock()
 			diags = append(diags, d)
 			mu.Unlock()
-		}
-		if a.Init != nil {
-			a.Init(prog)
 		}
 		var wg sync.WaitGroup
 		var firstErr error
@@ -186,12 +175,6 @@ func RunTimed(prog *Program, analyzers []*Analyzer) ([]Diagnostic, []Timing, err
 		wg.Wait()
 		if firstErr != nil {
 			return nil, nil, firstErr
-		}
-		if a.Finish != nil {
-			a.Finish(func(d Diagnostic) {
-				d.Analyzer = a.Name
-				diags = append(diags, d)
-			})
 		}
 		timings = append(timings, Timing{Name: a.Name, Duration: time.Since(start)})
 	}
@@ -286,7 +269,6 @@ func All() []*Analyzer {
 		SchedPure,
 		LockSafe,
 		NoAlloc,
-		MetricName,
 	}
 }
 

@@ -27,10 +27,6 @@ func TestNoAlloc(t *testing.T) {
 	analysistest.Run(t, analysis.NoAlloc, "noalloc")
 }
 
-func TestMetricName(t *testing.T) {
-	analysistest.Run(t, analysis.MetricName, "metricname")
-}
-
 // TestSuiteCleanOnRepo is the acceptance gate pwlint enforces in CI,
 // asserted here too so `go test ./...` catches regressions even when the
 // pwlint step is skipped: the repository itself carries zero

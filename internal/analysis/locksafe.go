@@ -5,9 +5,9 @@ package analysis
 // The concrete hazard in this codebase: transport.Network.mu is taken on
 // the executor goroutines' message path (lookup, loss injection), so a
 // goroutine that holds it while waiting on an executor — Host.call/exec,
-// a channel operation, Env.Send/deliver, Shutdown — can deadlock the
-// whole overlay. transport.Network.Close shows the required shape: copy
-// under the lock, release, then do the blocking work.
+// a channel operation, Env.Send/deliver — can deadlock the whole
+// overlay. transport.Network.Close shows the required shape: copy under
+// the lock, release, then do the blocking work.
 //
 // Critical sections are tracked per function body in source order,
 // branches merge by intersection, and function literals are analyzed as
@@ -28,8 +28,9 @@ import (
 
 // blockingNames are callee names treated as potentially blocking on
 // another goroutine. call/exec/deliver are this repo's executor entry
-// points; Send/SendTo/HandleMessage/Shutdown are the transport surface;
-// Wait and Sleep cover sync.WaitGroup/sync.Cond/time.Sleep style waits.
+// points; Send/SendTo/HandleMessage are the transport surface; Shutdown
+// covers graceful stops such as http.Server.Shutdown; Wait and Sleep
+// cover sync.WaitGroup/sync.Cond/time.Sleep style waits.
 var blockingNames = map[string]bool{
 	"Send":          true,
 	"SendTo":        true,

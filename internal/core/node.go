@@ -136,8 +136,8 @@ func NewNode(cfg Config, env Env, _ Observer, self wire.Pointer) *Node {
 		seen:       make(map[nodeid.ID]uint64),
 		dead:       make(map[nodeid.ID]bool),
 		pending:    make(map[uint64]*pendingSend),
-		inMeter:    metrics.NewMeter(cfg.MeterWindow, 8),
-		outMeter:   metrics.NewMeter(cfg.MeterWindow, 8),
+		inMeter:    metrics.NewMeter(cfg.MeterWindow),
+		outMeter:   metrics.NewMeter(cfg.MeterWindow),
 		m:          newNodeMetrics(),
 		warmTarget: -1,
 	}

@@ -102,32 +102,29 @@ func (p *PerLevel) Overall() Agg {
 	return out
 }
 
+// meterSlots is how many sub-intervals a Meter's window is split into
+// (more slots = smoother decay).
+const meterSlots = 8
+
 // Meter measures a node's bandwidth cost over a sliding window of virtual
 // time — the "dynamically measured" W_T of §4.3 that drives level
 // estimation and the autonomic level shifting of §2. It keeps per-slot
 // bit counts and reports the windowed rate.
 type Meter struct {
 	window des.Time
-	slots  int
 	slot   des.Time
-	bits   []float64
+	bits   [meterSlots]float64
 	// cur is the index of the slot containing 'upto'.
 	cur  int
 	upto des.Time
 }
 
-// NewMeter builds a meter with the given window, split into slots
-// sub-intervals (more slots = smoother decay).
-func NewMeter(window des.Time, slots int) *Meter {
-	if window <= 0 || slots <= 0 {
-		panic("metrics: meter needs positive window and slots")
+// NewMeter builds a meter over the given window.
+func NewMeter(window des.Time) *Meter {
+	if window <= 0 {
+		panic("metrics: meter needs a positive window")
 	}
-	return &Meter{
-		window: window,
-		slots:  slots,
-		slot:   window / des.Time(slots),
-		bits:   make([]float64, slots),
-	}
+	return &Meter{window: window, slot: window / meterSlots}
 }
 
 // advance rotates slots so that 'now' falls inside the current one.
@@ -136,11 +133,11 @@ func (m *Meter) advance(now des.Time) {
 		return
 	}
 	steps := int((now - m.upto) / m.slot)
-	if steps > m.slots {
-		steps = m.slots
+	if steps > meterSlots {
+		steps = meterSlots
 	}
 	for i := 0; i < steps; i++ {
-		m.cur = (m.cur + 1) % m.slots
+		m.cur = (m.cur + 1) % meterSlots
 		m.bits[m.cur] = 0
 	}
 	// Snap upto forward in whole slots, then remember 'now' is inside.

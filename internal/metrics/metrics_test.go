@@ -163,7 +163,7 @@ func TestHistogramValidation(t *testing.T) {
 }
 
 func TestMeterSteadyRate(t *testing.T) {
-	m := NewMeter(10*des.Second, 10)
+	m := NewMeter(8 * des.Second)
 	// 1000 bits every second for 30 s: steady 1000 bit/s.
 	for s := 1; s <= 30; s++ {
 		m.Add(des.Time(s)*des.Second, 1000)
@@ -175,7 +175,7 @@ func TestMeterSteadyRate(t *testing.T) {
 }
 
 func TestMeterDecaysToZero(t *testing.T) {
-	m := NewMeter(10*des.Second, 10)
+	m := NewMeter(8 * des.Second)
 	m.Add(des.Second, 5000)
 	if r := m.Rate(2 * des.Second); r <= 0 {
 		t.Fatalf("fresh traffic invisible: %g", r)
@@ -186,7 +186,7 @@ func TestMeterDecaysToZero(t *testing.T) {
 }
 
 func TestMeterLargeGap(t *testing.T) {
-	m := NewMeter(10*des.Second, 10)
+	m := NewMeter(8 * des.Second)
 	m.Add(des.Second, 1e6)
 	// A gap of several windows must fully clear the history.
 	m.Add(1000*des.Second, 100)
@@ -202,7 +202,7 @@ func TestMeterValidation(t *testing.T) {
 			t.Fatal("invalid meter did not panic")
 		}
 	}()
-	NewMeter(0, 10)
+	NewMeter(0)
 }
 
 func TestTableRender(t *testing.T) {

@@ -1,14 +1,53 @@
 package metrics
 
+import (
+	"fmt"
+	"strings"
+)
+
+// ValidName reports whether name can name an instrument: it starts with
+// a letter, is '.'-separated non-empty segments of [a-z0-9_-], and does
+// not carry the pw namespace that the Prometheus exposition adds ("pw."
+// or "pw_"). These are exactly the names promName turns into valid pw_*
+// Prometheus names ("net.send.heartbeat-ack" ->
+// "pw_net_send_heartbeat_ack"). Two places enforce it: a Registry when
+// it creates an instrument (a bad name panics) and the telemetry frame
+// decoder (a bad name is a decode error), so neither a typo nor a remote
+// frame can put a malformed line into a /metrics exposition.
+func ValidName(name string) bool {
+	if name == "" || name[0] < 'a' || name[0] > 'z' ||
+		strings.HasPrefix(name, "pw.") || strings.HasPrefix(name, "pw_") {
+		return false
+	}
+	for i := 1; i < len(name); i++ {
+		switch c := name[i]; {
+		case c == '.':
+			if name[i-1] == '.' || i == len(name)-1 {
+				return false
+			}
+		case c >= 'a' && c <= 'z', c >= '0' && c <= '9', c == '_', c == '-':
+		default:
+			return false
+		}
+	}
+	return true
+}
+
+// mustBeValid panics on a name ValidName rejects: minting one is a
+// programmer error.
+func mustBeValid(name string) {
+	if !ValidName(name) {
+		panic(fmt.Sprintf("metrics: invalid instrument name %q", name))
+	}
+}
+
 // Canonical names of the network-layer instruments, shared by the
 // in-process transport and the UDP transport (alternative substrates for
 // the same overlay, so their instruments must line up). Protocol-level
 // names live with their owner in internal/core (core.Metric*); this
-// block owns the net.* namespace. pwlint's metricname analyzer enforces
-// that every metric name in the repository is declared exactly once, in
-// a Metric* constant like these, in lowercase dotted snake_case — the
-// Prometheus exposition renders them under the pw_ prefix
-// ("net.send_bytes" -> "pw_net_send_bytes").
+// block owns the net.* namespace. Each name is declared once, as a
+// Metric* constant like these; the Prometheus exposition renders them
+// under the pw_ prefix ("net.send_bytes" -> "pw_net_send_bytes").
 const (
 	// Per-message-type families; the wire.MsgType name is the suffix.
 	MetricNetSendPrefix     = "net.send."

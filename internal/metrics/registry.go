@@ -131,38 +131,44 @@ func NewRegistry() *Registry {
 	}
 }
 
-// Counter returns the named counter, creating it on first use.
+// Counter returns the named counter, creating it on first use. Creating
+// one under a name ValidName rejects panics.
 func (r *Registry) Counter(name string) *Counter {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if c, ok := r.counters[name]; ok {
 		return c
 	}
+	mustBeValid(name)
 	c := &Counter{}
 	r.counters[name] = c
 	return c
 }
 
-// Gauge returns the named gauge, creating it on first use.
+// Gauge returns the named gauge, creating it on first use (a bad name
+// panics, as for Counter).
 func (r *Registry) Gauge(name string) *Gauge {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if g, ok := r.gauges[name]; ok {
 		return g
 	}
+	mustBeValid(name)
 	g := &Gauge{}
 	r.gauges[name] = g
 	return g
 }
 
 // Histogram returns the named histogram, creating it with the given
-// bounds on first use (later calls ignore bounds).
+// bounds on first use (later calls ignore bounds; a bad name panics, as
+// for Counter).
 func (r *Registry) Histogram(name string, bounds []float64) *Hist {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if h, ok := r.hists[name]; ok {
 		return h
 	}
+	mustBeValid(name)
 	h := newHist(bounds)
 	r.hists[name] = h
 	return h
@@ -268,10 +274,10 @@ func (s *Snapshot) Merge(o Snapshot) {
 	}
 }
 
-// promName converts a dotted instrument name to Prometheus form with the
-// given prefix: "probe.failures" -> "pw_probe_failures".
-func promName(prefix, name string) string {
-	return prefix + "_" + strings.NewReplacer(".", "_", "-", "_").Replace(name)
+// promName converts a dotted instrument name to Prometheus form under the
+// pw namespace: "probe.failures" -> "pw_probe_failures".
+func promName(name string) string {
+	return "pw_" + strings.NewReplacer(".", "_", "-", "_").Replace(name)
 }
 
 // promFloat renders a float the way Prometheus text exposition expects.
@@ -283,16 +289,16 @@ func promFloat(v float64) string {
 }
 
 // WritePrometheus renders the snapshot in Prometheus text exposition
-// format, every metric name prefixed ("pw" is conventional here). Output
-// is sorted by name so scrapes diff cleanly.
-func (s Snapshot) WritePrometheus(w io.Writer, prefix string) error {
+// format, every metric name prefixed with "pw_". Output is sorted by name
+// so scrapes diff cleanly.
+func (s Snapshot) WritePrometheus(w io.Writer) error {
 	names := make([]string, 0, len(s.Counters))
 	for name := range s.Counters {
 		names = append(names, name)
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		pn := promName(prefix, name)
+		pn := promName(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", pn, pn, s.Counters[name]); err != nil {
 			return err
 		}
@@ -303,7 +309,7 @@ func (s Snapshot) WritePrometheus(w io.Writer, prefix string) error {
 	}
 	sort.Strings(names)
 	for _, name := range names {
-		pn := promName(prefix, name)
+		pn := promName(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", pn, pn, s.Gauges[name]); err != nil {
 			return err
 		}
@@ -315,7 +321,7 @@ func (s Snapshot) WritePrometheus(w io.Writer, prefix string) error {
 	sort.Strings(names)
 	for _, name := range names {
 		h := s.Histograms[name]
-		pn := promName(prefix, name)
+		pn := promName(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", pn); err != nil {
 			return err
 		}

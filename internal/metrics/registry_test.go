@@ -107,6 +107,35 @@ func TestSnapshotMerge(t *testing.T) {
 	}
 }
 
+func TestRegistryRejectsBadNames(t *testing.T) {
+	r := NewRegistry()
+	for kind, mint := range map[string]func(string){
+		"counter":   func(n string) { r.Counter(n) },
+		"gauge":     func(n string) { r.Gauge(n) },
+		"histogram": func(n string) { r.Histogram(n, []float64{1}) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s with a malformed name did not panic", kind)
+				}
+			}()
+			mint("Probe Rounds")
+		}()
+	}
+	if s := r.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
+		t.Fatalf("a rejected name was registered: %+v", s)
+	}
+
+	// The check runs only when an instrument is created: fetching one
+	// that exists does not look at its name.
+	c, g, h := &Counter{}, &Gauge{}, newHist([]float64{1})
+	r.counters["Not Checked"], r.gauges["Not Checked"], r.hists["Not Checked"] = c, g, h
+	if r.Counter("Not Checked") != c || r.Gauge("Not Checked") != g || r.Histogram("Not Checked", nil) != h {
+		t.Fatal("re-fetch did not return the existing instrument")
+	}
+}
+
 func TestWritePrometheus(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("probe.failures").Add(3)
@@ -116,7 +145,7 @@ func TestWritePrometheus(t *testing.T) {
 	h.Observe(15)
 
 	var buf bytes.Buffer
-	if err := r.Snapshot().WritePrometheus(&buf, "pw"); err != nil {
+	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

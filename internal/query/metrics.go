@@ -2,9 +2,8 @@ package query
 
 import "peerwindow/internal/metrics"
 
-// Metric names exported by the query plane. Naming follows the repository
-// convention enforced by the metricname analyzer: lowercase dotted
-// snake_case, declared exactly once as constants.
+// Metric names exported by the query plane, declared once each in the
+// form metrics.ValidName accepts (the registry panics on anything else).
 const (
 	// MetricQueryEpoch is the epoch of the most recently published view.
 	MetricQueryEpoch = "query.epoch"

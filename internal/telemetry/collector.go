@@ -430,7 +430,7 @@ func (c *Collector) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := c.Aggregate()
 	snap.Merge(c.reg.Snapshot())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	snap.WritePrometheus(w, "pw")
+	snap.WritePrometheus(w)
 }
 
 func (c *Collector) serveHealth(w http.ResponseWriter, r *http.Request) {

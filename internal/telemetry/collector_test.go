@@ -297,3 +297,37 @@ func TestCollectorRejectsBadFrame(t *testing.T) {
 		t.Fatalf("%s=%d, want 1", MetricTelemetryFramesBad, v)
 	}
 }
+
+// TestCollectorRejectsBadMetricNames: the collector writes the names it
+// decodes off the network into /metrics, so a frame is untrusted input.
+// A counter named "x 1\npw_fake" would otherwise print a forged
+// "# TYPE pw_x 1" line and a spoofed pw_fake sample.
+func TestCollectorRejectsBadMetricNames(t *testing.T) {
+	const bad = "x 1\npw_fake"
+	deltas := []metrics.Snapshot{
+		{Counters: map[string]uint64{"probe.rounds": 1, bad: 5}},
+		{Gauges: map[string]int64{bad: 5}},
+		{Histograms: map[string]metrics.HistSnapshot{
+			bad: {Bounds: []float64{1}, Counts: []uint64{5, 0}, Count: 5, Sum: 5},
+		}},
+	}
+	c := newTestCollector(&testClock{})
+	for i, delta := range deltas {
+		f := &Frame{Node: 1, Seq: uint64(i + 1), Beacon: &Beacon{Name: "n1"}, Delta: delta}
+		b := f.Marshal()
+		if _, err := Unmarshal(b); err == nil {
+			t.Errorf("frame %d: Unmarshal accepted the name %q", i, bad)
+		}
+		if err := c.Ingest(b); err == nil {
+			t.Errorf("frame %d: Ingest accepted the name %q", i, bad)
+		}
+	}
+	if v := c.SelfMetrics().Counters[MetricTelemetryFramesBad]; v != uint64(len(deltas)) {
+		t.Errorf("%s=%d, want %d", MetricTelemetryFramesBad, v, len(deltas))
+	}
+	rec := httptest.NewRecorder()
+	c.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	if body := rec.Body.String(); strings.Contains(body, "fake") || strings.Contains(body, "probe_rounds") {
+		t.Fatalf("/metrics carries a rejected frame:\n%s", body)
+	}
+}

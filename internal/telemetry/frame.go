@@ -321,6 +321,16 @@ func (r *reader) str() string {
 	return s
 }
 
+// name reads an instrument name, which must pass metrics.ValidName: the
+// collector merges decoded names into its /metrics exposition verbatim.
+func (r *reader) name(what string) string {
+	s := r.str()
+	if r.err == nil && !metrics.ValidName(s) {
+		r.fail("bad %s name %q", what, s)
+	}
+	return s
+}
+
 func (r *reader) id() nodeid.ID { return nodeid.ID{Hi: r.fixed64(), Lo: r.fixed64()} }
 
 func (r *reader) count(what string) int {
@@ -363,15 +373,15 @@ func Unmarshal(b []byte) (*Frame, error) {
 			Histograms: make(map[string]metrics.HistSnapshot),
 		}
 		for i, n := 0, r.count("counter"); i < n && r.err == nil; i++ {
-			name := r.str()
+			name := r.name("counter")
 			f.Delta.Counters[name] = r.uvarint()
 		}
 		for i, n := 0, r.count("gauge"); i < n && r.err == nil; i++ {
-			name := r.str()
+			name := r.name("gauge")
 			f.Delta.Gauges[name] = r.varint()
 		}
 		for i, n := 0, r.count("histogram"); i < n && r.err == nil; i++ {
-			name := r.str()
+			name := r.name("histogram")
 			nb := r.count("histogram bound")
 			h := metrics.HistSnapshot{Bounds: make([]float64, nb), Counts: make([]uint64, nb+1)}
 			for j := 0; j < nb && r.err == nil; j++ {

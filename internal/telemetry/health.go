@@ -15,15 +15,6 @@ import (
 	"peerwindow/internal/des"
 )
 
-// HealthScores maps health-signal names (the MetricHealth* constants)
-// to raw values. pwlint's metricname analyzer treats Set like a
-// Registry registration: the name must be spelled through a Metric*
-// constant, so the /health document's keys stay in the one namespace.
-type HealthScores map[string]float64
-
-// Set records one signal.
-func (h HealthScores) Set(name string, v float64) { h[name] = v }
-
 // The detector thresholds. Ages and windows are fixed multiples of the
 // collector's beacon interval (see scoreNode); the rest are constants.
 const (
@@ -40,18 +31,19 @@ const (
 	stallSamples = 5
 )
 
-// NodeHealth is one node's row in the /health document.
+// NodeHealth is one node's row in the /health document. Scores maps the
+// health-signal names (the MetricHealth* constants) to raw values.
 type NodeHealth struct {
-	Addr            uint64       `json:"addr"`
-	Name            string       `json:"name"`
-	ID              string       `json:"id"`
-	Level           int          `json:"level"`
-	Window          int          `json:"window"`
-	LastSeenSeconds float64      `json:"last_seen_seconds"`
-	EventsPerSec    float64      `json:"events_per_sec"`
-	Health          float64      `json:"health"`
-	Scores          HealthScores `json:"scores"`
-	Alerts          []string     `json:"alerts,omitempty"`
+	Addr            uint64             `json:"addr"`
+	Name            string             `json:"name"`
+	ID              string             `json:"id"`
+	Level           int                `json:"level"`
+	Window          int                `json:"window"`
+	LastSeenSeconds float64            `json:"last_seen_seconds"`
+	EventsPerSec    float64            `json:"events_per_sec"`
+	Health          float64            `json:"health"`
+	Scores          map[string]float64 `json:"scores"`
+	Alerts          []string           `json:"alerts,omitempty"`
 
 	FramesReceived     uint64 `json:"frames_received"`
 	FramesMissing      uint64 `json:"frames_missing"`
@@ -82,7 +74,7 @@ func scoreNode(ns *nodeState, now, beacon des.Time) NodeHealth {
 		ID:                 ns.id.String(),
 		Level:              ns.level,
 		Window:             ns.window,
-		Scores:             HealthScores{},
+		Scores:             map[string]float64{},
 		FramesReceived:     ns.framesReceived,
 		FramesMissing:      ns.framesMissing,
 		ExporterFrameDrops: ns.exporterFrameDrops,
@@ -99,7 +91,7 @@ func scoreNode(ns *nodeState, now, beacon des.Time) NodeHealth {
 	// Heartbeat staleness: full credit inside one beacon interval,
 	// linear decay to zero at staleAfter; past it the node is presumed
 	// crashed or partitioned.
-	h.Scores.Set(MetricHealthStalenessSeconds, age.Seconds())
+	h.Scores[MetricHealthStalenessSeconds] = age.Seconds()
 	switch {
 	case age >= downAfter:
 		h.Alerts = append(h.Alerts, "down")
@@ -115,7 +107,7 @@ func scoreNode(ns *nodeState, now, beacon des.Time) NodeHealth {
 	// histogram against the budget.
 	if dh, ok := ns.totals.Histograms[detectLatencyName]; ok && dh.Count > 0 {
 		p99 := dh.Quantile(0.99)
-		h.Scores.Set(MetricHealthDetectP99Seconds, p99)
+		h.Scores[MetricHealthDetectP99Seconds] = p99
 		if budget := detectP99Budget.Seconds(); p99 > budget {
 			score *= budget / p99
 		}
@@ -124,14 +116,14 @@ func scoreNode(ns *nodeState, now, beacon des.Time) NodeHealth {
 	// Span loss at the exporter (evictions + refused frames).
 	if tot := ns.spansReceived + ns.exporterSpanDrops; tot > 0 {
 		rate := float64(ns.exporterSpanDrops) / float64(tot)
-		h.Scores.Set(MetricHealthSpanDropRate, rate)
+		h.Scores[MetricHealthSpanDropRate] = rate
 		score *= 1 - rate
 	}
 
 	// Frame loss on the wire (collector-observed sequence gaps).
 	if tot := ns.framesReceived + ns.framesMissing; tot > 0 {
 		rate := float64(ns.framesMissing) / float64(tot)
-		h.Scores.Set(MetricHealthFrameLossRate, rate)
+		h.Scores[MetricHealthFrameLossRate] = rate
 		if rate > 0.05 {
 			h.Alerts = append(h.Alerts, "lossy")
 		}
@@ -143,7 +135,7 @@ func scoreNode(ns *nodeState, now, beacon des.Time) NodeHealth {
 	sendB, recvB := prefixSum(ns.totals.Counters, "net.send"), prefixSum(ns.totals.Counters, "net.recv")
 	if m := max64(sendB, recvB); m >= 100 {
 		asym := float64(m-min64(sendB, recvB)) / float64(m)
-		h.Scores.Set(MetricHealthSendRecvAsymmetry, asym)
+		h.Scores[MetricHealthSendRecvAsymmetry] = asym
 		if asym > 0.5 {
 			h.Alerts = append(h.Alerts, "asymmetric")
 			score *= 1 - (asym - 0.5)
@@ -154,7 +146,7 @@ func scoreNode(ns *nodeState, now, beacon des.Time) NodeHealth {
 	// frozen protocol counters while the node still beacons.
 	rate, flat := ns.eventRate(stallSamples)
 	h.EventsPerSec = rate
-	h.Scores.Set(MetricHealthEventsPerSec, rate)
+	h.Scores[MetricHealthEventsPerSec] = rate
 	if flat && age < staleAfter && ns.ringCount >= stallSamples {
 		h.Alerts = append(h.Alerts, "stalled")
 		score *= 0.5
@@ -170,7 +162,7 @@ func scoreNode(ns *nodeState, now, beacon des.Time) NodeHealth {
 		score = 0
 	}
 	h.Health = 100 * score
-	h.Scores.Set(MetricHealthScore, h.Health)
+	h.Scores[MetricHealthScore] = h.Health
 	return h
 }
 

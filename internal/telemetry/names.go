@@ -2,11 +2,8 @@ package telemetry
 
 // Canonical names of the telemetry plane's instruments and health
 // signals. Like the net.* block in internal/metrics, every name is
-// declared exactly once as a Metric* constant in lowercase dotted
-// snake_case — pwlint's metricname analyzer sweeps these too, and its
-// HealthScores registrar rule requires every score written into a
-// health report to spell its name through one of the MetricHealth*
-// constants below.
+// declared once as a Metric* constant that metrics.ValidName accepts;
+// the health signals key the /health document's scores map.
 const (
 	// Collector self-instruments, exposed on /metrics alongside the
 	// cluster aggregate.

@@ -125,7 +125,7 @@ func testConverges(t *testing.T, spawn spawnFunc) {
 	hosts := build(t, spawn, 8)
 	for i, h := range hosts {
 		eventually(t, fmt.Sprintf("host %d holds every other host", i), func() bool {
-			return len(h.Pointers()) == len(hosts)-1
+			return h.Query().View().Len() == len(hosts)-1
 		})
 	}
 	if sent, received := hosts[0].Counters(); sent == 0 || received == 0 {

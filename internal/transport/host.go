@@ -201,11 +201,6 @@ func (h *Host) Self() wire.Pointer { return read(h, (*core.Node).Self) }
 // Level returns the node's current level.
 func (h *Host) Level() int { return read(h, (*core.Node).Level) }
 
-// Pointers returns a snapshot of the node's peer list.
-func (h *Host) Pointers() []wire.Pointer {
-	return read(h, func(n *core.Node) []wire.Pointer { return n.Peers().Pointers() })
-}
-
 // InputRate returns the measured maintenance input bandwidth (bit/s of
 // virtual time).
 func (h *Host) InputRate() float64 { return read(h, (*core.Node).InputRate) }

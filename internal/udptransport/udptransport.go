@@ -106,6 +106,21 @@ func Listen(addr, name string, budget float64, cfg core.Config) (*transport.Host
 	if budget > 0 {
 		cfg.ThresholdBits = budget
 	}
+	l := newLink(conn, tcp)
+	self := wire.Pointer{
+		Addr: wire.AddrFromIPv4([4]byte(local.IP.To4()), uint16(local.Port)),
+		ID:   nodeid.Hash([]byte(fmt.Sprintf("%s@%s", name, local))),
+	}
+	l.host = transport.NewHost(cfg, self, xrand.New(uint64(local.Port)*2654435761+1), l)
+	l.wg.Add(2)
+	go l.read()
+	go l.accept()
+	return l.host, nil
+}
+
+// newLink wraps the bound sockets with the link's instruments registered;
+// Listen attaches the host and starts the goroutines.
+func newLink(conn *net.UDPConn, tcp *net.TCPListener) *link {
 	reg := metrics.NewRegistry()
 	l := &link{
 		conn:       conn,
@@ -126,15 +141,7 @@ func Listen(addr, name string, budget float64, cfg core.Config) (*transport.Host
 		l.send[t] = reg.Counter(metrics.MetricNetSendPrefix + t.String())
 		l.recv[t] = reg.Counter(metrics.MetricNetRecvPrefix + t.String())
 	}
-	self := wire.Pointer{
-		Addr: wire.AddrFromIPv4([4]byte(local.IP.To4()), uint16(local.Port)),
-		ID:   nodeid.Hash([]byte(fmt.Sprintf("%s@%s", name, local))),
-	}
-	l.host = transport.NewHost(cfg, self, xrand.New(uint64(local.Port)*2654435761+1), l)
-	l.wg.Add(2)
-	go l.read()
-	go l.accept()
-	return l.host, nil
+	return l
 }
 
 // Now implements transport.Link: real nanoseconds since start.

@@ -224,12 +224,8 @@ func TestClosedHostIsCollected(t *testing.T) {
 		h.SetInfo([]byte("gc=1"))
 		self := h.Self().ID
 		eventually(t, "the seed applies the announcement", func() bool {
-			for _, p := range seed.Pointers() {
-				if p.ID == self && string(p.Info) == "gc=1" {
-					return true
-				}
-			}
-			return false
+			e, ok := seed.Query().View().Get(self)
+			return ok && e.Info() == "gc=1"
 		})
 	}()
 	for i := 0; i < 10; i++ {
