@@ -265,9 +265,9 @@ func TestLateAckForRecycledPendingSendIsIgnored(t *testing.T) {
 	if n.pending[second] != rec || rec.id != second || rec.msg.Event.Seq != 2 {
 		t.Fatalf("late ack %d disturbed the recycled record now serving send %d: %+v", first, second, rec)
 	}
-	if n.acks.len() != 1 || n.acks.items[n.acks.head].v != second || n.acks.timer == nil {
+	if n.acks.len() != 1 || n.acks.items[n.acks.head].v != second || !n.acks.timer.armed() {
 		t.Fatalf("ack queue holds %d entries (timer armed: %v), want only send %d's",
-			n.acks.len(), n.acks.timer != nil, second)
+			n.acks.len(), n.acks.timer.armed(), second)
 	}
 	if n.m.ackRetries.Value() != 0 {
 		t.Fatal("the answered first send was retried")
@@ -312,4 +312,43 @@ func TestMomentDoesNotAllocate(t *testing.T) {
 			t.Errorf("sink %T: recording a moment allocates %v, want 0", sink, allocs)
 		}
 	}
+}
+
+// The periodic timers are slots bound once in NewNode, and a heartbeat's
+// wait is an entry in the probe-wait queue, so a probe round, a shift
+// check and a refresh tick re-arm without allocating.
+func TestPeriodicTimersDoNotAllocate(t *testing.T) {
+	env := &countingEnv{rng: xrand.New(1), armed: make([]armedTimer, 0, 8)}
+	cfg := quietConfig()
+	cfg.ProbeInterval = 30 * des.Second
+	cfg.ShiftCheckInterval = 30 * des.Second
+	cfg.RefreshEnabled, cfg.RefreshFloor = true, 30*des.Second
+	peer := ptrAt("1000", 0, 2)
+	n := NewNode(cfg, env, Observer{}, ptrAt("0000", 0, 1))
+	n.Restore(0, []wire.Pointer{peer}, nil)
+
+	// Each round fires the previous heartbeat's wait (answered, so a dead
+	// tick), then the probe round, the shift check and the refresh tick,
+	// and answers the new heartbeat.
+	round := func() {
+		env.fireArmed()
+		if env.last.Type != wire.MsgHeartbeat || env.last.To != peer.Addr {
+			t.Fatalf("last send %v to %v, want a heartbeat to the peer", env.last.Type, env.last.To)
+		}
+		n.HandleMessage(wire.Message{Type: wire.MsgHeartbeatAck, From: peer.Addr, To: 1, AckID: env.last.AckID})
+	}
+	round() // warm the probe-wait queue
+	const runs = 100
+	timers, rounds := env.timers, n.m.probeRounds.Value()
+	if allocs := testing.AllocsPerRun(runs, round); allocs != 0 {
+		t.Errorf("probe round, shift check and refresh tick: %v allocs per round, want 0", allocs)
+	}
+	if got := n.m.probeRounds.Value() - rounds; got != runs+1 {
+		t.Fatalf("%d probe rounds in %d rounds", got, runs+1)
+	}
+	// Per round: the three periodic re-arms and the probe-wait queue's.
+	if got := env.timers - timers; got != 4*(runs+1) {
+		t.Fatalf("%d timers armed in %d rounds, want 4 each", got, runs+1)
+	}
+	checkNode(t, n)
 }

@@ -6,13 +6,51 @@ import (
 	"peerwindow/internal/des"
 )
 
+// A node's timers are of two shapes: a timerSlot for a timer the node
+// holds at most one of at a time, and a deadlineQueue for work of which
+// many may wait at once. Both bind their callbacks once, in NewNode, so
+// arming one allocates nothing, and a slot forgets its handle the moment
+// the timer fires, so a node never cancels a spent handle (see Timer).
+
+// timerSlot is a timer armed at most once at a time: h is the pending
+// handle, nil when idle, and fire the callback bound by init.
+type timerSlot struct {
+	env  Env
+	h    Timer
+	fire func()
+}
+
+// init binds the slot to its node's Env and callback.
+func (s *timerSlot) init(env Env, fn func()) {
+	s.env = env
+	s.fire = func() {
+		s.h = nil // spent: forget it before fn, which may re-arm the slot
+		fn()
+	}
+}
+
+// arm sets the timer delay from now; the slot must be idle.
+func (s *timerSlot) arm(delay des.Time) {
+	s.h = s.env.SetTimer(delay, s.fire)
+}
+
+func (s *timerSlot) armed() bool { return s.h != nil }
+
+// cancel disarms a pending timer; an idle slot is left as it is.
+func (s *timerSlot) cancel() {
+	if s.h != nil {
+		s.h.Cancel()
+		s.h = nil
+	}
+}
+
 // deadlineQueue is a node's FIFO of work that falls due a fixed delay
 // after it was queued: the ack timeouts of reliable sends (AckTimeout),
-// the forward hops of delivered events (ForwardDelay) and the rare
-// self-defense re-announcements (AckTimeout). The delay is a per-node
-// constant, so entries are queued in deadline order and the head is
-// always due first; one Env timer, armed for the head, stands in for a
-// timer per entry.
+// the forward hops of delivered events (ForwardDelay), the rare
+// self-defense re-announcements (AckTimeout) and the heartbeat waits of
+// the ring probe (ProbeTimeout). The delay is a per-node constant, so
+// entries are queued in deadline order and the head is always due first;
+// one Env timer, armed for the head, stands in for a timer per entry.
 //
 // The rules:
 //   - push appends an entry and arms the timer only when none is armed;
@@ -25,21 +63,18 @@ import (
 //     even under an Env whose timers never fire;
 //   - Stop cancels the armed timer and empties the queue.
 type deadlineQueue[T any] struct {
-	env Env
 	// items[head:] are the queued entries, deadlines nondecreasing; the
 	// popped prefix is zeroed, so it pins no payload.
 	items []deadlined[T]
 	head  int
-	// timer is the Env timer armed for the head, nil when none is; ticking
-	// is set while the tick runs, so the pushes it makes arm nothing.
-	timer   Timer
+	// timer is armed for the head while the queue holds work; ticking is
+	// set while the tick runs, so the pushes it makes arm nothing.
+	timer   timerSlot
 	ticking bool
 	// run does a due live entry's work; live, when set, reports whether an
-	// entry still has work to do (nil: every entry does); tick is the
-	// timer callback, bound once.
+	// entry still has work to do (nil: every entry does).
 	run  func(T)
 	live func(T) bool
-	tick func()
 }
 
 // deadlined is one queued entry: v falls due at at.
@@ -50,8 +85,8 @@ type deadlined[T any] struct {
 
 // init binds the queue to its node's Env and its work.
 func (q *deadlineQueue[T]) init(env Env, run func(T), live func(T) bool) {
-	q.env, q.run, q.live = env, run, live
-	q.tick = q.fire
+	q.run, q.live = run, live
+	q.timer.init(env, q.fire)
 }
 
 // len returns the number of queued entries, dead ones included.
@@ -70,15 +105,24 @@ func (q *deadlineQueue[T]) push(delay des.Time, v T) {
 		clear(q.items[k:])
 		q.items, q.head = q.items[:k], 0
 	}
-	q.items = append(q.items, deadlined[T]{at: q.env.Now() + delay, v: v})
-	if q.timer == nil && !q.ticking {
+	q.items = append(q.items, deadlined[T]{at: q.timer.env.Now() + delay, v: v})
+	if !q.timer.armed() && !q.ticking {
 		q.arm()
 	}
 }
 
 // arm sets the timer for the head's deadline.
 func (q *deadlineQueue[T]) arm() {
-	q.timer = q.env.SetTimer(q.items[q.head].at-q.env.Now(), q.tick)
+	q.timer.arm(q.items[q.head].at - q.timer.env.Now())
+}
+
+// last returns the most recently queued entry, nil when the queue is
+// empty.
+func (q *deadlineQueue[T]) last() *T {
+	if q.len() == 0 {
+		return nil
+	}
+	return &q.items[len(q.items)-1].v
 }
 
 // pop removes the head.
@@ -99,8 +143,8 @@ func (q *deadlineQueue[T]) dropDead() {
 // fire is the tick: run every due entry in queue order, then re-arm for
 // what is left.
 func (q *deadlineQueue[T]) fire() {
-	q.timer, q.ticking = nil, true
-	now := q.env.Now()
+	q.ticking = true
+	now := q.timer.env.Now()
 	for q.len() > 0 && q.items[q.head].at <= now {
 		if v := q.pop(); q.live == nil || q.live(v) {
 			q.run(v)
@@ -115,10 +159,7 @@ func (q *deadlineQueue[T]) fire() {
 
 // stop cancels the armed timer and empties the queue.
 func (q *deadlineQueue[T]) stop() {
-	if q.timer != nil {
-		q.timer.Cancel()
-		q.timer = nil
-	}
+	q.timer.cancel()
 	clear(q.items)
 	q.items, q.head = q.items[:0], 0
 }
@@ -134,7 +175,7 @@ func (q *deadlineQueue[T]) check() error {
 		}
 		live = live || q.live == nil || q.live(q.items[i].v)
 	}
-	if live && q.timer == nil && !q.ticking {
+	if live && !q.timer.armed() && !q.ticking {
 		return fmt.Errorf("deadline queue holds %d entries, a live one among them, with no timer armed", q.len())
 	}
 	return nil

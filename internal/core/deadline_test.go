@@ -186,7 +186,7 @@ func TestQueueInvariantsCatchCorruption(t *testing.T) {
 			"out of order",
 		},
 		"live entries with no timer": {
-			func(n *Node) { n.acks.timer = nil },
+			func(n *Node) { n.acks.timer.h = nil },
 			"no timer armed",
 		},
 		"pending send not queued": {

@@ -6,11 +6,15 @@ import (
 	"peerwindow/internal/xrand"
 )
 
-// Timer is a cancellable pending callback, satisfied by des.Handle and by
-// the live transport's timers.
+// Timer is the handle of a pending callback, returned by Env.SetTimer.
+//
+// A Node drops a handle the moment its callback starts, and never calls
+// Cancel on a handle that has fired or been cancelled. An Env may
+// therefore reuse a handle, for a later SetTimer, once it has fired or
+// been cancelled (the simulator recycles its records this way).
 type Timer interface {
-	// Cancel stops the timer; it reports whether the timer was still
-	// pending.
+	// Cancel stops the pending timer; it reports whether the timer was
+	// still pending.
 	Cancel() bool
 }
 
@@ -30,7 +34,8 @@ type Env interface {
 	// protocol's own acks and timeouts.
 	Send(msg wire.Message)
 	// SetTimer schedules fn after delay on the node's serialized
-	// executor.
+	// executor. The returned handle is valid until fn starts or the
+	// handle is cancelled, whichever is first (see Timer).
 	SetTimer(delay des.Time, fn func()) Timer
 	// Rand returns the node's deterministic random stream.
 	Rand() *xrand.Source

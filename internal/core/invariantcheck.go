@@ -137,6 +137,9 @@ func (n *Node) checkQueues() error {
 	if err := n.defends.check(); err != nil {
 		return fmt.Errorf("defend queue: %w", err)
 	}
+	if err := n.probeWaits.check(); err != nil {
+		return fmt.Errorf("probe-wait queue: %w", err)
+	}
 	queued := make(map[uint64]int, len(n.pending))
 	limit := n.env.Now() + n.cfg.AckTimeout
 	for _, e := range n.acks.items[n.acks.head:] {

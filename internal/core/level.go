@@ -170,10 +170,10 @@ func (n *Node) joinStep4(top wire.Pointer, done func(error)) {
 			n.joinTop = top
 			n.startTimers()
 			if n.warmTarget >= 0 && n.warmTarget < n.Level() {
-				n.warmUpTimer = n.env.SetTimer(n.cfg.ShiftCheckInterval, n.warmUpStep)
+				n.warmUpTimer.arm(n.cfg.ShiftCheckInterval)
 			}
 			if n.cfg.ReconcileDelay > 0 {
-				n.reconcileTimer = n.env.SetTimer(n.cfg.ReconcileDelay, n.reconcile)
+				n.reconcileTimer.arm(n.cfg.ReconcileDelay)
 			}
 			done(nil)
 		},
@@ -279,7 +279,7 @@ func (n *Node) warmUpStep() {
 			n.warmTarget = -1 // cannot raise further; settle here
 			return
 		}
-		n.warmUpTimer = n.env.SetTimer(n.cfg.ShiftCheckInterval, n.warmUpStep)
+		n.warmUpTimer.arm(n.cfg.ShiftCheckInterval)
 	})
 }
 
@@ -289,7 +289,7 @@ func (n *Node) onShiftCheck() {
 	if n.stopped || !n.joined {
 		return
 	}
-	n.shiftTimer = n.env.SetTimer(n.cfg.ShiftCheckInterval, n.onShiftCheck)
+	n.shiftTimer.arm(n.cfg.ShiftCheckInterval)
 	n.pruneDedup()
 	if n.warmTarget >= 0 {
 		return // let warm-up finish first

@@ -48,19 +48,21 @@ type Node struct {
 
 	// The deadline queues (deadline.go): acks holds the ack id of every
 	// attempt awaiting its AckTimeout, hops the delivered events waiting
-	// out ForwardDelay, and defends the self-defense re-announcements
-	// (applyEvent) waiting out AckTimeout. Each arms one Env timer.
-	acks    deadlineQueue[uint64]
-	hops    deadlineQueue[forwardHop]
-	defends deadlineQueue[struct{}]
+	// out ForwardDelay, defends the self-defense re-announcements
+	// (applyEvent) waiting out AckTimeout, and probeWaits the heartbeats
+	// waiting out ProbeTimeout. Each arms one Env timer.
+	acks       deadlineQueue[uint64]
+	hops       deadlineQueue[forwardHop]
+	defends    deadlineQueue[struct{}]
+	probeWaits deadlineQueue[probeWait]
 
-	// Probing state (§4.1). probeStart is when the current round's first
-	// heartbeat went out — the zero point of the detection-latency
-	// histogram.
-	probeTimer    Timer
+	// Probing state (§4.1). probeTimer is the periodic round; probeAckID
+	// is the ack id of the newest heartbeat, 0 once it is answered or has
+	// timed out. probeStart is when the current round's first heartbeat
+	// went out — the zero point of the detection-latency histogram.
+	probeTimer    timerSlot
 	probeAckID    uint64
 	probeAttempts int
-	probeWait     Timer
 	probeStart    des.Time
 
 	// Bandwidth meters: in drives level shifting; out is reported for
@@ -87,10 +89,12 @@ type Node struct {
 	// free of any extra work.
 	deltas DeltaSink
 
-	shiftTimer     Timer
-	refreshTimer   Timer
-	warmUpTimer    Timer
-	reconcileTimer Timer
+	// The other single timers (deadline.go): the §2 shift check, the §4.6
+	// refresh tick, the §4.3 warm-up step and the §4.3 reconcile pass.
+	shiftTimer     timerSlot
+	refreshTimer   timerSlot
+	warmUpTimer    timerSlot
+	reconcileTimer timerSlot
 
 	// lastShift is when the node last changed level (or joined); level
 	// checks are suppressed for one MeterWindow afterwards so the meter
@@ -144,6 +148,12 @@ func NewNode(cfg Config, env Env, _ Observer, self wire.Pointer) *Node {
 	n.acks.init(env, n.onAckTimeout, n.awaited)
 	n.hops.init(env, n.forwardDue, nil)
 	n.defends.init(env, n.defendSelf, nil)
+	n.probeWaits.init(env, n.onProbeTimeout, probeWait.awaited)
+	n.probeTimer.init(env, n.probeRound)
+	n.shiftTimer.init(env, n.onShiftCheck)
+	n.refreshTimer.init(env, n.onRefreshTick)
+	n.warmUpTimer.init(env, n.warmUpStep)
+	n.reconcileTimer.init(env, n.reconcile)
 	n.setLevel(0)
 	return n
 }
@@ -346,14 +356,13 @@ func (n *Node) Stop() {
 	}
 	n.stopped = true
 	n.joined = false
-	for _, t := range []Timer{n.probeTimer, n.probeWait, n.shiftTimer, n.refreshTimer, n.warmUpTimer, n.reconcileTimer} {
-		if t != nil {
-			t.Cancel()
-		}
+	for _, t := range []*timerSlot{&n.probeTimer, &n.shiftTimer, &n.refreshTimer, &n.warmUpTimer, &n.reconcileTimer} {
+		t.cancel()
 	}
 	n.acks.stop()
 	n.hops.stop()
 	n.defends.stop()
+	n.probeWaits.stop()
 	n.pending = make(map[uint64]*pendingSend)
 }
 
@@ -364,10 +373,10 @@ func (n *Node) Stopped() bool { return n.stopped }
 func (n *Node) startTimers() {
 	n.lastShift = n.env.Now()
 	n.scheduleProbe()
-	n.shiftTimer = n.env.SetTimer(n.cfg.ShiftCheckInterval, n.onShiftCheck)
+	n.shiftTimer.arm(n.cfg.ShiftCheckInterval)
 	if n.cfg.RefreshEnabled {
 		n.lastRefresh = n.env.Now()
-		n.refreshTimer = n.env.SetTimer(n.cfg.RefreshFloor, n.onRefreshTick)
+		n.refreshTimer.arm(n.cfg.RefreshFloor)
 	}
 }
 

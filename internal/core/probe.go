@@ -14,15 +14,29 @@ import (
 // makes the detector resilient to concurrent failures (the figure 3
 // example: A detects B, then redirects to C and detects C too).
 
+// probeWait is a heartbeat waiting out ProbeTimeout: its target and its
+// ack id, zeroed when the ack comes back. A round can start while the
+// previous round's redirect chain still waits, so several can be queued;
+// each fires with its own target.
+type probeWait struct {
+	target wire.Pointer
+	ackID  uint64
+}
+
+func (w probeWait) awaited() bool { return w.ackID != 0 }
+
 // scheduleProbe arms the next periodic heartbeat.
 func (n *Node) scheduleProbe() {
 	if n.stopped || !n.joined {
 		return
 	}
-	n.probeTimer = n.env.SetTimer(n.cfg.ProbeInterval, func() {
-		n.probeOnce()
-		n.scheduleProbe()
-	})
+	n.probeTimer.arm(n.cfg.ProbeInterval)
+}
+
+// probeRound is the periodic heartbeat: probe, then arm the next round.
+func (n *Node) probeRound() {
+	n.probeOnce()
+	n.scheduleProbe()
 }
 
 // probeAttempts counts heartbeat tries against the current target; a
@@ -64,29 +78,29 @@ func (n *Node) probeSend(target wire.Pointer) {
 	n.probeAckID = n.nextAckID
 	msg.AckID = n.probeAckID
 	n.send(msg)
-	n.probeWait = n.env.SetTimer(n.cfg.ProbeTimeout, func() {
-		n.onProbeTimeout(target)
-	})
+	n.probeWaits.push(n.cfg.ProbeTimeout, probeWait{target: target, ackID: n.probeAckID})
 }
 
-// handleProbeAck clears the outstanding probe if the ack matches.
+// handleProbeAck clears the outstanding probe if the ack matches. Only
+// the newest heartbeat can match, and its wait is the last one queued.
 func (n *Node) handleProbeAck(ackID uint64) {
 	if ackID != n.probeAckID {
 		return // stale ack from an earlier round
 	}
 	n.probeAckID = 0
-	if n.probeWait != nil {
-		n.probeWait.Cancel()
-		n.probeWait = nil
+	if w := n.probeWaits.last(); w != nil && w.ackID == ackID {
+		w.ackID = 0
 	}
 }
 
-// onProbeTimeout declares the neighbour failed, reports the leave, and
-// redirects probing to the next neighbour immediately.
-func (n *Node) onProbeTimeout(target wire.Pointer) {
+// onProbeTimeout retries an unanswered heartbeat, or declares the
+// neighbour failed, reports the leave, and redirects probing to the next
+// neighbour immediately.
+func (n *Node) onProbeTimeout(w probeWait) {
 	if n.stopped || n.probeAckID == 0 {
 		return
 	}
+	target := w.target
 	n.probeAckID = 0
 	if n.probeAttempts < n.cfg.RetryAttempts {
 		// Retry before declaring death: a lost heartbeat must not evict

@@ -37,7 +37,7 @@ func (n *Node) onRefreshTick() {
 	if n.stopped || !n.joined {
 		return
 	}
-	n.refreshTimer = n.env.SetTimer(n.cfg.RefreshFloor, n.onRefreshTick)
+	n.refreshTimer.arm(n.cfg.RefreshFloor)
 	now := n.env.Now()
 
 	// Expiry: collect first (ForEach forbids mutation), then remove.

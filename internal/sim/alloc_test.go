@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"peerwindow/internal/des"
+	"peerwindow/internal/invariant"
 	"peerwindow/internal/workload"
 )
 
@@ -68,8 +69,11 @@ func TestClusterSteadyStateAllocBudget(t *testing.T) {
 	}
 	perMsg := float64(after.Mallocs-before.Mallocs) / float64(msgs)
 	t.Logf("%d messages, %.3f mallocs/message", msgs, perMsg)
-	if perMsg > 6.5 {
-		t.Errorf("%.3f mallocs per message, budget 6.5", perMsg)
+	// Under pwinvariants the cluster allocates a fresh timer record per
+	// SetTimer on purpose (see timerFire), so the budget is the default
+	// build's.
+	if perMsg > 0.5 && !invariant.Enabled {
+		t.Errorf("%.3f mallocs per message, budget 0.5", perMsg)
 	}
 }
 

@@ -492,35 +492,33 @@ func (c *Cluster) NoteDropped(seq uint64) {
 	c.releaseDelivery(d)
 }
 
-// simTimer is the core.Timer a SetTimer returns. It is allocated per
-// timer and never reused, so a stale Cancel can only ever reach its own
-// (generation-checked) engine handle: cancelling after the timer fired is
-// a no-op and cannot touch a successor.
-type simTimer struct {
-	h    des.Handle
-	fire *timerFire
-}
-
-// Cancel implements core.Timer.
-func (t *simTimer) Cancel() bool {
-	if !t.h.Cancel() {
-		return false
-	}
-	// The event was still pending, so its record is still this timer's
-	// and will now never fire.
-	t.fire.sn.c.releaseTimerFire(t.fire)
-	return true
-}
-
-// timerFire is the engine-side half of a timer: the aliveness guard
-// around the node's callback. Records are pooled per Cluster; one is
-// live from SetTimer until it fires or its timer is cancelled.
+// timerFire is a pending timer: the engine handle and the aliveness guard
+// around the node's callback. It is also the core.Timer that SetTimer
+// returns. Records are pooled per Cluster; one is live from SetTimer until
+// it fires or is cancelled, and is then reused by a later SetTimer, which
+// the core.Timer contract allows: a node never cancels a fired or
+// cancelled handle. Under the pwinvariants build tag records are never
+// reused, and a Cancel on a spent one panics, so a test run checks that
+// contract.
 type timerFire struct {
 	sn *SimNode
 	fn func()
+	h  des.Handle
 	// fire is the engine callback, bound to this record once when it is
 	// first created.
 	fire func()
+}
+
+// Cancel implements core.Timer.
+func (f *timerFire) Cancel() bool {
+	if invariant.Enabled && f.sn == nil {
+		panic("sim: Cancel on a fired or cancelled timer")
+	}
+	if !f.h.Cancel() {
+		return false
+	}
+	f.sn.c.releaseTimerFire(f)
+	return true
 }
 
 // acquireTimerFire takes a record from the cluster's pool.
@@ -552,15 +550,20 @@ func (c *Cluster) newTimerFire() *timerFire {
 	return f
 }
 
-// releaseTimerFire returns a fired or cancelled record to the pool.
+// releaseTimerFire returns a fired or cancelled record to the pool (under
+// pwinvariants it only marks the record spent).
 //
 //pwlint:noalloc
 func (c *Cluster) releaseTimerFire(f *timerFire) {
 	f.sn, f.fn = nil, nil
-	c.timerPool = append(c.timerPool, f)
+	if !invariant.Enabled {
+		c.timerPool = append(c.timerPool, f)
+	}
 }
 
 // SetTimer implements core.Env.
+//
+//pwlint:noalloc
 func (sn *SimNode) SetTimer(delay des.Time, fn func()) core.Timer {
 	c := sn.c
 	var key uint64
@@ -569,6 +572,6 @@ func (sn *SimNode) SetTimer(delay des.Time, fn func()) core.Timer {
 	}
 	f := c.acquireTimerFire()
 	f.sn, f.fn = sn, fn
-	h := c.Engine.AtKey(c.Engine.Now()+delay, key, des.EventTag{Owner: uint64(sn.Addr), Kind: TagTimer}, f.fire)
-	return &simTimer{h: h, fire: f}
+	f.h = c.Engine.AtKey(c.Engine.Now()+delay, key, des.EventTag{Owner: uint64(sn.Addr), Kind: TagTimer}, f.fire)
+	return f
 }

@@ -5,6 +5,7 @@ import (
 
 	"peerwindow/internal/core"
 	"peerwindow/internal/des"
+	"peerwindow/internal/invariant"
 	"peerwindow/internal/metrics"
 	"peerwindow/internal/trace"
 	"peerwindow/internal/wire"
@@ -63,46 +64,63 @@ func TestQuiescentWithin(t *testing.T) {
 	}
 }
 
-// TestClusterTimerCancelAfterFire: the engine-side half of a timer is a
-// pooled record, so a Cancel that arrives after the fire (or after an
-// earlier Cancel) must be a no-op that cannot reach the successor now
-// using the record.
+// TestClusterTimerCancelAfterFire pins the core.Timer contract as the
+// simulator keeps it. A node never cancels a fired or cancelled handle, so
+// the record behind it is free for the next SetTimer: arming and firing a
+// timer allocates nothing. Under pwinvariants records are never reused,
+// and the forbidden Cancel panics instead.
 func TestClusterTimerCancelAfterFire(t *testing.T) {
-	c := smallCluster(t, 1, 44) // one node: only periodic timers, 30 s out
-	sn := c.Alive()[0]
+	c := NewCluster(ClusterConfig{Core: core.DefaultConfig(), Seed: 44})
+	sn := c.AddNode(1e9) // never joined, so it arms no timers of its own
 	fired := 0
-	first := sn.SetTimer(des.Second, func() { fired++ })
+	tick := func() { fired++ }
+	first := sn.SetTimer(des.Second, tick)
 	c.Run(2 * des.Second)
 	if fired != 1 {
 		t.Fatalf("first timer fired %d times, want 1", fired)
 	}
-	second := sn.SetTimer(des.Second, func() { fired += 10 })
-	if second.(*simTimer).fire != first.(*simTimer).fire {
-		t.Fatal("the successor did not recycle the fired timer's record; the case is not exercised")
-	}
-	if first.Cancel() {
-		t.Fatal("Cancel after fire reported a pending timer")
-	}
-	c.Run(2 * des.Second)
-	if fired != 11 {
-		t.Fatalf("fired = %d, want 11: the stale Cancel disarmed the successor", fired)
+	if invariant.Enabled {
+		mustPanic(t, "Cancel after fire", func() { first.Cancel() })
+		second := sn.SetTimer(des.Second, tick)
+		if !second.Cancel() {
+			t.Fatal("Cancel of a pending timer reported it spent")
+		}
+		mustPanic(t, "Cancel after Cancel", func() { second.Cancel() })
+		return
 	}
 
-	third := sn.SetTimer(des.Second, func() { fired += 100 })
-	if !third.Cancel() || third.Cancel() {
-		t.Fatal("Cancel of a pending timer must report true once, then false")
+	second := sn.SetTimer(des.Second, tick)
+	if second != first {
+		t.Fatal("the next SetTimer did not reuse the fired timer's record")
 	}
-	fourth := sn.SetTimer(des.Second, func() { fired += 1000 })
-	if fourth.(*simTimer).fire != third.(*simTimer).fire {
-		t.Fatal("the successor did not recycle the cancelled timer's record; the case is not exercised")
+	if !second.Cancel() {
+		t.Fatal("Cancel of a pending timer reported it spent")
 	}
-	if third.Cancel() || second.Cancel() {
-		t.Fatal("a stale Cancel reported a pending timer")
+	third := sn.SetTimer(des.Second, tick)
+	if third != second {
+		t.Fatal("the next SetTimer did not reuse the cancelled timer's record")
 	}
 	c.Run(2 * des.Second)
-	if fired != 1011 {
-		t.Fatalf("fired = %d, want 1011: exactly the fourth timer on top", fired)
+	if fired != 2 {
+		t.Fatalf("fired = %d, want 2: the cancelled timer ran or the third did not", fired)
 	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		sn.SetTimer(des.Second, tick)
+		c.Run(2 * des.Second)
+	}); allocs != 0 {
+		t.Fatalf("arming and firing a timer allocates %v", allocs)
+	}
+}
+
+// mustPanic fails t unless fn panics.
+func mustPanic(t *testing.T, what string, fn func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	fn()
 }
 
 // dropSeq is a chooser that drops the event with one sequence number.
