@@ -1,8 +1,9 @@
-// Command pwlive runs a live goroutine overlay: peers join, attach info,
-// optionally churn, and the tool prints window sizes, levels and
-// measured maintenance bandwidth as the system runs.
+// Command pwlive runs an in-process overlay in virtual time: peers join,
+// attach info, optionally churn, and the tool prints window sizes, levels
+// and measured maintenance bandwidth minute by minute. The same flags
+// give the same output.
 //
-//	pwlive -peers 24 -duration 10m -dilation 120
+//	pwlive -peers 24 -duration 10m
 //	pwlive -peers 16 -churn -crash 0.5
 package main
 
@@ -24,7 +25,6 @@ func main() {
 	var (
 		peers    = flag.Int("peers", 16, "number of peers to spawn")
 		duration = flag.Duration("duration", 8*time.Minute, "virtual run time")
-		dilation = flag.Float64("dilation", 120, "virtual seconds per wall second")
 		budget   = flag.Float64("budget", 1e6, "default collection budget (bit/s)")
 		churn    = flag.Bool("churn", false, "replace a random peer periodically")
 		traceCap = flag.Int("trace", 0, "keep the last N spans (trees, probe rounds, retries, losses) and dump them as JSONL at exit")
@@ -38,7 +38,6 @@ func main() {
 	}
 
 	opts := peerwindow.Defaults()
-	opts.Dilation = *dilation
 	opts.Budget = *budget
 	opts.Seed = *seed
 	opts.TraceCapacity = *traceCap

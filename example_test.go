@@ -12,7 +12,6 @@ import (
 // attach info, and select partners from a window.
 func Example() {
 	opts := peerwindow.Defaults()
-	opts.Dilation = 200 // compress time hard for the example
 	opts.Budget = 1e6
 	ov, err := peerwindow.NewOverlay(opts)
 	if err != nil {
@@ -39,7 +38,6 @@ func Example() {
 // without copying the window.
 func ExamplePeer_View() {
 	opts := peerwindow.Defaults()
-	opts.Dilation = 200
 	opts.Budget = 1e6
 	ov, err := peerwindow.NewOverlay(opts)
 	if err != nil {
@@ -74,7 +72,6 @@ func ExamplePeer_View() {
 // WindowEvent.
 func ExamplePeer_Subscribe() {
 	opts := peerwindow.Defaults()
-	opts.Dilation = 200
 	opts.Budget = 1e6
 	ov, err := peerwindow.NewOverlay(opts)
 	if err != nil {
@@ -92,6 +89,7 @@ func ExamplePeer_Subscribe() {
 	if _, err := ov.Spawn("bob", peerwindow.WithInfo([]byte("role=archive"))); err != nil {
 		panic(err)
 	}
+	ov.Settle(time.Minute) // let bob's join announcement reach alice
 
 	ev := <-sub.Events()
 	fmt.Println(ev.Kind, "info:", string(ev.Pointer().Info))

@@ -31,7 +31,6 @@ type profile struct {
 
 func main() {
 	opts := peerwindow.Defaults()
-	opts.Dilation = 100
 	opts.Budget = 1e6
 	opts.Seed = 42
 	ov, err := peerwindow.NewOverlay(opts)
@@ -76,33 +75,29 @@ func main() {
 	// Let the info-change multicasts drain.
 	ov.Settle(2 * time.Minute)
 
-	// Fold the buffered events into the materialized window. Events with
-	// Epoch ≤ the baseline's are already in it; removals delete.
-	base := sub.Baseline().Epoch()
-drain:
-	for {
-		select {
-		case ev := <-sub.Events():
-			if ev.Epoch <= base {
-				continue
-			}
-			switch ev.Kind {
-			case peerwindow.ChangeRemoved:
-				delete(partners, ev.Pointer().ID)
-			default:
-				p := ev.Pointer()
-				partners[p.ID] = p
-			}
-		default:
-			break drain
-		}
-	}
 	if sub.Dropped() > 0 {
 		log.Fatalf("subscription dropped %d events (buffer too small)", sub.Dropped())
 	}
 
+	// Fold the buffered events into the materialized window until it
+	// reaches the view's epoch. Events with Epoch ≤ the baseline's are
+	// already in it; removals delete.
 	atlas, _ := ov.Peer("atlas")
 	view := atlas.View()
+	for epoch := sub.Baseline().Epoch(); epoch < view.Epoch(); {
+		ev := <-sub.Events()
+		if ev.Epoch <= epoch {
+			continue
+		}
+		epoch = ev.Epoch
+		switch ev.Kind {
+		case peerwindow.ChangeRemoved:
+			delete(partners, ev.Pointer().ID)
+		default:
+			p := ev.Pointer()
+			partners[p.ID] = p
+		}
+	}
 	if view.Len() != len(partners) {
 		log.Fatalf("materialized window has %d entries, view has %d",
 			len(partners), view.Len())

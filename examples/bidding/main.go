@@ -59,7 +59,6 @@ func parseOffer(id string, info []byte) (offer, bool) {
 
 func main() {
 	opts := peerwindow.Defaults()
-	opts.Dilation = 100
 	opts.Budget = 1e6
 	opts.Seed = 17
 	ov, err := peerwindow.NewOverlay(opts)

@@ -40,7 +40,6 @@ func sharesFile(files []int, want int) bool {
 
 func main() {
 	opts := peerwindow.Defaults()
-	opts.Dilation = 100
 	opts.Budget = 1e6
 	opts.Seed = 11
 	ov, err := peerwindow.NewOverlay(opts)

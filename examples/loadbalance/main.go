@@ -41,7 +41,6 @@ func parseLoad(info []byte) (int, bool) {
 
 func main() {
 	opts := peerwindow.Defaults()
-	opts.Dilation = 100
 	opts.Budget = 1e6
 	opts.Seed = 7
 	ov, err := peerwindow.NewOverlay(opts)

@@ -16,8 +16,7 @@ import (
 
 func main() {
 	opts := peerwindow.Defaults()
-	opts.Dilation = 100 // a virtual minute per 600 ms of wall time
-	opts.Budget = 1e6   // plenty: everyone collects the whole system
+	opts.Budget = 1e6 // plenty: everyone collects the whole system
 	ov, err := peerwindow.NewOverlay(opts)
 	if err != nil {
 		log.Fatal(err)

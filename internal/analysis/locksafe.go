@@ -2,12 +2,14 @@ package analysis
 
 // locksafe enforces the project's deadlock discipline: nothing that can
 // block on another goroutine may run while a sync.Mutex/RWMutex is held.
-// The concrete hazard in this codebase: transport.Network.mu is taken on
-// the executor goroutines' message path (lookup, loss injection), so a
-// goroutine that holds it while waiting on an executor — Host.call/exec,
-// a channel operation, Env.Send/deliver — can deadlock the whole
-// overlay. transport.Network.Close shows the required shape: copy under
-// the lock, release, then do the blocking work.
+// The concrete hazard in this codebase: trace.SpanBuffer.mu is taken on
+// a live host's executor for every span its node records, so a goroutine
+// that holds it while waiting on that executor — Host.call/exec, a
+// channel operation, a Send — can stall the host for good.
+// telemetry.Exporter.Flush shows the required shape: diff and drain under
+// the lock, release, then hand the frames to the sink. State that must
+// stay owned across calls reaching Env.Send (the peerwindow overlay's
+// simulation) lives on an executor goroutine instead of behind a lock.
 //
 // Critical sections are tracked per function body in source order,
 // branches merge by intersection, and function literals are analyzed as

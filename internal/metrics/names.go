@@ -42,19 +42,19 @@ func mustBeValid(name string) {
 }
 
 // Canonical names of the network-layer instruments, shared by the
-// in-process transport and the UDP transport (alternative substrates for
-// the same overlay, so their instruments must line up). Protocol-level
-// names live with their owner in internal/core (core.Metric*); this
-// block owns the net.* namespace. Each name is declared once, as a
-// Metric* constant like these; the Prometheus exposition renders them
-// under the pw_ prefix ("net.send_bytes" -> "pw_net_send_bytes").
+// simulator's message accounting (the in-process overlay's net.* rows) and
+// the UDP transport (alternative substrates for the same overlay, so their
+// instruments must line up). Protocol-level names live with their owner
+// in internal/core (core.Metric*); this block owns the net.* namespace.
+// Each name is declared once, as a Metric* constant like these; the
+// Prometheus exposition renders them under the pw_ prefix
+// ("net.send_bytes" -> "pw_net_send_bytes").
 const (
 	// Per-message-type families; the wire.MsgType name is the suffix.
 	MetricNetSendPrefix     = "net.send."
 	MetricNetRecvPrefix     = "net.recv."
 	MetricNetDropPrefix     = "net.drop."
 	MetricNetSendBitsPrefix = "net.send_bits."
-	MetricNetRecvBitsPrefix = "net.recv_bits."
 
 	// Whole-substrate instruments.
 	MetricNetHosts     = "net.hosts"

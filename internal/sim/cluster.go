@@ -90,6 +90,9 @@ type Cluster struct {
 	BitsSent     uint64
 	Dropped      uint64
 	SentByType   map[wire.MsgType]uint64
+	// bitsByType and droppedByType split BitsSent and Dropped by message
+	// type, for NetMetrics.
+	bitsByType, droppedByType [wire.MsgTopListResp + 1]uint64
 
 	// netReg carries the harness's own network-layer instruments (the
 	// nodes' registries only see what reaches them); unknownDest counts
@@ -177,9 +180,20 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	}
 }
 
-// NetMetrics snapshots the harness's network-layer instruments (e.g.
-// unknown-destination sends).
-func (c *Cluster) NetMetrics() metrics.Snapshot { return c.netReg.Snapshot() }
+// NetMetrics snapshots the harness's network-layer instruments: the
+// per-message-type send, bit and drop counts of the message accounting,
+// unknown-destination sends, and the number of live nodes.
+func (c *Cluster) NetMetrics() metrics.Snapshot {
+	s := c.netReg.Snapshot()
+	for t := wire.MsgEvent; t <= wire.MsgTopListResp; t++ {
+		name := t.String()
+		s.Counters[metrics.MetricNetSendPrefix+name] = c.SentByType[t]
+		s.Counters[metrics.MetricNetSendBitsPrefix+name] = c.bitsByType[t]
+		s.Counters[metrics.MetricNetDropPrefix+name] = c.droppedByType[t]
+	}
+	s.Gauges[metrics.MetricNetHosts] = int64(len(c.Alive()))
+	return s
+}
 
 // Nodes returns all nodes ever added (including dead ones).
 func (c *Cluster) Nodes() []*SimNode { return c.nodes }
@@ -223,14 +237,27 @@ func (c *Cluster) RandomID() nodeid.ID {
 
 // AddNode creates a node with the given bandwidth budget (bit/s) but does
 // not join it; call Bootstrap or Join next.
-func (c *Cluster) AddNode(threshold float64) *SimNode {
+func (c *Cluster) AddNode(threshold float64) *SimNode { return c.AddNamedNode("", threshold) }
+
+// AddNamedNode is AddNode with the identifier derived from name: the
+// consistent hash of "name/addr" — a public-key stand-in, salted with the
+// node's address so equal names stay distinct (§2). An empty name draws a
+// uniformly random identifier, as AddNode does.
+func (c *Cluster) AddNamedNode(name string, threshold float64) *SimNode {
 	c.nextAddr++
 	addr := c.nextAddr
 	var attach topology.Attachment
 	if c.cfg.Net != nil {
 		attach = c.cfg.Net.RandomAttachment(c.rng)
 	}
-	return c.addNodeAt(addr, attach, c.rng.Split(uint64(addr)), c.RandomID(), threshold)
+	rng := c.rng.Split(uint64(addr))
+	var id nodeid.ID
+	if name == "" {
+		id = c.RandomID()
+	} else {
+		id = nodeid.Hash(fmt.Appendf(nil, "%s/%d", name, addr))
+	}
+	return c.addNodeAt(addr, attach, rng, id, threshold)
 }
 
 // addNodeAt is AddNode with every per-node draw supplied by the caller —
@@ -377,7 +404,9 @@ func (sn *SimNode) Rand() *xrand.Source { return sn.rng }
 func (sn *SimNode) Send(msg wire.Message) {
 	c := sn.c
 	c.MessagesSent++
-	c.BitsSent += uint64(msg.SizeBits())
+	bits := uint64(msg.SizeBits())
+	c.BitsSent += bits
+	c.bitsByType[msg.Type] += bits
 	c.SentByType[msg.Type]++
 	var key uint64
 	if c.keyed {
@@ -385,6 +414,7 @@ func (sn *SimNode) Send(msg wire.Message) {
 	}
 	if c.cfg.LossRate > 0 && c.netRng.Float64() < c.cfg.LossRate {
 		c.Dropped++
+		c.droppedByType[msg.Type]++
 		if c.cfg.Spans != nil {
 			c.cfg.Spans.RecordSpan(trace.DropSpan(c.Engine.Now(), &msg))
 		}

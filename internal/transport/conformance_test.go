@@ -14,45 +14,40 @@ import (
 )
 
 // The conformance suite: every behaviour a Host promises, run unchanged
-// over both Links. A case gets a spawn function that starts one more
-// host on the link under test; hosts are closed when the case ends.
+// over the socket Link and over an in-memory test Link (memlink_test.go).
+// The public in-process overlay runs its nodes inside the simulator
+// instead, and package peerwindow tests the same behaviours there. A case
+// gets a spawn function that starts one more host; hosts are closed when
+// the case ends.
 
 type spawnFunc func(name string) *transport.Host
 
-// links are the substrates under test. The in-process network runs the
-// paper's constants on a 100× dilated clock (a virtual 3 s ack timeout is
-// 30 ms of wall time, clear of Go timer jitter); the UDP link runs in
-// real time, so it scales the constants down instead.
-var links = []struct {
-	name string
-	open func(t *testing.T) spawnFunc
-}{
-	{"network", func(t *testing.T) spawnFunc {
-		n := transport.NewNetwork(transport.NetworkConfig{
-			Core: core.DefaultConfig(), Dilation: 100, Seed: 1,
-		})
-		t.Cleanup(n.Close)
-		return func(name string) *transport.Host { return n.Spawn(name, 1e9) }
-	}},
-	{"udp", func(t *testing.T) spawnFunc {
-		cfg := core.DefaultConfig()
-		cfg.ProbeInterval = 400 * des.Millisecond
-		cfg.ProbeTimeout = 120 * des.Millisecond
-		cfg.AckTimeout = 120 * des.Millisecond
-		cfg.ForwardDelay = 10 * des.Millisecond
-		cfg.ShiftCheckInterval = 1 * des.Second
-		cfg.MeterWindow = 2 * des.Second
-		cfg.RefreshEnabled = false
-		cfg.ReconcileDelay = 500 * des.Millisecond
-		return func(name string) *transport.Host {
-			h, err := udptransport.Listen("127.0.0.1:0", name, 1e9, cfg)
-			if err != nil {
-				t.Fatalf("listen %s: %v", name, err)
-			}
-			t.Cleanup(h.Close)
-			return h
+// realTimeConfig scales the protocol constants down for links that run
+// in real time.
+func realTimeConfig() core.Config {
+	cfg := core.DefaultConfig()
+	cfg.ProbeInterval = 400 * des.Millisecond
+	cfg.ProbeTimeout = 120 * des.Millisecond
+	cfg.AckTimeout = 120 * des.Millisecond
+	cfg.ForwardDelay = 10 * des.Millisecond
+	cfg.ShiftCheckInterval = 1 * des.Second
+	cfg.MeterWindow = 2 * des.Second
+	cfg.RefreshEnabled = false
+	cfg.ReconcileDelay = 500 * des.Millisecond
+	return cfg
+}
+
+// udpSpawner starts hosts on loopback sockets.
+func udpSpawner(t *testing.T) spawnFunc {
+	cfg := realTimeConfig()
+	return func(name string) *transport.Host {
+		h, err := udptransport.Listen("127.0.0.1:0", name, 1e9, cfg)
+		if err != nil {
+			t.Fatalf("listen %s: %v", name, err)
 		}
-	}},
+		t.Cleanup(h.Close)
+		return h
+	}
 }
 
 var cases = []struct {
@@ -69,6 +64,15 @@ var cases = []struct {
 	{"EnableIdempotent", testEnableIdempotent},
 }
 
+// links are the substrates under test.
+var links = []struct {
+	name string
+	open func(t *testing.T) spawnFunc
+}{
+	{"network", memSpawner},
+	{"udp", udpSpawner},
+}
+
 func TestConformance(t *testing.T) {
 	for _, l := range links {
 		t.Run(l.name, func(t *testing.T) {
@@ -82,8 +86,17 @@ func TestConformance(t *testing.T) {
 	}
 }
 
+// TestDistinctIdentifiers: equal names still get distinct identifiers,
+// because the name is hashed with the host's endpoint.
+func TestDistinctIdentifiers(t *testing.T) {
+	spawn := udpSpawner(t)
+	if a, b := spawn("same-name"), spawn("same-name"); a.Self().ID == b.Self().ID {
+		t.Fatal("equal names must still get distinct identifiers")
+	}
+}
+
 // eventually polls cond until it holds; the deadline is far beyond any
-// protocol timer on either link, so hitting it is a failure, not jitter.
+// protocol timer, so hitting it is a failure, not jitter.
 func eventually(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	for deadline := time.Now().Add(15 * time.Second); time.Now().Before(deadline); {
@@ -203,28 +216,31 @@ func testCloseIdempotent(t *testing.T, spawn spawnFunc) {
 	}
 }
 
-// testCancelledTimerNeverRuns pins the timer guard: the wall timer of B
-// fires and queues its callback while the executor is busy, B is then
-// cancelled, and the queued callback must not run.
+// testCancelledTimerNeverRuns pins the timer guard: B comes due while
+// the executor is busy, so the wall timer fires with B's run still
+// pending; B is then cancelled, and it must not run. Timers are core.Env
+// calls, so the test arms and cancels them on the executor.
 func testCancelledTimerNeverRuns(t *testing.T, spawn spawnFunc) {
 	h := spawn("solo")
 	h.Bootstrap()
-	busy, release := make(chan struct{}), make(chan struct{})
-	h.SetTimer(0, func() {
-		close(busy)
-		<-release
-	})
-	<-busy
 	var ran atomic.Bool
-	b := h.SetTimer(des.Millisecond, func() { ran.Store(true) })
-	// No event marks "fired and queued"; 100 ms is 100 timer periods even
-	// undilated, and sleeping too little could only make the test pass.
-	time.Sleep(100 * time.Millisecond)
-	if !b.Cancel() {
+	var b core.Timer
+	h.Call(func() { b = h.SetTimer(des.Millisecond, func() { ran.Store(true) }) })
+	var cancelled bool
+	h.Call(func() {
+		// No event marks "fired and pending"; 100 ms is 100 timer periods,
+		// and sleeping too little could only make the test pass.
+		time.Sleep(100 * time.Millisecond)
+		cancelled = b.Cancel()
+	})
+	if !cancelled {
 		t.Fatal("Cancel() = false for a timer whose callback has not run")
 	}
-	close(release)
-	h.Level() // the executor is FIFO: B's queued callback is behind us now
+	// Timers run in deadline order, so once a later one has run, B's turn
+	// has passed.
+	later := make(chan struct{})
+	h.Call(func() { h.SetTimer(0, func() { close(later) }) })
+	<-later
 	if ran.Load() {
 		t.Fatal("cancelled timer ran")
 	}

@@ -1,15 +1,15 @@
 // Package transport runs PeerWindow nodes live. Host is the one live
 // node runtime: a core.Node, its query-plane store, a goroutine that
-// serializes everything touching them, wall-clock timers and the accessor
-// façade. It implements core.Env over a Link, so the exact state machine
-// that the discrete-event simulator verifies is what runs here — the
-// paper is simulation-only, and this package is the "existing and future
+// serializes everything touching them, a des.Engine holding its timers
+// behind one wall-clock timer, and the accessor façade. It implements
+// core.Env over a Link, so the exact state machine that the
+// discrete-event simulator verifies is what runs here — the paper is
+// simulation-only, and this package is the "existing and future
 // peer-to-peer systems" integration surface its §3 talks about.
 //
-// The two things that really differ between deployments are the two Link
-// implementations: Network (this package) keeps messages in process behind
-// injected transit-stub latency, loss and time dilation; package
-// udptransport puts them on a UDP socket with a TCP sidecar.
+// Package udptransport supplies the Link: a UDP socket with a TCP
+// sidecar. The in-process overlay of package peerwindow does not need a
+// Host; it runs every node inside the simulator.
 package transport
 
 import (
@@ -32,11 +32,9 @@ import (
 // traffic does not go through the interface: the link calls Host.Deliver
 // from whatever goroutine receives.
 type Link interface {
-	// Now returns the current virtual time.
+	// Now returns the current time: wall-clock nanoseconds since the link
+	// started.
 	Now() des.Time
-	// Wall converts a virtual delay into the wall-clock duration a timer
-	// sleeps.
-	Wall(d des.Time) time.Duration
 	// Send transmits one message. It runs on the executor and must not
 	// block it.
 	Send(msg wire.Message)
@@ -66,7 +64,15 @@ type Host struct {
 
 	sent, received atomic.Uint64
 
-	// Attached by EnableSpans or Network.Spawn; executor-owned.
+	// timers holds every pending protocol timer, keyed by link time; wake
+	// is the one wall-clock timer, armed for the earliest of them at
+	// wakeAt (des.MaxTime when none is armed, -1 while the executor runs
+	// the due ones). All three are executor-owned.
+	timers *des.Engine
+	wake   *time.Timer
+	wakeAt des.Time
+
+	// Attached by EnableSpans; executor-owned.
 	spans *trace.SpanBuffer
 }
 
@@ -76,14 +82,17 @@ func NewHost(cfg core.Config, self wire.Pointer, rng *xrand.Source, link Link) *
 	h := &Host{
 		link: link,
 		rng:  rng,
-		// Deep enough that a multicast burst from the socket reader or the
-		// latency timers queues instead of stalling its sender.
+		// Deep enough that a multicast burst from the socket reader queues
+		// instead of stalling it.
 		inbox: make(chan *task, 1024),
 		// A steady receiver has a handful of messages between its reader
 		// and its executor; a burst deeper than this just allocates tasks.
-		free: make(chan *task, 16),
-		quit: make(chan struct{}),
-		done: make(chan struct{}),
+		free:   make(chan *task, 16),
+		quit:   make(chan struct{}),
+		done:   make(chan struct{}),
+		timers: des.New(),
+		wake:   time.NewTimer(time.Duration(des.MaxTime)),
+		wakeAt: des.MaxTime,
 	}
 	h.node = core.NewNode(cfg, h, core.Observer{}, self)
 	// The store is attached before Bootstrap/Join, so it folds the window
@@ -105,7 +114,7 @@ type task struct {
 
 // loop is the executor: everything that touches the node runs here,
 // satisfying core.Env's serialization contract. Under the pwinvariants
-// build tag it re-validates the node after every task.
+// build tag it re-validates the node after every task and timer run.
 func (h *Host) loop() {
 	defer close(h.done)
 	for {
@@ -116,17 +125,32 @@ func (h *Host) loop() {
 			} else {
 				h.node.HandleMessage(t.msg)
 			}
-			if invariant.Enabled {
-				invariant.Check(h.node)
-			}
 			*t = task{} // a parked task must not pin a closure or a payload
 			select {
 			case h.free <- t:
 			default:
 			}
+		case <-h.wake.C:
+			h.runTimers()
 		case <-h.quit:
 			return
 		}
+		if invariant.Enabled {
+			invariant.Check(h.node)
+		}
+	}
+}
+
+// runTimers fires every timer due by the link's clock and re-arms the
+// wall timer for the next one. A wake-up with nothing due (the wall timer
+// fired before a Reset moved it) only re-arms.
+func (h *Host) runTimers() {
+	h.wakeAt = -1 // timers armed by the callbacks are covered below
+	h.timers.Run(h.link.Now())
+	h.wakeAt = des.MaxTime
+	if at, ok := h.timers.NextAt(); ok {
+		h.wakeAt = at
+		h.wake.Reset(time.Duration(at - h.link.Now()))
 	}
 }
 
@@ -185,6 +209,7 @@ func (h *Host) Close() {
 		h.call(func() { h.node.Stop() })
 		close(h.quit)
 		<-h.done
+		h.wake.Stop()
 		h.link.Close()
 	})
 }
@@ -229,17 +254,23 @@ func (h *Host) Query() *query.Store { return h.store }
 func (h *Host) Bootstrap() { h.call(func() { h.node.Bootstrap() }) }
 
 // Join runs the §4.3 joining process against a bootstrap pointer and
-// blocks until it completes, fails, or timeout (wall time) passes.
+// blocks until it completes, fails, or timeout passes.
 func (h *Host) Join(bootstrap wire.Pointer, timeout time.Duration) error {
-	errc := make(chan error, 1)
-	h.exec(func() { h.node.Join(bootstrap, func(err error) { errc <- err }) })
+	errc := make(chan error, 2) // the outcome and the expiry never block
+	h.exec(func() {
+		expiry := h.SetTimer(des.Time(timeout), func() {
+			errc <- fmt.Errorf("transport: join timed out: %w", core.ErrJoinFailed)
+		})
+		h.node.Join(bootstrap, func(err error) {
+			expiry.Cancel()
+			errc <- err
+		})
+	})
 	select {
 	case err := <-errc:
 		return err
 	case <-h.quit:
 		return core.ErrJoinFailed
-	case <-time.After(timeout):
-		return fmt.Errorf("transport: join timed out: %w", core.ErrJoinFailed)
 	}
 }
 
@@ -289,47 +320,16 @@ func (h *Host) Send(msg wire.Message) {
 	h.link.Send(msg)
 }
 
-// timer adapts time.Timer to core.Timer with a fired/cancelled guard so a
-// cancelled callback never runs even if the wall timer already fired and
-// queued it. The wall timer's callback reaches the host and fn only
-// through the timer, and Cancel clears both: a stopped time.Timer can
-// linger in the runtime's timer heap until the heap is next cleaned, and
-// must not keep a closed host reachable meanwhile.
-type timer struct {
-	state atomic.Int32 // 0 pending, 1 fired, 2 cancelled
-	host  atomic.Pointer[Host]
-	fn    func() // touched only by whichever of run and Cancel wins state
-	t     *time.Timer
-}
-
-func (t *timer) Cancel() bool {
-	if t.state.CompareAndSwap(0, 2) {
-		t.t.Stop()
-		t.host.Store(nil)
-		t.fn = nil
-		return true
-	}
-	return false
-}
-
-// expire runs on the wall timer's goroutine and queues run.
-func (t *timer) expire() {
-	if h := t.host.Load(); h != nil {
-		h.exec(t.run)
-	}
-}
-
-// run fires the callback on the executor unless Cancel came first.
-func (t *timer) run() {
-	if t.state.CompareAndSwap(0, 1) {
-		t.fn()
-	}
-}
-
-// SetTimer implements core.Env.
+// SetTimer implements core.Env: the timer is an event in the host's
+// engine at link time Now()+delay, and its handle is the core.Timer. An
+// event earlier than every other pending one pulls the wall timer in.
+// Like every core.Env call, it runs on the executor only.
 func (h *Host) SetTimer(delay des.Time, fn func()) core.Timer {
-	t := &timer{fn: fn}
-	t.host.Store(h)
-	t.t = time.AfterFunc(h.link.Wall(delay), t.expire)
+	at := h.link.Now() + delay
+	t := h.timers.At(at, fn)
+	if at < h.wakeAt {
+		h.wakeAt = at
+		h.wake.Reset(time.Duration(delay))
+	}
 	return t
 }

@@ -9,8 +9,8 @@ import (
 	"peerwindow/internal/metrics"
 	"peerwindow/internal/nodeid"
 	"peerwindow/internal/query"
+	"peerwindow/internal/sim"
 	"peerwindow/internal/telemetry"
-	"peerwindow/internal/transport"
 	"peerwindow/internal/wire"
 	"peerwindow/internal/xrand"
 )
@@ -25,16 +25,16 @@ func (idleEnv) Rand() *xrand.Source                  { return xrand.New(1) }
 
 // TestMergedRegistriesMintDisjointNames: a host's /metrics merges its
 // node's, its store's and its link's registries, and pwcollect's merges
-// those hosts' totals with its own instruments. Snapshot.Merge adds
-// values under equal names, so two registries minting one name would
-// silently sum unrelated quantities (or print one name under two kinds).
-// The two links are alternatives — one per host — so each is checked
-// against the others, not against each other.
+// those hosts' totals with its own instruments; the in-process overlay's
+// Metrics merges its nodes' and stores' with the simulator's net.* rows.
+// Snapshot.Merge adds values under equal names, so two registries minting
+// one name would silently sum unrelated quantities (or print one name
+// under two kinds). The UDP link and the simulator are alternatives, so
+// each is checked against the others, not against each other.
 func TestMergedRegistriesMintDisjointNames(t *testing.T) {
 	node := core.NewNode(fastConfig(), idleEnv{}, core.Observer{},
 		wire.Pointer{ID: nodeid.Hash([]byte("node")), Addr: 1})
-	netw := transport.NewNetwork(transport.NetworkConfig{Core: fastConfig()})
-	defer netw.Close()
+	cluster := sim.NewCluster(sim.ClusterConfig{Core: fastConfig()})
 	udp := newLink(nil, nil)
 	defer udp.cancel()
 	collector := telemetry.NewCollector(telemetry.CollectorConfig{Clock: func() des.Time { return 0 }})
@@ -51,7 +51,7 @@ func TestMergedRegistriesMintDisjointNames(t *testing.T) {
 		owner string
 		snap  metrics.Snapshot
 	}{
-		{"Network link", netw.Metrics()},
+		{"simulator network", cluster.NetMetrics()},
 		{"UDP link", udp.reg.Snapshot()},
 	} {
 		owners := map[string]string{}

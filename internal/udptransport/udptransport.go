@@ -147,9 +147,6 @@ func newLink(conn *net.UDPConn, tcp *net.TCPListener) *link {
 // Now implements transport.Link: real nanoseconds since start.
 func (l *link) Now() des.Time { return des.Time(time.Since(l.start)) }
 
-// Wall implements transport.Link: virtual time is wall time.
-func (l *link) Wall(d des.Time) time.Duration { return time.Duration(d) }
-
 // Metrics implements transport.Link.
 func (l *link) Metrics() metrics.Snapshot { return l.reg.Snapshot() }
 

@@ -12,20 +12,26 @@
 // change (autonomy).
 //
 // The package front-ends the protocol engine in internal/core with an
-// in-process overlay: peers run as goroutines connected by a simulated
-// network with transit-stub latencies. Applications use it the way §3 of
-// the paper sketches — attach info to your pointer, read other peers'
-// windows, and select partners locally:
+// in-process overlay that is the repository's discrete-event simulator:
+// every peer is a core.Node inside one sim.Cluster, messages are engine
+// events delayed by flat or transit-stub latencies, and time is virtual —
+// it passes only inside Spawn (while a join runs) and Settle. The same
+// seed and the same sequence of calls therefore give the same windows,
+// metrics and traces. Applications use it the way §3 of the paper
+// sketches — attach info to your pointer, let the protocol run, read
+// other peers' windows, and select partners locally:
 //
 //	ov, _ := peerwindow.NewOverlay(peerwindow.Defaults())
 //	defer ov.Close()
 //	alice, _ := ov.Spawn("alice")
 //	bob, _ := ov.Spawn("bob", peerwindow.WithInfo([]byte("os=linux")))
+//	ov.Settle(time.Minute)
 //	...
 //	linuxen := alice.View().InfoContains("os=linux")
 //
 // View returns an immutable, indexed snapshot (see docs/QUERY.md);
-// Subscribe delivers window changes as they happen instead of polling.
+// Subscribe delivers window changes as Settle applies them instead of
+// polling.
 package peerwindow
 
 import (
@@ -38,9 +44,10 @@ import (
 	"peerwindow/internal/core"
 	"peerwindow/internal/des"
 	"peerwindow/internal/metrics"
+	"peerwindow/internal/query"
+	"peerwindow/internal/sim"
 	"peerwindow/internal/topology"
 	"peerwindow/internal/trace"
-	"peerwindow/internal/transport"
 	"peerwindow/internal/wire"
 	"peerwindow/internal/xrand"
 )
@@ -76,10 +83,6 @@ type Options struct {
 	TransitStub bool
 	// Latency is the flat one-way latency without TransitStub.
 	Latency time.Duration
-	// Dilation compresses time: virtual seconds per wall second. 1 runs
-	// in real time; 60 runs a virtual minute per second. Demos use high
-	// values; keep AckTimeout/Dilation well above ~5 ms of wall time.
-	Dilation float64
 	// LossRate drops messages with this probability (fault injection).
 	LossRate float64
 	// TraceCapacity, when positive, keeps the last N spans of the whole
@@ -87,12 +90,12 @@ type Options struct {
 	// detections, shifts, refreshes) and injected losses; dump them with
 	// DumpTrace.
 	TraceCapacity int
-	// Seed makes identifier assignment and latencies reproducible.
+	// Seed makes identifier assignment, latencies, losses and every
+	// protocol choice reproducible.
 	Seed uint64
 }
 
-// Defaults returns the paper-faithful configuration running at 60×
-// compressed time.
+// Defaults returns the paper-faithful configuration.
 func Defaults() Options {
 	return Options{
 		TopListSize:   8,
@@ -107,44 +110,19 @@ func Defaults() Options {
 		WarmUp:        false,
 		TransitStub:   false,
 		Latency:       50 * time.Millisecond,
-		Dilation:      60,
 		Seed:          1,
 	}
 }
 
-// minWallAckTimeout is the smallest wall-clock ack timeout Validate
-// accepts. Below roughly a millisecond of real time, goroutine
-// scheduling jitter alone exceeds the timeout and every send looks
-// lost.
-const minWallAckTimeout = time.Millisecond
-
 // Validate reports whether the options describe a runnable overlay.
-// Beyond the per-field range checks it rejects combinations that are
-// individually legal but cannot work together — most importantly an
-// AckTimeout that, after Dilation compresses it onto the wall clock,
-// falls below the scheduler's resolution (AckTimeout/Dilation under
-// about 1 ms of wall time): timers would fire before the network
-// round-trip completes and the overlay would retry itself to death.
 func (o Options) Validate() error {
 	switch {
-	case o.Dilation < 0:
-		return fmt.Errorf("peerwindow: Dilation = %g (must be >= 0; 0 means real time)", o.Dilation)
 	case o.Latency < 0:
 		return fmt.Errorf("peerwindow: Latency = %v", o.Latency)
 	case o.LossRate < 0 || o.LossRate >= 1:
 		return fmt.Errorf("peerwindow: LossRate = %g (need 0 <= rate < 1)", o.LossRate)
 	case o.TraceCapacity < 0:
 		return fmt.Errorf("peerwindow: TraceCapacity = %d", o.TraceCapacity)
-	}
-	if dil := o.Dilation; dil > 1 {
-		if wall := time.Duration(float64(o.AckTimeout) / dil); wall < minWallAckTimeout {
-			return fmt.Errorf("peerwindow: AckTimeout %v / Dilation %g = %v of wall time, below the %v scheduler floor",
-				o.AckTimeout, dil, wall, minWallAckTimeout)
-		}
-		if wall := time.Duration(float64(o.ProbeTimeout) / dil); wall < minWallAckTimeout {
-			return fmt.Errorf("peerwindow: ProbeTimeout %v / Dilation %g = %v of wall time, below the %v scheduler floor",
-				o.ProbeTimeout, dil, wall, minWallAckTimeout)
-		}
 	}
 	if err := o.toCore().Validate(); err != nil {
 		return fmt.Errorf("peerwindow: %w", err)
@@ -168,16 +146,21 @@ func (o Options) toCore() core.Config {
 	return cfg
 }
 
-// Overlay is an in-process PeerWindow network.
+// Overlay is an in-process PeerWindow network. Its methods, and those of
+// its peers, are safe from any goroutine: every call that touches the
+// simulation runs whole, one at a time, on the overlay's own goroutine.
 type Overlay struct {
-	net      *transport.Network
-	dilation float64
-	spans    *trace.SpanBuffer
+	spans *trace.SpanBuffer
 
-	mu    sync.Mutex
+	ops  chan func()   // calls for loop
+	quit chan struct{} // closed by Close
+	done chan struct{} // closed when loop has returned
+	once sync.Once
+
+	// Owned by loop.
+	c     *sim.Cluster
 	peers map[string]*Peer
-	order []*Peer // spawn order, for bootstrap selection
-	rng   *xrand.Source
+	order []*Peer // spawn order
 }
 
 // NewOverlay validates o (see Options.Validate) and builds an overlay.
@@ -185,35 +168,54 @@ func NewOverlay(o Options) (*Overlay, error) {
 	if err := o.Validate(); err != nil {
 		return nil, err
 	}
-	var topo *topology.Network
-	rng := xrand.New(o.Seed)
-	if o.TransitStub {
-		topo = topology.Generate(topology.DefaultParams(), rng.Split(1))
-	}
-	var spans *trace.SpanBuffer
-	if o.TraceCapacity > 0 {
-		spans = trace.NewSpanBuffer(o.TraceCapacity)
-	}
-	net := transport.NewNetwork(transport.NetworkConfig{
+	cfg := sim.ClusterConfig{
 		Core:         o.toCore(),
-		Topology:     topo,
 		ConstLatency: des.Time(o.Latency),
-		Dilation:     o.Dilation,
 		LossRate:     o.LossRate,
 		Seed:         o.Seed,
-		Spans:        spans,
-	})
-	dil := o.Dilation
-	if dil < 1 {
-		dil = 1
 	}
-	return &Overlay{
-		net:      net,
-		dilation: dil,
-		spans:    spans,
-		peers:    make(map[string]*Peer),
-		rng:      rng.Split(2),
-	}, nil
+	if o.TransitStub {
+		cfg.Net = topology.Generate(topology.DefaultParams(), xrand.New(o.Seed).Split(1))
+	}
+	ov := &Overlay{
+		ops:   make(chan func()),
+		quit:  make(chan struct{}),
+		done:  make(chan struct{}),
+		peers: make(map[string]*Peer),
+	}
+	if o.TraceCapacity > 0 {
+		ov.spans = trace.NewSpanBuffer(o.TraceCapacity)
+		cfg.Spans = ov.spans
+	}
+	ov.c = sim.NewCluster(cfg)
+	go ov.loop()
+	return ov, nil
+}
+
+// loop runs the overlay's calls in arrival order until Close.
+func (o *Overlay) loop() {
+	defer close(o.done)
+	for {
+		select {
+		case fn := <-o.ops:
+			fn()
+		case <-o.quit:
+			return
+		}
+	}
+}
+
+// do runs fn on the overlay's goroutine and waits for it. After Close it
+// runs nothing and reports false.
+func (o *Overlay) do(fn func()) bool {
+	ran := make(chan struct{})
+	select {
+	case o.ops <- func() { fn(); close(ran) }:
+		<-ran
+		return true
+	case <-o.quit:
+		return false
+	}
 }
 
 // DumpTrace writes the retained spans (if Options.TraceCapacity was set)
@@ -226,8 +228,20 @@ func (o *Overlay) DumpTrace(w io.Writer) (uint64, error) {
 	return o.spans.Total(), o.spans.WriteJSONL(w)
 }
 
-// Close stops every peer and the overlay.
-func (o *Overlay) Close() { o.net.Close() }
+// Close stops every peer and the overlay. Views, subscriptions and
+// DumpTrace stay readable; other calls do nothing and return zero values,
+// and Spawn fails. Idempotent.
+func (o *Overlay) Close() {
+	o.once.Do(func() {
+		o.do(func() {
+			for _, p := range o.order {
+				o.c.Kill(p.sn)
+			}
+		})
+		close(o.quit)
+		<-o.done
+	})
+}
 
 // ErrDuplicateName reports a Spawn with a name already in use.
 var ErrDuplicateName = errors.New("peerwindow: peer name already in use")
@@ -256,9 +270,13 @@ func WithInfo(info []byte) SpawnOption {
 	return func(c *spawnConfig) { c.info = append([]byte(nil), info...) }
 }
 
+// joinTimeout is how much virtual time Spawn gives a join.
+const joinTimeout = 5 * des.Minute
+
 // Spawn starts a peer. The first peer bootstraps a fresh overlay; later
-// peers join through a random live peer (the §4.3 process). It blocks
-// until the join completes. Options tune the peer:
+// peers join through a random joined peer (the §4.3 process). Spawn runs
+// the simulation until the join completes, so the rest of the overlay
+// advances too. Options tune the peer:
 //
 //	ov.Spawn("alice", peerwindow.WithBudget(20000), peerwindow.WithInfo([]byte("os=linux")))
 func (o *Overlay) Spawn(name string, opts ...SpawnOption) (*Peer, error) {
@@ -269,61 +287,63 @@ func (o *Overlay) Spawn(name string, opts ...SpawnOption) (*Peer, error) {
 	if len(c.info) > MaxInfoLen {
 		return nil, fmt.Errorf("peerwindow: %q: info %d bytes exceeds %d", name, len(c.info), MaxInfoLen)
 	}
-	o.mu.Lock()
+	var p *Peer
+	var err error
+	if !o.do(func() { p, err = o.spawn(name, c) }) {
+		return nil, fmt.Errorf("peerwindow: Spawn %q on a closed overlay", name)
+	}
+	return p, err
+}
+
+// spawn is Spawn on the overlay's goroutine.
+func (o *Overlay) spawn(name string, c spawnConfig) (*Peer, error) {
 	if _, dup := o.peers[name]; dup {
-		o.mu.Unlock()
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateName, name)
 	}
-	var boot *Peer
-	if len(o.order) > 0 {
-		// Random live bootstrap.
-		alive := make([]*Peer, 0, len(o.order))
-		for _, p := range o.order {
-			if !p.gone {
-				alive = append(alive, p)
-			}
-		}
-		if len(alive) > 0 {
-			boot = alive[o.rng.Intn(len(alive))]
-		}
-	}
-	o.mu.Unlock()
-
-	h := o.net.Spawn(name, c.budget)
+	sn := o.c.AddNamedNode(name, c.budget)
 	if len(c.info) > 0 {
 		// Before Bootstrap/Join, so the pointer carries the info from its
 		// first announcement on.
-		h.SetInfo(c.info)
+		sn.Node.SetInfo(c.info)
 	}
-	p := &Peer{name: name, host: h, overlay: o}
-	if boot == nil {
-		h.Bootstrap()
-	} else if err := h.Join(boot.host.Self(), o.wall(joinTimeout)); err != nil {
-		h.Close()
+	p := &Peer{
+		name:    name,
+		id:      sn.Node.Self().ID.String(),
+		sn:      sn,
+		store:   query.NewStore(nil),
+		overlay: o,
+	}
+	// The store is attached before Bootstrap/Join, so it folds the window
+	// from empty and its views are always exactly the peer list.
+	sn.Node.SetDeltas(p.store)
+	if boot := o.c.RandomJoined(sn); boot == nil {
+		o.c.Bootstrap(sn)
+	} else if err := o.c.Join(sn, boot, joinTimeout); err != nil {
+		o.c.Kill(sn)
 		return nil, fmt.Errorf("peerwindow: %q could not join: %w", name, err)
 	}
-	o.mu.Lock()
 	o.peers[name] = p
 	o.order = append(o.order, p)
-	o.mu.Unlock()
 	return p, nil
 }
 
 // Peer returns a spawned peer by name.
-func (o *Overlay) Peer(name string) (*Peer, bool) {
-	o.mu.Lock()
-	defer o.mu.Unlock()
-	p, ok := o.peers[name]
+func (o *Overlay) Peer(name string) (p *Peer, ok bool) {
+	o.do(func() { p, ok = o.peers[name] })
 	return p, ok
 }
 
 // Peers returns all live peers in spawn order.
-func (o *Overlay) Peers() []*Peer {
-	o.mu.Lock()
-	defer o.mu.Unlock()
+func (o *Overlay) Peers() (live []*Peer) {
+	o.do(func() { live = o.live() })
+	return live
+}
+
+// live lists the live peers in spawn order, on the overlay's goroutine.
+func (o *Overlay) live() []*Peer {
 	out := make([]*Peer, 0, len(o.order))
 	for _, p := range o.order {
-		if !p.gone {
+		if p.sn.Alive() {
 			out = append(out, p)
 		}
 	}
@@ -383,90 +403,105 @@ func toPublicMetrics(s metrics.Snapshot) MetricsSnapshot {
 }
 
 // Metrics returns the overlay-wide instrument snapshot: the network's
-// per-message-type send/recv/drop counts and bits, merged with the sum
+// per-message-type send/drop counts and sent bits, merged with the sum
 // of every live peer's protocol instruments. Counters and histogram
 // buckets add across peers; gauges add too (so peer.window_size is the
 // total pointer count held across the overlay).
-func (o *Overlay) Metrics() MetricsSnapshot {
-	s := o.net.Metrics()
-	for _, p := range o.Peers() {
-		s.Merge(p.host.MetricsSnapshot())
-	}
-	return toPublicMetrics(s)
+func (o *Overlay) Metrics() (m MetricsSnapshot) {
+	o.do(func() {
+		s := o.c.NetMetrics()
+		for _, p := range o.live() {
+			s.Merge(p.metrics())
+		}
+		m = toPublicMetrics(s)
+	})
+	return m
 }
 
-// Settle sleeps for the given virtual duration — convenience for demos
-// that need multicasts to propagate.
+// Settle runs the overlay for the given virtual duration: multicasts
+// propagate, probes and level shifts happen, subscriptions receive their
+// events.
 func (o *Overlay) Settle(virtual time.Duration) {
-	time.Sleep(o.wall(virtual) + 5*time.Millisecond)
+	o.do(func() { o.c.Run(des.Time(virtual)) })
 }
 
-// joinTimeout is how long (virtual) Spawn waits for a join.
-const joinTimeout = 5 * time.Minute
-
-// wall converts a virtual duration to wall time under the overlay's
-// dilation.
-func (o *Overlay) wall(virtual time.Duration) time.Duration {
-	return time.Duration(float64(virtual) / o.dilation)
-}
-
-// Peer is one live PeerWindow participant.
+// Peer is one PeerWindow participant.
 type Peer struct {
 	name    string
-	host    *transport.Host
+	id      string
+	sn      *sim.SimNode
+	store   *query.Store
 	overlay *Overlay
-	gone    bool
 }
 
 // Name returns the peer's spawn name.
 func (p *Peer) Name() string { return p.name }
 
+// with evaluates f on the peer's node on the overlay's goroutine; after
+// Close it returns T's zero value.
+func with[T any](p *Peer, f func(*core.Node) T) (v T) {
+	p.overlay.do(func() { v = f(p.sn.Node) })
+	return v
+}
+
 // ID returns the peer's 128-bit identifier as 32 hex digits.
-func (p *Peer) ID() string { return p.host.Self().ID.String() }
+func (p *Peer) ID() string { return p.id }
 
 // Level returns the peer's current level; its window holds about
 // N/2^level pointers.
-func (p *Peer) Level() int { return p.host.Level() }
+func (p *Peer) Level() int { return with(p, (*core.Node).Level) }
 
 // InputRate returns the measured maintenance bandwidth in bit/s of
 // virtual time.
-func (p *Peer) InputRate() float64 { return p.host.InputRate() }
+func (p *Peer) InputRate() float64 { return with(p, (*core.Node).InputRate) }
 
 // Metrics returns this peer's protocol instrument snapshot: multicast
 // fan-out and delivery counters, ack retries, probe rounds and the
 // failure-detection latency histogram, level shifts, refresh activity,
-// and the peer.* gauges (level, window size, measured rates). Names and
-// semantics are listed in docs/OBSERVABILITY.md.
+// the peer.* gauges (level, window size, measured rates) and the query
+// plane's. Names and semantics are listed in docs/OBSERVABILITY.md.
 func (p *Peer) Metrics() MetricsSnapshot {
-	return toPublicMetrics(p.host.MetricsSnapshot())
+	return toPublicMetrics(with(p, func(*core.Node) metrics.Snapshot { return p.metrics() }))
+}
+
+// metrics merges the node's instruments with its store's, on the
+// overlay's goroutine.
+func (p *Peer) metrics() metrics.Snapshot {
+	s := p.sn.Node.MetricsSnapshot()
+	s.Merge(p.store.MetricsSnapshot())
+	return s
 }
 
 // SetInfo attaches application info to the peer's pointer and announces
-// the change to every window holding it (§3). Info must be at most 255
-// bytes — the paper insists pointers stay small.
-func (p *Peer) SetInfo(info []byte) { p.host.SetInfo(info) }
+// the change to every window holding it (§3); the announcement spreads
+// as the overlay runs. Info must be at most 255 bytes — the paper insists
+// pointers stay small.
+func (p *Peer) SetInfo(info []byte) {
+	p.overlay.do(func() { p.sn.Node.SetInfo(info) })
+}
 
 // SetBudget changes the peer's collection budget at runtime (§2
 // autonomy).
-func (p *Peer) SetBudget(bitsPerSec float64) { p.host.SetThreshold(bitsPerSec) }
+func (p *Peer) SetBudget(bitsPerSec float64) {
+	p.overlay.do(func() { p.sn.Node.SetThreshold(bitsPerSec) })
+}
 
 // Leave departs politely, announcing the leave.
-func (p *Peer) Leave() {
-	p.markGone()
-	p.host.Leave()
-}
+func (p *Peer) Leave() { p.depart(p.overlay.c.Leave) }
 
 // Crash stops the peer silently; ring probing will detect it.
-func (p *Peer) Crash() {
-	p.markGone()
-	p.host.Close()
-}
+func (p *Peer) Crash() { p.depart(p.overlay.c.Kill) }
 
-func (p *Peer) markGone() {
-	p.overlay.mu.Lock()
-	p.gone = true
-	delete(p.overlay.peers, p.name)
-	p.overlay.mu.Unlock()
+// depart removes the peer from the overlay's name table and stops its
+// node with stop.
+func (p *Peer) depart(stop func(*sim.SimNode)) {
+	o := p.overlay
+	o.do(func() {
+		if o.peers[p.name] == p {
+			delete(o.peers, p.name)
+		}
+		stop(p.sn)
+	})
 }
 
 // Pointer is one entry of a peer's window: a piece of information about

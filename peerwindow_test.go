@@ -3,17 +3,19 @@ package peerwindow
 import (
 	"bytes"
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"peerwindow/internal/trace"
 )
 
-// testOptions runs at 100× with huge budgets so levels stay at 0.
+// testOptions uses huge budgets so levels stay at 0.
 func testOptions(seed uint64) Options {
 	o := Defaults()
-	o.Dilation = 100
 	o.Budget = 1e9
 	o.Seed = seed
 	return o
@@ -128,7 +130,7 @@ func TestLeaveRemovesFromWindows(t *testing.T) {
 
 func TestDefaultsAreUsable(t *testing.T) {
 	o := Defaults()
-	if o.Budget <= 0 || o.Dilation <= 0 || o.TopListSize <= 0 {
+	if o.Budget <= 0 || o.TopListSize <= 0 {
 		t.Fatal("defaults incomplete")
 	}
 	// toCore must produce a valid engine configuration.
@@ -174,6 +176,7 @@ func TestOverlayTrafficMetrics(t *testing.T) {
 func TestOverlayLossInjection(t *testing.T) {
 	o := testOptions(7)
 	o.LossRate = 0.2
+	o.TraceCapacity = 1 << 16
 	ov := newTestOverlay(t, o)
 	defer ov.Close()
 	// With 20% loss individual joins may legitimately exhaust their
@@ -193,14 +196,46 @@ func TestOverlayLossInjection(t *testing.T) {
 		t.Fatalf("only %d/3 peers joined under 20%% loss", up)
 	}
 	ov.Settle(time.Minute)
-	var dropped uint64
-	for name, v := range ov.Metrics().Counters {
-		if strings.HasPrefix(name, "net.drop.") {
+	m := ov.Metrics()
+	var sent, sentBits, dropped uint64
+	for name, v := range m.Counters {
+		switch {
+		case strings.HasPrefix(name, "net.send_bits."):
+			sentBits += v
+		case strings.HasPrefix(name, "net.drop."):
 			dropped += v
+		case strings.HasPrefix(name, "net.send.") && name != "net.send.unknown_dest":
+			sent += v
 		}
 	}
 	if dropped == 0 {
 		t.Fatal("loss injection inactive")
+	}
+	// The per-type rows split the simulator's own accounting exactly.
+	if sent != ov.c.MessagesSent || sentBits != ov.c.BitsSent || dropped != ov.c.Dropped {
+		t.Fatalf("net.send.* = %d, net.send_bits.* = %d, net.drop.* = %d; cluster counts %d, %d, %d",
+			sent, sentBits, dropped, ov.c.MessagesSent, ov.c.BitsSent, ov.c.Dropped)
+	}
+	if got := m.Gauge("net.hosts"); got != int64(len(ov.Peers())) {
+		t.Fatalf("net.hosts = %d with %d live peers", got, len(ov.Peers()))
+	}
+	// Every injected loss is a drop span (so are the peers' own give-ups).
+	var drops uint64
+	var buf bytes.Buffer
+	if _, err := ov.DumpTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	spans, err := trace.ReadSpans(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, s := range spans {
+		if s.Kind == trace.SpanDrop {
+			drops++
+		}
+	}
+	if drops < dropped {
+		t.Fatalf("%d drop spans for %d injected losses", drops, dropped)
 	}
 }
 
@@ -258,16 +293,6 @@ func TestNewOverlayValidates(t *testing.T) {
 		t.Fatal("LossRate=1.5 accepted")
 	}
 
-	// AckTimeout that dilates below the wall-clock scheduler floor: 3 s
-	// of virtual time at 10000× is 0.3 ms of wall time.
-	bad = testOptions(73)
-	bad.Dilation = 10000
-	if err := bad.Validate(); err == nil {
-		t.Fatal("sub-millisecond wall AckTimeout accepted")
-	}
-	if !strings.Contains(bad.Validate().Error(), "wall time") {
-		t.Fatalf("unhelpful error: %v", bad.Validate())
-	}
 }
 
 func TestSpawnOptions(t *testing.T) {
@@ -358,5 +383,188 @@ func TestHistogramMean(t *testing.T) {
 	}
 	if got := (Histogram{}).Mean(); got != 0 {
 		t.Fatalf("empty Mean = %g, want 0", got)
+	}
+}
+
+// TestSpawnSameNameConcurrently: two Spawns of one name race; exactly one
+// wins, the other gets ErrDuplicateName, and the name is listed once.
+func TestSpawnSameNameConcurrently(t *testing.T) {
+	ov := newTestOverlay(t, testOptions(10))
+	defer ov.Close()
+	buildPeers(t, ov, "seed")
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i := range errs {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			_, errs[i] = ov.Spawn("x")
+		}(i)
+	}
+	wg.Wait()
+	ok, dup := 0, 0
+	for _, err := range errs {
+		switch {
+		case err == nil:
+			ok++
+		case errors.Is(err, ErrDuplicateName):
+			dup++
+		default:
+			t.Fatalf("Spawn: %v", err)
+		}
+	}
+	if ok != 1 || dup != 1 {
+		t.Fatalf("%d Spawns succeeded and %d got ErrDuplicateName, want 1 and 1", ok, dup)
+	}
+	listed := 0
+	for _, p := range ov.Peers() {
+		if p.Name() == "x" {
+			listed++
+		}
+	}
+	if listed != 1 {
+		t.Fatalf("Peers() lists x %d times", listed)
+	}
+}
+
+// overlayScript drives one overlay through joins, info changes, a leave, a
+// crash and a rejoin under loss on a transit-stub topology, and returns
+// every live peer's View digest plus the overlay's metrics.
+func overlayScript(t *testing.T, seed uint64) (map[string]uint64, MetricsSnapshot) {
+	t.Helper()
+	o := testOptions(seed)
+	o.TransitStub = true
+	o.LossRate = 0.02
+	o.TraceCapacity = 64
+	ov := newTestOverlay(t, o)
+	defer ov.Close()
+	for i := 0; i < 8; i++ {
+		if _, err := ov.Spawn(fmt.Sprintf("p%d", i), WithInfo([]byte(fmt.Sprintf("n=%d", i)))); err != nil {
+			t.Fatal(err)
+		}
+		ov.Settle(10 * time.Second)
+	}
+	peers := ov.Peers()
+	peers[1].SetInfo([]byte("role=archive"))
+	peers[2].Leave()
+	peers[3].Crash()
+	ov.Settle(time.Minute)
+	if _, err := ov.Spawn("late", WithBudget(2e9)); err != nil {
+		t.Fatal(err)
+	}
+	ov.Settle(2 * time.Minute)
+	digests := make(map[string]uint64)
+	for _, p := range ov.Peers() {
+		v := p.View()
+		digests[p.Name()] = v.v.Digest() ^ v.Epoch()
+	}
+	return digests, ov.Metrics()
+}
+
+// TestOverlaySeedReproducible: one seed and one script give equal windows
+// and equal metrics, because the overlay runs in virtual time.
+func TestOverlaySeedReproducible(t *testing.T) {
+	d1, m1 := overlayScript(t, 11)
+	d2, m2 := overlayScript(t, 11)
+	if len(d1) != 7 {
+		t.Fatalf("%d live peers after the script, want 7", len(d1))
+	}
+	if !reflect.DeepEqual(d1, d2) {
+		t.Fatalf("View digests differ between equal runs:\n%v\n%v", d1, d2)
+	}
+	if !reflect.DeepEqual(m1, m2) {
+		t.Fatal("Metrics() differ between equal runs")
+	}
+	if m1.Counter("multicast.delivered") == 0 {
+		t.Fatal("the script delivered no multicast")
+	}
+}
+
+// TestOverlayCrashDetected: a silent crash is found by ring probing and
+// every survivor drops the pointer.
+func TestOverlayCrashDetected(t *testing.T) {
+	ov := newTestOverlay(t, testOptions(12))
+	defer ov.Close()
+	peers := buildPeers(t, ov, "c1", "c2", "c3", "c4", "c5", "c6")
+	victim := peers[2].ID()
+	peers[2].Crash()
+	ov.Settle(2 * time.Minute)
+	for _, p := range ov.Peers() {
+		if _, ok := p.View().Lookup(victim); ok {
+			t.Fatalf("%s still lists the crashed peer", p.Name())
+		}
+	}
+	if got := ov.Metrics().Counter("probe.failures"); got == 0 {
+		t.Fatal("no probe failure recorded for the crash")
+	}
+}
+
+// TestOverlayJoinsAroundDeadBootstraps: a join through a dead node fails,
+// so Spawn must only bootstrap through joined, live peers — after most of
+// the overlay crashed, every newcomer still joins and sees the survivor.
+func TestOverlayJoinsAroundDeadBootstraps(t *testing.T) {
+	ov := newTestOverlay(t, testOptions(13))
+	defer ov.Close()
+	peers := buildPeers(t, ov, "d1", "d2", "d3", "d4")
+	for _, p := range peers[:3] {
+		p.Crash()
+	}
+	survivor := peers[3].ID()
+
+	orphan := ov.c.AddNamedNode("orphan", 0)
+	if err := ov.c.Join(orphan, peers[0].sn, joinTimeout); err == nil {
+		t.Fatal("join through a dead bootstrap succeeded")
+	}
+	ov.c.Kill(orphan)
+
+	for i := 0; i < 5; i++ {
+		p, err := ov.Spawn(fmt.Sprintf("n%d", i))
+		if err != nil {
+			t.Fatalf("spawn after crashes: %v", err)
+		}
+		ov.Settle(20 * time.Second)
+		if _, ok := p.View().Lookup(survivor); !ok {
+			t.Fatalf("%s joined without learning the survivor", p.Name())
+		}
+	}
+}
+
+// TestRespawnGetsFreshIdentifier: identifiers hash the name with the
+// node's address, so a name reused after a crash names a new node.
+func TestRespawnGetsFreshIdentifier(t *testing.T) {
+	ov := newTestOverlay(t, testOptions(14))
+	defer ov.Close()
+	peers := buildPeers(t, ov, "anchor", "same")
+	old := peers[1].ID()
+	peers[1].Crash()
+	again, err := ov.Spawn("same")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.ID() == old {
+		t.Fatal("a respawned name reused the crashed node's identifier")
+	}
+}
+
+// TestCloseStopsEveryPeer: Close stops every node, so nothing is sent
+// afterwards, and later Spawns fail; a second Close is a no-op.
+func TestCloseStopsEveryPeer(t *testing.T) {
+	ov := newTestOverlay(t, testOptions(15))
+	peers := buildPeers(t, ov, "e1", "e2", "e3")
+	ov.Close()
+	ov.Close()
+	if got := len(ov.Peers()); got != 0 {
+		t.Fatalf("Peers() after Close = %d", got)
+	}
+	sent := ov.c.MessagesSent
+	ov.Settle(2 * time.Minute)
+	if ov.c.MessagesSent != sent {
+		t.Fatalf("%d messages sent after Close", ov.c.MessagesSent-sent)
+	}
+	if _, err := ov.Spawn("late"); err == nil {
+		t.Fatal("Spawn on a closed overlay succeeded")
+	}
+	if peers[0].View().Len() != 2 {
+		t.Fatal("a closed overlay's views are not readable")
 	}
 }

@@ -23,7 +23,7 @@ type View struct {
 // View returns the peer's current window snapshot. Safe to call from any
 // goroutine at any rate; each call is one atomic pointer load.
 func (p *Peer) View() View {
-	return View{v: p.host.Query().View()}
+	return View{v: p.store.View()}
 }
 
 // emptyQV backs the zero View so its methods behave as an empty snapshot.
@@ -255,8 +255,9 @@ func SubscribeBuffer(n int) SubscribeOption {
 }
 
 // SubscribeFilter keeps only events satisfying pred. The predicate runs
-// on the peer's protocol path: it must be fast and must not block or call
-// back into the overlay.
+// on the peer's protocol path, on the overlay's goroutine while Spawn or
+// Settle runs: it must be fast and must not block or call back into the
+// overlay, which would deadlock.
 func SubscribeFilter(pred func(WindowEvent) bool) SubscribeOption {
 	return func(c *subscribeConfig) { c.filter = pred }
 }
@@ -278,6 +279,9 @@ type Subscription struct {
 // (Dropped); a subscriber that observes drops should resynchronize from a
 // fresh View. Baseline returns the snapshot the stream is aligned with.
 // Close releases the subscription; Events is closed after Close.
+//
+// Events are produced while Spawn or Settle runs the overlay, so a filter
+// (SubscribeFilter) runs on the overlay's goroutine, inside that call.
 func (p *Peer) Subscribe(opts ...SubscribeOption) *Subscription {
 	var c subscribeConfig
 	for _, opt := range opts {
@@ -288,7 +292,7 @@ func (p *Peer) Subscribe(opts ...SubscribeOption) *Subscription {
 		pred := c.filter
 		filter = func(d query.Delta) bool { return pred(toWindowEvent(d)) }
 	}
-	inner := p.host.Query().Subscribe(c.buffer, filter)
+	inner := p.store.Subscribe(c.buffer, filter)
 	s := &Subscription{
 		inner: inner,
 		out:   make(chan WindowEvent, cap(inner.C())),
