@@ -26,7 +26,7 @@ import (
 //	               goroutine, block, mutex); see docs/OBSERVABILITY.md
 //	               for the capture recipes
 //
-// The endpoints read through the node's executor, so they are safe to
+// The endpoints read under the host's lock, so they are safe to
 // scrape while the protocol runs; they are meant for localhost
 // diagnostics, not for exposure to the open internet.
 

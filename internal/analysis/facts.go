@@ -35,7 +35,9 @@ package analysis
 //     fuse the two worlds back together. (The order fact recognizes
 //     Env.Send and Env.SetTimer themselves, by name, as primitives.)
 //   - block propagates through static edges and CHA interface
-//     candidates, and skips call sites inside function literals
+//     candidates — an interface call with in-set candidates is judged by
+//     them alone, one with none by the name heuristic — and skips call
+//     sites inside function literals
 //     (locksafe's long-standing bias: a literal blocks in whoever
 //     calls it, not in its creator).
 //   - alloc propagates through every edge kind: static, interface
@@ -258,13 +260,13 @@ func (g *callGraph) edgeFact(cs callSite, k factKind) (bad bool, callee funcKey,
 	case callInterface:
 		switch k {
 		case factBlock:
+			if len(cs.candidates) == 0 {
+				return blockingNames[cs.static.name], cs.static, true
+			}
 			for _, cand := range cs.candidates {
 				if n := g.nodes[cand]; n != nil && n.fact[k] {
 					return true, cand, false
 				}
-			}
-			if blockingNames[cs.static.name] {
-				return true, cs.static, true
 			}
 		case factAlloc:
 			if len(cs.candidates) == 0 {

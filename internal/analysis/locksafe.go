@@ -2,25 +2,25 @@ package analysis
 
 // locksafe enforces the project's deadlock discipline: nothing that can
 // block on another goroutine may run while a sync.Mutex/RWMutex is held.
-// The concrete hazard in this codebase: trace.SpanBuffer.mu is taken on
-// a live host's executor for every span its node records, so a goroutine
-// that holds it while waiting on that executor — Host.call/exec, a
-// channel operation, a Send — can stall the host for good.
-// telemetry.Exporter.Flush shows the required shape: diff and drain under
-// the lock, release, then hand the frames to the sink. State that must
-// stay owned across calls reaching Env.Send (the peerwindow overlay's
-// simulation) lives on an executor goroutine instead of behind a lock.
+// The concrete hazard in this codebase: a live transport.Host drives its
+// node only under its lock — from the link's goroutines, its wall timer
+// and every API method — so a blocking call under that lock (a channel
+// operation, a Send that waits) stalls them all, and a wait on anything
+// that needs the lock deadlocks the host. The required shape: work under
+// the lock, release, then block — Host.Join starts the join under the
+// lock and waits outside it; telemetry.Exporter.Flush drains under its
+// lock and hands the frames to the sink after.
 //
 // Critical sections are tracked per function body in source order,
 // branches merge by intersection, and function literals are analyzed as
 // their own (lock-free) contexts — deliberately biased toward false
-// negatives. Calls under a held lock are judged interprocedurally: a
+// negatives, so a section that drives a node keeps Lock and Unlock in
+// its own body. Calls under a held lock are judged interprocedurally: a
 // callee inside the loaded set is checked against its computed blocking
 // fact (chan ops, selects, and transitive blocking calls; see facts.go)
-// and the offending call path is printed, which both catches blocking
-// work hidden behind helpers and retires the name heuristic for
-// callees proven non-blocking. Unknown/out-of-set callees still fall
-// back to the blocking-name heuristic.
+// and the offending call path is printed; an interface call with in-set
+// implementations is judged by those alone. Out-of-set, dynamic and
+// implementation-less callees fall back to the blocking-name heuristic.
 
 import (
 	"go/ast"
@@ -29,16 +29,13 @@ import (
 )
 
 // blockingNames are callee names treated as potentially blocking on
-// another goroutine. call/exec/deliver are this repo's executor entry
-// points; Send/SendTo/HandleMessage are the transport surface; Shutdown
-// covers graceful stops such as http.Server.Shutdown; Wait and Sleep
-// cover sync.WaitGroup/sync.Cond/time.Sleep style waits.
+// another goroutine when the call graph has no verdict. Send/SendTo/
+// HandleMessage are the transport surface, Call an RPC; Shutdown covers
+// graceful stops such as http.Server.Shutdown; Wait and Sleep cover
+// sync.WaitGroup/sync.Cond/time.Sleep style waits.
 var blockingNames = map[string]bool{
 	"Send":          true,
 	"SendTo":        true,
-	"call":          true,
-	"exec":          true,
-	"deliver":       true,
 	"Call":          true,
 	"Shutdown":      true,
 	"HandleMessage": true,
@@ -49,7 +46,7 @@ var blockingNames = map[string]bool{
 // LockSafe forbids blocking operations while a mutex is held.
 var LockSafe = &Analyzer{
 	Name: "locksafe",
-	Doc: "forbid transport sends, executor calls, channel operations and other " +
+	Doc: "forbid transport sends, channel operations and other " +
 		"blocking calls — including ones reached through helper chains, per the " +
 		"call-graph blocking facts — while a sync.Mutex/RWMutex is held (copy " +
 		"under the lock, release, then block; escape hatch: //pwlint:allow locksafe)",
@@ -284,10 +281,10 @@ func (w *lockWalker) scan(node ast.Node, held []heldLock) {
 
 // blockingViaGraph judges a call under a held lock through the fact
 // engine. It returns true when the engine had a verdict (an in-set
-// static callee, or an interface call with a blocking candidate), in
-// which case the name heuristic is skipped — a callee named Send that
-// provably never blocks no longer needs an allow. Out-of-set and
-// dynamic callees return false and fall through to the heuristic.
+// static callee, or an interface call with in-set candidates), in which
+// case the name heuristic is skipped — a Send that provably never
+// blocks, itself or in every implementation, needs no allow. Other
+// callees return false and fall through to the heuristic.
 func (w *lockWalker) blockingViaGraph(call *ast.CallExpr, lock heldLock) bool {
 	g := w.pass.Prog.graph()
 	cs, ok := g.resolveCall(w.pass.Pkg, nil, call)
@@ -314,6 +311,7 @@ func (w *lockWalker) blockingViaGraph(call *ast.CallExpr, lock heldLock) bool {
 				return true
 			}
 		}
+		return len(cs.candidates) > 0
 	}
 	return false
 }

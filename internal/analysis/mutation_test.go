@@ -14,9 +14,10 @@ import (
 // TestMutatedRepoIsCaught seeds the canonical evasions into a copy of
 // the real repository — a wall-clock read hidden behind an
 // out-of-contract helper package, a transitive allocation under a
-// //pwlint:noalloc contract, and a "first element of a map" sampler of
-// the kind that made the legacy scaled simulator irreproducible — and
-// requires the suite to report all three, the interprocedural two with
+// //pwlint:noalloc contract, a "first element of a map" sampler of the
+// kind that made the legacy scaled simulator irreproducible, and a
+// channel send inside transport.Host.Deliver's critical section — and
+// requires the suite to report all four, the interprocedural two with
 // the offending call path. It proves the analyzers keep their teeth
 // against the codebase they actually guard, not just against fixtures.
 // It then runs the pwlint command on the same copy to pin its CLI
@@ -28,6 +29,22 @@ func TestMutatedRepoIsCaught(t *testing.T) {
 	}
 	root := t.TempDir()
 	copyRepo(t, "../..", root)
+
+	// The send goes into the live host's own lock, so the test fails if
+	// Deliver stops holding it where locksafe can see.
+	hostGo := filepath.Join(root, "internal", "transport", "host.go")
+	host, err := os.ReadFile(hostGo)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const anchor = "\th.node.HandleMessage(msg)\n"
+	if !strings.Contains(string(host), anchor) {
+		t.Fatalf("host.go has no %q to seed the send after", anchor)
+	}
+	host = []byte(strings.Replace(string(host), anchor, anchor+"\tmutantDelivered <- msg\n", 1))
+	if err := os.WriteFile(hostGo, host, 0o644); err != nil {
+		t.Fatal(err)
+	}
 
 	write := func(rel, content string) {
 		p := filepath.Join(root, rel)
@@ -43,6 +60,12 @@ func TestMutatedRepoIsCaught(t *testing.T) {
 import "time"
 
 func Coarse() int64 { return time.Now().UnixNano() }
+`)
+	write("internal/transport/zz_mutant.go", `package transport
+
+import "peerwindow/internal/wire"
+
+var mutantDelivered = make(chan wire.Message, 1)
 `)
 	write("internal/core/zz_mutant.go", `package core
 
@@ -70,12 +93,12 @@ func mutantSample(m map[uint64]int, k int) (sum int) {
 	if err != nil {
 		t.Fatalf("loading mutated repo: %v", err)
 	}
-	diags, err := analysis.Run(prog, []*analysis.Analyzer{analysis.NoDeterminism, analysis.NoAlloc})
+	diags, err := analysis.Run(prog, []*analysis.Analyzer{analysis.NoDeterminism, analysis.NoAlloc, analysis.LockSafe})
 	if err != nil {
 		t.Fatalf("running suite: %v", err)
 	}
 
-	var gotClock, gotAlloc, gotMapRange bool
+	var gotClock, gotAlloc, gotMapRange, gotHostSend bool
 	for _, d := range diags {
 		switch {
 		case d.Analyzer == "nodeterminism" && strings.Contains(d.Message, "zzmutant.Coarse") &&
@@ -93,6 +116,9 @@ func mutantSample(m map[uint64]int, k int) (sum int) {
 		case d.Analyzer == "nodeterminism" && strings.Contains(d.Message, "range over map m") &&
 			strings.Contains(d.Message, "breaks out early"):
 			gotMapRange = true
+		case d.Analyzer == "locksafe" && filepath.Base(d.Pos.Filename) == "host.go" &&
+			strings.Contains(d.Message, "channel send while h.mu is held"):
+			gotHostSend = true
 		default:
 			t.Errorf("unexpected diagnostic on mutated repo: %s", d)
 		}
@@ -105,6 +131,9 @@ func mutantSample(m map[uint64]int, k int) (sum int) {
 	}
 	if !gotMapRange {
 		t.Error("order-sensitive range over a map not reported")
+	}
+	if !gotHostSend {
+		t.Error("channel send under Host.Deliver's lock not reported")
 	}
 
 	cmd := exec.Command("go", "run", "./cmd/pwlint", "-json", "./...")
@@ -121,10 +150,10 @@ func mutantSample(m map[uint64]int, k int) (sum int) {
 		}
 		analyzers[d.Analyzer] = true
 	}
-	if !analyzers["nodeterminism"] || !analyzers["noalloc"] {
-		t.Errorf("pwlint -json named analyzers %v, want nodeterminism and noalloc", analyzers)
+	if !analyzers["nodeterminism"] || !analyzers["noalloc"] || !analyzers["locksafe"] {
+		t.Errorf("pwlint -json named analyzers %v, want nodeterminism, noalloc and locksafe", analyzers)
 	}
-	for _, want := range []string{"zzmutant.Coarse", "mutantScratch", "range over map m"} {
+	for _, want := range []string{"zzmutant.Coarse", "mutantScratch", "range over map m", "channel send while h.mu is held"} {
 		if !strings.Contains(string(out), want) {
 			t.Errorf("pwlint -json output does not mention %q", want)
 		}

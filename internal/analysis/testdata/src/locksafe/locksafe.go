@@ -130,6 +130,54 @@ func (h *host) goodSpawnUnderLock() {
 	h.startPump()
 }
 
+// event is what the notifiers below carry. Its own type keeps their
+// Send methods apart from the []byte ones above: interface calls resolve
+// by name and signature.
+type event struct{ seq int }
+
+// notifier's only implementations, counter and lastEvent, never block:
+// an interface call judged by its in-set implementations alone is
+// clean, although the method is named Send.
+type notifier interface {
+	Send(ev event)
+}
+
+type counter struct{ n int }
+
+func (c *counter) Send(ev event) { c.n += ev.seq }
+
+type lastEvent struct{ ev event }
+
+func (l *lastEvent) Send(ev event) { l.ev = ev }
+
+func (h *host) goodIfaceAllQuiet(n notifier) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	n.Send(event{seq: len(h.peers)})
+}
+
+// alarm is the same shape with one blocking implementation among quiet
+// ones: siren hands the alarm to another goroutine.
+type alarm struct{ level int }
+
+type alarmer interface {
+	Send(a alarm)
+}
+
+type mutedAlarm struct{ last alarm }
+
+func (m *mutedAlarm) Send(a alarm) { m.last = a }
+
+type siren struct{ out chan alarm }
+
+func (s siren) Send(a alarm) { s.out <- a }
+
+func (h *host) badIfaceOneLoud(a alarmer) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	a.Send(alarm{level: 1}) // want `call to pwfixture\.alarmer\.Send \(resolving to pwfixture\.siren\.Send\) may block while h\.mu is held`
+}
+
 func (h *host) allowedSend(b []byte) {
 	h.mu.Lock()
 	defer h.mu.Unlock()

@@ -33,8 +33,8 @@ type Env interface {
 	// and unreliable; there is no error return — loss is detected by the
 	// protocol's own acks and timeouts.
 	Send(msg wire.Message)
-	// SetTimer schedules fn after delay on the node's serialized
-	// executor. The returned handle is valid until fn starts or the
+	// SetTimer schedules fn after delay, serialized with every other
+	// call into the node. The returned handle is valid until fn starts or the
 	// handle is cancelled, whichever is first (see Timer).
 	SetTimer(delay des.Time, fn func()) Timer
 	// Rand returns the node's deterministic random stream.
@@ -80,8 +80,8 @@ func (r RemoveReason) String() string {
 	}
 }
 
-// DeltaSink receives every peer-list mutation, synchronously from the
-// node's executor and in application order: exactly one call per pointer
+// DeltaSink receives every peer-list mutation, synchronously on the
+// node's serialized protocol path and in application order: exactly one call per pointer
 // added to, changed in, or removed from the list, bulk loads such as
 // Restore included, so a sink that starts from an empty list and folds the
 // stream always holds a bit-identical copy of the peer list. The query

@@ -176,7 +176,8 @@ func (n *Node) Peers() *PeerList { return &n.peers }
 // SetDeltas attaches a peer-list mutation sink. If the list already holds
 // entries (attach after Bootstrap/Restore), they are replayed to the sink
 // as PeerAdded calls first, so a sink folding the stream from empty is
-// always exactly the current list. Call from the node's executor only.
+// always exactly the current list. Call it serialized with the node's
+// other calls.
 func (n *Node) SetDeltas(sink DeltaSink) {
 	n.deltas = sink
 	if sink == nil {

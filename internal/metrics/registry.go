@@ -9,7 +9,7 @@ package metrics
 //
 // All instruments are lock-free on the write path (single atomic add per
 // observation) so instrumentation is safe to leave on in hot paths: the
-// engine increments from its serialized executor, while transports and
+// engine increments from its serialized protocol path, while transports and
 // snapshot readers touch the same instruments from other goroutines.
 
 import (

@@ -16,8 +16,9 @@ import (
 // store publishes a fresh immutable View per mutation through an atomic
 // pointer.
 //
-// Concurrency contract: exactly one goroutine — the node's executor, which
-// serializes all protocol activity — calls the DeltaSink methods. Any
+// Concurrency contract: one caller at a time — the node's protocol path,
+// serialized by the simulator's event loop or a live host's lock — calls
+// the DeltaSink methods. Any
 // number of goroutines may concurrently call View, Subscribe and the
 // metrics accessors; none of them shares a mutex with the writer, so
 // readers never block the protocol path and the protocol path never waits

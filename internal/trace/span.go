@@ -139,8 +139,9 @@ type Span struct {
 
 // SpanSink receives spans as they happen. Implementations must be safe
 // for the caller's execution model (the sim engine is single-threaded;
-// live transports call from executor goroutines, so shared sinks must
-// lock — SpanBuffer does).
+// a live host calls with its lock held, from whichever goroutine drives
+// its node, and hosts may share a sink, so shared sinks must lock —
+// SpanBuffer does).
 type SpanSink interface {
 	RecordSpan(Span)
 }

@@ -217,17 +217,18 @@ func testCloseIdempotent(t *testing.T, spawn spawnFunc) {
 }
 
 // testCancelledTimerNeverRuns pins the timer guard: B comes due while
-// the executor is busy, so the wall timer fires with B's run still
-// pending; B is then cancelled, and it must not run. Timers are core.Env
-// calls, so the test arms and cancels them on the executor.
+// the test holds the host's lock, so the wall timer fires with B's run
+// still pending; B is then cancelled, and it must not run. Timers are
+// core.Env calls, so the test arms and cancels them under the lock, in
+// one critical section: B cannot run between the two, however late the
+// test gets the CPU back.
 func testCancelledTimerNeverRuns(t *testing.T, spawn spawnFunc) {
 	h := spawn("solo")
 	h.Bootstrap()
 	var ran atomic.Bool
-	var b core.Timer
-	h.Call(func() { b = h.SetTimer(des.Millisecond, func() { ran.Store(true) }) })
 	var cancelled bool
 	h.Call(func() {
+		b := h.SetTimer(des.Millisecond, func() { ran.Store(true) })
 		// No event marks "fired and pending"; 100 ms is 100 timer periods,
 		// and sleeping too little could only make the test pass.
 		time.Sleep(100 * time.Millisecond)

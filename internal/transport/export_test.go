@@ -1,5 +1,9 @@
 package transport
 
-// Call runs fn on h's executor and waits for it, so a test can drive the
-// core.Env methods under their serialization contract.
-func (h *Host) Call(fn func()) { h.call(fn) }
+// Call runs fn with h's lock held, so a test can drive the core.Env
+// methods under their serialization contract.
+func (h *Host) Call(fn func()) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	fn()
+}

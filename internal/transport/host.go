@@ -1,11 +1,14 @@
 // Package transport runs PeerWindow nodes live. Host is the one live
-// node runtime: a core.Node, its query-plane store, a goroutine that
+// node runtime: a core.Node, its query-plane store, a mutex that
 // serializes everything touching them, a des.Engine holding its timers
 // behind one wall-clock timer, and the accessor façade. It implements
 // core.Env over a Link, so the exact state machine that the
 // discrete-event simulator verifies is what runs here — the paper is
 // simulation-only, and this package is the "existing and future
-// peer-to-peer systems" integration surface its §3 talks about.
+// peer-to-peer systems" integration surface its §3 talks about. The node
+// runs only under the host's lock — in Deliver on the link's goroutines,
+// in the wall timer's callback and in the API methods — so every
+// core.Env call arrives with it held and must not block.
 //
 // Package udptransport supplies the Link: a UDP socket with a TCP
 // sidecar. The in-process overlay of package peerwindow does not need a
@@ -35,116 +38,84 @@ type Link interface {
 	// Now returns the current time: wall-clock nanoseconds since the link
 	// started.
 	Now() des.Time
-	// Send transmits one message. It runs on the executor and must not
-	// block it.
+	// Send transmits one message. The host calls it with its lock held,
+	// so it must not block.
 	Send(msg wire.Message)
 	// Metrics snapshots the link's own net.* instruments for this host.
 	Metrics() metrics.Snapshot
 	// Close releases the link and returns once every goroutine it started
-	// has exited. The host calls it once, after its executor has stopped,
-	// so Close never races Send.
+	// has exited. The host calls it once, after its node has stopped and
+	// outside its lock, so Close never races Send.
 	Close()
 }
 
 // Host is one live node. All methods are safe from any goroutine except
-// the host's own executor (delta and span sinks and subscription filters),
-// where they would deadlock it.
+// from code the node runs with the host's lock held (delta and span
+// sinks and subscription filters), where they would deadlock.
 type Host struct {
 	link  Link
 	node  *core.Node
 	store *query.Store
 	rng   *xrand.Source
 
-	inbox chan *task
-	// free recycles the tasks work crosses the inbox in.
-	free chan *task
+	// mu serializes everything that touches the node, satisfying
+	// core.Env's contract; once closed is set nothing runs on the node.
+	mu     sync.Mutex
+	closed bool
+	// quit is closed by Close, so a Join waiting outside the lock returns.
 	quit chan struct{}
-	done chan struct{} // closed when loop has returned
-	once sync.Once
 
 	sent, received atomic.Uint64
 
 	// timers holds every pending protocol timer, keyed by link time; wake
 	// is the one wall-clock timer, armed for the earliest of them at
-	// wakeAt (des.MaxTime when none is armed, -1 while the executor runs
-	// the due ones). All three are executor-owned.
+	// wakeAt (des.MaxTime when none is armed, -1 while fire runs the due
+	// ones). All three are guarded by mu.
 	timers *des.Engine
 	wake   *time.Timer
 	wakeAt des.Time
 
-	// Attached by EnableSpans; executor-owned.
+	// Attached by EnableSpans; guarded by mu.
 	spans *trace.SpanBuffer
 }
 
-// NewHost builds the node for self over link and starts its executor.
-// rng becomes the node's private randomness.
+// NewHost builds the node for self over link. rng becomes the node's
+// private randomness.
 func NewHost(cfg core.Config, self wire.Pointer, rng *xrand.Source, link Link) *Host {
 	h := &Host{
-		link: link,
-		rng:  rng,
-		// Deep enough that a multicast burst from the socket reader queues
-		// instead of stalling it.
-		inbox: make(chan *task, 1024),
-		// A steady receiver has a handful of messages between its reader
-		// and its executor; a burst deeper than this just allocates tasks.
-		free:   make(chan *task, 16),
+		link:   link,
+		rng:    rng,
 		quit:   make(chan struct{}),
-		done:   make(chan struct{}),
 		timers: des.New(),
-		wake:   time.NewTimer(time.Duration(des.MaxTime)),
 		wakeAt: des.MaxTime,
 	}
+	h.wake = time.AfterFunc(time.Duration(des.MaxTime), h.fire)
 	h.node = core.NewNode(cfg, h, core.Observer{}, self)
 	// The store is attached before Bootstrap/Join, so it folds the window
 	// from empty and its views are always exactly the peer list.
 	h.store = query.NewStore(nil)
 	h.node.SetDeltas(h.store)
-	go h.loop()
 	return h
 }
 
-// task is one unit of executor work: a function to run or, when fn is
-// nil, an inbound message to hand to the node. Tasks are recycled through
-// Host.free and cross the inbox by pointer, so an inbox slot stays one
-// word wide however large a message is.
-type task struct {
-	fn  func()
-	msg wire.Message
-}
-
-// loop is the executor: everything that touches the node runs here,
-// satisfying core.Env's serialization contract. Under the pwinvariants
-// build tag it re-validates the node after every task and timer run.
-func (h *Host) loop() {
-	defer close(h.done)
-	for {
-		select {
-		case t := <-h.inbox:
-			if t.fn != nil {
-				t.fn()
-			} else {
-				h.node.HandleMessage(t.msg)
-			}
-			*t = task{} // a parked task must not pin a closure or a payload
-			select {
-			case h.free <- t:
-			default:
-			}
-		case <-h.wake.C:
-			h.runTimers()
-		case <-h.quit:
-			return
-		}
-		if invariant.Enabled {
-			invariant.Check(h.node)
-		}
+// check re-validates the node under the pwinvariants build tag, after
+// each message, timer run and API call that drives it. Callers hold mu.
+func (h *Host) check() {
+	if invariant.Enabled {
+		invariant.Check(h.node)
 	}
 }
 
-// runTimers fires every timer due by the link's clock and re-arms the
-// wall timer for the next one. A wake-up with nothing due (the wall timer
-// fired before a Reset moved it) only re-arms.
-func (h *Host) runTimers() {
+// fire is the wall timer's callback: it runs every timer due by the
+// link's clock and re-arms the wall timer for the next one. A wake-up
+// with nothing due (the timer fired before a Reset moved it) only
+// re-arms.
+func (h *Host) fire() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.closed {
+		return
+	}
 	h.wakeAt = -1 // timers armed by the callbacks are covered below
 	h.timers.Run(h.link.Now())
 	h.wakeAt = des.MaxTime
@@ -152,71 +123,60 @@ func (h *Host) runTimers() {
 		h.wakeAt = at
 		h.wake.Reset(time.Duration(at - h.link.Now()))
 	}
-}
-
-// newTask returns a blank task, recycled when one is parked.
-func (h *Host) newTask() *task {
-	select {
-	case t := <-h.free:
-		return t
-	default:
-		return new(task)
-	}
-}
-
-// post queues t for the executor; it drops work after Close.
-func (h *Host) post(t *task) {
-	select {
-	case h.inbox <- t:
-	case <-h.quit:
-	}
-}
-
-// exec posts fn to the executor; it drops work after Close.
-func (h *Host) exec(fn func()) {
-	t := h.newTask()
-	t.fn = fn
-	h.post(t)
-}
-
-// call runs fn on the executor and waits for it.
-func (h *Host) call(fn func()) {
-	done := make(chan struct{})
-	h.exec(func() {
-		fn()
-		close(done)
-	})
-	select {
-	case <-done:
-	case <-h.quit:
-	}
+	h.check()
 }
 
 // Deliver hands one inbound message to the node. Links call it from any
 // goroutine; after Close it is a no-op.
 func (h *Host) Deliver(msg wire.Message) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
 	h.received.Add(1)
-	t := h.newTask()
-	t.msg = msg
-	h.post(t)
+	if h.closed {
+		return
+	}
+	h.node.HandleMessage(msg)
+	h.check()
 }
 
 // Close stops the host without announcement (a crash as far as the
 // overlay is concerned — use Leave for a polite departure) and returns
-// once the executor and the link's goroutines have exited. Idempotent.
-func (h *Host) Close() {
-	h.once.Do(func() {
-		h.call(func() { h.node.Stop() })
-		close(h.quit)
-		<-h.done
-		h.wake.Stop()
-		h.link.Close()
-	})
+// once the link's goroutines have exited. Idempotent: a later call
+// returns at once.
+func (h *Host) Close() { h.stop(false) }
+
+// Leave departs politely, multicasting the leave event first, then
+// closes the host.
+func (h *Host) Leave() { h.stop(true) }
+
+// stop stops the node, with a leave announcement when polite, and then
+// the wall timer and the link.
+func (h *Host) stop(polite bool) {
+	h.mu.Lock()
+	if h.closed {
+		h.mu.Unlock()
+		return
+	}
+	h.closed = true
+	if polite {
+		h.node.Leave() // announces, then stops
+	} else {
+		h.node.Stop()
+	}
+	h.wake.Stop()
+	close(h.quit)
+	h.mu.Unlock()
+	h.link.Close()
 }
 
-// read evaluates f on the executor; after Close it returns T's zero value.
+// read evaluates a getter on the node under the lock; after Close it
+// returns T's zero value.
 func read[T any](h *Host, f func(*core.Node) T) (v T) {
-	h.call(func() { v = f(h.node) })
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if !h.closed {
+		v = f(h.node)
+	}
 	return v
 }
 
@@ -236,8 +196,8 @@ func (h *Host) Counters() (sent, received uint64) {
 	return h.sent.Load(), h.received.Load()
 }
 
-// MetricsSnapshot merges the protocol instruments (read through the
-// executor, so they are consistent with a quiescent point in the node's
+// MetricsSnapshot merges the protocol instruments (read under the
+// lock, so they are consistent with a quiescent point in the node's
 // event stream) with the link's net.* instruments and the query plane's.
 func (h *Host) MetricsSnapshot() metrics.Snapshot {
 	s := read(h, (*core.Node).MetricsSnapshot)
@@ -247,25 +207,38 @@ func (h *Host) MetricsSnapshot() metrics.Snapshot {
 }
 
 // Query returns the host's query-plane store. Safe from any goroutine;
-// reading a view or subscribing never touches the executor.
+// reading a view or subscribing never takes the host's lock.
 func (h *Host) Query() *query.Store { return h.store }
 
 // Bootstrap makes this host the first overlay member.
-func (h *Host) Bootstrap() { h.call(func() { h.node.Bootstrap() }) }
+func (h *Host) Bootstrap() {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.closed {
+		return
+	}
+	h.node.Bootstrap()
+	h.check()
+}
 
 // Join runs the §4.3 joining process against a bootstrap pointer and
 // blocks until it completes, fails, or timeout passes.
 func (h *Host) Join(bootstrap wire.Pointer, timeout time.Duration) error {
 	errc := make(chan error, 2) // the outcome and the expiry never block
-	h.exec(func() {
-		expiry := h.SetTimer(des.Time(timeout), func() {
-			errc <- fmt.Errorf("transport: join timed out: %w", core.ErrJoinFailed)
-		})
-		h.node.Join(bootstrap, func(err error) {
-			expiry.Cancel()
-			errc <- err
-		})
+	h.mu.Lock()
+	if h.closed {
+		h.mu.Unlock()
+		return core.ErrJoinFailed
+	}
+	expiry := h.SetTimer(des.Time(timeout), func() {
+		errc <- fmt.Errorf("transport: join timed out: %w", core.ErrJoinFailed)
 	})
+	h.node.Join(bootstrap, func(err error) {
+		expiry.Cancel()
+		errc <- err
+	})
+	h.check()
+	h.mu.Unlock()
 	select {
 	case err := <-errc:
 		return err
@@ -274,20 +247,29 @@ func (h *Host) Join(bootstrap wire.Pointer, timeout time.Duration) error {
 	}
 }
 
-// Leave departs politely, multicasting the leave event first, then
-// closes the host.
-func (h *Host) Leave() {
-	h.call(func() { h.node.Leave() })
-	h.Close()
-}
-
 // SetInfo replaces the node's attached info and announces the change
 // (§3).
-func (h *Host) SetInfo(info []byte) { h.call(func() { h.node.SetInfo(info) }) }
+func (h *Host) SetInfo(info []byte) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.closed {
+		return
+	}
+	h.node.SetInfo(info)
+	h.check()
+}
 
 // SetThreshold adjusts the node's bandwidth budget at runtime (§2
 // autonomy).
-func (h *Host) SetThreshold(w float64) { h.call(func() { h.node.SetThreshold(w) }) }
+func (h *Host) SetThreshold(w float64) {
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.closed {
+		return
+	}
+	h.node.SetThreshold(w)
+	h.check()
+}
 
 // EnableSpans attaches a span buffer of the given capacity: the node
 // stamps trace IDs on the events it announces and records the spans of
@@ -295,15 +277,19 @@ func (h *Host) SetThreshold(w float64) { h.call(func() { h.node.SetThreshold(w) 
 // retries, detections, shifts, refreshes, expiries), stamped with the
 // link's clock. If a buffer is already attached it is returned instead
 // and capacity is ignored, so independent consumers (a debug endpoint and
-// a telemetry exporter, say) share one. Call it before Bootstrap or Join.
+// a telemetry exporter, say) share one. Call it before Bootstrap or Join;
+// after Close it returns nil.
 func (h *Host) EnableSpans(capacity int) *trace.SpanBuffer {
-	return read(h, func(n *core.Node) *trace.SpanBuffer {
-		if h.spans == nil {
-			h.spans = trace.NewSpanBuffer(capacity)
-			n.SetSpanSink(h.spans)
-		}
-		return h.spans
-	})
+	h.mu.Lock()
+	defer h.mu.Unlock()
+	if h.closed {
+		return nil
+	}
+	if h.spans == nil {
+		h.spans = trace.NewSpanBuffer(capacity)
+		h.node.SetSpanSink(h.spans)
+	}
+	return h.spans
 }
 
 // --- core.Env ------------------------------------------------------------
@@ -311,7 +297,7 @@ func (h *Host) EnableSpans(capacity int) *trace.SpanBuffer {
 // Now implements core.Env.
 func (h *Host) Now() des.Time { return h.link.Now() }
 
-// Rand implements core.Env; only the executor goroutine touches it.
+// Rand implements core.Env; only code holding the host's lock touches it.
 func (h *Host) Rand() *xrand.Source { return h.rng }
 
 // Send implements core.Env.
@@ -323,7 +309,7 @@ func (h *Host) Send(msg wire.Message) {
 // SetTimer implements core.Env: the timer is an event in the host's
 // engine at link time Now()+delay, and its handle is the core.Timer. An
 // event earlier than every other pending one pulls the wall timer in.
-// Like every core.Env call, it runs on the executor only.
+// Like every core.Env call, it runs with the host's lock held.
 func (h *Host) SetTimer(delay des.Time, fn func()) core.Timer {
 	at := h.link.Now() + delay
 	t := h.timers.At(at, fn)

@@ -9,10 +9,10 @@ import (
 	"peerwindow/internal/invariant"
 )
 
-// TestHostChecksInvariants: under the pwinvariants tag every host's
-// executor re-validates its node after each task and timer run, so two
-// UDP hosts joining and exchanging an announcement run the checks (and
-// any violation panics on the executor).
+// TestHostChecksInvariants: under the pwinvariants tag every host
+// re-validates its node after each message, timer run and API call, so
+// two UDP hosts joining and exchanging an announcement run the checks
+// (and any violation panics on the goroutine that drove the node).
 func TestHostChecksInvariants(t *testing.T) {
 	before := invariant.Checks()
 	spawn := udpSpawner(t)
@@ -29,6 +29,6 @@ func TestHostChecksInvariants(t *testing.T) {
 		return ok && e.Info() == "checked"
 	})
 	if invariant.Checks() == before {
-		t.Fatal("no invariant checks ran: the executor hook is dead")
+		t.Fatal("no invariant checks ran: the host's hook is dead")
 	}
 }

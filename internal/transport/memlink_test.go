@@ -80,7 +80,7 @@ func (l *memLink) Send(msg wire.Message) {
 }
 
 // Close detaches the host, so later sends to it vanish, and waits for
-// the deliveries it started. The host calls it after its executor has
+// the deliveries it started. The host calls it after its node has
 // stopped, so no Send races the wait.
 func (l *memLink) Close() {
 	l.net.mu.Lock()

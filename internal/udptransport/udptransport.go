@@ -71,8 +71,8 @@ type link struct {
 	// inbound and outbound are the sidecar's counting semaphores.
 	inbound, outbound chan struct{}
 
-	// sendBuf is the datagram encode buffer, reused across sends; only the
-	// executor (Send) touches it.
+	// sendBuf is the datagram encode buffer, reused across sends; only Send,
+	// which the host calls with its lock held, touches it.
 	sendBuf []byte
 
 	// reg holds the socket-level instruments.
@@ -150,8 +150,8 @@ func (l *link) Now() des.Time { return des.Time(time.Since(l.start)) }
 // Metrics implements transport.Link.
 func (l *link) Metrics() metrics.Snapshot { return l.reg.Snapshot() }
 
-// Close implements transport.Link. The host calls it after its executor
-// has stopped, so no Send races the wait.
+// Close implements transport.Link. The host calls it after its node has
+// stopped, so no Send races the wait.
 func (l *link) Close() {
 	l.cancel()
 	l.conn.Close()

@@ -159,7 +159,7 @@ func TestSendErrorsAreCounted(t *testing.T) {
 
 // TestAckDatagramsDoNotAllocate: receiving a datagram costs the reader no
 // allocation, not even for the sender's address, and an ack then
-// unmarshals and resolves on the executor without allocating either.
+// unmarshals and resolves under the host's lock without allocating either.
 func TestAckDatagramsDoNotAllocate(t *testing.T) {
 	h := listen(t, "acks")
 	ip, port := h.Self().Addr.IPv4()
@@ -171,8 +171,7 @@ func TestAckDatagramsDoNotAllocate(t *testing.T) {
 	ack := wire.Message{Type: wire.MsgAck, From: h.Self().Addr, To: h.Self().Addr, AckID: 1}.Marshal()
 	deadline := time.Now().Add(10 * time.Second)
 	// send writes n acks one at a time, each once the previous one has
-	// been read, so neither the socket buffer nor the executor's task
-	// pool overflows.
+	// been read, so the socket buffer never overflows.
 	send := func(n int) {
 		for i := 0; i < n; i++ {
 			_, before := h.Counters()
@@ -187,12 +186,12 @@ func TestAckDatagramsDoNotAllocate(t *testing.T) {
 			}
 		}
 	}
-	send(50) // warm the executor's task pool
+	send(50) // warm the receive path
 	const n = 1000
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	send(n)
-	h.Level() // returns once the executor has handled every ack
+	h.Level() // returns once the host has handled every ack
 	runtime.ReadMemStats(&after)
 	if m := after.Mallocs - before.Mallocs; m > n/10 {
 		t.Fatalf("%d allocations for %d ack datagrams", m, n)

@@ -148,16 +148,16 @@ func (o Options) toCore() core.Config {
 
 // Overlay is an in-process PeerWindow network. Its methods, and those of
 // its peers, are safe from any goroutine: every call that touches the
-// simulation runs whole, one at a time, on the overlay's own goroutine.
+// simulation runs whole, one at a time, under the overlay's lock.
 type Overlay struct {
 	spans *trace.SpanBuffer
 
-	ops  chan func()   // calls for loop
-	quit chan struct{} // closed by Close
-	done chan struct{} // closed when loop has returned
-	once sync.Once
+	// mu serializes every call that touches the simulation; once closed
+	// is set, they run nothing.
+	mu     sync.Mutex
+	closed bool
 
-	// Owned by loop.
+	// Guarded by mu.
 	c     *sim.Cluster
 	peers map[string]*Peer
 	order []*Peer // spawn order
@@ -177,45 +177,13 @@ func NewOverlay(o Options) (*Overlay, error) {
 	if o.TransitStub {
 		cfg.Net = topology.Generate(topology.DefaultParams(), xrand.New(o.Seed).Split(1))
 	}
-	ov := &Overlay{
-		ops:   make(chan func()),
-		quit:  make(chan struct{}),
-		done:  make(chan struct{}),
-		peers: make(map[string]*Peer),
-	}
+	ov := &Overlay{peers: make(map[string]*Peer)}
 	if o.TraceCapacity > 0 {
 		ov.spans = trace.NewSpanBuffer(o.TraceCapacity)
 		cfg.Spans = ov.spans
 	}
 	ov.c = sim.NewCluster(cfg)
-	go ov.loop()
 	return ov, nil
-}
-
-// loop runs the overlay's calls in arrival order until Close.
-func (o *Overlay) loop() {
-	defer close(o.done)
-	for {
-		select {
-		case fn := <-o.ops:
-			fn()
-		case <-o.quit:
-			return
-		}
-	}
-}
-
-// do runs fn on the overlay's goroutine and waits for it. After Close it
-// runs nothing and reports false.
-func (o *Overlay) do(fn func()) bool {
-	ran := make(chan struct{})
-	select {
-	case o.ops <- func() { fn(); close(ran) }:
-		<-ran
-		return true
-	case <-o.quit:
-		return false
-	}
 }
 
 // DumpTrace writes the retained spans (if Options.TraceCapacity was set)
@@ -232,15 +200,15 @@ func (o *Overlay) DumpTrace(w io.Writer) (uint64, error) {
 // DumpTrace stay readable; other calls do nothing and return zero values,
 // and Spawn fails. Idempotent.
 func (o *Overlay) Close() {
-	o.once.Do(func() {
-		o.do(func() {
-			for _, p := range o.order {
-				o.c.Kill(p.sn)
-			}
-		})
-		close(o.quit)
-		<-o.done
-	})
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.closed {
+		return
+	}
+	o.closed = true
+	for _, p := range o.order {
+		o.c.Kill(p.sn)
+	}
 }
 
 // ErrDuplicateName reports a Spawn with a name already in use.
@@ -287,16 +255,11 @@ func (o *Overlay) Spawn(name string, opts ...SpawnOption) (*Peer, error) {
 	if len(c.info) > MaxInfoLen {
 		return nil, fmt.Errorf("peerwindow: %q: info %d bytes exceeds %d", name, len(c.info), MaxInfoLen)
 	}
-	var p *Peer
-	var err error
-	if !o.do(func() { p, err = o.spawn(name, c) }) {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.closed {
 		return nil, fmt.Errorf("peerwindow: Spawn %q on a closed overlay", name)
 	}
-	return p, err
-}
-
-// spawn is Spawn on the overlay's goroutine.
-func (o *Overlay) spawn(name string, c spawnConfig) (*Peer, error) {
 	if _, dup := o.peers[name]; dup {
 		return nil, fmt.Errorf("%w: %q", ErrDuplicateName, name)
 	}
@@ -329,17 +292,26 @@ func (o *Overlay) spawn(name string, c spawnConfig) (*Peer, error) {
 
 // Peer returns a spawned peer by name.
 func (o *Overlay) Peer(name string) (p *Peer, ok bool) {
-	o.do(func() { p, ok = o.peers[name] })
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.closed {
+		return nil, false
+	}
+	p, ok = o.peers[name]
 	return p, ok
 }
 
 // Peers returns all live peers in spawn order.
-func (o *Overlay) Peers() (live []*Peer) {
-	o.do(func() { live = o.live() })
-	return live
+func (o *Overlay) Peers() []*Peer {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.closed {
+		return nil
+	}
+	return o.live()
 }
 
-// live lists the live peers in spawn order, on the overlay's goroutine.
+// live lists the live peers in spawn order; the caller holds o.mu.
 func (o *Overlay) live() []*Peer {
 	out := make([]*Peer, 0, len(o.order))
 	for _, p := range o.order {
@@ -407,22 +379,29 @@ func toPublicMetrics(s metrics.Snapshot) MetricsSnapshot {
 // of every live peer's protocol instruments. Counters and histogram
 // buckets add across peers; gauges add too (so peer.window_size is the
 // total pointer count held across the overlay).
-func (o *Overlay) Metrics() (m MetricsSnapshot) {
-	o.do(func() {
-		s := o.c.NetMetrics()
-		for _, p := range o.live() {
-			s.Merge(p.metrics())
-		}
-		m = toPublicMetrics(s)
-	})
-	return m
+func (o *Overlay) Metrics() MetricsSnapshot {
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.closed {
+		return MetricsSnapshot{}
+	}
+	s := o.c.NetMetrics()
+	for _, p := range o.live() {
+		s.Merge(p.metrics())
+	}
+	return toPublicMetrics(s)
 }
 
 // Settle runs the overlay for the given virtual duration: multicasts
 // propagate, probes and level shifts happen, subscriptions receive their
 // events.
 func (o *Overlay) Settle(virtual time.Duration) {
-	o.do(func() { o.c.Run(des.Time(virtual)) })
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.closed {
+		return
+	}
+	o.c.Run(des.Time(virtual))
 }
 
 // Peer is one PeerWindow participant.
@@ -437,10 +416,15 @@ type Peer struct {
 // Name returns the peer's spawn name.
 func (p *Peer) Name() string { return p.name }
 
-// with evaluates f on the peer's node on the overlay's goroutine; after
-// Close it returns T's zero value.
+// with evaluates a getter on the peer's node under the overlay's lock;
+// after Close it returns T's zero value.
 func with[T any](p *Peer, f func(*core.Node) T) (v T) {
-	p.overlay.do(func() { v = f(p.sn.Node) })
+	o := p.overlay
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if !o.closed {
+		v = f(p.sn.Node)
+	}
 	return v
 }
 
@@ -464,8 +448,8 @@ func (p *Peer) Metrics() MetricsSnapshot {
 	return toPublicMetrics(with(p, func(*core.Node) metrics.Snapshot { return p.metrics() }))
 }
 
-// metrics merges the node's instruments with its store's, on the
-// overlay's goroutine.
+// metrics merges the node's instruments with its store's; the caller
+// holds the overlay's lock.
 func (p *Peer) metrics() metrics.Snapshot {
 	s := p.sn.Node.MetricsSnapshot()
 	s.Merge(p.store.MetricsSnapshot())
@@ -477,31 +461,48 @@ func (p *Peer) metrics() metrics.Snapshot {
 // as the overlay runs. Info must be at most 255 bytes — the paper insists
 // pointers stay small.
 func (p *Peer) SetInfo(info []byte) {
-	p.overlay.do(func() { p.sn.Node.SetInfo(info) })
+	o := p.overlay
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if !o.closed {
+		p.sn.Node.SetInfo(info)
+	}
 }
 
 // SetBudget changes the peer's collection budget at runtime (§2
 // autonomy).
 func (p *Peer) SetBudget(bitsPerSec float64) {
-	p.overlay.do(func() { p.sn.Node.SetThreshold(bitsPerSec) })
+	o := p.overlay
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if !o.closed {
+		p.sn.Node.SetThreshold(bitsPerSec)
+	}
 }
 
 // Leave departs politely, announcing the leave.
-func (p *Peer) Leave() { p.depart(p.overlay.c.Leave) }
+func (p *Peer) Leave() { p.depart(true) }
 
 // Crash stops the peer silently; ring probing will detect it.
-func (p *Peer) Crash() { p.depart(p.overlay.c.Kill) }
+func (p *Peer) Crash() { p.depart(false) }
 
 // depart removes the peer from the overlay's name table and stops its
-// node with stop.
-func (p *Peer) depart(stop func(*sim.SimNode)) {
+// node: with a leave announcement when polite, silently otherwise.
+func (p *Peer) depart(polite bool) {
 	o := p.overlay
-	o.do(func() {
-		if o.peers[p.name] == p {
-			delete(o.peers, p.name)
-		}
-		stop(p.sn)
-	})
+	o.mu.Lock()
+	defer o.mu.Unlock()
+	if o.closed {
+		return
+	}
+	if o.peers[p.name] == p {
+		delete(o.peers, p.name)
+	}
+	if polite {
+		o.c.Leave(p.sn)
+	} else {
+		o.c.Kill(p.sn)
+	}
 }
 
 // Pointer is one entry of a peer's window: a piece of information about

@@ -255,9 +255,9 @@ func SubscribeBuffer(n int) SubscribeOption {
 }
 
 // SubscribeFilter keeps only events satisfying pred. The predicate runs
-// on the peer's protocol path, on the overlay's goroutine while Spawn or
-// Settle runs: it must be fast and must not block or call back into the
-// overlay, which would deadlock.
+// on the peer's protocol path, with the overlay's lock held while Spawn
+// or Settle runs: it must be fast and must not block or call back into
+// the overlay, which would deadlock.
 func SubscribeFilter(pred func(WindowEvent) bool) SubscribeOption {
 	return func(c *subscribeConfig) { c.filter = pred }
 }
@@ -281,7 +281,7 @@ type Subscription struct {
 // Close releases the subscription; Events is closed after Close.
 //
 // Events are produced while Spawn or Settle runs the overlay, so a filter
-// (SubscribeFilter) runs on the overlay's goroutine, inside that call.
+// (SubscribeFilter) runs inside that call, with the overlay's lock held.
 func (p *Peer) Subscribe(opts ...SubscribeOption) *Subscription {
 	var c subscribeConfig
 	for _, opt := range opts {
