@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"maps"
 	"sort"
 	"testing"
@@ -47,7 +48,12 @@ func benchSortedPointers(n, maxLevel int, rng *xrand.Source) []wire.Pointer {
 // the same warm state.
 func (pl *PeerList) clone() *PeerList {
 	cp := *pl
-	cp.slots = append([]peerSlot(nil), pl.slots...)
+	cp.dir = append([]leafRef(nil), pl.dir...)
+	for k := range cp.dir {
+		s := *cp.dir[k].s
+		cp.dir[k].s = &s
+	}
+	cp.spare = nil
 	cp.info = maps.Clone(pl.info)
 	return &cp
 }
@@ -121,5 +127,30 @@ func BenchmarkPeerListStrongest(b *testing.B) {
 		if _, ok := pl.Strongest(); !ok {
 			b.Fatal("no strongest in a populated list")
 		}
+	}
+}
+
+// BenchmarkPeerListChurn is one churn event as a held peer list sees
+// it: a held ID leaves and a fresh one joins, each at a random place in
+// ID order. A mutation moves one leaf, not half the list, so the cost
+// should stay nearly flat across the sizes.
+func BenchmarkPeerListChurn(b *testing.B) {
+	for _, n := range []int{1000, 4000, 16000} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			rng := xrand.New(5)
+			held := benchSortedPointers(n, 4, rng)
+			var pl PeerList
+			pl.MergeSorted(held, 0, nil, nil)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				k := rng.Intn(len(held))
+				if _, ok := pl.Remove(held[k].ID); !ok {
+					b.Fatal("held ID missing")
+				}
+				held[k].ID = nodeid.ID{Hi: rng.Uint64(), Lo: rng.Uint64()}
+				pl.Upsert(held[k], des.Time(i))
+			}
+		})
 	}
 }

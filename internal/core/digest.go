@@ -62,10 +62,11 @@ func (n *Node) AppendDigest(b []byte) []byte {
 
 	// Peer list (sorted by construction).
 	b = appendU64(b, uint64(n.peers.Len()))
-	for i := 0; i < n.peers.Len(); i++ {
-		p := n.peers.At(i)
-		b = appendID(b, p.ID)
-		b = append(b, p.Level)
+	for k := range n.peers.dir {
+		for _, s := range n.peers.slots(k) {
+			b = appendID(b, s.id)
+			b = append(b, s.level)
+		}
 	}
 
 	// Ring successor.

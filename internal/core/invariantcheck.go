@@ -14,6 +14,12 @@ import (
 
 // CheckInvariants verifies the PeerList's structural invariants:
 //
+//   - no leaf is empty, and none holds more than leafCap entries;
+//   - the directory matches the leaves: each running count is the sum
+//     of the counts up to it, each last ID is the leaf's last entry, and
+//     every slot past a leaf's count is zero (a drifted count would hide
+//     an entry or expose a stale one);
+//   - IDs ascend across leaf boundaries;
 //   - entries are in strictly ascending ID order (sorted, no duplicates);
 //   - every entry's level is within [0, nodeid.Bits];
 //   - the cached per-level histogram matches a recount;
@@ -27,26 +33,52 @@ import (
 func (pl *PeerList) CheckInvariants() error {
 	var levels [nodeid.Bits + 1]int32
 	var firstAt [nodeid.Bits + 1]int32
-	flagged := 0
-	for i := range pl.slots {
-		s := &pl.slots[i]
-		if i > 0 && !pl.slots[i-1].id.Less(s.id) {
-			return fmt.Errorf("peer list unsorted at index %d: %v is not above %v",
-				i, s.id, pl.slots[i-1].id)
+	end, flagged, i := int32(0), 0, 0
+	for k := range pl.dir {
+		r := &pl.dir[k]
+		switch {
+		case r.n <= 0:
+			return fmt.Errorf("leaf %d is empty", k)
+		case r.n > leafCap:
+			return fmt.Errorf("leaf %d holds %d entries, over its capacity of %d", k, r.n, leafCap)
 		}
-		l := int(s.level)
-		if l >= len(levels) {
-			return fmt.Errorf("peer %v has level %d beyond nodeid.Bits", s.id, l)
+		if end += r.n; r.end != end {
+			return fmt.Errorf("directory drift at leaf %d: running count %d, leaves hold %d", k, r.end, end)
 		}
-		if levels[l] == 0 {
-			firstAt[l] = int32(i)
+		if r.last != r.s[r.n-1].id {
+			return fmt.Errorf("directory drift at leaf %d: last ID %v, leaf ends at %v", k, r.last, r.s[r.n-1].id)
 		}
-		levels[l]++
-		if s.hasInfo {
-			flagged++
-			if len(pl.info[s.id]) == 0 {
-				return fmt.Errorf("peer %v is flagged as carrying info but the info table has none", s.id)
+		for _, s := range r.s[r.n:] {
+			if s != (peerSlot{}) {
+				return fmt.Errorf("directory drift at leaf %d: a slot past its %d entries is not zero", k, r.n)
 			}
+		}
+		if k > 0 && !pl.dir[k-1].last.Less(r.s[0].id) {
+			return fmt.Errorf("IDs do not ascend across leaves %d and %d: %v then %v",
+				k-1, k, pl.dir[k-1].last, r.s[0].id)
+		}
+		ss := pl.slots(k)
+		for j := range ss {
+			s := &ss[j]
+			if j > 0 && !ss[j-1].id.Less(s.id) {
+				return fmt.Errorf("peer list unsorted at index %d: %v is not above %v",
+					i, s.id, ss[j-1].id)
+			}
+			l := int(s.level)
+			if l >= len(levels) {
+				return fmt.Errorf("peer %v has level %d beyond nodeid.Bits", s.id, l)
+			}
+			if levels[l] == 0 {
+				firstAt[l] = int32(i)
+			}
+			levels[l]++
+			if s.hasInfo {
+				flagged++
+				if len(pl.info[s.id]) == 0 {
+					return fmt.Errorf("peer %v is flagged as carrying info but the info table has none", s.id)
+				}
+			}
+			i++
 		}
 	}
 	if len(pl.info) != flagged {
@@ -96,13 +128,14 @@ func (n *Node) CheckInvariants() error {
 	if !n.eigen.Contains(n.self.ID) {
 		return fmt.Errorf("eigenstring %v does not contain own ID %v", n.eigen, n.self.ID)
 	}
-	for i := 0; i < n.peers.Len(); i++ {
-		p := n.peers.At(i)
-		if p.ID == n.self.ID {
-			return fmt.Errorf("peer list contains own ID %v", p.ID)
-		}
-		if !n.eigen.Contains(p.ID) {
-			return fmt.Errorf("peer %v outside eigenstring %v", p.ID, n.eigen)
+	for k := range n.peers.dir {
+		for _, s := range n.peers.slots(k) {
+			if s.id == n.self.ID {
+				return fmt.Errorf("peer list contains own ID %v", s.id)
+			}
+			if !n.eigen.Contains(s.id) {
+				return fmt.Errorf("peer %v outside eigenstring %v", s.id, n.eigen)
+			}
 		}
 	}
 	if len(n.topList) > n.cfg.TopListSize {

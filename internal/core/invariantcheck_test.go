@@ -53,11 +53,11 @@ func TestPeerListInvariantsCatchCorruption(t *testing.T) {
 		want    string
 	}{
 		"swapped entries": {
-			func(pl *PeerList) { pl.slots[0], pl.slots[1] = pl.slots[1], pl.slots[0] },
+			func(pl *PeerList) { s := pl.slots(0); s[0], s[1] = s[1], s[0] },
 			"unsorted",
 		},
 		"duplicate entry": {
-			func(pl *PeerList) { pl.slots[1] = pl.slots[0] },
+			func(pl *PeerList) { s := pl.slots(0); s[1] = s[0] },
 			"unsorted",
 		},
 		"histogram drift": {
@@ -69,21 +69,93 @@ func TestPeerListInvariantsCatchCorruption(t *testing.T) {
 			"level index drift",
 		},
 		"flag without info": {
-			func(pl *PeerList) { pl.slots[0].hasInfo = true },
+			func(pl *PeerList) { pl.slotAt(0).hasInfo = true },
 			"info table has none",
 		},
 		"info without flag": {
-			func(pl *PeerList) { pl.slots[2].hasInfo = false },
+			func(pl *PeerList) { pl.slotAt(2).hasInfo = false },
 			"info table holds",
 		},
 		"empty info value": {
-			func(pl *PeerList) { pl.info[pl.slots[2].id] = []byte{} },
+			func(pl *PeerList) { pl.info[pl.slotAt(2).id] = []byte{} },
 			"info table has none",
 		},
 		"level out of range": {
-			func(pl *PeerList) { pl.slots[0].level = 200 },
+			func(pl *PeerList) { pl.slotAt(0).level = 200 },
 			"beyond nodeid.Bits",
 		},
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			pl := build()
+			tc.corrupt(pl)
+			err := pl.CheckInvariants()
+			if err == nil {
+				t.Fatal("corruption not detected")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestPeerListLeafInvariantsCatchCorruption corrupts the leaf layout of
+// a list spanning several leaves, one clause at a time.
+func TestPeerListLeafInvariantsCatchCorruption(t *testing.T) {
+	build := func() *PeerList {
+		pl := &PeerList{}
+		for i := 0; i < 3*leafCap; i++ {
+			pl.Upsert(wire.Pointer{Addr: wire.Addr(i + 1), ID: nodeid.ID{Hi: uint64(i+1) << 40}}, 0)
+		}
+		if len(pl.dir) < 3 {
+			t.Fatalf("%d entries fill %d leaves, want 3 or more", pl.Len(), len(pl.dir))
+		}
+		return pl
+	}
+	cases := map[string]struct {
+		corrupt func(pl *PeerList)
+		want    string
+	}{
+		"empty leaf": {
+			func(pl *PeerList) {
+				pl.dir = append(pl.dir[:1], append([]leafRef{{s: new(leaf), end: pl.dir[0].end}}, pl.dir[1:]...)...)
+			},
+			"is empty",
+		},
+		"leaf over capacity": {
+			func(pl *PeerList) { pl.dir[1].n = leafCap + 1 },
+			"over its capacity",
+		},
+		"running count drift": {
+			func(pl *PeerList) { pl.dir[1].end++ },
+			"running count",
+		},
+		"stale last ID": {
+			func(pl *PeerList) { pl.dir[0].last = pl.dir[0].s[0].id },
+			"last ID",
+		},
+		"count hides an entry": {
+			func(pl *PeerList) {
+				for k := range pl.dir {
+					pl.dir[k].end--
+				}
+				pl.dir[0].n--
+				pl.dir[0].last = pl.dir[0].s[pl.dir[0].n-1].id
+			},
+			"not zero",
+		},
+		"IDs descend across leaves": {
+			func(pl *PeerList) {
+				a, b := &pl.dir[0].s[pl.dir[0].n-1], &pl.dir[1].s[0]
+				*a, *b = *b, *a
+				pl.dir[0].last = a.id
+			},
+			"do not ascend across leaves",
+		},
+	}
+	if err := build().CheckInvariants(); err != nil {
+		t.Fatalf("intact list: %v", err)
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {

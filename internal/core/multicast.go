@@ -72,29 +72,37 @@ func (n *Node) originateMulticast(ev wire.Event, tid wire.TraceID) {
 	n.forwardEvent(ev, int(n.self.Level), tid)
 }
 
-// forwardEvent continues the §4.2 tree from step fromStep.
+// forwardEvent continues the §4.2 tree from step fromStep. The peers
+// sharing the first s bits of our ID form one ID range; bit s splits it
+// into step s's candidates (bit s flipped) and step s+1's range, so each
+// step costs one search.
 func (n *Node) forwardEvent(ev wire.Event, fromStep int, tid wire.TraceID) {
-	if n.stopped {
+	if n.stopped || fromStep >= nodeid.Bits {
 		return
 	}
-	for s := fromStep; s < nodeid.Bits; s++ {
-		// If no peer shares the first s bits with us, none can share
-		// more: the rest of the tree is empty.
-		if n.peers.CountInPrefix(nodeid.EigenstringOf(n.self.ID, s)) == 0 {
-			return
+	lo, hi := n.peers.prefixRange(nodeid.EigenstringOf(n.self.ID, fromStep))
+	// If no peer shares the first s bits with us, none can share more:
+	// the rest of the tree is empty.
+	for s := fromStep; s < nodeid.Bits && lo < hi; s++ {
+		var candLo, candHi int
+		candLo, candHi, lo, hi = n.peers.splitStep(n.self.ID, s, lo, hi)
+		if target, ok := n.peers.strongestIn(candLo, candHi, ev.Subject.ID, nil, n.env.Rand()); ok {
+			n.forwardTo(target, ev, s, tid, nil)
 		}
-		n.sendStep(ev, s, tid, nil)
 	}
 }
 
 // sendStep picks the strongest candidate for step s (excluding already
-// failed targets) and forwards the event reliably; on failure it drops
-// the stale pointer and redirects.
+// failed targets) and forwards the event to it: the redirect path.
 func (n *Node) sendStep(ev wire.Event, s int, tid wire.TraceID, failed map[nodeid.ID]bool) {
-	target, ok := n.peers.StrongestForStep(n.self.ID, s, ev.Subject.ID, failed, n.env.Rand())
-	if !ok {
-		return // no (remaining) candidate at this step
+	if target, ok := n.peers.StrongestForStep(n.self.ID, s, ev.Subject.ID, failed, n.env.Rand()); ok {
+		n.forwardTo(target, ev, s, tid, failed)
 	}
+}
+
+// forwardTo forwards the event to target as step s+1, reliably; on
+// failure stepFailed drops the stale pointer and redirects.
+func (n *Node) forwardTo(target wire.Pointer, ev wire.Event, s int, tid wire.TraceID, failed map[nodeid.ID]bool) {
 	msg := wire.Message{
 		Type:  wire.MsgEvent,
 		To:    target.Addr,

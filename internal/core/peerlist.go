@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sort"
-
 	"peerwindow/internal/des"
 	"peerwindow/internal/nodeid"
 	"peerwindow/internal/wire"
@@ -31,12 +29,55 @@ type removedPeer struct {
 	firstSeen des.Time
 }
 
+// Leaf layout. A peer list holds about N/2^l pointers, a thousand and
+// more at Fig 9's scales, and every join or leave inserts or removes one
+// of them, so a mutation must not move the whole list.
+const (
+	// leafCap is the number of slots in one leaf: 64 × 48 B = 3 KB, the
+	// most one insert or remove moves.
+	leafCap = 64
+	// buildFill is how many slots each leaf gets when a sorted batch
+	// builds leaves: 15/16 of leafCap, so the inserts that follow a
+	// download find room instead of splitting every leaf at once.
+	buildFill = leafCap - leafCap/16
+	// spreadWindow is how many adjacent leaves an insert into a full
+	// leaf may spread entries over before it adds a leaf.
+	spreadWindow = 4
+	// leafBatch is the most leaves one allocation holds: 8 leaves are
+	// 24 KB, a whole number of 8 KB pages, where a larger array would be
+	// rounded up to whole pages and waste up to 7 KB.
+	leafBatch = 8
+)
+
+// leaf is the storage of one sorted run of peer-list slots.
+type leaf [leafCap]peerSlot
+
+// leafRef is one PeerList directory entry: a leaf, how many entries it
+// holds, the running count through it and its last ID, so that finding
+// an ID or a global index is a binary search over the directory and then
+// one inside a leaf.
+type leafRef struct {
+	s    *leaf
+	n    int32     // entries held, in s[:n]; the slots past n are zero
+	end  int32     // entries in this leaf and every earlier one
+	last nodeid.ID // s[n-1].id
+}
+
 // PeerList is the node's collection of pointers, kept sorted by nodeId so
 // that ring successors and prefix ranges — the two access patterns the
-// protocol needs — are binary searches. It is not safe for concurrent
-// use; the owning Node serializes access.
+// protocol needs — are binary searches. The sorted sequence is stored as
+// leaves of at most leafCap slots, so an insert or a remove moves one
+// leaf instead of the whole list; global indices (At, the level index,
+// StrongestForStep's rotation) count entries in ID order across leaves.
+// The zero PeerList is empty and ready to use. It is not safe for
+// concurrent use; the owning Node serializes access.
 type PeerList struct {
-	slots []peerSlot
+	// dir lists the leaves in ID order. No leaf is empty, and IDs ascend
+	// within and across leaves.
+	dir []leafRef
+	// spare is a freed leaf (all zero) kept for the next leaf the list
+	// needs, or nil.
+	spare *leaf
 	// info holds the non-empty Info of exactly the slots flagged
 	// hasInfo, keyed by ID. It stays nil until a held pointer carries
 	// info.
@@ -44,10 +85,10 @@ type PeerList struct {
 	// levels counts entries per level so MinLevel — the "is there anyone
 	// stronger than me" question behind top-node checks — is O(1).
 	levels [nodeid.Bits + 1]int32
-	// firstAt[l] is the index of the first entry (in ID order) at level
-	// l. It is meaningful only while levels[l] > 0, so the zero PeerList
-	// needs no initialization. It makes Strongest — asked on every
-	// report and escalation — O(1) instead of a full-list scan.
+	// firstAt[l] is the global index of the first entry (in ID order) at
+	// level l. It is meaningful only while levels[l] > 0, so the zero
+	// PeerList needs no initialization. It makes Strongest — asked on
+	// every report and escalation — O(1) instead of a full-list scan.
 	firstAt [nodeid.Bits + 1]int32
 }
 
@@ -96,8 +137,220 @@ func (pl *PeerList) removed(s *peerSlot) removedPeer {
 	return r
 }
 
+// Len returns the number of pointers held.
+func (pl *PeerList) Len() int {
+	if len(pl.dir) == 0 {
+		return 0
+	}
+	return int(pl.dir[len(pl.dir)-1].end)
+}
+
+// slots returns leaf k's entries.
+func (pl *PeerList) slots(k int) []peerSlot {
+	r := &pl.dir[k]
+	return r.s[:r.n]
+}
+
+// start returns the global index of leaf k's first entry.
+func (pl *PeerList) start(k int) int {
+	r := &pl.dir[k]
+	return int(r.end - r.n)
+}
+
+// leafOf returns the leaf holding global index i, or the last leaf when i
+// is past the end.
+func (pl *PeerList) leafOf(i int) int {
+	lo, hi := 0, len(pl.dir)-1
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if int(pl.dir[m].end) > i {
+			hi = m
+		} else {
+			lo = m + 1
+		}
+	}
+	return lo
+}
+
+// slotAt returns the entry at global index i; it panics when i is out of
+// range.
+func (pl *PeerList) slotAt(i int) *peerSlot {
+	k := pl.leafOf(i)
+	return &pl.slots(k)[i-pl.start(k)]
+}
+
+// locate returns where the first entry with ID >= id is, or would be
+// inserted: leaf k and position j in it. Past every entry it is the end
+// of the last leaf. The list must not be empty.
+func (pl *PeerList) locate(id nodeid.ID) (k, j int) {
+	lo, hi := 0, len(pl.dir)-1
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if pl.dir[m].last.Less(id) {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	s := pl.slots(lo)
+	a, b := 0, len(s)
+	for a < b {
+		m := int(uint(a+b) >> 1)
+		if s[m].id.Less(id) {
+			a = m + 1
+		} else {
+			b = m
+		}
+	}
+	return lo, a
+}
+
+// find is locate that also reports whether id is held there; on an empty
+// list it returns (0, 0, false).
+func (pl *PeerList) find(id nodeid.ID) (k, j int, held bool) {
+	if len(pl.dir) == 0 {
+		return 0, 0, false
+	}
+	k, j = pl.locate(id)
+	return k, j, j < int(pl.dir[k].n) && pl.dir[k].s[j].id == id
+}
+
+// search returns the global index of the first entry with ID >= id.
+func (pl *PeerList) search(id nodeid.ID) int {
+	if len(pl.dir) == 0 {
+		return 0
+	}
+	k, j := pl.locate(id)
+	return pl.start(k) + j
+}
+
+// addLeaves inserts m empty leaves into the directory at position at,
+// taking the spare first and the rest from fresh backing arrays of at
+// most leafBatch leaves.
+func (pl *PeerList) addLeaves(at, m int) {
+	end := int32(0)
+	if at > 0 {
+		end = pl.dir[at-1].end
+	}
+	pl.dir = append(pl.dir, make([]leafRef, m)...)
+	copy(pl.dir[at+m:], pl.dir[at:])
+	var fresh []leaf
+	for i := at; i < at+m; i++ {
+		s := pl.spare
+		pl.spare = nil
+		if s == nil {
+			if len(fresh) == 0 {
+				fresh = make([]leaf, min(at+m-i, leafBatch)) //pwlint:allow noalloc leaf-pool miss: the list outgrew its leaves and holds no spare
+			}
+			s, fresh = &fresh[0], fresh[1:]
+		}
+		pl.dir[i] = leafRef{s: s, end: end}
+	}
+}
+
+// dropLeaf removes the empty leaf k from the directory, keeping it as the
+// spare when there is none.
+func (pl *PeerList) dropLeaf(k int) {
+	if pl.spare == nil {
+		pl.spare = pl.dir[k].s
+	}
+	copy(pl.dir[k:], pl.dir[k+1:])
+	pl.dir[len(pl.dir)-1] = leafRef{}
+	pl.dir = pl.dir[:len(pl.dir)-1]
+}
+
+// insertAt puts s at position j of leaf k, which has room.
+func (pl *PeerList) insertAt(k, j int, s peerSlot) {
+	r := &pl.dir[k]
+	copy(r.s[j+1:r.n+1], r.s[j:r.n])
+	r.s[j] = s
+	r.n++
+	if j == int(r.n)-1 {
+		r.last = s.id
+	}
+	for i := k; i < len(pl.dir); i++ {
+		pl.dir[i].end++
+	}
+}
+
+// removeAt deletes position j of leaf k, dropping the leaf if it is left
+// empty. A thinned leaf stays as it is, as a slice keeps its capacity:
+// the list is as large as it has been, and inserts refill it.
+func (pl *PeerList) removeAt(k, j int) {
+	r := &pl.dir[k]
+	copy(r.s[j:r.n-1], r.s[j+1:r.n])
+	r.n--
+	r.s[r.n] = peerSlot{}
+	for i := k; i < len(pl.dir); i++ {
+		pl.dir[i].end--
+	}
+	if r.n == 0 {
+		pl.dropLeaf(k)
+		return
+	}
+	r.last = r.s[r.n-1].id
+}
+
+// room returns where to insert id, found by locate at (k, j), after
+// making sure that leaf has a free slot. A full leaf spreads its entries
+// over up to spreadWindow neighbours when they have a free slot per leaf
+// between them, and otherwise over those leaves plus a new one; an insert
+// past the end of a full last leaf starts a new leaf, so ascending
+// inserts fill leaves completely.
+func (pl *PeerList) room(k, j int, id nodeid.ID) (int, int) {
+	switch {
+	case len(pl.dir) == 0:
+		pl.addLeaves(0, 1)
+		return 0, 0
+	case pl.dir[k].n < leafCap:
+		return k, j
+	case k == len(pl.dir)-1 && j == leafCap:
+		pl.addLeaves(k+1, 1)
+		return k + 1, 0
+	}
+	a, b, free := k, k, 0
+	for b-a+1 < spreadWindow && free < b-a+1 {
+		if b+1 < len(pl.dir) && (a == 0 || pl.dir[b+1].n <= pl.dir[a-1].n) {
+			b++
+			free += leafCap - int(pl.dir[b].n)
+		} else if a > 0 {
+			a--
+			free += leafCap - int(pl.dir[a].n)
+		} else {
+			break
+		}
+	}
+	if free < b-a+1 {
+		pl.addLeaves(b+1, 1)
+		b++
+	}
+	pl.spread(a, b)
+	return pl.locate(id)
+}
+
+// spread deals the entries of leaves a..b — at most spreadWindow leaves'
+// worth — out evenly over those leaves, in order.
+func (pl *PeerList) spread(a, b int) {
+	var buf [spreadWindow * leafCap]peerSlot
+	base, t := pl.start(a), 0
+	for i := a; i <= b; i++ {
+		r := &pl.dir[i]
+		t += copy(buf[t:], r.s[:r.n])
+		clear(r.s[:r.n])
+	}
+	w, from := b-a+1, 0
+	for i := a; i <= b; i++ {
+		to := t * (i - a + 1) / w
+		r := &pl.dir[i]
+		r.n = int32(copy(r.s[:], buf[from:to]))
+		r.end = int32(base + to)
+		r.last = r.s[r.n-1].id
+		from = to
+	}
+}
+
 // indexInsert updates the per-level first-index bookkeeping for an entry
-// of the given level inserted at position i. Called after the slice
+// of the given level inserted at global index i. Called after the
 // insertion but before the levels histogram is bumped.
 func (pl *PeerList) indexInsert(i int, level uint8) {
 	for l := range pl.firstAt {
@@ -112,7 +365,7 @@ func (pl *PeerList) indexInsert(i int, level uint8) {
 }
 
 // indexRemove updates the bookkeeping for an entry of the given level
-// removed from position i. Called after the slice deletion.
+// removed from global index i. Called after the deletion.
 func (pl *PeerList) indexRemove(i int, level uint8) {
 	pl.levels[level]--
 	rescan := pl.levels[level] > 0 && pl.firstAt[level] == int32(i)
@@ -122,18 +375,13 @@ func (pl *PeerList) indexRemove(i int, level uint8) {
 		}
 	}
 	if rescan {
-		// The removed entry was the first of its level; the next one (if
-		// any) can only sit at or after the removal point.
-		for j := i; j < len(pl.slots); j++ {
-			if pl.slots[j].level == level {
-				pl.firstAt[level] = int32(j)
-				break
-			}
-		}
+		// The removed entry was the first of its level; the next one can
+		// only sit at or after the removal point.
+		pl.firstAt[level] = int32(pl.nextAtLevel(i, level))
 	}
 }
 
-// indexRelevel updates the bookkeeping when the entry at position i
+// indexRelevel updates the bookkeeping when the entry at global index i
 // changes level in place (its ID, and hence its position, is unchanged).
 func (pl *PeerList) indexRelevel(i int, old, new uint8) {
 	if old == new {
@@ -141,12 +389,7 @@ func (pl *PeerList) indexRelevel(i int, old, new uint8) {
 	}
 	pl.levels[old]--
 	if pl.levels[old] > 0 && pl.firstAt[old] == int32(i) {
-		for j := i + 1; j < len(pl.slots); j++ {
-			if pl.slots[j].level == old {
-				pl.firstAt[old] = int32(j)
-				break
-			}
-		}
+		pl.firstAt[old] = int32(pl.nextAtLevel(i+1, old))
 	}
 	if pl.levels[new] == 0 || pl.firstAt[new] > int32(i) {
 		pl.firstAt[new] = int32(i)
@@ -154,60 +397,65 @@ func (pl *PeerList) indexRelevel(i int, old, new uint8) {
 	pl.levels[new]++
 }
 
+// nextAtLevel returns the global index of the first entry at or after
+// index i with the given level, walking leaves; there must be one.
+func (pl *PeerList) nextAtLevel(i int, level uint8) int {
+	for k := pl.leafOf(i); ; k++ {
+		s := pl.slots(k)
+		for j := max(i-pl.start(k), 0); j < len(s); j++ {
+			if s[j].level == level {
+				return pl.start(k) + j
+			}
+		}
+	}
+}
+
 // rebuildLevelIndex recomputes levels and firstAt from the entries in
 // one pass; the bulk operations (MergeSorted, DropOutsidePrefix) use it
 // instead of per-entry maintenance.
 func (pl *PeerList) rebuildLevelIndex() {
 	pl.levels = [nodeid.Bits + 1]int32{}
-	for i := len(pl.slots) - 1; i >= 0; i-- {
-		l := pl.slots[i].level
-		pl.levels[l]++
-		pl.firstAt[l] = int32(i)
+	i := int32(0)
+	for k := range pl.dir {
+		for _, s := range pl.slots(k) {
+			if pl.levels[s.level] == 0 {
+				pl.firstAt[s.level] = i
+			}
+			pl.levels[s.level]++
+			i++
+		}
 	}
-}
-
-// Len returns the number of pointers held.
-func (pl *PeerList) Len() int { return len(pl.slots) }
-
-// search returns the index of the first entry with ID >= id.
-func (pl *PeerList) search(id nodeid.ID) int {
-	return sort.Search(len(pl.slots), func(i int) bool {
-		return !pl.slots[i].id.Less(id)
-	})
 }
 
 // Lookup returns the pointer for id, if present.
 //
 //pwlint:noalloc
 func (pl *PeerList) Lookup(id nodeid.ID) (wire.Pointer, bool) {
-	i := pl.search(id)
-	if i < len(pl.slots) && pl.slots[i].id == id {
-		return pl.pointer(&pl.slots[i]), true
+	if k, j, held := pl.find(id); held {
+		return pl.pointer(&pl.dir[k].s[j]), true
 	}
 	return wire.Pointer{}, false
 }
 
 // Upsert inserts the pointer or updates it in place, returning true when
 // the pointer was new. Updates refresh lastSeen but preserve firstSeen,
-// so lifetime measurement spans the node's whole observed life. The
-// slots append is the amortized self-append builder.
+// so lifetime measurement spans the node's whole observed life.
 //
 //pwlint:noalloc
 func (pl *PeerList) Upsert(p wire.Pointer, now des.Time) bool {
-	i := pl.search(p.ID)
-	if i < len(pl.slots) && pl.slots[i].id == p.ID {
-		s := &pl.slots[i]
+	k, j, held := pl.find(p.ID)
+	if held {
+		s := &pl.dir[k].s[j]
 		old := s.level
 		pl.store(s, p)
 		s.lastSeen = now
-		pl.indexRelevel(i, old, p.Level)
+		pl.indexRelevel(pl.start(k)+j, old, p.Level)
 		return false
 	}
-	pl.slots = append(pl.slots, peerSlot{})
-	copy(pl.slots[i+1:], pl.slots[i:])
-	pl.slots[i] = peerSlot{id: p.ID, firstSeen: now, lastSeen: now}
-	pl.store(&pl.slots[i], p)
-	pl.indexInsert(i, p.Level)
+	k, j = pl.room(k, j, p.ID)
+	pl.insertAt(k, j, peerSlot{id: p.ID, firstSeen: now, lastSeen: now})
+	pl.store(&pl.dir[k].s[j], p)
+	pl.indexInsert(pl.start(k)+j, p.Level)
 	return true
 }
 
@@ -228,6 +476,11 @@ func (pl *PeerList) Upsert(p wire.Pointer, now des.Time) bool {
 // per-entry Upsert — callbacks then fire per entry, in batch order — so
 // callers feeding network-supplied batches keep Upsert semantics in the
 // worst case rather than corrupting the list.
+//
+// The merge goes leaf by leaf: a leaf's share of the batch updates held
+// entries in place, and its new entries are merged into the leaf in
+// place when they fit, or else the leaf is rebuilt with fresh leaves
+// after it, none more than buildFill full.
 //
 //pwlint:noalloc
 func (pl *PeerList) MergeSorted(ps []wire.Pointer, now des.Time, onNew func(wire.Pointer), onUpdate func(old, new wire.Pointer)) int {
@@ -255,15 +508,23 @@ func (pl *PeerList) MergeSorted(ps []wire.Pointer, now des.Time, onNew func(wire
 			return added
 		}
 	}
-	n := len(pl.slots)
 	// Pass 1: count the IDs not already held, two-pointer over both
 	// sorted sequences.
-	i, newCount := 0, 0
-	for j := range ps {
-		for i < n && pl.slots[i].id.Less(ps[j].ID) {
-			i++
+	newCount := 0
+	k, j := 0, 0
+	for _, p := range ps {
+		for k < len(pl.dir) && pl.dir[k].last.Less(p.ID) {
+			k, j = k+1, 0
 		}
-		if i >= n || pl.slots[i].id != ps[j].ID {
+		if k == len(pl.dir) {
+			newCount++
+			continue
+		}
+		s := pl.slots(k)
+		for s[j].id.Less(p.ID) {
+			j++
+		}
+		if s[j].id != p.ID {
 			newCount++
 		}
 	}
@@ -273,67 +534,116 @@ func (pl *PeerList) MergeSorted(ps []wire.Pointer, now des.Time, onNew func(wire
 	}
 	type change struct{ old, new wire.Pointer }
 	var updated []change
-	noteUpdate := func(old, new wire.Pointer) {
-		if onUpdate != nil && !old.Equal(new) {
-			updated = append(updated, change{old, new})
-		}
-	}
-	if newCount == 0 {
-		// Updates only: second two-pointer pass, no entry moves.
-		i = 0
-		for j := range ps {
-			for pl.slots[i].id.Less(ps[j].ID) {
-				i++
-			}
-			s := &pl.slots[i]
-			old := pl.pointer(s)
-			pl.store(s, ps[j])
-			s.lastSeen = now
-			pl.indexRelevel(i, old.Level, ps[j].Level)
-			noteUpdate(old, ps[j])
-		}
-		for k := range updated {
-			onUpdate(updated[k].old, updated[k].new)
-		}
-		return 0
-	}
-	// Pass 2: grow once and merge backwards so existing entries shift at
-	// most one position past each insertion — no per-insert O(N) copy.
-	// The info table is keyed by ID, so moving a slot leaves it alone.
-	pl.slots = append(pl.slots, make([]peerSlot, newCount)...)
-	w := n + newCount - 1
-	i = n - 1
-	for j := len(ps) - 1; j >= 0; {
-		switch {
-		case i >= 0 && ps[j].ID.Less(pl.slots[i].id):
-			pl.slots[w] = pl.slots[i]
-			i--
-		case i >= 0 && pl.slots[i].id == ps[j].ID:
-			s := pl.slots[i]
-			noteUpdate(pl.pointer(&s), ps[j])
-			pl.store(&s, ps[j])
-			s.lastSeen = now
-			pl.slots[w] = s
-			i--
-			j--
-		default:
-			pl.slots[w] = peerSlot{id: ps[j].ID, firstSeen: now, lastSeen: now}
-			pl.store(&pl.slots[w], ps[j])
+	// Pass 2, one leaf's share of the batch at a time: updates in place
+	// first (keeping the level index exact only when nothing is
+	// inserted, as the index is rebuilt afterwards otherwise), then the
+	// share's new entries.
+	for lo := 0; lo < len(ps); {
+		if len(pl.dir) == 0 {
+			pl.rebuild(0, ps, len(ps), now)
 			if added != nil {
-				added = append(added, ps[j])
+				added = append(added, ps...)
 			}
-			j--
+			break
 		}
-		w--
+		k, j := pl.locate(ps[lo].ID)
+		hi, fresh := lo, 0
+		last, s := k == len(pl.dir)-1, pl.slots(k)
+		for ; hi < len(ps) && (last || !pl.dir[k].last.Less(ps[hi].ID)); hi++ {
+			p := ps[hi]
+			for j < len(s) && s[j].id.Less(p.ID) {
+				j++
+			}
+			if j == len(s) || s[j].id != p.ID {
+				fresh++
+				if added != nil {
+					added = append(added, p)
+				}
+				continue
+			}
+			old := pl.pointer(&s[j])
+			pl.store(&s[j], p)
+			s[j].lastSeen = now
+			if newCount == 0 {
+				pl.indexRelevel(pl.start(k)+j, old.Level, p.Level)
+			}
+			if onUpdate != nil && !old.Equal(p) {
+				updated = append(updated, change{old, p})
+			}
+		}
+		if fresh > 0 {
+			pl.rebuild(k, ps[lo:hi], fresh, now)
+		}
+		lo = hi
 	}
-	pl.rebuildLevelIndex()
-	for k := len(updated) - 1; k >= 0; k-- {
-		onUpdate(updated[k].old, updated[k].new)
+	if newCount > 0 {
+		pl.rebuildLevelIndex()
 	}
-	for k := len(added) - 1; k >= 0; k-- {
-		onNew(added[k])
+	for _, c := range updated {
+		onUpdate(c.old, c.new)
+	}
+	for _, p := range added {
+		onNew(p)
 	}
 	return newCount
+}
+
+// rebuild merges the fresh entries of batch — a batch share whose held
+// entries are already updated in place — into leaf k (created when the
+// list is empty). The result stays in leaf k when it fits; otherwise it
+// is spread evenly over leaf k and as many new leaves after it as keep
+// every leaf at or below buildFill. The merge runs backwards, so no
+// entry is overwritten before it is moved.
+func (pl *PeerList) rebuild(k int, batch []wire.Pointer, fresh int, now des.Time) {
+	m := 0
+	if len(pl.dir) > 0 {
+		m = int(pl.dir[k].n)
+	}
+	t, q := m+fresh, 1
+	if t > leafCap || len(pl.dir) == 0 {
+		q = (t + buildFill - 1) / buildFill
+	}
+	if len(pl.dir) == 0 {
+		pl.addLeaves(0, q)
+	} else if q > 1 {
+		pl.addLeaves(k+1, q-1)
+	}
+	src := pl.dir[k].s
+	a, b := m-1, len(batch)-1 // next held entry and batch entry to place
+	i := q - 1                // output leaf, relative to k
+	lead := t * i / q         // output index of leaf k+i's first entry
+	for r := t - 1; r >= 0; r-- {
+		for r < lead {
+			i--
+			lead = t * i / q
+		}
+		for b >= 0 && a >= 0 && batch[b].ID == src[a].id {
+			b-- // held: updated in place already
+		}
+		dst := &pl.dir[k+i].s[r-lead]
+		if b >= 0 && (a < 0 || src[a].id.Less(batch[b].ID)) {
+			*dst = peerSlot{id: batch[b].ID, firstSeen: now, lastSeen: now}
+			pl.store(dst, batch[b])
+			b--
+			continue
+		}
+		*dst = src[a]
+		a--
+	}
+	if n := t / q; n < m {
+		clear(src[n:m])
+	}
+	end := int32(pl.start(k))
+	for i := 0; i < q; i++ {
+		r := &pl.dir[k+i]
+		r.n = int32(t*(i+1)/q - t*i/q)
+		end += r.n
+		r.end = end
+		r.last = r.s[r.n-1].id
+	}
+	for i := k + q; i < len(pl.dir); i++ {
+		pl.dir[i].end += int32(fresh)
+	}
 }
 
 // MinLevel returns the smallest level among held pointers, or -1 when the
@@ -359,18 +669,18 @@ func (pl *PeerList) Strongest() (wire.Pointer, bool) {
 	if min < 0 {
 		return wire.Pointer{}, false
 	}
-	return pl.pointer(&pl.slots[pl.firstAt[min]]), true
+	return pl.pointer(pl.slotAt(int(pl.firstAt[min]))), true
 }
 
 // Remove deletes id, returning the removed pointer and whether it existed.
 func (pl *PeerList) Remove(id nodeid.ID) (removedPeer, bool) {
-	i := pl.search(id)
-	if i >= len(pl.slots) || pl.slots[i].id != id {
+	k, j, held := pl.find(id)
+	if !held {
 		return removedPeer{}, false
 	}
-	r := pl.removed(&pl.slots[i])
-	copy(pl.slots[i:], pl.slots[i+1:])
-	pl.slots = pl.slots[:len(pl.slots)-1]
+	i := pl.start(k) + j
+	r := pl.removed(&pl.dir[k].s[j])
+	pl.removeAt(k, j)
 	pl.indexRemove(i, r.ptr.Level)
 	return r, true
 }
@@ -380,17 +690,17 @@ func (pl *PeerList) Remove(id nodeid.ID) (removedPeer, bool) {
 // when no entry satisfies keep. This is the §4.1 "right neighbour in the
 // circle" query, with keep selecting the caller's eigenstring group.
 func (pl *PeerList) Successor(id nodeid.ID, keep func(wire.Pointer) bool) (wire.Pointer, bool) {
-	n := len(pl.slots)
+	n := pl.Len()
 	if n == 0 {
 		return wire.Pointer{}, false
 	}
-	start := pl.search(id)
-	// Skip id itself if present.
-	if start < n && pl.slots[start].id == id {
-		start++
-	}
-	for k := 0; k < n; k++ {
-		s := &pl.slots[(start+k)%n]
+	k, j := pl.locate(id)
+	for c := 0; c < n; c++ {
+		if j == int(pl.dir[k].n) {
+			k, j = (k+1)%len(pl.dir), 0
+		}
+		s := &pl.dir[k].s[j]
+		j++
 		if s.id == id {
 			continue
 		}
@@ -401,27 +711,37 @@ func (pl *PeerList) Successor(id nodeid.ID, keep func(wire.Pointer) bool) (wire.
 	return wire.Pointer{}, false
 }
 
-// prefixRange returns the half-open index range [lo, hi) of entries whose
-// IDs start with the given eigenstring.
+// prefixRange returns the half-open global index range [lo, hi) of
+// entries whose IDs start with the given eigenstring.
 func (pl *PeerList) prefixRange(e nodeid.Eigenstring) (lo, hi int) {
-	lo = pl.search(e.Prefix)
 	if e.Len == 0 {
-		return 0, len(pl.slots)
+		return 0, pl.Len()
 	}
+	lo = pl.search(e.Prefix)
 	// Upper bound: first ID beyond the prefix subtree. The subtree spans
 	// 2^(128-Len) IDs starting at the (zero-padded) prefix.
-	delta := nodeid.ID{}
-	bit := e.Len - 1
-	delta = delta.WithBit(bit, 1) // 2^(128-Len)
-	upper := e.Prefix.Add(delta)
+	upper := e.Prefix.Add(nodeid.ID{}.WithBit(e.Len-1, 1))
 	if upper.IsZero() {
 		// Wrapped past the top of the space: range extends to the end.
-		return lo, len(pl.slots)
+		return lo, pl.Len()
 	}
-	hi = sort.Search(len(pl.slots), func(i int) bool {
-		return !pl.slots[i].id.Less(upper)
-	})
-	return lo, hi
+	return lo, pl.search(upper)
+}
+
+// walk calls fn on the entries at global indices [lo, hi), in order.
+func (pl *PeerList) walk(lo, hi int, fn func(s *peerSlot)) {
+	if lo >= hi {
+		return
+	}
+	k := pl.leafOf(lo)
+	j := lo - pl.start(k)
+	for i := lo; i < hi; i++ {
+		if j == int(pl.dir[k].n) {
+			k, j = k+1, 0
+		}
+		fn(&pl.dir[k].s[j])
+		j++
+	}
 }
 
 // InPrefix returns copies of all pointers whose IDs match the
@@ -433,9 +753,7 @@ func (pl *PeerList) InPrefix(e nodeid.Eigenstring) []wire.Pointer {
 		return nil
 	}
 	out := make([]wire.Pointer, 0, hi-lo)
-	for i := lo; i < hi; i++ {
-		out = append(out, pl.pointer(&pl.slots[i]))
-	}
+	pl.walk(lo, hi, func(s *peerSlot) { out = append(out, pl.pointer(s)) })
 	return out
 }
 
@@ -453,63 +771,107 @@ func (pl *PeerList) CountInPrefix(e nodeid.Eigenstring) int {
 // uses it to shed the now-out-of-scope half of its list (§4.3).
 func (pl *PeerList) DropOutsidePrefix(e nodeid.Eigenstring) []removedPeer {
 	lo, hi := pl.prefixRange(e)
-	if lo == 0 && hi == len(pl.slots) {
+	n := pl.Len()
+	if lo == 0 && hi == n {
 		return nil
 	}
-	dropped := make([]removedPeer, 0, len(pl.slots)-(hi-lo))
-	for i := 0; i < lo; i++ {
-		dropped = append(dropped, pl.removed(&pl.slots[i]))
-	}
-	for i := hi; i < len(pl.slots); i++ {
-		dropped = append(dropped, pl.removed(&pl.slots[i]))
-	}
-	pl.slots = append(pl.slots[:0], pl.slots[lo:hi]...)
+	dropped := make([]removedPeer, 0, n-(hi-lo))
+	drop := func(s *peerSlot) { dropped = append(dropped, pl.removed(s)) }
+	pl.walk(0, lo, drop)
+	pl.walk(hi, n, drop)
+	pl.keep(lo, hi)
 	pl.rebuildLevelIndex()
 	return dropped
+}
+
+// keep cuts the list down to the entries at global indices [lo, hi):
+// the leaves outside go (one becomes the spare) and the two boundary
+// leaves are trimmed.
+func (pl *PeerList) keep(lo, hi int) {
+	first, last := 0, -1 // kept leaves
+	if lo < hi {
+		first, last = pl.leafOf(lo), pl.leafOf(hi-1)
+		head, tail := lo-pl.start(first), hi-pl.start(last)
+		r := &pl.dir[last]
+		clear(r.s[tail:r.n])
+		r.n = int32(tail)
+		r = &pl.dir[first]
+		copy(r.s[:], r.s[head:r.n])
+		clear(r.s[int(r.n)-head : r.n])
+		r.n -= int32(head)
+	}
+	for k := range pl.dir {
+		if (k < first || k > last) && pl.spare == nil {
+			pl.spare = pl.dir[k].s
+			clear(pl.spare[:])
+		}
+	}
+	kept := copy(pl.dir, pl.dir[first:last+1])
+	clear(pl.dir[kept:])
+	pl.dir = pl.dir[:kept]
+	end := int32(0)
+	for k := range pl.dir {
+		r := &pl.dir[k]
+		end += r.n
+		r.end = end
+		r.last = r.s[r.n-1].id
+	}
 }
 
 // ForEach visits every entry in ID order; the visitor must not mutate the
 // list.
 func (pl *PeerList) ForEach(fn func(p wire.Pointer, firstSeen, lastSeen des.Time)) {
-	for i := range pl.slots {
-		s := &pl.slots[i]
-		fn(pl.pointer(s), s.firstSeen, s.lastSeen)
-	}
+	pl.walk(0, pl.Len(), func(s *peerSlot) { fn(pl.pointer(s), s.firstSeen, s.lastSeen) })
 }
 
 // At returns the i-th pointer in ID order; it panics when out of range.
-func (pl *PeerList) At(i int) wire.Pointer { return pl.pointer(&pl.slots[i]) }
+func (pl *PeerList) At(i int) wire.Pointer { return pl.pointer(pl.slotAt(i)) }
 
 // Pointers returns a copy of all pointers in ID order.
 func (pl *PeerList) Pointers() []wire.Pointer {
-	out := make([]wire.Pointer, len(pl.slots))
-	for i := range pl.slots {
-		out[i] = pl.pointer(&pl.slots[i])
-	}
+	out := make([]wire.Pointer, 0, pl.Len())
+	pl.walk(0, pl.Len(), func(s *peerSlot) { out = append(out, pl.pointer(s)) })
 	return out
 }
 
 // StrongestForStep finds the multicast target for step s of figure 4: an
 // audience member of subject whose ID shares the first s bits of selfID
 // and differs at bit s, preferring the highest level (smallest level
-// value). The scan starts at a random rotation of the candidate range so
-// equal-level ties resolve to a random member — this spreads forwarding
-// load across equally strong nodes and, crucially, means every stale
-// pointer is eventually chosen as a target and cleaned up by the §4.2
-// no-response rule; a deterministic tie-break would let unluckily placed
-// stale entries survive forever. A level-0 candidate is globally
-// strongest, so the scan stops at the first one it meets — with
-// level-0-dominated ranges (the common case) the expected scan is short.
-// IDs in the skip set (targets that already failed this step) are
-// excluded.
+// value). IDs in the skip set (targets that already failed this step)
+// are excluded. See strongestIn for how ties resolve.
 func (pl *PeerList) StrongestForStep(selfID nodeid.ID, s int, subject nodeid.ID, skip map[nodeid.ID]bool, rng *xrand.Source) (wire.Pointer, bool) {
 	if s >= nodeid.Bits {
 		return wire.Pointer{}, false
 	}
 	// Candidates occupy the contiguous ID range with prefix
 	// selfID[:s] + flipped bit s.
-	want := nodeid.EigenstringOf(selfID.FlipBit(s), s+1)
-	lo, hi := pl.prefixRange(want)
+	lo, hi := pl.prefixRange(nodeid.EigenstringOf(selfID.FlipBit(s), s+1))
+	return pl.strongestIn(lo, hi, subject, skip, rng)
+}
+
+// splitStep splits [lo, hi) — the entries sharing the first s bits of
+// selfID — at bit s with one search: [candLo, candHi) differs from
+// selfID at bit s (step s's candidates, as StrongestForStep finds them),
+// and [nextLo, nextHi) shares bit s too (step s+1's range).
+func (pl *PeerList) splitStep(selfID nodeid.ID, s, lo, hi int) (candLo, candHi, nextLo, nextHi int) {
+	mid := pl.search(selfID.Prefix(s).WithBit(s, 1))
+	if selfID.Bit(s) == 1 {
+		return lo, mid, mid, hi
+	}
+	return mid, hi, lo, mid
+}
+
+// strongestIn picks the strongest audience member of subject among the
+// entries at global indices [lo, hi), skipping the IDs in skip. The scan
+// starts at a random rotation of the range so equal-level ties resolve
+// to a random member — this spreads forwarding load across equally
+// strong nodes and, crucially, means every stale pointer is eventually
+// chosen as a target and cleaned up by the §4.2 no-response rule; a
+// deterministic tie-break would let unluckily placed stale entries
+// survive forever. A level-0 candidate is globally strongest, so the scan
+// stops at the first one it meets — with level-0-dominated ranges (the
+// common case) the expected scan is short.
+func (pl *PeerList) strongestIn(lo, hi int, subject nodeid.ID, skip map[nodeid.ID]bool, rng *xrand.Source) (wire.Pointer, bool) {
 	span := hi - lo
 	if span <= 0 {
 		return wire.Pointer{}, false
@@ -518,33 +880,39 @@ func (pl *PeerList) StrongestForStep(selfID nodeid.ID, s int, subject nodeid.ID,
 	if rng != nil && span > 1 {
 		offset = rng.Intn(span)
 	}
-	best := -1
+	var best *peerSlot
 	bestLevel := 256
-	for k := 0; k < span; k++ {
-		i := lo + offset + k
-		if i >= hi {
-			i -= span
+	k := pl.leafOf(lo + offset)
+	j := lo + offset - pl.start(k)
+	for c := 0; c < span; c++ {
+		switch {
+		case c == span-offset: // past hi: wrap to lo
+			k = pl.leafOf(lo)
+			j = lo - pl.start(k)
+		case j == int(pl.dir[k].n):
+			k, j = k+1, 0
 		}
-		c := &pl.slots[i]
-		if int(c.level) >= bestLevel {
+		cand := &pl.dir[k].s[j]
+		j++
+		if int(cand.level) >= bestLevel {
 			continue
 		}
-		if skip != nil && skip[c.id] {
+		if skip != nil && skip[cand.id] {
 			continue
 		}
 		// Audience check: the candidate's eigenstring must be a prefix
 		// of the subject's ID.
-		if c.id.Prefix(int(c.level)) != subject.Prefix(int(c.level)) {
+		if cand.id.Prefix(int(cand.level)) != subject.Prefix(int(cand.level)) {
 			continue
 		}
-		best = i
-		bestLevel = int(c.level)
+		best = cand
+		bestLevel = int(cand.level)
 		if bestLevel == 0 {
 			break
 		}
 	}
-	if best < 0 {
+	if best == nil {
 		return wire.Pointer{}, false
 	}
-	return pl.pointer(&pl.slots[best]), true
+	return pl.pointer(best), true
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sort"
 	"testing"
 	"testing/quick"
 	"unsafe"
@@ -395,5 +396,300 @@ func BenchmarkCountInPrefix100k(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		p := ptrs[i%len(ptrs)]
 		pl.CountInPrefix(nodeid.EigenstringOf(p.ID, i%12))
+	}
+}
+
+// flatEntry is one entry of flatList.
+type flatEntry struct {
+	p           wire.Pointer
+	first, last des.Time
+}
+
+// flatList is the reference model of a PeerList: one sorted slice,
+// every query a scan or a sort.Search over it.
+type flatList []flatEntry
+
+func (f flatList) search(id nodeid.ID) int {
+	return sort.Search(len(f), func(i int) bool { return !f[i].p.ID.Less(id) })
+}
+
+func (f *flatList) upsert(p wire.Pointer, now des.Time) bool {
+	i := f.search(p.ID)
+	if i < len(*f) && (*f)[i].p.ID == p.ID {
+		(*f)[i].p, (*f)[i].last = p, now
+		return false
+	}
+	*f = append(*f, flatEntry{})
+	copy((*f)[i+1:], (*f)[i:])
+	(*f)[i] = flatEntry{p: p, first: now, last: now}
+	return true
+}
+
+func (f *flatList) remove(id nodeid.ID) bool {
+	i := f.search(id)
+	if i == len(*f) || (*f)[i].p.ID != id {
+		return false
+	}
+	*f = append((*f)[:i], (*f)[i+1:]...)
+	return true
+}
+
+func (f flatList) prefixRange(e nodeid.Eigenstring) (lo, hi int) {
+	lo = sort.Search(len(f), func(i int) bool { return !f[i].p.ID.Less(e.Prefix) })
+	hi = lo
+	for hi < len(f) && e.Contains(f[hi].p.ID) {
+		hi++
+	}
+	return lo, hi
+}
+
+func (f flatList) strongestForStep(self nodeid.ID, s int, subject nodeid.ID, skip map[nodeid.ID]bool, rng *xrand.Source) (wire.Pointer, bool) {
+	lo, hi := f.prefixRange(nodeid.EigenstringOf(self.FlipBit(s), s+1))
+	span := hi - lo
+	if span <= 0 {
+		return wire.Pointer{}, false
+	}
+	offset := 0
+	if span > 1 {
+		offset = rng.Intn(span)
+	}
+	best, bestLevel := -1, 256
+	for k := 0; k < span; k++ {
+		i := lo + (offset+k)%span
+		c := f[i].p
+		if int(c.Level) >= bestLevel || skip[c.ID] || c.ID.Prefix(int(c.Level)) != subject.Prefix(int(c.Level)) {
+			continue
+		}
+		best, bestLevel = i, int(c.Level)
+		if bestLevel == 0 {
+			break
+		}
+	}
+	if best < 0 {
+		return wire.Pointer{}, false
+	}
+	return f[best].p, true
+}
+
+// TestPeerListMatchesFlatModel drives one list past 2,000 entries —
+// dozens of leaves — and drains it to empty with random Upsert, Remove,
+// MergeSorted and DropOutsidePrefix, comparing every query against a
+// flat sorted reference and checking the invariants after each
+// operation. The other property tests stay within a few leaves.
+func TestPeerListMatchesFlatModel(t *testing.T) {
+	rng := xrand.New(41)
+	var pl PeerList
+	var ref flatList
+	randID := func() nodeid.ID { return nodeid.ID{Hi: rng.Uint64(), Lo: rng.Uint64()} }
+	pick := func(freshShare int) wire.Pointer {
+		p := wire.Pointer{Addr: wire.Addr(1 + rng.Intn(1<<20)), ID: randID(), Level: uint8(rng.Intn(6)), Info: randomInfo(rng)}
+		if len(ref) > 0 && rng.Intn(100) >= freshShare {
+			p.ID = ref[rng.Intn(len(ref))].p.ID
+		}
+		return p
+	}
+	growing, peak, leaves := true, 0, 0
+	step := 0
+	for ; growing || len(ref) > 0; step++ {
+		if step > 20000 {
+			t.Fatalf("no progress: %d entries after %d steps", len(ref), step)
+		}
+		now := des.Time(step)
+		// Percent thresholds for upsert, merge and remove; the rest
+		// drops outside a prefix. Draining mostly removes.
+		op, ups, merges, removes, fresh := rng.Intn(100), 35, 70, 98, 70
+		if !growing {
+			ups, merges, removes, fresh = 10, 20, 95, 5
+		}
+		var name string
+		switch {
+		case op < ups:
+			name = "upsert"
+			p := pick(fresh)
+			if got, want := pl.Upsert(p, now), ref.upsert(p, now); got != want {
+				t.Fatalf("step %d: Upsert reported new=%v, model %v", step, got, want)
+			}
+		case op < merges:
+			name = "merge"
+			size := rng.Intn(16)
+			if rng.Intn(4) == 0 {
+				size = 40 + rng.Intn(300)
+			}
+			batch := make([]wire.Pointer, 0, size)
+			for i := 0; i < size; i++ {
+				batch = append(batch, pick(fresh))
+			}
+			sort.Slice(batch, func(i, j int) bool { return batch[i].ID.Less(batch[j].ID) })
+			dedup := batch[:0]
+			for _, p := range batch {
+				if len(dedup) == 0 || dedup[len(dedup)-1].ID != p.ID {
+					dedup = append(dedup, p)
+				}
+			}
+			var wantNew []wire.Pointer
+			wantUpdates := 0
+			for _, p := range dedup {
+				i := ref.search(p.ID)
+				switch {
+				case i == len(ref) || ref[i].p.ID != p.ID:
+					wantNew = append(wantNew, p)
+				case !ref[i].p.Equal(p):
+					wantUpdates++
+				}
+			}
+			var gotNew []wire.Pointer
+			gotUpdates := 0
+			added := pl.MergeSorted(dedup, now, func(p wire.Pointer) { gotNew = append(gotNew, p) },
+				func(old, new wire.Pointer) {
+					if len(gotNew) > 0 {
+						t.Fatalf("step %d: onUpdate after onNew", step)
+					}
+					gotUpdates++
+				})
+			for _, p := range dedup {
+				ref.upsert(p, now)
+			}
+			if added != len(wantNew) || len(gotNew) != len(wantNew) || gotUpdates != wantUpdates {
+				t.Fatalf("step %d: merge added %d (onNew %d, onUpdate %d), model %d new, %d changed",
+					step, added, len(gotNew), gotUpdates, len(wantNew), wantUpdates)
+			}
+			for i := range wantNew {
+				if !gotNew[i].Equal(wantNew[i]) {
+					t.Fatalf("step %d: onNew #%d got %v, want %v (ascending)", step, i, gotNew[i].ID, wantNew[i].ID)
+				}
+			}
+		case op < removes:
+			name = "remove"
+			id := pick(10).ID
+			_, got := pl.Remove(id)
+			if want := ref.remove(id); got != want {
+				t.Fatalf("step %d: Remove reported %v, model %v", step, got, want)
+			}
+		default:
+			name = "drop outside prefix"
+			anchor := pick(0).ID
+			e := nodeid.EigenstringOf(anchor, 1+rng.Intn(2))
+			dropped := pl.DropOutsidePrefix(e)
+			lo, hi := ref.prefixRange(e)
+			if len(dropped) != len(ref)-(hi-lo) {
+				t.Fatalf("step %d: dropped %d, model drops %d", step, len(dropped), len(ref)-(hi-lo))
+			}
+			ref = append(ref[:0], ref[lo:hi]...)
+		}
+		if len(ref) > 2000 {
+			growing = false
+		}
+		peak, leaves = max(peak, len(ref)), max(leaves, len(pl.dir))
+		checkAgainstFlat(t, &pl, ref, rng, step, name)
+	}
+	if peak <= 2000 || len(pl.dir) != 0 {
+		t.Fatalf("peak %d entries, %d leaves at the end", peak, len(pl.dir))
+	}
+	t.Logf("%d operations, peak %d entries in %d leaves", step, peak, leaves)
+}
+
+// checkAgainstFlat fails unless pl answers every query as ref does.
+func checkAgainstFlat(t *testing.T, pl *PeerList, ref flatList, rng *xrand.Source, step int, op string) {
+	t.Helper()
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("step %d after %s: "+format, append([]any{step, op}, args...)...)
+	}
+	if err := pl.CheckInvariants(); err != nil {
+		fail("%v", err)
+	}
+	if pl.Len() != len(ref) {
+		fail("Len %d, model %d", pl.Len(), len(ref))
+	}
+	i := 0
+	pl.ForEach(func(p wire.Pointer, first, last des.Time) {
+		if w := ref[i]; !p.Equal(w.p) || first != w.first || last != w.last {
+			fail("entry %d is %+v (%v,%v), model %+v (%v,%v)", i, p, first, last, w.p, w.first, w.last)
+		}
+		i++
+	})
+	if len(ref) == 0 {
+		return
+	}
+	for _, i := range []int{0, len(ref) - 1, rng.Intn(len(ref)), rng.Intn(len(ref))} {
+		if got := pl.At(i); !got.Equal(ref[i].p) {
+			fail("At(%d) = %v, model %v", i, got.ID, ref[i].p.ID)
+		}
+	}
+	anyID := func() nodeid.ID {
+		if rng.Intn(2) == 0 {
+			return ref[rng.Intn(len(ref))].p.ID
+		}
+		return nodeid.ID{Hi: rng.Uint64(), Lo: rng.Uint64()}
+	}
+	for k := 0; k < 4; k++ {
+		id := anyID()
+		j := ref.search(id)
+		held := j < len(ref) && ref[j].p.ID == id
+		if got, ok := pl.Lookup(id); ok != held || (held && !got.Equal(ref[j].p)) {
+			fail("Lookup(%v) = %v,%v, model held=%v", id, got.ID, ok, held)
+		}
+	}
+	e := nodeid.EigenstringOf(anyID(), rng.Intn(10))
+	lo, hi := ref.prefixRange(e)
+	if got := pl.CountInPrefix(e); got != hi-lo {
+		fail("CountInPrefix(%v) = %d, model %d", e, got, hi-lo)
+	}
+	in := pl.InPrefix(e)
+	if len(in) != hi-lo {
+		fail("InPrefix(%v) holds %d, model %d", e, len(in), hi-lo)
+	}
+	for k := range in {
+		if !in[k].Equal(ref[lo+k].p) {
+			fail("InPrefix(%v)[%d] = %v, model %v", e, k, in[k].ID, ref[lo+k].p.ID)
+		}
+	}
+	want, ok := wire.Pointer{}, false
+	for l := 0; l <= nodeid.Bits && !ok; l++ {
+		for _, w := range ref {
+			if int(w.p.Level) == l {
+				want, ok = w.p, true
+				break
+			}
+		}
+	}
+	if got, gok := pl.Strongest(); gok != ok || !got.Equal(want) {
+		fail("Strongest = %v, model %v", got.ID, want.ID)
+	}
+	id := anyID()
+	strong := func(p wire.Pointer) bool { return p.Level <= 1 }
+	for _, keep := range []func(wire.Pointer) bool{nil, strong} {
+		want, ok := wire.Pointer{}, false
+		start := sort.Search(len(ref), func(i int) bool { return id.Less(ref[i].p.ID) })
+		for k := 0; k < len(ref) && !ok; k++ {
+			if c := ref[(start+k)%len(ref)].p; c.ID != id && (keep == nil || keep(c)) {
+				want, ok = c, true
+			}
+		}
+		if got, gok := pl.Successor(id, keep); gok != ok || !got.Equal(want) {
+			fail("Successor(%v) = %v,%v, model %v,%v", id, got.ID, gok, want.ID, ok)
+		}
+	}
+	self, subject := anyID(), anyID()
+	s := rng.Intn(12)
+	skip := map[nodeid.ID]bool{ref[rng.Intn(len(ref))].p.ID: true}
+	seed := rng.Uint64()
+	got, gok := pl.StrongestForStep(self, s, subject, skip, xrand.New(seed))
+	want, ok = ref.strongestForStep(self, s, subject, skip, xrand.New(seed))
+	if gok != ok || !got.Equal(want) {
+		fail("StrongestForStep(step %d) = %v,%v, model %v,%v", s, got.ID, gok, want.ID, ok)
+	}
+	// The multicast walk's one-search split agrees with the prefix
+	// ranges it replaces at every step.
+	lo, hi = pl.prefixRange(nodeid.EigenstringOf(self, s))
+	for ; s < nodeid.Bits && lo < hi; s++ {
+		var cLo, cHi int
+		cLo, cHi, lo, hi = pl.splitStep(self, s, lo, hi)
+		wLo, wHi := ref.prefixRange(nodeid.EigenstringOf(self.FlipBit(s), s+1))
+		nLo, nHi := ref.prefixRange(nodeid.EigenstringOf(self, s+1))
+		if (cLo != wLo || cHi != wHi) && (cLo < cHi || wLo < wHi) || (lo != nLo || hi != nHi) && (lo < hi || nLo < nHi) {
+			fail("splitStep at step %d: candidates [%d,%d) next [%d,%d), model [%d,%d) and [%d,%d)",
+				s, cLo, cHi, lo, hi, wLo, wHi, nLo, nHi)
+		}
 	}
 }

@@ -104,3 +104,41 @@ func TestClusterHeapPerHeldPointer(t *testing.T) {
 		t.Errorf("%.1f B of heap per held pointer, budget 64", perPtr)
 	}
 }
+
+// TestClusterHeapPerHeldPointerAfterChurn is the same guard after the
+// cluster_churn benchmark's whole run shape: 1,000 nodes warm-started,
+// then Gnutella churn for 2 + 6 virtual minutes, heap divided by the
+// pointers the live nodes hold. Churn is what inflates peer-list
+// storage — leaves that split and never refill, leaves kept for reuse,
+// halves shed at a level shift — so a layout can pass the warm-start
+// guard and still grow the live heap under churn. A single sorted slice
+// per list measured 90.0 B here; leaves built 15/16 full measure 93.9 B,
+// and leaves filled to 3/4 measure 108 B.
+func TestClusterHeapPerHeldPointerAfterChurn(t *testing.T) {
+	if testing.Short() || invariant.Enabled {
+		t.Skip("eight virtual minutes of a 1,000-node cluster; the checker re-validates every node per event")
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	c := NewCluster(ClusterConfig{Core: DefaultFullCore(), Seed: 1})
+	wl := workload.DefaultConfig()
+	c.WarmStart(1000, wl, 2)
+	ch := NewChurn(c, ChurnConfig{Workload: wl, TargetPopulation: 1000, CrashFraction: 0.5})
+	ch.Start()
+	c.Run(8 * des.Minute)
+	ch.Stop()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+
+	held := 0
+	for _, sn := range c.Alive() {
+		held += sn.Node.Peers().Len()
+	}
+	runtime.KeepAlive(c)
+	perPtr := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(held)
+	t.Logf("%d pointers held, %.1f B of heap per pointer", held, perPtr)
+	if perPtr > 96 {
+		t.Errorf("%.1f B of heap per held pointer after churn, budget 96", perPtr)
+	}
+}
