@@ -241,6 +241,9 @@ func (n *Node) OutputRate() float64 { return n.outMeter.Rate(n.env.Now()) }
 // (§4.6's LT_i).
 func (n *Node) LifetimeStats() *metrics.PerLevel { return &n.lifetimes }
 
+// Threshold returns the node's self-set bandwidth budget W in bit/s.
+func (n *Node) Threshold() float64 { return n.cfg.ThresholdBits }
+
 // SetThreshold adjusts the node's self-set bandwidth budget W at runtime
 // — the autonomy knob of §2.
 func (n *Node) SetThreshold(w float64) {

@@ -84,22 +84,47 @@ func TestWithFieldAllocatesOnlyItsResult(t *testing.T) {
 	}
 }
 
-// TestFieldIndexBuildAllocationsIndependentOfFields: a bucket whose
-// entries share one field and a bucket whose every entry carries distinct
-// fields cost the same three allocations to index.
-func TestFieldIndexBuildAllocationsIndependentOfFields(t *testing.T) {
+// fieldShapes returns full buckets of three shapes: benchStore's infos
+// (91 distinct values over 3 fields per entry), one field every entry
+// shares, and 3 fields no two entries share (the interning table's worst
+// case).
+func fieldShapes() []struct {
+	name string
+	ents []Entry
+} {
+	s, _ := benchStore(2 * maxBucket)
 	shared := make([]Entry, maxBucket)
 	distinct := make([]Entry, maxBucket)
 	for i := range shared {
 		shared[i] = EntryOf(ptr(fmt.Sprintf("s-%d", i), 0, "os=linux"))
 		distinct[i] = EntryOf(ptr(fmt.Sprintf("d-%d", i), 0, fmt.Sprintf("slot=%d;host=h%d;rack=%d", i, i, i)))
 	}
-	for _, c := range []struct {
+	return []struct {
 		name string
 		ents []Entry
-	}{{"shared", shared}, {"distinct", distinct}} {
+	}{{"benchStore", s.View().buckets[0].ents}, {"shared", shared}, {"distinct", distinct}}
+}
+
+// TestFieldIndexBuildAllocationsIndependentOfFields: a bucket whose
+// entries share one field and a bucket whose every entry carries distinct
+// fields cost the same three allocations to index.
+func TestFieldIndexBuildAllocationsIndependentOfFields(t *testing.T) {
+	for _, c := range fieldShapes() {
 		if allocs := testing.AllocsPerRun(100, func() { buildFieldIndex(c.ents) }); allocs != 3 {
 			t.Errorf("%s fields: index build allocates %v, want 3", c.name, allocs)
+		}
+	}
+}
+
+// TestFieldIndexIsExactlySized: a published index holds no spare
+// capacity — one posting per distinct value, one offset per (value, entry)
+// pair — so its heap does not grow with repeated fields.
+func TestFieldIndexIsExactlySized(t *testing.T) {
+	for _, c := range fieldShapes() {
+		x := buildFieldIndex(c.ents)
+		if cap(x.fields) != len(x.fields) || cap(x.offs) != len(x.offs) {
+			t.Errorf("%s fields: fields %d of cap %d, offs %d of cap %d",
+				c.name, len(x.fields), cap(x.fields), len(x.offs), cap(x.offs))
 		}
 	}
 }

@@ -223,14 +223,21 @@ func BenchmarkBulkFieldReadsUnderChurn10k(b *testing.B) {
 }
 
 // BenchmarkFieldIndexBuild is the cost a reader pays the first time a
-// field query touches a bucket no earlier view indexed: one full bucket of
-// benchStore-shaped infos.
+// field query touches a bucket no earlier view indexed, for each of
+// fieldShapes' full buckets. ns/field is per field occurrence, so the
+// shapes compare per unit of input.
 func BenchmarkFieldIndexBuild(b *testing.B) {
-	s, _ := benchStore(2 * maxBucket)
-	ents := s.View().buckets[0].ents
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buildFieldIndex(ents)
+	for _, c := range fieldShapes() {
+		occ := 0
+		for i := range c.ents {
+			c.ents[i].eachField(func(string) { occ++ })
+		}
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buildFieldIndex(c.ents)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(occ), "ns/field")
+		})
 	}
 }

@@ -61,26 +61,8 @@ func (e Entry) equalPtr(p wire.Pointer) bool {
 	return e.ID == p.ID && e.Addr == p.Addr && e.Level == p.Level && e.info == string(p.Info)
 }
 
-// eachField calls fn for every ';'-separated field of the entry's info,
-// using substrings that share the info's backing array (zero allocations).
-// An empty info yields no fields.
-func (e Entry) eachField(fn func(f string)) {
-	s := e.info
-	for len(s) > 0 {
-		i := strings.IndexByte(s, ';')
-		if i < 0 {
-			fn(s)
-			return
-		}
-		if i > 0 {
-			fn(s[:i])
-		}
-		s = s[i+1:]
-	}
-}
-
-// fieldBound returns an upper bound on the number of fields eachField
-// yields: one per separator-delimited segment, empty ones included.
+// fieldBound returns an upper bound on the number of fields the info
+// holds: one per separator-delimited segment, empty ones included.
 func (e Entry) fieldBound() int {
 	if e.info == "" {
 		return 0

@@ -2,6 +2,7 @@ package query
 
 import (
 	"cmp"
+	"hash/maphash"
 	"slices"
 	"sort"
 	"strings"
@@ -31,7 +32,9 @@ const levelSlots = 256
 // ';'-separated info field value, the ascending offsets of the entries
 // carrying it. The val strings share the backing arrays of the entries'
 // infos — the index adds no string copies — and every posting list is a
-// range of the one offs arena.
+// range of the one offs arena. Both slices are exactly sized: fields holds
+// one posting per distinct value and offs one offset per (value, entry)
+// pair.
 type fieldIndex struct {
 	fields []fieldPosting // sorted by val
 	offs   []uint16
@@ -47,12 +50,61 @@ type fieldPosting struct {
 // noFields is the index of every bucket whose entries carry no fields.
 var noFields = &fieldIndex{}
 
+// fieldScratch is one build's working memory, kept between builds so
+// that a build allocates only what it publishes.
+type fieldScratch struct {
+	table []uint32   // open addressing over vals: id+1, 0 when empty
+	vals  []fieldVal // distinct values, id = order of first sight
+	occ   []fieldOcc // one per (value, entry) pair, in entry order
+	order []uint32   // ids sorted by value
+}
+
+// fieldVal is one distinct field value a build has met.
+type fieldVal struct {
+	val  string
+	key  uint64 // prefixKey(val)
+	hash uint64
+	n    uint32 // entries carrying val
+	tag  uint32 // while interning, 1 + the last entry counted; then val's rank
+}
+
+// fieldOcc records that the entry at off carries the value id.
+type fieldOcc struct{ id, off uint32 }
+
+var fieldHashSeed = maphash.MakeSeed()
+
+// idleScratch holds one scratch between builds; a build that finds it
+// taken makes its own. Only builds of at most scratchKeep field
+// occurrences put theirs back, so a bucket of outsized infos does not pin
+// its table. It is not a sync.Pool: under the race detector a pool drops
+// a random quarter of its Puts, so a build's allocations would vary.
+var idleScratch atomic.Pointer[fieldScratch]
+
+const scratchKeep = 8 * maxBucket
+
+// prefixKey packs the first 8 bytes of s big-endian, zero-padded. Strings
+// whose keys differ order as their keys do; equal keys need
+// strings.Compare.
+func prefixKey(s string) uint64 {
+	if len(s) >= 8 {
+		return uint64(s[0])<<56 | uint64(s[1])<<48 | uint64(s[2])<<40 | uint64(s[3])<<32 |
+			uint64(s[4])<<24 | uint64(s[5])<<16 | uint64(s[6])<<8 | uint64(s[7])
+	}
+	var k uint64
+	for i := 0; i < len(s); i++ {
+		k |= uint64(s[i]) << (56 - 8*i)
+	}
+	return k
+}
+
 // buildFieldIndex indexes ents in three allocations, however many
-// distinct fields they hold: the postings slice, sized to a bound on the
-// number of field occurrences; the offs arena; the index header. The postings
-// slice first holds one unsorted (field, entry offset) ref per occurrence,
-// the offset parked in lo, and is then sorted and compacted in place.
-// Duplicate fields within one entry's info contribute a single offset.
+// distinct fields they hold: the postings slice, the offs arena and the
+// index header, each exactly sized. It sorts distinct values, not field
+// occurrences: one pass interns every field to a dense id and counts the
+// entries carrying it (a field repeated within one entry counts once), a
+// comparison sort orders the distinct values, and a second pass places
+// each entry offset by counting sort, so every posting list comes out
+// ascending.
 func buildFieldIndex(ents []Entry) *fieldIndex {
 	n := 0
 	for i := range ents {
@@ -61,36 +113,103 @@ func buildFieldIndex(ents []Entry) *fieldIndex {
 	if n == 0 {
 		return noFields
 	}
-	fields := make([]fieldPosting, 0, n)
+	sc := idleScratch.Swap(nil)
+	if sc == nil {
+		sc = new(fieldScratch)
+	}
+	sc.intern(ents, n)
+	x := sc.index()
+	if n <= scratchKeep {
+		clear(sc.vals) // else the idle scratch keeps the entries' infos alive
+		sc.vals, sc.occ, sc.order = sc.vals[:0], sc.occ[:0], sc.order[:0]
+		idleScratch.Store(sc)
+	}
+	return x
+}
+
+// intern fills vals and occ from the fields of ents, at most n of them,
+// through an open-addressing table at most half full.
+func (sc *fieldScratch) intern(ents []Entry, n int) {
+	size := 1
+	for size < 2*n {
+		size <<= 1
+	}
+	if cap(sc.table) < size {
+		sc.table = make([]uint32, size)
+	}
+	table := sc.table[:size]
+	clear(table)
+	mask := uint64(size - 1)
+	vals, occ := sc.vals, sc.occ
 	for i := range ents {
-		off := uint32(i)
-		ents[i].eachField(func(f string) {
-			fields = append(fields, fieldPosting{val: f, lo: off})
-		})
-	}
-	slices.SortFunc(fields, func(a, b fieldPosting) int {
-		if c := strings.Compare(a.val, b.val); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.lo, b.lo)
-	})
-	offs := make([]uint16, 0, len(fields))
-	w := 0 // compacted postings so far; never ahead of the ref being read
-	for _, r := range fields {
-		off := uint16(r.lo)
-		if w > 0 && fields[w-1].val == r.val {
-			if offs[len(offs)-1] != off {
-				offs = append(offs, off)
-				fields[w-1].hi++
+		mark := uint32(i) + 1
+		s := ents[i].info
+		for len(s) > 0 {
+			f := s
+			if j := strings.IndexByte(s, ';'); j >= 0 {
+				f, s = s[:j], s[j+1:]
+			} else {
+				s = ""
 			}
-			continue
+			if f == "" {
+				continue
+			}
+			h := maphash.String(fieldHashSeed, f)
+			for p := h & mask; ; p = (p + 1) & mask {
+				id := table[p]
+				if id == 0 {
+					table[p] = uint32(len(vals)) + 1
+					occ = append(occ, fieldOcc{id: uint32(len(vals)), off: uint32(i)})
+					vals = append(vals, fieldVal{val: f, key: prefixKey(f), hash: h, n: 1, tag: mark})
+					break
+				}
+				if v := &vals[id-1]; v.hash == h && v.val == f {
+					if v.tag != mark {
+						v.n++
+						v.tag = mark
+						occ = append(occ, fieldOcc{id: id - 1, off: uint32(i)})
+					}
+					break
+				}
+			}
 		}
-		fields[w] = fieldPosting{val: r.val, lo: uint32(len(offs)), hi: uint32(len(offs)) + 1}
-		offs = append(offs, off)
-		w++
 	}
-	clear(fields[w:]) // else the GC traces the stale refs' strings for the index's lifetime
-	return &fieldIndex{fields: fields[:w], offs: offs}
+	sc.vals, sc.occ = vals, occ
+}
+
+// index sorts the interned values and lays their postings out.
+func (sc *fieldScratch) index() *fieldIndex {
+	vals := sc.vals
+	if len(vals) == 0 {
+		return noFields
+	}
+	order := sc.order
+	for id := range vals {
+		order = append(order, uint32(id))
+	}
+	sc.order = order
+	slices.SortFunc(order, func(a, b uint32) int {
+		va, vb := &vals[a], &vals[b]
+		if va.key != vb.key {
+			return cmp.Compare(va.key, vb.key)
+		}
+		return strings.Compare(va.val, vb.val)
+	})
+	fields := make([]fieldPosting, len(order))
+	lo := uint32(0)
+	for r, id := range order {
+		v := &vals[id]
+		fields[r] = fieldPosting{val: v.val, lo: lo, hi: lo}
+		lo += v.n
+		v.tag = uint32(r)
+	}
+	offs := make([]uint16, lo)
+	for _, o := range sc.occ {
+		f := &fields[vals[o.id].tag]
+		offs[f.hi] = uint16(o.off)
+		f.hi++
+	}
+	return &fieldIndex{fields: fields, offs: offs}
 }
 
 // search returns the position of the first field not below val.

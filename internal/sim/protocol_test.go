@@ -1,7 +1,9 @@
 package sim
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"testing"
 
 	"peerwindow/internal/core"
@@ -239,20 +241,51 @@ func TestLevelsEmergeFromThresholds(t *testing.T) {
 	ch.Start()
 	c.Run(20 * des.Minute)
 
+	var joined []*SimNode
 	levels := map[int]int{}
-	weakAtTop, strongAtBottom := 0, 0
+	deepest := 0
 	for _, sn := range c.Alive() {
 		if !sn.Node.Joined() {
 			continue
 		}
+		joined = append(joined, sn)
 		l := sn.Node.Level()
 		levels[l]++
+		deepest = max(deepest, l)
 	}
 	if len(levels) < 2 {
 		t.Fatalf("no heterogeneity: level histogram %v", levels)
 	}
-	_ = weakAtTop
-	_ = strongAtBottom
+	// Budget quartiles over the joined nodes: weakAtTop counts the
+	// weakest quarter at level 0, strongAtBottom the strongest quarter at
+	// the deepest level present.
+	slices.SortStableFunc(joined, func(a, b *SimNode) int {
+		return cmp.Compare(a.Node.Threshold(), b.Node.Threshold())
+	})
+	q := len(joined) / 4
+	weakAtTop, strongAtBottom := 0, 0
+	for _, sn := range joined[:q] {
+		if sn.Node.Level() == 0 {
+			weakAtTop++
+		}
+	}
+	for _, sn := range joined[len(joined)-q:] {
+		if sn.Node.Level() == deepest {
+			strongAtBottom++
+		}
+	}
+	t.Logf("levels %v; quartile %d: weakAtTop %d, strongAtBottom %d", levels, q, weakAtTop, strongAtBottom)
+	// Measured on this seed: 280 joined nodes over levels 0..7 (226 at
+	// level 0), quartile 70, weakAtTop 16 and strongAtBottom 0. The bounds
+	// leave a margin of half the measured weakAtTop and of two nodes. A
+	// shift check that never lowers a level leaves 34 of the weakest 71
+	// at level 0.
+	if weakAtTop > 24 {
+		t.Errorf("%d of the weakest %d nodes sit at level 0, want at most 24", weakAtTop, q)
+	}
+	if strongAtBottom > 2 {
+		t.Errorf("%d of the strongest %d nodes sit at the deepest level %d, want at most 2", strongAtBottom, q, deepest)
+	}
 }
 
 func TestLevelShiftDownWhenOverBudget(t *testing.T) {
