@@ -12,12 +12,11 @@ import (
 	"peerwindow/internal/xrand"
 )
 
-// Peer-list microbenchmarks for the PR 1 hot-path overhaul. The workload
-// mirrors join step 3 (§4.3): a node downloads the peer-list slice for
-// its eigenstring — hundreds to thousands of pointers, already in ID
-// order — and applies it to its own list. The seed path is one Upsert
-// per pointer, each an O(N) slice copy, so applying a list is O(N·M);
-// the bulk-merge path does one O(N+M) pass.
+// Peer-list microbenchmarks. A node downloads peer-list slices — hundreds
+// to thousands of pointers, already in ID order — and applies them to
+// its own list with MergeSorted: into an empty list at join step 3
+// (§4.3) and on Restore, into a full one where almost nothing is new on
+// reconcile, and into a warm one on level raising.
 //
 // Run with:
 //
@@ -58,57 +57,67 @@ func (pl *PeerList) clone() *PeerList {
 	return &cp
 }
 
-// applySortedBatch routes a sorted pointer batch into the list through
-// the bulk-merge hot path under benchmark.
-func applySortedBatch(pl *PeerList, ps []wire.Pointer, now des.Time) {
-	pl.MergeSorted(ps, now, nil, nil)
-}
-
-// BenchmarkPeerListMerge applies a 1024-pointer sorted batch — half
-// updates to held entries, half new IDs interleaved across the whole
-// range — into a 10,000-entry list, the shape of a level-raising
-// download into an already warm list.
+// BenchmarkPeerListMerge applies a sorted batch in the three shapes a
+// peer-list download takes, reporting ns per pointer:
+//
+//   - empty: 10,000 pointers into an empty list (join step 3, Restore);
+//   - update: 1,024 held pointers with a bumped level into a 10,000-entry
+//     list (reconcile);
+//   - half-new: 1,024 pointers, half updates to held entries and half new
+//     IDs interleaved across the whole range, into the same list (level
+//     raising into an already warm list).
 func BenchmarkPeerListMerge(b *testing.B) {
 	const n, m = 10000, 1024
 	rng := xrand.New(7)
 	all := benchSortedPointers(n+m/2, 4, rng)
 	base := make([]wire.Pointer, 0, n)
-	batch := make([]wire.Pointer, 0, m)
-	// Every (n+m/2)/(m/2)-th ID is batch-only; half the batch updates
-	// IDs also present in the base list (with a bumped level).
+	halfNew := make([]wire.Pointer, 0, m)
+	// Every (n+m/2)/(m/2)-th ID is batch-only; the other half of the
+	// half-new batch updates IDs also present in the base list (with a
+	// bumped level).
 	stride := (n + m/2) / (m / 2)
 	for i, p := range all {
-		if i%stride == 0 && len(batch) < m/2 {
-			batch = append(batch, p)
+		if i%stride == 0 && len(halfNew) < m/2 {
+			halfNew = append(halfNew, p)
 			continue
 		}
 		base = append(base, p)
 	}
-	for i := 0; i < m/2; i++ {
-		p := base[i*(len(base)/(m/2))]
-		p.Level = (p.Level + 1) % 5
-		batch = append(batch, p)
+	bumped := func(k, of int) []wire.Pointer {
+		out := make([]wire.Pointer, 0, k)
+		for i := 0; i < k; i++ {
+			p := base[i*(len(base)/of)]
+			p.Level = (p.Level + 1) % 5
+			out = append(out, p)
+		}
+		return out
 	}
-	sort.Slice(batch, func(i, j int) bool { return batch[i].ID.Less(batch[j].ID) })
+	halfNew = append(halfNew, bumped(m/2, m/2)...)
+	sort.Slice(halfNew, func(i, j int) bool { return halfNew[i].ID.Less(halfNew[j].ID) })
+	update := bumped(m, m)
 
 	var src PeerList
-	for _, p := range base {
-		src.Upsert(p, 0) // ascending IDs: each Upsert appends, O(1)
+	src.MergeSorted(base, 0, nil, nil)
+	run := func(b *testing.B, batch []wire.Pointer, from *PeerList) {
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			b.StopTimer()
+			pl := from.clone()
+			b.StartTimer()
+			pl.MergeSorted(batch, des.Time(i+1), nil, nil)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(batch)), "ns/ptr")
 	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		pl := src.clone()
-		b.StartTimer()
-		applySortedBatch(pl, batch, des.Time(i+1))
-	}
+	b.Run("empty", func(b *testing.B) { run(b, base, &PeerList{}) })
+	b.Run("update", func(b *testing.B) { run(b, update, &src) })
+	b.Run("half-new", func(b *testing.B) { run(b, halfNew, &src) })
 }
 
 // BenchmarkPeerListStrongest measures the report-path query (§4.4/§4.5):
-// every report and escalation asks for the strongest held pointer. The
-// seed scans the whole list; the level index answers from the first
-// occupied level bucket.
+// reports, escalations and level raises ask for the strongest held
+// pointer, and Strongest scans from the first entry to the first one at
+// the minimum level. This is its worst case, a scan of the whole list.
 func BenchmarkPeerListStrongest(b *testing.B) {
 	rng := xrand.New(11)
 	ps := benchSortedPointers(10000, 6, rng)

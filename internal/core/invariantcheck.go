@@ -23,8 +23,6 @@ import (
 //   - entries are in strictly ascending ID order (sorted, no duplicates);
 //   - every entry's level is within [0, nodeid.Bits];
 //   - the cached per-level histogram matches a recount;
-//   - for every populated level, the cached first-entry index points at
-//     the first entry of that level in ID order;
 //   - the info table holds exactly the IDs whose slot is flagged as
 //     carrying info, each with a non-empty value.
 //
@@ -32,7 +30,6 @@ import (
 // the first violation found.
 func (pl *PeerList) CheckInvariants() error {
 	var levels [nodeid.Bits + 1]int32
-	var firstAt [nodeid.Bits + 1]int32
 	end, flagged, i := int32(0), 0, 0
 	for k := range pl.dir {
 		r := &pl.dir[k]
@@ -68,9 +65,6 @@ func (pl *PeerList) CheckInvariants() error {
 			if l >= len(levels) {
 				return fmt.Errorf("peer %v has level %d beyond nodeid.Bits", s.id, l)
 			}
-			if levels[l] == 0 {
-				firstAt[l] = int32(i)
-			}
 			levels[l]++
 			if s.hasInfo {
 				flagged++
@@ -88,10 +82,6 @@ func (pl *PeerList) CheckInvariants() error {
 		if levels[l] != pl.levels[l] {
 			return fmt.Errorf("level histogram drift at level %d: counted %d, cached %d",
 				l, levels[l], pl.levels[l])
-		}
-		if levels[l] > 0 && firstAt[l] != pl.firstAt[l] {
-			return fmt.Errorf("level index drift at level %d: first entry at %d, cached %d",
-				l, firstAt[l], pl.firstAt[l])
 		}
 	}
 	return nil

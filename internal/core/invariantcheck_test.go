@@ -64,10 +64,6 @@ func TestPeerListInvariantsCatchCorruption(t *testing.T) {
 			func(pl *PeerList) { pl.levels[0]++ },
 			"histogram drift",
 		},
-		"first-index drift": {
-			func(pl *PeerList) { pl.firstAt[1] = 2 },
-			"level index drift",
-		},
 		"flag without info": {
 			func(pl *PeerList) { pl.slotAt(0).hasInfo = true },
 			"info table has none",

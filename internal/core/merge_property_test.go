@@ -310,12 +310,7 @@ func TestPeerListInfoMatchesModel(t *testing.T) {
 				batch[i] = draw()
 			}
 			sort.Slice(batch, func(i, j int) bool { return batch[i].ID.Less(batch[j].ID) })
-			dedup := batch[:0]
-			for _, p := range batch {
-				if len(dedup) == 0 || dedup[len(dedup)-1].ID != p.ID {
-					dedup = append(dedup, p)
-				}
-			}
+			dedup := dedupSorted(batch)
 			pl.MergeSorted(dedup, now, nil, func(old, new wire.Pointer) {
 				if m := model[old.ID]; !old.Equal(m.ptr) {
 					t.Fatalf("step %d: onUpdate old %+v, model %+v", step, old, m.ptr)

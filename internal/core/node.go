@@ -571,8 +571,9 @@ func (n *Node) mergeTopPointers(ps []wire.Pointer) {
 // from join step 3, level raising, reconcile, or a Restore snapshot —
 // into the peer list through the bulk-merge path: filter (never hold our
 // own pointer or one outside our responsibility region), sort, and
-// MergeSorted in one O(N+M) pass instead of M O(N) Upserts. It returns
-// the number of pointers added.
+// MergeSorted, which builds an empty list in one pass and otherwise
+// updates held entries in place before inserting any new ones. It
+// returns the number of pointers added.
 func (n *Node) applyPointers(ps []wire.Pointer) int {
 	if len(ps) == 0 {
 		return 0

@@ -37,8 +37,8 @@ const (
 	// most one insert or remove moves.
 	leafCap = 64
 	// buildFill is how many slots each leaf gets when a sorted batch
-	// builds leaves: 15/16 of leafCap, so the inserts that follow a
-	// download find room instead of splitting every leaf at once.
+	// fills an empty list: 15/16 of leafCap, so the inserts that follow
+	// a download find room instead of splitting every leaf at once.
 	buildFill = leafCap - leafCap/16
 	// spreadWindow is how many adjacent leaves an insert into a full
 	// leaf may spread entries over before it adds a leaf.
@@ -67,8 +67,8 @@ type leafRef struct {
 // that ring successors and prefix ranges — the two access patterns the
 // protocol needs — are binary searches. The sorted sequence is stored as
 // leaves of at most leafCap slots, so an insert or a remove moves one
-// leaf instead of the whole list; global indices (At, the level index,
-// StrongestForStep's rotation) count entries in ID order across leaves.
+// leaf instead of the whole list; global indices (At, StrongestForStep's
+// rotation) count entries in ID order across leaves.
 // The zero PeerList is empty and ready to use. It is not safe for
 // concurrent use; the owning Node serializes access.
 type PeerList struct {
@@ -85,11 +85,6 @@ type PeerList struct {
 	// levels counts entries per level so MinLevel — the "is there anyone
 	// stronger than me" question behind top-node checks — is O(1).
 	levels [nodeid.Bits + 1]int32
-	// firstAt[l] is the global index of the first entry (in ID order) at
-	// level l. It is meaningful only while levels[l] > 0, so the zero
-	// PeerList needs no initialization. It makes Strongest — asked on
-	// every report and escalation — O(1) instead of a full-list scan.
-	firstAt [nodeid.Bits + 1]int32
 }
 
 // pointer rebuilds the full pointer stored in s.
@@ -349,84 +344,6 @@ func (pl *PeerList) spread(a, b int) {
 	}
 }
 
-// indexInsert updates the per-level first-index bookkeeping for an entry
-// of the given level inserted at global index i. Called after the
-// insertion but before the levels histogram is bumped.
-func (pl *PeerList) indexInsert(i int, level uint8) {
-	for l := range pl.firstAt {
-		if pl.levels[l] > 0 && pl.firstAt[l] >= int32(i) {
-			pl.firstAt[l]++
-		}
-	}
-	if pl.levels[level] == 0 || pl.firstAt[level] > int32(i) {
-		pl.firstAt[level] = int32(i)
-	}
-	pl.levels[level]++
-}
-
-// indexRemove updates the bookkeeping for an entry of the given level
-// removed from global index i. Called after the deletion.
-func (pl *PeerList) indexRemove(i int, level uint8) {
-	pl.levels[level]--
-	rescan := pl.levels[level] > 0 && pl.firstAt[level] == int32(i)
-	for l := range pl.firstAt {
-		if pl.levels[l] > 0 && pl.firstAt[l] > int32(i) {
-			pl.firstAt[l]--
-		}
-	}
-	if rescan {
-		// The removed entry was the first of its level; the next one can
-		// only sit at or after the removal point.
-		pl.firstAt[level] = int32(pl.nextAtLevel(i, level))
-	}
-}
-
-// indexRelevel updates the bookkeeping when the entry at global index i
-// changes level in place (its ID, and hence its position, is unchanged).
-func (pl *PeerList) indexRelevel(i int, old, new uint8) {
-	if old == new {
-		return
-	}
-	pl.levels[old]--
-	if pl.levels[old] > 0 && pl.firstAt[old] == int32(i) {
-		pl.firstAt[old] = int32(pl.nextAtLevel(i+1, old))
-	}
-	if pl.levels[new] == 0 || pl.firstAt[new] > int32(i) {
-		pl.firstAt[new] = int32(i)
-	}
-	pl.levels[new]++
-}
-
-// nextAtLevel returns the global index of the first entry at or after
-// index i with the given level, walking leaves; there must be one.
-func (pl *PeerList) nextAtLevel(i int, level uint8) int {
-	for k := pl.leafOf(i); ; k++ {
-		s := pl.slots(k)
-		for j := max(i-pl.start(k), 0); j < len(s); j++ {
-			if s[j].level == level {
-				return pl.start(k) + j
-			}
-		}
-	}
-}
-
-// rebuildLevelIndex recomputes levels and firstAt from the entries in
-// one pass; the bulk operations (MergeSorted, DropOutsidePrefix) use it
-// instead of per-entry maintenance.
-func (pl *PeerList) rebuildLevelIndex() {
-	pl.levels = [nodeid.Bits + 1]int32{}
-	i := int32(0)
-	for k := range pl.dir {
-		for _, s := range pl.slots(k) {
-			if pl.levels[s.level] == 0 {
-				pl.firstAt[s.level] = i
-			}
-			pl.levels[s.level]++
-			i++
-		}
-	}
-}
-
 // Lookup returns the pointer for id, if present.
 //
 //pwlint:noalloc
@@ -445,204 +362,115 @@ func (pl *PeerList) Lookup(id nodeid.ID) (wire.Pointer, bool) {
 func (pl *PeerList) Upsert(p wire.Pointer, now des.Time) bool {
 	k, j, held := pl.find(p.ID)
 	if held {
-		s := &pl.dir[k].s[j]
-		old := s.level
-		pl.store(s, p)
-		s.lastSeen = now
-		pl.indexRelevel(pl.start(k)+j, old, p.Level)
+		pl.update(&pl.dir[k].s[j], p, now)
 		return false
 	}
 	k, j = pl.room(k, j, p.ID)
 	pl.insertAt(k, j, peerSlot{id: p.ID, firstSeen: now, lastSeen: now})
 	pl.store(&pl.dir[k].s[j], p)
-	pl.indexInsert(pl.start(k)+j, p.Level)
+	pl.levels[p.Level]++
 	return true
 }
 
+// update overwrites the held entry s with p, whose ID it is, as seen at
+// now.
+func (pl *PeerList) update(s *peerSlot, p wire.Pointer, now des.Time) {
+	pl.levels[s.level]--
+	pl.levels[p.Level]++
+	pl.store(s, p)
+	s.lastSeen = now
+}
+
 // MergeSorted merges ps — pointers in strictly ascending ID order — into
-// the list in one O(N+M) pass, against the O(N·M) of per-entry Upsert.
-// It is the application path for peer-list downloads (join step 3, level
-// raising, reconcile, Restore), whose batches arrive already sorted.
-// Existing entries are updated in place, preserving firstSeen and
-// refreshing lastSeen, exactly as Upsert would; the levels histogram and
-// level index stay consistent. onNew, if not nil, is called once per
-// newly inserted pointer; onUpdate, if not nil, is called once per
-// existing entry whose stored pointer actually changed (same ID,
-// different level, address or info — bit-identical upserts are
-// suppressed). In the sorted path both callbacks fire after the whole
-// merge completes, updates then insertions, each in ascending ID order
-// (the list is safe to read from the callbacks). It returns the number
-// of new entries. A batch that is not strictly sorted falls back to
-// per-entry Upsert — callbacks then fire per entry, in batch order — so
-// callers feeding network-supplied batches keep Upsert semantics in the
-// worst case rather than corrupting the list.
+// the list. It is the application path for peer-list downloads (join
+// step 3, level raising, reconcile, Restore), whose batches arrive
+// already sorted. Existing entries are updated in place, preserving
+// firstSeen and refreshing lastSeen, exactly as Upsert would. onNew, if
+// not nil, is called once per newly inserted pointer; onUpdate, if not
+// nil, is called once per existing entry whose stored pointer actually
+// changed (same ID, different level, address or info — bit-identical
+// upserts are suppressed). In the sorted path updates fire first, then
+// insertions, each in ascending ID order, as the merge goes: each call
+// sees a consistent list that may not hold the rest of the batch yet.
+// It returns the number of new entries. A batch that is not strictly sorted falls back
+// to per-entry Upsert — callbacks then fire per entry, in batch order —
+// so callers feeding network-supplied batches keep Upsert semantics in
+// the worst case rather than corrupting the list.
 //
-// The merge goes leaf by leaf: a leaf's share of the batch updates held
-// entries in place, and its new entries are merged into the leaf in
-// place when they fit, or else the leaf is rebuilt with fresh leaves
-// after it, none more than buildFill full.
+// The path follows the traffic: a download into an empty list (join,
+// warm start) builds the leaves in one pass, and one into a held list
+// (reconcile) is mostly updates, so a first pass updates held entries in
+// place and a second inserts the new IDs only when there are any.
 //
 //pwlint:noalloc
 func (pl *PeerList) MergeSorted(ps []wire.Pointer, now des.Time, onNew func(wire.Pointer), onUpdate func(old, new wire.Pointer)) int {
-	if len(ps) == 0 {
-		return 0
-	}
 	for k := 1; k < len(ps); k++ {
 		if !ps[k-1].ID.Less(ps[k].ID) {
 			added := 0
 			for _, p := range ps {
-				var old wire.Pointer
-				var had bool
-				if onUpdate != nil {
-					old, had = pl.Lookup(p.ID)
-				}
-				if pl.Upsert(p, now) {
+				old, _ := pl.Lookup(p.ID)
+				switch {
+				case pl.Upsert(p, now):
 					added++
 					if onNew != nil {
 						onNew(p)
 					}
-				} else if onUpdate != nil && had && !old.Equal(p) {
+				case onUpdate != nil && !old.Equal(p):
 					onUpdate(old, p)
 				}
 			}
 			return added
 		}
 	}
-	// Pass 1: count the IDs not already held, two-pointer over both
-	// sorted sequences.
-	newCount := 0
-	k, j := 0, 0
-	for _, p := range ps {
-		for k < len(pl.dir) && pl.dir[k].last.Less(p.ID) {
-			k, j = k+1, 0
+	if len(ps) > 0 && len(pl.dir) == 0 {
+		pl.build(ps, now)
+		if onNew != nil {
+			for _, p := range ps {
+				onNew(p)
+			}
 		}
-		if k == len(pl.dir) {
-			newCount++
+		return len(ps)
+	}
+	fresh := 0
+	for _, p := range ps {
+		k, j, held := pl.find(p.ID)
+		if !held {
+			fresh++
 			continue
 		}
-		s := pl.slots(k)
-		for s[j].id.Less(p.ID) {
-			j++
-		}
-		if s[j].id != p.ID {
-			newCount++
+		s := &pl.dir[k].s[j]
+		old := pl.pointer(s)
+		pl.update(s, p, now)
+		if onUpdate != nil && !old.Equal(p) {
+			onUpdate(old, p)
 		}
 	}
-	var added []wire.Pointer
-	if onNew != nil && newCount > 0 {
-		added = make([]wire.Pointer, 0, newCount) //pwlint:allow noalloc deferred-callback staging buffer, sized once per batch
-	}
-	type change struct{ old, new wire.Pointer }
-	var updated []change
-	// Pass 2, one leaf's share of the batch at a time: updates in place
-	// first (keeping the level index exact only when nothing is
-	// inserted, as the index is rebuilt afterwards otherwise), then the
-	// share's new entries.
-	for lo := 0; lo < len(ps); {
-		if len(pl.dir) == 0 {
-			pl.rebuild(0, ps, len(ps), now)
-			if added != nil {
-				added = append(added, ps...)
-			}
-			break
-		}
-		k, j := pl.locate(ps[lo].ID)
-		hi, fresh := lo, 0
-		last, s := k == len(pl.dir)-1, pl.slots(k)
-		for ; hi < len(ps) && (last || !pl.dir[k].last.Less(ps[hi].ID)); hi++ {
-			p := ps[hi]
-			for j < len(s) && s[j].id.Less(p.ID) {
-				j++
-			}
-			if j == len(s) || s[j].id != p.ID {
-				fresh++
-				if added != nil {
-					added = append(added, p)
-				}
-				continue
-			}
-			old := pl.pointer(&s[j])
-			pl.store(&s[j], p)
-			s[j].lastSeen = now
-			if newCount == 0 {
-				pl.indexRelevel(pl.start(k)+j, old.Level, p.Level)
-			}
-			if onUpdate != nil && !old.Equal(p) {
-				updated = append(updated, change{old, p})
+	if fresh > 0 {
+		for _, p := range ps {
+			if pl.Upsert(p, now) && onNew != nil {
+				onNew(p)
 			}
 		}
-		if fresh > 0 {
-			pl.rebuild(k, ps[lo:hi], fresh, now)
-		}
-		lo = hi
 	}
-	if newCount > 0 {
-		pl.rebuildLevelIndex()
-	}
-	for _, c := range updated {
-		onUpdate(c.old, c.new)
-	}
-	for _, p := range added {
-		onNew(p)
-	}
-	return newCount
+	return fresh
 }
 
-// rebuild merges the fresh entries of batch — a batch share whose held
-// entries are already updated in place — into leaf k (created when the
-// list is empty). The result stays in leaf k when it fits; otherwise it
-// is spread evenly over leaf k and as many new leaves after it as keep
-// every leaf at or below buildFill. The merge runs backwards, so no
-// entry is overwritten before it is moved.
-func (pl *PeerList) rebuild(k int, batch []wire.Pointer, fresh int, now des.Time) {
-	m := 0
-	if len(pl.dir) > 0 {
-		m = int(pl.dir[k].n)
-	}
-	t, q := m+fresh, 1
-	if t > leafCap || len(pl.dir) == 0 {
-		q = (t + buildFill - 1) / buildFill
-	}
-	if len(pl.dir) == 0 {
-		pl.addLeaves(0, q)
-	} else if q > 1 {
-		pl.addLeaves(k+1, q-1)
-	}
-	src := pl.dir[k].s
-	a, b := m-1, len(batch)-1 // next held entry and batch entry to place
-	i := q - 1                // output leaf, relative to k
-	lead := t * i / q         // output index of leaf k+i's first entry
-	for r := t - 1; r >= 0; r-- {
-		for r < lead {
-			i--
-			lead = t * i / q
+// build fills the empty list with ps, in strictly ascending ID order,
+// spread evenly over as few leaves as keep each at or below buildFill.
+func (pl *PeerList) build(ps []wire.Pointer, now des.Time) {
+	t := len(ps)
+	q := (t + buildFill - 1) / buildFill
+	pl.addLeaves(0, q)
+	from := 0
+	for i := range pl.dir {
+		r, to := &pl.dir[i], t*(i+1)/q
+		for j, p := range ps[from:to] {
+			r.s[j] = peerSlot{id: p.ID, firstSeen: now, lastSeen: now}
+			pl.store(&r.s[j], p)
+			pl.levels[p.Level]++
 		}
-		for b >= 0 && a >= 0 && batch[b].ID == src[a].id {
-			b-- // held: updated in place already
-		}
-		dst := &pl.dir[k+i].s[r-lead]
-		if b >= 0 && (a < 0 || src[a].id.Less(batch[b].ID)) {
-			*dst = peerSlot{id: batch[b].ID, firstSeen: now, lastSeen: now}
-			pl.store(dst, batch[b])
-			b--
-			continue
-		}
-		*dst = src[a]
-		a--
-	}
-	if n := t / q; n < m {
-		clear(src[n:m])
-	}
-	end := int32(pl.start(k))
-	for i := 0; i < q; i++ {
-		r := &pl.dir[k+i]
-		r.n = int32(t*(i+1)/q - t*i/q)
-		end += r.n
-		r.end = end
-		r.last = r.s[r.n-1].id
-	}
-	for i := k + q; i < len(pl.dir); i++ {
-		pl.dir[i].end += int32(fresh)
+		r.n, r.end, r.last = int32(to-from), int32(to), ps[to-1].ID
+		from = to
 	}
 }
 
@@ -661,15 +489,21 @@ func (pl *PeerList) MinLevel() int {
 }
 
 // Strongest returns the first pointer (in ID order) at the minimum level,
-// if any. The level index answers in O(levels) without scanning entries.
+// if any. It scans from the first entry; only the report, escalation and
+// level-raise paths ask (§4.3–§4.5), a few times per node-minute.
 //
 //pwlint:noalloc
 func (pl *PeerList) Strongest() (wire.Pointer, bool) {
 	min := pl.MinLevel()
-	if min < 0 {
-		return wire.Pointer{}, false
+	for k := range pl.dir {
+		s := pl.slots(k)
+		for j := range s {
+			if int(s[j].level) == min {
+				return pl.pointer(&s[j]), true
+			}
+		}
 	}
-	return pl.pointer(pl.slotAt(int(pl.firstAt[min]))), true
+	return wire.Pointer{}, false
 }
 
 // Remove deletes id, returning the removed pointer and whether it existed.
@@ -678,10 +512,9 @@ func (pl *PeerList) Remove(id nodeid.ID) (removedPeer, bool) {
 	if !held {
 		return removedPeer{}, false
 	}
-	i := pl.start(k) + j
 	r := pl.removed(&pl.dir[k].s[j])
 	pl.removeAt(k, j)
-	pl.indexRemove(i, r.ptr.Level)
+	pl.levels[r.ptr.Level]--
 	return r, true
 }
 
@@ -776,11 +609,13 @@ func (pl *PeerList) DropOutsidePrefix(e nodeid.Eigenstring) []removedPeer {
 		return nil
 	}
 	dropped := make([]removedPeer, 0, n-(hi-lo))
-	drop := func(s *peerSlot) { dropped = append(dropped, pl.removed(s)) }
+	drop := func(s *peerSlot) {
+		pl.levels[s.level]--
+		dropped = append(dropped, pl.removed(s))
+	}
 	pl.walk(0, lo, drop)
 	pl.walk(hi, n, drop)
 	pl.keep(lo, hi)
-	pl.rebuildLevelIndex()
 	return dropped
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -473,9 +474,8 @@ func (f flatList) strongestForStep(self nodeid.ID, s int, subject nodeid.ID, ski
 
 // TestPeerListMatchesFlatModel drives one list past 2,000 entries —
 // dozens of leaves — and drains it to empty with random Upsert, Remove,
-// MergeSorted and DropOutsidePrefix, comparing every query against a
-// flat sorted reference and checking the invariants after each
-// operation. The other property tests stay within a few leaves.
+// MergeSorted and DropOutsidePrefix, checking each operation with
+// applyAgainstFlat. The other property tests stay within a few leaves.
 func TestPeerListMatchesFlatModel(t *testing.T) {
 	rng := xrand.New(41)
 	var pl PeerList
@@ -494,23 +494,17 @@ func TestPeerListMatchesFlatModel(t *testing.T) {
 		if step > 20000 {
 			t.Fatalf("no progress: %d entries after %d steps", len(ref), step)
 		}
-		now := des.Time(step)
 		// Percent thresholds for upsert, merge and remove; the rest
 		// drops outside a prefix. Draining mostly removes.
 		op, ups, merges, removes, fresh := rng.Intn(100), 35, 70, 98, 70
 		if !growing {
 			ups, merges, removes, fresh = 10, 20, 95, 5
 		}
-		var name string
+		var o listOp
 		switch {
 		case op < ups:
-			name = "upsert"
-			p := pick(fresh)
-			if got, want := pl.Upsert(p, now), ref.upsert(p, now); got != want {
-				t.Fatalf("step %d: Upsert reported new=%v, model %v", step, got, want)
-			}
+			o = listOp{kind: "upsert", ptr: pick(fresh)}
 		case op < merges:
-			name = "merge"
 			size := rng.Intn(16)
 			if rng.Intn(4) == 0 {
 				size = 40 + rng.Intn(300)
@@ -520,72 +514,217 @@ func TestPeerListMatchesFlatModel(t *testing.T) {
 				batch = append(batch, pick(fresh))
 			}
 			sort.Slice(batch, func(i, j int) bool { return batch[i].ID.Less(batch[j].ID) })
-			dedup := batch[:0]
-			for _, p := range batch {
-				if len(dedup) == 0 || dedup[len(dedup)-1].ID != p.ID {
-					dedup = append(dedup, p)
-				}
-			}
-			var wantNew []wire.Pointer
-			wantUpdates := 0
-			for _, p := range dedup {
-				i := ref.search(p.ID)
-				switch {
-				case i == len(ref) || ref[i].p.ID != p.ID:
-					wantNew = append(wantNew, p)
-				case !ref[i].p.Equal(p):
-					wantUpdates++
-				}
-			}
-			var gotNew []wire.Pointer
-			gotUpdates := 0
-			added := pl.MergeSorted(dedup, now, func(p wire.Pointer) { gotNew = append(gotNew, p) },
-				func(old, new wire.Pointer) {
-					if len(gotNew) > 0 {
-						t.Fatalf("step %d: onUpdate after onNew", step)
-					}
-					gotUpdates++
-				})
-			for _, p := range dedup {
-				ref.upsert(p, now)
-			}
-			if added != len(wantNew) || len(gotNew) != len(wantNew) || gotUpdates != wantUpdates {
-				t.Fatalf("step %d: merge added %d (onNew %d, onUpdate %d), model %d new, %d changed",
-					step, added, len(gotNew), gotUpdates, len(wantNew), wantUpdates)
-			}
-			for i := range wantNew {
-				if !gotNew[i].Equal(wantNew[i]) {
-					t.Fatalf("step %d: onNew #%d got %v, want %v (ascending)", step, i, gotNew[i].ID, wantNew[i].ID)
-				}
-			}
+			o = listOp{kind: "merge", batch: dedupSorted(batch)}
 		case op < removes:
-			name = "remove"
-			id := pick(10).ID
-			_, got := pl.Remove(id)
-			if want := ref.remove(id); got != want {
-				t.Fatalf("step %d: Remove reported %v, model %v", step, got, want)
-			}
+			o = listOp{kind: "remove", id: pick(10).ID}
 		default:
-			name = "drop outside prefix"
 			anchor := pick(0).ID
-			e := nodeid.EigenstringOf(anchor, 1+rng.Intn(2))
-			dropped := pl.DropOutsidePrefix(e)
-			lo, hi := ref.prefixRange(e)
-			if len(dropped) != len(ref)-(hi-lo) {
-				t.Fatalf("step %d: dropped %d, model drops %d", step, len(dropped), len(ref)-(hi-lo))
-			}
-			ref = append(ref[:0], ref[lo:hi]...)
+			o = listOp{kind: "drop outside prefix", prefix: nodeid.EigenstringOf(anchor, 1+rng.Intn(2))}
 		}
+		applyAgainstFlat(t, &pl, &ref, o, des.Time(step), rng, step)
 		if len(ref) > 2000 {
 			growing = false
 		}
 		peak, leaves = max(peak, len(ref)), max(leaves, len(pl.dir))
-		checkAgainstFlat(t, &pl, ref, rng, step, name)
 	}
 	if peak <= 2000 || len(pl.dir) != 0 {
 		t.Fatalf("peak %d entries, %d leaves at the end", peak, len(pl.dir))
 	}
 	t.Logf("%d operations, peak %d entries in %d leaves", step, peak, leaves)
+}
+
+// dedupSorted keeps the first of each run of equal IDs in the sorted
+// batch, in place.
+func dedupSorted(batch []wire.Pointer) []wire.Pointer {
+	out := batch[:0]
+	for _, p := range batch {
+		if len(out) == 0 || out[len(out)-1].ID != p.ID {
+			out = append(out, p)
+		}
+	}
+	return out
+}
+
+// listOp is one peer-list mutation of the model tests.
+type listOp struct {
+	kind   string             // "upsert", "merge", "remove" or "drop outside prefix"
+	ptr    wire.Pointer       // upsert
+	batch  []wire.Pointer     // merge, in any order, duplicates allowed
+	id     nodeid.ID          // remove
+	prefix nodeid.Eigenstring // drop outside prefix
+}
+
+// notice is one MergeSorted callback: the insertion of new, or an update
+// of a held entry from old to new.
+type notice struct {
+	added    bool
+	old, new wire.Pointer
+}
+
+// applyAgainstFlat applies op to pl and to the model ref, fails unless pl
+// reports what the model says — return values and MergeSorted's
+// callbacks, their count and order — and then checks every query with
+// checkAgainstFlat.
+func applyAgainstFlat(t *testing.T, pl *PeerList, ref *flatList, op listOp, now des.Time, rng *xrand.Source, step int) {
+	t.Helper()
+	fail := func(format string, args ...any) {
+		t.Helper()
+		t.Fatalf("step %d %s: "+format, append([]any{step, op.kind}, args...)...)
+	}
+	switch op.kind {
+	case "upsert":
+		if got, want := pl.Upsert(op.ptr, now), ref.upsert(op.ptr, now); got != want {
+			fail("Upsert reported new=%v, model %v", got, want)
+		}
+	case "merge":
+		// A strictly ascending batch reports its updates, then its
+		// insertions; any other batch reports per entry, in batch order.
+		sorted := true
+		for k := 1; k < len(op.batch); k++ {
+			sorted = sorted && op.batch[k-1].ID.Less(op.batch[k].ID)
+		}
+		var want, inserts []notice
+		added := 0
+		for _, p := range op.batch {
+			i := ref.search(p.ID)
+			n := notice{added: i == len(*ref) || (*ref)[i].p.ID != p.ID, new: p}
+			switch {
+			case n.added && sorted:
+				inserts = append(inserts, n)
+			case n.added:
+				want = append(want, n)
+			case !(*ref)[i].p.Equal(p):
+				n.old = (*ref)[i].p
+				want = append(want, n)
+			}
+			if ref.upsert(p, now) {
+				added++
+			}
+		}
+		want = append(want, inserts...)
+		var got []notice
+		n := pl.MergeSorted(op.batch, now, func(p wire.Pointer) { got = append(got, notice{added: true, new: p}) },
+			func(old, new wire.Pointer) { got = append(got, notice{old: old, new: new}) })
+		if n != added || len(got) != len(want) {
+			fail("merge of %d (sorted %v) added %d with %d callbacks, model %d and %d",
+				len(op.batch), sorted, n, len(got), added, len(want))
+		}
+		for k := range want {
+			if g, w := got[k], want[k]; g.added != w.added || !g.old.Equal(w.old) || !g.new.Equal(w.new) {
+				fail("callback #%d is %+v, model %+v", k, g, w)
+			}
+		}
+	case "remove":
+		i := ref.search(op.id)
+		held := i < len(*ref) && (*ref)[i].p.ID == op.id
+		r, ok := pl.Remove(op.id)
+		if ok != held || held && (!r.ptr.Equal((*ref)[i].p) || r.firstSeen != (*ref)[i].first) {
+			fail("Remove returned %+v,%v, model held=%v", r, ok, held)
+		}
+		ref.remove(op.id)
+	case "drop outside prefix":
+		dropped := pl.DropOutsidePrefix(op.prefix)
+		lo, hi := ref.prefixRange(op.prefix)
+		want := append(slices.Clip((*ref)[:lo]), (*ref)[hi:]...)
+		if len(dropped) != len(want) {
+			fail("dropped %d, model drops %d", len(dropped), len(want))
+		}
+		for k, w := range want {
+			if !dropped[k].ptr.Equal(w.p) || dropped[k].firstSeen != w.first {
+				fail("dropped #%d is %+v, model %+v", k, dropped[k], w)
+			}
+		}
+		*ref = append((*ref)[:0], (*ref)[lo:hi]...)
+	}
+	checkAgainstFlat(t, pl, *ref, rng, step, op.kind)
+}
+
+// FuzzPeerListOps decodes fuzzer bytes into Upsert, Remove,
+// DropOutsidePrefix and MergeSorted calls on one list, over a universe of
+// 256 IDs spread across the ring, and checks each with applyAgainstFlat.
+// A merge batch is sorted, left in byte order, or sorted with its
+// duplicate IDs kept (the shape applyPointers hands over for a malformed
+// download), so every MergeSorted path runs, into empty lists and held
+// ones.
+//
+// Encoding: an op byte c picks the operation by c%4 and carries a
+// variant in c>>2; an ID is one byte, and an upsert or batch pointer is
+// an ID byte then an attribute byte (address, level, info).
+func FuzzPeerListOps(f *testing.F) {
+	ptrs := func(ids ...int) []byte {
+		var out []byte
+		for _, id := range ids {
+			out = append(out, byte(id), byte(id*37))
+		}
+		return out
+	}
+	span := func(from, n, stride int) []int {
+		ids := make([]int, n)
+		for i := range ids {
+			ids[i] = from + i*stride
+		}
+		return ids
+	}
+	// A 200-pointer download into the empty list, a half-new merge, an
+	// unsorted merge, a merge with duplicates, removes, an upsert and a
+	// drop.
+	seed := append([]byte{3, 200}, ptrs(span(0, 200, 1)...)...)
+	seed = append(seed, 3, 60)
+	seed = append(seed, ptrs(span(150, 60, 2)...)...)
+	seed = append(seed, 7, 5)
+	seed = append(seed, ptrs(9, 3, 250, 3, 77)...)
+	seed = append(seed, 11, 4)
+	seed = append(seed, ptrs(40, 41, 40, 255)...)
+	seed = append(seed, 1, 5, 1, 77, 0, 12, 99, 6, 200)
+	f.Add(seed)
+	f.Add(append([]byte{7, 4}, ptrs(5, 1, 5, 3)...))
+	f.Add(append([]byte{11, 3, 0, 64}, append(ptrs(128, 128), 2, 0, 3, 0)...))
+	infos := [][]byte{nil, {}, []byte("cpu=4"), []byte("cpu=8,disk=1")}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		next := func() byte {
+			if len(data) == 0 {
+				return 0
+			}
+			c := data[0]
+			data = data[1:]
+			return c
+		}
+		id := func() nodeid.ID { return nodeid.ID{Hi: uint64(next()) << 56} }
+		ptr := func() wire.Pointer {
+			p := wire.Pointer{ID: id()}
+			attr := next()
+			p.Addr, p.Level, p.Info = wire.Addr(attr), attr%6, infos[attr>>6]
+			return p
+		}
+		var pl PeerList
+		var ref flatList
+		rng := xrand.New(1)
+		for step := 0; len(data) > 0; step++ {
+			var op listOp
+			switch c := next(); c % 4 {
+			case 0:
+				op = listOp{kind: "upsert", ptr: ptr()}
+			case 1:
+				op = listOp{kind: "remove", id: id()}
+			case 2:
+				op = listOp{kind: "drop outside prefix", prefix: nodeid.EigenstringOf(id(), int(c>>2)%4)}
+			default:
+				batch := make([]wire.Pointer, next())
+				for i := range batch {
+					batch[i] = ptr()
+				}
+				switch (c >> 2) % 3 {
+				case 0:
+					sort.Slice(batch, func(i, j int) bool { return batch[i].ID.Less(batch[j].ID) })
+					batch = dedupSorted(batch)
+				case 2:
+					sort.SliceStable(batch, func(i, j int) bool { return batch[i].ID.Less(batch[j].ID) })
+				}
+				op = listOp{kind: "merge", batch: batch}
+			}
+			applyAgainstFlat(t, &pl, &ref, op, des.Time(step), rng, step)
+		}
+	})
 }
 
 // checkAgainstFlat fails unless pl answers every query as ref does.
@@ -608,6 +747,18 @@ func checkAgainstFlat(t *testing.T, pl *PeerList, ref flatList, rng *xrand.Sourc
 		}
 		i++
 	})
+	want, ok := wire.Pointer{}, false
+	for l := 0; l <= nodeid.Bits && !ok; l++ {
+		for _, w := range ref {
+			if int(w.p.Level) == l {
+				want, ok = w.p, true
+				break
+			}
+		}
+	}
+	if got, gok := pl.Strongest(); gok != ok || !got.Equal(want) {
+		fail("Strongest = %v,%v, model %v,%v", got.ID, gok, want.ID, ok)
+	}
 	if len(ref) == 0 {
 		return
 	}
@@ -643,18 +794,6 @@ func checkAgainstFlat(t *testing.T, pl *PeerList, ref flatList, rng *xrand.Sourc
 		if !in[k].Equal(ref[lo+k].p) {
 			fail("InPrefix(%v)[%d] = %v, model %v", e, k, in[k].ID, ref[lo+k].p.ID)
 		}
-	}
-	want, ok := wire.Pointer{}, false
-	for l := 0; l <= nodeid.Bits && !ok; l++ {
-		for _, w := range ref {
-			if int(w.p.Level) == l {
-				want, ok = w.p, true
-				break
-			}
-		}
-	}
-	if got, gok := pl.Strongest(); gok != ok || !got.Equal(want) {
-		fail("Strongest = %v, model %v", got.ID, want.ID)
 	}
 	id := anyID()
 	strong := func(p wire.Pointer) bool { return p.Level <= 1 }

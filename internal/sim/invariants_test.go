@@ -14,7 +14,7 @@ import (
 // a seeded 128-node cluster under stationary churn with the pwinvariants
 // build tag armed, so every delivered message and every fired timer
 // re-checks the receiving node's full protocol state (peer-list order,
-// level index, eigenstring prefix property, top-list cap, ring
+// level histogram, eigenstring prefix property, top-list cap, ring
 // successor). Any violation panics with the offending node and mutation
 // on the stack. CI runs it with -race on top:
 //
