@@ -182,8 +182,8 @@ func TestMessagePathDoesNotAllocate(t *testing.T) {
 	if got := env.sends - sends; got != 2*(runs+1) {
 		t.Fatalf("%d sends in %d rounds, want an ack and one forward each", got, runs+1)
 	}
-	if len(n.pending) != 0 {
-		t.Fatalf("%d sends still pending after their acks", len(n.pending))
+	if n.pending.n != 0 {
+		t.Fatalf("%d sends still pending after their acks", n.pending.n)
 	}
 
 	// A fresh event that changes the info of the held pointer: the info
@@ -218,8 +218,8 @@ func TestMessagePathDoesNotAllocate(t *testing.T) {
 	}); allocs != 0 {
 		t.Errorf("ack resolving a pending send: %v allocs, want 0", allocs)
 	}
-	if len(n.pending) != 0 {
-		t.Fatalf("%d sends still pending after their acks", len(n.pending))
+	if n.pending.n != 0 {
+		t.Fatalf("%d sends still pending after their acks", n.pending.n)
 	}
 	env.disarm()
 
@@ -249,20 +249,20 @@ func TestMessagePathDoesNotAllocate(t *testing.T) {
 func TestLateAckForRecycledPendingSendIsIgnored(t *testing.T) {
 	n, env, peer := messagePathNode()
 	first := freshEvent(n, env, peer, 1)
-	rec := n.pending[first]
+	rec := n.pending.get(first)
 	n.HandleMessage(wire.Message{Type: wire.MsgAck, From: peer.Addr, To: 1, AckID: first})
-	if len(n.pending) != 0 {
+	if n.pending.n != 0 {
 		t.Fatal("ack did not resolve the send")
 	}
 
 	// The ack queue's timer, armed for the first send, stays armed: it
 	// fires after the second forward and finds the first entry answered.
 	second := freshEvent(n, env, peer, 2)
-	if n.pending[second] != rec {
+	if n.pending.get(second) != rec {
 		t.Fatal("the second send did not recycle the first one's record; the case is not exercised")
 	}
 	n.HandleMessage(wire.Message{Type: wire.MsgAck, From: peer.Addr, To: 1, AckID: first}) // late duplicate
-	if n.pending[second] != rec || rec.id != second || rec.msg.Event.Seq != 2 {
+	if n.pending.get(second) != rec || rec.id != second || rec.msg.Event.Seq != 2 {
 		t.Fatalf("late ack %d disturbed the recycled record now serving send %d: %+v", first, second, rec)
 	}
 	if n.acks.len() != 1 || n.acks.items[n.acks.head].v != second || !n.acks.timer.armed() {
@@ -282,13 +282,13 @@ func TestLateAckForRecycledPendingSendIsIgnored(t *testing.T) {
 		t.Fatalf("%d retries, want %d", got, retries)
 	}
 	env.fireArmed()
-	if n.pending[second] != nil || n.m.ackFailures.Value() != 1 || n.m.mcRedirects.Value() != 1 {
+	if n.pending.get(second) != nil || n.m.ackFailures.Value() != 1 || n.m.mcRedirects.Value() != 1 {
 		t.Fatalf("after the attempt budget: still pending=%v failures=%d redirects=%d",
-			n.pending[second] != nil, n.m.ackFailures.Value(), n.m.mcRedirects.Value())
+			n.pending.get(second) != nil, n.m.ackFailures.Value(), n.m.mcRedirects.Value())
 	}
 	// What is pending now is the verification heartbeat to the silent peer.
-	if len(n.pending) != 1 || env.last.Type != wire.MsgHeartbeat || n.pending[env.last.AckID].kind != sendVerify {
-		t.Fatalf("no verification round followed the failed step: %d pending, last sent %v", len(n.pending), env.last.Type)
+	if n.pending.n != 1 || env.last.Type != wire.MsgHeartbeat || n.pending.get(env.last.AckID).kind != sendVerify {
+		t.Fatalf("no verification round followed the failed step: %d pending, last sent %v", n.pending.n, env.last.Type)
 	}
 }
 

@@ -87,8 +87,8 @@ func TestForwardBurstArmsOneTimer(t *testing.T) {
 	if got := len(env.events()); got != k {
 		t.Fatalf("%d forwards after the delay, want %d", got, k)
 	}
-	if env.timers != 2 || n.acks.len() != k || len(n.pending) != k {
-		t.Fatalf("%d forwards pending %d, queued %d behind %d timers in all, want 2 timers", k, len(n.pending), n.acks.len(), env.timers)
+	if env.timers != 2 || n.acks.len() != k || n.pending.n != k {
+		t.Fatalf("%d forwards pending %d, queued %d behind %d timers in all, want 2 timers", k, n.pending.n, n.acks.len(), env.timers)
 	}
 	checkNode(t, n)
 }

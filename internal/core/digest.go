@@ -108,25 +108,28 @@ func (n *Node) AppendDigest(b []byte) []byte {
 		}
 	}
 
-	// Dedup state.
-	seen := make([]nodeid.ID, 0, len(n.seen))
-	for id := range n.seen {
-		seen = append(seen, id)
+	// Dedup state: the subjects with a sequence, then the dead ones.
+	ids := make([]nodeid.ID, 0, len(n.dedup))
+	dead := 0
+	for id, d := range n.dedup {
+		ids = append(ids, id)
+		if d.dead {
+			dead++
+		}
 	}
-	sort.Slice(seen, func(i, j int) bool { return seen[i].Less(seen[j]) })
-	b = appendU64(b, uint64(len(seen)))
-	for _, id := range seen {
-		b = appendID(b, id)
-		b = appendU64(b, n.seen[id])
+	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
+	b = appendU64(b, uint64(n.sequenced))
+	for _, id := range ids {
+		if seq := n.dedup[id].seq; seq != 0 {
+			b = appendID(b, id)
+			b = appendU64(b, seq)
+		}
 	}
-	dead := make([]nodeid.ID, 0, len(n.dead))
-	for id := range n.dead {
-		dead = append(dead, id)
-	}
-	sort.Slice(dead, func(i, j int) bool { return dead[i].Less(dead[j]) })
-	b = appendU64(b, uint64(len(dead)))
-	for _, id := range dead {
-		b = appendID(b, id)
+	b = appendU64(b, uint64(dead))
+	for _, id := range ids {
+		if n.dedup[id].dead {
+			b = appendID(b, id)
+		}
 	}
 
 	// Pending-send signature.
@@ -134,9 +137,11 @@ func (n *Node) AppendDigest(b []byte) []byte {
 		typ uint8
 		to  uint64
 	}
-	sigs := make([]sig, 0, len(n.pending))
-	for _, p := range n.pending {
-		sigs = append(sigs, sig{typ: uint8(p.msg.Type), to: uint64(p.msg.To)})
+	sigs := make([]sig, 0, n.pending.n)
+	for _, p := range n.pending.slots {
+		if p != nil {
+			sigs = append(sigs, sig{typ: uint8(p.msg.Type), to: uint64(p.msg.To)})
+		}
 	}
 	sort.Slice(sigs, func(i, j int) bool {
 		if sigs[i].typ != sigs[j].typ {

@@ -163,7 +163,19 @@ func (n *Node) checkQueues() error {
 	if err := n.probeWaits.check(); err != nil {
 		return fmt.Errorf("probe-wait queue: %w", err)
 	}
-	queued := make(map[uint64]int, len(n.pending))
+	held := 0
+	for i, p := range n.pending.slots {
+		if p == nil {
+			continue
+		}
+		if held++; p.id&uint64(len(n.pending.slots)-1) != uint64(i) {
+			return fmt.Errorf("pending send %d sits in ring slot %d of %d", p.id, i, len(n.pending.slots))
+		}
+	}
+	if held != n.pending.n {
+		return fmt.Errorf("pending ring holds %d sends, counts %d", held, n.pending.n)
+	}
+	queued := make(map[uint64]int, n.pending.n)
 	limit := n.env.Now() + n.cfg.AckTimeout
 	for _, e := range n.acks.items[n.acks.head:] {
 		if !n.awaited(e.v) {
@@ -176,8 +188,8 @@ func (n *Node) checkQueues() error {
 			return fmt.Errorf("pending send %d times out at %v, after now + AckTimeout = %v", e.v, e.at, limit)
 		}
 	}
-	if len(queued) != len(n.pending) {
-		return fmt.Errorf("%d sends pending, %d of them in the ack queue", len(n.pending), len(queued))
+	if len(queued) != n.pending.n {
+		return fmt.Errorf("%d sends pending, %d of them in the ack queue", n.pending.n, len(queued))
 	}
 	return nil
 }

@@ -144,7 +144,7 @@ func (n *Node) stepFailed(p *pendingSend) {
 // §4.2's evidence combined — six consecutive losses are needed for a
 // false positive).
 func (n *Node) verifyFailure(target wire.Pointer) {
-	if n.dead[target.ID] {
+	if n.dedup[target.ID].dead {
 		return
 	}
 	hb := wire.Message{Type: wire.MsgHeartbeat, To: target.Addr}
@@ -157,7 +157,7 @@ func (n *Node) verifyFailure(target wire.Pointer) {
 func (n *Node) verifyAnswered(target wire.Pointer) {
 	n.m.failFalseAlarms.Inc()
 	n.moment(trace.SpanFalseAlarm, target.Addr, 0)
-	if !n.stopped && !n.dead[target.ID] && n.eigen.Contains(target.ID) {
+	if !n.stopped && !n.dedup[target.ID].dead && n.eigen.Contains(target.ID) {
 		n.upsertPeer(target)
 	}
 }
@@ -165,16 +165,11 @@ func (n *Node) verifyAnswered(target wire.Pointer) {
 // verifyFailed reports the leave of a suspect that stayed silent through
 // the whole verification round.
 func (n *Node) verifyFailed(target wire.Pointer) {
-	if n.dead[target.ID] {
+	seq, ok := n.markDead(target.ID)
+	if !ok {
 		return
 	}
-	n.dead[target.ID] = true
 	n.m.failVerified.Inc()
 	n.moment(trace.SpanVerifyDetect, target.Addr, 0)
-	leave := wire.Event{
-		Kind:    wire.EventLeave,
-		Subject: target,
-		Seq:     n.seen[target.ID] + 1,
-	}
-	n.report(leave, n.newTrace())
+	n.report(wire.Event{Kind: wire.EventLeave, Subject: target, Seq: seq}, n.newTrace())
 }

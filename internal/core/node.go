@@ -29,22 +29,19 @@ type Node struct {
 	// (§4.4).
 	crossTop map[nodeid.Eigenstring][]wire.Pointer
 
-	// seq numbers this node's own announcements; seen dedups incoming
-	// events per subject. dead records subjects whose leave we have
-	// already applied or reported, so that tripping over their residue
-	// (a failed multicast target, a probe timeout) does not spawn a
-	// fresh leave announcement — without it every encounter would invent
-	// a higher sequence number and re-trigger a full multicast.
-	seq  uint64
-	seen map[nodeid.ID]uint64
-	dead map[nodeid.ID]bool
+	// seq numbers this node's own announcements; dedup holds one record
+	// per subject (see dedupRec), and sequenced counts the records whose
+	// seq is set.
+	seq       uint64
+	dedup     map[nodeid.ID]dedupRec
+	sequenced int
 
-	// pending tracks reliable sends awaiting acks; sendPool holds released
-	// records for reuse, so the per-message send path allocates nothing
-	// once warm.
+	// pending holds the reliable sends awaiting acks; sendFree lists
+	// released records for reuse, so the per-message send path allocates
+	// nothing once warm.
 	nextAckID uint64
-	pending   map[uint64]*pendingSend
-	sendPool  []*pendingSend
+	pending   pendingRing
+	sendFree  *pendingSend
 
 	// The deadline queues (deadline.go): acks holds the ack id of every
 	// attempt awaiting its AckTimeout, hops the delivered events waiting
@@ -137,9 +134,7 @@ func NewNode(cfg Config, env Env, _ Observer, self wire.Pointer) *Node {
 		cfg:        cfg,
 		env:        env,
 		self:       self,
-		seen:       make(map[nodeid.ID]uint64),
-		dead:       make(map[nodeid.ID]bool),
-		pending:    make(map[uint64]*pendingSend),
+		dedup:      make(map[nodeid.ID]dedupRec),
 		inMeter:    metrics.NewMeter(cfg.MeterWindow),
 		outMeter:   metrics.NewMeter(cfg.MeterWindow),
 		m:          newNodeMetrics(),
@@ -367,7 +362,7 @@ func (n *Node) Stop() {
 	n.hops.stop()
 	n.defends.stop()
 	n.probeWaits.stop()
-	n.pending = make(map[uint64]*pendingSend)
+	n.pending = pendingRing{}
 }
 
 // Stopped reports whether the node has been stopped.
@@ -609,28 +604,66 @@ func (n *Node) defendSelf(struct{}) {
 	}
 }
 
-// pruneDedup bounds the seen/dead bookkeeping: entries for subjects that
-// are no longer in the peer list are only needed to dedup in-flight
-// retries, so once the maps grow well past the list size the stale
-// entries are dropped. The cost of an over-eager prune is one duplicate
-// multicast hop; the cost of never pruning is unbounded memory on a
-// long-lived node.
+// dedupRec is the event-dedup state of one subject. seq is the newest
+// announcement sequence applied (0: none yet). dead says the subject's
+// leave was already applied or reported, so that tripping over its
+// residue (a failed multicast target, a probe timeout) does not spawn a
+// fresh leave announcement — without it every encounter would invent a
+// higher sequence number and re-trigger a full multicast.
+type dedupRec struct {
+	seq  uint64
+	dead bool
+}
+
+// putDedup stores r for id over its previous record old, counting the
+// records that gain a sequence.
+func (n *Node) putDedup(id nodeid.ID, old, r dedupRec) {
+	if old.seq == 0 && r.seq != 0 {
+		n.sequenced++
+	}
+	n.dedup[id] = r
+}
+
+// markDead records that id's leave is being reported and returns the
+// sequence number the report carries — one past the newest applied —
+// or false when the leave was already applied or reported.
+func (n *Node) markDead(id nodeid.ID) (uint64, bool) {
+	d := n.dedup[id]
+	if d.dead {
+		return 0, false
+	}
+	d.dead = true
+	n.dedup[id] = d
+	return d.seq + 1, true
+}
+
+// pruneDedup bounds the dedup bookkeeping: records of subjects that are
+// no longer in the peer list are only needed to dedup in-flight retries,
+// so once the sequenced records grow well past the list size the stale
+// ones are dropped. A record without a sequence (a leave reported, never
+// an event applied) is kept. The cost of an over-eager prune is one
+// duplicate multicast hop; the cost of never pruning is unbounded memory
+// on a long-lived node.
 func (n *Node) pruneDedup() {
 	limit := 4*n.peers.Len() + 1024
-	if len(n.seen) <= limit {
+	if n.sequenced <= limit {
 		return
 	}
-	for id := range n.seen {
+	for id, d := range n.dedup {
+		if d.seq == 0 {
+			continue
+		}
 		if _, held := n.peers.Lookup(id); !held {
-			delete(n.seen, id)
-			delete(n.dead, id)
+			delete(n.dedup, id)
+			n.sequenced--
 		}
 	}
 }
 
 // applyEvent folds a state-changing event into the peer list. The return
 // value says whether the event was fresh — only fresh events are
-// forwarded down the multicast tree, so this is also the dedup point.
+// forwarded down the multicast tree, so this is also the dedup point. It
+// reads the subject's dedup record once and writes it at most once.
 //
 // Leave events get special treatment: a failure detector that learned the
 // victim from a peer-list download (not from an event) cannot know the
@@ -639,15 +672,15 @@ func (n *Node) pruneDedup() {
 // list, falling back to sequence comparison only for repeats.
 func (n *Node) applyEvent(ev wire.Event) bool {
 	subj := ev.Subject
-	last := n.seen[subj.ID]
+	d := n.dedup[subj.ID]
 	if subj.ID == n.self.ID {
 		// Our own announcement travelling the tree: we are an audience
 		// member like any other and must forward it, but there is
 		// nothing to apply.
-		if ev.Seq <= last {
+		if ev.Seq <= d.seq {
 			return false
 		}
-		n.seen[subj.ID] = ev.Seq
+		n.putDedup(subj.ID, d, dedupRec{seq: ev.Seq, dead: d.dead})
 		// Self-defense: if the system believes we left (a false failure
 		// detection slipped past the probe retries), re-announce
 		// ourselves so every window restores our pointer.
@@ -658,24 +691,20 @@ func (n *Node) applyEvent(ev wire.Event) bool {
 	}
 	switch ev.Kind {
 	case wire.EventLeave:
-		n.dead[subj.ID] = true
+		r := dedupRec{seq: max(d.seq, ev.Seq), dead: true}
+		if r != d {
+			n.putDedup(subj.ID, d, r)
+		}
 		e, removed := n.removePeer(subj.ID, RemoveLeave)
 		if removed {
 			n.lifetimes.Add(int(e.ptr.Level), float64(n.env.Now()-e.firstSeen))
 		}
-		if !removed && ev.Seq <= last {
-			return false
-		}
-		if ev.Seq > last {
-			n.seen[subj.ID] = ev.Seq
-		}
-		return true
+		return removed || ev.Seq > d.seq
 	default:
-		if ev.Seq <= last {
+		if ev.Seq <= d.seq {
 			return false
 		}
-		n.seen[subj.ID] = ev.Seq
-		delete(n.dead, subj.ID)
+		n.putDedup(subj.ID, d, dedupRec{seq: ev.Seq})
 		// Only track subjects inside our responsibility region; events
 		// can outrun a level shift, and forwarding must continue either
 		// way.

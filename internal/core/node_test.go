@@ -803,12 +803,18 @@ func TestDedupStateBounded(t *testing.T) {
 		}
 	}
 	env.run(cfg.ShiftCheckInterval + des.Millisecond)
-	if len(n.seen) > 4*n.peers.Len()+2048 {
-		t.Fatalf("seen map grew unbounded: %d entries for %d peers",
-			len(n.seen), n.peers.Len())
+	if len(n.dedup) > 4*n.peers.Len()+2048 {
+		t.Fatalf("dedup map grew unbounded: %d records for %d peers",
+			len(n.dedup), n.peers.Len())
 	}
-	if len(n.dead) > len(n.seen) {
-		t.Fatalf("dead map (%d) larger than seen (%d)", len(n.dead), len(n.seen))
+	sequenced := 0
+	for _, d := range n.dedup {
+		if d.seq != 0 {
+			sequenced++
+		}
+	}
+	if sequenced != n.sequenced {
+		t.Fatalf("%d records carry a sequence, the node counts %d", sequenced, n.sequenced)
 	}
 }
 

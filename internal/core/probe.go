@@ -119,9 +119,7 @@ func (n *Node) onProbeTimeout(w probeWait) {
 	// subject, so every concurrent detector produces the same event and
 	// dedup collapses them. Skip it when this subject's leave was
 	// already applied or announced.
-	if !n.dead[target.ID] {
-		n.dead[target.ID] = true
-		seq := n.seen[target.ID] + 1
+	if seq, ok := n.markDead(target.ID); ok {
 		ev := wire.Event{Kind: wire.EventLeave, Subject: target, Seq: seq}
 		n.report(ev, n.newTrace())
 	}

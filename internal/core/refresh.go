@@ -40,16 +40,21 @@ func (n *Node) onRefreshTick() {
 	n.refreshTimer.arm(n.cfg.RefreshFloor)
 	now := n.env.Now()
 
-	// Expiry: collect first (ForEach forbids mutation), then remove.
+	// Expiry: collect first (the walk forbids mutation), then remove. LT
+	// cannot change during the sweep, so each level's deadline is worked
+	// out once, at its first pointer; 0 means no estimate yet.
+	var deadline [nodeid.Bits + 1]des.Time
+	var known [nodeid.Bits + 1]bool
 	var expired []nodeid.ID
-	n.peers.ForEach(func(p wire.Pointer, _, lastSeen des.Time) {
-		lt := n.lifetimeEstimate(int(p.Level))
-		if lt <= 0 {
-			return
+	n.peers.walk(0, n.peers.Len(), func(s *peerSlot) {
+		if !known[s.level] {
+			known[s.level] = true
+			if lt := n.lifetimeEstimate(int(s.level)); lt > 0 {
+				deadline[s.level] = des.Time(expireMultiple * float64(lt))
+			}
 		}
-		deadline := des.Time(expireMultiple * float64(lt))
-		if now-lastSeen > deadline {
-			expired = append(expired, p.ID)
+		if d := deadline[s.level]; d > 0 && now-s.lastSeen > d {
+			expired = append(expired, s.id)
 		}
 	})
 	for _, id := range expired {

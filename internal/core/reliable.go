@@ -25,10 +25,10 @@ const (
 // pendingSend tracks one reliable request awaiting its ack/response.
 //
 // Records are pooled per Node. One is live from acquireSend until
-// releaseSend, which runs only after its pending[id] entry is deleted, so
+// releaseSend, which runs only after it has left the pending ring, so
 // neither an ack nor a timeout can reach a recycled record: ack ids are
-// never reused, a late ack finds no pending entry, and the ack queue
-// skips an entry whose id is no longer pending.
+// never reused, a late ack finds no record with its id, and the ack
+// queue skips an entry whose id is no longer pending.
 type pendingSend struct {
 	id       uint64
 	msg      wire.Message
@@ -44,27 +44,105 @@ type pendingSend struct {
 	// onFail fires after the attempt budget is exhausted.
 	onResponse func(resp wire.Message)
 	onFail     func()
+
+	// next links the record into the node's free list while released.
+	next *pendingSend
 }
 
-// acquireSend takes a blank record from the node's pool.
+const (
+	// sendChunk is how many records one pool refill allocates at once.
+	sendChunk = 4
+	// minPendingRing is the pending ring's first size, a power of two.
+	minPendingRing = 16
+)
+
+// acquireSend takes a blank record from the node's free list, refilling
+// it with a chunk of records when it is empty.
 //
 //pwlint:noalloc
 func (n *Node) acquireSend() *pendingSend {
-	if k := len(n.sendPool); k > 0 {
-		p := n.sendPool[k-1]
-		n.sendPool = n.sendPool[:k-1]
-		return p
+	if n.sendFree == nil {
+		n.sendFree = newSendChunk() //pwlint:allow noalloc pool miss; steady state reuses released records
 	}
-	return &pendingSend{} //pwlint:allow noalloc pool miss; steady state reuses released records
+	p := n.sendFree
+	n.sendFree, p.next = p.next, nil
+	return p
 }
 
-// releaseSend blanks a record and returns it to the pool. The caller has
-// already deleted its pending entry.
+// newSendChunk allocates sendChunk blank records in one block, linked in
+// order.
+func newSendChunk() *pendingSend {
+	c := new([sendChunk]pendingSend)
+	for i := range sendChunk - 1 {
+		c[i].next = &c[i+1]
+	}
+	return &c[0]
+}
+
+// releaseSend blanks a record and returns it to the free list. The
+// caller has already taken it out of the pending ring.
 //
 //pwlint:noalloc
 func (n *Node) releaseSend(p *pendingSend) {
-	*p = pendingSend{}
-	n.sendPool = append(n.sendPool, p)
+	*p = pendingSend{next: n.sendFree}
+	n.sendFree = p
+}
+
+// pendingRing holds the sends awaiting acks at index id & (len-1), its
+// length a power of two. Ack ids are issued in ascending order and each
+// send is answered or times out within its attempts × AckTimeout, so the
+// live ids span a window and a slot collision only means that window
+// outgrew the ring: the ring then doubles. A lookup compares the
+// record's id, so a late or duplicate ack whose slot now holds a younger
+// send misses.
+type pendingRing struct {
+	slots []*pendingSend
+	n     int // sends held
+}
+
+// get returns the send awaiting ack id, or nil.
+func (r *pendingRing) get(id uint64) *pendingSend {
+	if len(r.slots) == 0 {
+		return nil
+	}
+	if p := r.slots[id&uint64(len(r.slots)-1)]; p != nil && p.id == id {
+		return p
+	}
+	return nil
+}
+
+// add puts p in its slot, doubling the ring until the slot is free.
+func (r *pendingRing) add(p *pendingSend) {
+	for {
+		if len(r.slots) == 0 {
+			r.slots = make([]*pendingSend, minPendingRing)
+		}
+		if i := p.id & uint64(len(r.slots)-1); r.slots[i] == nil {
+			r.slots[i] = p
+			r.n++
+			return
+		}
+		r.grow()
+	}
+}
+
+// grow doubles the ring. Held ids are distinct modulo the old length, so
+// they stay distinct modulo the new one.
+func (r *pendingRing) grow() {
+	slots := make([]*pendingSend, 2*len(r.slots))
+	mask := uint64(len(slots) - 1)
+	for _, q := range r.slots {
+		if q != nil {
+			slots[q.id&mask] = q
+		}
+	}
+	r.slots = slots
+}
+
+// remove takes p, which is held, out of the ring.
+func (r *pendingRing) remove(p *pendingSend) {
+	r.slots[p.id&uint64(len(r.slots)-1)] = nil
+	r.n--
 }
 
 // sendReliable transmits msg to a single target, retrying up to attempts
@@ -99,7 +177,7 @@ func (n *Node) arm(p *pendingSend) uint64 {
 	n.nextAckID++
 	p.id = n.nextAckID
 	p.msg.AckID = p.id
-	n.pending[p.id] = p
+	n.pending.add(p)
 	n.transmit(p)
 	return p.id
 }
@@ -113,15 +191,12 @@ func (n *Node) transmit(p *pendingSend) {
 
 // awaited reports whether ack id is still pending: the ack queue's
 // liveness test.
-func (n *Node) awaited(id uint64) bool {
-	_, ok := n.pending[id]
-	return ok
-}
+func (n *Node) awaited(id uint64) bool { return n.pending.get(id) != nil }
 
 // onAckTimeout retries or gives up on the pending send id; the ack queue
 // calls it AckTimeout after each attempt that is still unanswered.
 func (n *Node) onAckTimeout(id uint64) {
-	p := n.pending[id]
+	p := n.pending.get(id)
 	if n.stopped || p == nil {
 		return
 	}
@@ -131,7 +206,7 @@ func (n *Node) onAckTimeout(id uint64) {
 		n.transmit(p)
 		return
 	}
-	delete(n.pending, p.id)
+	n.pending.remove(p)
 	n.m.ackFailures.Inc()
 	n.span(p.msg.Trace, trace.SpanDrop, 0, p.msg.To, int(p.msg.Step), p.msg.Event)
 	switch p.kind {
@@ -149,11 +224,11 @@ func (n *Node) onAckTimeout(id uint64) {
 
 // resolveAck completes a pending send with its response.
 func (n *Node) resolveAck(id uint64, resp wire.Message) {
-	p, ok := n.pending[id]
-	if !ok {
+	p := n.pending.get(id)
+	if p == nil {
 		return // duplicate or late ack
 	}
-	delete(n.pending, id)
+	n.pending.remove(p)
 	switch p.kind {
 	case sendVerify:
 		n.verifyAnswered(p.target)

@@ -77,8 +77,11 @@ type Cluster struct {
 	rng    *xrand.Source
 	netRng *xrand.Source
 
-	nodes    []*SimNode
-	byAddr   map[wire.Addr]*SimNode
+	nodes []*SimNode
+	// byAddr is indexed by address: addresses are dense, issued from 1
+	// up. A nil or out-of-range entry is an address with no local node
+	// (a ShardedCluster shard holds nil for other shards' nodes).
+	byAddr   []*SimNode
 	nextAddr wire.Addr
 
 	// Truth is the ground-truth membership registry, updated by the
@@ -106,13 +109,15 @@ type Cluster struct {
 	// is attached; nil otherwise.
 	inflight map[uint64]*delivery
 
-	// deliveryPool and timerPool hold fired delivery and timerFire records
-	// for reuse (see those types), so Send and SetTimer create no closure
-	// per call once the pools are warm. They are plain per-cluster free
-	// lists: a cluster runs on one goroutine, and reuse order is a pure
-	// function of the event order, so seeded runs stay bit-identical.
-	deliveryPool []*delivery
-	timerPool    []*timerFire
+	// deliveryFree and timerFree list fired delivery and timerFire
+	// records for reuse (see those types), so Send and SetTimer create no
+	// closure per call once the pools are warm; an empty list is refilled
+	// with a chunk of records in one allocation. They are plain
+	// per-cluster free lists: a cluster runs on one goroutine, and reuse
+	// order is a pure function of the event order, so seeded runs stay
+	// bit-identical.
+	deliveryFree *delivery
+	timerFree    *timerFire
 
 	// keyed makes deliveries and timers carry shard-invariant (sender,
 	// issue-order) tie-break keys instead of relying on engine insertion
@@ -172,7 +177,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		Engine:      des.New(),
 		rng:         root.Split(1),
 		netRng:      root.Split(2),
-		byAddr:      make(map[wire.Addr]*SimNode),
 		Truth:       oracle.NewRegistry(),
 		SentByType:  make(map[wire.MsgType]uint64),
 		netReg:      netReg,
@@ -282,6 +286,9 @@ func (c *Cluster) addNodeAt(addr wire.Addr, attach topology.Attachment, rng *xra
 		sn.Node.SetSpanSink(c.cfg.Spans)
 	}
 	c.nodes = append(c.nodes, sn)
+	if k := int(addr) + 1 - len(c.byAddr); k > 0 {
+		c.byAddr = append(c.byAddr, make([]*SimNode, k)...)
+	}
 	c.byAddr[addr] = sn
 	if c.onAddNode != nil {
 		c.onAddNode(sn)
@@ -420,8 +427,8 @@ func (sn *SimNode) Send(msg wire.Message) {
 		}
 		return
 	}
-	dst, ok := c.byAddr[msg.To]
-	if !ok {
+	dst := c.local(msg.To)
+	if dst == nil {
 		if c.route != nil && c.route(sn, msg, key) {
 			return
 		}
@@ -435,12 +442,27 @@ func (sn *SimNode) Send(msg wire.Message) {
 	c.deliverAt(c.Engine.Now()+c.latency(sn, dst), key, dst, msg)
 }
 
+// local returns the node at addr in this cluster, or nil.
+func (c *Cluster) local(addr wire.Addr) *SimNode {
+	if uint64(addr) < uint64(len(c.byAddr)) {
+		return c.byAddr[addr]
+	}
+	return nil
+}
+
+// Pool chunk sizes: how many records one refill of an empty free list
+// allocates at once.
+const (
+	deliveryChunk = 32
+	timerChunk    = 32
+)
+
 // delivery is one message in flight: the engine event that hands msg to
 // dst. Records are pooled per Cluster. One is live from deliverAt until it
 // fires — or until NoteDropped, when a chooser discards its event — and
 // only then returns to the pool, so the engine never holds a callback to a
 // recycled record. A delivery dropped without NoteDropped (no span sink
-// attached) is simply left to the garbage collector.
+// attached) is never reused; the collector takes it with its chunk.
 type delivery struct {
 	dst *SimNode
 	msg wire.Message
@@ -450,35 +472,45 @@ type delivery struct {
 	// fire is the engine callback, bound to this record once when it is
 	// first created.
 	fire func()
+	// next links the record into the free list while released.
+	next *delivery
 }
 
 // acquireDelivery takes a record from the cluster's pool.
 //
 //pwlint:noalloc
 func (c *Cluster) acquireDelivery() *delivery {
-	if k := len(c.deliveryPool); k > 0 {
-		d := c.deliveryPool[k-1]
-		c.deliveryPool = c.deliveryPool[:k-1]
-		return d
+	if c.deliveryFree == nil {
+		c.deliveryFree = c.newDeliveries() //pwlint:allow noalloc pool miss; steady state reuses released records
 	}
-	return c.newDelivery() //pwlint:allow noalloc pool miss; steady state reuses released records
+	d := c.deliveryFree
+	c.deliveryFree, d.next = d.next, nil
+	return d
 }
 
-func (c *Cluster) newDelivery() *delivery {
-	d := &delivery{}
-	d.fire = func() {
-		if c.inflight != nil {
-			delete(c.inflight, d.seq)
-		}
-		if d.dst.alive {
-			d.dst.Node.HandleMessage(d.msg)
-			if invariant.Enabled {
-				invariant.Check(d.dst.Node)
+// newDeliveries allocates deliveryChunk records in one block, binds each
+// one's callback and links them in order.
+func (c *Cluster) newDeliveries() *delivery {
+	chunk := new([deliveryChunk]delivery)
+	for i := range chunk {
+		d := &chunk[i]
+		d.fire = func() {
+			if c.inflight != nil {
+				delete(c.inflight, d.seq)
 			}
+			if d.dst.alive {
+				d.dst.Node.HandleMessage(d.msg)
+				if invariant.Enabled {
+					invariant.Check(d.dst.Node)
+				}
+			}
+			c.releaseDelivery(d)
 		}
-		c.releaseDelivery(d)
+		if i+1 < len(chunk) {
+			d.next = &chunk[i+1]
+		}
 	}
-	return d
+	return &chunk[0]
 }
 
 // releaseDelivery returns a fired or dropped record to the pool.
@@ -487,7 +519,7 @@ func (c *Cluster) newDelivery() *delivery {
 func (c *Cluster) releaseDelivery(d *delivery) {
 	d.dst = nil
 	d.msg.Pointers = nil // a peer-list download must not outlive its delivery
-	c.deliveryPool = append(c.deliveryPool, d)
+	d.next, c.deliveryFree = c.deliveryFree, d
 }
 
 // deliverAt schedules the delivery of msg to the local node dst at the
@@ -537,6 +569,8 @@ type timerFire struct {
 	// fire is the engine callback, bound to this record once when it is
 	// first created.
 	fire func()
+	// next links the record into the free list while released.
+	next *timerFire
 }
 
 // Cancel implements core.Timer.
@@ -555,39 +589,48 @@ func (f *timerFire) Cancel() bool {
 //
 //pwlint:noalloc
 func (c *Cluster) acquireTimerFire() *timerFire {
-	if k := len(c.timerPool); k > 0 {
-		f := c.timerPool[k-1]
-		c.timerPool = c.timerPool[:k-1]
-		return f
+	if c.timerFree == nil {
+		c.timerFree = c.newTimerFires() //pwlint:allow noalloc pool miss; steady state reuses released records
 	}
-	return c.newTimerFire() //pwlint:allow noalloc pool miss; steady state reuses released records
-}
-
-func (c *Cluster) newTimerFire() *timerFire {
-	f := &timerFire{}
-	f.fire = func() {
-		// Release first, so a callback that re-arms its timer (most do)
-		// reuses this record instead of growing the pool.
-		sn, fn := f.sn, f.fn
-		c.releaseTimerFire(f)
-		if sn.alive {
-			fn()
-			if invariant.Enabled && sn.alive {
-				invariant.Check(sn.Node)
-			}
-		}
-	}
+	f := c.timerFree
+	c.timerFree, f.next = f.next, nil
 	return f
 }
 
+// newTimerFires allocates timerChunk records in one block, binds each
+// one's callback and links them in order.
+func (c *Cluster) newTimerFires() *timerFire {
+	chunk := new([timerChunk]timerFire)
+	for i := range chunk {
+		f := &chunk[i]
+		f.fire = func() {
+			// Release first, so a callback that re-arms its timer (most
+			// do) reuses this record instead of growing the pool.
+			sn, fn := f.sn, f.fn
+			c.releaseTimerFire(f)
+			if sn.alive {
+				fn()
+				if invariant.Enabled && sn.alive {
+					invariant.Check(sn.Node)
+				}
+			}
+		}
+		if i+1 < len(chunk) {
+			f.next = &chunk[i+1]
+		}
+	}
+	return &chunk[0]
+}
+
 // releaseTimerFire returns a fired or cancelled record to the pool (under
-// pwinvariants it only marks the record spent).
+// pwinvariants it only marks the record spent, so each record of a chunk
+// serves one timer).
 //
 //pwlint:noalloc
 func (c *Cluster) releaseTimerFire(f *timerFire) {
 	f.sn, f.fn = nil, nil
 	if !invariant.Enabled {
-		c.timerPool = append(c.timerPool, f)
+		f.next, c.timerFree = c.timerFree, f
 	}
 }
 

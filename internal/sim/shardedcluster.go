@@ -195,7 +195,7 @@ func (sc *ShardedCluster) exchange(des.Time) {
 			dc := sc.shards[env.Dst]
 			// routeFrom accepted the message because its address has a
 			// home shard, and nodes are never removed from byAddr.
-			dc.deliverAt(env.At, env.Key, dc.byAddr[env.Payload.To], env.Payload)
+			dc.deliverAt(env.At, env.Key, dc.local(env.Payload.To), env.Payload)
 		})
 	}
 }
