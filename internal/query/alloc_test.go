@@ -70,6 +70,30 @@ func TestLevelOnlyUpdateAllocations(t *testing.T) {
 	}
 }
 
+// TestInfoOnlyUpdateAllocations pins the write path of an info change on
+// a window of one bucket: the update keeps the bucket's level table and
+// the view carries its bucket table inline, so it costs the entry copy,
+// the view and the info string.
+func TestInfoOnlyUpdateAllocations(t *testing.T) {
+	if invariant.Enabled {
+		t.Skip("the pwinvariants build re-digests and re-indexes at every publish")
+	}
+	s, ps := benchStore(16)
+	s.View().WithField("os=linux") // publish the bucket's field index
+	infos := [][]byte{[]byte("os=linux;role=db;rev=a"), []byte("os=plan9;role=edge;rev=b")}
+	i := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		j := i % len(ps)
+		up := ps[j]
+		up.Info = infos[(i/len(ps))%2] // differs from the entry's last info
+		s.PeerUpdated(ps[j], up)
+		ps[j] = up
+		i++
+	}); allocs > 3 {
+		t.Fatalf("info-only PeerUpdated allocates %v, want at most 3", allocs)
+	}
+}
+
 // TestWithFieldAllocatesOnlyItsResult: on a view whose field indexes are
 // built, WithField counts its hits and then fills one exactly sized slice.
 func TestWithFieldAllocatesOnlyItsResult(t *testing.T) {
@@ -102,7 +126,7 @@ func fieldShapes() []struct {
 	return []struct {
 		name string
 		ents []Entry
-	}{{"benchStore", s.View().buckets[0].ents}, {"shared", shared}, {"distinct", distinct}}
+	}{{"benchStore", s.View().rows[0].ents}, {"shared", shared}, {"distinct", distinct}}
 }
 
 // TestFieldIndexBuildAllocationsIndependentOfFields: a bucket whose

@@ -86,15 +86,16 @@ func (s *Store) Subscribe(buffer int, filter func(Delta) bool) *Sub {
 }
 
 // PeerAdded implements core.DeltaSink. Adding an ID that is already present
-// degrades to an update so the store can never diverge from the peer list.
+// degrades to an update so the store can never diverge from the peer list;
+// its Prev is the entry the store held.
 func (s *Store) PeerAdded(p wire.Pointer) {
-	nv, e, _, replaced := insertView(s.cur.Load(), p)
+	nv, e, old, replaced := insertView(s.cur.Load(), p)
 	s.m.deltaAdd.Inc()
-	kind := DeltaAdd
+	d := Delta{Kind: DeltaAdd, Entry: e}
 	if replaced {
-		kind = DeltaUpdate
+		d.Kind, d.Prev, d.HasPrev = DeltaUpdate, old, true
 	}
-	s.publish(nv, Delta{Kind: kind, Entry: e})
+	s.publish(nv, d)
 }
 
 // PeerUpdated implements core.DeltaSink. Updating an ID that is absent
@@ -131,11 +132,11 @@ func (s *Store) publish(nv *View, d Delta) {
 		if prev := s.cur.Load(); prev.Digest() != s.lastDigest {
 			panic("query: published view mutated after publication")
 		}
-		// A field index handed on to a clone must describe the clone
-		// exactly; checking every published one catches a wrong hand-on
-		// at the epoch that made it.
-		for _, b := range nv.buckets {
-			if x := b.index.Load(); x != nil && !x.equal(buildFieldIndex(b.ents)) {
+		// A field index a row trusts must describe the row exactly;
+		// checking every one of the row's generation catches a wrong
+		// hand-on or a missed generation bump at the epoch that made it.
+		for _, r := range nv.rows {
+			if x := r.index.Load(); x != nil && x.gen == r.gen && !x.equal(buildFieldIndex(r.ents)) {
 				panic("query: field index differs from a fresh build of its bucket")
 			}
 		}
@@ -145,7 +146,7 @@ func (s *Store) publish(nv *View, d Delta) {
 	s.cur.Store(nv)
 	s.m.epoch.Set(int64(nv.epoch))
 	s.m.entries.Set(int64(nv.total))
-	s.m.buckets.Set(int64(len(nv.buckets)))
+	s.m.buckets.Set(int64(len(nv.rows)))
 	subs := s.subs.Load()
 	if subs == nil {
 		return
@@ -191,47 +192,58 @@ func (s *Store) CheckAgainst(ps []wire.Pointer) error {
 }
 
 // insertView returns a new view with p upserted, the entry as stored, and
-// the entry it replaced, if any. Cost: clone of one bucket plus the bucket
-// table. A replacement whose Info bytes equal the stored info keeps the
-// stored string and hands the clone the predecessor's published field
-// index: offsets and field strings are unchanged.
+// the entry it replaced, if any. An insert clones one bucket's entries
+// and builds its level table (two when it splits the bucket). A
+// replacement clones the entries and keeps what it can: Info bytes equal
+// to the stored info keep the stored string; a replacement that keeps
+// the level keeps the bucket (level table and field index cell) and
+// bumps the row's gen only if the info changed; one that changes the
+// level builds a new level table and, if the info is unchanged, hands it
+// the predecessor's index under the same gen, since offsets and field
+// strings are unchanged.
 func insertView(v *View, p wire.Pointer) (nv *View, e, old Entry, replaced bool) {
 	if v.total == 0 {
 		e = EntryOf(p)
-		return remake(v, splice(v, 0, 0, newBucket([]Entry{e}))), e, Entry{}, false
+		return successor(v, 0, 0, newRow([]Entry{e})), e, Entry{}, false
 	}
-	bi := v.bucketFor(p.ID)
-	b := v.buckets[bi].bucket
-	off, found := b.find(p.ID)
+	ri := v.rowFor(p.ID)
+	r := &v.rows[ri]
+	off, found := r.find(p.ID)
 	if found {
-		old = b.ents[off]
+		old = r.ents[off]
 		e = old
 		e.Addr, e.Level = p.Addr, p.Level
 		keep := old.info == string(p.Info)
 		if !keep {
 			e.info = string(p.Info)
 		}
-		ents := make([]Entry, len(b.ents))
-		copy(ents, b.ents)
+		ents := make([]Entry, len(r.ents))
+		copy(ents, r.ents)
 		ents[off] = e
-		nb := newBucket(ents)
-		if keep {
-			nb.index.Store(b.index.Load())
+		nr := row{ents: ents, bucket: r.bucket, gen: r.gen}
+		switch {
+		case e.Level != old.Level:
+			nr.bucket = newBucket(ents)
+			if x := r.index.Load(); keep && x != nil && x.gen == r.gen {
+				nr.index.Store(x)
+			}
+		case !keep:
+			nr.gen++
 		}
-		return remake(v, splice(v, bi, bi+1, nb)), e, old, true
+		return successor(v, ri, ri+1, nr), e, old, true
 	}
 	e = EntryOf(p)
-	ents := make([]Entry, 0, len(b.ents)+1)
-	ents = append(ents, b.ents[:off]...)
+	ents := make([]Entry, 0, len(r.ents)+1)
+	ents = append(ents, r.ents[:off]...)
 	ents = append(ents, e)
-	ents = append(ents, b.ents[off:]...)
+	ents = append(ents, r.ents[off:]...)
 	if len(ents) <= maxBucket {
-		return remake(v, splice(v, bi, bi+1, newBucket(ents))), e, Entry{}, false
+		return successor(v, ri, ri+1, newRow(ents)), e, Entry{}, false
 	}
 	mid := len(ents) / 2
 	left := make([]Entry, mid)
 	copy(left, ents[:mid])
-	return remake(v, splice(v, bi, bi+1, newBucket(left), newBucket(ents[mid:]))), e, Entry{}, false
+	return successor(v, ri, ri+1, newRow(left), newRow(ents[mid:])), e, Entry{}, false
 }
 
 // removeView returns a new view without id, the removed entry, and whether
@@ -242,83 +254,67 @@ func removeView(v *View, id nodeid.ID) (*View, Entry, bool) {
 	if v.total == 0 {
 		return nil, Entry{}, false
 	}
-	bi := v.bucketFor(id)
-	b := v.buckets[bi]
-	off, found := b.find(id)
+	ri := v.rowFor(id)
+	r := &v.rows[ri]
+	off, found := r.find(id)
 	if !found {
 		return nil, Entry{}, false
 	}
-	old := b.ents[off]
-	ents := make([]Entry, 0, len(b.ents)-1)
-	ents = append(ents, b.ents[:off]...)
-	ents = append(ents, b.ents[off+1:]...)
+	old := r.ents[off]
+	ents := make([]Entry, 0, len(r.ents)-1)
+	ents = append(ents, r.ents[:off]...)
+	ents = append(ents, r.ents[off+1:]...)
 
-	lo, hi := bi, bi+1 // replaced range [lo, hi) in the old bucket table
-	var repl []*bucket
 	switch {
 	case len(ents) == 0:
-		repl = nil
-	case len(ents) < minBucket && len(v.buckets) > 1:
+		return successor(v, ri, ri+1), old, true
+	case len(ents) < minBucket && len(v.rows) > 1:
 		// Merge into the smaller adjacent neighbor when the result
 		// stays below the split point; otherwise keep the small bucket.
 		ni := -1
-		if bi > 0 {
-			ni = bi - 1
+		if ri > 0 {
+			ni = ri - 1
 		}
-		if bi+1 < len(v.buckets) &&
-			(ni < 0 || len(v.buckets[bi+1].ents) < len(v.buckets[ni].ents)) {
-			ni = bi + 1
+		if ri+1 < len(v.rows) &&
+			(ni < 0 || len(v.rows[ri+1].ents) < len(v.rows[ni].ents)) {
+			ni = ri + 1
 		}
-		if ni >= 0 && len(ents)+len(v.buckets[ni].ents) <= maxBucket {
-			n := v.buckets[ni]
-			merged := make([]Entry, 0, len(ents)+len(n.ents))
-			if ni < bi {
-				merged = append(merged, n.ents...)
-				merged = append(merged, ents...)
-				lo = ni
-			} else {
-				merged = append(merged, ents...)
-				merged = append(merged, n.ents...)
-				hi = ni + 1
+		if ni >= 0 && len(ents)+len(v.rows[ni].ents) <= maxBucket {
+			n := v.rows[ni].ents
+			merged := make([]Entry, 0, len(ents)+len(n))
+			if ni < ri {
+				merged = append(append(merged, n...), ents...)
+				return successor(v, ni, ri+1, newRow(merged)), old, true
 			}
-			repl = []*bucket{newBucket(merged)}
-		} else {
-			repl = []*bucket{newBucket(ents)}
+			merged = append(append(merged, ents...), n...)
+			return successor(v, ri, ni+1, newRow(merged)), old, true
 		}
-	default:
-		repl = []*bucket{newBucket(ents)}
 	}
-	return remake(v, splice(v, lo, hi, repl...)), old, true
+	return successor(v, ri, ri+1, newRow(ents)), old, true
 }
 
-// splice returns a fresh bucket table: v's with rows [lo, hi) replaced by
-// repl.
-func splice(v *View, lo, hi int, repl ...*bucket) []bucketRef {
-	t := make([]bucketRef, 0, len(v.buckets)-(hi-lo)+len(repl))
-	t = append(t, v.buckets[:lo]...)
-	for _, b := range repl {
-		t = append(t, bucketRef{bucket: b})
+// successor returns the next epoch's view: v's bucket table with rows
+// [lo, hi) replaced by repl, in the view's inline array when it fits.
+// The one walk over the table sets every row's start and the cached
+// minimum level.
+func successor(v *View, lo, hi int, repl ...row) *View {
+	nv := &View{epoch: v.epoch + 1, minLevel: -1}
+	t := nv.inline[:0]
+	if n := len(v.rows) - (hi - lo) + len(repl); n > len(nv.inline) {
+		t = make([]row, 0, n)
 	}
-	return append(t, v.buckets[hi:]...)
-}
-
-// remake assembles the successor view over a fresh bucket table: next
-// epoch, recomputed start offsets and level histogram. The level recount
-// walks the per-bucket tables (not the entries), so it is
-// O(buckets · levelSlots) on top of the O(buckets) table copy.
-func remake(v *View, buckets []bucketRef) *View {
-	nv := &View{epoch: v.epoch + 1, buckets: buckets}
-	t := 0
-	for i := range buckets {
-		b := &buckets[i]
-		b.start = t
-		t += len(b.ents)
-		for l := int(b.minLevel); l >= 0 && l <= int(b.maxLevel); l++ {
-			if c := b.levels[l]; c > 0 {
-				nv.levels[l] += int32(c)
-			}
+	t = append(t, v.rows[:lo]...)
+	t = append(t, repl...)
+	t = append(t, v.rows[hi:]...)
+	start := 0
+	for i := range t {
+		r := &t[i]
+		r.start = start
+		start += len(r.ents)
+		if l := int(r.minLevel); nv.minLevel < 0 || l < nv.minLevel {
+			nv.minLevel = l
 		}
 	}
-	nv.total = t
+	nv.rows, nv.total = t, start
 	return nv
 }

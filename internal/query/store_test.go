@@ -144,8 +144,8 @@ func TestStoreBucketShapeUnderGrowthAndShrink(t *testing.T) {
 		sh.upsert(p)
 	}
 	v := s.View()
-	if len(v.buckets) < 2 {
-		t.Fatalf("%d entries in %d buckets: splits never happened", n, len(v.buckets))
+	if len(v.rows) < 2 {
+		t.Fatalf("%d entries in %d buckets: splits never happened", n, len(v.rows))
 	}
 	checkBuckets(t, v)
 	if err := s.CheckAgainst(sh.ps); err != nil {
@@ -167,8 +167,8 @@ func TestStoreBucketShapeUnderGrowthAndShrink(t *testing.T) {
 	}
 	checkBuckets(t, v)
 	// 100 survivors must not be smeared across hundreds of stale buckets.
-	if max := v.Len()/minBucket + 2; len(v.buckets) > max {
-		t.Fatalf("%d entries in %d buckets: merges are not keeping up", v.Len(), len(v.buckets))
+	if max := v.Len()/minBucket + 2; len(v.rows) > max {
+		t.Fatalf("%d entries in %d buckets: merges are not keeping up", v.Len(), len(v.rows))
 	}
 	if err := s.CheckAgainst(sh.ps); err != nil {
 		t.Fatal(err)
@@ -177,14 +177,16 @@ func TestStoreBucketShapeUnderGrowthAndShrink(t *testing.T) {
 
 // checkBuckets asserts the structural invariants of one view: bucket
 // sizes within bounds, global ID order across buckets, starts offsets
-// consistent, and the level histogram matching the entries.
+// consistent, and the level tables (CountAtLevel, MinLevel) matching the
+// entries.
 func checkBuckets(t *testing.T, v *View) {
 	t.Helper()
 	total := 0
 	var prev nodeid.ID
 	first := true
-	var levels [levelSlots]int32
-	for bi, b := range v.buckets {
+	var levels [levelSlots]int
+	minLevel := -1
+	for bi, b := range v.rows {
 		if len(b.ents) == 0 || len(b.ents) > maxBucket {
 			t.Fatalf("bucket %d has %d entries", bi, len(b.ents))
 		}
@@ -197,14 +199,22 @@ func checkBuckets(t *testing.T, v *View) {
 			}
 			prev, first = e.ID, false
 			levels[e.Level]++
+			if minLevel < 0 || int(e.Level) < minLevel {
+				minLevel = int(e.Level)
+			}
 		}
 		total += len(b.ents)
 	}
 	if total != v.total {
 		t.Fatalf("buckets hold %d entries, view says %d", total, v.total)
 	}
-	if levels != v.levels {
-		t.Fatal("level histogram out of sync with entries")
+	for l, n := range levels {
+		if got := v.CountAtLevel(l); got != n {
+			t.Fatalf("CountAtLevel(%d) = %d, entries hold %d", l, got, n)
+		}
+	}
+	if got := v.MinLevel(); got != minLevel {
+		t.Fatalf("MinLevel() = %d, entries say %d", got, minLevel)
 	}
 }
 
@@ -358,40 +368,57 @@ func TestQueryFamiliesMatchNaiveScan(t *testing.T) {
 // list, return.
 func checkFieldFamilies(t *testing.T, v *View, ps []wire.Pointer, substrs, fields []string) {
 	t.Helper()
-	scan := func(match func(info string) bool) []nodeid.ID {
-		var ids []nodeid.ID
-		for _, p := range ps {
-			if match(string(p.Info)) {
-				ids = append(ids, p.ID)
-			}
-		}
-		return ids
-	}
-	same := func(got []Entry, want []nodeid.ID) bool {
-		return slices.EqualFunc(got, want, func(e Entry, id nodeid.ID) bool { return e.ID == id })
-	}
-	anyField := func(info string, match func(f string) bool) bool {
-		for _, f := range strings.Split(info, ";") {
-			if f != "" && match(f) {
-				return true
-			}
-		}
-		return false
-	}
 	for _, sub := range substrs {
-		want := scan(func(info string) bool { return strings.Contains(info, sub) })
-		if got := v.InfoContains(sub); !same(got, want) {
+		var want []nodeid.ID
+		for _, p := range ps {
+			if strings.Contains(string(p.Info), sub) {
+				want = append(want, p.ID)
+			}
+		}
+		if got := v.InfoContains(sub); !sameIDs(got, want) {
 			t.Fatalf("epoch %d: InfoContains(%q): indexed %d, scan %d", v.Epoch(), sub, len(got), len(want))
 		}
 	}
 	for _, val := range fields {
-		want := scan(func(info string) bool {
-			return anyField(info, func(f string) bool { return f == val })
-		})
-		if got := v.WithField(val); !same(got, want) {
+		want := fieldIDs(ps, val)
+		if got := v.WithField(val); !sameIDs(got, want) {
 			t.Fatalf("epoch %d: WithField(%q): indexed %d, scan %d", v.Epoch(), val, len(got), len(want))
 		}
 	}
+}
+
+// fieldIDs returns the IDs of ps, an ID-sorted pointer list, whose info
+// carries the ';'-field val: the naive scan WithField must agree with.
+// Empty segments are no fields, so no entry carries "".
+func fieldIDs(ps []wire.Pointer, val string) []nodeid.ID {
+	var ids []nodeid.ID
+	for _, p := range ps {
+		if val != "" && slices.Contains(strings.Split(string(p.Info), ";"), val) {
+			ids = append(ids, p.ID)
+		}
+	}
+	return ids
+}
+
+// sameIDs reports whether got lists exactly the entries with IDs want.
+func sameIDs(got []Entry, want []nodeid.ID) bool {
+	return slices.EqualFunc(got, want, func(e Entry, id nodeid.ID) bool { return e.ID == id })
+}
+
+// rowVersion identifies the entries a row's field index describes: its
+// bucket's cell, and the generation of its infos.
+type rowVersion struct {
+	b   *bucket
+	gen uint64
+}
+
+// rowIndex returns the index a row trusts: its bucket's published index
+// if that is of the row's generation, else nil.
+func rowIndex(r *row) *fieldIndex {
+	if x := r.index.Load(); x != nil && x.gen == r.gen {
+		return x
+	}
+	return nil
 }
 
 // TestFieldIndexMatchesFreshBuildUnderMutation drives random level-only
@@ -401,7 +428,9 @@ func checkFieldFamilies(t *testing.T, v *View, ps []wire.Pointer, substrs, field
 // each step every published index must equal a fresh build of its bucket,
 // a bucket new to the view must hold its predecessor's index exactly when
 // the step kept the entry's info, and the field families must match the
-// naive scan.
+// naive scan. A bucket is new to the view unless the previous view has a
+// row over the same bucket at the same generation, and a cell holding
+// another generation's index counts as no index.
 func TestFieldIndexMatchesFreshBuildUnderMutation(t *testing.T) {
 	s := NewStore(nil)
 	sh := &shadow{}
@@ -449,21 +478,21 @@ func TestFieldIndexMatchesFreshBuildUnderMutation(t *testing.T) {
 			sh.upsert(p)
 		}
 		v := s.View()
-		old := make(map[*bucket]bool, len(prev.buckets))
-		for _, b := range prev.buckets {
-			old[b.bucket] = true
+		old := make(map[rowVersion]bool, len(prev.rows))
+		for _, r := range prev.rows {
+			old[rowVersion{r.bucket, r.gen}] = true
 		}
-		for _, b := range v.buckets {
-			x := b.index.Load()
-			if x != nil && !x.equal(buildFieldIndex(b.ents)) {
+		for _, r := range v.rows {
+			x := rowIndex(&r)
+			if x != nil && !x.equal(buildFieldIndex(r.ents)) {
 				t.Fatalf("step %d: published field index differs from a fresh build", step)
 			}
-			if old[b.bucket] {
+			if old[rowVersion{r.bucket, r.gen}] {
 				continue
 			}
 			var want *fieldIndex
 			if kept {
-				want = prev.buckets[prev.bucketFor(id)].index.Load()
+				want = rowIndex(&prev.rows[prev.rowFor(id)])
 			}
 			if x != want {
 				t.Fatalf("step %d: new bucket holds index %p, want %p (kept info: %v)", step, x, want, kept)
@@ -475,8 +504,8 @@ func TestFieldIndexMatchesFreshBuildUnderMutation(t *testing.T) {
 		checkFieldFamilies(t, v, sh.ps,
 			[]string{"linux", "role=db", "b;r"},
 			[]string{"os=linux", "role=db", "slot=1"})
-		if step == 1199 && len(v.buckets) < 2 {
-			t.Fatalf("grow phase ended with %d entries in %d buckets: no splits", v.Len(), len(v.buckets))
+		if step == 1199 && len(v.rows) < 2 {
+			t.Fatalf("grow phase ended with %d entries in %d buckets: no splits", v.Len(), len(v.rows))
 		}
 	}
 	if v := s.View(); v.Len() >= minBucket {

@@ -13,10 +13,10 @@ import (
 
 // Bucketing parameters. Entries are kept sorted by ID and partitioned into
 // immutable buckets of roughly targetBucket entries. A delta clones exactly
-// one bucket plus the bucket table, so publishing a new view costs
-// O(targetBucket + N/targetBucket) pointer copies — a few KB at N=10k —
-// while every untouched bucket (and its indexes) is shared with the
-// previous epoch.
+// one bucket's entries plus the bucket table, so publishing a new view
+// costs O(targetBucket + N/targetBucket) pointer copies — a few KB at
+// N=10k — while every untouched bucket (and its indexes) is shared with
+// the previous epoch.
 const (
 	targetBucket = 128 // split point aims at two buckets of this size
 	maxBucket    = 2 * targetBucket
@@ -28,16 +28,18 @@ const (
 // stay below nodeid.Bits.
 const levelSlots = 256
 
-// fieldIndex is a bucket's field postings: for each distinct
+// fieldIndex is a row's field postings: for each distinct
 // ';'-separated info field value, the ascending offsets of the entries
 // carrying it. The val strings share the backing arrays of the entries'
 // infos — the index adds no string copies — and every posting list is a
 // range of the one offs arena. Both slices are exactly sized: fields holds
 // one posting per distinct value and offs one offset per (value, entry)
-// pair.
+// pair. gen is the generation of the row's infos the index describes (see
+// row).
 type fieldIndex struct {
 	fields []fieldPosting // sorted by val
 	offs   []uint16
+	gen    uint64
 }
 
 // fieldPosting is one distinct field value and its posting list
@@ -47,7 +49,8 @@ type fieldPosting struct {
 	lo, hi uint32
 }
 
-// noFields is the index of every bucket whose entries carry no fields.
+// noFields is the generation-0 index of every row whose entries carry no
+// fields.
 var noFields = &fieldIndex{}
 
 // fieldScratch is one build's working memory, kept between builds so
@@ -245,28 +248,28 @@ func (x *fieldIndex) equal(y *fieldIndex) bool {
 	return true
 }
 
-// bucket is an immutable run of consecutive (ID-sorted) entries plus the
-// per-bucket secondary indexes. Buckets are shared between views; their
-// entries and level tables are never mutated after construction.
+// bucket is the level table of one row's entries plus the cell its field
+// index is published in. Its level table is immutable after construction,
+// and the bucket is shared: by the views that share its row, and by every
+// version of the row whose entries keep their levels — an update that
+// changes only an address or an info reuses it (see insertView).
 type bucket struct {
-	ents     []Entry
 	levels   [levelSlots]uint16 // count of entries per level value
 	minLevel int16              // smallest level present, -1 if empty
 	maxLevel int16              // largest level present, -1 if empty
 
-	// index holds the field index once published, nil before. Readers
-	// build it lazily on the first field query touching the bucket; the
-	// writer never builds, it only hands a predecessor's index on to a
-	// clone whose infos are unchanged (see insertView). Because untouched
-	// buckets are shared between epochs, a published index keeps serving
-	// every later view that references the bucket.
+	// index holds the newest field index published for any row over
+	// this bucket, nil before. Readers build it lazily on the first
+	// field query touching the row; the writer never builds, it only
+	// hands a predecessor's index on to a row whose infos are unchanged
+	// (see insertView). A row trusts the index only when its gen is the
+	// row's own.
 	index atomic.Pointer[fieldIndex]
 }
 
-// newBucket builds a bucket (and its level index) from an already ID-sorted
-// entry slice. The slice is owned by the bucket afterwards.
+// newBucket builds the level table of an ID-sorted entry slice.
 func newBucket(ents []Entry) *bucket {
-	b := &bucket{ents: ents, minLevel: -1, maxLevel: -1}
+	b := &bucket{minLevel: -1, maxLevel: -1}
 	for i := range ents {
 		l := int16(ents[i].Level)
 		b.levels[l]++
@@ -280,29 +283,61 @@ func newBucket(ents []Entry) *bucket {
 	return b
 }
 
-// fields returns the bucket's field index, building and publishing it if
-// no reader has yet. Safe for concurrent readers: racing builds of one
-// immutable bucket are equal, and every caller gets the one the CAS
-// published.
-func (b *bucket) fields() *fieldIndex {
-	if x := b.index.Load(); x != nil {
-		return x
+// row is one row of a view's bucket table: an immutable run of
+// consecutive (ID-sorted) entries, the bucket holding their level table,
+// where the entries start in this view's global order, and the
+// generation of their infos. Views share entry slices and buckets and
+// never mutate them. Two versions of a row over one bucket have the same
+// gen exactly when their entries carry the same infos: an update that
+// changes an info and no level bumps it.
+type row struct {
+	ents []Entry
+	*bucket
+	start int // global index of ents[0]
+	gen   uint64
+}
+
+// newRow makes a row of a fresh bucket over an ID-sorted entry slice,
+// which the row owns afterwards.
+func newRow(ents []Entry) row { return row{ents: ents, bucket: newBucket(ents)} }
+
+// fields returns the row's field index, building it if the bucket's cell
+// holds none of this row's generation. Safe for concurrent readers:
+// racing builds of one generation are equal, and a build is published
+// only into an empty cell or over an older generation's index, so a
+// reader of a stale view never evicts a newer view's index; it uses its
+// own build instead.
+func (r *row) fields() *fieldIndex {
+	cur := r.index.Load()
+	if cur != nil && cur.gen == r.gen {
+		return cur
 	}
-	x := buildFieldIndex(b.ents)
-	if !b.index.CompareAndSwap(nil, x) {
-		return b.index.Load()
+	x := buildFieldIndex(r.ents)
+	if r.gen != 0 {
+		if x == noFields {
+			x = &fieldIndex{}
+		}
+		x.gen = r.gen
+	}
+	for cur == nil || cur.gen < r.gen {
+		if r.index.CompareAndSwap(cur, x) {
+			return x
+		}
+		if cur = r.index.Load(); cur.gen == r.gen {
+			return cur
+		}
 	}
 	return x
 }
 
-// find returns the offset of id within the bucket and whether it is present.
+// find returns the offset of id within the row and whether it is present.
 //
 //pwlint:noalloc
-func (b *bucket) find(id nodeid.ID) (int, bool) {
-	i := sort.Search(len(b.ents), func(i int) bool {
-		return !b.ents[i].ID.Less(id)
+func (r *row) find(id nodeid.ID) (int, bool) {
+	i := sort.Search(len(r.ents), func(i int) bool {
+		return !r.ents[i].ID.Less(id)
 	})
-	if i < len(b.ents) && b.ents[i].ID == id {
+	if i < len(r.ents) && r.ents[i].ID == id {
 		return i, true
 	}
 	return i, false
@@ -313,21 +348,15 @@ func (b *bucket) find(id nodeid.ID) (int, bool) {
 // none of them blocks or observes later protocol activity: a View never
 // changes after it is published.
 type View struct {
-	epoch   uint64
-	total   int
-	buckets []bucketRef
-	levels  [levelSlots]int32
-}
-
-// bucketRef is one row of a view's bucket table: a bucket, which views
-// share, and where its entries start in this view's global order.
-type bucketRef struct {
-	*bucket
-	start int // global index of ents[0]
+	epoch    uint64
+	total    int
+	minLevel int // smallest level present, -1 if empty
+	rows     []row
+	inline   [2]row // backs rows when the table has at most two
 }
 
 // emptyView is the epoch-0 snapshot shared by all fresh stores.
-func emptyView() *View { return &View{} }
+func emptyView() *View { return &View{minLevel: -1} }
 
 // Epoch returns the snapshot's epoch. Epochs increase by exactly one per
 // applied window delta, so subscribers can align a delta stream with a
@@ -342,22 +371,22 @@ func (v *View) Len() int { return v.total }
 //
 //pwlint:noalloc
 func (v *View) At(i int) Entry {
-	bi := sort.Search(len(v.buckets), func(b int) bool { return v.buckets[b].start > i }) - 1
-	r := v.buckets[bi]
+	ri := sort.Search(len(v.rows), func(r int) bool { return v.rows[r].start > i }) - 1
+	r := &v.rows[ri]
 	return r.ents[i-r.start]
 }
 
-// bucketFor returns the index of the bucket that does or would contain id.
+// rowFor returns the index of the row that does or would contain id.
 //
 //pwlint:noalloc
-func (v *View) bucketFor(id nodeid.ID) int {
-	bi := sort.Search(len(v.buckets), func(b int) bool {
-		return id.Less(v.buckets[b].ents[0].ID)
+func (v *View) rowFor(id nodeid.ID) int {
+	ri := sort.Search(len(v.rows), func(r int) bool {
+		return id.Less(v.rows[r].ents[0].ID)
 	}) - 1
-	if bi < 0 {
-		bi = 0
+	if ri < 0 {
+		ri = 0
 	}
-	return bi
+	return ri
 }
 
 // Get returns the entry with the given ID, if present. O(log N).
@@ -367,9 +396,9 @@ func (v *View) Get(id nodeid.ID) (Entry, bool) {
 	if v.total == 0 {
 		return Entry{}, false
 	}
-	b := v.buckets[v.bucketFor(id)]
-	if off, ok := b.find(id); ok {
-		return b.ents[off], true
+	r := &v.rows[v.rowFor(id)]
+	if off, ok := r.find(id); ok {
+		return r.ents[off], true
 	}
 	return Entry{}, false
 }
@@ -379,9 +408,10 @@ func (v *View) Get(id nodeid.ID) (Entry, bool) {
 //
 //pwlint:noalloc
 func (v *View) Each(fn func(Entry) bool) {
-	for _, b := range v.buckets {
-		for i := range b.ents {
-			if !fn(b.ents[i]) {
+	for ri := range v.rows {
+		ents := v.rows[ri].ents
+		for i := range ents {
+			if !fn(ents[i]) {
 				return
 			}
 		}
@@ -391,42 +421,40 @@ func (v *View) Each(fn func(Entry) bool) {
 // Entries returns a fresh slice of all entries in ascending ID order.
 func (v *View) Entries() []Entry {
 	out := make([]Entry, 0, v.total)
-	for _, b := range v.buckets {
-		out = append(out, b.ents...)
+	for ri := range v.rows {
+		out = append(out, v.rows[ri].ents...)
 	}
 	return out
 }
 
 // MinLevel returns the smallest level present in the snapshot, or -1 if the
-// snapshot is empty. O(1) amortized over the level table.
+// snapshot is empty. O(1): the view caches it at publish.
 //
 //pwlint:noalloc
-func (v *View) MinLevel() int {
-	for l := 0; l < levelSlots; l++ {
-		if v.levels[l] > 0 {
-			return l
-		}
-	}
-	return -1
-}
+func (v *View) MinLevel() int { return v.minLevel }
 
-// CountAtLevel returns the number of entries whose level equals l. O(1).
+// CountAtLevel returns the number of entries whose level equals l. O(B)
+// for B buckets: it sums the buckets' level tables.
 //
 //pwlint:noalloc
 func (v *View) CountAtLevel(l int) int {
 	if l < 0 || l >= levelSlots {
 		return 0
 	}
-	return int(v.levels[l])
+	n := 0
+	for ri := range v.rows {
+		n += int(v.rows[ri].levels[l])
+	}
+	return n
 }
 
 // Strongest returns up to k entries ordered by ascending level (the paper's
 // "powerful node" ordering — lower level means the node holds a larger
 // window), breaking level ties by ascending ID. This is exactly the order a
 // stable sort by level over the ID-sorted window produces, and it costs
-// O(k + B) via the level index rather than a full sort: the global level
-// table picks the populated levels and the per-bucket tables skip buckets
-// with no entries at that level.
+// O(k + B·L) via the level tables rather than a full sort, for the L
+// levels from MinLevel up to the highest the result reaches: the buckets'
+// tables skip buckets with no entries at a level.
 func (v *View) Strongest(k int) []Entry {
 	if k > v.total {
 		k = v.total
@@ -434,18 +462,20 @@ func (v *View) Strongest(k int) []Entry {
 	if k <= 0 {
 		return nil
 	}
+	maxLevel := v.minLevel
+	for ri := range v.rows {
+		maxLevel = max(maxLevel, int(v.rows[ri].maxLevel))
+	}
 	out := make([]Entry, 0, k)
-	for l := 0; l < levelSlots && len(out) < k; l++ {
-		if v.levels[l] == 0 {
-			continue
-		}
-		for _, b := range v.buckets {
-			if b.levels[l] == 0 {
+	for l := v.minLevel; l <= maxLevel; l++ {
+		for ri := range v.rows {
+			r := &v.rows[ri]
+			if r.levels[l] == 0 {
 				continue
 			}
-			for i := range b.ents {
-				if b.ents[i].Level == uint8(l) {
-					out = append(out, b.ents[i])
+			for i := range r.ents {
+				if r.ents[i].Level == uint8(l) {
+					out = append(out, r.ents[i])
 					if len(out) == k {
 						return out
 					}
@@ -465,16 +495,16 @@ func (v *View) WithField(val string) []Entry {
 	// Two passes, count then fill, so the result is allocated once at its
 	// exact size.
 	n := 0
-	for _, b := range v.buckets {
-		n += len(b.fields().postings(val))
+	for _, r := range v.rows {
+		n += len(r.fields().postings(val))
 	}
 	if n == 0 {
 		return nil
 	}
 	out := make([]Entry, 0, n)
-	for _, b := range v.buckets {
-		for _, off := range b.fields().postings(val) {
-			out = append(out, b.ents[off])
+	for _, r := range v.rows {
+		for _, off := range r.fields().postings(val) {
+			out = append(out, r.ents[off])
 		}
 	}
 	return out
@@ -494,18 +524,18 @@ func (v *View) InfoContains(substr string) []Entry {
 	}
 	var out []Entry
 	if strings.ContainsRune(substr, ';') {
-		for _, b := range v.buckets {
-			for i := range b.ents {
-				if strings.Contains(b.ents[i].info, substr) {
-					out = append(out, b.ents[i])
+		for _, r := range v.rows {
+			for i := range r.ents {
+				if strings.Contains(r.ents[i].info, substr) {
+					out = append(out, r.ents[i])
 				}
 			}
 		}
 		return out
 	}
 	var seen []bool
-	for _, b := range v.buckets {
-		x := b.fields()
+	for _, r := range v.rows {
+		x := r.fields()
 		hit := false
 		for i := range x.fields {
 			if strings.Contains(x.fields[i].val, substr) {
@@ -516,10 +546,10 @@ func (v *View) InfoContains(substr string) []Entry {
 		if !hit {
 			continue
 		}
-		if cap(seen) < len(b.ents) {
-			seen = make([]bool, len(b.ents))
+		if cap(seen) < len(r.ents) {
+			seen = make([]bool, len(r.ents))
 		} else {
-			seen = seen[:len(b.ents)]
+			seen = seen[:len(r.ents)]
 			clear(seen)
 		}
 		for i := range x.fields {
@@ -529,9 +559,9 @@ func (v *View) InfoContains(substr string) []Entry {
 				}
 			}
 		}
-		for off := range b.ents {
+		for off := range r.ents {
 			if seen[off] {
-				out = append(out, b.ents[off])
+				out = append(out, r.ents[off])
 			}
 		}
 	}
@@ -543,9 +573,9 @@ func (v *View) InfoContains(substr string) []Entry {
 // allocation.
 func (v *View) CountWhere(pred func(Entry) bool) int {
 	n := 0
-	for _, b := range v.buckets {
-		for i := range b.ents {
-			if pred(b.ents[i]) {
+	for _, r := range v.rows {
+		for i := range r.ents {
+			if pred(r.ents[i]) {
 				n++
 			}
 		}
@@ -605,11 +635,11 @@ func (v *View) TopK(k int, score func(Entry) (float64, bool)) []Entry {
 		}
 	}
 	idx := 0
-	for _, b := range v.buckets {
-		for i := range b.ents {
-			s, ok := score(b.ents[i])
+	for _, r := range v.rows {
+		for i := range r.ents {
+			s, ok := score(r.ents[i])
 			if ok {
-				c := scored{s: s, idx: idx, e: b.ents[i]}
+				c := scored{s: s, idx: idx, e: r.ents[i]}
 				if len(h) < k {
 					h = append(h, c)
 					up(len(h) - 1)
@@ -667,9 +697,9 @@ func (v *View) Digest() uint64 {
 		}
 	}
 	mix(uint64(v.total))
-	for _, b := range v.buckets {
-		for i := range b.ents {
-			e := &b.ents[i]
+	for _, r := range v.rows {
+		for i := range r.ents {
+			e := &r.ents[i]
 			mix(e.ID.Hi)
 			mix(e.ID.Lo)
 			mix(uint64(e.Addr))

@@ -45,11 +45,11 @@ func (v View) Epoch() uint64 { return v.qv().Epoch() }
 func (v View) Len() int { return v.qv().Len() }
 
 // MinLevel returns the smallest level present, or -1 for an empty
-// snapshot. O(1) against the level index.
+// snapshot. O(1): cached when the snapshot is published.
 func (v View) MinLevel() int { return v.qv().MinLevel() }
 
-// CountAtLevel returns how many pointers announce exactly level l. O(1)
-// against the level index.
+// CountAtLevel returns how many pointers announce exactly level l. O(B)
+// for B buckets of about 128 pointers: it sums their level tables.
 func (v View) CountAtLevel(l int) int { return v.qv().CountAtLevel(l) }
 
 // Each calls fn for every pointer in ascending ID order until fn returns
