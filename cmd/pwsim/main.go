@@ -101,7 +101,11 @@ func main() {
 	case "fullcommon":
 		fn := *n
 		if fn > 1500 {
-			fn = 1500 // full fidelity: peer lists are O(N) per node
+			// Full fidelity: peer lists are O(N) per node. With shared
+			// chunks a held pointer costs about 28 B of heap after a
+			// 1,000-node warm start and 60 B after cluster_churn's 8
+			// virtual minutes (TestClusterHeapPerHeldPointer*).
+			fn = 1500
 		}
 		wl := workloadForFull()
 		r := sim.RunCommonFull(fn, wl, *seed,

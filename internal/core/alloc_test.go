@@ -73,6 +73,39 @@ func TestMergeSortedUpdateOnlyDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestSharedChunkEditsDoNotAllocate pins the shared pool's edit paths:
+// once the pool's free list and scratch are warm, a level change (a new
+// shared chunk), a remove and a re-insert on two lists sharing every
+// chunk allocate nothing.
+func TestSharedChunkEditsDoNotAllocate(t *testing.T) {
+	pool := NewChunkPool()
+	a, b := &PeerList{pool: pool}, &PeerList{pool: pool}
+	_, ps := allocList(512)
+	a.MergeSorted(ps, 0, nil, nil)
+	b.MergeSorted(ps, 0, nil, nil)
+	i := 0
+	round := func() {
+		p := ps[i%len(ps)]
+		for _, pl := range []*PeerList{a, b} {
+			q := p
+			q.Level++
+			pl.Upsert(q, 1)
+			pl.Remove(p.ID)
+			pl.Upsert(p, 2)
+		}
+		i++
+	}
+	for range len(ps) {
+		round()
+	}
+	if allocs := testing.AllocsPerRun(1000, round); allocs != 0 {
+		t.Fatalf("shared edits allocate %v per round", allocs)
+	}
+	if err := pool.CheckInvariants([]*PeerList{a, b}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // countingEnv is an Env that does no work of its own: it keeps the last
 // message sent and the armed timers in reused storage, so every
 // allocation a guard sees is the node's. Time moves only when a timer

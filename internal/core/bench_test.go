@@ -46,15 +46,16 @@ func benchSortedPointers(n, maxLevel int, rng *xrand.Source) []wire.Pointer {
 // clone deep-copies the list so each benchmark iteration starts from
 // the same warm state.
 func (pl *PeerList) clone() *PeerList {
-	cp := *pl
-	cp.dir = append([]leafRef(nil), pl.dir...)
-	for k := range cp.dir {
-		s := *cp.dir[k].s
-		cp.dir[k].s = &s
+	cp := &PeerList{info: maps.Clone(pl.info), levels: pl.levels}
+	p := cp.writer()
+	pl.walk(0, pl.Len(), func(e *entry, _ *stamp) { p.e = append(p.e, *e) })
+	cp.recut(0, 0)
+	for _, r := range pl.stamps.dir {
+		s := *r.s
+		r.s = &s
+		cp.stamps.dir = append(cp.stamps.dir, r)
 	}
-	cp.spare = nil
-	cp.info = maps.Clone(pl.info)
-	return &cp
+	return cp
 }
 
 // BenchmarkPeerListMerge applies a sorted batch in the three shapes a

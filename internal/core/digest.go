@@ -63,9 +63,9 @@ func (n *Node) AppendDigest(b []byte) []byte {
 	// Peer list (sorted by construction).
 	b = appendU64(b, uint64(n.peers.Len()))
 	for k := range n.peers.dir {
-		for _, s := range n.peers.slots(k) {
-			b = appendID(b, s.id)
-			b = append(b, s.level)
+		for _, e := range n.peers.entries(k) {
+			b = appendID(b, e.id)
+			b = append(b, e.level)
 		}
 	}
 

@@ -41,6 +41,14 @@ type Env interface {
 	Rand() *xrand.Source
 }
 
+// ChunkPooler is implemented by an Env whose nodes all run on one
+// goroutine and may therefore share peer-list storage: NewNode stores the
+// node's peer list in the pool it returns (see ChunkPool). The simulator
+// gives every node of a cluster the cluster's pool.
+type ChunkPooler interface {
+	ChunkPool() *ChunkPool
+}
+
 // Observer is empty: a node is watched through what it already records —
 // its metrics registry (Metrics), its spans (SetSpanSink) and its
 // peer-list deltas (SetDeltas). It survives, with NewNode's parameter,

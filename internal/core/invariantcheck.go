@@ -14,74 +14,209 @@ import (
 
 // CheckInvariants verifies the PeerList's structural invariants:
 //
-//   - no leaf is empty, and none holds more than leafCap entries;
-//   - the directory matches the leaves: each running count is the sum
-//     of the counts up to it, each last ID is the leaf's last entry, and
-//     every slot past a leaf's count is zero (a drifted count would hide
-//     an entry or expose a stale one);
-//   - IDs ascend across leaf boundaries;
+//   - no chunk is empty, and none holds more than chunkCap entries;
+//   - the directory matches the chunks: each count is the chunk's, each
+//     running count is the sum of the counts up to it, and each last ID
+//     is the chunk's last entry;
+//   - the chunks are the ones the content rule cuts: no entry but a
+//     chunk's last is a natural end, and every chunk but the list's
+//     last is closed (see cutLen);
+//   - IDs ascend across chunk boundaries;
 //   - entries are in strictly ascending ID order (sorted, no duplicates);
 //   - every entry's level is within [0, nodeid.Bits];
 //   - the cached per-level histogram matches a recount;
-//   - the info table holds exactly the IDs whose slot is flagged as
-//     carrying info, each with a non-empty value.
+//   - the info table holds exactly the IDs whose entry is flagged as
+//     carrying info, each with a non-empty value;
+//   - every chunk is held in the list's pool: interned under its content
+//     hash with a non-zero count in a shared pool, counted once in a
+//     private one;
+//   - the stamps are one per entry, in leaves that keep the rules of
+//     stampSeq.check.
 //
 // It returns nil when the list is consistent and a descriptive error for
 // the first violation found.
 func (pl *PeerList) CheckInvariants() error {
 	var levels [nodeid.Bits + 1]int32
-	end, flagged, i := int32(0), 0, 0
+	end, flagged := int32(0), 0
+	var prev *entry
 	for k := range pl.dir {
 		r := &pl.dir[k]
-		switch {
-		case r.n <= 0:
-			return fmt.Errorf("leaf %d is empty", k)
-		case r.n > leafCap:
-			return fmt.Errorf("leaf %d holds %d entries, over its capacity of %d", k, r.n, leafCap)
+		if err := checkChunk(r.c, k == len(pl.dir)-1); err != nil {
+			return fmt.Errorf("chunk %d: %w", k, err)
 		}
-		if end += r.n; r.end != end {
-			return fmt.Errorf("directory drift at leaf %d: running count %d, leaves hold %d", k, r.end, end)
+		if err := pl.pool.checkHeld(r.c); err != nil {
+			return fmt.Errorf("chunk %d: %w", k, err)
 		}
-		if r.last != r.s[r.n-1].id {
-			return fmt.Errorf("directory drift at leaf %d: last ID %v, leaf ends at %v", k, r.last, r.s[r.n-1].id)
+		n := int(r.c.n)
+		if int(r.n) != n {
+			return fmt.Errorf("directory drift at chunk %d: count %d, chunk holds %d", k, r.n, n)
 		}
-		for _, s := range r.s[r.n:] {
-			if s != (peerSlot{}) {
-				return fmt.Errorf("directory drift at leaf %d: a slot past its %d entries is not zero", k, r.n)
+		if end += int32(n); r.end != end {
+			return fmt.Errorf("directory drift at chunk %d: running count %d, chunks hold %d", k, r.end, end)
+		}
+		if r.last != r.c.e[n-1].id {
+			return fmt.Errorf("directory drift at chunk %d: last ID %v, chunk ends at %v", k, r.last, r.c.e[n-1].id)
+		}
+		es := pl.entries(k)
+		for j := range es {
+			e := &es[j]
+			if prev != nil && !prev.id.Less(e.id) {
+				return fmt.Errorf("peer list unsorted at chunk %d entry %d: %v is not above %v", k, j, e.id, prev.id)
 			}
-		}
-		if k > 0 && !pl.dir[k-1].last.Less(r.s[0].id) {
-			return fmt.Errorf("IDs do not ascend across leaves %d and %d: %v then %v",
-				k-1, k, pl.dir[k-1].last, r.s[0].id)
-		}
-		ss := pl.slots(k)
-		for j := range ss {
-			s := &ss[j]
-			if j > 0 && !ss[j-1].id.Less(s.id) {
-				return fmt.Errorf("peer list unsorted at index %d: %v is not above %v",
-					i, s.id, ss[j-1].id)
-			}
-			l := int(s.level)
+			prev = e
+			l := int(e.level)
 			if l >= len(levels) {
-				return fmt.Errorf("peer %v has level %d beyond nodeid.Bits", s.id, l)
+				return fmt.Errorf("peer %v has level %d beyond nodeid.Bits", e.id, l)
 			}
 			levels[l]++
-			if s.hasInfo {
+			if e.hasInfo {
 				flagged++
-				if len(pl.info[s.id]) == 0 {
-					return fmt.Errorf("peer %v is flagged as carrying info but the info table has none", s.id)
+				if len(pl.info[e.id]) == 0 {
+					return fmt.Errorf("peer %v is flagged as carrying info but the info table has none", e.id)
 				}
 			}
-			i++
 		}
 	}
 	if len(pl.info) != flagged {
 		return fmt.Errorf("info table holds %d entries for %d flagged peers", len(pl.info), flagged)
 	}
+	if err := pl.stamps.check(); err != nil {
+		return err
+	}
+	if n := pl.stamps.len(); n != int(end) {
+		return fmt.Errorf("%d stamps for %d entries", n, end)
+	}
 	for l := range levels {
 		if levels[l] != pl.levels[l] {
 			return fmt.Errorf("level histogram drift at level %d: counted %d, cached %d",
 				l, levels[l], pl.levels[l])
+		}
+	}
+	return nil
+}
+
+// check verifies the stamp leaves: no leaf is empty, none holds more
+// than leafCap stamps, each running count is the sum of the counts up to
+// it, and every slot past a leaf's count is zero (a drifted count would
+// hide a stamp or expose a stale one).
+func (q *stampSeq) check() error {
+	end := int32(0)
+	for k := range q.dir {
+		r := &q.dir[k]
+		switch {
+		case r.n <= 0:
+			return fmt.Errorf("stamp leaf %d is empty", k)
+		case r.n > leafCap:
+			return fmt.Errorf("stamp leaf %d holds %d stamps, over its capacity of %d", k, r.n, leafCap)
+		}
+		if end += r.n; r.end != end {
+			return fmt.Errorf("stamp directory drift at leaf %d: running count %d, leaves hold %d", k, r.end, end)
+		}
+		for _, s := range r.s[r.n:] {
+			if s != (stamp{}) {
+				return fmt.Errorf("stamp directory drift at leaf %d: a slot past its %d stamps is not zero", k, r.n)
+			}
+		}
+	}
+	return nil
+}
+
+// checkChunk verifies that c holds between 1 and chunkCap entries and is
+// cut by the content rule: no entry before its last is a natural end,
+// and unless last is set (the list's last chunk) it is closed.
+func checkChunk(c *chunk, last bool) error {
+	n := int(c.n)
+	if n <= 0 || n > chunkCap {
+		return fmt.Errorf("holds %d entries, want 1 to %d", n, chunkCap)
+	}
+	for j, e := range c.e[:n-1] {
+		if natural(e.id) {
+			return fmt.Errorf("entry %d of %d (%v) is a natural end inside the chunk", j, n, e.id)
+		}
+	}
+	if _, closed := cutLen(c.entries()); !closed && !last {
+		return fmt.Errorf("open chunk of %d entries ends at %v before the list does", n, c.e[n-1].id)
+	}
+	return nil
+}
+
+// checkHeld verifies that a list of this pool may hold c: a shared pool
+// interns it under its content hash with a non-zero count, a private
+// one counts it once.
+func (p *ChunkPool) checkHeld(c *chunk) error {
+	switch {
+	case p == nil:
+		return fmt.Errorf("held by a list without a pool")
+	case !p.shared:
+		if c.refs != 1 {
+			return fmt.Errorf("privately owned chunk counts %d holders", c.refs)
+		}
+		return nil
+	case c.refs <= 0:
+		return fmt.Errorf("held with a count of %d", c.refs)
+	case hashEntries(c.entries()) != c.hash:
+		return fmt.Errorf("content hashes to %#x, interned under %#x", hashEntries(c.entries()), c.hash)
+	}
+	for q := p.index[c.hash&uint64(len(p.index)-1)]; q != nil; q = q.next {
+		if q == c {
+			return nil
+		}
+	}
+	return fmt.Errorf("not interned under its hash %#x", c.hash)
+}
+
+// CheckInvariants verifies a shared pool against lists, which must be
+// every list the pool serves:
+//
+//   - every interned chunk is cut by the content rule (see checkChunk,
+//     short of closure, which only a list can judge), still hashes to
+//     the hash it is interned under, sits in that hash's index bucket,
+//     and is interned once; the index counts its chunks exactly;
+//   - no interned chunk's count is zero, and each count is the number of
+//     times the lists hold the chunk;
+//   - every chunk a list holds is interned;
+//   - the free list holds only released chunks (count zero).
+//
+// It returns nil when the pool is consistent and a descriptive error for
+// the first violation found.
+func (p *ChunkPool) CheckInvariants(lists []*PeerList) error {
+	held := make(map[*chunk]int32)
+	for _, pl := range lists {
+		for k := range pl.dir {
+			held[pl.dir[k].c]++
+		}
+	}
+	interned := 0
+	for b, head := range p.index {
+		for c := head; c != nil; c = c.next {
+			interned++
+			h := c.hash
+			if err := checkChunk(c, true); err != nil {
+				return fmt.Errorf("interned chunk %#x: %w", h, err)
+			}
+			switch got := hashEntries(c.entries()); {
+			case got != h || h&uint64(len(p.index)-1) != uint64(b):
+				return fmt.Errorf("chunk interned as %#x in bucket %d of %d hashes to %#x", h, b, len(p.index), got)
+			case c.refs <= 0:
+				return fmt.Errorf("interned chunk %#x counts %d holders", h, c.refs)
+			case c.refs != held[c]:
+				return fmt.Errorf("interned chunk %#x counts %d holders, the lists hold it %d times", h, c.refs, held[c])
+			}
+			if _, ok := held[c]; !ok {
+				return fmt.Errorf("chunk %#x is interned twice", h)
+			}
+			delete(held, c)
+		}
+	}
+	if len(held) > 0 {
+		return fmt.Errorf("the lists hold %d chunks the pool has not interned", len(held))
+	}
+	if interned != p.interned {
+		return fmt.Errorf("index chains %d chunks, counts %d", interned, p.interned)
+	}
+	for c := p.free; c != nil; c = c.next {
+		if c.refs != 0 {
+			return fmt.Errorf("a free chunk counts %d holders", c.refs)
 		}
 	}
 	return nil
@@ -119,12 +254,12 @@ func (n *Node) CheckInvariants() error {
 		return fmt.Errorf("eigenstring %v does not contain own ID %v", n.eigen, n.self.ID)
 	}
 	for k := range n.peers.dir {
-		for _, s := range n.peers.slots(k) {
-			if s.id == n.self.ID {
-				return fmt.Errorf("peer list contains own ID %v", s.id)
+		for _, e := range n.peers.entries(k) {
+			if e.id == n.self.ID {
+				return fmt.Errorf("peer list contains own ID %v", e.id)
 			}
-			if !n.eigen.Contains(s.id) {
-				return fmt.Errorf("peer %v outside eigenstring %v", s.id, n.eigen)
+			if !n.eigen.Contains(e.id) {
+				return fmt.Errorf("peer %v outside eigenstring %v", e.id, n.eigen)
 			}
 		}
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"peerwindow/internal/des"
 	"peerwindow/internal/nodeid"
 	"peerwindow/internal/wire"
 )
@@ -36,6 +37,13 @@ func TestPeerListInvariantsHoldThroughMutation(t *testing.T) {
 	}
 }
 
+// entryAt returns the stored shared part of the i-th entry, for
+// corrupting it in place.
+func entryAt(pl *PeerList, i int) *entry {
+	k := pl.chunkOf(i)
+	return &pl.dir[k].c.e[i-pl.start(k)]
+}
+
 func TestPeerListInvariantsCatchCorruption(t *testing.T) {
 	build := func() *PeerList {
 		pl := &PeerList{}
@@ -53,11 +61,11 @@ func TestPeerListInvariantsCatchCorruption(t *testing.T) {
 		want    string
 	}{
 		"swapped entries": {
-			func(pl *PeerList) { s := pl.slots(0); s[0], s[1] = s[1], s[0] },
+			func(pl *PeerList) { a, b := entryAt(pl, 0), entryAt(pl, 1); *a, *b = *b, *a },
 			"unsorted",
 		},
 		"duplicate entry": {
-			func(pl *PeerList) { s := pl.slots(0); s[1] = s[0] },
+			func(pl *PeerList) { *entryAt(pl, 1) = *entryAt(pl, 0) },
 			"unsorted",
 		},
 		"histogram drift": {
@@ -65,19 +73,19 @@ func TestPeerListInvariantsCatchCorruption(t *testing.T) {
 			"histogram drift",
 		},
 		"flag without info": {
-			func(pl *PeerList) { pl.slotAt(0).hasInfo = true },
+			func(pl *PeerList) { entryAt(pl, 0).hasInfo = true },
 			"info table has none",
 		},
 		"info without flag": {
-			func(pl *PeerList) { pl.slotAt(2).hasInfo = false },
+			func(pl *PeerList) { entryAt(pl, 2).hasInfo = false },
 			"info table holds",
 		},
 		"empty info value": {
-			func(pl *PeerList) { pl.info[pl.slotAt(2).id] = []byte{} },
+			func(pl *PeerList) { pl.info[entryAt(pl, 2).id] = []byte{} },
 			"info table has none",
 		},
 		"level out of range": {
-			func(pl *PeerList) { pl.slotAt(0).level = 200 },
+			func(pl *PeerList) { entryAt(pl, 0).level = 200 },
 			"beyond nodeid.Bits",
 		},
 	}
@@ -96,18 +104,24 @@ func TestPeerListInvariantsCatchCorruption(t *testing.T) {
 	}
 }
 
-// TestPeerListLeafInvariantsCatchCorruption corrupts the leaf layout of
-// a list spanning several leaves, one clause at a time.
+// TestPeerListLeafInvariantsCatchCorruption corrupts the layout of a
+// list spanning several chunks and several stamp leaves, one clause at a
+// time.
 func TestPeerListLeafInvariantsCatchCorruption(t *testing.T) {
 	build := func() *PeerList {
 		pl := &PeerList{}
 		for i := 0; i < 3*leafCap; i++ {
-			pl.Upsert(wire.Pointer{Addr: wire.Addr(i + 1), ID: nodeid.ID{Hi: uint64(i+1) << 40}}, 0)
+			pl.Upsert(wire.Pointer{Addr: wire.Addr(i + 1), ID: nodeid.ID{Hi: uint64(i+1) << 40}}, des.Time(i))
 		}
-		if len(pl.dir) < 3 {
-			t.Fatalf("%d entries fill %d leaves, want 3 or more", pl.Len(), len(pl.dir))
+		if len(pl.stamps.dir) < 3 || len(pl.dir) < 3 || pl.dir[0].n < 2 {
+			t.Fatalf("%d entries fill %d leaves and %d chunks, the first of %d, want 3, 3 and 2 or more",
+				pl.Len(), len(pl.stamps.dir), len(pl.dir), pl.dir[0].n)
 		}
 		return pl
+	}
+	// owned makes a privately held chunk of es.
+	owned := func(pl *PeerList, es []entry) chunkRef {
+		return chunkRef{c: pl.pool.intern(es, 0), n: int32(len(es)), last: es[len(es)-1].id}
 	}
 	cases := map[string]struct {
 		corrupt func(pl *PeerList)
@@ -115,39 +129,79 @@ func TestPeerListLeafInvariantsCatchCorruption(t *testing.T) {
 	}{
 		"empty leaf": {
 			func(pl *PeerList) {
-				pl.dir = append(pl.dir[:1], append([]leafRef{{s: new(leaf), end: pl.dir[0].end}}, pl.dir[1:]...)...)
+				q := &pl.stamps
+				q.dir = append(q.dir[:1], append([]leafRef{{s: new(leaf), end: q.dir[0].end}}, q.dir[1:]...)...)
 			},
 			"is empty",
 		},
 		"leaf over capacity": {
-			func(pl *PeerList) { pl.dir[1].n = leafCap + 1 },
+			func(pl *PeerList) { pl.stamps.dir[1].n = leafCap + 1 },
 			"over its capacity",
 		},
 		"running count drift": {
-			func(pl *PeerList) { pl.dir[1].end++ },
+			func(pl *PeerList) { pl.stamps.dir[1].end++ },
 			"running count",
-		},
-		"stale last ID": {
-			func(pl *PeerList) { pl.dir[0].last = pl.dir[0].s[0].id },
-			"last ID",
 		},
 		"count hides an entry": {
 			func(pl *PeerList) {
-				for k := range pl.dir {
-					pl.dir[k].end--
+				q := &pl.stamps
+				for k := range q.dir {
+					q.dir[k].end--
 				}
-				pl.dir[0].n--
-				pl.dir[0].last = pl.dir[0].s[pl.dir[0].n-1].id
+				q.dir[0].n--
 			},
 			"not zero",
 		},
-		"IDs descend across leaves": {
+		"stamp missing": {
+			func(pl *PeerList) { pl.stamps.remove(pl.Len() - 1) },
+			"stamps for",
+		},
+		"stale last ID": {
+			func(pl *PeerList) { pl.dir[0].last = pl.dir[0].c.e[0].id },
+			"last ID",
+		},
+		"chunk count drift": {
+			func(pl *PeerList) { pl.dir[0].n-- },
+			"count",
+		},
+		"chunk running count drift": {
+			func(pl *PeerList) { pl.dir[1].end++ },
+			"running count",
+		},
+		"empty chunk": {
 			func(pl *PeerList) {
-				a, b := &pl.dir[0].s[pl.dir[0].n-1], &pl.dir[1].s[0]
-				*a, *b = *b, *a
-				pl.dir[0].last = a.id
+				pl.dir = append(pl.dir[:1], append([]chunkRef{{c: new(chunk), end: pl.dir[0].end}}, pl.dir[1:]...)...)
 			},
-			"do not ascend across leaves",
+			"holds 0 entries",
+		},
+		"chunk over capacity": {
+			func(pl *PeerList) { pl.dir[1].c.n = chunkCap + 1 },
+			"holds 64 entries",
+		},
+		"IDs descend across leaves": {
+			func(pl *PeerList) { pl.dir[1].c.e[0].id = pl.dir[0].c.e[0].id },
+			"unsorted at chunk 1",
+		},
+		"natural end inside a chunk": {
+			func(pl *PeerList) {
+				r := owned(pl, append(append([]entry(nil), pl.entries(0)...), pl.entries(1)...))
+				r.end = pl.dir[1].end
+				pl.dir = append([]chunkRef{r}, pl.dir[2:]...)
+			},
+			"natural end inside",
+		},
+		"open chunk before the list ends": {
+			func(pl *PeerList) {
+				es := pl.entries(0)
+				head, tail := owned(pl, es[:1]), owned(pl, es[1:])
+				head.end, tail.end = 1, pl.dir[0].end
+				pl.dir = append([]chunkRef{head, tail}, pl.dir[1:]...)
+			},
+			"open chunk",
+		},
+		"chunk held twice": {
+			func(pl *PeerList) { pl.dir[0].c.refs++ },
+			"privately owned chunk counts 2",
 		},
 	}
 	if err := build().CheckInvariants(); err != nil {
@@ -163,6 +217,84 @@ func TestPeerListLeafInvariantsCatchCorruption(t *testing.T) {
 			}
 			if !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// TestChunkPoolInvariantsCatchCorruption corrupts a shared pool serving
+// two lists with the same content, one clause at a time: each corruption
+// must fail the pool's check, and the list check where the list can see
+// it.
+func TestChunkPoolInvariantsCatchCorruption(t *testing.T) {
+	build := func() (*ChunkPool, []*PeerList) {
+		pool := NewChunkPool()
+		lists := []*PeerList{{pool: pool}, {pool: pool}}
+		for i := 0; i < 3*chunkCap; i++ {
+			p := wire.Pointer{Addr: wire.Addr(i + 1), ID: nodeid.ID{Hi: uint64(i+1) << 40}}
+			for _, pl := range lists {
+				pl.Upsert(p, des.Time(i))
+			}
+		}
+		lists[0].Remove(lists[0].At(5).ID)
+		lists[1].Remove(lists[1].At(5).ID)
+		if pool.free == nil || lists[0].dir[0].c != lists[1].dir[0].c || lists[0].dir[0].c.refs != 2 {
+			t.Fatal("two equal lists do not share their first chunk, or the pool frees nothing")
+		}
+		return pool, lists
+	}
+	cases := map[string]struct {
+		corrupt  func(p *ChunkPool, lists []*PeerList)
+		want     string
+		listWant string // "" when a list alone cannot see the corruption
+	}{
+		"shared chunk written in place": {
+			func(_ *ChunkPool, lists []*PeerList) { lists[0].dir[0].c.e[0].addr++ },
+			"hashes to",
+			"hashes to",
+		},
+		"release without a decrement": {
+			func(_ *ChunkPool, lists []*PeerList) { lists[0].dir[0].c.refs++ },
+			"counts 3 holders, the lists hold it 2 times",
+			"",
+		},
+		"zero count": {
+			func(_ *ChunkPool, lists []*PeerList) { lists[0].dir[0].c.refs = 0 },
+			"counts 0 holders",
+			"count of 0",
+		},
+		"held chunk not interned": {
+			func(_ *ChunkPool, lists []*PeerList) {
+				r := &lists[0].dir[0]
+				c := *r.c
+				c.next, c.refs = nil, 1
+				r.c.refs--
+				r.c = &c
+			},
+			"not interned",
+			"not interned",
+		},
+		"freed chunk still counted": {
+			func(p *ChunkPool, _ []*PeerList) { p.free.refs = 1 },
+			"a free chunk counts 1",
+			"",
+		},
+	}
+	if p, lists := build(); p.CheckInvariants(lists) != nil || lists[0].CheckInvariants() != nil {
+		t.Fatalf("intact pool: %v; list: %v", p.CheckInvariants(lists), lists[0].CheckInvariants())
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			p, lists := build()
+			tc.corrupt(p, lists)
+			if err := p.CheckInvariants(lists); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("pool check: %v, want an error mentioning %q", err, tc.want)
+			}
+			if tc.listWant == "" {
+				return
+			}
+			if err := lists[0].CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.listWant) {
+				t.Fatalf("list check: %v, want an error mentioning %q", err, tc.listWant)
 			}
 		})
 	}

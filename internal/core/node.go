@@ -140,6 +140,9 @@ func NewNode(cfg Config, env Env, _ Observer, self wire.Pointer) *Node {
 		m:          newNodeMetrics(),
 		warmTarget: -1,
 	}
+	if cp, ok := env.(ChunkPooler); ok {
+		n.peers.pool = cp.ChunkPool()
+	}
 	n.acks.init(env, n.onAckTimeout, n.awaited)
 	n.hops.init(env, n.forwardDue, nil)
 	n.defends.init(env, n.defendSelf, nil)

@@ -7,21 +7,6 @@ import (
 	"peerwindow/internal/xrand"
 )
 
-// peerSlot is one stored peer-list entry: the pointer's fixed fields
-// plus the timestamps the refresh mechanism (§4.6) and lifetime
-// measurement need, in 48 bytes. A pointer's Info — empty for most
-// nodes — lives out of line in PeerList.info, so the slot carries no
-// slice header; §3 keeps pointers small because "large pointers will
-// finally deflate the peer lists".
-type peerSlot struct {
-	id        nodeid.ID
-	addr      wire.Addr
-	firstSeen des.Time // when we first learned of this node (lifetime measurement)
-	lastSeen  des.Time // last event/refresh mentioning it (expiry)
-	level     uint8
-	hasInfo   bool // the pointer's non-empty Info is in PeerList.info
-}
-
 // removedPeer is what the removal paths hand back: the full pointer and
 // when it was first seen, for lifetime measurement.
 type removedPeer struct {
@@ -29,56 +14,38 @@ type removedPeer struct {
 	firstSeen des.Time
 }
 
-// Leaf layout. A peer list holds about N/2^l pointers, a thousand and
-// more at Fig 9's scales, and every join or leave inserts or removes one
-// of them, so a mutation must not move the whole list.
-const (
-	// leafCap is the number of slots in one leaf: 64 × 48 B = 3 KB, the
-	// most one insert or remove moves.
-	leafCap = 64
-	// buildFill is how many slots each leaf gets when a sorted batch
-	// fills an empty list: 15/16 of leafCap, so the inserts that follow
-	// a download find room instead of splitting every leaf at once.
-	buildFill = leafCap - leafCap/16
-	// spreadWindow is how many adjacent leaves an insert into a full
-	// leaf may spread entries over before it adds a leaf.
-	spreadWindow = 4
-	// leafBatch is the most leaves one allocation holds: 8 leaves are
-	// 24 KB, a whole number of 8 KB pages, where a larger array would be
-	// rounded up to whole pages and waste up to 7 KB.
-	leafBatch = 8
-)
-
-// leaf is the storage of one sorted run of peer-list slots.
-type leaf [leafCap]peerSlot
-
-// leafRef is one PeerList directory entry: a leaf, how many entries it
-// holds, the running count through it and its last ID, so that finding
-// an ID or a global index is a binary search over the directory and then
-// one inside a leaf.
-type leafRef struct {
-	s    *leaf
-	n    int32     // entries held, in s[:n]; the slots past n are zero
-	end  int32     // entries in this leaf and every earlier one
-	last nodeid.ID // s[n-1].id
+// chunkRef is one PeerList directory entry: a chunk of shared entries,
+// how many it holds, the running count through it and its last ID, so
+// that finding an ID or a global index is a binary search over the
+// directory and then one inside a chunk.
+type chunkRef struct {
+	c    *chunk
+	n    int32     // c.n
+	end  int32     // entries in this chunk and every earlier one
+	last nodeid.ID // c.e[c.n-1].id
 }
 
 // PeerList is the node's collection of pointers, kept sorted by nodeId so
 // that ring successors and prefix ranges — the two access patterns the
 // protocol needs — are binary searches. The sorted sequence is stored as
-// leaves of at most leafCap slots, so an insert or a remove moves one
-// leaf instead of the whole list; global indices (At, StrongestForStep's
-// rotation) count entries in ID order across leaves.
+// content-defined chunks of shared entries (see ChunkPool), and the
+// list's own timestamps, in the same order, in leaves of its own (see
+// stampSeq), so an insert or a remove rewrites one chunk and moves one
+// leaf instead of the whole list; global indices (At,
+// StrongestForStep's rotation) count entries in ID order across chunks.
 // The zero PeerList is empty and ready to use. It is not safe for
 // concurrent use; the owning Node serializes access.
 type PeerList struct {
-	// dir lists the leaves in ID order. No leaf is empty, and IDs ascend
-	// within and across leaves.
-	dir []leafRef
-	// spare is a freed leaf (all zero) kept for the next leaf the list
-	// needs, or nil.
-	spare *leaf
-	// info holds the non-empty Info of exactly the slots flagged
+	// dir lists the chunks in ID order. No chunk is empty, IDs ascend
+	// within and across chunks, and the chunks are the ones the content
+	// rule cuts the sequence into (see cutLen).
+	dir []chunkRef
+	// stamps holds one stamp per entry, in the same order.
+	stamps stampSeq
+	// pool stores the chunks: the one a node's Env shares, or a private
+	// one made at the first write.
+	pool *ChunkPool
+	// info holds the non-empty Info of exactly the entries flagged
 	// hasInfo, keyed by ID. It stays nil until a held pointer carries
 	// info.
 	info map[nodeid.ID][]byte
@@ -87,30 +54,43 @@ type PeerList struct {
 	levels [nodeid.Bits + 1]int32
 }
 
-// pointer rebuilds the full pointer stored in s.
+// writer returns the pool the list's edits go through, making a private
+// one on the first write to a list no pool was given.
 //
 //pwlint:noalloc
-func (pl *PeerList) pointer(s *peerSlot) wire.Pointer {
-	p := wire.Pointer{Addr: s.addr, ID: s.id, Level: s.level}
-	if s.hasInfo {
-		p.Info = pl.info[s.id]
+func (pl *PeerList) writer() *ChunkPool {
+	if pl.pool == nil {
+		pl.pool = &ChunkPool{} //pwlint:allow noalloc a standalone list's first write makes its private pool
+	}
+	return pl.pool
+}
+
+// pointer rebuilds the full pointer stored in e.
+//
+//pwlint:noalloc
+func (pl *PeerList) pointer(e *entry) wire.Pointer {
+	p := wire.Pointer{Addr: e.addr, ID: e.id, Level: e.level}
+	if e.hasInfo {
+		p.Info = pl.info[e.id]
 	}
 	return p
 }
 
-// store writes p's address, level and info into s, whose ID is p.ID,
-// keeping the info table exact.
+// entryOf returns the shared part of p.
+func entryOf(p wire.Pointer) entry {
+	return entry{id: p.ID, addr: p.Addr, level: p.Level, hasInfo: len(p.Info) > 0}
+}
+
+// storeInfo keeps the info table exact for p, whose entry had info when
+// had is set.
 //
 //pwlint:noalloc
-func (pl *PeerList) store(s *peerSlot, p wire.Pointer) {
-	s.addr, s.level = p.Addr, p.Level
+func (pl *PeerList) storeInfo(p wire.Pointer, had bool) {
 	switch {
 	case len(p.Info) > 0:
 		pl.info = withInfo(pl.info, p.ID, p.Info) //pwlint:allow noalloc a new ID grows the info table; only pointers carrying info reach here
-		s.hasInfo = true
-	case s.hasInfo:
+	case had:
 		delete(pl.info, p.ID)
-		s.hasInfo = false
 	}
 }
 
@@ -123,13 +103,14 @@ func withInfo(t map[nodeid.ID][]byte, id nodeid.ID, info []byte) map[nodeid.ID][
 	return t
 }
 
-// removed packages slot s for a removal path and drops its info.
-func (pl *PeerList) removed(s *peerSlot) removedPeer {
-	r := removedPeer{ptr: pl.pointer(s), firstSeen: s.firstSeen}
-	if s.hasInfo {
-		delete(pl.info, s.id)
+// removed packages entry e, stamped s, for a removal path, and drops its
+// info.
+func (pl *PeerList) removed(e *entry, s *stamp) removedPeer {
+	out := removedPeer{ptr: pl.pointer(e), firstSeen: s.firstSeen}
+	if e.hasInfo {
+		delete(pl.info, e.id)
 	}
-	return r
+	return out
 }
 
 // Len returns the number of pointers held.
@@ -140,21 +121,21 @@ func (pl *PeerList) Len() int {
 	return int(pl.dir[len(pl.dir)-1].end)
 }
 
-// slots returns leaf k's entries.
-func (pl *PeerList) slots(k int) []peerSlot {
+// entries returns chunk k's entries.
+func (pl *PeerList) entries(k int) []entry {
 	r := &pl.dir[k]
-	return r.s[:r.n]
+	return r.c.e[:r.n]
 }
 
-// start returns the global index of leaf k's first entry.
+// start returns the global index of chunk k's first entry.
 func (pl *PeerList) start(k int) int {
 	r := &pl.dir[k]
 	return int(r.end - r.n)
 }
 
-// leafOf returns the leaf holding global index i, or the last leaf when i
-// is past the end.
-func (pl *PeerList) leafOf(i int) int {
+// chunkOf returns the chunk holding global index i, or the last chunk
+// when i is past the end.
+func (pl *PeerList) chunkOf(i int) int {
 	lo, hi := 0, len(pl.dir)-1
 	for lo < hi {
 		m := int(uint(lo+hi) >> 1)
@@ -167,16 +148,11 @@ func (pl *PeerList) leafOf(i int) int {
 	return lo
 }
 
-// slotAt returns the entry at global index i; it panics when i is out of
-// range.
-func (pl *PeerList) slotAt(i int) *peerSlot {
-	k := pl.leafOf(i)
-	return &pl.slots(k)[i-pl.start(k)]
-}
-
 // locate returns where the first entry with ID >= id is, or would be
-// inserted: leaf k and position j in it. Past every entry it is the end
-// of the last leaf. The list must not be empty.
+// inserted: chunk k and position j in it. Past every entry it is the end
+// of the last chunk. The list must not be empty.
+//
+//pwlint:noalloc
 func (pl *PeerList) locate(id nodeid.ID) (k, j int) {
 	lo, hi := 0, len(pl.dir)-1
 	for lo < hi {
@@ -187,7 +163,7 @@ func (pl *PeerList) locate(id nodeid.ID) (k, j int) {
 			hi = m
 		}
 	}
-	s := pl.slots(lo)
+	s := pl.entries(lo)
 	a, b := 0, len(s)
 	for a < b {
 		m := int(uint(a+b) >> 1)
@@ -202,12 +178,15 @@ func (pl *PeerList) locate(id nodeid.ID) (k, j int) {
 
 // find is locate that also reports whether id is held there; on an empty
 // list it returns (0, 0, false).
+//
+//pwlint:noalloc
 func (pl *PeerList) find(id nodeid.ID) (k, j int, held bool) {
 	if len(pl.dir) == 0 {
 		return 0, 0, false
 	}
 	k, j = pl.locate(id)
-	return k, j, j < int(pl.dir[k].n) && pl.dir[k].s[j].id == id
+	r := &pl.dir[k]
+	return k, j, j < int(r.n) && r.c.e[j].id == id
 }
 
 // search returns the global index of the first entry with ID >= id.
@@ -219,129 +198,154 @@ func (pl *PeerList) search(id nodeid.ID) int {
 	return pl.start(k) + j
 }
 
-// addLeaves inserts m empty leaves into the directory at position at,
-// taking the spare first and the rest from fresh backing arrays of at
-// most leafBatch leaves.
-func (pl *PeerList) addLeaves(at, m int) {
-	end := int32(0)
-	if at > 0 {
-		end = pl.dir[at-1].end
-	}
-	pl.dir = append(pl.dir, make([]leafRef, m)...)
-	copy(pl.dir[at+m:], pl.dir[at:])
-	var fresh []leaf
-	for i := at; i < at+m; i++ {
-		s := pl.spare
-		pl.spare = nil
-		if s == nil {
-			if len(fresh) == 0 {
-				fresh = make([]leaf, min(at+m-i, leafBatch)) //pwlint:allow noalloc leaf-pool miss: the list outgrew its leaves and holds no spare
+// take appends chunk k's entries to the pool's scratch and releases the
+// chunk; the directory entry is dead until recut replaces it.
+//
+//pwlint:noalloc
+func (pl *PeerList) take(k int) {
+	p := pl.pool
+	r := &pl.dir[k]
+	p.e = append(p.e, r.c.e[:r.n]...)
+	p.release(r.c)
+	r.c = nil
+}
+
+// recut replaces the taken chunks dir[k:m] with what the content rule
+// cuts the pool's scratch — their entries, as edited — into.
+// While the scratch ends in an open chunk and chunks follow, the next one
+// is taken too: the chunks after a cut that falls on an old chunk's end
+// are the ones the rule cuts anyway, so they stay as they are.
+//
+//pwlint:noalloc
+func (pl *PeerList) recut(k, m int) {
+	p := pl.pool
+	out := p.out[:0]
+	from := 0
+	for {
+		for from < len(p.e) {
+			n, closed := cutLen(p.e[from:])
+			if !closed && from+n == len(p.e) && m < len(pl.dir) {
+				break
 			}
-			s, fresh = &fresh[0], fresh[1:]
+			to := from + n
+			piece := p.e[from:to]
+			out = append(out, chunkRef{c: p.intern(piece, p.hash(piece)), n: int32(n), last: p.e[to-1].id})
+			from = to
 		}
-		pl.dir[i] = leafRef{s: s, end: end}
-	}
-}
-
-// dropLeaf removes the empty leaf k from the directory, keeping it as the
-// spare when there is none.
-func (pl *PeerList) dropLeaf(k int) {
-	if pl.spare == nil {
-		pl.spare = pl.dir[k].s
-	}
-	copy(pl.dir[k:], pl.dir[k+1:])
-	pl.dir[len(pl.dir)-1] = leafRef{}
-	pl.dir = pl.dir[:len(pl.dir)-1]
-}
-
-// insertAt puts s at position j of leaf k, which has room.
-func (pl *PeerList) insertAt(k, j int, s peerSlot) {
-	r := &pl.dir[k]
-	copy(r.s[j+1:r.n+1], r.s[j:r.n])
-	r.s[j] = s
-	r.n++
-	if j == int(r.n)-1 {
-		r.last = s.id
-	}
-	for i := k; i < len(pl.dir); i++ {
-		pl.dir[i].end++
-	}
-}
-
-// removeAt deletes position j of leaf k, dropping the leaf if it is left
-// empty. A thinned leaf stays as it is, as a slice keeps its capacity:
-// the list is as large as it has been, and inserts refill it.
-func (pl *PeerList) removeAt(k, j int) {
-	r := &pl.dir[k]
-	copy(r.s[j:r.n-1], r.s[j+1:r.n])
-	r.n--
-	r.s[r.n] = peerSlot{}
-	for i := k; i < len(pl.dir); i++ {
-		pl.dir[i].end--
-	}
-	if r.n == 0 {
-		pl.dropLeaf(k)
-		return
-	}
-	r.last = r.s[r.n-1].id
-}
-
-// room returns where to insert id, found by locate at (k, j), after
-// making sure that leaf has a free slot. A full leaf spreads its entries
-// over up to spreadWindow neighbours when they have a free slot per leaf
-// between them, and otherwise over those leaves plus a new one; an insert
-// past the end of a full last leaf starts a new leaf, so ascending
-// inserts fill leaves completely.
-func (pl *PeerList) room(k, j int, id nodeid.ID) (int, int) {
-	switch {
-	case len(pl.dir) == 0:
-		pl.addLeaves(0, 1)
-		return 0, 0
-	case pl.dir[k].n < leafCap:
-		return k, j
-	case k == len(pl.dir)-1 && j == leafCap:
-		pl.addLeaves(k+1, 1)
-		return k + 1, 0
-	}
-	a, b, free := k, k, 0
-	for b-a+1 < spreadWindow && free < b-a+1 {
-		if b+1 < len(pl.dir) && (a == 0 || pl.dir[b+1].n <= pl.dir[a-1].n) {
-			b++
-			free += leafCap - int(pl.dir[b].n)
-		} else if a > 0 {
-			a--
-			free += leafCap - int(pl.dir[a].n)
-		} else {
+		if from == len(p.e) {
 			break
 		}
+		pl.take(m)
+		m++
 	}
-	if free < b-a+1 {
-		pl.addLeaves(b+1, 1)
-		b++
-	}
-	pl.spread(a, b)
-	return pl.locate(id)
+	p.e, p.out = p.e[:0], out[:0]
+	pl.splice(k, m, out)
 }
 
-// spread deals the entries of leaves a..b — at most spreadWindow leaves'
-// worth — out evenly over those leaves, in order.
-func (pl *PeerList) spread(a, b int) {
-	var buf [spreadWindow * leafCap]peerSlot
-	base, t := pl.start(a), 0
-	for i := a; i <= b; i++ {
-		r := &pl.dir[i]
-		t += copy(buf[t:], r.s[:r.n])
-		clear(r.s[:r.n])
+// splice puts the chunks out in place of dir[k:m] and renews the running
+// counts from k on.
+//
+//pwlint:noalloc
+func (pl *PeerList) splice(k, m int, out []chunkRef) {
+	n := len(pl.dir)
+	nn := n + len(out) - (m - k)
+	if nn > n {
+		pl.dir = append(pl.dir, make([]chunkRef, nn-n)...)
 	}
-	w, from := b-a+1, 0
-	for i := a; i <= b; i++ {
-		to := t * (i - a + 1) / w
-		r := &pl.dir[i]
-		r.n = int32(copy(r.s[:], buf[from:to]))
-		r.end = int32(base + to)
-		r.last = r.s[r.n-1].id
-		from = to
+	copy(pl.dir[k+len(out):], pl.dir[m:n])
+	copy(pl.dir[k:], out)
+	if nn < n {
+		clear(pl.dir[nn:n])
+		pl.dir = pl.dir[:nn]
 	}
+	end := int32(0)
+	if k > 0 {
+		end = pl.dir[k-1].end
+	}
+	for i := k; i < len(pl.dir); i++ {
+		end += pl.dir[i].n
+		pl.dir[i].end = end
+	}
+}
+
+// settle makes the pool's scratch chunk k's content, after an edit that
+// kept chunk k's cut points: the scratch is one piece, whose hash is h,
+// and the running counts from k on move by delta.
+//
+//pwlint:noalloc
+func (pl *PeerList) settle(k int, h uint64, delta int32) {
+	p := pl.pool
+	r := &pl.dir[k]
+	r.c, r.n, r.last = p.intern(p.e, h), int32(len(p.e)), p.e[len(p.e)-1].id
+	p.e = p.e[:0]
+	for i := k; i < len(pl.dir); i++ {
+		pl.dir[i].end += delta
+	}
+}
+
+// insert puts e, first seen at now, at position j of chunk k, where
+// locate placed its ID. The cut points stay when e lands inside a chunk
+// with room and is no natural end, or extends an open last chunk;
+// otherwise recut finds the new ones.
+//
+//pwlint:noalloc
+func (pl *PeerList) insert(k, j int, e entry, now des.Time) {
+	p := pl.writer()
+	if len(pl.dir) == 0 {
+		p.e = append(p.e, e)
+		pl.recut(0, 0)
+		pl.stamps.insert(0, stamp{firstSeen: now, lastSeen: now})
+		return
+	}
+	r := &pl.dir[k]
+	n := int(r.n)
+	keeps := n < chunkCap && (j < n && !natural(e.id) || j == n && !natural(r.last))
+	h := p.rehash(r.c.hash, nil, &e)
+	at := pl.start(k) + j
+	pl.take(k)
+	p.e = append(p.e, entry{})
+	copy(p.e[j+1:], p.e[j:])
+	p.e[j] = e
+	if keeps {
+		pl.settle(k, h, 1)
+	} else {
+		pl.recut(k, k+1)
+	}
+	pl.stamps.insert(at, stamp{firstSeen: now, lastSeen: now})
+}
+
+// removeAt deletes position j of chunk k. The cut points stay when the
+// chunk keeps its natural end and other entries, or is the last chunk.
+//
+//pwlint:noalloc
+func (pl *PeerList) removeAt(k, j int) {
+	p := pl.pool
+	r := &pl.dir[k]
+	n := int(r.n)
+	keeps := n > 1 && (k == len(pl.dir)-1 || j < n-1 && natural(r.last))
+	h := p.rehash(r.c.hash, &r.c.e[j], nil)
+	at := pl.start(k) + j
+	pl.take(k)
+	copy(p.e[j:], p.e[j+1:])
+	p.e = p.e[:len(p.e)-1]
+	if keeps {
+		pl.settle(k, h, -1)
+	} else {
+		pl.recut(k, k+1)
+	}
+	pl.stamps.remove(at)
+}
+
+// replace overwrites the shared part of the entry at (k, j) with e, which
+// has the same ID: the cut points stay, so only chunk k changes.
+//
+//pwlint:noalloc
+func (pl *PeerList) replace(k, j int, e entry) {
+	r := &pl.dir[k]
+	h := pl.pool.rehash(r.c.hash, &r.c.e[j], &e)
+	pl.take(k)
+	pl.pool.e[j] = e
+	pl.settle(k, h, 0)
 }
 
 // Lookup returns the pointer for id, if present.
@@ -349,7 +353,7 @@ func (pl *PeerList) spread(a, b int) {
 //pwlint:noalloc
 func (pl *PeerList) Lookup(id nodeid.ID) (wire.Pointer, bool) {
 	if k, j, held := pl.find(id); held {
-		return pl.pointer(&pl.dir[k].s[j]), true
+		return pl.pointer(&pl.dir[k].c.e[j]), true
 	}
 	return wire.Pointer{}, false
 }
@@ -362,23 +366,31 @@ func (pl *PeerList) Lookup(id nodeid.ID) (wire.Pointer, bool) {
 func (pl *PeerList) Upsert(p wire.Pointer, now des.Time) bool {
 	k, j, held := pl.find(p.ID)
 	if held {
-		pl.update(&pl.dir[k].s[j], p, now)
+		pl.update(k, j, p, now)
 		return false
 	}
-	k, j = pl.room(k, j, p.ID)
-	pl.insertAt(k, j, peerSlot{id: p.ID, firstSeen: now, lastSeen: now})
-	pl.store(&pl.dir[k].s[j], p)
+	pl.insert(k, j, entryOf(p), now)
+	pl.storeInfo(p, false)
 	pl.levels[p.Level]++
 	return true
 }
 
-// update overwrites the held entry s with p, whose ID it is, as seen at
-// now.
-func (pl *PeerList) update(s *peerSlot, p wire.Pointer, now des.Time) {
-	pl.levels[s.level]--
-	pl.levels[p.Level]++
-	pl.store(s, p)
-	s.lastSeen = now
+// update overwrites the held entry at (k, j) with p, whose ID it is, as
+// seen at now. An update that leaves the shared part as it is (a
+// refresh, a re-delivery, an info change) touches only the list's own
+// stamps and info table.
+//
+//pwlint:noalloc
+func (pl *PeerList) update(k, j int, p wire.Pointer, now des.Time) {
+	pl.stamps.at(pl.start(k) + j).lastSeen = now
+	old, e := pl.dir[k].c.e[j], entryOf(p)
+	pl.storeInfo(p, old.hasInfo)
+	if e == old {
+		return
+	}
+	pl.levels[old.level]--
+	pl.levels[e.level]++
+	pl.replace(k, j, e)
 }
 
 // MergeSorted merges ps — pointers in strictly ascending ID order — into
@@ -398,7 +410,7 @@ func (pl *PeerList) update(s *peerSlot, p wire.Pointer, now des.Time) {
 // the worst case rather than corrupting the list.
 //
 // The path follows the traffic: a download into an empty list (join,
-// warm start) builds the leaves in one pass, and one into a held list
+// warm start) cuts the chunks in one pass, and one into a held list
 // (reconcile) is mostly updates, so a first pass updates held entries in
 // place and a second inserts the new IDs only when there are any.
 //
@@ -438,9 +450,8 @@ func (pl *PeerList) MergeSorted(ps []wire.Pointer, now des.Time, onNew func(wire
 			fresh++
 			continue
 		}
-		s := &pl.dir[k].s[j]
-		old := pl.pointer(s)
-		pl.update(s, p, now)
+		old := pl.pointer(&pl.dir[k].c.e[j])
+		pl.update(k, j, p, now)
 		if onUpdate != nil && !old.Equal(p) {
 			onUpdate(old, p)
 		}
@@ -455,23 +466,18 @@ func (pl *PeerList) MergeSorted(ps []wire.Pointer, now des.Time, onNew func(wire
 	return fresh
 }
 
-// build fills the empty list with ps, in strictly ascending ID order,
-// spread evenly over as few leaves as keep each at or below buildFill.
+// build fills the empty list with ps, in strictly ascending ID order.
+//
+//pwlint:noalloc
 func (pl *PeerList) build(ps []wire.Pointer, now des.Time) {
-	t := len(ps)
-	q := (t + buildFill - 1) / buildFill
-	pl.addLeaves(0, q)
-	from := 0
-	for i := range pl.dir {
-		r, to := &pl.dir[i], t*(i+1)/q
-		for j, p := range ps[from:to] {
-			r.s[j] = peerSlot{id: p.ID, firstSeen: now, lastSeen: now}
-			pl.store(&r.s[j], p)
-			pl.levels[p.Level]++
-		}
-		r.n, r.end, r.last = int32(to-from), int32(to), ps[to-1].ID
-		from = to
+	p := pl.writer()
+	for _, q := range ps {
+		p.e = append(p.e, entryOf(q))
+		pl.storeInfo(q, false)
+		pl.levels[q.Level]++
 	}
+	pl.recut(0, 0)
+	pl.stamps.build(len(ps), stamp{firstSeen: now, lastSeen: now})
 }
 
 // MinLevel returns the smallest level among held pointers, or -1 when the
@@ -496,7 +502,7 @@ func (pl *PeerList) MinLevel() int {
 func (pl *PeerList) Strongest() (wire.Pointer, bool) {
 	min := pl.MinLevel()
 	for k := range pl.dir {
-		s := pl.slots(k)
+		s := pl.entries(k)
 		for j := range s {
 			if int(s[j].level) == min {
 				return pl.pointer(&s[j]), true
@@ -512,7 +518,7 @@ func (pl *PeerList) Remove(id nodeid.ID) (removedPeer, bool) {
 	if !held {
 		return removedPeer{}, false
 	}
-	r := pl.removed(&pl.dir[k].s[j])
+	r := pl.removed(&pl.dir[k].c.e[j], pl.stamps.at(pl.start(k)+j))
 	pl.removeAt(k, j)
 	pl.levels[r.ptr.Level]--
 	return r, true
@@ -532,12 +538,12 @@ func (pl *PeerList) Successor(id nodeid.ID, keep func(wire.Pointer) bool) (wire.
 		if j == int(pl.dir[k].n) {
 			k, j = (k+1)%len(pl.dir), 0
 		}
-		s := &pl.dir[k].s[j]
+		e := &pl.dir[k].c.e[j]
 		j++
-		if s.id == id {
+		if e.id == id {
 			continue
 		}
-		if p := pl.pointer(s); keep == nil || keep(p) {
+		if p := pl.pointer(e); keep == nil || keep(p) {
 			return p, true
 		}
 	}
@@ -561,19 +567,27 @@ func (pl *PeerList) prefixRange(e nodeid.Eigenstring) (lo, hi int) {
 	return lo, pl.search(upper)
 }
 
-// walk calls fn on the entries at global indices [lo, hi), in order.
-func (pl *PeerList) walk(lo, hi int, fn func(s *peerSlot)) {
+// walk calls fn on the entries at global indices [lo, hi), in order,
+// with the list's stamps for each.
+func (pl *PeerList) walk(lo, hi int, fn func(e *entry, s *stamp)) {
 	if lo >= hi {
 		return
 	}
-	k := pl.leafOf(lo)
+	k := pl.chunkOf(lo)
 	j := lo - pl.start(k)
+	q := &pl.stamps
+	sk := q.leafOf(lo)
+	sj := lo - q.start(sk)
 	for i := lo; i < hi; i++ {
 		if j == int(pl.dir[k].n) {
 			k, j = k+1, 0
 		}
-		fn(&pl.dir[k].s[j])
+		if sj == int(q.dir[sk].n) {
+			sk, sj = sk+1, 0
+		}
+		fn(&pl.dir[k].c.e[j], &q.dir[sk].s[sj])
 		j++
+		sj++
 	}
 }
 
@@ -586,7 +600,7 @@ func (pl *PeerList) InPrefix(e nodeid.Eigenstring) []wire.Pointer {
 		return nil
 	}
 	out := make([]wire.Pointer, 0, hi-lo)
-	pl.walk(lo, hi, func(s *peerSlot) { out = append(out, pl.pointer(s)) })
+	pl.walk(lo, hi, func(e *entry, _ *stamp) { out = append(out, pl.pointer(e)) })
 	return out
 }
 
@@ -609,9 +623,9 @@ func (pl *PeerList) DropOutsidePrefix(e nodeid.Eigenstring) []removedPeer {
 		return nil
 	}
 	dropped := make([]removedPeer, 0, n-(hi-lo))
-	drop := func(s *peerSlot) {
-		pl.levels[s.level]--
-		dropped = append(dropped, pl.removed(s))
+	drop := func(e *entry, s *stamp) {
+		pl.levels[e.level]--
+		dropped = append(dropped, pl.removed(e, s))
 	}
 	pl.walk(0, lo, drop)
 	pl.walk(hi, n, drop)
@@ -619,53 +633,37 @@ func (pl *PeerList) DropOutsidePrefix(e nodeid.Eigenstring) []removedPeer {
 	return dropped
 }
 
-// keep cuts the list down to the entries at global indices [lo, hi):
-// the leaves outside go (one becomes the spare) and the two boundary
-// leaves are trimmed.
+// keep cuts the list down to the entries at global indices [lo, hi): it
+// takes the kept run out, releases every chunk and cuts the run afresh,
+// as its first chunk now starts the list.
 func (pl *PeerList) keep(lo, hi int) {
-	first, last := 0, -1 // kept leaves
-	if lo < hi {
-		first, last = pl.leafOf(lo), pl.leafOf(hi-1)
-		head, tail := lo-pl.start(first), hi-pl.start(last)
-		r := &pl.dir[last]
-		clear(r.s[tail:r.n])
-		r.n = int32(tail)
-		r = &pl.dir[first]
-		copy(r.s[:], r.s[head:r.n])
-		clear(r.s[int(r.n)-head : r.n])
-		r.n -= int32(head)
-	}
+	p := pl.writer()
+	pl.walk(lo, hi, func(e *entry, _ *stamp) { p.e = append(p.e, *e) })
 	for k := range pl.dir {
-		if (k < first || k > last) && pl.spare == nil {
-			pl.spare = pl.dir[k].s
-			clear(pl.spare[:])
-		}
+		p.release(pl.dir[k].c)
 	}
-	kept := copy(pl.dir, pl.dir[first:last+1])
-	clear(pl.dir[kept:])
-	pl.dir = pl.dir[:kept]
-	end := int32(0)
-	for k := range pl.dir {
-		r := &pl.dir[k]
-		end += r.n
-		r.end = end
-		r.last = r.s[r.n-1].id
-	}
+	clear(pl.dir)
+	pl.dir = pl.dir[:0]
+	pl.recut(0, 0)
+	pl.stamps.keep(lo, hi)
 }
 
 // ForEach visits every entry in ID order; the visitor must not mutate the
 // list.
 func (pl *PeerList) ForEach(fn func(p wire.Pointer, firstSeen, lastSeen des.Time)) {
-	pl.walk(0, pl.Len(), func(s *peerSlot) { fn(pl.pointer(s), s.firstSeen, s.lastSeen) })
+	pl.walk(0, pl.Len(), func(e *entry, s *stamp) { fn(pl.pointer(e), s.firstSeen, s.lastSeen) })
 }
 
 // At returns the i-th pointer in ID order; it panics when out of range.
-func (pl *PeerList) At(i int) wire.Pointer { return pl.pointer(pl.slotAt(i)) }
+func (pl *PeerList) At(i int) wire.Pointer {
+	k := pl.chunkOf(i)
+	return pl.pointer(&pl.entries(k)[i-pl.start(k)])
+}
 
 // Pointers returns a copy of all pointers in ID order.
 func (pl *PeerList) Pointers() []wire.Pointer {
 	out := make([]wire.Pointer, 0, pl.Len())
-	pl.walk(0, pl.Len(), func(s *peerSlot) { out = append(out, pl.pointer(s)) })
+	pl.walk(0, pl.Len(), func(e *entry, _ *stamp) { out = append(out, pl.pointer(e)) })
 	return out
 }
 
@@ -715,19 +713,19 @@ func (pl *PeerList) strongestIn(lo, hi int, subject nodeid.ID, skip map[nodeid.I
 	if rng != nil && span > 1 {
 		offset = rng.Intn(span)
 	}
-	var best *peerSlot
+	var best *entry
 	bestLevel := 256
-	k := pl.leafOf(lo + offset)
+	k := pl.chunkOf(lo + offset)
 	j := lo + offset - pl.start(k)
 	for c := 0; c < span; c++ {
 		switch {
 		case c == span-offset: // past hi: wrap to lo
-			k = pl.leafOf(lo)
+			k = pl.chunkOf(lo)
 			j = lo - pl.start(k)
 		case j == int(pl.dir[k].n):
 			k, j = k+1, 0
 		}
-		cand := &pl.dir[k].s[j]
+		cand := &pl.dir[k].c.e[j]
 		j++
 		if int(cand.level) >= bestLevel {
 			continue

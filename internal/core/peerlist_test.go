@@ -21,11 +21,15 @@ func mkPtr(bits string, level int) wire.Pointer {
 	return wire.Pointer{Addr: wire.Addr(1 + id.Hi>>48), ID: id, Level: uint8(level)}
 }
 
-// A stored peer-list slot is 48 bytes: ID, address, two exact
-// timestamps, level and the has-info flag. Info lives out of line.
+// A stored peer-list slot is 48 bytes: the shared entry (ID, address,
+// level and the has-info flag) is 32, the holder's two exact timestamps
+// 16. Info lives out of line. A chunk of shared entries fits in 2 KB.
 func TestPeerSlotIs48Bytes(t *testing.T) {
-	if got := unsafe.Sizeof(peerSlot{}); got != 48 {
-		t.Fatalf("peerSlot is %d bytes, want 48", got)
+	if e, s := unsafe.Sizeof(entry{}), unsafe.Sizeof(stamp{}); e != 32 || s != 16 {
+		t.Fatalf("entry is %d bytes and stamp %d, want 32 and 16", e, s)
+	}
+	if got := unsafe.Sizeof(chunk{}); got > 2048 {
+		t.Fatalf("chunk is %d bytes, over 2 KB", got)
 	}
 }
 
@@ -472,28 +476,75 @@ func (f flatList) strongestForStep(self nodeid.ID, s int, subject nodeid.ID, ski
 	return f[best].p, true
 }
 
-// TestPeerListMatchesFlatModel drives one list past 2,000 entries —
-// dozens of leaves — and drains it to empty with random Upsert, Remove,
-// MergeSorted and DropOutsidePrefix, checking each operation with
-// applyAgainstFlat. The other property tests stay within a few leaves.
+// sharedSide is one of the lists of a sharing test, with its model.
+type sharedSide struct {
+	pl  *PeerList
+	ref flatList
+}
+
+// checkShared fails unless the pool's check passes against every list
+// it serves, and returns how many chunks more than one list holds.
+func checkShared(t *testing.T, pool *ChunkPool, sides []*sharedSide, step int) int {
+	t.Helper()
+	lists := make([]*PeerList, len(sides))
+	for i, s := range sides {
+		lists[i] = s.pl
+	}
+	if err := pool.CheckInvariants(lists); err != nil {
+		t.Fatalf("step %d: chunk pool: %v", step, err)
+	}
+	shared := 0
+	for _, c := range pool.index {
+		for ; c != nil; c = c.next {
+			if c.refs > 1 {
+				shared++
+			}
+		}
+	}
+	return shared
+}
+
+// TestPeerListMatchesFlatModel drives two lists on one shared chunk pool
+// past 2,000 entries each — dozens of chunks and leaves — and drains
+// them to empty with random Upsert, Remove, MergeSorted and
+// DropOutsidePrefix, interleaved, each list taking its own stream and
+// checked against its own model after every step, and the pool against
+// both. The lists draw from one universe of IDs with mostly fixed
+// attributes, so long runs of equal entries — shared chunks — form,
+// split and merge between them; the universe has a quarter of the usual
+// natural ends, so size-capped chunks form too. The other property tests
+// stay within a few chunks.
 func TestPeerListMatchesFlatModel(t *testing.T) {
 	rng := xrand.New(41)
-	var pl PeerList
-	var ref flatList
-	randID := func() nodeid.ID { return nodeid.ID{Hi: rng.Uint64(), Lo: rng.Uint64()} }
-	pick := func(freshShare int) wire.Pointer {
-		p := wire.Pointer{Addr: wire.Addr(1 + rng.Intn(1<<20)), ID: randID(), Level: uint8(rng.Intn(6)), Info: randomInfo(rng)}
-		if len(ref) > 0 && rng.Intn(100) >= freshShare {
-			p.ID = ref[rng.Intn(len(ref))].p.ID
+	universe := make([]wire.Pointer, 0, 6000)
+	for len(universe) < cap(universe) {
+		id := nodeid.ID{Hi: rng.Uint64(), Lo: rng.Uint64()}
+		if natural(id) && rng.Intn(4) > 0 {
+			continue
+		}
+		universe = append(universe, wire.Pointer{Addr: wire.Addr(1 + rng.Intn(1<<20)), ID: id, Level: uint8(rng.Intn(3))})
+	}
+	pool := NewChunkPool()
+	sides := []*sharedSide{{pl: &PeerList{pool: pool}}, {pl: &PeerList{pool: pool}}}
+	// pick draws a pointer for s: a universe member (fresh percent of the
+	// time) or one s holds, with its usual attributes nine times in ten.
+	pick := func(s *sharedSide, fresh int) wire.Pointer {
+		p := universe[rng.Intn(len(universe))]
+		if len(s.ref) > 0 && rng.Intn(100) >= fresh {
+			p = s.ref[rng.Intn(len(s.ref))].p
+		}
+		if rng.Intn(10) == 0 {
+			p.Level, p.Info = uint8(rng.Intn(6)), randomInfo(rng)
 		}
 		return p
 	}
-	growing, peak, leaves := true, 0, 0
+	growing, peak, chunks, shared := true, 0, 0, 0
 	step := 0
-	for ; growing || len(ref) > 0; step++ {
-		if step > 20000 {
-			t.Fatalf("no progress: %d entries after %d steps", len(ref), step)
+	for ; growing || len(sides[0].ref)+len(sides[1].ref) > 0; step++ {
+		if step > 40000 {
+			t.Fatalf("no progress: %d and %d entries after %d steps", len(sides[0].ref), len(sides[1].ref), step)
 		}
+		s := sides[rng.Intn(2)]
 		// Percent thresholds for upsert, merge and remove; the rest
 		// drops outside a prefix. Draining mostly removes.
 		op, ups, merges, removes, fresh := rng.Intn(100), 35, 70, 98, 70
@@ -503,7 +554,7 @@ func TestPeerListMatchesFlatModel(t *testing.T) {
 		var o listOp
 		switch {
 		case op < ups:
-			o = listOp{kind: "upsert", ptr: pick(fresh)}
+			o = listOp{kind: "upsert", ptr: pick(s, fresh)}
 		case op < merges:
 			size := rng.Intn(16)
 			if rng.Intn(4) == 0 {
@@ -511,26 +562,34 @@ func TestPeerListMatchesFlatModel(t *testing.T) {
 			}
 			batch := make([]wire.Pointer, 0, size)
 			for i := 0; i < size; i++ {
-				batch = append(batch, pick(fresh))
+				batch = append(batch, pick(s, fresh))
 			}
 			sort.Slice(batch, func(i, j int) bool { return batch[i].ID.Less(batch[j].ID) })
 			o = listOp{kind: "merge", batch: dedupSorted(batch)}
 		case op < removes:
-			o = listOp{kind: "remove", id: pick(10).ID}
+			o = listOp{kind: "remove", id: pick(s, 10).ID}
 		default:
-			anchor := pick(0).ID
+			anchor := pick(s, 0).ID
 			o = listOp{kind: "drop outside prefix", prefix: nodeid.EigenstringOf(anchor, 1+rng.Intn(2))}
 		}
-		applyAgainstFlat(t, &pl, &ref, o, des.Time(step), rng, step)
-		if len(ref) > 2000 {
+		applyAgainstFlat(t, s.pl, &s.ref, o, des.Time(step), rng, step)
+		for _, other := range sides {
+			if other != s {
+				checkAgainstFlat(t, other.pl, other.ref, rng, step, "the other list's "+o.kind)
+			}
+		}
+		shared = max(shared, checkShared(t, pool, sides, step))
+		if len(sides[0].ref) > 2000 && len(sides[1].ref) > 2000 {
 			growing = false
 		}
-		peak, leaves = max(peak, len(ref)), max(leaves, len(pl.dir))
+		peak = max(peak, len(sides[0].ref), len(sides[1].ref))
+		chunks = max(chunks, len(sides[0].pl.dir)+len(sides[1].pl.dir))
 	}
-	if peak <= 2000 || len(pl.dir) != 0 {
-		t.Fatalf("peak %d entries, %d leaves at the end", peak, len(pl.dir))
+	if peak <= 2000 || shared == 0 || len(sides[0].pl.dir)+len(sides[1].pl.dir) != 0 || pool.interned != 0 {
+		t.Fatalf("peak %d entries, %d chunks shared at most, %d chunks held and %d interned at the end",
+			peak, shared, len(sides[0].pl.dir)+len(sides[1].pl.dir), pool.interned)
 	}
-	t.Logf("%d operations, peak %d entries in %d leaves", step, peak, leaves)
+	t.Logf("%d operations, peak %d entries, %d chunks held and %d shared at most", step, peak, chunks, shared)
 }
 
 // dedupSorted keeps the first of each run of equal IDs in the sorted
@@ -639,17 +698,24 @@ func applyAgainstFlat(t *testing.T, pl *PeerList, ref *flatList, op listOp, now 
 	checkAgainstFlat(t, pl, *ref, rng, step, op.kind)
 }
 
+// fuzzMaxOps caps the operations FuzzPeerListOps decodes from one
+// input, so a long input costs no more than a short one; a batch holds
+// at most 255 pointers.
+const fuzzMaxOps = 64
+
 // FuzzPeerListOps decodes fuzzer bytes into Upsert, Remove,
-// DropOutsidePrefix and MergeSorted calls on one list, over a universe of
-// 256 IDs spread across the ring, and checks each with applyAgainstFlat.
-// A merge batch is sorted, left in byte order, or sorted with its
-// duplicate IDs kept (the shape applyPointers hands over for a malformed
-// download), so every MergeSorted path runs, into empty lists and held
-// ones.
+// DropOutsidePrefix and MergeSorted calls on two lists sharing one chunk
+// pool, over a universe of 256 IDs spread across the ring, and checks
+// each with applyAgainstFlat, the other list against its own model, and
+// the pool against both. A merge batch is sorted, left in byte order, or
+// sorted with its duplicate IDs kept (the shape applyPointers hands over
+// for a malformed download), so every MergeSorted path runs, into empty
+// lists and held ones.
 //
-// Encoding: an op byte c picks the operation by c%4 and carries a
-// variant in c>>2; an ID is one byte, and an upsert or batch pointer is
-// an ID byte then an attribute byte (address, level, info).
+// Encoding: an op byte c picks the operation by c%4, carries a variant
+// in c>>2, and sends it by c>>6 to the first list (0, 1), the second (2)
+// or both (3); an ID is one byte, and an upsert or batch pointer is an
+// ID byte then an attribute byte (address, level, info).
 func FuzzPeerListOps(f *testing.F) {
 	ptrs := func(ids ...int) []byte {
 		var out []byte
@@ -679,6 +745,11 @@ func FuzzPeerListOps(f *testing.F) {
 	f.Add(seed)
 	f.Add(append([]byte{7, 4}, ptrs(5, 1, 5, 3)...))
 	f.Add(append([]byte{11, 3, 0, 64}, append(ptrs(128, 128), 2, 0, 3, 0)...))
+	// The same download into both lists, then removes and an upsert that
+	// split and change their shared chunks one list at a time.
+	both := append([]byte{0xc3, 250}, ptrs(span(0, 250, 1)...)...)
+	both = append(both, 1, 17, 0x81, 33, 0, 90, 7, 0x80, 90, 8, 0x82, 1, 64)
+	f.Add(both)
 	infos := [][]byte{nil, {}, []byte("cpu=4"), []byte("cpu=8,disk=1")}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		next := func() byte {
@@ -696,12 +767,13 @@ func FuzzPeerListOps(f *testing.F) {
 			p.Addr, p.Level, p.Info = wire.Addr(attr), attr%6, infos[attr>>6]
 			return p
 		}
-		var pl PeerList
-		var ref flatList
+		pool := NewChunkPool()
+		sides := []*sharedSide{{pl: &PeerList{pool: pool}}, {pl: &PeerList{pool: pool}}}
 		rng := xrand.New(1)
-		for step := 0; len(data) > 0; step++ {
+		for step := 0; len(data) > 0 && step < fuzzMaxOps; step++ {
 			var op listOp
-			switch c := next(); c % 4 {
+			c := next()
+			switch c % 4 {
 			case 0:
 				op = listOp{kind: "upsert", ptr: ptr()}
 			case 1:
@@ -722,7 +794,24 @@ func FuzzPeerListOps(f *testing.F) {
 				}
 				op = listOp{kind: "merge", batch: batch}
 			}
-			applyAgainstFlat(t, &pl, &ref, op, des.Time(step), rng, step)
+			to := sides[:1]
+			switch c >> 6 {
+			case 2:
+				to = sides[1:]
+			case 3:
+				to = sides
+			}
+			for _, s := range to {
+				applyAgainstFlat(t, s.pl, &s.ref, op, des.Time(step), rng, step)
+			}
+			if len(to) == 1 {
+				other := sides[0]
+				if to[0] == other {
+					other = sides[1]
+				}
+				checkAgainstFlat(t, other.pl, other.ref, rng, step, "the other list's "+op.kind)
+			}
+			checkShared(t, pool, sides, step)
 		}
 	})
 }

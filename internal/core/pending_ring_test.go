@@ -33,8 +33,8 @@ const maxTestRing = 1 << 12
 // runPendingRingOps decodes ops into operations on one node and checks
 // each against the model. An op byte c picks the operation by c%5 and
 // carries a variant in c>>3; the next byte, where one is needed, is its
-// argument.
-func runPendingRingOps(t *testing.T, ops []byte) {
+// argument. It runs at most maxOps operations.
+func runPendingRingOps(t *testing.T, ops []byte, maxOps int) {
 	t.Helper()
 	next := func() byte {
 		if len(ops) == 0 {
@@ -93,7 +93,7 @@ func runPendingRingOps(t *testing.T, ops []byte) {
 		return ids[int(b)%len(ids)]
 	}
 
-	for step := 0; len(ops) > 0; step++ {
+	for step := 0; len(ops) > 0 && step < maxOps; step++ {
 		c := next()
 		switch c % 5 {
 		case 0, 1: // arm a send with 1–4 attempts
@@ -199,11 +199,18 @@ func TestPendingRingMatchesMapModel(t *testing.T) {
 		for i := range ops {
 			ops[i] = byte(rng.Uint64())
 		}
-		runPendingRingOps(t, ops)
+		runPendingRingOps(t, ops, len(ops))
 	}
 }
 
-// FuzzPendingRing runs runPendingRingOps on fuzzer bytes.
+// fuzzMaxRingOps caps the operations FuzzPendingRing decodes from one
+// input: every step rechecks each send finished so far, so an input's
+// cost grows with the square of its length, and an uncapped long input
+// costs what thousands of short ones do.
+const fuzzMaxRingOps = 128
+
+// FuzzPendingRing runs runPendingRingOps on fuzzer bytes, at most
+// fuzzMaxRingOps operations of them.
 func FuzzPendingRing(f *testing.F) {
 	// Sends held while ids jump by ring lengths (growth), acks of live,
 	// finished and future ids, time-outs, and a final stop.
@@ -211,9 +218,6 @@ func FuzzPendingRing(f *testing.F) {
 	f.Add([]byte{24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 3, 40, 2, 8, 1})
 	f.Add([]byte{0, 12, 1, 0, 12, 1, 0, 12, 1, 2, 0, 2, 0, 2, 8, 3, 255, 3, 255})
 	f.Fuzz(func(t *testing.T, ops []byte) {
-		if len(ops) > 1024 {
-			ops = ops[:1024]
-		}
-		runPendingRingOps(t, ops)
+		runPendingRingOps(t, ops, fuzzMaxRingOps)
 	})
 }

@@ -46,15 +46,15 @@ func (n *Node) onRefreshTick() {
 	var deadline [nodeid.Bits + 1]des.Time
 	var known [nodeid.Bits + 1]bool
 	var expired []nodeid.ID
-	n.peers.walk(0, n.peers.Len(), func(s *peerSlot) {
-		if !known[s.level] {
-			known[s.level] = true
-			if lt := n.lifetimeEstimate(int(s.level)); lt > 0 {
-				deadline[s.level] = des.Time(expireMultiple * float64(lt))
+	n.peers.walk(0, n.peers.Len(), func(e *entry, s *stamp) {
+		if !known[e.level] {
+			known[e.level] = true
+			if lt := n.lifetimeEstimate(int(e.level)); lt > 0 {
+				deadline[e.level] = des.Time(expireMultiple * float64(lt))
 			}
 		}
-		if d := deadline[s.level]; d > 0 && now-s.lastSeen > d {
-			expired = append(expired, s.id)
+		if d := deadline[e.level]; d > 0 && now-s.lastSeen > d {
+			expired = append(expired, e.id)
 		}
 	})
 	for _, id := range expired {

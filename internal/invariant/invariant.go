@@ -12,9 +12,10 @@ import (
 // Enabled reports whether deep invariant checking is compiled in.
 const Enabled = true
 
-// checks counts Check calls; atomic because shard.RunParallel may drive
-// several independent engines at once.
-var checks atomic.Uint64
+// checks counts Check calls and poolChecks CheckPool calls; atomic
+// because shard.RunParallel may drive several independent engines at
+// once.
+var checks, poolChecks atomic.Uint64
 
 // Check panics when n violates a protocol invariant. It is called from
 // the simulation harness after every applied event, so the panic's stack
@@ -30,3 +31,17 @@ func Check(n *core.Node) {
 // Checks returns how many invariant checks have run in this process —
 // tests assert it is non-zero to prove the hooks actually fired.
 func Checks() uint64 { return checks.Load() }
+
+// CheckPool panics when pool violates a chunk-pool invariant; lists must
+// be every peer list the pool serves. The simulation harness calls it
+// at the end of each run interval, as a full recount costs one pass over
+// every list.
+func CheckPool(pool *core.ChunkPool, lists []*core.PeerList) {
+	poolChecks.Add(1)
+	if err := pool.CheckInvariants(lists); err != nil {
+		panic(fmt.Sprintf("pwinvariants: chunk pool: %v", err))
+	}
+}
+
+// PoolChecks returns how many chunk-pool checks have run in this process.
+func PoolChecks() uint64 { return poolChecks.Load() }

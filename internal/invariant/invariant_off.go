@@ -11,5 +11,11 @@ const Enabled = false
 // calls the simulation harness makes.
 func Check(n *core.Node) {}
 
+// CheckPool is a no-op under the default build.
+func CheckPool(pool *core.ChunkPool, lists []*core.PeerList) {}
+
 // Checks returns 0 under the default build.
 func Checks() uint64 { return 0 }
+
+// PoolChecks returns 0 under the default build.
+func PoolChecks() uint64 { return 0 }

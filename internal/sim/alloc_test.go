@@ -80,10 +80,13 @@ func TestClusterSteadyStateAllocBudget(t *testing.T) {
 // TestClusterHeapPerHeldPointer guards the peer-list footprint, the
 // memory cost that grows as O(N) per node: after a seeded 1,000-node warm
 // start (the cluster_churn benchmark shape), the live heap divided by
-// the pointers held across all peer lists must stay at or below 64 B. A
-// stored slot is 48 B with the pointer's info out of line; the rest is
-// append's geometric slack and the per-node state spread over ~1,000
-// pointers each. Slots holding a full wire.Pointer measured 80 B here.
+// the pointers held across all peer lists must stay at or below 30 B. A
+// held pointer costs its node 16 B of stamps; the 32 B shared entry is
+// stored once per cluster for all the nodes whose lists agree on its
+// chunk; the rest is the chunk directory, leaf slack and the per-node
+// state spread over ~1,000 pointers each. Slots holding a full
+// wire.Pointer measured 80 B here, 48-byte slots 58.8 B, and shared
+// chunks measure 28.2 B.
 func TestClusterHeapPerHeldPointer(t *testing.T) {
 	var before, after runtime.MemStats
 	runtime.GC()
@@ -100,8 +103,8 @@ func TestClusterHeapPerHeldPointer(t *testing.T) {
 	runtime.KeepAlive(c)
 	perPtr := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(held)
 	t.Logf("%d pointers held, %.1f B of heap per pointer", held, perPtr)
-	if perPtr > 64 {
-		t.Errorf("%.1f B of heap per held pointer, budget 64", perPtr)
+	if perPtr > 30 {
+		t.Errorf("%.1f B of heap per held pointer, budget 30", perPtr)
 	}
 }
 
@@ -110,10 +113,11 @@ func TestClusterHeapPerHeldPointer(t *testing.T) {
 // then Gnutella churn for 2 + 6 virtual minutes, heap divided by the
 // pointers the live nodes hold. Churn is what inflates peer-list
 // storage — leaves that split and never refill, leaves kept for reuse,
-// halves shed at a level shift — so a layout can pass the warm-start
-// guard and still grow the live heap under churn. A single sorted slice
-// per list measured 90.0 B here; leaves built 15/16 full measure 93.9 B,
-// and leaves filled to 3/4 measure 108 B.
+// halves shed at a level shift, chunks that stop being shared — so a
+// layout can pass the warm-start guard and still grow the live heap
+// under churn. A single sorted slice per list measured 90.0 B here;
+// 48-byte slots in leaves built 15/16 full 93.9 B, and in leaves filled
+// to 3/4 108 B; shared chunks with per-node stamp leaves measure 59.7 B.
 func TestClusterHeapPerHeldPointerAfterChurn(t *testing.T) {
 	if testing.Short() || invariant.Enabled {
 		t.Skip("eight virtual minutes of a 1,000-node cluster; the checker re-validates every node per event")
@@ -138,7 +142,7 @@ func TestClusterHeapPerHeldPointerAfterChurn(t *testing.T) {
 	runtime.KeepAlive(c)
 	perPtr := float64(int64(after.HeapAlloc)-int64(before.HeapAlloc)) / float64(held)
 	t.Logf("%d pointers held, %.1f B of heap per pointer", held, perPtr)
-	if perPtr > 96 {
-		t.Errorf("%.1f B of heap per held pointer after churn, budget 96", perPtr)
+	if perPtr > 62 {
+		t.Errorf("%.1f B of heap per held pointer after churn, budget 62", perPtr)
 	}
 }

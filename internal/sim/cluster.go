@@ -131,6 +131,12 @@ type Cluster struct {
 	// reports whether it accepted the message.
 	route func(sn *SimNode, msg wire.Message, key uint64) bool
 
+	// pool stores the peer lists of every node in the cluster (see
+	// core.ChunkPool): nodes whose eigenstrings agree hold the same runs
+	// of entries, and the pool keeps each run once. A cluster runs on one
+	// goroutine, so a ShardedCluster shard has a pool of its own.
+	pool *core.ChunkPool
+
 	// onAddNode observes every node the moment it is added — the hook
 	// the telemetry tap (telemetry.go) uses to attach exporters to nodes
 	// created after ExportTelemetry was called.
@@ -181,6 +187,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		SentByType:  make(map[wire.MsgType]uint64),
 		netReg:      netReg,
 		unknownDest: netReg.Counter(metrics.MetricNetSendUnknownDest),
+		pool:        core.NewChunkPool(),
 	}
 }
 
@@ -373,6 +380,20 @@ func (c *Cluster) SyncTruth() {
 func (c *Cluster) Run(d des.Time) {
 	c.Engine.Run(c.Engine.Now() + d)
 	c.SyncTruth()
+	if invariant.Enabled {
+		c.checkPool()
+	}
+}
+
+// checkPool runs the chunk pool's invariant check against the peer list
+// of every node ever added, dead ones included: a crashed node keeps its
+// list, and with it its holds on the pool's chunks.
+func (c *Cluster) checkPool() {
+	lists := make([]*core.PeerList, len(c.nodes))
+	for i, sn := range c.nodes {
+		lists[i] = sn.Node.Peers()
+	}
+	invariant.CheckPool(c.pool, lists)
 }
 
 // QuiescentWithin reports whether no live event is scheduled within the
@@ -405,6 +426,10 @@ func (sn *SimNode) Now() des.Time { return sn.c.Engine.Now() }
 
 // Rand implements core.Env.
 func (sn *SimNode) Rand() *xrand.Source { return sn.rng }
+
+// ChunkPool implements core.ChunkPooler: every node of a cluster stores
+// its peer list in the cluster's pool.
+func (sn *SimNode) ChunkPool() *core.ChunkPool { return sn.c.pool }
 
 // Send implements core.Env: account, maybe drop, and deliver after the
 // topology latency if the destination is still alive then.

@@ -7,6 +7,7 @@ import (
 
 	"peerwindow/internal/core"
 	"peerwindow/internal/des"
+	"peerwindow/internal/invariant"
 	"peerwindow/internal/nodeid"
 	"peerwindow/internal/oracle"
 	"peerwindow/internal/shard"
@@ -216,6 +217,9 @@ func (sc *ShardedCluster) Run(d des.Time) {
 	sc.driver.Run(sc.Now() + d)
 	for _, sub := range sc.shards {
 		sub.SyncTruth()
+		if invariant.Enabled {
+			sub.checkPool()
+		}
 	}
 }
 
