@@ -33,8 +33,8 @@ func startTelemetry(addr string, interval time.Duration, name string, n *transpo
 	}
 
 	// Each frame is one datagram. A full socket buffer (or a transient
-	// network error) reports back as a refused frame, so the exporter
-	// re-buffers the deltas instead of losing them.
+	// network error) reports back as a refused frame, and the next flush
+	// carries its deltas instead of losing them.
 	sink := telemetry.SinkFunc(func(b []byte) error {
 		_, err := conn.Write(b)
 		return err

@@ -164,7 +164,7 @@ func externalFact(key funcKey, k factKind) bool {
 // engineScheduleFuncs are the des.Engine methods that put an event on
 // the queue.
 var engineScheduleFuncs = map[string]bool{
-	"At": true, "AtTag": true, "AtKey": true, "After": true, "AfterTag": true,
+	"At": true, "AtKey": true, "After": true, "AfterTag": true,
 }
 
 // orderSensitiveCallee reports whether key is one of the primitives

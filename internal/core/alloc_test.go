@@ -78,7 +78,7 @@ func TestMergeSortedUpdateOnlyDoesNotAllocate(t *testing.T) {
 // shared chunk), a remove and a re-insert on two lists sharing every
 // chunk allocate nothing.
 func TestSharedChunkEditsDoNotAllocate(t *testing.T) {
-	pool := NewChunkPool()
+	pool := &ChunkPool{}
 	a, b := &PeerList{pool: pool}, &PeerList{pool: pool}
 	_, ps := allocList(512)
 	a.MergeSorted(ps, 0, nil, nil)

@@ -46,7 +46,7 @@ func benchSortedPointers(n, maxLevel int, rng *xrand.Source) []wire.Pointer {
 // clone deep-copies the list so each benchmark iteration starts from
 // the same warm state.
 func (pl *PeerList) clone() *PeerList {
-	cp := &PeerList{info: maps.Clone(pl.info), levels: pl.levels}
+	cp := &PeerList{info: maps.Clone(pl.info)}
 	p := cp.writer()
 	pl.walk(0, pl.Len(), func(e *entry, _ *stamp) { p.e = append(p.e, *e) })
 	cp.recut(0, 0)

@@ -39,8 +39,6 @@ const (
 	// chunkBatch is how many chunks a pool miss allocates at once: 4
 	// chunks fill 8 KB, a whole allocation size class.
 	chunkBatch = 4
-	// minBuckets is the size a shared pool's index starts at (8 KB).
-	minBuckets = 1 << 10
 )
 
 // natural reports whether a chunk ends after the entry with this ID. The
@@ -69,7 +67,7 @@ type chunk struct {
 	// the free list while released. It comes first so the collector
 	// scans one word of the chunk.
 	next *chunk
-	hash uint64 // hashEntries(e[:n]) in a shared pool, 0 otherwise
+	hash uint64 // hashEntries(e[:n]), the hash it is interned under
 	n    int32
 	refs int32 // lists holding the chunk; 0 on the free list
 	e    [chunkCap]entry
@@ -93,10 +91,10 @@ func (c *chunk) holds(es []entry) bool {
 	return true
 }
 
-// hashEntries is the content hash a shared pool interns a chunk under:
-// the sum of its entries' hashes, so replacing one entry updates it in
-// O(1) (see ChunkPool.rehash). Entries are in ID order, so the sum loses
-// nothing a position would add.
+// hashEntries is the content hash a pool interns a chunk under: the sum
+// of its entries' hashes, so replacing one entry updates it in O(1) (see
+// rehash). Entries are in ID order, so the sum loses nothing a position
+// would add.
 func hashEntries(es []entry) uint64 {
 	var h uint64
 	for i := range es {
@@ -117,30 +115,26 @@ func entryHash(e *entry) uint64 {
 	return h ^ h>>32
 }
 
-// ChunkPool stores peer-list chunks for the lists that share it. A pool
-// made by NewChunkPool interns chunks by content hash and counts the
-// lists holding each, so a run of entries that many nodes agree on is
-// stored once; a change to a held chunk never writes to it, but looks
-// up the new content, shares a match or publishes a chunk taken from the
-// free list, and releases the old one, which returns to the free list
-// when no list holds it, so a warm pool serves edits without
-// allocating. Each list keeps its stamps (the per-node part) itself.
+// ChunkPool stores peer-list chunks for the lists that share it. It
+// interns chunks by content hash and counts the lists holding each, so a
+// run of entries that many nodes agree on is stored once; a change to a
+// held chunk never writes to it, but looks up the new content, shares a
+// match or publishes a chunk taken from the free list, and releases the
+// old one, which returns to the free list when no list holds it, so a
+// warm pool serves edits without allocating. Each list keeps its stamps
+// (the per-node part) itself. A pool that serves one list (a live
+// host's, a standalone one) finds no match for an edited chunk and takes
+// back the chunk the edit has just released.
 //
-// A list that no pool was given (a live host's, a standalone one) makes
-// a private pool at its first write: its chunks are its own, counted
-// once, and an edit rewrites them in place, taking back the chunk it has
-// just released.
-//
-// A pool is not safe for concurrent use: every list sharing one must be
-// driven from one goroutine, as one simulator cluster (or one shard of a
-// sharded cluster) is.
+// The zero ChunkPool is empty and ready to use. A pool is not safe for
+// concurrent use: every list sharing one must be driven from one
+// goroutine, as one simulator cluster (or one shard of a sharded
+// cluster) is.
 type ChunkPool struct {
-	// shared says the pool interns chunks; a private pool does not.
-	shared bool
 	// index is a hash table of the interned chunks: bucket b chains,
 	// through chunk.next, the chunks whose hash's low bits are b, and
-	// interned counts them. It doubles when the chunks would outnumber
-	// the buckets.
+	// interned counts them. It starts empty and doubles when the chunks
+	// would outnumber the buckets.
 	index    []*chunk
 	interned int
 	// free lists released chunks, chained through chunk.next.
@@ -151,27 +145,10 @@ type ChunkPool struct {
 	out []chunkRef
 }
 
-// NewChunkPool returns an empty shared pool.
-func NewChunkPool() *ChunkPool {
-	return &ChunkPool{shared: true, index: make([]*chunk, minBuckets)}
-}
-
-// hash returns the hash a chunk of es is interned under: hashEntries in
-// a shared pool, 0 in a private one.
-func (p *ChunkPool) hash(es []entry) uint64 {
-	if !p.shared {
-		return 0
-	}
-	return hashEntries(es)
-}
-
 // rehash returns hash h of a chunk's content with entry out, if any,
 // taken out and entry in, if any, put in, without reading the rest of
-// the content: 0 in a private pool, like hash.
-func (p *ChunkPool) rehash(h uint64, out, in *entry) uint64 {
-	if !p.shared {
-		return 0
-	}
+// the content.
+func rehash(h uint64, out, in *entry) uint64 {
 	if out != nil {
 		h -= entryHash(out)
 	}
@@ -181,13 +158,13 @@ func (p *ChunkPool) rehash(h uint64, out, in *entry) uint64 {
 	return h
 }
 
-// intern returns a chunk holding es, whose hash (see ChunkPool.hash) is
-// h, which the caller now holds: the interned one when a shared pool has
-// it, else one from the free list.
+// intern returns a chunk holding es, whose hash (see hashEntries) is h,
+// which the caller now holds: the interned one when the pool has it,
+// else one from the free list.
 //
 //pwlint:noalloc
 func (p *ChunkPool) intern(es []entry, h uint64) *chunk {
-	if p.shared {
+	if p.interned > 0 {
 		for c := p.index[h&uint64(len(p.index)-1)]; c != nil; c = c.next {
 			if c.hash == h && c.holds(es) {
 				c.refs++
@@ -201,10 +178,8 @@ func (p *ChunkPool) intern(es []entry, h uint64) *chunk {
 	c := p.free
 	p.free = c.next
 	copy(c.e[:], es)
-	c.n, c.refs, c.hash, c.next = int32(len(es)), 1, h, nil
-	if p.shared {
-		p.link(c)
-	}
+	c.n, c.refs, c.hash = int32(len(es)), 1, h
+	p.link(c)
 	return c
 }
 
@@ -220,10 +195,11 @@ func (p *ChunkPool) link(c *chunk) {
 	c.next, *b = *b, c
 }
 
-// grow doubles the index and rechains every interned chunk.
+// grow doubles the index, from one bucket when it is empty, and rechains
+// every interned chunk.
 func (p *ChunkPool) grow() {
 	old := p.index
-	p.index = make([]*chunk, 2*len(old))
+	p.index = make([]*chunk, max(2*len(old), 1))
 	mask := uint64(len(p.index) - 1)
 	for _, c := range old {
 		for c != nil {
@@ -252,9 +228,7 @@ func (p *ChunkPool) release(c *chunk) {
 	if c.refs--; c.refs > 0 {
 		return
 	}
-	if p.shared {
-		p.unlink(c)
-	}
+	p.unlink(c)
 	c.next, p.free = p.free, c
 }
 

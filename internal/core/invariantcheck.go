@@ -24,27 +24,23 @@ import (
 //   - IDs ascend across chunk boundaries;
 //   - entries are in strictly ascending ID order (sorted, no duplicates);
 //   - every entry's level is within [0, nodeid.Bits];
-//   - the cached per-level histogram matches a recount;
 //   - the info table holds exactly the IDs whose entry is flagged as
 //     carrying info, each with a non-empty value;
-//   - every chunk is held in the list's pool: interned under its content
-//     hash with a non-zero count in a shared pool, counted once in a
-//     private one;
 //   - the stamps are one per entry, in leaves that keep the rules of
-//     stampSeq.check.
+//     stampSeq.check;
+//   - every chunk is held in the list's pool: interned under its content
+//     hash with a non-zero count. This clause runs last, because an
+//     entry written in place also breaks the hash, and the clauses above
+//     name the fault more closely.
 //
 // It returns nil when the list is consistent and a descriptive error for
 // the first violation found.
 func (pl *PeerList) CheckInvariants() error {
-	var levels [nodeid.Bits + 1]int32
 	end, flagged := int32(0), 0
 	var prev *entry
 	for k := range pl.dir {
 		r := &pl.dir[k]
 		if err := checkChunk(r.c, k == len(pl.dir)-1); err != nil {
-			return fmt.Errorf("chunk %d: %w", k, err)
-		}
-		if err := pl.pool.checkHeld(r.c); err != nil {
 			return fmt.Errorf("chunk %d: %w", k, err)
 		}
 		n := int(r.c.n)
@@ -64,11 +60,9 @@ func (pl *PeerList) CheckInvariants() error {
 				return fmt.Errorf("peer list unsorted at chunk %d entry %d: %v is not above %v", k, j, e.id, prev.id)
 			}
 			prev = e
-			l := int(e.level)
-			if l >= len(levels) {
-				return fmt.Errorf("peer %v has level %d beyond nodeid.Bits", e.id, l)
+			if int(e.level) > nodeid.Bits {
+				return fmt.Errorf("peer %v has level %d beyond nodeid.Bits", e.id, e.level)
 			}
-			levels[l]++
 			if e.hasInfo {
 				flagged++
 				if len(pl.info[e.id]) == 0 {
@@ -86,10 +80,9 @@ func (pl *PeerList) CheckInvariants() error {
 	if n := pl.stamps.len(); n != int(end) {
 		return fmt.Errorf("%d stamps for %d entries", n, end)
 	}
-	for l := range levels {
-		if levels[l] != pl.levels[l] {
-			return fmt.Errorf("level histogram drift at level %d: counted %d, cached %d",
-				l, levels[l], pl.levels[l])
+	for k := range pl.dir {
+		if err := pl.pool.checkHeld(pl.dir[k].c); err != nil {
+			return fmt.Errorf("chunk %d: %w", k, err)
 		}
 	}
 	return nil
@@ -140,32 +133,28 @@ func checkChunk(c *chunk, last bool) error {
 	return nil
 }
 
-// checkHeld verifies that a list of this pool may hold c: a shared pool
-// interns it under its content hash with a non-zero count, a private
-// one counts it once.
+// checkHeld verifies that a list of this pool may hold c: the pool
+// interns it under its content hash with a non-zero count.
 func (p *ChunkPool) checkHeld(c *chunk) error {
 	switch {
 	case p == nil:
 		return fmt.Errorf("held by a list without a pool")
-	case !p.shared:
-		if c.refs != 1 {
-			return fmt.Errorf("privately owned chunk counts %d holders", c.refs)
-		}
-		return nil
 	case c.refs <= 0:
 		return fmt.Errorf("held with a count of %d", c.refs)
 	case hashEntries(c.entries()) != c.hash:
 		return fmt.Errorf("content hashes to %#x, interned under %#x", hashEntries(c.entries()), c.hash)
 	}
-	for q := p.index[c.hash&uint64(len(p.index)-1)]; q != nil; q = q.next {
-		if q == c {
-			return nil
+	if len(p.index) > 0 {
+		for q := p.index[c.hash&uint64(len(p.index)-1)]; q != nil; q = q.next {
+			if q == c {
+				return nil
+			}
 		}
 	}
 	return fmt.Errorf("not interned under its hash %#x", c.hash)
 }
 
-// CheckInvariants verifies a shared pool against lists, which must be
+// CheckInvariants verifies a pool against lists, which must be
 // every list the pool serves:
 //
 //   - every interned chunk is cut by the content rule (see checkChunk,

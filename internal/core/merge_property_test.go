@@ -12,7 +12,7 @@ import (
 
 // Property tests for the bulk-merge path: MergeSorted must be
 // observationally identical to applying the same batch through repeated
-// Upsert — entries, order, levels histogram, firstSeen/lastSeen — on
+// Upsert — entries, order, levels, firstSeen/lastSeen — on
 // random batches including empty, disjoint, fully-overlapping, and
 // duplicate-carrying ones. TestPeerListInfoMatchesModel follows pointer
 // info through every mutator against a plain map model.
@@ -29,7 +29,7 @@ func randomPointer(rng *xrand.Source, universe []nodeid.ID) wire.Pointer {
 }
 
 // assertEqualLists fails unless the two lists agree on every observable:
-// entry sequence, pointer payloads, timestamps, histogram, and the
+// entry sequence, pointer payloads, timestamps, and the
 // Strongest/MinLevel answers.
 func assertEqualLists(t *testing.T, got, want *PeerList, round int) {
 	t.Helper()
@@ -52,10 +52,6 @@ func assertEqualLists(t *testing.T, got, want *PeerList, round int) {
 		}
 		i++
 	})
-	if got.levels != want.levels {
-		t.Fatalf("round %d: levels histogram diverged\n got %v\nwant %v",
-			round, got.levels, want.levels)
-	}
 	gs, gok := got.Strongest()
 	ws, wok := want.Strongest()
 	if gok != wok || (gok && !gs.Equal(ws)) {
@@ -152,14 +148,13 @@ func TestMergeSortedEmptyAndDisjointBatches(t *testing.T) {
 	}
 }
 
-// naiveStrongest is the seed implementation: full scan for the first
-// entry at the minimum level.
+// naiveStrongest is the seed implementation: one full scan for the
+// minimum level, another for the first entry at it.
 func naiveStrongest(pl *PeerList) (wire.Pointer, bool) {
 	min := -1
-	for l := range pl.levels {
-		if pl.levels[l] > 0 {
+	for i := 0; i < pl.Len(); i++ {
+		if l := int(pl.At(i).Level); min < 0 || l < min {
 			min = l
-			break
 		}
 	}
 	if min < 0 {

@@ -93,9 +93,14 @@ func (n *Node) forwardEvent(ev wire.Event, fromStep int, tid wire.TraceID) {
 }
 
 // sendStep picks the strongest candidate for step s (excluding already
-// failed targets) and forwards the event to it: the redirect path.
+// failed targets) and forwards the event to it: the redirect path. The
+// candidates share the first s bits of our ID and differ at bit s.
 func (n *Node) sendStep(ev wire.Event, s int, tid wire.TraceID, failed map[nodeid.ID]bool) {
-	if target, ok := n.peers.StrongestForStep(n.self.ID, s, ev.Subject.ID, failed, n.env.Rand()); ok {
+	if s >= nodeid.Bits {
+		return
+	}
+	lo, hi := n.peers.prefixRange(nodeid.EigenstringOf(n.self.ID.FlipBit(s), s+1))
+	if target, ok := n.peers.strongestIn(lo, hi, ev.Subject.ID, failed, n.env.Rand()); ok {
 		n.forwardTo(target, ev, s, tid, failed)
 	}
 }

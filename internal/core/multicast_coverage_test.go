@@ -16,8 +16,9 @@ import (
 //
 // The abstraction mirrors the protocol exactly: each informed node, with
 // a peer list containing every member matching its own eigenstring, runs
-// StrongestForStep for steps s = level(self)…127 and "sends" to the
-// chosen targets; targets recurse from their own level upward.
+// forwardEvent's target rule (prefixRange, then splitStep and
+// strongestIn) for steps s = level(self)…127 and "sends" to the chosen
+// targets; targets recurse from their own level upward.
 func TestTreeMulticastCoversArbitraryConfigurations(t *testing.T) {
 	rng := xrand.New(777)
 	for trial := 0; trial < 60; trial++ {
@@ -78,12 +79,12 @@ func TestTreeMulticastCoversArbitraryConfigurations(t *testing.T) {
 		// step s+1.
 		var disseminate func(i, fromStep int)
 		disseminate = func(i, fromStep int) {
-			self := members[i]
-			for s := fromStep; s < nodeid.Bits; s++ {
-				if lists[i].CountInPrefix(nodeid.EigenstringOf(self.ID, s)) == 0 {
-					break
-				}
-				target, ok := lists[i].StrongestForStep(self.ID, s, subject.ID, nil, rng)
+			self, pl := members[i], &lists[i]
+			lo, hi := pl.prefixRange(nodeid.EigenstringOf(self.ID, fromStep))
+			for s := fromStep; s < nodeid.Bits && lo < hi; s++ {
+				var candLo, candHi int
+				candLo, candHi, lo, hi = pl.splitStep(self.ID, s, lo, hi)
+				target, ok := pl.strongestIn(candLo, candHi, subject.ID, nil, rng)
 				if !ok {
 					continue
 				}

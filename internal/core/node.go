@@ -570,8 +570,8 @@ func (n *Node) mergeTopPointers(ps []wire.Pointer) {
 // into the peer list through the bulk-merge path: filter (never hold our
 // own pointer or one outside our responsibility region), sort, and
 // MergeSorted, which builds an empty list in one pass and otherwise
-// updates held entries in place before inserting any new ones. It
-// returns the number of pointers added.
+// updates or inserts entry by entry. It returns the number of pointers
+// added.
 func (n *Node) applyPointers(ps []wire.Pointer) int {
 	if len(ps) == 0 {
 		return 0
@@ -586,8 +586,8 @@ func (n *Node) applyPointers(ps []wire.Pointer) int {
 		return 0
 	}
 	// Stable sort so a (malformed) batch repeating an ID keeps its last
-	// occurrence winning, as repeated Upsert would; MergeSorted detects
-	// the duplicate and falls back to exactly that.
+	// occurrence winning, as repeated Upsert would, which is what
+	// MergeSorted does with it.
 	sort.SliceStable(batch, func(i, j int) bool { return batch[i].ID.Less(batch[j].ID) })
 	var onNew func(wire.Pointer)
 	var onUpdate func(old, new wire.Pointer)

@@ -31,8 +31,8 @@ type chunkRef struct {
 // content-defined chunks of shared entries (see ChunkPool), and the
 // list's own timestamps, in the same order, in leaves of its own (see
 // stampSeq), so an insert or a remove rewrites one chunk and moves one
-// leaf instead of the whole list; global indices (At,
-// StrongestForStep's rotation) count entries in ID order across chunks.
+// leaf instead of the whole list; global indices (At, strongestIn's
+// rotation) count entries in ID order across chunks.
 // The zero PeerList is empty and ready to use. It is not safe for
 // concurrent use; the owning Node serializes access.
 type PeerList struct {
@@ -42,25 +42,22 @@ type PeerList struct {
 	dir []chunkRef
 	// stamps holds one stamp per entry, in the same order.
 	stamps stampSeq
-	// pool stores the chunks: the one a node's Env shares, or a private
-	// one made at the first write.
+	// pool stores the chunks: the one a node's Env shares, or one the
+	// list makes at its first write.
 	pool *ChunkPool
 	// info holds the non-empty Info of exactly the entries flagged
 	// hasInfo, keyed by ID. It stays nil until a held pointer carries
 	// info.
 	info map[nodeid.ID][]byte
-	// levels counts entries per level so MinLevel — the "is there anyone
-	// stronger than me" question behind top-node checks — is O(1).
-	levels [nodeid.Bits + 1]int32
 }
 
-// writer returns the pool the list's edits go through, making a private
-// one on the first write to a list no pool was given.
+// writer returns the pool the list's edits go through, making one on the
+// first write to a list no pool was given.
 //
 //pwlint:noalloc
 func (pl *PeerList) writer() *ChunkPool {
 	if pl.pool == nil {
-		pl.pool = &ChunkPool{} //pwlint:allow noalloc a standalone list's first write makes its private pool
+		pl.pool = &ChunkPool{} //pwlint:allow noalloc a list no Env gave a pool makes its own at its first write
 	}
 	return pl.pool
 }
@@ -229,7 +226,7 @@ func (pl *PeerList) recut(k, m int) {
 			}
 			to := from + n
 			piece := p.e[from:to]
-			out = append(out, chunkRef{c: p.intern(piece, p.hash(piece)), n: int32(n), last: p.e[to-1].id})
+			out = append(out, chunkRef{c: p.intern(piece, hashEntries(piece)), n: int32(n), last: p.e[to-1].id})
 			from = to
 		}
 		if from == len(p.e) {
@@ -283,14 +280,15 @@ func (pl *PeerList) settle(k int, h uint64, delta int32) {
 	}
 }
 
-// insert puts e, first seen at now, at position j of chunk k, where
-// locate placed its ID. The cut points stay when e lands inside a chunk
+// insert puts q, first seen at now, at position j of chunk k, where
+// locate placed its ID. The cut points stay when q lands inside a chunk
 // with room and is no natural end, or extends an open last chunk;
 // otherwise recut finds the new ones.
 //
 //pwlint:noalloc
-func (pl *PeerList) insert(k, j int, e entry, now des.Time) {
-	p := pl.writer()
+func (pl *PeerList) insert(k, j int, q wire.Pointer, now des.Time) {
+	p, e := pl.writer(), entryOf(q)
+	pl.storeInfo(q, false)
 	if len(pl.dir) == 0 {
 		p.e = append(p.e, e)
 		pl.recut(0, 0)
@@ -300,7 +298,7 @@ func (pl *PeerList) insert(k, j int, e entry, now des.Time) {
 	r := &pl.dir[k]
 	n := int(r.n)
 	keeps := n < chunkCap && (j < n && !natural(e.id) || j == n && !natural(r.last))
-	h := p.rehash(r.c.hash, nil, &e)
+	h := rehash(r.c.hash, nil, &e)
 	at := pl.start(k) + j
 	pl.take(k)
 	p.e = append(p.e, entry{})
@@ -323,7 +321,7 @@ func (pl *PeerList) removeAt(k, j int) {
 	r := &pl.dir[k]
 	n := int(r.n)
 	keeps := n > 1 && (k == len(pl.dir)-1 || j < n-1 && natural(r.last))
-	h := p.rehash(r.c.hash, &r.c.e[j], nil)
+	h := rehash(r.c.hash, &r.c.e[j], nil)
 	at := pl.start(k) + j
 	pl.take(k)
 	copy(p.e[j:], p.e[j+1:])
@@ -342,7 +340,7 @@ func (pl *PeerList) removeAt(k, j int) {
 //pwlint:noalloc
 func (pl *PeerList) replace(k, j int, e entry) {
 	r := &pl.dir[k]
-	h := pl.pool.rehash(r.c.hash, &r.c.e[j], &e)
+	h := rehash(r.c.hash, &r.c.e[j], &e)
 	pl.take(k)
 	pl.pool.e[j] = e
 	pl.settle(k, h, 0)
@@ -369,9 +367,7 @@ func (pl *PeerList) Upsert(p wire.Pointer, now des.Time) bool {
 		pl.update(k, j, p, now)
 		return false
 	}
-	pl.insert(k, j, entryOf(p), now)
-	pl.storeInfo(p, false)
-	pl.levels[p.Level]++
+	pl.insert(k, j, p, now)
 	return true
 }
 
@@ -385,56 +381,29 @@ func (pl *PeerList) update(k, j int, p wire.Pointer, now des.Time) {
 	pl.stamps.at(pl.start(k) + j).lastSeen = now
 	old, e := pl.dir[k].c.e[j], entryOf(p)
 	pl.storeInfo(p, old.hasInfo)
-	if e == old {
-		return
+	if e != old {
+		pl.replace(k, j, e)
 	}
-	pl.levels[old.level]--
-	pl.levels[e.level]++
-	pl.replace(k, j, e)
 }
 
-// MergeSorted merges ps — pointers in strictly ascending ID order — into
-// the list. It is the application path for peer-list downloads (join
-// step 3, level raising, reconcile, Restore), whose batches arrive
-// already sorted. Existing entries are updated in place, preserving
-// firstSeen and refreshing lastSeen, exactly as Upsert would. onNew, if
-// not nil, is called once per newly inserted pointer; onUpdate, if not
-// nil, is called once per existing entry whose stored pointer actually
-// changed (same ID, different level, address or info — bit-identical
-// upserts are suppressed). In the sorted path updates fire first, then
-// insertions, each in ascending ID order, as the merge goes: each call
-// sees a consistent list that may not hold the rest of the batch yet.
-// It returns the number of new entries. A batch that is not strictly sorted falls back
-// to per-entry Upsert — callbacks then fire per entry, in batch order —
-// so callers feeding network-supplied batches keep Upsert semantics in
-// the worst case rather than corrupting the list.
+// MergeSorted merges the batch ps into the list, exactly as one Upsert
+// per pointer in batch order would. It is the application path for
+// peer-list downloads (join step 3, level raising, reconcile, Restore),
+// whose batches arrive sorted by ID. onNew, if not nil, is called once
+// per newly inserted pointer; onUpdate, if not nil, is called once per
+// existing entry whose stored pointer actually changed (same ID,
+// different level, address or info — bit-identical upserts are
+// suppressed). Callbacks fire in application order, batch order, each
+// seeing the list with the batch applied up to its pointer. It returns
+// the number of new entries.
 //
-// The path follows the traffic: a download into an empty list (join,
-// warm start) cuts the chunks in one pass, and one into a held list
-// (reconcile) is mostly updates, so a first pass updates held entries in
-// place and a second inserts the new IDs only when there are any.
+// A strictly ascending batch into an empty list (join, warm start) is
+// cut into chunks in one pass; any other batch goes entry by entry, one
+// search each, then an update or an insert.
 //
 //pwlint:noalloc
 func (pl *PeerList) MergeSorted(ps []wire.Pointer, now des.Time, onNew func(wire.Pointer), onUpdate func(old, new wire.Pointer)) int {
-	for k := 1; k < len(ps); k++ {
-		if !ps[k-1].ID.Less(ps[k].ID) {
-			added := 0
-			for _, p := range ps {
-				old, _ := pl.Lookup(p.ID)
-				switch {
-				case pl.Upsert(p, now):
-					added++
-					if onNew != nil {
-						onNew(p)
-					}
-				case onUpdate != nil && !old.Equal(p):
-					onUpdate(old, p)
-				}
-			}
-			return added
-		}
-	}
-	if len(ps) > 0 && len(pl.dir) == 0 {
+	if len(pl.dir) == 0 && len(ps) > 0 && ascending(ps) {
 		pl.build(ps, now)
 		if onNew != nil {
 			for _, p := range ps {
@@ -443,11 +412,15 @@ func (pl *PeerList) MergeSorted(ps []wire.Pointer, now des.Time, onNew func(wire
 		}
 		return len(ps)
 	}
-	fresh := 0
+	added := 0
 	for _, p := range ps {
 		k, j, held := pl.find(p.ID)
 		if !held {
-			fresh++
+			pl.insert(k, j, p, now)
+			added++
+			if onNew != nil {
+				onNew(p)
+			}
 			continue
 		}
 		old := pl.pointer(&pl.dir[k].c.e[j])
@@ -456,14 +429,17 @@ func (pl *PeerList) MergeSorted(ps []wire.Pointer, now des.Time, onNew func(wire
 			onUpdate(old, p)
 		}
 	}
-	if fresh > 0 {
-		for _, p := range ps {
-			if pl.Upsert(p, now) && onNew != nil {
-				onNew(p)
-			}
+	return added
+}
+
+// ascending reports whether ps is in strictly ascending ID order.
+func ascending(ps []wire.Pointer) bool {
+	for k := 1; k < len(ps); k++ {
+		if !ps[k-1].ID.Less(ps[k].ID) {
+			return false
 		}
 	}
-	return fresh
+	return true
 }
 
 // build fills the empty list with ps, in strictly ascending ID order.
@@ -474,7 +450,6 @@ func (pl *PeerList) build(ps []wire.Pointer, now des.Time) {
 	for _, q := range ps {
 		p.e = append(p.e, entryOf(q))
 		pl.storeInfo(q, false)
-		pl.levels[q.Level]++
 	}
 	pl.recut(0, 0)
 	pl.stamps.build(len(ps), stamp{firstSeen: now, lastSeen: now})
@@ -486,30 +461,42 @@ func (pl *PeerList) build(ps []wire.Pointer, now des.Time) {
 //
 //pwlint:noalloc
 func (pl *PeerList) MinLevel() int {
-	for l := range pl.levels {
-		if pl.levels[l] > 0 {
-			return l
-		}
+	if e := pl.strongest(); e != nil {
+		return int(e.level)
 	}
 	return -1
 }
 
 // Strongest returns the first pointer (in ID order) at the minimum level,
-// if any. It scans from the first entry; only the report, escalation and
-// level-raise paths ask (§4.3–§4.5), a few times per node-minute.
+// if any. Only the report, escalation and level-raise paths ask (§4.3–
+// §4.5), a few times per node-minute.
 //
 //pwlint:noalloc
 func (pl *PeerList) Strongest() (wire.Pointer, bool) {
-	min := pl.MinLevel()
+	if e := pl.strongest(); e != nil {
+		return pl.pointer(e), true
+	}
+	return wire.Pointer{}, false
+}
+
+// strongest returns the first entry (in ID order) at the minimum level,
+// or nil when the list is empty. Its scan stops at the first level-0
+// entry, which no entry beats.
+//
+//pwlint:noalloc
+func (pl *PeerList) strongest() *entry {
+	var best *entry
 	for k := range pl.dir {
 		s := pl.entries(k)
 		for j := range s {
-			if int(s[j].level) == min {
-				return pl.pointer(&s[j]), true
+			if best == nil || s[j].level < best.level {
+				if best = &s[j]; best.level == 0 {
+					return best
+				}
 			}
 		}
 	}
-	return wire.Pointer{}, false
+	return best
 }
 
 // Remove deletes id, returning the removed pointer and whether it existed.
@@ -520,7 +507,6 @@ func (pl *PeerList) Remove(id nodeid.ID) (removedPeer, bool) {
 	}
 	r := pl.removed(&pl.dir[k].c.e[j], pl.stamps.at(pl.start(k)+j))
 	pl.removeAt(k, j)
-	pl.levels[r.ptr.Level]--
 	return r, true
 }
 
@@ -604,15 +590,6 @@ func (pl *PeerList) InPrefix(e nodeid.Eigenstring) []wire.Pointer {
 	return out
 }
 
-// CountInPrefix returns how many held pointers match the eigenstring.
-func (pl *PeerList) CountInPrefix(e nodeid.Eigenstring) int {
-	lo, hi := pl.prefixRange(e)
-	if hi < lo {
-		return 0
-	}
-	return hi - lo
-}
-
 // DropOutsidePrefix removes every pointer whose ID does not match the
 // eigenstring, returning the removed pointers. A node lowering its level
 // uses it to shed the now-out-of-scope half of its list (§4.3).
@@ -623,10 +600,7 @@ func (pl *PeerList) DropOutsidePrefix(e nodeid.Eigenstring) []removedPeer {
 		return nil
 	}
 	dropped := make([]removedPeer, 0, n-(hi-lo))
-	drop := func(e *entry, s *stamp) {
-		pl.levels[e.level]--
-		dropped = append(dropped, pl.removed(e, s))
-	}
+	drop := func(e *entry, s *stamp) { dropped = append(dropped, pl.removed(e, s)) }
 	pl.walk(0, lo, drop)
 	pl.walk(hi, n, drop)
 	pl.keep(lo, hi)
@@ -667,25 +641,10 @@ func (pl *PeerList) Pointers() []wire.Pointer {
 	return out
 }
 
-// StrongestForStep finds the multicast target for step s of figure 4: an
-// audience member of subject whose ID shares the first s bits of selfID
-// and differs at bit s, preferring the highest level (smallest level
-// value). IDs in the skip set (targets that already failed this step)
-// are excluded. See strongestIn for how ties resolve.
-func (pl *PeerList) StrongestForStep(selfID nodeid.ID, s int, subject nodeid.ID, skip map[nodeid.ID]bool, rng *xrand.Source) (wire.Pointer, bool) {
-	if s >= nodeid.Bits {
-		return wire.Pointer{}, false
-	}
-	// Candidates occupy the contiguous ID range with prefix
-	// selfID[:s] + flipped bit s.
-	lo, hi := pl.prefixRange(nodeid.EigenstringOf(selfID.FlipBit(s), s+1))
-	return pl.strongestIn(lo, hi, subject, skip, rng)
-}
-
 // splitStep splits [lo, hi) — the entries sharing the first s bits of
 // selfID — at bit s with one search: [candLo, candHi) differs from
-// selfID at bit s (step s's candidates, as StrongestForStep finds them),
-// and [nextLo, nextHi) shares bit s too (step s+1's range).
+// selfID at bit s (step s's candidates) and [nextLo, nextHi) shares bit
+// s too (step s+1's range).
 func (pl *PeerList) splitStep(selfID nodeid.ID, s, lo, hi int) (candLo, candHi, nextLo, nextHi int) {
 	mid := pl.search(selfID.Prefix(s).WithBit(s, 1))
 	if selfID.Bit(s) == 1 {

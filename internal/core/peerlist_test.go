@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"slices"
 	"sort"
 	"testing"
@@ -162,20 +163,20 @@ func TestPeerListInPrefix(t *testing.T) {
 	if len(got) != 4 {
 		t.Fatalf("InPrefix(0) returned %d entries", len(got))
 	}
-	if pl.CountInPrefix(e) != 4 {
-		t.Fatal("CountInPrefix mismatch")
+	if countInPrefix(&pl, e) != 4 {
+		t.Fatal("prefixRange mismatch")
 	}
 	e2, _ := nodeid.ParseEigenstring("01")
-	if pl.CountInPrefix(e2) != 2 {
-		t.Fatalf("CountInPrefix(01) = %d", pl.CountInPrefix(e2))
+	if countInPrefix(&pl, e2) != 2 {
+		t.Fatalf("prefixRange(01) spans %d", countInPrefix(&pl, e2))
 	}
 	blank := nodeid.Eigenstring{}
-	if pl.CountInPrefix(blank) != 6 {
+	if countInPrefix(&pl, blank) != 6 {
 		t.Fatal("blank prefix should cover all")
 	}
 	// Prefix region with no entries.
 	e3, _ := nodeid.ParseEigenstring("110")
-	if pl.CountInPrefix(e3) != 0 || pl.InPrefix(e3) != nil {
+	if countInPrefix(&pl, e3) != 0 || pl.InPrefix(e3) != nil {
 		t.Fatal("empty region should return nothing")
 	}
 }
@@ -187,7 +188,7 @@ func TestPeerListInPrefixTopOfSpace(t *testing.T) {
 	hi := wire.Pointer{Addr: 1, ID: nodeid.ID{Hi: ^uint64(0), Lo: ^uint64(0)}}
 	pl.Upsert(hi, 0)
 	e := nodeid.EigenstringOf(hi.ID, 64)
-	if pl.CountInPrefix(e) != 1 {
+	if countInPrefix(&pl, e) != 1 {
 		t.Fatal("top-of-space prefix lost the last entry")
 	}
 }
@@ -236,6 +237,20 @@ func TestPeerListTouch(t *testing.T) {
 	}
 }
 
+// countInPrefix returns how many entries of pl match the eigenstring.
+func countInPrefix(pl *PeerList, e nodeid.Eigenstring) int {
+	lo, hi := pl.prefixRange(e)
+	return hi - lo
+}
+
+// stepTarget is the redirect path's pick (Node.sendStep): the strongest
+// audience member of subject among the entries that share the first s
+// bits of self and differ at bit s, skipping the IDs in skip.
+func stepTarget(pl *PeerList, self nodeid.ID, s int, subject nodeid.ID, skip map[nodeid.ID]bool, rng *xrand.Source) (wire.Pointer, bool) {
+	lo, hi := pl.prefixRange(nodeid.EigenstringOf(self.FlipBit(s), s+1))
+	return pl.strongestIn(lo, hi, subject, skip, rng)
+}
+
 func TestStrongestForStepSelection(t *testing.T) {
 	var pl PeerList
 	self, _ := nodeid.FromBitString("0000")
@@ -249,7 +264,7 @@ func TestStrongestForStepSelection(t *testing.T) {
 		pl.Upsert(p, 0)
 	}
 	rng := xrand.New(1)
-	got, ok := pl.StrongestForStep(self, 1, subject, nil, rng)
+	got, ok := stepTarget(&pl, self, 1, subject, nil, rng)
 	if !ok {
 		t.Fatal("no candidate found")
 	}
@@ -259,17 +274,17 @@ func TestStrongestForStepSelection(t *testing.T) {
 	// Skip the strongest: the next audience member is 'middle' (weak is
 	// not in the subject's audience).
 	skip := map[nodeid.ID]bool{strong.ID: true}
-	got, ok = pl.StrongestForStep(self, 1, subject, skip, rng)
+	got, ok = stepTarget(&pl, self, 1, subject, skip, rng)
 	if !ok || got.ID != middle.ID {
 		t.Fatalf("with skip picked %+v ok=%v, want middle", got, ok)
 	}
 	skip[middle.ID] = true
-	if _, ok = pl.StrongestForStep(self, 1, subject, skip, rng); ok {
+	if _, ok = stepTarget(&pl, self, 1, subject, skip, rng); ok {
 		t.Fatal("no audience candidates should remain")
 	}
-	// Step beyond the ID width.
-	if _, ok := pl.StrongestForStep(self, nodeid.Bits, subject, nil, rng); ok {
-		t.Fatal("step out of range should fail")
+	// The last step's candidates differ from self at bit 127 only.
+	if _, ok := stepTarget(&pl, self, nodeid.Bits-1, subject, nil, rng); ok {
+		t.Fatal("no candidate shares self's first 127 bits")
 	}
 }
 
@@ -287,7 +302,7 @@ func TestStrongestForStepRandomTieBreak(t *testing.T) {
 	seenA, seenB := false, false
 	rng := xrand.New(7)
 	for i := 0; i < 100 && !(seenA && seenB); i++ {
-		got, ok := pl.StrongestForStep(self, 0, subject, nil, rng)
+		got, ok := stepTarget(&pl, self, 0, subject, nil, rng)
 		if !ok {
 			t.Fatal("candidate expected")
 		}
@@ -329,7 +344,7 @@ func TestPeerListPropertyPrefixConsistency(t *testing.T) {
 				want++
 			}
 		}
-		return pl.CountInPrefix(e) == want
+		return countInPrefix(&pl, e) == want
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -385,22 +400,13 @@ func BenchmarkPeerListSuccessor100k(b *testing.B) {
 	}
 }
 
-func BenchmarkStrongestForStep100k(b *testing.B) {
+func BenchmarkStepTarget100k(b *testing.B) {
 	pl, ptrs := benchList(100000)
 	rng := xrand.New(2)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		p := ptrs[i%len(ptrs)]
-		pl.StrongestForStep(p.ID, i%10, ptrs[(i+7)%len(ptrs)].ID, nil, rng)
-	}
-}
-
-func BenchmarkCountInPrefix100k(b *testing.B) {
-	pl, ptrs := benchList(100000)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := ptrs[i%len(ptrs)]
-		pl.CountInPrefix(nodeid.EigenstringOf(p.ID, i%12))
+		stepTarget(pl, p.ID, i%10, ptrs[(i+7)%len(ptrs)].ID, nil, rng)
 	}
 }
 
@@ -482,22 +488,34 @@ type sharedSide struct {
 	ref flatList
 }
 
-// checkShared fails unless the pool's check passes against every list
-// it serves, and returns how many chunks more than one list holds.
-func checkShared(t *testing.T, pool *ChunkPool, sides []*sharedSide, step int) int {
+// newSides returns the lists of a sharing test: two on one pool, and a
+// zero PeerList, which makes its own pool at its first write.
+func newSides() []*sharedSide {
+	pool := &ChunkPool{}
+	return []*sharedSide{{pl: &PeerList{pool: pool}}, {pl: &PeerList{pool: pool}}, {pl: &PeerList{}}}
+}
+
+// checkShared fails unless each list's pool passes its check against
+// every list it serves, and returns how many chunks more than one list
+// holds.
+func checkShared(t *testing.T, sides []*sharedSide, step int) int {
 	t.Helper()
-	lists := make([]*PeerList, len(sides))
-	for i, s := range sides {
-		lists[i] = s.pl
-	}
-	if err := pool.CheckInvariants(lists); err != nil {
-		t.Fatalf("step %d: chunk pool: %v", step, err)
+	served := make(map[*ChunkPool][]*PeerList)
+	for _, s := range sides {
+		if s.pl.pool != nil {
+			served[s.pl.pool] = append(served[s.pl.pool], s.pl)
+		}
 	}
 	shared := 0
-	for _, c := range pool.index {
-		for ; c != nil; c = c.next {
-			if c.refs > 1 {
-				shared++
+	for pool, lists := range served {
+		if err := pool.CheckInvariants(lists); err != nil {
+			t.Fatalf("step %d: chunk pool of %d lists: %v", step, len(lists), err)
+		}
+		for _, c := range pool.index {
+			for ; c != nil; c = c.next {
+				if c.refs > 1 {
+					shared++
+				}
 			}
 		}
 	}
@@ -505,15 +523,17 @@ func checkShared(t *testing.T, pool *ChunkPool, sides []*sharedSide, step int) i
 }
 
 // TestPeerListMatchesFlatModel drives two lists on one shared chunk pool
-// past 2,000 entries each — dozens of chunks and leaves — and drains
-// them to empty with random Upsert, Remove, MergeSorted and
-// DropOutsidePrefix, interleaved, each list taking its own stream and
-// checked against its own model after every step, and the pool against
-// both. The lists draw from one universe of IDs with mostly fixed
-// attributes, so long runs of equal entries — shared chunks — form,
-// split and merge between them; the universe has a quarter of the usual
-// natural ends, so size-capped chunks form too. The other property tests
-// stay within a few chunks.
+// and a zero list on a pool of its own past 2,000 entries each — dozens
+// of chunks and leaves — and drains them to empty with random Upsert,
+// Remove, MergeSorted and DropOutsidePrefix, interleaved, each list
+// taking its own stream and checked against its own model after every
+// step, and each pool against the lists it serves. The lists draw from
+// one universe of IDs with mostly fixed attributes, and while they grow a
+// merge is now and then a download of a run of another list's entries,
+// as a peer-list reply carries, so runs of equal entries — shared chunks
+// — form, split and merge between them; the universe has a quarter of
+// the usual natural ends, so size-capped chunks form too. The other
+// property tests stay within a few chunks.
 func TestPeerListMatchesFlatModel(t *testing.T) {
 	rng := xrand.New(41)
 	universe := make([]wire.Pointer, 0, 6000)
@@ -524,8 +544,7 @@ func TestPeerListMatchesFlatModel(t *testing.T) {
 		}
 		universe = append(universe, wire.Pointer{Addr: wire.Addr(1 + rng.Intn(1<<20)), ID: id, Level: uint8(rng.Intn(3))})
 	}
-	pool := NewChunkPool()
-	sides := []*sharedSide{{pl: &PeerList{pool: pool}}, {pl: &PeerList{pool: pool}}}
+	sides := newSides()
 	// pick draws a pointer for s: a universe member (fresh percent of the
 	// time) or one s holds, with its usual attributes nine times in ten.
 	pick := func(s *sharedSide, fresh int) wire.Pointer {
@@ -538,13 +557,22 @@ func TestPeerListMatchesFlatModel(t *testing.T) {
 		}
 		return p
 	}
+	// held returns the entries all sides hold, the fewest one side
+	// holds, and the chunks all sides hold.
+	held := func() (n, least, chunks int) {
+		least = math.MaxInt
+		for _, s := range sides {
+			n, least, chunks = n+len(s.ref), min(least, len(s.ref)), chunks+len(s.pl.dir)
+		}
+		return n, least, chunks
+	}
 	growing, peak, chunks, shared := true, 0, 0, 0
 	step := 0
-	for ; growing || len(sides[0].ref)+len(sides[1].ref) > 0; step++ {
-		if step > 40000 {
-			t.Fatalf("no progress: %d and %d entries after %d steps", len(sides[0].ref), len(sides[1].ref), step)
+	for n, _, _ := held(); growing || n > 0; n, _, _ = held() {
+		if step++; step > 60000 {
+			t.Fatalf("no progress: %d entries after %d steps", n, step)
 		}
-		s := sides[rng.Intn(2)]
+		s := sides[rng.Intn(len(sides))]
 		// Percent thresholds for upsert, merge and remove; the rest
 		// drops outside a prefix. Draining mostly removes.
 		op, ups, merges, removes, fresh := rng.Intn(100), 35, 70, 98, 70
@@ -561,7 +589,13 @@ func TestPeerListMatchesFlatModel(t *testing.T) {
 				size = 40 + rng.Intn(300)
 			}
 			batch := make([]wire.Pointer, 0, size)
-			for i := 0; i < size; i++ {
+			if from := sides[rng.Intn(len(sides))]; growing && from != s && len(from.ref) > 0 && rng.Intn(2) == 0 {
+				at := rng.Intn(len(from.ref))
+				for _, e := range from.ref[at:min(at+size, len(from.ref))] {
+					batch = append(batch, e.p)
+				}
+			}
+			for len(batch) < size {
 				batch = append(batch, pick(s, fresh))
 			}
 			sort.Slice(batch, func(i, j int) bool { return batch[i].ID.Less(batch[j].ID) })
@@ -575,19 +609,23 @@ func TestPeerListMatchesFlatModel(t *testing.T) {
 		applyAgainstFlat(t, s.pl, &s.ref, o, des.Time(step), rng, step)
 		for _, other := range sides {
 			if other != s {
-				checkAgainstFlat(t, other.pl, other.ref, rng, step, "the other list's "+o.kind)
+				checkAgainstFlat(t, other.pl, other.ref, rng, step, "another list's "+o.kind)
 			}
 		}
-		shared = max(shared, checkShared(t, pool, sides, step))
-		if len(sides[0].ref) > 2000 && len(sides[1].ref) > 2000 {
+		shared = max(shared, checkShared(t, sides, step))
+		_, least, c := held()
+		if least > 2000 {
 			growing = false
 		}
-		peak = max(peak, len(sides[0].ref), len(sides[1].ref))
-		chunks = max(chunks, len(sides[0].pl.dir)+len(sides[1].pl.dir))
+		peak, chunks = max(peak, least), max(chunks, c)
 	}
-	if peak <= 2000 || shared == 0 || len(sides[0].pl.dir)+len(sides[1].pl.dir) != 0 || pool.interned != 0 {
+	interned := 0
+	for _, s := range sides {
+		interned += s.pl.pool.interned
+	}
+	if _, _, c := held(); peak <= 2000 || shared == 0 || c != 0 || interned != 0 {
 		t.Fatalf("peak %d entries, %d chunks shared at most, %d chunks held and %d interned at the end",
-			peak, shared, len(sides[0].pl.dir)+len(sides[1].pl.dir), pool.interned)
+			peak, shared, c, interned)
 	}
 	t.Logf("%d operations, peak %d entries, %d chunks held and %d shared at most", step, peak, chunks, shared)
 }
@@ -636,20 +674,14 @@ func applyAgainstFlat(t *testing.T, pl *PeerList, ref *flatList, op listOp, now 
 			fail("Upsert reported new=%v, model %v", got, want)
 		}
 	case "merge":
-		// A strictly ascending batch reports its updates, then its
-		// insertions; any other batch reports per entry, in batch order.
-		sorted := true
-		for k := 1; k < len(op.batch); k++ {
-			sorted = sorted && op.batch[k-1].ID.Less(op.batch[k].ID)
-		}
-		var want, inserts []notice
+		// Callbacks fire in application order, batch order: one per
+		// pointer that is new or changes its entry.
+		var want []notice
 		added := 0
 		for _, p := range op.batch {
 			i := ref.search(p.ID)
 			n := notice{added: i == len(*ref) || (*ref)[i].p.ID != p.ID, new: p}
 			switch {
-			case n.added && sorted:
-				inserts = append(inserts, n)
 			case n.added:
 				want = append(want, n)
 			case !(*ref)[i].p.Equal(p):
@@ -660,13 +692,12 @@ func applyAgainstFlat(t *testing.T, pl *PeerList, ref *flatList, op listOp, now 
 				added++
 			}
 		}
-		want = append(want, inserts...)
 		var got []notice
 		n := pl.MergeSorted(op.batch, now, func(p wire.Pointer) { got = append(got, notice{added: true, new: p}) },
 			func(old, new wire.Pointer) { got = append(got, notice{old: old, new: new}) })
 		if n != added || len(got) != len(want) {
-			fail("merge of %d (sorted %v) added %d with %d callbacks, model %d and %d",
-				len(op.batch), sorted, n, len(got), added, len(want))
+			fail("merge of %d added %d with %d callbacks, model %d and %d",
+				len(op.batch), n, len(got), added, len(want))
 		}
 		for k := range want {
 			if g, w := got[k], want[k]; g.added != w.added || !g.old.Equal(w.old) || !g.new.Equal(w.new) {
@@ -705,17 +736,19 @@ const fuzzMaxOps = 64
 
 // FuzzPeerListOps decodes fuzzer bytes into Upsert, Remove,
 // DropOutsidePrefix and MergeSorted calls on two lists sharing one chunk
-// pool, over a universe of 256 IDs spread across the ring, and checks
-// each with applyAgainstFlat, the other list against its own model, and
-// the pool against both. A merge batch is sorted, left in byte order, or
-// sorted with its duplicate IDs kept (the shape applyPointers hands over
-// for a malformed download), so every MergeSorted path runs, into empty
-// lists and held ones.
+// pool and a zero list that mirrors the first on a pool of its own, over
+// a universe of 256 IDs spread across the ring, and checks each with
+// applyAgainstFlat, the lists an op skips against their own models, and
+// each pool against the lists it serves. A merge batch is sorted, left in
+// byte order, or sorted with its duplicate IDs kept (the shape
+// applyPointers hands over for a malformed download), so both
+// MergeSorted paths run, into empty lists and held ones.
 //
 // Encoding: an op byte c picks the operation by c%4, carries a variant
-// in c>>2, and sends it by c>>6 to the first list (0, 1), the second (2)
-// or both (3); an ID is one byte, and an upsert or batch pointer is an
-// ID byte then an attribute byte (address, level, info).
+// in c>>2, and sends it by c>>6 to the first list and its mirror (0, 1),
+// the second list (2) or all three (3); an ID is one byte, and an upsert
+// or batch pointer is an ID byte then an attribute byte (address, level,
+// info).
 func FuzzPeerListOps(f *testing.F) {
 	ptrs := func(ids ...int) []byte {
 		var out []byte
@@ -767,8 +800,7 @@ func FuzzPeerListOps(f *testing.F) {
 			p.Addr, p.Level, p.Info = wire.Addr(attr), attr%6, infos[attr>>6]
 			return p
 		}
-		pool := NewChunkPool()
-		sides := []*sharedSide{{pl: &PeerList{pool: pool}}, {pl: &PeerList{pool: pool}}}
+		sides := newSides()
 		rng := xrand.New(1)
 		for step := 0; len(data) > 0 && step < fuzzMaxOps; step++ {
 			var op listOp
@@ -794,24 +826,21 @@ func FuzzPeerListOps(f *testing.F) {
 				}
 				op = listOp{kind: "merge", batch: batch}
 			}
-			to := sides[:1]
+			to := []*sharedSide{sides[0], sides[2]}
 			switch c >> 6 {
 			case 2:
-				to = sides[1:]
+				to = sides[1:2]
 			case 3:
 				to = sides
 			}
-			for _, s := range to {
-				applyAgainstFlat(t, s.pl, &s.ref, op, des.Time(step), rng, step)
-			}
-			if len(to) == 1 {
-				other := sides[0]
-				if to[0] == other {
-					other = sides[1]
+			for _, s := range sides {
+				if slices.Contains(to, s) {
+					applyAgainstFlat(t, s.pl, &s.ref, op, des.Time(step), rng, step)
+				} else {
+					checkAgainstFlat(t, s.pl, s.ref, rng, step, "another list's "+op.kind)
 				}
-				checkAgainstFlat(t, other.pl, other.ref, rng, step, "the other list's "+op.kind)
 			}
-			checkShared(t, pool, sides, step)
+			checkShared(t, sides, step)
 		}
 	})
 }
@@ -848,6 +877,9 @@ func checkAgainstFlat(t *testing.T, pl *PeerList, ref flatList, rng *xrand.Sourc
 	if got, gok := pl.Strongest(); gok != ok || !got.Equal(want) {
 		fail("Strongest = %v,%v, model %v,%v", got.ID, gok, want.ID, ok)
 	}
+	if got := pl.MinLevel(); !ok && got != -1 || ok && got != int(want.Level) {
+		fail("MinLevel = %d, model %v (held %v)", got, want.Level, ok)
+	}
 	if len(ref) == 0 {
 		return
 	}
@@ -872,8 +904,8 @@ func checkAgainstFlat(t *testing.T, pl *PeerList, ref flatList, rng *xrand.Sourc
 	}
 	e := nodeid.EigenstringOf(anyID(), rng.Intn(10))
 	lo, hi := ref.prefixRange(e)
-	if got := pl.CountInPrefix(e); got != hi-lo {
-		fail("CountInPrefix(%v) = %d, model %d", e, got, hi-lo)
+	if got := countInPrefix(pl, e); got != hi-lo {
+		fail("prefixRange(%v) spans %d, model %d", e, got, hi-lo)
 	}
 	in := pl.InPrefix(e)
 	if len(in) != hi-lo {
@@ -902,10 +934,10 @@ func checkAgainstFlat(t *testing.T, pl *PeerList, ref flatList, rng *xrand.Sourc
 	s := rng.Intn(12)
 	skip := map[nodeid.ID]bool{ref[rng.Intn(len(ref))].p.ID: true}
 	seed := rng.Uint64()
-	got, gok := pl.StrongestForStep(self, s, subject, skip, xrand.New(seed))
+	got, gok := stepTarget(pl, self, s, subject, skip, xrand.New(seed))
 	want, ok = ref.strongestForStep(self, s, subject, skip, xrand.New(seed))
 	if gok != ok || !got.Equal(want) {
-		fail("StrongestForStep(step %d) = %v,%v, model %v,%v", s, got.ID, gok, want.ID, ok)
+		fail("step %d target = %v,%v, model %v,%v", s, got.ID, gok, want.ID, ok)
 	}
 	// The multicast walk's one-search split agrees with the prefix
 	// ranges it replaces at every step.

@@ -354,13 +354,7 @@ func (e *Engine) maybeCompact() {
 // past (t < Now) panics: in a discrete-event simulation that is always a
 // logic bug, and silently clamping would mask it.
 func (e *Engine) At(t Time, fn func()) Handle {
-	return e.AtTag(t, EventTag{}, fn)
-}
-
-// AtTag schedules fn at absolute time t, annotated with tag for
-// choosers. Untagged callers should use At.
-func (e *Engine) AtTag(t Time, tag EventTag, fn func()) Handle {
-	return e.AtKey(t, 0, tag, fn)
+	return e.AtKey(t, 0, EventTag{}, fn)
 }
 
 // AtKey schedules fn at absolute time t with an explicit tie-break key.
@@ -369,7 +363,7 @@ func (e *Engine) AtTag(t Time, tag EventTag, fn func()) Handle {
 // sharded run they were scheduled on, as long as the caller derives keys
 // from shard-invariant state (the sharded simulators use the issuing
 // entity's identity plus a per-entity counter). Key zero sorts first and
-// is what At/AtTag use, so unkeyed callers keep the classic insertion
+// is what At/AfterTag use, so unkeyed callers keep the classic insertion
 // order.
 //
 //pwlint:noalloc
@@ -405,7 +399,7 @@ func (e *Engine) AfterTag(delay Time, tag EventTag, fn func()) Handle {
 	if delay < 0 {
 		panic("des: negative delay")
 	}
-	return e.AtTag(e.now+delay, tag, fn)
+	return e.AtKey(e.now+delay, 0, tag, fn)
 }
 
 // SetChooser installs (or, with nil, removes) the scheduling chooser.

@@ -57,7 +57,7 @@ func TestRunWindowCascade(t *testing.T) {
 }
 
 // Same-instant events must order by key regardless of insertion order;
-// key zero (the legacy At/AtTag path) sorts first.
+// key zero (the At/After path) sorts first.
 func TestAtKeyOrdersSameInstant(t *testing.T) {
 	e := New()
 	var fired []uint64

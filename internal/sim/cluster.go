@@ -187,7 +187,7 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		SentByType:  make(map[wire.MsgType]uint64),
 		netReg:      netReg,
 		unknownDest: netReg.Counter(metrics.MetricNetSendUnknownDest),
-		pool:        core.NewChunkPool(),
+		pool:        new(core.ChunkPool),
 	}
 }
 

@@ -379,15 +379,8 @@ func (s *ShardedScaled) reap(sl *popSlice) {
 // of §2 driven by the measured rate.
 func (s *ShardedScaled) costAtFrozen(id nodeid.ID, level int, lambda float64) float64 {
 	group := s.pop.Count(id, level)
-	frac := float64(group) / float64(maxInt(1, s.pop.Total()))
+	frac := float64(group) / float64(max(1, s.pop.Total()))
 	return lambda * frac * (eventBits + ackBits)
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // chooseLevel is the scaled analogue of the §4.3 estimation: an arriving

@@ -196,34 +196,33 @@ func (c *Collector) IngestFrame(f *Frame) {
 	}
 
 	inOrder := true
-	if ns.started {
-		switch {
-		case f.Seq > ns.lastSeq+1:
-			gap := f.Seq - ns.lastSeq - 1
-			ns.framesMissing += gap
-			c.framesMissing.Add(gap)
-			ns.lastSeq = f.Seq
-		case f.Seq <= ns.lastSeq:
-			// A late (reordered) frame: its deltas are still valid and
-			// commute, so apply them and take back one presumed-missing
-			// count, but don't let its stale beacon overwrite state.
-			inOrder = false
-			c.framesLate.Inc()
-			if ns.framesMissing > 0 {
-				ns.framesMissing--
-			}
-		default:
-			ns.lastSeq = f.Seq
-		}
-	} else {
+	switch {
+	case !ns.started || f.Seq == 0:
+		// A new stream: the node's first frame here, or an exporter's
+		// first frame (the node restarted, with a fresh exporter). A
+		// first frame past Seq 0 joined mid-stream (collector restarted
+		// or first frames lost): everything before is missing.
 		ns.started = true
 		ns.lastSeq = f.Seq
-		if f.Seq > 0 {
-			// Joined mid-stream (collector restarted or first frames
-			// lost): everything before is missing.
-			ns.framesMissing += f.Seq
-			c.framesMissing.Add(f.Seq)
+		ns.exporterRegression = 0
+		ns.framesMissing += f.Seq
+		c.framesMissing.Add(f.Seq)
+	case f.Seq > ns.lastSeq+1:
+		gap := f.Seq - ns.lastSeq - 1
+		ns.framesMissing += gap
+		c.framesMissing.Add(gap)
+		ns.lastSeq = f.Seq
+	case f.Seq <= ns.lastSeq:
+		// A late (reordered) frame: its deltas are still valid and
+		// commute, so apply them and take back one presumed-missing
+		// count, but don't let its stale beacon overwrite state.
+		inOrder = false
+		c.framesLate.Inc()
+		if ns.framesMissing > 0 {
+			ns.framesMissing--
 		}
+	default:
+		ns.lastSeq = f.Seq
 	}
 	ns.framesReceived++
 	ns.spansReceived += uint64(len(f.Spans))

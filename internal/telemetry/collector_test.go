@@ -151,6 +151,45 @@ func TestCollectorLateFrame(t *testing.T) {
 	}
 }
 
+// TestCollectorRestartedExporter restarts a node on the same address:
+// its fresh exporter starts again at Seq 0, and the collector must take
+// that frame as a new stream — beacon, liveness and deltas applied, no
+// frame late, missing or regressed — rather than as a late frame of the
+// old one, which would leave the live node stale until its new sequence
+// passed the old.
+func TestCollectorRestartedExporter(t *testing.T) {
+	clk := &testClock{}
+	c := newTestCollector(clk) // BeaconInterval = 2 s
+	flush := func(e *Exporter, at des.Time, count uint64, level int) {
+		clk.now = at
+		e.Flush(at, snapOf(map[string]uint64{"a": count}, nil), Beacon{Level: level})
+	}
+	old := exporterTo(c, 7, "n7")
+	for i := 1; i <= 6; i++ {
+		flush(old, des.Time(2*i)*des.Second, uint64(10*i), 2)
+	}
+	// The node crashes after its frame at 12 s and is back at 20 s.
+	restarted := exporterTo(c, 7, "n7")
+	flush(restarted, 20*des.Second, 4, 0)
+	flush(restarted, 22*des.Second, 9, 0)
+
+	clk.now = 23 * des.Second
+	n := healthOf(c.Health(), 7)
+	if hasAlert(n, "stale") || hasAlert(n, "down") || n.Level != 0 {
+		t.Fatalf("restarted node reads alerts %v at level %d, want live at level 0", n.Alerts, n.Level)
+	}
+	got, _ := c.NodeTotals(7)
+	if got.Counters["a"] != 60+9 {
+		t.Fatalf("counter total %d, want 69 (60 before the restart, 9 after)", got.Counters["a"])
+	}
+	received, missing, _, _, _ := c.NodeStats(7)
+	self := c.SelfMetrics()
+	if received != 8 || missing != 0 || self.Counters[MetricTelemetryFramesLate] != 0 || self.Counters[MetricTelemetryRegressions] != 0 {
+		t.Fatalf("received %d, missing %d, late %d, regressions %d; want 8, 0, 0, 0",
+			received, missing, self.Counters[MetricTelemetryFramesLate], self.Counters[MetricTelemetryRegressions])
+	}
+}
+
 func TestCollectorSpanRetention(t *testing.T) {
 	clk := &testClock{}
 	c := newTestCollector(clk)

@@ -8,11 +8,10 @@ package telemetry
 // path deterministic.
 //
 // Loss accounting invariant: every metric delta the exporter computes
-// is either (a) carried by a frame the sink accepted, (b) folded into
-// the pending delta and carried by a later frame when the sink refuses
-// one (bounded: a pending delta is one snapshot-shaped map, however
-// many flushes it absorbs), or (c) — never dropped. Spans are the
-// opposite trade: a refused frame's spans are dropped and counted, not
+// is carried by a frame the sink accepted, never dropped: a flush diffs
+// against the snapshot of the last frame the sink accepted, so when the
+// sink refuses a frame the next flush carries its deltas too. Spans are
+// the opposite trade: a refused frame's spans are dropped and counted, not
 // re-queued, because a span batch can be arbitrarily large. Frames the
 // network eats after the sink accepted them show up at the collector as
 // sequence gaps. So: node totals = collector totals + deltas inside
@@ -33,7 +32,8 @@ import (
 
 // Sink delivers one encoded frame toward a collector. Send must not
 // retain b. A sink that cannot accept the frame returns an error; the
-// exporter then counts a frame drop and re-buffers the metric deltas.
+// exporter then counts a frame drop, and its next flush carries the
+// frame's metric deltas.
 type Sink interface {
 	Send(b []byte) error
 }
@@ -74,11 +74,10 @@ type Exporter struct {
 	cfg  ExporterConfig
 	sink Sink
 
-	mu      sync.Mutex
-	seq     uint64
-	prev    metrics.Snapshot
-	pending metrics.Snapshot // deltas from frames the sink refused
-	cursor  uint64           // span buffer drain cursor
+	mu     sync.Mutex
+	seq    uint64
+	acked  metrics.Snapshot // the snapshot of the last delta the sink accepted
+	cursor uint64           // span buffer drain cursor
 
 	framesSent    uint64
 	framesDropped uint64
@@ -111,24 +110,15 @@ func (e *Exporter) Stats() ExporterStats {
 	}
 }
 
-// Flush diffs snap against the previous flush, drains the span buffer,
-// and pushes one or more frames (spans beyond maxSpansPerFrame ride
-// follow-up frames carrying no metric delta). beacon is embedded in the
-// first frame. The error is the first sink error, after drop
-// accounting; callers may ignore it (the counters already did).
+// Flush diffs snap against the last snapshot the sink accepted, drains
+// the span buffer, and pushes one or more frames (spans beyond
+// maxSpansPerFrame ride follow-up frames carrying no metric delta).
+// beacon is embedded in the first frame, with the delta. The error is
+// the first sink error, after drop accounting; callers may ignore it
+// (the counters already did).
 func (e *Exporter) Flush(at des.Time, snap metrics.Snapshot, beacon Beacon) error {
 	e.mu.Lock()
-	delta, regressed := snap.Diff(e.prev)
-	e.prev = snap
-	e.regressions += uint64(len(regressed))
-	// Fold in deltas owed from previously refused frames.
-	if e.pending.Counters != nil {
-		gauges := delta.Gauges // last-write: current values win over pending
-		e.pending.Merge(delta)
-		delta = e.pending
-		delta.Gauges = gauges
-		e.pending = metrics.Snapshot{}
-	}
+	delta, regressed := snap.Diff(e.acked)
 	var spans []trace.Span
 	if e.cfg.Spans != nil {
 		var missed uint64
@@ -138,7 +128,7 @@ func (e *Exporter) Flush(at des.Time, snap metrics.Snapshot, beacon Beacon) erro
 	e.mu.Unlock()
 
 	var firstErr error
-	first := true
+	upTo := &snap // the first frame's delta reaches snap
 	for {
 		batch := spans
 		if len(batch) > maxSpansPerFrame {
@@ -146,7 +136,7 @@ func (e *Exporter) Flush(at des.Time, snap metrics.Snapshot, beacon Beacon) erro
 		}
 		spans = spans[len(batch):]
 		f := &Frame{Node: e.cfg.Node, At: at, Spans: batch}
-		if first {
+		if upTo != nil {
 			bc := beacon
 			if bc.Name == "" {
 				bc.Name = e.cfg.Name
@@ -157,10 +147,10 @@ func (e *Exporter) Flush(at des.Time, snap metrics.Snapshot, beacon Beacon) erro
 			f.Beacon = &bc
 			f.Delta = delta
 		}
-		if err := e.send(f, first, delta); err != nil && firstErr == nil {
+		if err := e.send(f, upTo, len(regressed)); err != nil && firstErr == nil {
 			firstErr = err
 		}
-		first = false
+		upTo = nil
 		if len(spans) == 0 {
 			return firstErr
 		}
@@ -169,34 +159,34 @@ func (e *Exporter) Flush(at des.Time, snap metrics.Snapshot, beacon Beacon) erro
 
 // send stamps sequencing and drop counters under the lock, releases it
 // for the sink call (locksafe: Send may block), and accounts the
-// outcome.
-func (e *Exporter) send(f *Frame, carriesDelta bool, delta metrics.Snapshot) error {
+// outcome. A frame carrying a delta up to snapshot snap passes snap and
+// the regressions the delta holds: once the sink accepts the frame, the
+// next flush diffs against snap and the regressions count.
+func (e *Exporter) send(f *Frame, snap *metrics.Snapshot, regressed int) error {
 	e.mu.Lock()
 	f.Seq = e.seq
 	e.seq++
 	f.FramesDropped = e.framesDropped
 	f.SpansDropped = e.spansDropped
 	f.Regressions = e.regressions
+	if snap != nil {
+		f.Regressions += uint64(regressed)
+	}
 	e.mu.Unlock()
 
 	err := e.sink.Send(f.Marshal())
 
 	e.mu.Lock()
-	if err == nil {
-		e.framesSent++
-	} else {
+	switch {
+	case err != nil:
 		e.framesDropped++
 		e.spansDropped += uint64(len(f.Spans))
-		if carriesDelta {
-			// The metric deltas are owed to the collector: re-buffer them
-			// for the next flush (gauges re-read fresh then).
-			if e.pending.Counters == nil {
-				e.pending = metrics.Snapshot{}
-			}
-			d := delta
-			d.Gauges = nil
-			e.pending.Merge(d)
-		}
+	case snap != nil:
+		e.framesSent++
+		e.acked = *snap
+		e.regressions += uint64(regressed)
+	default:
+		e.framesSent++
 	}
 	e.mu.Unlock()
 	return err

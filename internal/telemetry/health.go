@@ -133,8 +133,8 @@ func scoreNode(ns *nodeState, now, beacon des.Time) NodeHealth {
 	// Send/receive asymmetry: a node sending much more than it hears
 	// back (or vice versa) has a one-way link or is being ignored.
 	sendB, recvB := prefixSum(ns.totals.Counters, "net.send"), prefixSum(ns.totals.Counters, "net.recv")
-	if m := max64(sendB, recvB); m >= 100 {
-		asym := float64(m-min64(sendB, recvB)) / float64(m)
+	if m := max(sendB, recvB); m >= 100 {
+		asym := float64(m-min(sendB, recvB)) / float64(m)
 		h.Scores[MetricHealthSendRecvAsymmetry] = asym
 		if asym > 0.5 {
 			h.Alerts = append(h.Alerts, "asymmetric")
@@ -179,20 +179,6 @@ func prefixSum(m map[string]uint64, prefix string) uint64 {
 		}
 	}
 	return s
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func min64(a, b uint64) uint64 {
-	if a < b {
-		return a
-	}
-	return b
 }
 
 // summarize builds the collector-level alert lines for the doc footer
