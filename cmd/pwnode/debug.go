@@ -6,6 +6,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/pprof"
+	"strconv"
 	"time"
 
 	"peerwindow/internal/query"
@@ -17,8 +18,8 @@ import (
 //
 //	/metrics       Prometheus text exposition of every instrument
 //	/debug/window  the current window as JSON
-//	/debug/query   the query-plane snapshot state: epoch, entry and
-//	               bucket counts, level histogram, strongest peers,
+//	/debug/query   the query-plane snapshot state: epoch, entry count,
+//	               minimum level, level histogram, strongest peers,
 //	               delta and subscription counters
 //	/debug/spans   the retained spans as JSONL, oldest first: multicast
 //	               trees and protocol moments (pipe to pwtrace)
@@ -70,6 +71,18 @@ func endpoint(a wire.Addr) string {
 	return fmt.Sprintf("%d.%d.%d.%d:%d", ip[0], ip[1], ip[2], ip[3], port)
 }
 
+// levelCounts returns the /debug/query level histogram: the number of
+// entries at each level present in v, keyed by the level in decimal. One
+// pass over the entries counts every level a pointer may carry.
+func levelCounts(v *query.View) map[string]int {
+	counts := map[string]int{}
+	v.Each(func(e query.Entry) bool {
+		counts[strconv.Itoa(int(e.Level))]++
+		return true
+	})
+	return counts
+}
+
 // startDebugServer binds addr and serves the debug endpoints for n in a
 // background goroutine. It returns the bound listener so callers (and
 // tests) learn the effective port when addr ends in :0.
@@ -115,13 +128,8 @@ func startDebugServer(addr, name string, n *transport.Host) (net.Listener, error
 			Epoch:     v.Epoch(),
 			Entries:   v.Len(),
 			MinLevel:  v.MinLevel(),
-			Levels:    map[string]int{},
+			Levels:    levelCounts(v),
 			Strongest: []pointerJSON{},
-		}
-		for l := 0; l <= 64; l++ {
-			if c := v.CountAtLevel(l); c > 0 {
-				doc.Levels[fmt.Sprintf("%d", l)] = c
-			}
 		}
 		for _, e := range v.Strongest(8) {
 			doc.Strongest = append(doc.Strongest, pointerJSON{

@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"strings"
 	"testing"
@@ -11,8 +12,11 @@ import (
 
 	"peerwindow/internal/core"
 	"peerwindow/internal/des"
+	"peerwindow/internal/nodeid"
+	"peerwindow/internal/query"
 	"peerwindow/internal/trace"
 	"peerwindow/internal/udptransport"
+	"peerwindow/internal/wire"
 )
 
 // fastConfig mirrors the -fast flag: timers compressed ~50× so a
@@ -192,4 +196,20 @@ func hasKind(spans []trace.Span, k trace.SpanKind) bool {
 		}
 	}
 	return false
+}
+
+// TestLevelCountsCoverEveryLevel: the /debug/query level histogram counts
+// every level a pointer may carry, not only the low ones. Config allows
+// MaxLevel up to 127, so a level-70 pointer must appear in it.
+func TestLevelCountsCoverEveryLevel(t *testing.T) {
+	s := query.NewStore(nil)
+	levels := []uint8{0, 3, 3, 70, 127}
+	for i, l := range levels {
+		s.PeerAdded(wire.Pointer{Addr: wire.Addr(i + 1), ID: nodeid.HashString(fmt.Sprintf("lvl-%d", i)), Level: l})
+	}
+	got := levelCounts(s.View())
+	want := map[string]int{"0": 1, "3": 2, "70": 1, "127": 1}
+	if !maps.Equal(got, want) {
+		t.Fatalf("levelCounts = %v, want %v", got, want)
+	}
 }

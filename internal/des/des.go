@@ -533,15 +533,29 @@ func (e *Engine) chosenStep() bool {
 // Run executes events in order until the queue drains or the next event
 // would fire after deadline. The clock is left at the later of its
 // current value and deadline, so a subsequent Run picks up seamlessly.
-func (e *Engine) Run(deadline Time) {
+func (e *Engine) Run(deadline Time) { e.run("Run", deadline, deadline) }
+
+// RunWindow executes events strictly before limit and advances the clock
+// to limit. It is Run with an exclusive bound: a conservative shard
+// driver computes a horizon no cross-shard effect can penetrate
+// (min next event + lookahead) and lets every shard run its own events
+// up to, but not including, that horizon — an event exactly at the
+// horizon might have to be ordered against another shard's event at the
+// same instant, so it belongs to the next window.
+func (e *Engine) RunWindow(limit Time) { e.run("RunWindow", limit-1, limit) }
+
+// run executes events in order until the queue drains or the next event
+// would fire after last, then leaves the clock at the later of its
+// current value and clock. name is the caller, for the panics.
+func (e *Engine) run(name string, last, clock Time) {
 	if e.running {
-		panic("des: Run re-entered from inside an event")
+		panic("des: " + name + " re-entered from inside an event")
 	}
 	if e.chooser != nil {
 		// A chooser can fire events out of time order, which makes the
-		// deadline skim below meaningless; explorers drive Step directly
-		// and clear the chooser before draining.
-		panic("des: Run with a Chooser installed (SetChooser(nil) first, or drive Step)")
+		// bound below meaningless; explorers drive Step directly and
+		// clear the chooser before draining.
+		panic("des: " + name + " with a Chooser installed (SetChooser(nil) first, or drive Step)")
 	}
 	e.running = true
 	defer func() { e.running = false }()
@@ -552,45 +566,13 @@ func (e *Engine) Run(deadline Time) {
 			e.release(e.popMin())
 			continue
 		}
-		if top.at > deadline {
+		if top.at > last {
 			break
 		}
 		e.Step()
 	}
-	if e.now < deadline {
-		e.now = deadline
-	}
-}
-
-// RunWindow executes events strictly before limit and advances the clock
-// to limit. It is Run with an exclusive bound: a conservative shard
-// driver computes a horizon no cross-shard effect can penetrate
-// (min next event + lookahead) and lets every shard run its own events
-// up to, but not including, that horizon — an event exactly at the
-// horizon might have to be ordered against another shard's event at the
-// same instant, so it belongs to the next window.
-func (e *Engine) RunWindow(limit Time) {
-	if e.running {
-		panic("des: RunWindow re-entered from inside an event")
-	}
-	if e.chooser != nil {
-		panic("des: RunWindow with a Chooser installed (SetChooser(nil) first, or drive Step)")
-	}
-	e.running = true
-	defer func() { e.running = false }()
-	for len(e.heap) > 0 {
-		top := &e.slab[e.heap[0]]
-		if top.fn == nil {
-			e.release(e.popMin())
-			continue
-		}
-		if top.at >= limit {
-			break
-		}
-		e.Step()
-	}
-	if e.now < limit {
-		e.now = limit
+	if e.now < clock {
+		e.now = clock
 	}
 }
 

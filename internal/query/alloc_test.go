@@ -3,6 +3,7 @@ package query
 import (
 	"fmt"
 	"testing"
+	"unsafe"
 
 	"peerwindow/internal/invariant"
 )
@@ -48,32 +49,44 @@ func TestViewEachDoesNotAllocate(t *testing.T) {
 }
 
 // TestLevelOnlyUpdateAllocations pins the write path of the commonest
-// delta: a level change keeps the entry's info string and the bucket's
-// field index, so it costs the entry copy, the bucket, the bucket table
-// and the view — nothing per info byte or per field.
+// delta: a level change keeps the entry's info string, the bucket and its
+// field index, so it costs the entry copy, the bucket table when the view
+// cannot carry it inline, and the view — nothing per info byte or per
+// field.
 func TestLevelOnlyUpdateAllocations(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("the pwinvariants build re-digests and re-indexes at every publish")
 	}
-	s, ps := benchStore(4096)
-	s.View().WithField("os=linux") // publish every bucket's field index
-	i := 0
-	if allocs := testing.AllocsPerRun(1000, func() {
-		j := i % len(ps)
-		up := ps[j]
-		up.Level = uint8(i % 8)
-		s.PeerUpdated(ps[j], up)
-		ps[j] = up
-		i++
-	}); allocs > 4 {
-		t.Fatalf("level-only PeerUpdated allocates %v, want at most 4", allocs)
+	for _, c := range []struct{ n, want int }{{4096, 3}, {16, 2}} {
+		s, ps := benchStore(c.n)
+		s.View().WithField("os=linux") // publish every bucket's field index
+		i := 0
+		if allocs := testing.AllocsPerRun(1000, func() {
+			j := i % len(ps)
+			up := ps[j]
+			up.Level = (up.Level + 1) % 8 // every update changes the level
+			s.PeerUpdated(ps[j], up)
+			ps[j] = up
+			i++
+		}); allocs > float64(c.want) {
+			t.Errorf("N = %d: level-only PeerUpdated allocates %v, want at most %d", c.n, allocs, c.want)
+		}
+	}
+}
+
+// TestRowSize pins a row of the bucket table at 48 bytes: the two levels
+// must fit beside a 32-bit start. Every delta copies the table, so a
+// row's size is paid per delta.
+func TestRowSize(t *testing.T) {
+	if size := unsafe.Sizeof(row{}); size != 48 {
+		t.Fatalf("row is %d bytes, want 48", size)
 	}
 }
 
 // TestInfoOnlyUpdateAllocations pins the write path of an info change on
-// a window of one bucket: the update keeps the bucket's level table and
-// the view carries its bucket table inline, so it costs the entry copy,
-// the view and the info string.
+// a window of one bucket: the update keeps the bucket and the view
+// carries its bucket table inline, so it costs the entry copy, the view
+// and the info string.
 func TestInfoOnlyUpdateAllocations(t *testing.T) {
 	if invariant.Enabled {
 		t.Skip("the pwinvariants build re-digests and re-indexes at every publish")

@@ -18,7 +18,8 @@ import (
 // insert, split, merge or removal path writes into a published bucket.
 //
 // The same hook also requires every published field index to equal a
-// fresh build of its bucket; CI runs the whole package with it armed:
+// fresh build of its bucket and every row's level range to be its
+// entries' own; CI runs the whole package with it armed:
 //
 //	go test -tags pwinvariants ./internal/query
 func TestPublishedViewsNeverMutate(t *testing.T) {

@@ -10,9 +10,9 @@ import (
 	"peerwindow/internal/wire"
 )
 
-// An update that keeps every level keeps its bucket: the level table and
-// the field index cell are shared by the views before and after it, and
-// the row's gen tells their indexes apart. These tests pin that sharing.
+// An update keeps its bucket: the field index cell is shared by the views
+// before and after it, and the row's gen tells their indexes apart. These
+// tests pin that sharing.
 
 // TestAddOfPresentIDReportsPrev: an add that degrades to an update
 // carries the entry it replaced, as a PeerUpdated does.
@@ -38,9 +38,8 @@ func TestAddOfPresentIDReportsPrev(t *testing.T) {
 }
 
 // TestUpdateKindsShareBuckets pins what each kind of update keeps of the
-// row it replaces: an address change keeps the bucket and the gen, an
-// info change keeps the bucket and bumps the gen, a level change builds a
-// new bucket and, with the info unchanged, hands the index on.
+// row it replaces: every update keeps the bucket; an address or a level
+// change keeps the gen and so the index, an info change bumps the gen.
 func TestUpdateKindsShareBuckets(t *testing.T) {
 	s, ps := benchStore(16)
 	s.View().WithField("os=linux")
@@ -68,15 +67,15 @@ func TestUpdateKindsShareBuckets(t *testing.T) {
 	}
 	s.View().WithField("role=new")
 	b, a = step("level", func(p *wire.Pointer) { p.Level = (p.Level + 1) % 8 })
-	if a.bucket == b.bucket || a.gen != b.gen || rowIndex(&a) == nil || rowIndex(&a) != rowIndex(&b) {
-		t.Fatal("a level change did not hand its index on to a new bucket")
+	if a.bucket != b.bucket || a.gen != b.gen || rowIndex(&a) == nil || rowIndex(&a) != rowIndex(&b) {
+		t.Fatal("a level change did not keep the bucket, gen and index")
 	}
 	b, a = step("level and info", func(p *wire.Pointer) {
 		p.Level = (p.Level + 1) % 8
 		p.Info = []byte("os=darwin")
 	})
-	if a.bucket == b.bucket || rowIndex(&a) != nil {
-		t.Fatal("a level and info change kept the bucket or its index")
+	if a.bucket != b.bucket || a.gen != b.gen+1 || rowIndex(&a) != nil {
+		t.Fatal("a level and info change did not keep the bucket under a new gen")
 	}
 }
 
@@ -111,9 +110,9 @@ func TestStaleReaderKeepsNewerIndex(t *testing.T) {
 }
 
 // TestSharedBucketReadersRace: readers of the views before and after an
-// info-only update share one level table and one index cell, build and
-// publish indexes concurrently, and each gets its own view's exact
-// answer. Run it under -race.
+// info-only update share one index cell, build and publish indexes
+// concurrently, and each gets its own view's exact answer. Run it under
+// -race.
 func TestSharedBucketReadersRace(t *testing.T) {
 	s, ps := benchStore(16)
 	vals := []string{"os=linux", "role=db", "rev=odd", "rev=even"}
@@ -164,8 +163,8 @@ var fuzzInfos = []string{"", "os=linux", "os=plan9;role=db", "role=db;role=db", 
 // of adds and removes (up to 96 entries each, so a few runs cross the
 // split and merge points) and single info, level and address updates
 // (through PeerUpdated or an add of a present ID). After each operation
-// the view must equal a flat model, its level tables must match its
-// entries, every index of a row's own generation must equal a fresh
+// the view must equal a flat model, each row's level range must be its
+// entries' own (checkBuckets), every index of a row's own generation must equal a fresh
 // build, and field queries on the view before and after the operation —
 // which share every untouched bucket — must match scans of the model.
 func FuzzStoreDeltas(f *testing.F) {

@@ -133,11 +133,15 @@ func (s *Store) publish(nv *View, d Delta) {
 			panic("query: published view mutated after publication")
 		}
 		// A field index a row trusts must describe the row exactly;
-		// checking every one of the row's generation catches a wrong
-		// hand-on or a missed generation bump at the epoch that made it.
+		// checking every one of the row's generation catches a missed
+		// generation bump at the epoch that made it. A row's level range
+		// must be its entries' own, or Strongest skips the row.
 		for _, r := range nv.rows {
 			if x := r.index.Load(); x != nil && x.gen == r.gen && !x.equal(buildFieldIndex(r.ents)) {
 				panic("query: field index differs from a fresh build of its bucket")
+			}
+			if lo, hi := levelRange(r.ents); lo != r.minLevel || hi != r.maxLevel {
+				panic("query: row level range differs from its entries")
 			}
 		}
 		s.lastDigest = nv.Digest()
@@ -193,14 +197,11 @@ func (s *Store) CheckAgainst(ps []wire.Pointer) error {
 
 // insertView returns a new view with p upserted, the entry as stored, and
 // the entry it replaced, if any. An insert clones one bucket's entries
-// and builds its level table (two when it splits the bucket). A
-// replacement clones the entries and keeps what it can: Info bytes equal
-// to the stored info keep the stored string; a replacement that keeps
-// the level keeps the bucket (level table and field index cell) and
-// bumps the row's gen only if the info changed; one that changes the
-// level builds a new level table and, if the info is unchanged, hands it
-// the predecessor's index under the same gen, since offsets and field
-// strings are unchanged.
+// into a fresh bucket (two when it splits the bucket). A replacement
+// clones the entries, keeps their offsets and so keeps the bucket: Info
+// bytes equal to the stored info keep the stored string and the row's
+// gen, so the bucket's field index stays valid; a changed info bumps the
+// gen.
 func insertView(v *View, p wire.Pointer) (nv *View, e, old Entry, replaced bool) {
 	if v.total == 0 {
 		e = EntryOf(p)
@@ -221,15 +222,10 @@ func insertView(v *View, p wire.Pointer) (nv *View, e, old Entry, replaced bool)
 		copy(ents, r.ents)
 		ents[off] = e
 		nr := row{ents: ents, bucket: r.bucket, gen: r.gen}
-		switch {
-		case e.Level != old.Level:
-			nr.bucket = newBucket(ents)
-			if x := r.index.Load(); keep && x != nil && x.gen == r.gen {
-				nr.index.Store(x)
-			}
-		case !keep:
+		if !keep {
 			nr.gen++
 		}
+		nr.minLevel, nr.maxLevel = levelRange(ents)
 		return successor(v, ri, ri+1, nr), e, old, true
 	}
 	e = EntryOf(p)
@@ -309,7 +305,7 @@ func successor(v *View, lo, hi int, repl ...row) *View {
 	start := 0
 	for i := range t {
 		r := &t[i]
-		r.start = start
+		r.start = int32(start)
 		start += len(r.ents)
 		if l := int(r.minLevel); nv.minLevel < 0 || l < nv.minLevel {
 			nv.minLevel = l

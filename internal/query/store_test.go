@@ -177,22 +177,23 @@ func TestStoreBucketShapeUnderGrowthAndShrink(t *testing.T) {
 
 // checkBuckets asserts the structural invariants of one view: bucket
 // sizes within bounds, global ID order across buckets, starts offsets
-// consistent, and the level tables (CountAtLevel, MinLevel) matching the
-// entries.
+// consistent, each row's level range exactly its entries' smallest and
+// largest level, and CountAtLevel and MinLevel matching the entries.
 func checkBuckets(t *testing.T, v *View) {
 	t.Helper()
 	total := 0
 	var prev nodeid.ID
 	first := true
-	var levels [levelSlots]int
+	var levels [256]int
 	minLevel := -1
 	for bi, b := range v.rows {
 		if len(b.ents) == 0 || len(b.ents) > maxBucket {
 			t.Fatalf("bucket %d has %d entries", bi, len(b.ents))
 		}
-		if b.start != total {
+		if int(b.start) != total {
 			t.Fatalf("bucket %d starts at %d, want %d", bi, b.start, total)
 		}
+		lo, hi := b.ents[0].Level, b.ents[0].Level
 		for _, e := range b.ents {
 			if !first && !prev.Less(e.ID) {
 				t.Fatalf("IDs out of order at bucket %d", bi)
@@ -202,6 +203,11 @@ func checkBuckets(t *testing.T, v *View) {
 			if minLevel < 0 || int(e.Level) < minLevel {
 				minLevel = int(e.Level)
 			}
+			lo, hi = min(lo, e.Level), max(hi, e.Level)
+		}
+		if b.minLevel != lo || b.maxLevel != hi {
+			t.Fatalf("bucket %d has level range [%d, %d], entries span [%d, %d]",
+				bi, b.minLevel, b.maxLevel, lo, hi)
 		}
 		total += len(b.ents)
 	}
@@ -249,8 +255,8 @@ func TestQueryFamiliesMatchNaiveScan(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// InfoContains: field-dictionary path, ';'-crossing fallback path,
-	// empty-substring path. WithField: exact ';'-separated fields only.
+	// InfoContains: substrings inside one field, substrings crossing a
+	// ';', the empty substring. WithField: exact ';'-separated fields only.
 	checkFieldFamilies(t, v, sh.ps,
 		[]string{"os=linux", "role=", "x;role", "linux;role=db", "", "nosuch", "=", ";"},
 		[]string{"os=linux", "role=db", "os=", "nosuch", ""})
@@ -426,11 +432,12 @@ func rowIndex(r *row) *fieldIndex {
 // grow phase past the split point and a shrink phase below the merge
 // point, querying every view so that field indexes are published. After
 // each step every published index must equal a fresh build of its bucket,
-// a bucket new to the view must hold its predecessor's index exactly when
-// the step kept the entry's info, and the field families must match the
-// naive scan. A bucket is new to the view unless the previous view has a
-// row over the same bucket at the same generation, and a cell holding
-// another generation's index counts as no index.
+// a row version new to the view must hold no index, an update that kept
+// the entry's info must keep its row's bucket and generation (and so the
+// index), and the field families must match the naive scan. A row version
+// is new to the view unless the previous view has a row over the same
+// bucket at the same generation, and a cell holding another generation's
+// index counts as no index.
 func TestFieldIndexMatchesFreshBuildUnderMutation(t *testing.T) {
 	s := NewStore(nil)
 	sh := &shadow{}
@@ -487,17 +494,16 @@ func TestFieldIndexMatchesFreshBuildUnderMutation(t *testing.T) {
 			if x != nil && !x.equal(buildFieldIndex(r.ents)) {
 				t.Fatalf("step %d: published field index differs from a fresh build", step)
 			}
-			if old[rowVersion{r.bucket, r.gen}] {
-				continue
+			if x != nil && !old[rowVersion{r.bucket, r.gen}] {
+				t.Fatalf("step %d: a row version new to the view holds index %p", step, x)
 			}
-			var want *fieldIndex
-			if kept {
-				want = rowIndex(&prev.rows[prev.rowFor(id)])
+		}
+		if kept {
+			pr, r := &prev.rows[prev.rowFor(id)], &v.rows[v.rowFor(id)]
+			if r.bucket != pr.bucket || r.gen != pr.gen {
+				t.Fatalf("step %d: an update that kept the info did not keep its bucket and gen", step)
 			}
-			if x != want {
-				t.Fatalf("step %d: new bucket holds index %p, want %p (kept info: %v)", step, x, want, kept)
-			}
-			if x != nil {
+			if rowIndex(r) != nil {
 				reused++
 			}
 		}
@@ -512,9 +518,9 @@ func TestFieldIndexMatchesFreshBuildUnderMutation(t *testing.T) {
 		t.Fatalf("shrink phase ended with %d entries, not below the merge point %d", v.Len(), minBucket)
 	}
 	if reused == 0 {
-		t.Fatal("no clone ever reused its predecessor's field index")
+		t.Fatal("no update ever kept its predecessor's field index")
 	}
-	t.Logf("%d clones reused their predecessor's field index", reused)
+	t.Logf("%d updates kept their predecessor's field index", reused)
 }
 
 // TestViewImmutableAcrossMutations holds every intermediate view of a

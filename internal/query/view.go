@@ -3,6 +3,7 @@ package query
 import (
 	"cmp"
 	"hash/maphash"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -22,11 +23,6 @@ const (
 	maxBucket    = 2 * targetBucket
 	minBucket    = targetBucket / 4 // below this, try merging into a neighbor
 )
-
-// levelSlots is the size of the per-level count tables. wire levels are a
-// uint8, so index by the full byte range rather than trusting inputs to
-// stay below nodeid.Bits.
-const levelSlots = 256
 
 // fieldIndex is a row's field postings: for each distinct
 // ';'-separated info field value, the ascending offsets of the entries
@@ -248,58 +244,57 @@ func (x *fieldIndex) equal(y *fieldIndex) bool {
 	return true
 }
 
-// bucket is the level table of one row's entries plus the cell its field
-// index is published in. Its level table is immutable after construction,
-// and the bucket is shared: by the views that share its row, and by every
-// version of the row whose entries keep their levels — an update that
-// changes only an address or an info reuses it (see insertView).
+// bucket is the cell a row's field index is published in. It is shared
+// by the views that share its row and by every version of the row whose
+// entries keep their offsets: an update replaces one entry in place and
+// keeps the bucket, whatever it changes (see insertView).
 type bucket struct {
-	levels   [levelSlots]uint16 // count of entries per level value
-	minLevel int16              // smallest level present, -1 if empty
-	maxLevel int16              // largest level present, -1 if empty
-
 	// index holds the newest field index published for any row over
 	// this bucket, nil before. Readers build it lazily on the first
-	// field query touching the row; the writer never builds, it only
-	// hands a predecessor's index on to a row whose infos are unchanged
-	// (see insertView). A row trusts the index only when its gen is the
-	// row's own.
+	// field query touching the row; the writer never builds. A row
+	// trusts the index only when its gen is the row's own.
 	index atomic.Pointer[fieldIndex]
 }
 
-// newBucket builds the level table of an ID-sorted entry slice.
-func newBucket(ents []Entry) *bucket {
-	b := &bucket{minLevel: -1, maxLevel: -1}
-	for i := range ents {
-		l := int16(ents[i].Level)
-		b.levels[l]++
-		if b.minLevel < 0 || l < b.minLevel {
-			b.minLevel = l
-		}
-		if l > b.maxLevel {
-			b.maxLevel = l
-		}
-	}
-	return b
-}
-
 // row is one row of a view's bucket table: an immutable run of
-// consecutive (ID-sorted) entries, the bucket holding their level table,
-// where the entries start in this view's global order, and the
-// generation of their infos. Views share entry slices and buckets and
-// never mutate them. Two versions of a row over one bucket have the same
-// gen exactly when their entries carry the same infos: an update that
-// changes an info and no level bumps it.
+// consecutive (ID-sorted) entries, the bucket holding their field index
+// cell, the generation of their infos, where the entries start in this
+// view's global order, and the smallest and largest level among them
+// (rows are never empty). Views share entry slices and buckets and never
+// mutate them. Two versions of a row over one bucket have the same gen
+// exactly when their entries carry the same infos: an update that
+// changes an info bumps it.
 type row struct {
 	ents []Entry
 	*bucket
-	start int // global index of ents[0]
-	gen   uint64
+	gen                uint64
+	start              int32 // global index of ents[0]
+	minLevel, maxLevel uint8
 }
 
 // newRow makes a row of a fresh bucket over an ID-sorted entry slice,
 // which the row owns afterwards.
-func newRow(ents []Entry) row { return row{ents: ents, bucket: newBucket(ents)} }
+func newRow(ents []Entry) row {
+	r := row{ents: ents, bucket: new(bucket)}
+	r.minLevel, r.maxLevel = levelRange(ents)
+	return r
+}
+
+// levelRange returns the smallest and largest level in a non-empty entry
+// slice.
+func levelRange(ents []Entry) (lo, hi uint8) {
+	lo, hi = ents[0].Level, ents[0].Level
+	for i := 1; i < len(ents); i++ {
+		lo, hi = min(lo, ents[i].Level), max(hi, ents[i].Level)
+	}
+	return lo, hi
+}
+
+// covers reports whether the row's level range includes l, that is,
+// whether an entry at level l may lie in the row.
+//
+//pwlint:noalloc
+func (r *row) covers(l int) bool { return int(r.minLevel) <= l && l <= int(r.maxLevel) }
 
 // fields returns the row's field index, building it if the bucket's cell
 // holds none of this row's generation. Safe for concurrent readers:
@@ -371,9 +366,9 @@ func (v *View) Len() int { return v.total }
 //
 //pwlint:noalloc
 func (v *View) At(i int) Entry {
-	ri := sort.Search(len(v.rows), func(r int) bool { return v.rows[r].start > i }) - 1
+	ri := sort.Search(len(v.rows), func(r int) bool { return int(v.rows[r].start) > i }) - 1
 	r := &v.rows[ri]
-	return r.ents[i-r.start]
+	return r.ents[i-int(r.start)]
 }
 
 // rowFor returns the index of the row that does or would contain id.
@@ -433,17 +428,22 @@ func (v *View) Entries() []Entry {
 //pwlint:noalloc
 func (v *View) MinLevel() int { return v.minLevel }
 
-// CountAtLevel returns the number of entries whose level equals l. O(B)
-// for B buckets: it sums the buckets' level tables.
+// CountAtLevel returns the number of entries whose level equals l. It
+// scans the entries of the rows whose level range covers l.
 //
 //pwlint:noalloc
 func (v *View) CountAtLevel(l int) int {
-	if l < 0 || l >= levelSlots {
-		return 0
-	}
 	n := 0
 	for ri := range v.rows {
-		n += int(v.rows[ri].levels[l])
+		r := &v.rows[ri]
+		if !r.covers(l) {
+			continue
+		}
+		for i := range r.ents {
+			if int(r.ents[i].Level) == l {
+				n++
+			}
+		}
 	}
 	return n
 }
@@ -451,10 +451,10 @@ func (v *View) CountAtLevel(l int) int {
 // Strongest returns up to k entries ordered by ascending level (the paper's
 // "powerful node" ordering — lower level means the node holds a larger
 // window), breaking level ties by ascending ID. This is exactly the order a
-// stable sort by level over the ID-sorted window produces, and it costs
-// O(k + B·L) via the level tables rather than a full sort, for the L
-// levels from MinLevel up to the highest the result reaches: the buckets'
-// tables skip buckets with no entries at a level.
+// stable sort by level over the ID-sorted window produces. It walks the
+// levels up from MinLevel and, at each, scans only the rows whose level
+// range covers it, stopping at the k-th entry: no sort, and at the
+// commonest levels only the first rows are touched.
 func (v *View) Strongest(k int) []Entry {
 	if k > v.total {
 		k = v.total
@@ -462,19 +462,15 @@ func (v *View) Strongest(k int) []Entry {
 	if k <= 0 {
 		return nil
 	}
-	maxLevel := v.minLevel
-	for ri := range v.rows {
-		maxLevel = max(maxLevel, int(v.rows[ri].maxLevel))
-	}
 	out := make([]Entry, 0, k)
-	for l := v.minLevel; l <= maxLevel; l++ {
+	for l := v.minLevel; l <= math.MaxUint8; l++ {
 		for ri := range v.rows {
 			r := &v.rows[ri]
-			if r.levels[l] == 0 {
+			if !r.covers(l) {
 				continue
 			}
 			for i := range r.ents {
-				if r.ents[i].Level == uint8(l) {
+				if int(r.ents[i].Level) == l {
 					out = append(out, r.ents[i])
 					if len(out) == k {
 						return out
@@ -511,57 +507,14 @@ func (v *View) WithField(val string) []Entry {
 }
 
 // InfoContains returns all entries whose attached info contains substr, in
-// ascending ID order — the indexed equivalent of Window.InfoContains. When
-// substr contains no field separator, any match must lie entirely inside a
-// single ';'-separated field, so scanning the (much smaller) per-bucket
-// field dictionaries is exact; buckets whose dictionary has no matching
-// field are skipped without touching their entries. A substr containing ';'
-// can straddle fields and falls back to scanning the entries of each
-// bucket. The empty substring matches every entry, like strings.Contains.
+// ascending ID order: a strings.Contains scan of every entry, matching
+// Window.InfoContains. The empty substring matches every entry.
 func (v *View) InfoContains(substr string) []Entry {
-	if substr == "" {
-		return v.Entries()
-	}
 	var out []Entry
-	if strings.ContainsRune(substr, ';') {
-		for _, r := range v.rows {
-			for i := range r.ents {
-				if strings.Contains(r.ents[i].info, substr) {
-					out = append(out, r.ents[i])
-				}
-			}
-		}
-		return out
-	}
-	var seen []bool
 	for _, r := range v.rows {
-		x := r.fields()
-		hit := false
-		for i := range x.fields {
-			if strings.Contains(x.fields[i].val, substr) {
-				hit = true
-				break
-			}
-		}
-		if !hit {
-			continue
-		}
-		if cap(seen) < len(r.ents) {
-			seen = make([]bool, len(r.ents))
-		} else {
-			seen = seen[:len(r.ents)]
-			clear(seen)
-		}
-		for i := range x.fields {
-			if strings.Contains(x.fields[i].val, substr) {
-				for _, off := range x.at(i) {
-					seen[off] = true
-				}
-			}
-		}
-		for off := range r.ents {
-			if seen[off] {
-				out = append(out, r.ents[off])
+		for i := range r.ents {
+			if strings.Contains(r.ents[i].info, substr) {
+				out = append(out, r.ents[i])
 			}
 		}
 	}

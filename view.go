@@ -14,8 +14,8 @@ import (
 // waits for the protocol path — and the snapshot never changes afterwards:
 // every method returns the same answer no matter how long the View is
 // held or what the overlay does meanwhile. The indexed methods (Lookup,
-// Strongest, WithField, InfoContains) answer without copying or scanning
-// the whole window.
+// Strongest, WithField) answer without copying or scanning the whole
+// window.
 type View struct {
 	v *query.View
 }
@@ -48,8 +48,8 @@ func (v View) Len() int { return v.qv().Len() }
 // snapshot. O(1): cached when the snapshot is published.
 func (v View) MinLevel() int { return v.qv().MinLevel() }
 
-// CountAtLevel returns how many pointers announce exactly level l. O(B)
-// for B buckets of about 128 pointers: it sums their level tables.
+// CountAtLevel returns how many pointers announce exactly level l. It
+// scans the buckets of about 128 pointers whose level range covers l.
 func (v View) CountAtLevel(l int) int { return v.qv().CountAtLevel(l) }
 
 // Each calls fn for every pointer in ascending ID order until fn returns
@@ -75,8 +75,8 @@ func (v View) Lookup(id string) (Pointer, bool) {
 
 // Strongest returns up to k pointers with the smallest level values —
 // "looking at the level value for powerful nodes" (§3) — by ascending
-// level, ID order within a level. O(k) against the level index instead
-// of a full sort.
+// level, ID order within a level. No sort: it walks the levels up from
+// MinLevel over the buckets whose level range covers each.
 func (v View) Strongest(k int) []Pointer {
 	return entriesToPublic(v.qv().Strongest(k))
 }
@@ -90,7 +90,7 @@ func (v View) WithField(field string) []Pointer {
 }
 
 // InfoContains returns the pointers whose attached info contains substr,
-// through the field index when substr has no ';' and by scan otherwise.
+// by a scan of every pointer's info.
 func (v View) InfoContains(substr string) []Pointer {
 	return entriesToPublic(v.qv().InfoContains(substr))
 }

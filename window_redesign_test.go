@@ -10,9 +10,9 @@ import (
 
 // refSampleIndexes is the specification for query.SampleIndexes: a full
 // forward Fisher–Yates over a real index array, stopping after k draws.
-// The production code's dense branch is this verbatim and its sparse
-// branch must consume the identical draw sequence, so both must match
-// this reference for every (n, k, seed).
+// The production code tracks only the displaced positions in a map and
+// must consume the identical draw sequence, so it must match this
+// reference for every (n, k, seed).
 func refSampleIndexes(n, k int, seed uint64) []int {
 	if k > n {
 		k = n
@@ -44,8 +44,8 @@ func TestSampleIndexesPinned(t *testing.T) {
 		seed uint64
 		want []int
 	}{
-		{10, 4, 7, []int{7, 3, 8, 9}},      // dense branch (4k >= n)
-		{100, 4, 7, []int{70, 28, 84, 98}}, // sparse branch (4k < n)
+		{10, 4, 7, []int{7, 3, 8, 9}},      // k a large share of n
+		{100, 4, 7, []int{70, 28, 84, 98}}, // k ≪ n
 		{8, 8, 1, []int{5, 4, 0, 1, 6, 2, 3, 7}},
 		{1000, 6, 42, []int{83, 379, 680, 924, 991, 770}},
 	}
@@ -57,11 +57,10 @@ func TestSampleIndexesPinned(t *testing.T) {
 	}
 }
 
-// TestSampleIndexesBranchAgreement drives both representation branches
-// against the reference across a grid of shapes and seeds: the map-backed
-// sparse branch must pick exactly the indexes the array-backed dense
-// branch picks, or a seed would select different peers depending on
-// window size.
+// TestSampleIndexesBranchAgreement drives the map-backed helper against
+// the array-backed reference across a grid of shapes and seeds, from k
+// near n to k ≪ n: it must pick exactly the indexes the reference picks,
+// or a seed would select different peers than its pinned contract says.
 func TestSampleIndexesBranchAgreement(t *testing.T) {
 	for _, n := range []int{1, 2, 7, 16, 33, 100, 257, 1000, 5000} {
 		for _, k := range []int{0, 1, 2, 3, 8, 17, 64} {
