@@ -298,7 +298,7 @@ func TestLateAckForRecycledPendingSendIsIgnored(t *testing.T) {
 	if n.pending.get(second) != rec || rec.id != second || rec.msg.Event.Seq != 2 {
 		t.Fatalf("late ack %d disturbed the recycled record now serving send %d: %+v", first, second, rec)
 	}
-	if n.acks.len() != 1 || n.acks.items[n.acks.head].v != second || !n.acks.timer.armed() {
+	if n.acks.len() != 1 || n.acks.front().v != second || !n.acks.timer.armed() {
 		t.Fatalf("ack queue holds %d entries (timer armed: %v), want only send %d's",
 			n.acks.len(), n.acks.timer.armed(), second)
 	}

@@ -143,6 +143,16 @@ type ChunkPool struct {
 	// from the edited chunk's start on, and the chunks cut so far.
 	e   []entry
 	out []chunkRef
+
+	// The storage of the pool's nodes' deadline queues, one segment free
+	// list per entry type (deadline.go), and of their pending sends
+	// (reliable.go): a message burst grows it once for every node that
+	// shares the pool.
+	ackSegs    segPool[uint64]
+	hopSegs    segPool[forwardHop]
+	defendSegs segPool[struct{}]
+	waitSegs   segPool[probeWait]
+	sends      sendPool
 }
 
 // rehash returns hash h of a chunk's content with entry out, if any,

@@ -62,11 +62,20 @@ func (s *timerSlot) cancel() {
 //     push and the tick drop them off the head, so the queue stays bounded
 //     even under an Env whose timers never fire;
 //   - Stop cancels the armed timer and empties the queue.
+//
+// The entries live in a chain of fixed-size segments drawn from the
+// node's pool (segPool), which every node of a simulator cluster shares:
+// a segment goes back to the pool the moment its last entry is popped,
+// so a queue holds storage only while it holds work, and a burst grows
+// the pool once for the whole cluster instead of every node's queue.
 type deadlineQueue[T any] struct {
-	// items[head:] are the queued entries, deadlines nondecreasing; the
-	// popped prefix is zeroed, so it pins no payload.
-	items []deadlined[T]
-	head  int
+	// The entries are head.e[hi:] through tail.e[:ti], chained through
+	// segment.next, n of them, deadlines nondecreasing; head and tail are
+	// nil when the queue is empty. A popped slot is zeroed, so it pins no
+	// payload.
+	head, tail *segment[T]
+	hi, ti, n  int
+	pool       *segPool[T]
 	// timer is armed for the head while the queue holds work; ticking is
 	// set while the tick runs, so the pushes it makes arm nothing.
 	timer   timerSlot
@@ -83,29 +92,94 @@ type deadlined[T any] struct {
 	v  T
 }
 
-// init binds the queue to its node's Env and its work.
-func (q *deadlineQueue[T]) init(env Env, run func(T), live func(T) bool) {
+const (
+	// segLen is how many entries a queue segment holds.
+	segLen = 8
+	// segBatch is the most segments a pool miss allocates at once.
+	segBatch = 32
+)
+
+// segment is one run of a queue's entries.
+type segment[T any] struct {
+	next *segment[T]
+	e    [segLen]deadlined[T]
+}
+
+// segPool is the free list of one entry type's queue segments, shared by
+// every queue its pool serves; made counts the segments it ever
+// allocated, for the invariant check.
+type segPool[T any] struct {
+	free *segment[T]
+	made int
+}
+
+// get takes a segment off the free list. An empty list is refilled in
+// one allocation with as many segments as the pool has made so far, 2
+// to segBatch: a pool that serves one node stays small, and a cluster's
+// pool reaches full batches after a few refills.
+//
+//pwlint:noalloc
+func (p *segPool[T]) get() *segment[T] {
+	if p.free == nil {
+		n := min(max(p.made, 2), segBatch)
+		p.free = newSegments[T](n) //pwlint:allow noalloc pool miss: the pool's queues hold more entries than ever before
+		p.made += n
+	}
+	s := p.free
+	p.free, s.next = s.next, nil
+	return s
+}
+
+// newSegments allocates n segments in one block, linked in order.
+func newSegments[T any](n int) *segment[T] {
+	b := make([]segment[T], n)
+	for i := 1; i < n; i++ {
+		b[i-1].next = &b[i]
+	}
+	return &b[0]
+}
+
+// put returns s, whose slots are all zero, to the free list.
+//
+//pwlint:noalloc
+func (p *segPool[T]) put(s *segment[T]) {
+	s.next, p.free = p.free, s
+}
+
+// init binds the queue to its node's Env, the pool its segments come
+// from and its work.
+func (q *deadlineQueue[T]) init(env Env, pool *segPool[T], run func(T), live func(T) bool) {
+	q.pool = pool
 	q.run, q.live = run, live
 	q.timer.init(env, q.fire)
 }
 
 // len returns the number of queued entries, dead ones included.
-func (q *deadlineQueue[T]) len() int { return len(q.items) - q.head }
+func (q *deadlineQueue[T]) len() int { return q.n }
+
+// front returns the head entry; the queue must not be empty.
+func (q *deadlineQueue[T]) front() *deadlined[T] { return &q.head.e[q.hi] }
+
+// back returns the most recently queued entry; the queue must not be
+// empty.
+func (q *deadlineQueue[T]) back() *deadlined[T] { return &q.tail.e[q.ti-1] }
 
 // push queues v to fall due delay from now. delay must be the queue's
 // constant, so the entry lands in deadline order.
 func (q *deadlineQueue[T]) push(delay des.Time, v T) {
 	q.dropDead()
-	if q.head == len(q.items) {
-		q.items, q.head = q.items[:0], 0
-	} else if len(q.items) == cap(q.items) && 2*q.head >= len(q.items) {
-		// Full and at least half popped: slide the live part down
-		// instead of growing.
-		k := copy(q.items, q.items[q.head:])
-		clear(q.items[k:])
-		q.items, q.head = q.items[:k], 0
+	if q.tail == nil || q.ti == segLen {
+		s := q.pool.get()
+		if q.tail == nil {
+			q.head, q.hi = s, 0
+		} else {
+			q.tail.next = s
+		}
+		q.tail, q.ti = s, 0
 	}
-	q.items = append(q.items, deadlined[T]{at: q.timer.env.Now() + delay, v: v})
+	q.tail.e[q.ti] = deadlined[T]{at: q.timer.env.Now() + delay, v: v}
+	q.ti++
+	q.n++
 	if !q.timer.armed() && !q.ticking {
 		q.arm()
 	}
@@ -113,29 +187,42 @@ func (q *deadlineQueue[T]) push(delay des.Time, v T) {
 
 // arm sets the timer for the head's deadline.
 func (q *deadlineQueue[T]) arm() {
-	q.timer.arm(q.items[q.head].at - q.timer.env.Now())
+	q.timer.arm(q.front().at - q.timer.env.Now())
 }
 
 // last returns the most recently queued entry, nil when the queue is
 // empty.
 func (q *deadlineQueue[T]) last() *T {
-	if q.len() == 0 {
+	if q.n == 0 {
 		return nil
 	}
-	return &q.items[len(q.items)-1].v
+	return &q.back().v
 }
 
-// pop removes the head.
+// pop removes the head, returning its segment to the pool once the
+// segment is spent.
+//
+//pwlint:noalloc
 func (q *deadlineQueue[T]) pop() T {
-	v := q.items[q.head].v
-	q.items[q.head] = deadlined[T]{}
-	q.head++
+	e := q.front()
+	v := e.v
+	*e = deadlined[T]{}
+	q.hi++
+	q.n--
+	if q.n == 0 || q.hi == segLen {
+		s := q.head
+		q.head, q.hi = s.next, 0
+		if q.n == 0 {
+			q.head, q.tail, q.ti = nil, nil, 0
+		}
+		q.pool.put(s)
+	}
 	return v
 }
 
 // dropDead pops the dead entries off the head.
 func (q *deadlineQueue[T]) dropDead() {
-	for q.live != nil && q.len() > 0 && !q.live(q.items[q.head].v) {
+	for q.live != nil && q.n > 0 && !q.live(q.front().v) {
 		q.pop()
 	}
 }
@@ -145,38 +232,88 @@ func (q *deadlineQueue[T]) dropDead() {
 func (q *deadlineQueue[T]) fire() {
 	q.ticking = true
 	now := q.timer.env.Now()
-	for q.len() > 0 && q.items[q.head].at <= now {
+	for q.n > 0 && q.front().at <= now {
 		if v := q.pop(); q.live == nil || q.live(v) {
 			q.run(v)
 		}
 	}
 	q.ticking = false
 	q.dropDead()
-	if q.len() > 0 {
+	if q.n > 0 {
 		q.arm()
 	}
 }
 
-// stop cancels the armed timer and empties the queue.
+// stop cancels the armed timer and empties the queue, returning its
+// segments to the pool.
 func (q *deadlineQueue[T]) stop() {
 	q.timer.cancel()
-	clear(q.items)
-	q.items, q.head = q.items[:0], 0
+	for q.n > 0 {
+		q.pop()
+	}
 }
 
-// check verifies the queue's rules: deadlines never decrease from the
-// head, and outside the tick a queue holding a live entry has its timer
-// armed.
-func (q *deadlineQueue[T]) check() error {
-	live := false
-	for i := q.head; i < len(q.items); i++ {
-		if i > q.head && q.items[i].at < q.items[i-1].at {
-			return fmt.Errorf("deadline queue out of order at entry %d: %v after %v", i-q.head, q.items[i].at, q.items[i-1].at)
+// each calls fn on every queued entry, head first.
+func (q *deadlineQueue[T]) each(fn func(e *deadlined[T])) {
+	s, i := q.head, q.hi
+	for k := 0; k < q.n; k++ {
+		if i == segLen {
+			s, i = s.next, 0
 		}
-		live = live || q.live == nil || q.live(q.items[i].v)
+		fn(&s.e[i])
+		i++
+	}
+}
+
+// check verifies the queue's rules: its segments hold exactly its count
+// of entries, deadlines never decrease from the head, and outside the
+// tick a queue holding a live entry has its timer armed.
+func (q *deadlineQueue[T]) check() error {
+	if err := q.checkChain(); err != nil {
+		return err
+	}
+	live, i := false, 0
+	var prev des.Time
+	var err error
+	q.each(func(e *deadlined[T]) {
+		if err == nil && i > 0 && e.at < prev {
+			err = fmt.Errorf("deadline queue out of order at entry %d: %v after %v", i, e.at, prev)
+		}
+		live = live || q.live == nil || q.live(e.v)
+		prev = e.at
+		i++
+	})
+	if err != nil {
+		return err
 	}
 	if live && !q.timer.armed() && !q.ticking {
-		return fmt.Errorf("deadline queue holds %d entries, a live one among them, with no timer armed", q.len())
+		return fmt.Errorf("deadline queue holds %d entries, a live one among them, with no timer armed", q.n)
+	}
+	return nil
+}
+
+// checkChain verifies the segment chain against the count: an empty
+// queue holds no segment, and otherwise the chain runs from head to
+// tail, holding n entries between the head and tail offsets.
+func (q *deadlineQueue[T]) checkChain() error {
+	if q.n == 0 {
+		if q.head != nil || q.tail != nil {
+			return fmt.Errorf("empty deadline queue holds segments")
+		}
+		return nil
+	}
+	if q.head == nil || q.tail == nil || q.tail.next != nil || q.hi >= segLen || q.ti < 1 || q.ti > segLen {
+		return fmt.Errorf("deadline queue of %d entries has a broken segment chain", q.n)
+	}
+	held := segLen - q.hi
+	for s := q.head; s != q.tail; s = s.next {
+		if s.next == nil || held > q.n+segLen {
+			return fmt.Errorf("deadline queue's segment chain does not reach its tail")
+		}
+		held += segLen
+	}
+	if held -= segLen - q.ti; held != q.n {
+		return fmt.Errorf("deadline queue counts %d entries, its segments hold %d", q.n, held)
 	}
 	return nil
 }

@@ -182,7 +182,7 @@ func TestQueueInvariantsCatchCorruption(t *testing.T) {
 		want    string
 	}{
 		"deadlines out of order": {
-			func(n *Node) { n.hops.items[n.hops.head].at += des.Hour },
+			func(n *Node) { n.hops.front().at += des.Hour },
 			"out of order",
 		},
 		"live entries with no timer": {
@@ -194,11 +194,11 @@ func TestQueueInvariantsCatchCorruption(t *testing.T) {
 			"in the ack queue",
 		},
 		"pending send queued twice": {
-			func(n *Node) { n.acks.push(n.cfg.AckTimeout, n.acks.items[n.acks.head].v) },
+			func(n *Node) { n.acks.push(n.cfg.AckTimeout, n.acks.front().v) },
 			"queued twice",
 		},
 		"timeout beyond AckTimeout": {
-			func(n *Node) { n.acks.items[len(n.acks.items)-1].at += des.Hour },
+			func(n *Node) { n.acks.back().at += des.Hour },
 			"after now + AckTimeout",
 		},
 	}

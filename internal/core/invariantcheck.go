@@ -301,19 +301,119 @@ func (n *Node) checkQueues() error {
 	}
 	queued := make(map[uint64]int, n.pending.n)
 	limit := n.env.Now() + n.cfg.AckTimeout
-	for _, e := range n.acks.items[n.acks.head:] {
-		if !n.awaited(e.v) {
-			continue
+	var err error
+	n.acks.each(func(e *deadlined[uint64]) {
+		if err != nil || !n.awaited(e.v) {
+			return
 		}
 		if queued[e.v]++; queued[e.v] > 1 {
-			return fmt.Errorf("pending send %d is queued twice", e.v)
+			err = fmt.Errorf("pending send %d is queued twice", e.v)
+		} else if e.at > limit {
+			err = fmt.Errorf("pending send %d times out at %v, after now + AckTimeout = %v", e.v, e.at, limit)
 		}
-		if e.at > limit {
-			return fmt.Errorf("pending send %d times out at %v, after now + AckTimeout = %v", e.v, e.at, limit)
-		}
+	})
+	if err != nil {
+		return err
 	}
 	if len(queued) != n.pending.n {
 		return fmt.Errorf("%d sends pending, %d of them in the ack queue", n.pending.n, len(queued))
+	}
+	return nil
+}
+
+// CheckStorage verifies the pool's queue and send storage against
+// nodes, which must be every node the pool serves, stopped ones
+// included: each node's queues keep their segment chains, and every
+// queue segment and every pending-send record the pool ever allocated is
+// either held by exactly one of the nodes' queues or pending rings, once,
+// or sits on the pool's free list, once.
+//
+// It returns nil when the storage is consistent and a descriptive error
+// for the first violation found.
+func (p *ChunkPool) CheckStorage(nodes []*Node) error {
+	for _, n := range nodes {
+		if n.peers.pool != p || n.sends != &p.sends {
+			return fmt.Errorf("node %v is served by another pool", n.self.ID)
+		}
+	}
+	if err := checkSegments(&p.ackSegs, queuesOf(nodes, func(n *Node) *deadlineQueue[uint64] { return &n.acks })); err != nil {
+		return fmt.Errorf("ack queues: %w", err)
+	}
+	if err := checkSegments(&p.hopSegs, queuesOf(nodes, func(n *Node) *deadlineQueue[forwardHop] { return &n.hops })); err != nil {
+		return fmt.Errorf("hop queues: %w", err)
+	}
+	if err := checkSegments(&p.defendSegs, queuesOf(nodes, func(n *Node) *deadlineQueue[struct{}] { return &n.defends })); err != nil {
+		return fmt.Errorf("defend queues: %w", err)
+	}
+	if err := checkSegments(&p.waitSegs, queuesOf(nodes, func(n *Node) *deadlineQueue[probeWait] { return &n.probeWaits })); err != nil {
+		return fmt.Errorf("probe-wait queues: %w", err)
+	}
+	return p.sends.check(nodes)
+}
+
+// queuesOf returns the queue of one entry type of each node.
+func queuesOf[T any](nodes []*Node, queue func(*Node) *deadlineQueue[T]) []*deadlineQueue[T] {
+	qs := make([]*deadlineQueue[T], len(nodes))
+	for i, n := range nodes {
+		qs[i] = queue(n)
+	}
+	return qs
+}
+
+// checkSegments is CheckStorage's clause for one segment pool, which
+// must serve exactly queues.
+func checkSegments[T any](p *segPool[T], queues []*deadlineQueue[T]) error {
+	var held []*segment[T]
+	for i, q := range queues {
+		if err := q.checkChain(); err != nil {
+			return fmt.Errorf("queue %d: %w", i, err)
+		}
+		for s := q.head; s != nil; s = s.next {
+			held = append(held, s)
+		}
+	}
+	return accounted("segment", p.made, held, p.free, func(s *segment[T]) *segment[T] { return s.next })
+}
+
+// check is CheckStorage's clause for the pending-send records.
+func (p *sendPool) check(nodes []*Node) error {
+	var held []*pendingSend
+	for _, n := range nodes {
+		for _, r := range n.pending.slots {
+			if r != nil {
+				held = append(held, r)
+			}
+		}
+	}
+	return accounted("pending send", p.made, held, p.free, func(r *pendingSend) *pendingSend { return r.next })
+}
+
+// accounted verifies a pool's bookkeeping of one kind of record: each
+// of the made records it ever allocated is either in held, once, or on
+// the free list that starts at free and is chained through next, once.
+func accounted[R comparable](what string, made int, held []R, free R, next func(R) R) error {
+	const inUse, onFreeList = 1, 2
+	var none R
+	where := make(map[R]uint8, made)
+	for _, r := range held {
+		if where[r] != 0 {
+			return fmt.Errorf("a %s is held twice", what)
+		}
+		where[r] = inUse
+	}
+	nfree := 0
+	for r := free; r != none; r = next(r) {
+		switch where[r] {
+		case inUse:
+			return fmt.Errorf("a %s in use is on the free list", what)
+		case onFreeList:
+			return fmt.Errorf("the free list holds a %s twice", what)
+		}
+		where[r] = onFreeList
+		nfree++
+	}
+	if len(held)+nfree != made {
+		return fmt.Errorf("%d %ss allocated, %d in use and %d free", made, what, len(held), nfree)
 	}
 	return nil
 }

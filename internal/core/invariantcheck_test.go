@@ -8,6 +8,7 @@ import (
 	"peerwindow/internal/des"
 	"peerwindow/internal/nodeid"
 	"peerwindow/internal/wire"
+	"peerwindow/internal/xrand"
 )
 
 func TestPeerListInvariantsHoldThroughMutation(t *testing.T) {
@@ -353,6 +354,87 @@ func TestNodeInvariantsCatchCorruption(t *testing.T) {
 			n := newTopNode(t, env, ptrAt("0100", 0, 2), ptrAt("1001", 0, 3))
 			tc.corrupt(n)
 			err := n.CheckInvariants()
+			if err == nil {
+				t.Fatal("corruption not detected")
+			}
+			if !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("error %q does not mention %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// pooledEnv is a countingEnv whose node draws its storage from a pool
+// shared with other nodes, as a simulator cluster's nodes do.
+type pooledEnv struct {
+	*countingEnv
+	pool *ChunkPool
+}
+
+func (e pooledEnv) ChunkPool() *ChunkPool { return e.pool }
+
+// The storage clause of the pool check catches each way of losing track
+// of a queue segment or a pending-send record.
+func TestStorageInvariantsCatchCorruption(t *testing.T) {
+	// build returns two nodes sharing a pool, each with pending sends in
+	// its ring and entries in its ack and hop queues across several
+	// segments, the second one stopped.
+	build := func() (*ChunkPool, []*Node) {
+		pool := new(ChunkPool)
+		var nodes []*Node
+		for i, bits := range []string{"0000", "1000"} {
+			env := &countingEnv{rng: xrand.New(uint64(i + 1))}
+			n := NewNode(quietConfig(), pooledEnv{env, pool}, Observer{}, ptrAt(bits, 0, wire.Addr(i+1)))
+			for range 2*segLen + 3 {
+				n.sendReliable(wire.Message{Type: wire.MsgTopListReq, To: 9}, 2, nil, nil)
+				n.hops.push(n.cfg.ForwardDelay, forwardHop{})
+			}
+			nodes = append(nodes, n)
+		}
+		nodes[1].Stop()
+		return pool, nodes
+	}
+	cases := map[string]struct {
+		corrupt func(p *ChunkPool, nodes []*Node)
+		want    string
+	}{
+		"segment released twice": {
+			func(p *ChunkPool, nodes []*Node) {
+				s := nodes[0].hops.head
+				nodes[0].hops.stop()
+				p.hopSegs.put(s)
+			},
+			"free list holds a segment twice",
+		},
+		"held segment released": {
+			func(p *ChunkPool, nodes []*Node) { p.ackSegs.put(nodes[0].acks.tail) },
+			"broken segment chain",
+		},
+		"segment lost": {
+			func(p *ChunkPool, nodes []*Node) { p.hopSegs.get() },
+			"segments allocated",
+		},
+		"pending send released while pending": {
+			func(p *ChunkPool, nodes []*Node) { p.sends.release(nodes[0].pending.get(nodes[0].nextAckID)) },
+			"pending send in use is on the free list",
+		},
+		"pending send lost": {
+			func(p *ChunkPool, nodes []*Node) { p.sends.acquire() },
+			"pending sends allocated",
+		},
+		"node of another pool": {
+			func(p *ChunkPool, nodes []*Node) { nodes[1].peers.pool = new(ChunkPool) },
+			"served by another pool",
+		},
+	}
+	if p, nodes := build(); p.CheckStorage(nodes) != nil {
+		t.Fatalf("intact pool: %v", p.CheckStorage(nodes))
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			p, nodes := build()
+			tc.corrupt(p, nodes)
+			err := p.CheckStorage(nodes)
 			if err == nil {
 				t.Fatal("corruption not detected")
 			}

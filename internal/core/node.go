@@ -36,18 +36,19 @@ type Node struct {
 	dedup     map[nodeid.ID]dedupRec
 	sequenced int
 
-	// pending holds the reliable sends awaiting acks; sendFree lists
-	// released records for reuse, so the per-message send path allocates
-	// nothing once warm.
+	// pending holds the reliable sends awaiting acks; sends is the pool
+	// their records come from and return to, so the per-message send path
+	// allocates nothing once warm.
 	nextAckID uint64
 	pending   pendingRing
-	sendFree  *pendingSend
+	sends     *sendPool
 
 	// The deadline queues (deadline.go): acks holds the ack id of every
 	// attempt awaiting its AckTimeout, hops the delivered events waiting
 	// out ForwardDelay, defends the self-defense re-announcements
 	// (applyEvent) waiting out AckTimeout, and probeWaits the heartbeats
-	// waiting out ProbeTimeout. Each arms one Env timer.
+	// waiting out ProbeTimeout. Each arms one Env timer, and draws its
+	// segments from the node's pool.
 	acks       deadlineQueue[uint64]
 	hops       deadlineQueue[forwardHop]
 	defends    deadlineQueue[struct{}]
@@ -140,13 +141,16 @@ func NewNode(cfg Config, env Env, _ Observer, self wire.Pointer) *Node {
 		m:          newNodeMetrics(),
 		warmTarget: -1,
 	}
+	pool := new(ChunkPool)
 	if cp, ok := env.(ChunkPooler); ok {
-		n.peers.pool = cp.ChunkPool()
+		pool = cp.ChunkPool()
 	}
-	n.acks.init(env, n.onAckTimeout, n.awaited)
-	n.hops.init(env, n.forwardDue, nil)
-	n.defends.init(env, n.defendSelf, nil)
-	n.probeWaits.init(env, n.onProbeTimeout, probeWait.awaited)
+	n.peers.pool = pool
+	n.sends = &pool.sends
+	n.acks.init(env, &pool.ackSegs, n.onAckTimeout, n.awaited)
+	n.hops.init(env, &pool.hopSegs, n.forwardDue, nil)
+	n.defends.init(env, &pool.defendSegs, n.defendSelf, nil)
+	n.probeWaits.init(env, &pool.waitSegs, n.onProbeTimeout, probeWait.awaited)
 	n.probeTimer.init(env, n.probeRound)
 	n.shiftTimer.init(env, n.onShiftCheck)
 	n.refreshTimer.init(env, n.onRefreshTick)
@@ -365,6 +369,11 @@ func (n *Node) Stop() {
 	n.hops.stop()
 	n.defends.stop()
 	n.probeWaits.stop()
+	for _, p := range n.pending.slots {
+		if p != nil {
+			n.sends.release(p)
+		}
+	}
 	n.pending = pendingRing{}
 }
 
@@ -518,22 +527,27 @@ func (n *Node) isTopNode() bool {
 // fully connected through their peer lists, §2 property 5). The sample is
 // random so that the report and join load spreads across all top nodes
 // rather than piling onto a deterministic few.
+//
+// The sample is drawn by walking the prefix range in place: only the
+// entries at the node's own level become pointers.
 func (n *Node) partTopNodes() []wire.Pointer {
-	out := []wire.Pointer{n.self}
+	out := make([]wire.Pointer, 1, n.cfg.TopListSize)
+	out[0] = n.self
 	rng := n.env.Rand()
 	seen := 0
-	for _, p := range n.peers.InPrefix(n.eigen) {
-		if int(p.Level) != int(n.self.Level) {
-			continue
+	lo, hi := n.peers.prefixRange(n.eigen)
+	n.peers.walk(lo, hi, func(e *entry, _ *stamp) {
+		if e.level != n.self.Level {
+			return
 		}
 		seen++
 		if len(out) < n.cfg.TopListSize {
-			out = append(out, p)
+			out = append(out, n.peers.pointer(e))
 		} else if j := rng.Intn(seen); j < n.cfg.TopListSize-1 {
 			// Reservoir-sample to keep the selection uniform.
-			out[1+j] = p
+			out[1+j] = n.peers.pointer(e)
 		}
-	}
+	})
 	return out
 }
 

@@ -24,11 +24,12 @@ const (
 
 // pendingSend tracks one reliable request awaiting its ack/response.
 //
-// Records are pooled per Node. One is live from acquireSend until
-// releaseSend, which runs only after it has left the pending ring, so
-// neither an ack nor a timeout can reach a recycled record: ack ids are
-// never reused, a late ack finds no record with its id, and the ack
-// queue skips an entry whose id is no longer pending.
+// Records come from the node's pool (sendPool), which every node of a
+// simulator cluster shares. One is live from acquire until release, which
+// runs only after it has left the pending ring, so neither an ack nor a
+// timeout can reach a recycled record: ack ids are never reused, a late
+// ack finds no record with its id, and the ack queue skips an entry whose
+// id is no longer pending.
 type pendingSend struct {
 	id       uint64
 	msg      wire.Message
@@ -45,47 +46,57 @@ type pendingSend struct {
 	onResponse func(resp wire.Message)
 	onFail     func()
 
-	// next links the record into the node's free list while released.
+	// next links the record into the pool's free list while released.
 	next *pendingSend
 }
 
 const (
-	// sendChunk is how many records one pool refill allocates at once.
-	sendChunk = 4
+	// sendBatch is the most records a pool miss allocates at once.
+	sendBatch = 32
 	// minPendingRing is the pending ring's first size, a power of two.
 	minPendingRing = 16
 )
 
-// acquireSend takes a blank record from the node's free list, refilling
-// it with a chunk of records when it is empty.
-//
-//pwlint:noalloc
-func (n *Node) acquireSend() *pendingSend {
-	if n.sendFree == nil {
-		n.sendFree = newSendChunk() //pwlint:allow noalloc pool miss; steady state reuses released records
-	}
-	p := n.sendFree
-	n.sendFree, p.next = p.next, nil
-	return p
+// sendPool is the free list of pending-send records, shared by every
+// node its pool serves; made counts the records it ever allocated, for
+// the invariant check.
+type sendPool struct {
+	free *pendingSend
+	made int
 }
 
-// newSendChunk allocates sendChunk blank records in one block, linked in
-// order.
-func newSendChunk() *pendingSend {
-	c := new([sendChunk]pendingSend)
-	for i := range sendChunk - 1 {
-		c[i].next = &c[i+1]
-	}
-	return &c[0]
-}
-
-// releaseSend blanks a record and returns it to the free list. The
-// caller has already taken it out of the pending ring.
+// acquire takes a blank record off the free list. An empty list is
+// refilled in one allocation with as many records as the pool has made
+// so far, 2 to sendBatch (see segPool.get).
 //
 //pwlint:noalloc
-func (n *Node) releaseSend(p *pendingSend) {
-	*p = pendingSend{next: n.sendFree}
-	n.sendFree = p
+func (p *sendPool) acquire() *pendingSend {
+	if p.free == nil {
+		n := min(max(p.made, 2), sendBatch)
+		p.free = newSends(n) //pwlint:allow noalloc pool miss: the pool's nodes await more acks than ever before
+		p.made += n
+	}
+	r := p.free
+	p.free, r.next = r.next, nil
+	return r
+}
+
+// newSends allocates n blank records in one block, linked in order.
+func newSends(n int) *pendingSend {
+	b := make([]pendingSend, n)
+	for i := 1; i < n; i++ {
+		b[i-1].next = &b[i]
+	}
+	return &b[0]
+}
+
+// release blanks a record and returns it to the free list. The caller
+// has already taken it out of its pending ring.
+//
+//pwlint:noalloc
+func (p *sendPool) release(r *pendingSend) {
+	*r = pendingSend{next: p.free}
+	p.free = r
 }
 
 // pendingRing holds the sends awaiting acks at index id & (len-1), its
@@ -150,7 +161,7 @@ func (r *pendingRing) remove(p *pendingSend) {
 // ackID is stamped into msg. Responses (any message echoing the ackID)
 // route to onResponse.
 func (n *Node) sendReliable(msg wire.Message, attempts int, onResponse func(wire.Message), onFail func()) uint64 {
-	p := n.acquireSend()
+	p := n.sends.acquire()
 	p.msg = msg
 	p.attempts = attempts
 	p.onResponse = onResponse
@@ -162,7 +173,7 @@ func (n *Node) sendReliable(msg wire.Message, attempts int, onResponse func(wire
 // tries, then the kind's failure path with target (and failed) as its
 // arguments.
 func (n *Node) sendTracked(msg wire.Message, kind sendKind, target wire.Pointer, failed map[nodeid.ID]bool) {
-	p := n.acquireSend()
+	p := n.sends.acquire()
 	p.msg = msg
 	p.attempts = n.cfg.RetryAttempts
 	p.kind = kind
@@ -219,7 +230,7 @@ func (n *Node) onAckTimeout(id uint64) {
 			p.onFail()
 		}
 	}
-	n.releaseSend(p)
+	n.sends.release(p)
 }
 
 // resolveAck completes a pending send with its response.
@@ -237,5 +248,5 @@ func (n *Node) resolveAck(id uint64, resp wire.Message) {
 			p.onResponse(resp)
 		}
 	}
-	n.releaseSend(p)
+	n.sends.release(p)
 }

@@ -41,3 +41,28 @@ func TestCancelCompactSteadyStateDoesNotAllocate(t *testing.T) {
 		t.Fatal("live event left behind after cancelling everything")
 	}
 }
+
+// countAction is a pooled record's stand-in: a pointer that fires
+// without a closure.
+type countAction struct{ n int }
+
+func (a *countAction) Fire() { a.n++ }
+
+func TestScheduleActionSteadyStateDoesNotAllocate(t *testing.T) {
+	e := New()
+	a := new(countAction)
+	tag := EventTag{Owner: 3, Kind: 1}
+	for i := 0; i < 4096; i++ {
+		e.Schedule(e.Now()+1, uint64(i), tag, a)
+		e.Step()
+	}
+	if allocs := testing.AllocsPerRun(1000, func() {
+		e.Schedule(e.Now()+1, 7, tag, a)
+		e.Step()
+	}); allocs != 0 {
+		t.Fatalf("Schedule+fire of an action allocates %v per cycle", allocs)
+	}
+	if a.n != 4096+1001 {
+		t.Fatalf("action fired %d times, want %d", a.n, 4096+1001)
+	}
+}

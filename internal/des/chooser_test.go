@@ -166,3 +166,57 @@ func TestChooserHandleSemantics(t *testing.T) {
 		t.Fatal("cancelling a fired event reported true")
 	}
 }
+
+// scheduleForms schedules one event through each entry point: a func
+// through AtKey, and an Action through Schedule. Both must behave alike
+// under Cancel, Pending, Seq and a chooser's Drop.
+var scheduleForms = map[string]func(e *Engine, t Time, tag EventTag, fired *int) Handle{
+	"func": func(e *Engine, t Time, tag EventTag, fired *int) Handle {
+		return e.AtKey(t, 0, tag, func() { *fired++ })
+	},
+	"action": func(e *Engine, t Time, tag EventTag, fired *int) Handle {
+		return e.Schedule(t, 0, tag, Func(func() { *fired++ }))
+	},
+}
+
+func TestActionEventsBehaveLikeFuncEvents(t *testing.T) {
+	for name, schedule := range scheduleForms {
+		t.Run(name, func(t *testing.T) {
+			e := New()
+			fired := 0
+			a := schedule(e, Second, EventTag{Owner: 1, Kind: 1}, &fired)
+			b := schedule(e, 2*Second, EventTag{Owner: 2, Kind: 1}, &fired)
+			c := schedule(e, 3*Second, EventTag{Owner: 3, Kind: 2}, &fired)
+			if !a.Pending() || a.Seq() != 0 || b.Seq() != 1 || c.Seq() != 2 || e.Pending() != 3 {
+				t.Fatalf("after scheduling: pending %v, seqs %d %d %d, engine pending %d",
+					a.Pending(), a.Seq(), b.Seq(), c.Seq(), e.Pending())
+			}
+			if !a.Cancel() || a.Cancel() || a.Pending() || a.Seq() != 0 || e.Pending() != 2 {
+				t.Fatal("cancel: the first cancel must succeed, the second fail, and the handle go inert")
+			}
+			// The chooser drops b (offered first) and fires c.
+			e.SetChooser(chooserFunc(func(now Time, cs []Choice) Decision {
+				if cs[0].Seq == b.Seq() {
+					return Decision{Index: 0, Drop: true}
+				}
+				return Decision{Index: 0}
+			}))
+			for e.Step() {
+			}
+			if fired != 1 || e.Dropped() != 1 || b.Pending() || c.Pending() || e.Pending() != 0 {
+				t.Fatalf("fired %d, dropped %d, pending %v/%v/%d; want 1 fired, 1 dropped, none pending",
+					fired, e.Dropped(), b.Pending(), c.Pending(), e.Pending())
+			}
+		})
+	}
+}
+
+func TestScheduleNilActionPanics(t *testing.T) {
+	e := New()
+	defer func() {
+		if recover() == nil {
+			t.Fatal("nil action did not panic")
+		}
+	}()
+	e.Schedule(0, 0, EventTag{}, nil)
+}

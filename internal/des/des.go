@@ -69,25 +69,43 @@ func (t Time) String() string { return t.Duration().String() }
 func FromSeconds(s float64) Time { return Time(s * float64(Second)) }
 
 // event is one slab slot. A slot is in exactly one of three states:
-// queued live (fn != nil, referenced by the heap), queued dead
-// (cancelled: fn == nil, still referenced by the heap until popped or
-// compacted), or free (fn == nil, on the free list). gen increments
+// queued live (act != nil, referenced by the heap), queued dead
+// (cancelled: act == nil, still referenced by the heap until popped or
+// compacted), or free (act == nil, on the free list). gen increments
 // every time the slot is released, so stale handles cannot act on a
-// successor event that recycled the slot.
+// successor event that recycled the slot. The tag is stored flat, so a
+// slot stays 56 bytes with a two-word action.
 type event struct {
-	at  Time
-	key uint64
-	seq uint64
-	fn  func()
-	gen uint32
-	tag EventTag
+	at    Time
+	key   uint64
+	seq   uint64
+	act   Action
+	owner uint64
+	gen   uint32
+	kind  uint8
 }
+
+// Action is the work of one scheduled event: the engine calls Fire when
+// the event's turn comes. A caller that keeps pooled records (the
+// simulator's message deliveries and timers) makes each record an Action
+// and schedules it with Schedule, so an event binds no closure; a
+// pointer converts to an Action without allocating.
+type Action interface {
+	Fire()
+}
+
+// Func adapts a func() to an Action. A func value is pointer-shaped, so
+// the conversion allocates nothing.
+type Func func()
+
+// Fire calls f.
+func (f Func) Fire() { f() }
 
 // EventTag annotates a scheduled event for choosers: which entity the
 // event belongs to and what class of work it is. The engine itself gives
 // tags no meaning; they exist so a Chooser (the model checker's
 // interposition point) can tell a message delivery at node 3 from a
-// timer at node 1 without inspecting closures. The zero tag marks
+// timer at node 1 without inspecting actions. The zero tag marks
 // harness-internal events a chooser should not reorder.
 type EventTag struct {
 	// Owner identifies the entity the event acts on (the simulator uses
@@ -149,10 +167,10 @@ func (h Handle) Cancel() bool {
 		return false
 	}
 	ev := &h.e.slab[h.slot]
-	if ev.gen != h.gen || ev.fn == nil {
+	if ev.gen != h.gen || ev.act == nil {
 		return false
 	}
-	ev.fn = nil // release the closure promptly; the corpse stays queued
+	ev.act = nil // release the action promptly; the corpse stays queued
 	h.e.live--
 	h.e.maybeCompact()
 	return true
@@ -166,7 +184,7 @@ func (h Handle) Seq() uint64 {
 		return 0
 	}
 	ev := &h.e.slab[h.slot]
-	if ev.gen != h.gen || ev.fn == nil {
+	if ev.gen != h.gen || ev.act == nil {
 		return 0
 	}
 	return ev.seq
@@ -178,7 +196,7 @@ func (h Handle) Pending() bool {
 		return false
 	}
 	ev := &h.e.slab[h.slot]
-	return ev.gen == h.gen && ev.fn != nil
+	return ev.gen == h.gen && ev.act != nil
 }
 
 // Engine is a sequential deterministic event loop. It is not safe for
@@ -299,7 +317,7 @@ func (e *Engine) alloc() int32 {
 //
 //pwlint:noalloc
 func (e *Engine) release(s int32) {
-	e.slab[s].fn = nil
+	e.slab[s].act = nil
 	e.slab[s].gen++
 	e.free = append(e.free, s)
 }
@@ -333,7 +351,7 @@ func (e *Engine) maybeCompact() {
 	h := e.heap
 	w := 0
 	for _, s := range h {
-		if e.slab[s].fn != nil {
+		if e.slab[s].act != nil {
 			h[w] = s
 			w++
 		} else {
@@ -357,19 +375,31 @@ func (e *Engine) At(t Time, fn func()) Handle {
 	return e.AtKey(t, 0, EventTag{}, fn)
 }
 
-// AtKey schedules fn at absolute time t with an explicit tie-break key.
-// Same-instant events fire in ascending key order regardless of the
-// order they were scheduled in — and regardless of which engine of a
-// sharded run they were scheduled on, as long as the caller derives keys
-// from shard-invariant state (the sharded simulators use the issuing
-// entity's identity plus a per-entity counter). Key zero sorts first and
-// is what At/AfterTag use, so unkeyed callers keep the classic insertion
-// order.
+// AtKey schedules fn at absolute time t with an explicit tie-break key;
+// it is Schedule with fn as the action.
 //
 //pwlint:noalloc
 func (e *Engine) AtKey(t Time, key uint64, tag EventTag, fn func()) Handle {
 	if fn == nil {
 		panic("des: At with nil callback")
+	}
+	return e.Schedule(t, key, tag, Func(fn))
+}
+
+// Schedule schedules a to fire at absolute time t with an explicit
+// tie-break key, annotated with tag for choosers. Same-instant events
+// fire in ascending key order regardless of the order they were
+// scheduled in — and regardless of which engine of a sharded run they
+// were scheduled on, as long as the caller derives keys from
+// shard-invariant state (the sharded simulators use the issuing entity's
+// identity plus a per-entity counter). Key zero sorts first and is what
+// At/After/AfterTag use, so unkeyed callers keep the classic insertion
+// order. Every scheduling call ends here.
+//
+//pwlint:noalloc
+func (e *Engine) Schedule(t Time, key uint64, tag EventTag, a Action) Handle {
+	if a == nil {
+		panic("des: Schedule with nil action")
 	}
 	if t < e.now {
 		panic(fmt.Sprintf("des: scheduling into the past (%v < %v)", t, e.now)) //pwlint:allow noalloc panic path, the simulation is already dead
@@ -379,8 +409,9 @@ func (e *Engine) AtKey(t Time, key uint64, tag EventTag, fn func()) Handle {
 	ev.at = t
 	ev.key = key
 	ev.seq = e.seq
-	ev.fn = fn
-	ev.tag = tag
+	ev.act = a
+	ev.owner = tag.Owner
+	ev.kind = tag.Kind
 	e.seq++
 	e.heap = append(e.heap, s)
 	e.siftUp(len(e.heap) - 1)
@@ -430,7 +461,7 @@ func (e *Engine) Runnable() []Choice {
 func (e *Engine) NextAt() (t Time, ok bool) {
 	for len(e.heap) > 0 {
 		top := &e.slab[e.heap[0]]
-		if top.fn == nil {
+		if top.act == nil {
 			e.release(e.popMin())
 			continue
 		}
@@ -446,10 +477,10 @@ func (e *Engine) collectRunnable() {
 	e.choiceSlots = e.choiceSlots[:0]
 	for _, s := range e.heap {
 		ev := &e.slab[s]
-		if ev.fn == nil {
+		if ev.act == nil {
 			continue
 		}
-		e.choiceBuf = append(e.choiceBuf, Choice{At: ev.at, Seq: ev.seq, Tag: ev.tag})
+		e.choiceBuf = append(e.choiceBuf, Choice{At: ev.at, Seq: ev.seq, Tag: EventTag{Owner: ev.owner, Kind: ev.kind}})
 		e.choiceSlots = append(e.choiceSlots, s)
 	}
 	sort.Sort(&runnableSort{e})
@@ -481,18 +512,18 @@ func (e *Engine) Step() bool {
 	for len(e.heap) > 0 {
 		s := e.popMin()
 		ev := &e.slab[s]
-		if ev.fn == nil {
+		if ev.act == nil {
 			e.release(s)
 			continue
 		}
 		if ev.at > e.now {
 			e.now = ev.at
 		}
-		fn := ev.fn
+		a := ev.act
 		e.live--
 		e.release(s)
 		e.executed++
-		fn()
+		a.Fire()
 		return true
 	}
 	return false
@@ -514,8 +545,8 @@ func (e *Engine) chosenStep() bool {
 	}
 	s := e.choiceSlots[d.Index]
 	ev := &e.slab[s]
-	fn := ev.fn
-	ev.fn = nil // corpse: the heap releases it when popped or compacted
+	a := ev.act
+	ev.act = nil // corpse: the heap releases it when popped or compacted
 	e.live--
 	if d.Drop {
 		e.dropped++
@@ -526,7 +557,7 @@ func (e *Engine) chosenStep() bool {
 		e.now = ev.at
 	}
 	e.executed++
-	fn()
+	a.Fire()
 	return true
 }
 
@@ -562,7 +593,7 @@ func (e *Engine) run(name string, last, clock Time) {
 	for len(e.heap) > 0 {
 		// Skim cancelled events off the top without advancing time.
 		top := &e.slab[e.heap[0]]
-		if top.fn == nil {
+		if top.act == nil {
 			e.release(e.popMin())
 			continue
 		}

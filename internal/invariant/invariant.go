@@ -32,14 +32,22 @@ func Check(n *core.Node) {
 // tests assert it is non-zero to prove the hooks actually fired.
 func Checks() uint64 { return checks.Load() }
 
-// CheckPool panics when pool violates a chunk-pool invariant; lists must
-// be every peer list the pool serves. The simulation harness calls it
-// at the end of each run interval, as a full recount costs one pass over
-// every list.
-func CheckPool(pool *core.ChunkPool, lists []*core.PeerList) {
+// CheckPool panics when pool violates a chunk-pool or storage invariant
+// (core.ChunkPool.CheckInvariants, CheckStorage); nodes must be every
+// node the pool serves, stopped ones included. The simulation harness
+// calls it at the end of each run interval, as a full recount costs one
+// pass over every node.
+func CheckPool(pool *core.ChunkPool, nodes []*core.Node) {
 	poolChecks.Add(1)
+	lists := make([]*core.PeerList, len(nodes))
+	for i, n := range nodes {
+		lists[i] = n.Peers()
+	}
 	if err := pool.CheckInvariants(lists); err != nil {
 		panic(fmt.Sprintf("pwinvariants: chunk pool: %v", err))
+	}
+	if err := pool.CheckStorage(nodes); err != nil {
+		panic(fmt.Sprintf("pwinvariants: pool storage: %v", err))
 	}
 }
 

@@ -12,7 +12,7 @@ const Enabled = false
 func Check(n *core.Node) {}
 
 // CheckPool is a no-op under the default build.
-func CheckPool(pool *core.ChunkPool, lists []*core.PeerList) {}
+func CheckPool(pool *core.ChunkPool, nodes []*core.Node) {}
 
 // Checks returns 0 under the default build.
 func Checks() uint64 { return 0 }

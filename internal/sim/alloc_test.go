@@ -7,6 +7,7 @@ import (
 
 	"peerwindow/internal/des"
 	"peerwindow/internal/invariant"
+	"peerwindow/internal/wire"
 	"peerwindow/internal/workload"
 )
 
@@ -144,5 +145,52 @@ func TestClusterHeapPerHeldPointerAfterChurn(t *testing.T) {
 	t.Logf("%d pointers held, %.1f B of heap per pointer", held, perPtr)
 	if perPtr > 62 {
 		t.Errorf("%.1f B of heap per held pointer after churn, budget 62", perPtr)
+	}
+}
+
+// A burst of messages and timers grows the cluster's delivery and timer
+// pools one allocation per chunk of records: a record binds no callback
+// of its own (it is the engine's des.Action), so the chunk is the only
+// allocation. With a bound callback per record a chunk cost 33.
+func TestRecordPoolGrowthIsOneAllocPerChunk(t *testing.T) {
+	c := NewCluster(ClusterConfig{Core: DefaultFullCore(), Seed: 1})
+	a, b := c.AddNode(0), c.AddNode(0)
+	const burst = 8 * deliveryChunk
+	// Warm the engine's slab, heap and free list past both bursts, and
+	// the send accounting, so only the record pools grow below.
+	noop := func() {}
+	for i := 0; i < 4*burst; i++ {
+		c.Engine.After(des.Second, noop)
+	}
+	c.Engine.Run(c.Engine.Now() + des.Second)
+	msg := wire.Message{Type: wire.MsgHeartbeat, From: a.Addr, To: b.Addr}
+	a.Send(msg)
+	a.SetTimer(des.Second, noop)
+
+	free := func() (deliveries, timers int) {
+		for d := c.deliveryFree; d != nil; d = d.next {
+			deliveries++
+		}
+		for f := c.timerFree; f != nil; f = f.next {
+			timers++
+		}
+		return deliveries, timers
+	}
+	d0, t0 := free()
+	chunks := (burst-d0+deliveryChunk-1)/deliveryChunk + (burst-t0+timerChunk-1)/timerChunk
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < burst; i++ {
+		a.Send(msg)
+		a.SetTimer(des.Second, noop)
+	}
+	runtime.ReadMemStats(&after)
+	allocs := after.Mallocs - before.Mallocs
+	t.Logf("%d deliveries and %d timers scheduled: %d pool chunks, %d allocations", burst, burst, chunks, allocs)
+	if chunks < 14 {
+		t.Fatalf("the burst grew the pools by %d chunks; the case is not exercised", chunks)
+	}
+	if allocs > uint64(chunks)+2 {
+		t.Errorf("%d allocations for %d chunks of records, want about one per chunk", allocs, chunks)
 	}
 }

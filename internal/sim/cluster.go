@@ -110,9 +110,9 @@ type Cluster struct {
 	inflight map[uint64]*delivery
 
 	// deliveryFree and timerFree list fired delivery and timerFire
-	// records for reuse (see those types), so Send and SetTimer create no
-	// closure per call once the pools are warm; an empty list is refilled
-	// with a chunk of records in one allocation. They are plain
+	// records for reuse (see those types), so Send and SetTimer allocate
+	// nothing once the pools are warm; an empty list is refilled with a
+	// chunk of records in one allocation. They are plain
 	// per-cluster free lists: a cluster runs on one goroutine, and reuse
 	// order is a pure function of the event order, so seeded runs stay
 	// bit-identical.
@@ -385,15 +385,15 @@ func (c *Cluster) Run(d des.Time) {
 	}
 }
 
-// checkPool runs the chunk pool's invariant check against the peer list
-// of every node ever added, dead ones included: a crashed node keeps its
-// list, and with it its holds on the pool's chunks.
+// checkPool runs the pool's invariant checks against every node ever
+// added, dead ones included: a crashed node keeps its peer list, and with
+// it its holds on the pool's chunks.
 func (c *Cluster) checkPool() {
-	lists := make([]*core.PeerList, len(c.nodes))
+	nodes := make([]*core.Node, len(c.nodes))
 	for i, sn := range c.nodes {
-		lists[i] = sn.Node.Peers()
+		nodes[i] = sn.Node
 	}
-	invariant.CheckPool(c.pool, lists)
+	invariant.CheckPool(c.pool, nodes)
 }
 
 // QuiescentWithin reports whether no live event is scheduled within the
@@ -482,21 +482,19 @@ const (
 	timerChunk    = 32
 )
 
-// delivery is one message in flight: the engine event that hands msg to
-// dst. Records are pooled per Cluster. One is live from deliverAt until it
-// fires — or until NoteDropped, when a chooser discards its event — and
-// only then returns to the pool, so the engine never holds a callback to a
-// recycled record. A delivery dropped without NoteDropped (no span sink
-// attached) is never reused; the collector takes it with its chunk.
+// delivery is one message in flight: the engine event (a des.Action)
+// that hands msg to dst. Records are pooled per Cluster. One is live from
+// deliverAt until it fires — or until NoteDropped, when a chooser
+// discards its event — and only then returns to the pool, so the engine
+// never holds a recycled record. A delivery dropped without NoteDropped
+// (no span sink attached) is never reused; the collector takes it with
+// its chunk.
 type delivery struct {
 	dst *SimNode
 	msg wire.Message
 	// seq is the engine sequence number of the delivery event, the
 	// inflight key; set only while the cluster keeps an inflight map.
 	seq uint64
-	// fire is the engine callback, bound to this record once when it is
-	// first created.
-	fire func()
 	// next links the record into the free list while released.
 	next *delivery
 }
@@ -506,36 +504,37 @@ type delivery struct {
 //pwlint:noalloc
 func (c *Cluster) acquireDelivery() *delivery {
 	if c.deliveryFree == nil {
-		c.deliveryFree = c.newDeliveries() //pwlint:allow noalloc pool miss; steady state reuses released records
+		c.deliveryFree = newDeliveries() //pwlint:allow noalloc pool miss; steady state reuses released records
 	}
 	d := c.deliveryFree
 	c.deliveryFree, d.next = d.next, nil
 	return d
 }
 
-// newDeliveries allocates deliveryChunk records in one block, binds each
-// one's callback and links them in order.
-func (c *Cluster) newDeliveries() *delivery {
+// newDeliveries allocates deliveryChunk records in one block, linked in
+// order.
+func newDeliveries() *delivery {
 	chunk := new([deliveryChunk]delivery)
-	for i := range chunk {
-		d := &chunk[i]
-		d.fire = func() {
-			if c.inflight != nil {
-				delete(c.inflight, d.seq)
-			}
-			if d.dst.alive {
-				d.dst.Node.HandleMessage(d.msg)
-				if invariant.Enabled {
-					invariant.Check(d.dst.Node)
-				}
-			}
-			c.releaseDelivery(d)
-		}
-		if i+1 < len(chunk) {
-			d.next = &chunk[i+1]
-		}
+	for i := 1; i < len(chunk); i++ {
+		chunk[i-1].next = &chunk[i]
 	}
 	return &chunk[0]
+}
+
+// Fire implements des.Action: hand the message to its destination, if
+// still alive, and return the record to the pool.
+func (d *delivery) Fire() {
+	c := d.dst.c
+	if c.inflight != nil {
+		delete(c.inflight, d.seq)
+	}
+	if d.dst.alive {
+		d.dst.Node.HandleMessage(d.msg)
+		if invariant.Enabled {
+			invariant.Check(d.dst.Node)
+		}
+	}
+	c.releaseDelivery(d)
 }
 
 // releaseDelivery returns a fired or dropped record to the pool.
@@ -552,7 +551,7 @@ func (c *Cluster) releaseDelivery(d *delivery) {
 func (c *Cluster) deliverAt(at des.Time, key uint64, dst *SimNode, msg wire.Message) {
 	d := c.acquireDelivery()
 	d.dst, d.msg = dst, msg
-	h := c.Engine.AtKey(at, key, des.EventTag{Owner: uint64(msg.To), Kind: TagDeliver}, d.fire)
+	h := c.Engine.Schedule(at, key, des.EventTag{Owner: uint64(msg.To), Kind: TagDeliver}, d)
 	if c.cfg.Spans != nil {
 		d.seq = h.Seq()
 		if c.inflight == nil {
@@ -580,20 +579,17 @@ func (c *Cluster) NoteDropped(seq uint64) {
 }
 
 // timerFire is a pending timer: the engine handle and the aliveness guard
-// around the node's callback. It is also the core.Timer that SetTimer
-// returns. Records are pooled per Cluster; one is live from SetTimer until
-// it fires or is cancelled, and is then reused by a later SetTimer, which
-// the core.Timer contract allows: a node never cancels a fired or
-// cancelled handle. Under the pwinvariants build tag records are never
-// reused, and a Cancel on a spent one panics, so a test run checks that
-// contract.
+// around the node's callback. It is both the des.Action the engine fires
+// and the core.Timer that SetTimer returns. Records are pooled per
+// Cluster; one is live from SetTimer until it fires or is cancelled, and
+// is then reused by a later SetTimer, which the core.Timer contract
+// allows: a node never cancels a fired or cancelled handle. Under the
+// pwinvariants build tag records are never reused, and a Cancel on a
+// spent one panics, so a test run checks that contract.
 type timerFire struct {
 	sn *SimNode
 	fn func()
 	h  des.Handle
-	// fire is the engine callback, bound to this record once when it is
-	// first created.
-	fire func()
 	// next links the record into the free list while released.
 	next *timerFire
 }
@@ -610,39 +606,38 @@ func (f *timerFire) Cancel() bool {
 	return true
 }
 
+// Fire implements des.Action: run the node's callback if the node is
+// still alive. The record goes back to the pool first, so a callback
+// that re-arms its timer (most do) reuses it instead of growing the pool.
+func (f *timerFire) Fire() {
+	sn, fn := f.sn, f.fn
+	sn.c.releaseTimerFire(f)
+	if sn.alive {
+		fn()
+		if invariant.Enabled && sn.alive {
+			invariant.Check(sn.Node)
+		}
+	}
+}
+
 // acquireTimerFire takes a record from the cluster's pool.
 //
 //pwlint:noalloc
 func (c *Cluster) acquireTimerFire() *timerFire {
 	if c.timerFree == nil {
-		c.timerFree = c.newTimerFires() //pwlint:allow noalloc pool miss; steady state reuses released records
+		c.timerFree = newTimerFires() //pwlint:allow noalloc pool miss; steady state reuses released records
 	}
 	f := c.timerFree
 	c.timerFree, f.next = f.next, nil
 	return f
 }
 
-// newTimerFires allocates timerChunk records in one block, binds each
-// one's callback and links them in order.
-func (c *Cluster) newTimerFires() *timerFire {
+// newTimerFires allocates timerChunk records in one block, linked in
+// order.
+func newTimerFires() *timerFire {
 	chunk := new([timerChunk]timerFire)
-	for i := range chunk {
-		f := &chunk[i]
-		f.fire = func() {
-			// Release first, so a callback that re-arms its timer (most
-			// do) reuses this record instead of growing the pool.
-			sn, fn := f.sn, f.fn
-			c.releaseTimerFire(f)
-			if sn.alive {
-				fn()
-				if invariant.Enabled && sn.alive {
-					invariant.Check(sn.Node)
-				}
-			}
-		}
-		if i+1 < len(chunk) {
-			f.next = &chunk[i+1]
-		}
+	for i := 1; i < len(chunk); i++ {
+		chunk[i-1].next = &chunk[i]
 	}
 	return &chunk[0]
 }
@@ -670,6 +665,6 @@ func (sn *SimNode) SetTimer(delay des.Time, fn func()) core.Timer {
 	}
 	f := c.acquireTimerFire()
 	f.sn, f.fn = sn, fn
-	f.h = c.Engine.AtKey(c.Engine.Now()+delay, key, des.EventTag{Owner: uint64(sn.Addr), Kind: TagTimer}, f.fire)
+	f.h = c.Engine.Schedule(c.Engine.Now()+delay, key, des.EventTag{Owner: uint64(sn.Addr), Kind: TagTimer}, f)
 	return f
 }
