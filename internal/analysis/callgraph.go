@@ -14,7 +14,8 @@ package analysis
 //     Matching is structural (rendered with package-path qualifiers)
 //     because every package is type-checked against its own import
 //     universe, so cross-package *types.Named identity cannot be
-//     trusted;
+//     trusted. A method called on a type parameter's value matches by
+//     name alone;
 //   - function literals are folded into their enclosing declared
 //     function: an effect inside a literal is attributed to the
 //     function that created the literal, which is pessimistically sound
@@ -238,11 +239,18 @@ func (g *callGraph) resolveCall(pkg *Package, enclosing *ast.FuncDecl, call *ast
 		if sig != nil && sig.Recv() != nil {
 			if _, isIface := sig.Recv().Type().Underlying().(*types.Interface); isIface {
 				// Interface method call: CHA over the in-scope method
-				// universe by (name, structural signature).
+				// universe by (name, structural signature). A call on a
+				// type parameter's value has a signature written in the
+				// type parameter, which no concrete method's renders
+				// as, so it matches by name alone.
 				want := strippedSignature(sig)
+				onTypeParam := false
+				if sel, ok := fun.(*ast.SelectorExpr); ok {
+					_, onTypeParam = pkg.Info.TypeOf(sel.X).(*types.TypeParam)
+				}
 				var cands []funcKey
 				for _, m := range g.methodsByName[obj.Name()] {
-					if m.sig == want {
+					if onTypeParam || m.sig == want {
 						cands = append(cands, m.key)
 					}
 				}

@@ -10,10 +10,11 @@ package analysis
 //	factAlloc  may allocate on the Go heap
 //	factGo     may start a goroutine
 //	factOrder  may schedule a simulation event or draw from a seeded
-//	           random stream (des.Engine.At/After…, xrand.Source,
-//	           core.Env.Send/SetTimer) — harmless in itself, but its
-//	           outcome depends on the order of the calls, which is what
-//	           nodeterminism's map-range rule asks about
+//	           random stream (des.Engine.Schedule/At/AtKey/After/
+//	           AfterTag, xrand.Source, core.Env.Send/SetTimer) —
+//	           harmless in itself, but its outcome depends on the
+//	           order of the calls, which is what nodeterminism's
+//	           map-range rule asks about
 //
 // — computed as (intrinsic effects of the body) OR (facts of callees,
 // per the edge policy below) and propagated to a fixpoint over the call
@@ -164,7 +165,7 @@ func externalFact(key funcKey, k factKind) bool {
 // engineScheduleFuncs are the des.Engine methods that put an event on
 // the queue.
 var engineScheduleFuncs = map[string]bool{
-	"At": true, "AtKey": true, "After": true, "AfterTag": true,
+	"At": true, "AtKey": true, "After": true, "AfterTag": true, "Schedule": true,
 }
 
 // orderSensitiveCallee reports whether key is one of the primitives

@@ -140,3 +140,38 @@ func allowedAlloc(n int) []int {
 func callsAllowed(n int) int {
 	return len(allowedAlloc(n))
 }
+
+// rec carries its own free-list link; linked is the constraint a
+// generic free list reaches it through.
+type rec struct{ next *rec }
+
+func (r *rec) Link() **rec { return &r.next }
+
+type linked[R any] interface {
+	*R
+	Link() **R
+}
+
+// unlink calls a method on a type parameter: it resolves by name to
+// rec.Link, which does not allocate.
+//
+//pwlint:noalloc
+func unlink[R any, P linked[R]](r *R) *R {
+	return *P(r).Link()
+}
+
+// fresh hands out a new link slot each call; grabber reaches it through
+// a type parameter.
+type fresh struct{ next *fresh }
+
+func (f *fresh) Grab() **fresh { return new(*fresh) }
+
+type grabber[R any] interface {
+	*R
+	Grab() **R
+}
+
+//pwlint:noalloc
+func grab[R any, P grabber[R]](r *R) **R {
+	return P(r).Grab() // want `call to pwfixture\.fresh\.Grab in //pwlint:noalloc function pwfixture\.grab may allocate`
+}

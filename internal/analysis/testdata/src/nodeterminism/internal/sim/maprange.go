@@ -78,6 +78,22 @@ func (w *world) scheduleAll() {
 	}
 }
 
+func (w *world) scheduleActions(a des.Action) {
+	for _, n := range w.nodes { // want `the body calls des\.Engine\.Schedule, which may schedule an event or draw from a seeded stream`
+		w.engine.Schedule(1, n.id, a)
+	}
+}
+
+// deliverAt hides the Schedule one call away, as the cluster's own
+// deliverAt does.
+func (w *world) deliverAt(n *node, a des.Action) { w.engine.Schedule(2, n.id, a) }
+
+func (w *world) deliverAll(a des.Action) {
+	for _, n := range w.nodes { // want `the body calls sim\.world\.deliverAt, which may schedule an event or draw from a seeded stream`
+		w.deliverAt(n, a)
+	}
+}
+
 // pick hides the draw one call away; the order fact carries it back.
 func (w *world) pick(n *node) int { return w.rng.Intn(n.level + 1) }
 

@@ -51,8 +51,9 @@ func (pl *PeerList) clone() *PeerList {
 	pl.walk(0, pl.Len(), func(e *entry, _ *stamp) { p.e = append(p.e, *e) })
 	cp.recut(0, 0)
 	for _, r := range pl.stamps.dir {
-		s := *r.s
-		r.s = &s
+		l := p.leaves.Get()
+		l.s = r.leaf.s
+		r.leaf = l
 		cp.stamps.dir = append(cp.stamps.dir, r)
 	}
 	return cp

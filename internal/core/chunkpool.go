@@ -3,6 +3,7 @@ package core
 import (
 	"math/bits"
 
+	"peerwindow/internal/freelist"
 	"peerwindow/internal/nodeid"
 	"peerwindow/internal/wire"
 )
@@ -36,9 +37,6 @@ const (
 	// header fill 2 KB, one allocation size class. A run of 63 entries
 	// without a natural end comes once in about 60 chunks.
 	chunkCap = 63
-	// chunkBatch is how many chunks a pool miss allocates at once: 4
-	// chunks fill 8 KB, a whole allocation size class.
-	chunkBatch = 4
 )
 
 // natural reports whether a chunk ends after the entry with this ID. The
@@ -72,6 +70,9 @@ type chunk struct {
 	refs int32 // lists holding the chunk; 0 on the free list
 	e    [chunkCap]entry
 }
+
+// Link implements freelist.Linked.
+func (c *chunk) Link() **chunk { return &c.next }
 
 // entries returns the chunk's content.
 func (c *chunk) entries() []entry { return c.e[:c.n] }
@@ -122,9 +123,10 @@ func entryHash(e *entry) uint64 {
 // match or publishes a chunk taken from the free list, and releases the
 // old one, which returns to the free list when no list holds it, so a
 // warm pool serves edits without allocating. Each list keeps its stamps
-// (the per-node part) itself. A pool that serves one list (a live
-// host's, a standalone one) finds no match for an edited chunk and takes
-// back the chunk the edit has just released.
+// (the per-node part) in leaves of its own, which the pool also
+// recycles. A pool that serves one list (a live host's, a standalone
+// one) finds no match for an edited chunk and takes back the chunk the
+// edit has just released.
 //
 // The zero ChunkPool is empty and ready to use. A pool is not safe for
 // concurrent use: every list sharing one must be driven from one
@@ -137,8 +139,10 @@ type ChunkPool struct {
 	// would outnumber the buckets.
 	index    []*chunk
 	interned int
-	// free lists released chunks, chained through chunk.next.
-	free *chunk
+	// chunks holds the released chunks, leaves the stamp leaves no list
+	// holds (see stampSeq).
+	chunks freelist.List[chunk, *chunk]
+	leaves freelist.List[leaf, *leaf]
 	// The scratch an edit cuts from (see PeerList.recut): the entries
 	// from the edited chunk's start on, and the chunks cut so far.
 	e   []entry
@@ -148,11 +152,11 @@ type ChunkPool struct {
 	// list per entry type (deadline.go), and of their pending sends
 	// (reliable.go): a message burst grows it once for every node that
 	// shares the pool.
-	ackSegs    segPool[uint64]
-	hopSegs    segPool[forwardHop]
-	defendSegs segPool[struct{}]
-	waitSegs   segPool[probeWait]
-	sends      sendPool
+	ackSegs    freelist.List[segment[uint64], *segment[uint64]]
+	hopSegs    freelist.List[segment[forwardHop], *segment[forwardHop]]
+	defendSegs freelist.List[segment[struct{}], *segment[struct{}]]
+	waitSegs   freelist.List[segment[probeWait], *segment[probeWait]]
+	sends      freelist.List[pendingSend, *pendingSend]
 }
 
 // rehash returns hash h of a chunk's content with entry out, if any,
@@ -182,11 +186,7 @@ func (p *ChunkPool) intern(es []entry, h uint64) *chunk {
 			}
 		}
 	}
-	if p.free == nil {
-		p.free = newChunks() //pwlint:allow noalloc chunk-pool miss: the pool holds more distinct chunks than ever before
-	}
-	c := p.free
-	p.free = c.next
+	c := p.chunks.Get()
 	copy(c.e[:], es)
 	c.n, c.refs, c.hash = int32(len(es)), 1, h
 	p.link(c)
@@ -221,15 +221,6 @@ func (p *ChunkPool) grow() {
 	}
 }
 
-// newChunks allocates chunkBatch chunks in one block, linked in order.
-func newChunks() *chunk {
-	b := new([chunkBatch]chunk)
-	for i := 1; i < len(b); i++ {
-		b[i-1].next = &b[i]
-	}
-	return &b[0]
-}
-
 // release drops one hold on c, returning it to the free list when no
 // list holds it any more.
 //
@@ -239,7 +230,7 @@ func (p *ChunkPool) release(c *chunk) {
 		return
 	}
 	p.unlink(c)
-	c.next, p.free = p.free, c
+	p.chunks.Put(c)
 }
 
 // unlink removes c from its hash chain.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"peerwindow/internal/des"
+	"peerwindow/internal/freelist"
 )
 
 // A node's timers are of two shapes: a timerSlot for a timer the node
@@ -64,7 +65,7 @@ func (s *timerSlot) cancel() {
 //   - Stop cancels the armed timer and empties the queue.
 //
 // The entries live in a chain of fixed-size segments drawn from the
-// node's pool (segPool), which every node of a simulator cluster shares:
+// node's pool (ChunkPool), which every node of a simulator cluster shares:
 // a segment goes back to the pool the moment its last entry is popped,
 // so a queue holds storage only while it holds work, and a burst grows
 // the pool once for the whole cluster instead of every node's queue.
@@ -75,7 +76,7 @@ type deadlineQueue[T any] struct {
 	// payload.
 	head, tail *segment[T]
 	hi, ti, n  int
-	pool       *segPool[T]
+	pool       *freelist.List[segment[T], *segment[T]]
 	// timer is armed for the head while the queue holds work; ticking is
 	// set while the tick runs, so the pushes it makes arm nothing.
 	timer   timerSlot
@@ -92,12 +93,8 @@ type deadlined[T any] struct {
 	v  T
 }
 
-const (
-	// segLen is how many entries a queue segment holds.
-	segLen = 8
-	// segBatch is the most segments a pool miss allocates at once.
-	segBatch = 32
-)
+// segLen is how many entries a queue segment holds.
+const segLen = 8
 
 // segment is one run of a queue's entries.
 type segment[T any] struct {
@@ -105,50 +102,12 @@ type segment[T any] struct {
 	e    [segLen]deadlined[T]
 }
 
-// segPool is the free list of one entry type's queue segments, shared by
-// every queue its pool serves; made counts the segments it ever
-// allocated, for the invariant check.
-type segPool[T any] struct {
-	free *segment[T]
-	made int
-}
-
-// get takes a segment off the free list. An empty list is refilled in
-// one allocation with as many segments as the pool has made so far, 2
-// to segBatch: a pool that serves one node stays small, and a cluster's
-// pool reaches full batches after a few refills.
-//
-//pwlint:noalloc
-func (p *segPool[T]) get() *segment[T] {
-	if p.free == nil {
-		n := min(max(p.made, 2), segBatch)
-		p.free = newSegments[T](n) //pwlint:allow noalloc pool miss: the pool's queues hold more entries than ever before
-		p.made += n
-	}
-	s := p.free
-	p.free, s.next = s.next, nil
-	return s
-}
-
-// newSegments allocates n segments in one block, linked in order.
-func newSegments[T any](n int) *segment[T] {
-	b := make([]segment[T], n)
-	for i := 1; i < n; i++ {
-		b[i-1].next = &b[i]
-	}
-	return &b[0]
-}
-
-// put returns s, whose slots are all zero, to the free list.
-//
-//pwlint:noalloc
-func (p *segPool[T]) put(s *segment[T]) {
-	s.next, p.free = p.free, s
-}
+// Link implements freelist.Linked.
+func (s *segment[T]) Link() **segment[T] { return &s.next }
 
 // init binds the queue to its node's Env, the pool its segments come
 // from and its work.
-func (q *deadlineQueue[T]) init(env Env, pool *segPool[T], run func(T), live func(T) bool) {
+func (q *deadlineQueue[T]) init(env Env, pool *freelist.List[segment[T], *segment[T]], run func(T), live func(T) bool) {
 	q.pool = pool
 	q.run, q.live = run, live
 	q.timer.init(env, q.fire)
@@ -169,7 +128,7 @@ func (q *deadlineQueue[T]) back() *deadlined[T] { return &q.tail.e[q.ti-1] }
 func (q *deadlineQueue[T]) push(delay des.Time, v T) {
 	q.dropDead()
 	if q.tail == nil || q.ti == segLen {
-		s := q.pool.get()
+		s := q.pool.Get()
 		if q.tail == nil {
 			q.head, q.hi = s, 0
 		} else {
@@ -215,7 +174,7 @@ func (q *deadlineQueue[T]) pop() T {
 		if q.n == 0 {
 			q.head, q.tail, q.ti = nil, nil, 0
 		}
-		q.pool.put(s)
+		q.pool.Put(s)
 	}
 	return v
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"peerwindow/internal/des"
+	"peerwindow/internal/freelist"
 	"peerwindow/internal/xrand"
 )
 
@@ -63,7 +64,7 @@ func runDeadlineQueueOps(t *testing.T, ops []byte, maxOps int) {
 		return c
 	}
 	env := newFakeEnv(1)
-	var pool segPool[uint64]
+	var pool freelist.List[segment[uint64], *segment[uint64]]
 	dead := map[uint64]bool{}
 	live := func(v uint64) bool { return !dead[v] }
 	var issued uint64

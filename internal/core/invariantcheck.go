@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 
+	"peerwindow/internal/freelist"
 	"peerwindow/internal/nodeid"
 )
 
@@ -105,7 +106,7 @@ func (q *stampSeq) check() error {
 		if end += r.n; r.end != end {
 			return fmt.Errorf("stamp directory drift at leaf %d: running count %d, leaves hold %d", k, r.end, end)
 		}
-		for _, s := range r.s[r.n:] {
+		for _, s := range r.leaf.s[r.n:] {
 			if s != (stamp{}) {
 				return fmt.Errorf("stamp directory drift at leaf %d: a slot past its %d stamps is not zero", k, r.n)
 			}
@@ -164,21 +165,28 @@ func (p *ChunkPool) checkHeld(c *chunk) error {
 //   - no interned chunk's count is zero, and each count is the number of
 //     times the lists hold the chunk;
 //   - every chunk a list holds is interned;
-//   - the free list holds only released chunks (count zero).
+//   - every chunk the pool ever allocated is either interned or on its
+//     free list, once, and a free chunk's count is zero;
+//   - every stamp leaf the pool ever allocated is either held by one of
+//     the lists, once, or on its free list, once, all zero.
 //
 // It returns nil when the pool is consistent and a descriptive error for
 // the first violation found.
 func (p *ChunkPool) CheckInvariants(lists []*PeerList) error {
 	held := make(map[*chunk]int32)
+	var leaves []*leaf
 	for _, pl := range lists {
 		for k := range pl.dir {
 			held[pl.dir[k].c]++
 		}
+		for k := range pl.stamps.dir {
+			leaves = append(leaves, pl.stamps.dir[k].leaf)
+		}
 	}
-	interned := 0
+	var interned []*chunk
 	for b, head := range p.index {
 		for c := head; c != nil; c = c.next {
-			interned++
+			interned = append(interned, c)
 			h := c.hash
 			if err := checkChunk(c, true); err != nil {
 				return fmt.Errorf("interned chunk %#x: %w", h, err)
@@ -200,15 +208,23 @@ func (p *ChunkPool) CheckInvariants(lists []*PeerList) error {
 	if len(held) > 0 {
 		return fmt.Errorf("the lists hold %d chunks the pool has not interned", len(held))
 	}
-	if interned != p.interned {
-		return fmt.Errorf("index chains %d chunks, counts %d", interned, p.interned)
+	if len(interned) != p.interned {
+		return fmt.Errorf("index chains %d chunks, counts %d", len(interned), p.interned)
 	}
-	for c := p.free; c != nil; c = c.next {
+	if err := p.chunks.Check("chunk", interned, func(c *chunk) error {
 		if c.refs != 0 {
 			return fmt.Errorf("a free chunk counts %d holders", c.refs)
 		}
+		return nil
+	}); err != nil {
+		return err
 	}
-	return nil
+	return p.leaves.Check("leaf record", leaves, func(l *leaf) error {
+		if l.s != ([leafCap]stamp{}) {
+			return fmt.Errorf("a free stamp leaf holds stamps")
+		}
+		return nil
+	})
 }
 
 // CheckInvariants verifies the Node's protocol invariants on top of the
@@ -348,7 +364,15 @@ func (p *ChunkPool) CheckStorage(nodes []*Node) error {
 	if err := checkSegments(&p.waitSegs, queuesOf(nodes, func(n *Node) *deadlineQueue[probeWait] { return &n.probeWaits })); err != nil {
 		return fmt.Errorf("probe-wait queues: %w", err)
 	}
-	return p.sends.check(nodes)
+	var sends []*pendingSend
+	for _, n := range nodes {
+		for _, r := range n.pending.slots {
+			if r != nil {
+				sends = append(sends, r)
+			}
+		}
+	}
+	return p.sends.Check("pending send", sends, nil)
 }
 
 // queuesOf returns the queue of one entry type of each node.
@@ -362,7 +386,7 @@ func queuesOf[T any](nodes []*Node, queue func(*Node) *deadlineQueue[T]) []*dead
 
 // checkSegments is CheckStorage's clause for one segment pool, which
 // must serve exactly queues.
-func checkSegments[T any](p *segPool[T], queues []*deadlineQueue[T]) error {
+func checkSegments[T any](p *freelist.List[segment[T], *segment[T]], queues []*deadlineQueue[T]) error {
 	var held []*segment[T]
 	for i, q := range queues {
 		if err := q.checkChain(); err != nil {
@@ -372,48 +396,5 @@ func checkSegments[T any](p *segPool[T], queues []*deadlineQueue[T]) error {
 			held = append(held, s)
 		}
 	}
-	return accounted("segment", p.made, held, p.free, func(s *segment[T]) *segment[T] { return s.next })
-}
-
-// check is CheckStorage's clause for the pending-send records.
-func (p *sendPool) check(nodes []*Node) error {
-	var held []*pendingSend
-	for _, n := range nodes {
-		for _, r := range n.pending.slots {
-			if r != nil {
-				held = append(held, r)
-			}
-		}
-	}
-	return accounted("pending send", p.made, held, p.free, func(r *pendingSend) *pendingSend { return r.next })
-}
-
-// accounted verifies a pool's bookkeeping of one kind of record: each
-// of the made records it ever allocated is either in held, once, or on
-// the free list that starts at free and is chained through next, once.
-func accounted[R comparable](what string, made int, held []R, free R, next func(R) R) error {
-	const inUse, onFreeList = 1, 2
-	var none R
-	where := make(map[R]uint8, made)
-	for _, r := range held {
-		if where[r] != 0 {
-			return fmt.Errorf("a %s is held twice", what)
-		}
-		where[r] = inUse
-	}
-	nfree := 0
-	for r := free; r != none; r = next(r) {
-		switch where[r] {
-		case inUse:
-			return fmt.Errorf("a %s in use is on the free list", what)
-		case onFreeList:
-			return fmt.Errorf("the free list holds a %s twice", what)
-		}
-		where[r] = onFreeList
-		nfree++
-	}
-	if len(held)+nfree != made {
-		return fmt.Errorf("%d %ss allocated, %d in use and %d free", made, what, len(held), nfree)
-	}
-	return nil
+	return p.Check("segment", held, nil)
 }

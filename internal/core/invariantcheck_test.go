@@ -127,7 +127,7 @@ func TestPeerListLeafInvariantsCatchCorruption(t *testing.T) {
 		"empty leaf": {
 			func(pl *PeerList) {
 				q := &pl.stamps
-				q.dir = append(q.dir[:1], append([]leafRef{{s: new(leaf), end: q.dir[0].end}}, q.dir[1:]...)...)
+				q.dir = append(q.dir[:1], append([]leafRef{{leaf: new(leaf), end: q.dir[0].end}}, q.dir[1:]...)...)
 			},
 			"is empty",
 		},
@@ -150,7 +150,7 @@ func TestPeerListLeafInvariantsCatchCorruption(t *testing.T) {
 			"not zero",
 		},
 		"stamp missing": {
-			func(pl *PeerList) { pl.stamps.remove(pl.Len() - 1) },
+			func(pl *PeerList) { pl.stamps.remove(&pl.pool.leaves, pl.Len()-1) },
 			"stamps for",
 		},
 		"stale last ID": {
@@ -228,9 +228,9 @@ func TestPeerListLeafInvariantsCatchCorruption(t *testing.T) {
 }
 
 // TestChunkPoolInvariantsCatchCorruption corrupts a shared pool serving
-// two lists with the same content, one clause at a time: each corruption
-// must fail the pool's check, and the list check where the list can see
-// it.
+// two lists with the same content, and the chunks and stamp leaves it
+// recycles, one clause at a time: each corruption must fail the pool's
+// check, and the list check where the list can see it.
 func TestChunkPoolInvariantsCatchCorruption(t *testing.T) {
 	build := func() (*ChunkPool, []*PeerList) {
 		pool := &ChunkPool{}
@@ -243,7 +243,7 @@ func TestChunkPoolInvariantsCatchCorruption(t *testing.T) {
 		}
 		lists[0].Remove(lists[0].At(5).ID)
 		lists[1].Remove(lists[1].At(5).ID)
-		if pool.free == nil || lists[0].dir[0].c != lists[1].dir[0].c || lists[0].dir[0].c.refs != 2 {
+		if pool.interned == pool.chunks.Made() || lists[0].dir[0].c != lists[1].dir[0].c || lists[0].dir[0].c.refs != 2 {
 			t.Fatal("two equal lists do not share their first chunk, or the pool frees nothing")
 		}
 		return pool, lists
@@ -280,8 +280,23 @@ func TestChunkPoolInvariantsCatchCorruption(t *testing.T) {
 			"not interned",
 		},
 		"freed chunk still counted": {
-			func(p *ChunkPool, _ []*PeerList) { p.free.refs = 1 },
+			func(p *ChunkPool, _ []*PeerList) { c := p.chunks.Get(); c.refs = 1; p.chunks.Put(c) },
 			"a free chunk counts 1",
+			"",
+		},
+		"chunk leaked off the free list": {
+			func(p *ChunkPool, _ []*PeerList) { p.chunks.Get() },
+			"chunks allocated",
+			"",
+		},
+		"leaf put twice": {
+			func(p *ChunkPool, _ []*PeerList) { l := p.leaves.Get(); p.leaves.Put(l); p.leaves.Put(l) },
+			"the free list holds a leaf record twice",
+			"",
+		},
+		"leaf held by two lists": {
+			func(_ *ChunkPool, lists []*PeerList) { lists[1].stamps.dir[0].leaf = lists[0].stamps.dir[0].leaf },
+			"a leaf record is held twice",
 			"",
 		},
 	}
@@ -402,24 +417,24 @@ func TestStorageInvariantsCatchCorruption(t *testing.T) {
 			func(p *ChunkPool, nodes []*Node) {
 				s := nodes[0].hops.head
 				nodes[0].hops.stop()
-				p.hopSegs.put(s)
+				p.hopSegs.Put(s)
 			},
 			"free list holds a segment twice",
 		},
 		"held segment released": {
-			func(p *ChunkPool, nodes []*Node) { p.ackSegs.put(nodes[0].acks.tail) },
+			func(p *ChunkPool, nodes []*Node) { p.ackSegs.Put(nodes[0].acks.tail) },
 			"broken segment chain",
 		},
 		"segment lost": {
-			func(p *ChunkPool, nodes []*Node) { p.hopSegs.get() },
+			func(p *ChunkPool, nodes []*Node) { p.hopSegs.Get() },
 			"segments allocated",
 		},
 		"pending send released while pending": {
-			func(p *ChunkPool, nodes []*Node) { p.sends.release(nodes[0].pending.get(nodes[0].nextAckID)) },
+			func(p *ChunkPool, nodes []*Node) { p.sends.Put(nodes[0].pending.get(nodes[0].nextAckID)) },
 			"pending send in use is on the free list",
 		},
 		"pending send lost": {
-			func(p *ChunkPool, nodes []*Node) { p.sends.acquire() },
+			func(p *ChunkPool, nodes []*Node) { p.sends.Get() },
 			"pending sends allocated",
 		},
 		"node of another pool": {

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"peerwindow/internal/des"
+	"peerwindow/internal/freelist"
 	"peerwindow/internal/metrics"
 	"peerwindow/internal/nodeid"
 	"peerwindow/internal/trace"
@@ -41,7 +42,7 @@ type Node struct {
 	// allocates nothing once warm.
 	nextAckID uint64
 	pending   pendingRing
-	sends     *sendPool
+	sends     *freelist.List[pendingSend, *pendingSend]
 
 	// The deadline queues (deadline.go): acks holds the ack id of every
 	// attempt awaiting its AckTimeout, hops the delivered events waiting
@@ -371,7 +372,7 @@ func (n *Node) Stop() {
 	n.probeWaits.stop()
 	for _, p := range n.pending.slots {
 		if p != nil {
-			n.sends.release(p)
+			n.releaseSend(p)
 		}
 	}
 	n.pending = pendingRing{}

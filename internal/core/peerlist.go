@@ -292,7 +292,7 @@ func (pl *PeerList) insert(k, j int, q wire.Pointer, now des.Time) {
 	if len(pl.dir) == 0 {
 		p.e = append(p.e, e)
 		pl.recut(0, 0)
-		pl.stamps.insert(0, stamp{firstSeen: now, lastSeen: now})
+		pl.stamps.insert(&p.leaves, 0, stamp{firstSeen: now, lastSeen: now})
 		return
 	}
 	r := &pl.dir[k]
@@ -309,7 +309,7 @@ func (pl *PeerList) insert(k, j int, q wire.Pointer, now des.Time) {
 	} else {
 		pl.recut(k, k+1)
 	}
-	pl.stamps.insert(at, stamp{firstSeen: now, lastSeen: now})
+	pl.stamps.insert(&p.leaves, at, stamp{firstSeen: now, lastSeen: now})
 }
 
 // removeAt deletes position j of chunk k. The cut points stay when the
@@ -331,7 +331,7 @@ func (pl *PeerList) removeAt(k, j int) {
 	} else {
 		pl.recut(k, k+1)
 	}
-	pl.stamps.remove(at)
+	pl.stamps.remove(&p.leaves, at)
 }
 
 // replace overwrites the shared part of the entry at (k, j) with e, which
@@ -452,7 +452,7 @@ func (pl *PeerList) build(ps []wire.Pointer, now des.Time) {
 		pl.storeInfo(q, false)
 	}
 	pl.recut(0, 0)
-	pl.stamps.build(len(ps), stamp{firstSeen: now, lastSeen: now})
+	pl.stamps.build(&p.leaves, len(ps), stamp{firstSeen: now, lastSeen: now})
 }
 
 // MinLevel returns the smallest level among held pointers, or -1 when the
@@ -571,7 +571,7 @@ func (pl *PeerList) walk(lo, hi int, fn func(e *entry, s *stamp)) {
 		if sj == int(q.dir[sk].n) {
 			sk, sj = sk+1, 0
 		}
-		fn(&pl.dir[k].c.e[j], &q.dir[sk].s[sj])
+		fn(&pl.dir[k].c.e[j], &q.dir[sk].leaf.s[sj])
 		j++
 		sj++
 	}
@@ -619,7 +619,7 @@ func (pl *PeerList) keep(lo, hi int) {
 	clear(pl.dir)
 	pl.dir = pl.dir[:0]
 	pl.recut(0, 0)
-	pl.stamps.keep(lo, hi)
+	pl.stamps.keep(&p.leaves, lo, hi)
 }
 
 // ForEach visits every entry in ID order; the visitor must not mutate the

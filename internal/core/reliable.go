@@ -24,12 +24,12 @@ const (
 
 // pendingSend tracks one reliable request awaiting its ack/response.
 //
-// Records come from the node's pool (sendPool), which every node of a
-// simulator cluster shares. One is live from acquire until release, which
-// runs only after it has left the pending ring, so neither an ack nor a
-// timeout can reach a recycled record: ack ids are never reused, a late
-// ack finds no record with its id, and the ack queue skips an entry whose
-// id is no longer pending.
+// Records come from the node's pool (ChunkPool.sends), which every node
+// of a simulator cluster shares. One is live from Get until releaseSend,
+// which runs only after it has left the pending ring, so neither an ack
+// nor a timeout can reach a recycled record: ack ids are never reused, a
+// late ack finds no record with its id, and the ack queue skips an entry
+// whose id is no longer pending.
 type pendingSend struct {
 	id       uint64
 	msg      wire.Message
@@ -50,53 +50,19 @@ type pendingSend struct {
 	next *pendingSend
 }
 
-const (
-	// sendBatch is the most records a pool miss allocates at once.
-	sendBatch = 32
-	// minPendingRing is the pending ring's first size, a power of two.
-	minPendingRing = 16
-)
+// Link implements freelist.Linked.
+func (r *pendingSend) Link() **pendingSend { return &r.next }
 
-// sendPool is the free list of pending-send records, shared by every
-// node its pool serves; made counts the records it ever allocated, for
-// the invariant check.
-type sendPool struct {
-	free *pendingSend
-	made int
-}
+// minPendingRing is the pending ring's first size, a power of two.
+const minPendingRing = 16
 
-// acquire takes a blank record off the free list. An empty list is
-// refilled in one allocation with as many records as the pool has made
-// so far, 2 to sendBatch (see segPool.get).
+// releaseSend blanks a record and returns it to the pool. The caller has
+// already taken it out of its pending ring.
 //
 //pwlint:noalloc
-func (p *sendPool) acquire() *pendingSend {
-	if p.free == nil {
-		n := min(max(p.made, 2), sendBatch)
-		p.free = newSends(n) //pwlint:allow noalloc pool miss: the pool's nodes await more acks than ever before
-		p.made += n
-	}
-	r := p.free
-	p.free, r.next = r.next, nil
-	return r
-}
-
-// newSends allocates n blank records in one block, linked in order.
-func newSends(n int) *pendingSend {
-	b := make([]pendingSend, n)
-	for i := 1; i < n; i++ {
-		b[i-1].next = &b[i]
-	}
-	return &b[0]
-}
-
-// release blanks a record and returns it to the free list. The caller
-// has already taken it out of its pending ring.
-//
-//pwlint:noalloc
-func (p *sendPool) release(r *pendingSend) {
-	*r = pendingSend{next: p.free}
-	p.free = r
+func (n *Node) releaseSend(r *pendingSend) {
+	*r = pendingSend{}
+	n.sends.Put(r)
 }
 
 // pendingRing holds the sends awaiting acks at index id & (len-1), its
@@ -161,7 +127,7 @@ func (r *pendingRing) remove(p *pendingSend) {
 // ackID is stamped into msg. Responses (any message echoing the ackID)
 // route to onResponse.
 func (n *Node) sendReliable(msg wire.Message, attempts int, onResponse func(wire.Message), onFail func()) uint64 {
-	p := n.sends.acquire()
+	p := n.sends.Get()
 	p.msg = msg
 	p.attempts = attempts
 	p.onResponse = onResponse
@@ -173,7 +139,7 @@ func (n *Node) sendReliable(msg wire.Message, attempts int, onResponse func(wire
 // tries, then the kind's failure path with target (and failed) as its
 // arguments.
 func (n *Node) sendTracked(msg wire.Message, kind sendKind, target wire.Pointer, failed map[nodeid.ID]bool) {
-	p := n.sends.acquire()
+	p := n.sends.Get()
 	p.msg = msg
 	p.attempts = n.cfg.RetryAttempts
 	p.kind = kind
@@ -230,7 +196,7 @@ func (n *Node) onAckTimeout(id uint64) {
 			p.onFail()
 		}
 	}
-	n.sends.release(p)
+	n.releaseSend(p)
 }
 
 // resolveAck completes a pending send with its response.
@@ -248,5 +214,5 @@ func (n *Node) resolveAck(id uint64, resp wire.Message) {
 			p.onResponse(resp)
 		}
 	}
-	n.sends.release(p)
+	n.releaseSend(p)
 }

@@ -149,13 +149,13 @@ func TestClusterHeapPerHeldPointerAfterChurn(t *testing.T) {
 }
 
 // A burst of messages and timers grows the cluster's delivery and timer
-// pools one allocation per chunk of records: a record binds no callback
-// of its own (it is the engine's des.Action), so the chunk is the only
-// allocation. With a bound callback per record a chunk cost 33.
+// pools one allocation per refill: a record binds no callback of its own
+// (it is the engine's des.Action), so the refill's block is the only
+// allocation. With a bound callback per record a refill of 32 cost 33.
 func TestRecordPoolGrowthIsOneAllocPerChunk(t *testing.T) {
 	c := NewCluster(ClusterConfig{Core: DefaultFullCore(), Seed: 1})
 	a, b := c.AddNode(0), c.AddNode(0)
-	const burst = 8 * deliveryChunk
+	const burst = 256
 	// Warm the engine's slab, heap and free list past both bursts, and
 	// the send accounting, so only the record pools grow below.
 	noop := func() {}
@@ -167,17 +167,15 @@ func TestRecordPoolGrowthIsOneAllocPerChunk(t *testing.T) {
 	a.Send(msg)
 	a.SetTimer(des.Second, noop)
 
-	free := func() (deliveries, timers int) {
-		for d := c.deliveryFree; d != nil; d = d.next {
-			deliveries++
+	// refills counts the refills that take a list from made records to
+	// made2: each allocates as many as made so far, 2 to 32.
+	refills := func(made, made2 int) (n int) {
+		for ; made < made2; made += min(max(made, 2), 32) {
+			n++
 		}
-		for f := c.timerFree; f != nil; f = f.next {
-			timers++
-		}
-		return deliveries, timers
+		return n
 	}
-	d0, t0 := free()
-	chunks := (burst-d0+deliveryChunk-1)/deliveryChunk + (burst-t0+timerChunk-1)/timerChunk
+	d0, t0 := c.deliveries.Made(), c.timers.Made()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	for i := 0; i < burst; i++ {
@@ -186,11 +184,12 @@ func TestRecordPoolGrowthIsOneAllocPerChunk(t *testing.T) {
 	}
 	runtime.ReadMemStats(&after)
 	allocs := after.Mallocs - before.Mallocs
-	t.Logf("%d deliveries and %d timers scheduled: %d pool chunks, %d allocations", burst, burst, chunks, allocs)
+	chunks := refills(d0, c.deliveries.Made()) + refills(t0, c.timers.Made())
+	t.Logf("%d deliveries and %d timers scheduled: %d pool refills, %d allocations", burst, burst, chunks, allocs)
 	if chunks < 14 {
-		t.Fatalf("the burst grew the pools by %d chunks; the case is not exercised", chunks)
+		t.Fatalf("the burst grew the pools by %d refills; the case is not exercised", chunks)
 	}
 	if allocs > uint64(chunks)+2 {
-		t.Errorf("%d allocations for %d chunks of records, want about one per chunk", allocs, chunks)
+		t.Errorf("%d allocations for %d refills of records, want about one per refill", allocs, chunks)
 	}
 }

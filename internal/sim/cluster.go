@@ -22,6 +22,7 @@ import (
 
 	"peerwindow/internal/core"
 	"peerwindow/internal/des"
+	"peerwindow/internal/freelist"
 	"peerwindow/internal/invariant"
 	"peerwindow/internal/metrics"
 	"peerwindow/internal/nodeid"
@@ -109,15 +110,11 @@ type Cluster struct {
 	// is attached; nil otherwise.
 	inflight map[uint64]*delivery
 
-	// deliveryFree and timerFree list fired delivery and timerFire
-	// records for reuse (see those types), so Send and SetTimer allocate
-	// nothing once the pools are warm; an empty list is refilled with a
-	// chunk of records in one allocation. They are plain
-	// per-cluster free lists: a cluster runs on one goroutine, and reuse
-	// order is a pure function of the event order, so seeded runs stay
-	// bit-identical.
-	deliveryFree *delivery
-	timerFree    *timerFire
+	// deliveries and timers hold fired delivery and timerFire records for
+	// reuse (see those types), so Send and SetTimer allocate nothing once
+	// the lists are warm.
+	deliveries freelist.List[delivery, *delivery]
+	timers     freelist.List[timerFire, *timerFire]
 
 	// keyed makes deliveries and timers carry shard-invariant (sender,
 	// issue-order) tie-break keys instead of relying on engine insertion
@@ -475,20 +472,13 @@ func (c *Cluster) local(addr wire.Addr) *SimNode {
 	return nil
 }
 
-// Pool chunk sizes: how many records one refill of an empty free list
-// allocates at once.
-const (
-	deliveryChunk = 32
-	timerChunk    = 32
-)
-
 // delivery is one message in flight: the engine event (a des.Action)
 // that hands msg to dst. Records are pooled per Cluster. One is live from
 // deliverAt until it fires — or until NoteDropped, when a chooser
 // discards its event — and only then returns to the pool, so the engine
 // never holds a recycled record. A delivery dropped without NoteDropped
 // (no span sink attached) is never reused; the collector takes it with
-// its chunk.
+// its block.
 type delivery struct {
 	dst *SimNode
 	msg wire.Message
@@ -499,27 +489,8 @@ type delivery struct {
 	next *delivery
 }
 
-// acquireDelivery takes a record from the cluster's pool.
-//
-//pwlint:noalloc
-func (c *Cluster) acquireDelivery() *delivery {
-	if c.deliveryFree == nil {
-		c.deliveryFree = newDeliveries() //pwlint:allow noalloc pool miss; steady state reuses released records
-	}
-	d := c.deliveryFree
-	c.deliveryFree, d.next = d.next, nil
-	return d
-}
-
-// newDeliveries allocates deliveryChunk records in one block, linked in
-// order.
-func newDeliveries() *delivery {
-	chunk := new([deliveryChunk]delivery)
-	for i := 1; i < len(chunk); i++ {
-		chunk[i-1].next = &chunk[i]
-	}
-	return &chunk[0]
-}
+// Link implements freelist.Linked.
+func (d *delivery) Link() **delivery { return &d.next }
 
 // Fire implements des.Action: hand the message to its destination, if
 // still alive, and return the record to the pool.
@@ -543,13 +514,13 @@ func (d *delivery) Fire() {
 func (c *Cluster) releaseDelivery(d *delivery) {
 	d.dst = nil
 	d.msg.Pointers = nil // a peer-list download must not outlive its delivery
-	d.next, c.deliveryFree = c.deliveryFree, d
+	c.deliveries.Put(d)
 }
 
 // deliverAt schedules the delivery of msg to the local node dst at the
 // absolute time at.
 func (c *Cluster) deliverAt(at des.Time, key uint64, dst *SimNode, msg wire.Message) {
-	d := c.acquireDelivery()
+	d := c.deliveries.Get()
 	d.dst, d.msg = dst, msg
 	h := c.Engine.Schedule(at, key, des.EventTag{Owner: uint64(msg.To), Kind: TagDeliver}, d)
 	if c.cfg.Spans != nil {
@@ -594,6 +565,9 @@ type timerFire struct {
 	next *timerFire
 }
 
+// Link implements freelist.Linked.
+func (f *timerFire) Link() **timerFire { return &f.next }
+
 // Cancel implements core.Timer.
 func (f *timerFire) Cancel() bool {
 	if invariant.Enabled && f.sn == nil {
@@ -620,37 +594,15 @@ func (f *timerFire) Fire() {
 	}
 }
 
-// acquireTimerFire takes a record from the cluster's pool.
-//
-//pwlint:noalloc
-func (c *Cluster) acquireTimerFire() *timerFire {
-	if c.timerFree == nil {
-		c.timerFree = newTimerFires() //pwlint:allow noalloc pool miss; steady state reuses released records
-	}
-	f := c.timerFree
-	c.timerFree, f.next = f.next, nil
-	return f
-}
-
-// newTimerFires allocates timerChunk records in one block, linked in
-// order.
-func newTimerFires() *timerFire {
-	chunk := new([timerChunk]timerFire)
-	for i := 1; i < len(chunk); i++ {
-		chunk[i-1].next = &chunk[i]
-	}
-	return &chunk[0]
-}
-
 // releaseTimerFire returns a fired or cancelled record to the pool (under
-// pwinvariants it only marks the record spent, so each record of a chunk
-// serves one timer).
+// pwinvariants it only marks the record spent, so each record serves one
+// timer).
 //
 //pwlint:noalloc
 func (c *Cluster) releaseTimerFire(f *timerFire) {
 	f.sn, f.fn = nil, nil
 	if !invariant.Enabled {
-		f.next, c.timerFree = c.timerFree, f
+		c.timers.Put(f)
 	}
 }
 
@@ -663,7 +615,7 @@ func (sn *SimNode) SetTimer(delay des.Time, fn func()) core.Timer {
 	if c.keyed {
 		key = sn.nextKey()
 	}
-	f := c.acquireTimerFire()
+	f := c.timers.Get()
 	f.sn, f.fn = sn, fn
 	f.h = c.Engine.Schedule(c.Engine.Now()+delay, key, des.EventTag{Owner: uint64(sn.Addr), Kind: TagTimer}, f)
 	return f
