@@ -40,7 +40,8 @@ func appendID(b []byte, id nodeid.ID) []byte {
 //   - the ring successor's nodeId (the §4.1 probe target);
 //   - the top-node list as (nodeId, level) pairs sorted by nodeId —
 //     top-list order is merge-history, not protocol state;
-//   - cross-part top pointers (§4.4), keyed by sorted part eigenstring;
+//   - the part table (§4.4) in its own order, each row's top IDs sorted
+//     and a row emptied by failed refreshes included;
 //   - the event-dedup state: seen (nodeId, seq) pairs and dead nodeIds,
 //     both sorted;
 //   - a pending-send signature: sorted (type, destination) pairs of the
@@ -91,14 +92,13 @@ func (n *Node) AppendDigest(b []byte) []byte {
 		b = append(b, n.topList[i].Level)
 	}
 
-	// Cross-part tops, canonicalized by part then nodeId.
-	parts := n.sortedCrossParts()
-	b = appendU64(b, uint64(len(parts)))
-	for _, part := range parts {
-		b = appendID(b, part.Prefix)
-		b = appendU64(b, uint64(part.Len))
-		ids := make([]nodeid.ID, 0, len(n.crossTop[part]))
-		for _, p := range n.crossTop[part] {
+	// The part table, already in canonical part order; IDs sorted.
+	b = appendU64(b, uint64(len(n.crossTop)))
+	for _, r := range n.crossTop {
+		b = appendID(b, r.part.Prefix)
+		b = appendU64(b, uint64(r.part.Len))
+		ids := make([]nodeid.ID, 0, len(r.tops))
+		for _, p := range r.tops {
 			ids = append(ids, p.ID)
 		}
 		sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })

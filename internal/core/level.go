@@ -395,7 +395,7 @@ func (n *Node) raiseLevel(done func(ok bool)) {
 		func() {
 			// The donor is unreachable; if it came from the top-node
 			// list, drop it so the next attempt tries someone else.
-			n.dropTop(donor.ID)
+			n.topList = dropID(n.topList, donor.ID)
 			if done != nil {
 				done(false)
 			}

@@ -95,7 +95,7 @@ func (n *Node) forwardEvent(ev wire.Event, fromStep int, tid wire.TraceID) {
 // sendStep picks the strongest candidate for step s (excluding already
 // failed targets) and forwards the event to it: the redirect path. The
 // candidates share the first s bits of our ID and differ at bit s.
-func (n *Node) sendStep(ev wire.Event, s int, tid wire.TraceID, failed map[nodeid.ID]bool) {
+func (n *Node) sendStep(ev wire.Event, s int, tid wire.TraceID, failed []nodeid.ID) {
 	if s >= nodeid.Bits {
 		return
 	}
@@ -107,7 +107,7 @@ func (n *Node) sendStep(ev wire.Event, s int, tid wire.TraceID, failed map[nodei
 
 // forwardTo forwards the event to target as step s+1, reliably; on
 // failure stepFailed drops the stale pointer and redirects.
-func (n *Node) forwardTo(target wire.Pointer, ev wire.Event, s int, tid wire.TraceID, failed map[nodeid.ID]bool) {
+func (n *Node) forwardTo(target wire.Pointer, ev wire.Event, s int, tid wire.TraceID, failed []nodeid.ID) {
 	msg := wire.Message{
 		Type:  wire.MsgEvent,
 		To:    target.Addr,
@@ -136,12 +136,10 @@ func (n *Node) stepFailed(p *pendingSend) {
 	if !(ev.Kind == wire.EventLeave && ev.Subject.ID == target.ID) {
 		n.verifyFailure(target)
 	}
-	failed := p.failed
-	if failed == nil {
-		failed = make(map[nodeid.ID]bool)
-	}
-	failed[target.ID] = true
-	n.sendStep(ev, s, tid, failed)
+	// A redirect chain is linear: this record is released once stepFailed
+	// returns and only the next step's record carries the set on, so
+	// appending to its slice cannot change a set another record holds.
+	n.sendStep(ev, s, tid, append(p.failed, target.ID))
 }
 
 // verifyFailure double-checks a suspected death with a reliable

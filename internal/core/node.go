@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"peerwindow/internal/des"
@@ -25,10 +26,10 @@ type Node struct {
 	peers   PeerList
 	topList []wire.Pointer
 
-	// crossTop holds, for top nodes in split systems, pointers to top
-	// nodes of other parts, keyed by the part's identifying eigenstring
-	// (§4.4).
-	crossTop map[nodeid.Eigenstring][]wire.Pointer
+	// crossTop is the part table: for top nodes in split systems, one
+	// row per other part with pointers to its top nodes (§4.4), ordered
+	// by the part's eigenstring (see findPart).
+	crossTop []crossPart
 
 	// seq numbers this node's own announcements; dedup holds one record
 	// per subject (see dedupRec), and sequenced counts the records whose
@@ -469,13 +470,7 @@ func (n *Node) handlePeerListReq(m wire.Message) {
 		ps = append(ps, n.self)
 	}
 	// Exclude the requester itself; it does not need its own pointer.
-	out := ps[:0]
-	for _, p := range ps {
-		if p.ID != m.Sender.ID {
-			out = append(out, p)
-		}
-	}
-	n.send(wire.Message{Type: wire.MsgPeerListResp, To: m.From, AckID: m.AckID, Pointers: out})
+	n.send(wire.Message{Type: wire.MsgPeerListResp, To: m.From, AckID: m.AckID, Pointers: dropID(ps, m.Sender.ID)})
 }
 
 // handleTopListReq serves top-node discovery. PartBits == 0 asks for the
@@ -485,30 +480,16 @@ func (n *Node) handlePeerListReq(m wire.Message) {
 func (n *Node) handleTopListReq(m wire.Message) {
 	var ps []wire.Pointer
 	if m.PartBits == 0 {
-		if n.isTopNode() {
-			ps = n.partTopNodes()
+		ps = n.ownPartTops()
+	} else if part, err := nodeid.FromBytes(m.PartPrefix[:]); err == nil {
+		if want := nodeid.EigenstringOf(part, int(m.PartBits)); want.Contains(n.self.ID) {
+			// The requester asked for our own part after all.
+			ps = n.ownPartTops()
 		} else {
-			ps = append(ps, n.topList...)
-		}
-	} else {
-		part, err := nodeid.FromBytes(m.PartPrefix[:])
-		if err == nil {
-			want := nodeid.EigenstringOf(part, int(m.PartBits))
-			if want.Contains(n.self.ID) {
-				// The requester asked for our own part after all.
-				if n.isTopNode() {
-					ps = n.partTopNodes()
-				} else {
-					ps = append(ps, n.topList...)
-				}
-			} else {
-				ps = append(ps, n.crossTop[want]...)
-			}
+			ps = n.CrossPartTops(want)
 		}
 	}
-	if len(ps) > n.cfg.TopListSize {
-		ps = ps[:n.cfg.TopListSize]
-	}
+	ps = ps[:min(len(ps), n.cfg.TopListSize)]
 	n.send(wire.Message{Type: wire.MsgTopListResp, To: m.From, AckID: m.AckID, Pointers: ps})
 }
 
@@ -521,6 +502,15 @@ func (n *Node) isTopNode() bool {
 	}
 	min := n.peers.MinLevel()
 	return min == -1 || min >= int(n.self.Level)
+}
+
+// ownPartTops answers a request for this node's own part: a top node
+// samples its part's top nodes, any other node copies its top-node list.
+func (n *Node) ownPartTops() []wire.Pointer {
+	if n.isTopNode() {
+		return n.partTopNodes()
+	}
+	return append([]wire.Pointer(nil), n.topList...)
 }
 
 // partTopNodes returns pointers to top nodes of this node's part: itself
@@ -558,26 +548,29 @@ func (n *Node) mergeTopPointers(ps []wire.Pointer) {
 	if len(ps) == 0 {
 		return
 	}
-	merged := make([]wire.Pointer, 0, n.cfg.TopListSize)
-	have := func(id nodeid.ID) bool {
-		for _, q := range merged {
-			if q.ID == id {
-				return true
+	merged := dropID(unionByID(ps, n.topList), n.self.ID)
+	n.topList = merged[:min(len(merged), n.cfg.TopListSize)]
+}
+
+// unionByID returns a new slice holding fresh, then old, keeping only the
+// first pointer of each ID. Both top lists, the node's own and the part
+// table's rows, merge what they learn through it.
+func unionByID(fresh, old []wire.Pointer) []wire.Pointer {
+	out := make([]wire.Pointer, 0, len(fresh)+len(old))
+	for _, src := range [2][]wire.Pointer{fresh, old} {
+		for _, p := range src {
+			if !slices.ContainsFunc(out, func(q wire.Pointer) bool { return q.ID == p.ID }) {
+				out = append(out, p)
 			}
 		}
-		return false
 	}
-	for _, p := range ps {
-		if p.ID != n.self.ID && !have(p.ID) && len(merged) < n.cfg.TopListSize {
-			merged = append(merged, p)
-		}
-	}
-	for _, p := range n.topList {
-		if p.ID != n.self.ID && !have(p.ID) && len(merged) < n.cfg.TopListSize {
-			merged = append(merged, p)
-		}
-	}
-	n.topList = merged
+	return out
+}
+
+// dropID removes every pointer to id from ps in place and returns the
+// shortened slice.
+func dropID(ps []wire.Pointer, id nodeid.ID) []wire.Pointer {
+	return slices.DeleteFunc(ps, func(p wire.Pointer) bool { return p.ID == id })
 }
 
 // applyPointers folds a downloaded pointer batch — a peer-list reply

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"slices"
+
 	"peerwindow/internal/des"
 	"peerwindow/internal/nodeid"
 	"peerwindow/internal/wire"
@@ -663,7 +665,7 @@ func (pl *PeerList) splitStep(selfID nodeid.ID, s, lo, hi int) (candLo, candHi, 
 // survive forever. A level-0 candidate is globally strongest, so the scan
 // stops at the first one it meets — with level-0-dominated ranges (the
 // common case) the expected scan is short.
-func (pl *PeerList) strongestIn(lo, hi int, subject nodeid.ID, skip map[nodeid.ID]bool, rng *xrand.Source) (wire.Pointer, bool) {
+func (pl *PeerList) strongestIn(lo, hi int, subject nodeid.ID, skip []nodeid.ID, rng *xrand.Source) (wire.Pointer, bool) {
 	span := hi - lo
 	if span <= 0 {
 		return wire.Pointer{}, false
@@ -689,7 +691,7 @@ func (pl *PeerList) strongestIn(lo, hi int, subject nodeid.ID, skip map[nodeid.I
 		if int(cand.level) >= bestLevel {
 			continue
 		}
-		if skip != nil && skip[cand.id] {
+		if slices.Contains(skip, cand.id) {
 			continue
 		}
 		// Audience check: the candidate's eigenstring must be a prefix

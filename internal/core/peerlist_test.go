@@ -246,7 +246,7 @@ func countInPrefix(pl *PeerList, e nodeid.Eigenstring) int {
 // stepTarget is the redirect path's pick (Node.sendStep): the strongest
 // audience member of subject among the entries that share the first s
 // bits of self and differ at bit s, skipping the IDs in skip.
-func stepTarget(pl *PeerList, self nodeid.ID, s int, subject nodeid.ID, skip map[nodeid.ID]bool, rng *xrand.Source) (wire.Pointer, bool) {
+func stepTarget(pl *PeerList, self nodeid.ID, s int, subject nodeid.ID, skip []nodeid.ID, rng *xrand.Source) (wire.Pointer, bool) {
 	lo, hi := pl.prefixRange(nodeid.EigenstringOf(self.FlipBit(s), s+1))
 	return pl.strongestIn(lo, hi, subject, skip, rng)
 }
@@ -273,12 +273,12 @@ func TestStrongestForStepSelection(t *testing.T) {
 	}
 	// Skip the strongest: the next audience member is 'middle' (weak is
 	// not in the subject's audience).
-	skip := map[nodeid.ID]bool{strong.ID: true}
+	skip := []nodeid.ID{strong.ID}
 	got, ok = stepTarget(&pl, self, 1, subject, skip, rng)
 	if !ok || got.ID != middle.ID {
 		t.Fatalf("with skip picked %+v ok=%v, want middle", got, ok)
 	}
-	skip[middle.ID] = true
+	skip = append(skip, middle.ID)
 	if _, ok = stepTarget(&pl, self, 1, subject, skip, rng); ok {
 		t.Fatal("no audience candidates should remain")
 	}
@@ -454,7 +454,7 @@ func (f flatList) prefixRange(e nodeid.Eigenstring) (lo, hi int) {
 	return lo, hi
 }
 
-func (f flatList) strongestForStep(self nodeid.ID, s int, subject nodeid.ID, skip map[nodeid.ID]bool, rng *xrand.Source) (wire.Pointer, bool) {
+func (f flatList) strongestForStep(self nodeid.ID, s int, subject nodeid.ID, skip []nodeid.ID, rng *xrand.Source) (wire.Pointer, bool) {
 	lo, hi := f.prefixRange(nodeid.EigenstringOf(self.FlipBit(s), s+1))
 	span := hi - lo
 	if span <= 0 {
@@ -468,7 +468,7 @@ func (f flatList) strongestForStep(self nodeid.ID, s int, subject nodeid.ID, ski
 	for k := 0; k < span; k++ {
 		i := lo + (offset+k)%span
 		c := f[i].p
-		if int(c.Level) >= bestLevel || skip[c.ID] || c.ID.Prefix(int(c.Level)) != subject.Prefix(int(c.Level)) {
+		if int(c.Level) >= bestLevel || slices.Contains(skip, c.ID) || c.ID.Prefix(int(c.Level)) != subject.Prefix(int(c.Level)) {
 			continue
 		}
 		best, bestLevel = i, int(c.Level)
@@ -932,7 +932,7 @@ func checkAgainstFlat(t *testing.T, pl *PeerList, ref flatList, rng *xrand.Sourc
 	}
 	self, subject := anyID(), anyID()
 	s := rng.Intn(12)
-	skip := map[nodeid.ID]bool{ref[rng.Intn(len(ref))].p.ID: true}
+	skip := []nodeid.ID{ref[rng.Intn(len(ref))].p.ID}
 	seed := rng.Uint64()
 	got, gok := stepTarget(pl, self, s, subject, skip, xrand.New(seed))
 	want, ok = ref.strongestForStep(self, s, subject, skip, xrand.New(seed))

@@ -36,10 +36,11 @@ type pendingSend struct {
 	attempts int
 	kind     sendKind
 
-	// target is the peer a multicast step or verification addresses; failed is the set of targets a multicast step has already
-	// given up on (nil until the first redirect).
+	// target is the peer a multicast step or verification addresses;
+	// failed lists the targets a multicast step has already given up on
+	// (nil until the first redirect).
 	target wire.Pointer
-	failed map[nodeid.ID]bool
+	failed []nodeid.ID
 
 	// sendGeneric only: onResponse fires with the ack/response message;
 	// onFail fires after the attempt budget is exhausted.
@@ -138,7 +139,7 @@ func (n *Node) sendReliable(msg wire.Message, attempts int, onResponse func(wire
 // sendTracked is sendReliable for the per-message kinds: RetryAttempts
 // tries, then the kind's failure path with target (and failed) as its
 // arguments.
-func (n *Node) sendTracked(msg wire.Message, kind sendKind, target wire.Pointer, failed map[nodeid.ID]bool) {
+func (n *Node) sendTracked(msg wire.Message, kind sendKind, target wire.Pointer, failed []nodeid.ID) {
 	p := n.sends.Get()
 	p.msg = msg
 	p.attempts = n.cfg.RetryAttempts

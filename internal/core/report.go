@@ -1,7 +1,6 @@
 package core
 
 import (
-	"peerwindow/internal/nodeid"
 	"peerwindow/internal/trace"
 	"peerwindow/internal/wire"
 )
@@ -73,7 +72,7 @@ func (n *Node) reportVia(ev wire.Event, tid wire.TraceID, tops []wire.Pointer, r
 	n.sendReliable(msg, n.cfg.RetryAttempts, nil, func() {
 		// The top node is unreachable: drop it from the list and try the
 		// next one.
-		n.dropTop(t.ID)
+		n.topList = dropID(n.topList, t.ID)
 		n.reportVia(ev, tid, tops[1:], refreshed)
 	})
 }
@@ -105,17 +104,6 @@ func (n *Node) originate(ev wire.Event, tid wire.TraceID) {
 	}
 }
 
-// dropTop removes a dead pointer from the top-node list.
-func (n *Node) dropTop(id nodeid.ID) {
-	out := n.topList[:0]
-	for _, p := range n.topList {
-		if p.ID != id {
-			out = append(out, p)
-		}
-	}
-	n.topList = out
-}
-
 // handleReport processes an incoming MsgReport: ack it with piggybacked
 // top pointers (§4.5), then either originate the multicast (top node) or
 // pass the report toward a stronger node WITHOUT applying the event — the
@@ -131,16 +119,8 @@ func (n *Node) handleReport(m wire.Message) {
 // ackPointers builds the t−1 top-node pointers piggybacked on report
 // acks.
 func (n *Node) ackPointers() []wire.Pointer {
-	var tops []wire.Pointer
-	if n.isTopNode() {
-		tops = n.partTopNodes()
-	} else {
-		tops = append(tops, n.topList...)
-	}
-	if max := n.cfg.TopListSize - 1; len(tops) > max {
-		tops = tops[:max]
-	}
-	return tops
+	tops := n.ownPartTops()
+	return tops[:min(len(tops), n.cfg.TopListSize-1)]
 }
 
 // randomPeer picks a uniformly random pointer from the peer list.

@@ -1,7 +1,8 @@
 package core
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"peerwindow/internal/nodeid"
 	"peerwindow/internal/trace"
@@ -17,44 +18,46 @@ import (
 // bootstrap's part, and "Z's top-node list must contain t top nodes of
 // X's part".
 
+// crossPart is one row of the part table (Node.crossTop): another part,
+// named by its eigenstring, and up to t pointers to its top nodes,
+// strongest first. A row whose tops have all been dropped stays; the
+// digest counts it.
+type crossPart struct {
+	part nodeid.Eigenstring
+	tops []wire.Pointer
+}
+
+// findPart returns where part's row is, or would go, in the part table,
+// and whether it is there. The table is ordered by eigenstring length,
+// then prefix: the order the refresh draws from and the digest writes.
+func (n *Node) findPart(part nodeid.Eigenstring) (int, bool) {
+	return slices.BinarySearchFunc(n.crossTop, part, func(r crossPart, p nodeid.Eigenstring) int {
+		return cmp.Or(cmp.Compare(r.part.Len, p.Len), r.part.Prefix.Compare(p.Prefix))
+	})
+}
+
 // rememberCrossPart stores up to t pointers to (presumed) top nodes of
 // another part. Strongest first; duplicates collapse.
 func (n *Node) rememberCrossPart(part nodeid.Eigenstring, ps []wire.Pointer) {
 	if len(ps) == 0 {
 		return
 	}
-	if n.crossTop == nil {
-		n.crossTop = make(map[nodeid.Eigenstring][]wire.Pointer)
+	i, ok := n.findPart(part)
+	if !ok {
+		n.crossTop = slices.Insert(n.crossTop, i, crossPart{part: part})
 	}
-	merged := append([]wire.Pointer(nil), ps...)
-	for _, old := range n.crossTop[part] {
-		dup := false
-		for _, q := range merged {
-			if q.ID == old.ID {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			merged = append(merged, old)
-		}
-	}
-	// Strongest (smallest level) first, stable.
-	for i := 1; i < len(merged); i++ {
-		for j := i; j > 0 && merged[j].Level < merged[j-1].Level; j-- {
-			merged[j], merged[j-1] = merged[j-1], merged[j]
-		}
-	}
-	if len(merged) > n.cfg.TopListSize {
-		merged = merged[:n.cfg.TopListSize]
-	}
-	n.crossTop[part] = merged
+	merged := unionByID(ps, n.crossTop[i].tops)
+	slices.SortStableFunc(merged, func(a, b wire.Pointer) int { return cmp.Compare(a.Level, b.Level) })
+	n.crossTop[i].tops = merged[:min(len(merged), n.cfg.TopListSize)]
 }
 
-// CrossPartTops returns the remembered top nodes for a part (for
-// diagnostics and tests).
+// CrossPartTops returns a copy of the remembered top nodes for a part,
+// nil when there are none.
 func (n *Node) CrossPartTops(part nodeid.Eigenstring) []wire.Pointer {
-	return append([]wire.Pointer(nil), n.crossTop[part]...)
+	if i, ok := n.findPart(part); ok {
+		return append([]wire.Pointer(nil), n.crossTop[i].tops...)
+	}
+	return nil
 }
 
 // captureSplitPointers runs when this node lowers its level while being
@@ -110,45 +113,26 @@ func (n *Node) crossPartJoin(z wire.Pointer, done func(error)) {
 	)
 }
 
-// sortedCrossParts returns the remembered parts ordered by eigenstring
-// length, then prefix. Go randomizes map iteration, so anything that picks
-// among the parts or serializes them goes through here.
-func (n *Node) sortedCrossParts() []nodeid.Eigenstring {
-	parts := make([]nodeid.Eigenstring, 0, len(n.crossTop))
-	for part := range n.crossTop {
-		parts = append(parts, part)
-	}
-	sort.Slice(parts, func(i, j int) bool {
-		if parts[i].Len != parts[j].Len {
-			return parts[i].Len < parts[j].Len
-		}
-		return parts[i].Prefix.Less(parts[j].Prefix)
-	})
-	return parts
-}
-
 // refreshCrossTop implements the §4.5 lazy maintenance: "when a top node
 // T works for another node's joining process, it chooses a live pointer
 // from its top-node list and asks the corresponding node for t−1
 // pointers to top nodes of that part." It refreshes one remembered part
 // per trigger, drawn from the node's own random stream.
 func (n *Node) refreshCrossTop() {
-	if !n.isTopNode() || len(n.crossTop) == 0 {
+	if !n.isTopNode() {
 		return
 	}
-	parts := n.sortedCrossParts()
-	live := parts[:0]
-	for _, part := range parts {
-		if len(n.crossTop[part]) > 0 {
-			live = append(live, part)
+	var live []crossPart
+	for _, r := range n.crossTop {
+		if len(r.tops) > 0 {
+			live = append(live, r)
 		}
 	}
 	if len(live) == 0 {
 		return
 	}
-	part := live[n.env.Rand().Intn(len(live))]
-	ps := n.crossTop[part]
-	target := ps[n.env.Rand().Intn(len(ps))]
+	r := live[n.env.Rand().Intn(len(live))]
+	target := r.tops[n.env.Rand().Intn(len(r.tops))]
 	n.m.topListRefreshes.Inc()
 	msg := wire.Message{Type: wire.MsgTopListReq, To: target.Addr}
 	n.sendReliable(msg, 1,
@@ -156,22 +140,18 @@ func (n *Node) refreshCrossTop() {
 			// Keep only pointers that really belong to that part.
 			keep := resp.Pointers[:0]
 			for _, p := range resp.Pointers {
-				if part.Contains(p.ID) {
+				if r.part.Contains(p.ID) {
 					keep = append(keep, p)
 				}
 			}
-			n.rememberCrossPart(part, keep)
+			n.rememberCrossPart(r.part, keep)
 		},
 		func() {
-			// Drop the dead pointer; the rest of the part list
+			// Drop the dead pointer; the rest of the part's row
 			// remains.
-			out := n.crossTop[part][:0]
-			for _, p := range n.crossTop[part] {
-				if p.ID != target.ID {
-					out = append(out, p)
-				}
+			if i, ok := n.findPart(r.part); ok {
+				n.crossTop[i].tops = dropID(n.crossTop[i].tops, target.ID)
 			}
-			n.crossTop[part] = out
 		},
 	)
 }

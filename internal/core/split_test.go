@@ -279,3 +279,50 @@ func TestRefreshCrossTopDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// The part table's order is the parts' own (eigenstring length, then
+// prefix), not the order they were learned in: two nodes that learn the
+// same parts in opposite orders write the same digest, keep a part a
+// failed refresh emptied, and draw the same refresh targets.
+func TestPartTableOrderIndependentOfInsertion(t *testing.T) {
+	parts := []string{"1", "01", "101", "001", "0001"}
+	build := func(order []int) (*Node, *fakeEnv) {
+		env := newFakeEnv(37)
+		n := newTopNode(t, env)
+		for _, i := range order {
+			part, _ := nodeid.ParseEigenstring(parts[i])
+			bits := parts[i] + "1111"
+			n.rememberCrossPart(part, []wire.Pointer{ptrAt(bits[:5], len(parts[i]), wire.Addr(20+i))})
+		}
+		// One refresh against a silent top empties that top's part.
+		n.HandleMessage(wire.Message{Type: wire.MsgJoinQuery, From: 9, To: 1, AckID: 1})
+		env.take()
+		env.run(n.cfg.AckTimeout + des.Millisecond)
+		return n, env
+	}
+	a, envA := build([]int{0, 1, 2, 3, 4})
+	b, envB := build([]int{4, 2, 0, 3, 1})
+	if da, db := a.AppendDigest(nil), b.AppendDigest(nil); string(da) != string(db) {
+		t.Fatal("digests differ between insertion orders")
+	}
+	for _, n := range []*Node{a, b} {
+		empty := 0
+		for _, r := range n.crossTop {
+			if len(r.tops) == 0 {
+				empty++
+			}
+		}
+		if len(n.crossTop) != len(parts) || empty != 1 {
+			t.Fatalf("part table holds %d rows, %d empty; want %d rows, 1 empty", len(n.crossTop), empty, len(parts))
+		}
+	}
+	for i := 0; i < 8; i++ {
+		q := wire.Message{Type: wire.MsgJoinQuery, From: 9, To: 1, AckID: uint64(i + 2)}
+		a.HandleMessage(q)
+		b.HandleMessage(q)
+		ra, rb := envA.takeType(wire.MsgTopListReq), envB.takeType(wire.MsgTopListReq)
+		if len(ra) != 1 || len(rb) != 1 || ra[0].To != rb[0].To {
+			t.Fatalf("refresh %d asked %+v and %+v", i, ra, rb)
+		}
+	}
+}

@@ -1,10 +1,12 @@
 // Package freelist is the one free list behind every recycled
-// fixed-size record of the full-fidelity simulator: pending sends,
-// deadline-queue segments, peer-list chunks and stamp leaves (core), and
-// message deliveries and timers (sim). In the simulator one List serves
-// every node of a cluster, which runs on one goroutine, so reuse is LIFO
-// in event order and seeded runs stay byte-identical. A List is not safe
-// for concurrent use.
+// fixed-size record of the simulators: pending sends, deadline-queue
+// segments, peer-list chunks and stamp leaves (core), message deliveries
+// and timers (sim.Cluster), and flight deadlines (sim.ShardedScaled). In
+// the full-fidelity simulator one List serves every node of a cluster,
+// which runs on one goroutine, so reuse is LIFO in event order and seeded
+// runs stay byte-identical; each ShardedScaled shard has its own List,
+// which its worker takes from during a window and the barrier refills
+// between windows. A List is not safe for concurrent use.
 package freelist
 
 import "fmt"

@@ -13,12 +13,12 @@ import (
 
 // Steady churn must not regrow the scaled engine's rate and flight
 // buffers: once a warm-up reaches the stationary regime, two more
-// simulated hours leave the churn-rate log, the in-flight list and every
-// shard's doneAt free list at their capacities. Compacting a buffer by
-// reslicing its front instead of copying it down bleeds capacity and
-// regrows it on every flash-crowd burst; returning doneAt buffers to the
-// shards round-robin starves one shard while another's free list grows.
-// Two shards make the second visible.
+// simulated hours leave the churn-rate log and the in-flight list at
+// their capacities, and every shard's doneAt free list at the records it
+// has made. Compacting a buffer by reslicing its front instead of copying
+// it down bleeds capacity and regrows it on every flash-crowd burst;
+// returning doneAt buffers to the shards round-robin starves one shard
+// while another's free list grows. Two shards make the second visible.
 func TestShardedScaledSteadyStateDoesNotGrow(t *testing.T) {
 	cfg := DefaultShardedScaledConfig(2000, 5, 2)
 	cfg.Workload.LifetimeRate = 0.2 // brisker churn makes regrowth visible fast
@@ -27,16 +27,16 @@ func TestShardedScaledSteadyStateDoesNotGrow(t *testing.T) {
 	caps := func() []int {
 		c := []int{cap(s.churnLog), cap(s.inflight)}
 		for _, sh := range s.shards {
-			c = append(c, cap(sh.doneAtFree))
+			c = append(c, sh.doneAt.Made())
 		}
 		return c
 	}
 	before := caps()
 	s.Run(2 * des.Hour)
 	if after := caps(); !reflect.DeepEqual(after, before) {
-		t.Fatalf("capacities (churnLog, inflight, doneAtFree per shard) changed: %v -> %v", before, after)
+		t.Fatalf("capacities (churnLog, inflight, doneAt records made per shard) changed: %v -> %v", before, after)
 	}
-	t.Logf("capacities (churnLog, inflight, doneAtFree per shard): %v", before)
+	t.Logf("capacities (churnLog, inflight, doneAt records made per shard): %v", before)
 }
 
 // TestClusterSteadyStateAllocBudget is the end-to-end guard of the

@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"peerwindow/internal/des"
+	"peerwindow/internal/freelist"
 	"peerwindow/internal/metrics"
 	"peerwindow/internal/nodeid"
 	"peerwindow/internal/shard"
@@ -159,17 +160,26 @@ type rateSample struct {
 }
 
 // shardFlight is one undelivered membership event: an error for audience
-// members at level l until doneAt[l] (len(doneAt) == maxPrefixDepth+1). seq
-// carries the (slice, counter) tie-break key that makes the barrier merge
-// order shard-count-invariant, and doneAt comes from a free-list pool
-// instead of a fresh allocation per event.
+// members at level l until doneAt.t[l]. seq carries the (slice, counter)
+// tie-break key that makes the barrier merge order shard-count-invariant,
+// and doneAt comes from its shard's free list instead of a fresh
+// allocation per event.
 type shardFlight struct {
 	subject nodeid.ID
 	at      des.Time
 	maxAt   des.Time
 	seq     uint64
-	doneAt  []des.Time
+	doneAt  *flightTimes
 }
+
+// flightTimes holds a flight's per-level delivery deadlines.
+type flightTimes struct {
+	t    [maxPrefixDepth + 1]des.Time
+	next *flightTimes
+}
+
+// Link implements freelist.Linked.
+func (r *flightTimes) Link() **flightTimes { return &r.next }
 
 // countDelta is one queued membership change, applied to the frozen
 // snapshot at the next barrier. Count updates commute, so deltas need no
@@ -196,17 +206,7 @@ type scaledShard struct {
 	deltas                []countDelta
 	churn                 int
 	joins, leaves, shifts uint64
-	doneAtFree            [][]des.Time
-}
-
-// takeDoneAt pops a recycled delivery-deadline buffer or allocates one.
-func (sh *scaledShard) takeDoneAt(n int) []des.Time {
-	if k := len(sh.doneAtFree); k > 0 {
-		d := sh.doneAtFree[k-1]
-		sh.doneAtFree = sh.doneAtFree[:k-1]
-		return d[:n]
-	}
-	return make([]des.Time, n)
+	doneAt                freelist.List[flightTimes, *flightTimes]
 }
 
 // NewShardedScaled builds the simulator and warm-starts the population at
@@ -468,9 +468,9 @@ func (s *ShardedScaled) record(sl *popSlice, subject nodeid.ID, churn bool) {
 		totalAudience += int(a)
 	}
 	sTot := stepsFor(totalAudience)
-	var doneAt []des.Time
+	var doneAt *flightTimes
 	if churn {
-		doneAt = sh.takeDoneAt(maxPrefixDepth + 1)
+		doneAt = sh.doneAt.Get()
 	}
 	cum := 0
 	w := sl.weights[:deep+1]
@@ -479,7 +479,7 @@ func (s *ShardedScaled) record(sl *popSlice, subject nodeid.ID, churn bool) {
 		cum += int(aud[l])
 		steps := stepsFor(cum)
 		if doneAt != nil {
-			doneAt[l] = now + des.Time(steps)*stepCost
+			doneAt.t[l] = now + des.Time(steps)*stepCost
 		}
 		w[l] = 0
 		if aud[l] > 0 {
@@ -506,9 +506,9 @@ func (s *ShardedScaled) record(sl *popSlice, subject nodeid.ID, churn bool) {
 		}
 	}
 	if doneAt != nil {
-		last := doneAt[deep]
+		last := doneAt.t[deep]
 		for l := deep + 1; l <= maxPrefixDepth; l++ {
-			doneAt[l] = last
+			doneAt.t[l] = last
 		}
 		sh.flights = append(sh.flights, shardFlight{
 			subject: subject, at: now, maxAt: last, seq: sl.key(), doneAt: doneAt,
@@ -631,7 +631,7 @@ func (s *ShardedScaled) pruneInflight(now des.Time) {
 	cut := 0
 	for cut < len(s.inflight) && s.inflight[cut].maxAt <= now {
 		sh := s.slices[s.inflight[cut].seq>>32].shard
-		sh.doneAtFree = append(sh.doneAtFree, s.inflight[cut].doneAt)
+		sh.doneAt.Put(s.inflight[cut].doneAt)
 		s.inflight[cut].doneAt = nil
 		cut++
 	}
@@ -742,7 +742,7 @@ func (s *ShardedScaled) ErrorRates(sample int) []metrics.Agg {
 		if pending[l] == nil {
 			m := make(map[uint64]int)
 			for fi := range s.inflight {
-				if fe := &s.inflight[fi]; fe.doneAt[l] > now {
+				if fe := &s.inflight[fi]; fe.doneAt.t[l] > now {
 					m[bucket(fe.subject, l)]++
 				}
 			}
