@@ -149,14 +149,20 @@ type ChunkPool struct {
 	out []chunkRef
 
 	// The storage of the pool's nodes' deadline queues, one segment free
-	// list per entry type (deadline.go), and of their pending sends
-	// (reliable.go): a message burst grows it once for every node that
-	// shares the pool.
+	// list per entry type (deadline.go), and of their pending sends and
+	// pending rings (reliable.go): a message burst grows it once for every
+	// node that shares the pool. rings holds the free slot arrays by size
+	// class (see ringClass).
 	ackSegs    freelist.List[segment[uint64], *segment[uint64]]
 	hopSegs    freelist.List[segment[forwardHop], *segment[forwardHop]]
 	defendSegs freelist.List[segment[struct{}], *segment[struct{}]]
 	waitSegs   freelist.List[segment[probeWait], *segment[probeWait]]
 	sends      freelist.List[pendingSend, *pendingSend]
+	rings      [][][]*pendingSend
+	// oneNode marks the pool NewNode makes for a node whose Env shares
+	// none. That node's ring only ever grows, so no slot array it drops
+	// would be taken again, and the pool keeps none.
+	oneNode bool
 }
 
 // rehash returns hash h of a chunk's content with entry out, if any,

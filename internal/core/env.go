@@ -50,7 +50,7 @@ type ChunkPooler interface {
 }
 
 // Observer is empty: a node is watched through what it already records —
-// its metrics registry (Metrics), its spans (SetSpanSink) and its
+// its instruments (MetricsSnapshot), its spans (SetSpanSink) and its
 // peer-list deltas (SetDeltas). It survives, with NewNode's parameter,
 // only because the benchmark module (cmd/pwbench) constructs it; both go
 // when that module stops doing so.

@@ -8,9 +8,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"peerwindow/internal/freelist"
 	"peerwindow/internal/nodeid"
+	"peerwindow/internal/wire"
 )
 
 // CheckInvariants verifies the PeerList's structural invariants:
@@ -237,6 +239,9 @@ func (p *ChunkPool) CheckInvariants(lists []*PeerList) error {
 //     peer list is precisely the node's view of its audience;
 //   - the top-node list is within its configured cap and holds no
 //     duplicates and not the node itself;
+//   - every top, and every top and part of the part table, has a level
+//     or length of at most nodeid.Bits, as every held pointer has (the
+//     peer list's own check);
 //   - the ring successor is well-defined: a joined node with a non-empty
 //     peer list can always name its clockwise neighbour;
 //   - each deadline queue keeps its rules: deadlines never decrease from
@@ -271,6 +276,17 @@ func (n *Node) CheckInvariants() error {
 	if len(n.topList) > n.cfg.TopListSize {
 		return fmt.Errorf("top-node list has %d entries, cap is %d", len(n.topList), n.cfg.TopListSize)
 	}
+	for _, row := range n.crossTop {
+		if row.part.Len > nodeid.Bits {
+			return fmt.Errorf("part table row of length %d beyond nodeid.Bits", row.part.Len)
+		}
+		if err := checkLevels("cross-part top", row.tops); err != nil {
+			return err
+		}
+	}
+	if err := checkLevels("top", n.topList); err != nil {
+		return err
+	}
 	topSeen := make(map[nodeid.ID]bool, len(n.topList))
 	for _, p := range n.topList {
 		if p.ID == n.self.ID {
@@ -287,6 +303,17 @@ func (n *Node) CheckInvariants() error {
 		}
 	}
 	return n.checkQueues()
+}
+
+// checkLevels is CheckInvariants' level clause for a list of top
+// pointers; what names the list in the error.
+func checkLevels(what string, ps []wire.Pointer) error {
+	for _, p := range ps {
+		if int(p.Level) > nodeid.Bits {
+			return fmt.Errorf("%s %v has level %d beyond nodeid.Bits", what, p.ID, p.Level)
+		}
+	}
+	return nil
 }
 
 // checkQueues is CheckInvariants' deadline-queue clause.
@@ -339,16 +366,18 @@ func (n *Node) checkQueues() error {
 
 // CheckStorage verifies the pool's queue and send storage against
 // nodes, which must be every node the pool serves, stopped ones
-// included: each node's queues keep their segment chains, and every
-// queue segment and every pending-send record the pool ever allocated is
+// included: each node's queues keep their segment chains, every queue
+// segment and every pending-send record the pool ever allocated is
 // either held by exactly one of the nodes' queues or pending rings, once,
-// or sits on the pool's free list, once.
+// or sits on the pool's free list, once, and every free pending-ring
+// slot array is empty, kept under its size and held by no node and no
+// other free entry.
 //
 // It returns nil when the storage is consistent and a descriptive error
 // for the first violation found.
 func (p *ChunkPool) CheckStorage(nodes []*Node) error {
 	for _, n := range nodes {
-		if n.peers.pool != p || n.sends != &p.sends {
+		if n.peers.pool != p || n.pool != p {
 			return fmt.Errorf("node %v is served by another pool", n.self.ID)
 		}
 	}
@@ -365,11 +394,31 @@ func (p *ChunkPool) CheckStorage(nodes []*Node) error {
 		return fmt.Errorf("probe-wait queues: %w", err)
 	}
 	var sends []*pendingSend
+	held := make(map[**pendingSend]bool, len(nodes))
 	for _, n := range nodes {
+		if len(n.pending.slots) > 0 {
+			if held[&n.pending.slots[0]] {
+				return fmt.Errorf("node %v holds another node's pending ring", n.self.ID)
+			}
+			held[&n.pending.slots[0]] = true
+		}
 		for _, r := range n.pending.slots {
 			if r != nil {
 				sends = append(sends, r)
 			}
+		}
+	}
+	for k, free := range p.rings {
+		for _, slots := range free {
+			switch {
+			case len(slots) != minPendingRing<<k:
+				return fmt.Errorf("a free pending ring of %d slots is kept as %d", len(slots), minPendingRing<<k)
+			case held[&slots[0]]:
+				return fmt.Errorf("a free pending ring of %d slots is held by a node", len(slots))
+			case slices.ContainsFunc(slots, func(s *pendingSend) bool { return s != nil }):
+				return fmt.Errorf("a free pending ring of %d slots holds a send", len(slots))
+			}
+			held[&slots[0]] = true
 		}
 	}
 	return p.sends.Check("pending send", sends, nil)

@@ -389,7 +389,7 @@ type pooledEnv struct {
 func (e pooledEnv) ChunkPool() *ChunkPool { return e.pool }
 
 // The storage clause of the pool check catches each way of losing track
-// of a queue segment or a pending-send record.
+// of a queue segment, a pending-send record or a pending-ring slot array.
 func TestStorageInvariantsCatchCorruption(t *testing.T) {
 	// build returns two nodes sharing a pool, each with pending sends in
 	// its ring and entries in its ack and hop queues across several
@@ -436,6 +436,14 @@ func TestStorageInvariantsCatchCorruption(t *testing.T) {
 		"pending send lost": {
 			func(p *ChunkPool, nodes []*Node) { p.sends.Get() },
 			"pending sends allocated",
+		},
+		"held pending ring released": {
+			func(p *ChunkPool, nodes []*Node) { p.putRing(nodes[0].pending.slots) },
+			"free pending ring of 32 slots is held by a node",
+		},
+		"free pending ring written": {
+			func(p *ChunkPool, nodes []*Node) { p.rings[0][0][3] = new(pendingSend) },
+			"free pending ring of 16 slots holds a send",
 		},
 		"node of another pool": {
 			func(p *ChunkPool, nodes []*Node) { nodes[1].peers.pool = new(ChunkPool) },

@@ -1,8 +1,8 @@
 package core
 
-// This file is the protocol's self-measurement: every node carries a
-// metrics registry whose counters and histograms are incremented inline
-// by the state machine — multicast fan-out, ack retries, probe rounds,
+// This file is the protocol's self-measurement: every node carries
+// counters and histograms, fields of the Node, that the state machine
+// increments inline — multicast fan-out, ack retries, probe rounds,
 // failure-detection latency, level shifts, refresh traffic. The same
 // moments that bump a counter also record a span when a sink is attached
 // (span.go), so counters can be cross-checked against the timeline.
@@ -10,10 +10,12 @@ package core
 // enough to stay on in the hot paths the PR 1 benchmarks guard.
 
 import (
+	"fmt"
+
 	"peerwindow/internal/metrics"
 )
 
-// Metric names exposed by a node's registry. docs/OBSERVABILITY.md is
+// Metric names of a node's instruments (see nodeInstruments). docs/OBSERVABILITY.md is
 // the human-facing index; keep the two in sync.
 const (
 	MetricMulticastOriginated = "multicast.originated"
@@ -55,44 +57,43 @@ const (
 	MetricGaugeOutBps     = "peer.output_rate_bps"
 )
 
-// nodeMetrics holds direct instrument handles so hot paths skip the
-// registry's map lookups.
+// nodeMetrics is a node's instruments, held by value in the Node, so a
+// node's construction allocates none of them. nodeInstruments names each
+// one.
 type nodeMetrics struct {
-	reg *metrics.Registry
+	mcOriginated metrics.Counter
+	mcDelivered  metrics.Counter
+	mcDuplicates metrics.Counter
+	mcForwards   metrics.Counter
+	mcRedirects  metrics.Counter
+	mcStepDepth  metrics.Hist
 
-	mcOriginated *metrics.Counter
-	mcDelivered  *metrics.Counter
-	mcDuplicates *metrics.Counter
-	mcForwards   *metrics.Counter
-	mcRedirects  *metrics.Counter
-	mcStepDepth  *metrics.Hist
+	ackRetries  metrics.Counter
+	ackFailures metrics.Counter
 
-	ackRetries  *metrics.Counter
-	ackFailures *metrics.Counter
+	probeRounds   metrics.Counter
+	probeRetries  metrics.Counter
+	probeFailures metrics.Counter
+	detectLatency metrics.Hist
 
-	probeRounds   *metrics.Counter
-	probeRetries  *metrics.Counter
-	probeFailures *metrics.Counter
-	detectLatency *metrics.Hist
+	failVerified    metrics.Counter
+	failFalseAlarms metrics.Counter
 
-	failVerified    *metrics.Counter
-	failFalseAlarms *metrics.Counter
+	shiftsUp   metrics.Counter
+	shiftsDown metrics.Counter
 
-	shiftsUp   *metrics.Counter
-	shiftsDown *metrics.Counter
+	refreshSelf    metrics.Counter
+	refreshExpired metrics.Counter
 
-	refreshSelf    *metrics.Counter
-	refreshExpired *metrics.Counter
+	reportsSent       metrics.Counter
+	reportEscalations metrics.Counter
+	topListRefreshes  metrics.Counter
+	splitCaptures     metrics.Counter
+	reconcileRuns     metrics.Counter
+	reconcileDrops    metrics.Counter
 
-	reportsSent       *metrics.Counter
-	reportEscalations *metrics.Counter
-	topListRefreshes  *metrics.Counter
-	splitCaptures     *metrics.Counter
-	reconcileRuns     *metrics.Counter
-	reconcileDrops    *metrics.Counter
-
-	peersAdded   *metrics.Counter
-	peersRemoved [5]*metrics.Counter // indexed by RemoveReason; 0 unused
+	peersAdded   metrics.Counter
+	peersRemoved [RemoveShift + 1]metrics.Counter // indexed by RemoveReason; 0 unused
 }
 
 // stepDepthBounds bucket the multicast step counter (fan-out depth):
@@ -100,61 +101,116 @@ type nodeMetrics struct {
 // trees stay near log2 N.
 var stepDepthBounds = []float64{1, 2, 4, 8, 12, 16, 24, 32, 64, 128}
 
-func newNodeMetrics() nodeMetrics {
-	reg := metrics.NewRegistry()
-	m := nodeMetrics{
-		reg:               reg,
-		mcOriginated:      reg.Counter(MetricMulticastOriginated),
-		mcDelivered:       reg.Counter(MetricMulticastDelivered),
-		mcDuplicates:      reg.Counter(MetricMulticastDuplicates),
-		mcForwards:        reg.Counter(MetricMulticastForwards),
-		mcRedirects:       reg.Counter(MetricMulticastRedirects),
-		mcStepDepth:       reg.Histogram(MetricMulticastStepDepth, stepDepthBounds),
-		ackRetries:        reg.Counter(MetricAckRetries),
-		ackFailures:       reg.Counter(MetricAckFailures),
-		probeRounds:       reg.Counter(MetricProbeRounds),
-		probeRetries:      reg.Counter(MetricProbeRetries),
-		probeFailures:     reg.Counter(MetricProbeFailures),
-		detectLatency:     reg.Histogram(MetricProbeDetectLatency, metrics.DefaultLatencyBounds()),
-		failVerified:      reg.Counter(MetricFailureVerified),
-		failFalseAlarms:   reg.Counter(MetricFailureFalseAlarms),
-		shiftsUp:          reg.Counter(MetricLevelShiftsUp),
-		shiftsDown:        reg.Counter(MetricLevelShiftsDown),
-		refreshSelf:       reg.Counter(MetricRefreshSelf),
-		refreshExpired:    reg.Counter(MetricRefreshExpired),
-		reportsSent:       reg.Counter(MetricReportsSent),
-		reportEscalations: reg.Counter(MetricReportEscalations),
-		topListRefreshes:  reg.Counter(MetricTopListRefreshes),
-		splitCaptures:     reg.Counter(MetricSplitCaptures),
-		reconcileRuns:     reg.Counter(MetricReconcileRuns),
-		reconcileDrops:    reg.Counter(MetricReconcileDrops),
-		peersAdded:        reg.Counter(MetricPeersAdded),
+// instrument is one row of nodeInstruments: a name and, by kind, the
+// counter or histogram field that holds the instrument or the reading
+// that gives the gauge.
+type instrument struct {
+	name    string
+	counter func(*nodeMetrics) *metrics.Counter
+	hist    func(*nodeMetrics) *metrics.Hist
+	bounds  []float64 // the histogram's
+	gauge   func(*Node) int64
+}
+
+// nodeInstruments is every instrument of a node, each once. NewNode
+// readies the histograms from it, MetricsSnapshot and Metrics walk it,
+// and its names are checked once, when the program starts.
+var nodeInstruments = func() []instrument {
+	t := []instrument{
+		{name: MetricMulticastOriginated, counter: func(m *nodeMetrics) *metrics.Counter { return &m.mcOriginated }},
+		{name: MetricMulticastDelivered, counter: func(m *nodeMetrics) *metrics.Counter { return &m.mcDelivered }},
+		{name: MetricMulticastDuplicates, counter: func(m *nodeMetrics) *metrics.Counter { return &m.mcDuplicates }},
+		{name: MetricMulticastForwards, counter: func(m *nodeMetrics) *metrics.Counter { return &m.mcForwards }},
+		{name: MetricMulticastRedirects, counter: func(m *nodeMetrics) *metrics.Counter { return &m.mcRedirects }},
+		{name: MetricMulticastStepDepth, hist: func(m *nodeMetrics) *metrics.Hist { return &m.mcStepDepth }, bounds: stepDepthBounds},
+		{name: MetricAckRetries, counter: func(m *nodeMetrics) *metrics.Counter { return &m.ackRetries }},
+		{name: MetricAckFailures, counter: func(m *nodeMetrics) *metrics.Counter { return &m.ackFailures }},
+		{name: MetricProbeRounds, counter: func(m *nodeMetrics) *metrics.Counter { return &m.probeRounds }},
+		{name: MetricProbeRetries, counter: func(m *nodeMetrics) *metrics.Counter { return &m.probeRetries }},
+		{name: MetricProbeFailures, counter: func(m *nodeMetrics) *metrics.Counter { return &m.probeFailures }},
+		{name: MetricProbeDetectLatency, hist: func(m *nodeMetrics) *metrics.Hist { return &m.detectLatency }, bounds: metrics.DefaultLatencyBounds()},
+		{name: MetricFailureVerified, counter: func(m *nodeMetrics) *metrics.Counter { return &m.failVerified }},
+		{name: MetricFailureFalseAlarms, counter: func(m *nodeMetrics) *metrics.Counter { return &m.failFalseAlarms }},
+		{name: MetricLevelShiftsUp, counter: func(m *nodeMetrics) *metrics.Counter { return &m.shiftsUp }},
+		{name: MetricLevelShiftsDown, counter: func(m *nodeMetrics) *metrics.Counter { return &m.shiftsDown }},
+		{name: MetricRefreshSelf, counter: func(m *nodeMetrics) *metrics.Counter { return &m.refreshSelf }},
+		{name: MetricRefreshExpired, counter: func(m *nodeMetrics) *metrics.Counter { return &m.refreshExpired }},
+		{name: MetricReportsSent, counter: func(m *nodeMetrics) *metrics.Counter { return &m.reportsSent }},
+		{name: MetricReportEscalations, counter: func(m *nodeMetrics) *metrics.Counter { return &m.reportEscalations }},
+		{name: MetricTopListRefreshes, counter: func(m *nodeMetrics) *metrics.Counter { return &m.topListRefreshes }},
+		{name: MetricSplitCaptures, counter: func(m *nodeMetrics) *metrics.Counter { return &m.splitCaptures }},
+		{name: MetricReconcileRuns, counter: func(m *nodeMetrics) *metrics.Counter { return &m.reconcileRuns }},
+		{name: MetricReconcileDrops, counter: func(m *nodeMetrics) *metrics.Counter { return &m.reconcileDrops }},
+		{name: MetricPeersAdded, counter: func(m *nodeMetrics) *metrics.Counter { return &m.peersAdded }},
+		// The gauges are read when a snapshot is taken, so the hot paths
+		// stay write-only.
+		{name: MetricGaugeLevel, gauge: func(n *Node) int64 { return int64(n.Level()) }},
+		{name: MetricGaugeWindowSize, gauge: func(n *Node) int64 { return int64(n.peers.Len()) }},
+		{name: MetricGaugeInBps, gauge: func(n *Node) int64 { return int64(n.InputRate()) }},
+		{name: MetricGaugeOutBps, gauge: func(n *Node) int64 { return int64(n.OutputRate()) }},
 	}
-	for _, r := range []RemoveReason{RemoveLeave, RemoveStale, RemoveExpired, RemoveShift} {
-		m.peersRemoved[r] = reg.Counter(MetricPeersRemovedPrefix + r.String())
+	for r := RemoveLeave; r <= RemoveShift; r++ {
+		t = append(t, instrument{name: MetricPeersRemovedPrefix + r.String(),
+			counter: func(m *nodeMetrics) *metrics.Counter { return &m.peersRemoved[r] }})
 	}
-	return m
+	for _, d := range t {
+		if !metrics.ValidName(d.name) {
+			panic(fmt.Sprintf("core: invalid instrument name %q", d.name))
+		}
+	}
+	return t
+}()
+
+// init readies the histograms.
+func (m *nodeMetrics) init() {
+	for _, d := range nodeInstruments {
+		if d.hist != nil {
+			d.hist(m).Init(d.bounds)
+		}
+	}
 }
 
 // removed bumps the per-reason removal counter.
 func (m *nodeMetrics) removed(r RemoveReason) {
-	if int(r) > 0 && int(r) < len(m.peersRemoved) && m.peersRemoved[r] != nil {
+	if r > 0 && int(r) < len(m.peersRemoved) {
 		m.peersRemoved[r].Inc()
 	}
 }
 
-// Metrics exposes the node's raw registry (the transports use it to
-// aggregate; tests reach individual instruments through it).
-func (n *Node) Metrics() *metrics.Registry { return n.m.reg }
+// Metrics returns a new registry that holds the node's counters and
+// histograms under their names, for readers that look instruments up by
+// name: an increment through it is the node's own and shows in the next
+// MetricsSnapshot. The gauges are read by MetricsSnapshot alone.
+func (n *Node) Metrics() *metrics.Registry {
+	r := metrics.NewRegistry()
+	for _, d := range nodeInstruments {
+		switch {
+		case d.counter != nil:
+			r.AddCounter(d.name, d.counter(&n.m))
+		case d.hist != nil:
+			r.AddHistogram(d.name, d.hist(&n.m))
+		}
+	}
+	return r
+}
 
 // MetricsSnapshot captures every protocol instrument plus the
-// instantaneous gauges (level, window size, measured rates). Gauges are
-// refreshed here rather than on every change so the hot paths stay
-// write-only.
+// instantaneous gauges (level, window size, measured rates).
 func (n *Node) MetricsSnapshot() metrics.Snapshot {
-	n.m.reg.Gauge(MetricGaugeLevel).Set(int64(n.Level()))
-	n.m.reg.Gauge(MetricGaugeWindowSize).Set(int64(n.peers.Len()))
-	n.m.reg.Gauge(MetricGaugeInBps).Set(int64(n.InputRate()))
-	n.m.reg.Gauge(MetricGaugeOutBps).Set(int64(n.OutputRate()))
-	return n.m.reg.Snapshot()
+	s := metrics.Snapshot{
+		Counters:   make(map[string]uint64, len(nodeInstruments)),
+		Gauges:     make(map[string]int64, 4),
+		Histograms: make(map[string]metrics.HistSnapshot, 2),
+	}
+	for _, d := range nodeInstruments {
+		switch {
+		case d.counter != nil:
+			s.Counters[d.name] = d.counter(&n.m).Value()
+		case d.hist != nil:
+			s.Histograms[d.name] = d.hist(&n.m).Snapshot()
+		default:
+			s.Gauges[d.name] = d.gauge(n)
+		}
+	}
+	return s
 }

@@ -6,7 +6,6 @@ import (
 	"sort"
 
 	"peerwindow/internal/des"
-	"peerwindow/internal/freelist"
 	"peerwindow/internal/metrics"
 	"peerwindow/internal/nodeid"
 	"peerwindow/internal/trace"
@@ -38,12 +37,12 @@ type Node struct {
 	dedup     map[nodeid.ID]dedupRec
 	sequenced int
 
-	// pending holds the reliable sends awaiting acks; sends is the pool
-	// their records come from and return to, so the per-message send path
-	// allocates nothing once warm.
+	// pending holds the reliable sends awaiting acks; pool is where their
+	// records and the ring's slot arrays come from and return to, so the
+	// per-message send path allocates nothing once warm.
 	nextAckID uint64
 	pending   pendingRing
-	sends     *freelist.List[pendingSend, *pendingSend]
+	pool      *ChunkPool
 
 	// The deadline queues (deadline.go): acks holds the ack id of every
 	// attempt awaiting its AckTimeout, hops the delivered events waiting
@@ -67,15 +66,15 @@ type Node struct {
 
 	// Bandwidth meters: in drives level shifting; out is reported for
 	// figure 8.
-	inMeter  *metrics.Meter
-	outMeter *metrics.Meter
+	inMeter  metrics.Meter
+	outMeter metrics.Meter
 
 	// lifetimes aggregates observed peer lifetimes per level — the LT_i
 	// of §4.6.
 	lifetimes   metrics.PerLevel
 	lastRefresh des.Time
 
-	// m is the node's instrument registry (see metrics.go).
+	// m is the node's instruments (see metrics.go).
 	m nodeMetrics
 
 	// spans, when set, receives tree spans of traced events and every
@@ -140,15 +139,16 @@ func NewNode(cfg Config, env Env, _ Observer, self wire.Pointer) *Node {
 		dedup:      make(map[nodeid.ID]dedupRec),
 		inMeter:    metrics.NewMeter(cfg.MeterWindow),
 		outMeter:   metrics.NewMeter(cfg.MeterWindow),
-		m:          newNodeMetrics(),
 		warmTarget: -1,
 	}
-	pool := new(ChunkPool)
+	n.m.init()
+	var pool *ChunkPool
 	if cp, ok := env.(ChunkPooler); ok {
 		pool = cp.ChunkPool()
+	} else {
+		pool = &ChunkPool{oneNode: true}
 	}
-	n.peers.pool = pool
-	n.sends = &pool.sends
+	n.peers.pool, n.pool = pool, pool
 	n.acks.init(env, &pool.ackSegs, n.onAckTimeout, n.awaited)
 	n.hops.init(env, &pool.hopSegs, n.forwardDue, nil)
 	n.defends.init(env, &pool.defendSegs, n.defendSelf, nil)
@@ -371,10 +371,16 @@ func (n *Node) Stop() {
 	n.hops.stop()
 	n.defends.stop()
 	n.probeWaits.stop()
+	// Nothing reads the ring of a stopped node but the checks and the
+	// digest, which find it empty, so its slot array goes back to the
+	// pool.
 	for _, p := range n.pending.slots {
 		if p != nil {
 			n.releaseSend(p)
 		}
+	}
+	if n.pending.slots != nil {
+		n.pool.putRing(n.pending.slots)
 	}
 	n.pending = pendingRing{}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math/bits"
+
 	"peerwindow/internal/nodeid"
 	"peerwindow/internal/trace"
 	"peerwindow/internal/wire"
@@ -63,7 +65,7 @@ const minPendingRing = 16
 //pwlint:noalloc
 func (n *Node) releaseSend(r *pendingSend) {
 	*r = pendingSend{}
-	n.sends.Put(r)
+	n.pool.sends.Put(r)
 }
 
 // pendingRing holds the sends awaiting acks at index id & (len-1), its
@@ -72,7 +74,8 @@ func (n *Node) releaseSend(r *pendingSend) {
 // live ids span a window and a slot collision only means that window
 // outgrew the ring: the ring then doubles. A lookup compares the
 // record's id, so a late or duplicate ack whose slot now holds a younger
-// send misses.
+// send misses. The slot arrays come from the node's pool, and each
+// returns to it when the ring doubles or its node stops.
 type pendingRing struct {
 	slots []*pendingSend
 	n     int // sends held
@@ -90,31 +93,65 @@ func (r *pendingRing) get(id uint64) *pendingSend {
 }
 
 // add puts p in its slot, doubling the ring until the slot is free.
-func (r *pendingRing) add(p *pendingSend) {
+func (r *pendingRing) add(p *pendingSend, pool *ChunkPool) {
 	for {
 		if len(r.slots) == 0 {
-			r.slots = make([]*pendingSend, minPendingRing)
+			r.slots = pool.takeRing(minPendingRing)
 		}
 		if i := p.id & uint64(len(r.slots)-1); r.slots[i] == nil {
 			r.slots[i] = p
 			r.n++
 			return
 		}
-		r.grow()
+		r.grow(pool)
 	}
 }
 
-// grow doubles the ring. Held ids are distinct modulo the old length, so
-// they stay distinct modulo the new one.
-func (r *pendingRing) grow() {
-	slots := make([]*pendingSend, 2*len(r.slots))
+// grow doubles the ring and returns the old slot array to the pool. Held
+// ids are distinct modulo the old length, so they stay distinct modulo
+// the new one.
+func (r *pendingRing) grow(pool *ChunkPool) {
+	slots := pool.takeRing(2 * len(r.slots))
 	mask := uint64(len(slots) - 1)
 	for _, q := range r.slots {
 		if q != nil {
 			slots[q.id&mask] = q
 		}
 	}
+	pool.putRing(r.slots)
 	r.slots = slots
+}
+
+// ringClass is the size class of a ring of size slots: size is
+// minPendingRing<<ringClass(size).
+func ringClass(size int) int { return bits.TrailingZeros(uint(size / minPendingRing)) }
+
+// takeRing returns a slot array of size slots, all nil: a free one of
+// that size, or a new one.
+func (p *ChunkPool) takeRing(size int) []*pendingSend {
+	if k := ringClass(size); k < len(p.rings) {
+		if free := p.rings[k]; len(free) > 0 {
+			slots := free[len(free)-1]
+			free[len(free)-1] = nil
+			p.rings[k] = free[:len(free)-1]
+			return slots
+		}
+	}
+	return make([]*pendingSend, size)
+}
+
+// putRing clears a slot array that no ring holds any more and keeps it
+// for takeRing, unless the pool serves one node.
+func (p *ChunkPool) putRing(slots []*pendingSend) {
+	if p.oneNode {
+		return
+	}
+	clear(slots)
+	k := ringClass(len(slots))
+	for len(p.rings) <= k {
+		p.rings = append(p.rings, nil)
+	}
+	p.rings[k] = append(p.rings[k], slots)
 }
 
 // remove takes p, which is held, out of the ring.
@@ -128,7 +165,7 @@ func (r *pendingRing) remove(p *pendingSend) {
 // ackID is stamped into msg. Responses (any message echoing the ackID)
 // route to onResponse.
 func (n *Node) sendReliable(msg wire.Message, attempts int, onResponse func(wire.Message), onFail func()) uint64 {
-	p := n.sends.Get()
+	p := n.pool.sends.Get()
 	p.msg = msg
 	p.attempts = attempts
 	p.onResponse = onResponse
@@ -140,7 +177,7 @@ func (n *Node) sendReliable(msg wire.Message, attempts int, onResponse func(wire
 // tries, then the kind's failure path with target (and failed) as its
 // arguments.
 func (n *Node) sendTracked(msg wire.Message, kind sendKind, target wire.Pointer, failed []nodeid.ID) {
-	p := n.sends.Get()
+	p := n.pool.sends.Get()
 	p.msg = msg
 	p.attempts = n.cfg.RetryAttempts
 	p.kind = kind
@@ -155,7 +192,7 @@ func (n *Node) arm(p *pendingSend) uint64 {
 	n.nextAckID++
 	p.id = n.nextAckID
 	p.msg.AckID = p.id
-	n.pending.add(p)
+	n.pending.add(p, n.pool)
 	n.transmit(p)
 	return p.id
 }

@@ -18,7 +18,8 @@
 // stamp per entry in well-formed leaves, every chunk interned in the
 // list's pool); the eigenstring is EigenstringOf(self, level) and holds
 // the node's own ID; every held pointer is another node inside it; the
-// top-node list keeps its cap and holds no duplicate and not the node; a
+// top-node list keeps its cap and holds no duplicate and not the node;
+// no top or part-table row has a level or length above 128; a
 // joined node with peers has a ring successor; each deadline queue keeps
 // its deadlines in order and its timer armed while it holds live work;
 // and each pending send has one ack-queue entry, due by now + AckTimeout.
@@ -29,6 +30,7 @@
 // counts exactly the lists that hold it, and every chunk and every stamp
 // leaf the pool made is held once or free once. core.ChunkPool.
 // CheckStorage: every queue segment and pending-send record the pool
-// made is held by one queue or pending ring once, or free once.
+// made is held by one queue or pending ring once, or free once, and
+// every free pending-ring array is empty and held by no node.
 // See docs/STATIC_ANALYSIS.md.
 package invariant

@@ -119,12 +119,12 @@ type Meter struct {
 	upto des.Time
 }
 
-// NewMeter builds a meter over the given window.
-func NewMeter(window des.Time) *Meter {
+// NewMeter builds a meter over the given window, to be held by value.
+func NewMeter(window des.Time) Meter {
 	if window <= 0 {
 		panic("metrics: meter needs a positive window")
 	}
-	return &Meter{window: window, slot: window / meterSlots}
+	return Meter{window: window, slot: window / meterSlots}
 }
 
 // advance rotates slots so that 'now' falls inside the current one.

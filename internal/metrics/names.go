@@ -10,10 +10,11 @@ import (
 // not carry the pw namespace that the Prometheus exposition adds ("pw."
 // or "pw_"). These are exactly the names promName turns into valid pw_*
 // Prometheus names ("net.send.heartbeat-ack" ->
-// "pw_net_send_heartbeat_ack"). Two places enforce it: a Registry when
-// it creates an instrument (a bad name panics) and the telemetry frame
-// decoder (a bad name is a decode error), so neither a typo nor a remote
-// frame can put a malformed line into a /metrics exposition.
+// "pw_net_send_heartbeat_ack"). Three places enforce it: a Registry when
+// it creates or registers an instrument (a bad name panics), core's
+// instrument table when the program starts (the same), and the telemetry
+// frame decoder (a bad name is a decode error), so neither a typo nor a
+// remote frame can put a malformed line into a /metrics exposition.
 func ValidName(name string) bool {
 	if name == "" || name[0] < 'a' || name[0] > 'z' ||
 		strings.HasPrefix(name, "pw.") || strings.HasPrefix(name, "pw_") {

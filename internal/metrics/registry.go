@@ -3,8 +3,10 @@ package metrics
 // This file is the runtime observability layer: named counters, gauges
 // and fixed-bucket latency histograms, collected in a Registry that can
 // snapshot itself into plain data or render Prometheus text exposition.
-// The protocol engine (internal/core) and both transports register their
-// instruments here; the public peerwindow API and the pwnode debug
+// Both transports, the simulator's network and the query plane keep
+// their instruments here. The protocol engine (internal/core) holds its
+// own as fields of each node and registers them only in the registry a
+// reader asks it for. The public peerwindow API and the pwnode debug
 // endpoint read the snapshots.
 //
 // All instruments are lock-free on the write path (single atomic add per
@@ -53,28 +55,39 @@ func (g *Gauge) Value() int64 { return g.v.Load() }
 // Hist is a fixed-bucket histogram with cumulative-friendly storage:
 // bucket i counts observations v <= Bounds[i]; one extra bucket counts
 // the overflow (v > last bound). Sum and Count track the exact total so
-// means — and, in tests, single observations — are recoverable.
+// means — and, in tests, single observations — are recoverable. The
+// buckets are stored inline, so a Hist held by value (Init) costs no
+// allocation.
 type Hist struct {
 	bounds []float64
-	counts []atomic.Uint64 // len(bounds)+1; last is +Inf
+	counts [maxBounds + 1]atomic.Uint64 // counts[len(bounds)] is the overflow
 	count  atomic.Uint64
 	sum    atomic.Uint64 // float64 bits, CAS-updated
 }
 
-// newHist builds a histogram over strictly increasing upper bounds.
+// maxBounds is the most bounds a histogram takes.
+const maxBounds = 15
+
+// newHist builds a histogram over a copy of bounds.
 func newHist(bounds []float64) *Hist {
-	if len(bounds) == 0 {
-		panic("metrics: histogram needs at least one bound")
+	h := new(Hist)
+	h.Init(append([]float64(nil), bounds...))
+	return h
+}
+
+// Init readies a zero Hist held by value over strictly increasing upper
+// bounds, at most fifteen of them. The histogram keeps bounds, which must
+// not change afterwards.
+func (h *Hist) Init(bounds []float64) {
+	if len(bounds) == 0 || len(bounds) > maxBounds {
+		panic(fmt.Sprintf("metrics: histogram needs 1 to %d bounds, not %d", maxBounds, len(bounds)))
 	}
 	for i := 1; i < len(bounds); i++ {
 		if bounds[i] <= bounds[i-1] {
 			panic("metrics: histogram bounds must be strictly increasing")
 		}
 	}
-	return &Hist{
-		bounds: append([]float64(nil), bounds...),
-		counts: make([]atomic.Uint64, len(bounds)+1),
-	}
+	h.bounds = bounds
 }
 
 // Observe folds one observation in.
@@ -174,6 +187,23 @@ func (r *Registry) Histogram(name string, bounds []float64) *Hist {
 	return h
 }
 
+// AddCounter registers c, which lives elsewhere, under name, so the
+// registry reads and hands out that counter (a bad name panics).
+func (r *Registry) AddCounter(name string, c *Counter) {
+	mustBeValid(name)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.counters[name] = c
+}
+
+// AddHistogram registers h under name, as AddCounter does a counter.
+func (r *Registry) AddHistogram(name string, h *Hist) {
+	mustBeValid(name)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.hists[name] = h
+}
+
 // HistSnapshot is one histogram's state at snapshot time.
 type HistSnapshot struct {
 	// Bounds are the bucket upper bounds; Counts has one extra entry for
@@ -208,18 +238,23 @@ func (r *Registry) Snapshot() Snapshot {
 		s.Gauges[name] = g.Value()
 	}
 	for name, h := range r.hists {
-		hs := HistSnapshot{
-			Bounds: append([]float64(nil), h.bounds...),
-			Counts: make([]uint64, len(h.counts)),
-			Count:  h.Count(),
-			Sum:    h.Sum(),
-		}
-		for i := range h.counts {
-			hs.Counts[i] = h.counts[i].Load()
-		}
-		s.Histograms[name] = hs
+		s.Histograms[name] = h.Snapshot()
 	}
 	return s
+}
+
+// Snapshot copies the histogram's current state.
+func (h *Hist) Snapshot() HistSnapshot {
+	hs := HistSnapshot{
+		Bounds: append([]float64(nil), h.bounds...),
+		Counts: make([]uint64, len(h.bounds)+1),
+		Count:  h.Count(),
+		Sum:    h.Sum(),
+	}
+	for i := range hs.Counts {
+		hs.Counts[i] = h.counts[i].Load()
+	}
+	return hs
 }
 
 // Merge folds another snapshot into this one: counters and histogram

@@ -198,6 +198,53 @@ func TestAckDatagramsDoNotAllocate(t *testing.T) {
 	}
 }
 
+// TestOutOfRangeDatagramLeavesHostServing: the 42-byte top-list request
+// whose prefix length is 200, one above what any eigenstring has, is
+// counted as garbage, and the host still answers a peer-list request.
+func TestOutOfRangeDatagramLeavesHostServing(t *testing.T) {
+	h := listen(t, "target")
+	c, err := net.ListenUDP("udp4", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	local := c.LocalAddr().(*net.UDPAddr)
+	from := wire.AddrFromIPv4([4]byte(local.IP.To4()), uint16(local.Port))
+	ip, port := h.Self().Addr.IPv4()
+	to := &net.UDPAddr{IP: ip[:], Port: int(port)}
+	send := func(m wire.Message) []byte {
+		t.Helper()
+		m.From, m.To = from, h.Self().Addr
+		b := m.Marshal()
+		if _, err := c.WriteToUDP(b, to); err != nil {
+			t.Fatal(err)
+		}
+		return b
+	}
+
+	if b := send(wire.Message{Type: wire.MsgTopListReq, AckID: 1, PartBits: 200}); len(b) != 42 {
+		t.Fatalf("the top-list request is %d bytes, want 42", len(b))
+	}
+	eventually(t, "the datagram is counted as garbage", func() bool {
+		return h.MetricsSnapshot().Counters[metrics.MetricNetGarbage] == 1
+	})
+	send(wire.Message{Type: wire.MsgPeerListReq, AckID: 2,
+		Sender: wire.Pointer{Addr: from, ID: nodeid.Hash([]byte("asker"))}})
+	if err := c.SetReadDeadline(time.Now().Add(5 * time.Second)); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]byte, 64<<10)
+	for {
+		n, _, err := c.ReadFromUDP(buf)
+		if err != nil {
+			t.Fatalf("no peer-list answer: %v", err)
+		}
+		if m, err := wire.Unmarshal(buf[:n]); err == nil && m.Type == wire.MsgPeerListResp && m.AckID == 2 {
+			return
+		}
+	}
+}
+
 // TestClosedHostIsCollected: once Close returns, nothing the node armed
 // keeps a joined host reachable. Node.Stop cancels every timer it set —
 // the periodic ones, the reconcile and warm-up timers and the deadline

@@ -3,6 +3,8 @@ package wire
 import (
 	"encoding/binary"
 	"fmt"
+
+	"peerwindow/internal/nodeid"
 )
 
 // MsgType tags the payload carried by a Message.
@@ -235,7 +237,8 @@ func unmarshalPointers(b []byte) ([]Pointer, []byte, error) {
 	return ps, b, nil
 }
 
-// Unmarshal decodes a message produced by Marshal.
+// Unmarshal decodes a message produced by Marshal. It rejects a pointer
+// level or a PartBits above nodeid.Bits, which no node could act on.
 func Unmarshal(b []byte) (Message, error) {
 	if len(b) < headerSize {
 		return Message{}, errShort
@@ -295,9 +298,12 @@ func Unmarshal(b []byte) (Message, error) {
 	case MsgTopListReq:
 		takeU64(&m.AckID)
 		if err == nil {
-			if len(b) < 17 {
+			switch {
+			case len(b) < 17:
 				err = errShort
-			} else {
+			case b[0] > nodeid.Bits:
+				err = errLevel
+			default:
 				m.PartBits = b[0]
 				copy(m.PartPrefix[:], b[1:17])
 				b = b[17:]

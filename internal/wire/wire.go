@@ -99,7 +99,12 @@ func (p Pointer) marshal(b []byte) []byte {
 	return b
 }
 
-var errShort = errors.New("wire: truncated message")
+var (
+	errShort = errors.New("wire: truncated message")
+	// errLevel rejects a level or prefix length above nodeid.Bits: no
+	// eigenstring has one, so a node could neither hold nor answer it.
+	errLevel = fmt.Errorf("wire: level or prefix length above %d", nodeid.Bits)
+)
 
 func unmarshalPointer(b []byte) (Pointer, []byte, error) {
 	if len(b) < 26 {
@@ -112,7 +117,9 @@ func unmarshalPointer(b []byte) (Pointer, []byte, error) {
 		return Pointer{}, nil, err
 	}
 	p.ID = id
-	p.Level = b[24]
+	if p.Level = b[24]; p.Level > nodeid.Bits {
+		return Pointer{}, nil, errLevel
+	}
 	infoLen := int(b[25])
 	b = b[26:]
 	if len(b) < infoLen {

@@ -251,6 +251,31 @@ func TestUnmarshalRejectsBadEventKind(t *testing.T) {
 	}
 }
 
+// TestUnmarshalRejectsLevelsBeyondBits: a level or prefix length is at
+// most nodeid.Bits, in every field that carries one; 128 decodes and 129
+// is rejected.
+func TestUnmarshalRejectsLevelsBeyondBits(t *testing.T) {
+	at := func(level uint8) Pointer {
+		p := samplePointer()
+		p.Level = level
+		return p
+	}
+	for _, level := range []uint8{nodeid.Bits, nodeid.Bits + 1} {
+		for _, m := range []Message{
+			{Type: MsgEvent, AckID: 1, Event: Event{Kind: EventJoin, Subject: at(level), Seq: 1}},
+			{Type: MsgJoinInfo, AckID: 2, Sender: at(level)},
+			{Type: MsgPeerListReq, AckID: 3, Sender: at(level)},
+			{Type: MsgTopListResp, AckID: 4, Pointers: []Pointer{samplePointer(), at(level)}},
+			{Type: MsgTopListReq, AckID: 5, PartBits: level},
+		} {
+			_, err := Unmarshal(m.Marshal())
+			if (err == nil) != (level <= nodeid.Bits) {
+				t.Errorf("%v at %d: Unmarshal error %v", m.Type, level, err)
+			}
+		}
+	}
+}
+
 func TestMarshalPanicsOnOversizedInfo(t *testing.T) {
 	defer func() {
 		if recover() == nil {
