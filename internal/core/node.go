@@ -3,7 +3,6 @@ package core
 import (
 	"fmt"
 	"slices"
-	"sort"
 
 	"peerwindow/internal/des"
 	"peerwindow/internal/metrics"
@@ -602,7 +601,7 @@ func (n *Node) applyPointers(ps []wire.Pointer) int {
 	// Stable sort so a (malformed) batch repeating an ID keeps its last
 	// occurrence winning, as repeated Upsert would, which is what
 	// MergeSorted does with it.
-	sort.SliceStable(batch, func(i, j int) bool { return batch[i].ID.Less(batch[j].ID) })
+	slices.SortStableFunc(batch, func(a, b wire.Pointer) int { return a.ID.Compare(b.ID) })
 	var onNew func(wire.Pointer)
 	var onUpdate func(old, new wire.Pointer)
 	if n.deltas != nil {

@@ -121,6 +121,21 @@ func TestWithFieldAllocatesOnlyItsResult(t *testing.T) {
 	}
 }
 
+// TestWithFieldAbsentDoesNotAllocate: a value no bucket holds misses in
+// every bucket's table and returns nil without allocating.
+func TestWithFieldAbsentDoesNotAllocate(t *testing.T) {
+	s, _ := benchStore(4096)
+	v := s.View()
+	v.WithField("os=linux") // publish every bucket's field index
+	if allocs := testing.AllocsPerRun(100, func() {
+		if got := v.WithField("os=beos"); got != nil {
+			t.Fatalf("absent value returned %d entries", len(got))
+		}
+	}); allocs != 0 {
+		t.Fatalf("WithField of an absent value allocates %v, want 0", allocs)
+	}
+}
+
 // fieldShapes returns full buckets of three shapes: benchStore's infos
 // (91 distinct values over 3 fields per entry), one field every entry
 // shares, and 3 fields no two entries share (the interning table's worst
@@ -155,13 +170,12 @@ func TestFieldIndexBuildAllocationsIndependentOfFields(t *testing.T) {
 
 // TestFieldIndexIsExactlySized: a published index holds no spare
 // capacity — one posting per distinct value, one offset per (value, entry)
-// pair — so its heap does not grow with repeated fields.
+// pair, a table at most half full — so its heap does not grow with
+// repeated fields.
 func TestFieldIndexIsExactlySized(t *testing.T) {
 	for _, c := range fieldShapes() {
-		x := buildFieldIndex(c.ents)
-		if cap(x.fields) != len(x.fields) || cap(x.offs) != len(x.offs) {
-			t.Errorf("%s fields: fields %d of cap %d, offs %d of cap %d",
-				c.name, len(x.fields), cap(x.fields), len(x.offs), cap(x.offs))
+		if msg := sizeError(buildFieldIndex(c.ents)); msg != "" {
+			t.Errorf("%s fields: %s", c.name, msg)
 		}
 	}
 }

@@ -1,13 +1,14 @@
 package query
 
 import (
-	"cmp"
 	"fmt"
+	"hash/maphash"
 	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"peerwindow/internal/wire"
 	"peerwindow/internal/xrand"
 )
 
@@ -29,45 +30,40 @@ func (e Entry) eachField(fn func(f string)) {
 }
 
 // refFieldIndex is the straightforward build buildFieldIndex must agree
-// with: one (field, entry offset) ref per occurrence, sorted by field then
-// offset, compacted into postings with repeated offsets dropped.
+// with: every field in entry order, each distinct value listed where it
+// is first seen, its posting list appended to as entries carrying it
+// follow, repeated offsets dropped. It builds no probe table;
+// checkAgainstReference tests the table by lookups.
 func refFieldIndex(ents []Entry) *fieldIndex {
-	n := 0
+	var vals []string
+	post := make(map[string][]uint16)
 	for i := range ents {
-		n += ents[i].fieldBound()
-	}
-	if n == 0 {
-		return noFields
-	}
-	fields := make([]fieldPosting, 0, n)
-	for i := range ents {
-		off := uint32(i)
+		off := uint16(i)
 		ents[i].eachField(func(f string) {
-			fields = append(fields, fieldPosting{val: f, lo: off})
+			p, seen := post[f]
+			if !seen {
+				vals = append(vals, f)
+			}
+			if len(p) == 0 || p[len(p)-1] != off {
+				post[f] = append(p, off)
+			}
 		})
 	}
-	slices.SortFunc(fields, func(a, b fieldPosting) int {
-		if c := strings.Compare(a.val, b.val); c != 0 {
-			return c
-		}
-		return cmp.Compare(a.lo, b.lo)
-	})
-	offs := make([]uint16, 0, len(fields))
-	w := 0
-	for _, r := range fields {
-		off := uint16(r.lo)
-		if w > 0 && fields[w-1].val == r.val {
-			if offs[len(offs)-1] != off {
-				offs = append(offs, off)
-				fields[w-1].hi++
-			}
-			continue
-		}
-		fields[w] = fieldPosting{val: r.val, lo: uint32(len(offs)), hi: uint32(len(offs)) + 1}
-		offs = append(offs, off)
-		w++
+	if len(vals) == 0 {
+		return noFields
 	}
-	return &fieldIndex{fields: fields[:w], offs: offs}
+	x := &fieldIndex{fields: make([]fieldPosting, len(vals))}
+	for i, v := range vals {
+		lo := uint32(len(x.offs))
+		x.offs = append(x.offs, post[v]...)
+		x.fields[i] = fieldPosting{val: v, lo: lo, hi: uint32(len(x.offs))}
+	}
+	return x
+}
+
+// lookup returns x's postings of val through the probe table.
+func lookup(x *fieldIndex, val string) []uint16 {
+	return x.postings(val, maphash.String(fieldHashSeed, val))
 }
 
 // entriesOf wraps infos as bucket entries; the build reads only the infos.
@@ -80,7 +76,9 @@ func entriesOf(infos []string) []Entry {
 }
 
 // checkAgainstReference fails t unless the build of infos equals the
-// reference build and is exactly sized.
+// reference build and is exactly sized, and its table finds every value
+// of the reference at the reference's postings and no vocabulary value
+// the infos lack.
 func checkAgainstReference(t *testing.T, infos []string) {
 	t.Helper()
 	ents := entriesOf(infos)
@@ -88,10 +86,36 @@ func checkAgainstReference(t *testing.T, infos []string) {
 	if !got.equal(want) {
 		t.Fatalf("index of %q:\n got %v\nwant %v", infos, dumpIndex(got), dumpIndex(want))
 	}
-	if cap(got.fields) != len(got.fields) || cap(got.offs) != len(got.offs) {
-		t.Fatalf("index of %q is not exactly sized: fields %d/%d, offs %d/%d",
-			infos, len(got.fields), cap(got.fields), len(got.offs), cap(got.offs))
+	if msg := sizeError(got); msg != "" {
+		t.Fatalf("index of %q: %s", infos, msg)
 	}
+	held := make(map[string]bool, len(want.fields))
+	for i, f := range want.fields {
+		held[f.val] = true
+		if p := lookup(got, f.val); !slices.Equal(p, want.at(i)) {
+			t.Fatalf("index of %q: lookup of %q gives %v, want %v", infos, f.val, p, want.at(i))
+		}
+	}
+	for _, val := range fieldVocabulary {
+		if p := lookup(got, val); !held[val] && p != nil {
+			t.Fatalf("index of %q: lookup of absent %q gives %v", infos, val, p)
+		}
+	}
+}
+
+// sizeError describes how x holds spare capacity, or returns "": fields
+// holds one posting per distinct value, offs one offset per (value,
+// entry) pair, and the table is the smallest power of two at least twice
+// the distinct values.
+func sizeError(x *fieldIndex) string {
+	if cap(x.fields) != len(x.fields) || cap(x.offs) != len(x.offs) || cap(x.table) != len(x.table) {
+		return fmt.Sprintf("not exactly sized: fields %d/%d, offs %d/%d, table %d/%d",
+			len(x.fields), cap(x.fields), len(x.offs), cap(x.offs), len(x.table), cap(x.table))
+	}
+	if n := len(x.fields); n > 0 && len(x.table) != tableSize(n) {
+		return fmt.Sprintf("table of %d slots for %d values, want %d", len(x.table), n, tableSize(n))
+	}
+	return ""
 }
 
 func dumpIndex(x *fieldIndex) string {
@@ -102,10 +126,10 @@ func dumpIndex(x *fieldIndex) string {
 	return b.String()
 }
 
-// fieldVocabulary holds the hard cases for the build's order and
-// dedup: values sharing their first 8 bytes, values that are prefixes of
-// each other (an 8-byte prefix key pads with zeros, so "a" and "a\x00"
-// tie on it), and NUL bytes.
+// fieldVocabulary holds the hard cases for the build's dedup and the
+// table's lookup, which must tell apart values sharing their first 8
+// bytes, values that are prefixes of each other ("a" and "a\x00") and
+// values holding NUL bytes.
 var fieldVocabulary = []string{
 	"a", "a\x00", "a\x00b", "ab", "\x00", "\x00\x00", "b",
 	"os=linux", "os=linu", "os=linux2", "os=plan9",
@@ -176,11 +200,66 @@ func TestFieldIndexConcurrentBuilds(t *testing.T) {
 	wg.Wait()
 }
 
+// TestFieldIndexWorstCaseBucket fills one bucket with the most distinct
+// values the store lets it hold: maxBucket entries, each a
+// wire.MaxInfoLen-byte info of 85 distinct two-byte fields. Every value
+// must be found, through the table and through WithField.
+func TestFieldIndexWorstCaseBucket(t *testing.T) {
+	var alphabet []byte // every byte but the separator
+	for b := 0; b < 256; b++ {
+		if b != ';' {
+			alphabet = append(alphabet, byte(b))
+		}
+	}
+	s := NewStore(nil)
+	var vals, infos []string
+	for i := 0; i < maxBucket; i++ {
+		var info []byte
+		for len(info)+3 <= wire.MaxInfoLen {
+			k := len(vals)
+			val := string([]byte{alphabet[k/len(alphabet)], alphabet[k%len(alphabet)]})
+			vals = append(vals, val)
+			info = append(info, val...)
+			info = append(info, ';')
+		}
+		if len(info) != wire.MaxInfoLen {
+			t.Fatalf("info of %d bytes, want %d", len(info), wire.MaxInfoLen)
+		}
+		infos = append(infos, string(info))
+		s.PeerAdded(ptr(fmt.Sprintf("worst-%d", i), 0, string(info)))
+	}
+	v := s.View()
+	if len(v.rows) != 1 || len(vals) != maxBucket*85 {
+		t.Fatalf("%d rows and %d values, want 1 and %d", len(v.rows), len(vals), maxBucket*85)
+	}
+	x := v.rows[0].fields()
+	if len(x.fields) != len(vals) {
+		t.Fatalf("index holds %d values, want %d", len(x.fields), len(vals))
+	}
+	if msg := sizeError(x); msg != "" {
+		t.Fatal(msg)
+	}
+	for _, val := range vals {
+		if p := lookup(x, val); len(p) != 1 {
+			t.Fatalf("lookup of %q gives %v, want one entry", val, p)
+		}
+		if got := v.WithField(val); len(got) != 1 {
+			t.Fatalf("WithField(%q) returns %d entries, want 1", val, len(got))
+		}
+	}
+	checkAgainstReference(t, infos)
+}
+
 func FuzzFieldIndexBuild(f *testing.F) {
 	f.Add([]byte("os=linux;role=db\nos=linux;;role=edge;\n;os=plan9\nrole=db;role=db"))
 	f.Add([]byte("longname=1\nlongname=2;longname\n\nlongnam;longname\x00"))
 	f.Add([]byte("a\x00;a\n\x00\x00;;\x00\n;\n;;;"))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		checkAgainstReference(t, strings.SplitN(string(data), "\n", maxBucket))
+		// The store takes no info longer than wire.MaxInfoLen.
+		infos := strings.SplitN(string(data), "\n", maxBucket)
+		for i := range infos {
+			infos[i] = infos[i][:min(len(infos[i]), wire.MaxInfoLen)]
+		}
+		checkAgainstReference(t, infos)
 	})
 }

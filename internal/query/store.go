@@ -201,8 +201,11 @@ func (s *Store) CheckAgainst(ps []wire.Pointer) error {
 // clones the entries, keeps their offsets and so keeps the bucket: Info
 // bytes equal to the stored info keep the stored string and the row's
 // gen, so the bucket's field index stays valid; a changed info bumps the
-// gen.
+// gen. An info over wire.MaxInfoLen panics: field index ranks are 16 bits.
 func insertView(v *View, p wire.Pointer) (nv *View, e, old Entry, replaced bool) {
+	if len(p.Info) > wire.MaxInfoLen {
+		panic(fmt.Sprintf("query: pointer info %d bytes exceeds %d", len(p.Info), wire.MaxInfoLen))
+	}
 	if v.total == 0 {
 		e = EntryOf(p)
 		return successor(v, 0, 0, newRow([]Entry{e})), e, Entry{}, false

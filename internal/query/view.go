@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"hash/maphash"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 	"strings"
@@ -26,15 +27,17 @@ const (
 
 // fieldIndex is a row's field postings: for each distinct
 // ';'-separated info field value, the ascending offsets of the entries
-// carrying it. The val strings share the backing arrays of the entries'
-// infos — the index adds no string copies — and every posting list is a
-// range of the one offs arena. Both slices are exactly sized: fields holds
-// one posting per distinct value and offs one offset per (value, entry)
-// pair. gen is the generation of the row's infos the index describes (see
-// row).
+// carrying it, and an open-addressing table over the values. The val
+// strings share the entries' infos' backing arrays. One exactly sized
+// uint16 arena holds offs, one offset per (value, entry) pair, then
+// table, tableSize(len(fields)) slots each holding 0 or 1 + a rank in
+// fields. Ranks fit: the store takes no info over wire.MaxInfoLen (128
+// fields at most), so maxBucket entries hold at most 32,768 values.
+// gen is the generation of the row's infos the index describes (see row).
 type fieldIndex struct {
-	fields []fieldPosting // sorted by val
+	fields []fieldPosting // in order of first occurrence
 	offs   []uint16
+	table  []uint16
 	gen    uint64
 }
 
@@ -55,21 +58,21 @@ type fieldScratch struct {
 	table []uint32   // open addressing over vals: id+1, 0 when empty
 	vals  []fieldVal // distinct values, id = order of first sight
 	occ   []fieldOcc // one per (value, entry) pair, in entry order
-	order []uint32   // ids sorted by value
 }
 
 // fieldVal is one distinct field value a build has met.
 type fieldVal struct {
 	val  string
-	key  uint64 // prefixKey(val)
 	hash uint64
 	n    uint32 // entries carrying val
-	tag  uint32 // while interning, 1 + the last entry counted; then val's rank
+	mark uint32 // 1 + the last entry counted
 }
 
 // fieldOcc records that the entry at off carries the value id.
 type fieldOcc struct{ id, off uint32 }
 
+// fieldHashSeed keys every field hash of the process, so a peer cannot
+// choose infos whose fields collide in the tables.
 var fieldHashSeed = maphash.MakeSeed()
 
 // idleScratch holds one scratch between builds; a build that finds it
@@ -81,29 +84,14 @@ var idleScratch atomic.Pointer[fieldScratch]
 
 const scratchKeep = 8 * maxBucket
 
-// prefixKey packs the first 8 bytes of s big-endian, zero-padded. Strings
-// whose keys differ order as their keys do; equal keys need
-// strings.Compare.
-func prefixKey(s string) uint64 {
-	if len(s) >= 8 {
-		return uint64(s[0])<<56 | uint64(s[1])<<48 | uint64(s[2])<<40 | uint64(s[3])<<32 |
-			uint64(s[4])<<24 | uint64(s[5])<<16 | uint64(s[6])<<8 | uint64(s[7])
-	}
-	var k uint64
-	for i := 0; i < len(s); i++ {
-		k |= uint64(s[i]) << (56 - 8*i)
-	}
-	return k
-}
-
 // buildFieldIndex indexes ents in three allocations, however many
-// distinct fields they hold: the postings slice, the offs arena and the
-// index header, each exactly sized. It sorts distinct values, not field
-// occurrences: one pass interns every field to a dense id and counts the
-// entries carrying it (a field repeated within one entry counts once), a
-// comparison sort orders the distinct values, and a second pass places
-// each entry offset by counting sort, so every posting list comes out
-// ascending.
+// distinct fields they hold: the postings slice, the uint16 arena and
+// the index header, each exactly sized. It sorts nothing: one pass
+// interns every field to a dense id in order of first sight and counts
+// the entries carrying it (a field repeated within one entry counts
+// once), and a second pass places each entry offset by counting sort, so
+// every posting list comes out ascending. The table is then filled from
+// the hashes the first pass computed.
 func buildFieldIndex(ents []Entry) *fieldIndex {
 	n := 0
 	for i := range ents {
@@ -120,19 +108,19 @@ func buildFieldIndex(ents []Entry) *fieldIndex {
 	x := sc.index()
 	if n <= scratchKeep {
 		clear(sc.vals) // else the idle scratch keeps the entries' infos alive
-		sc.vals, sc.occ, sc.order = sc.vals[:0], sc.occ[:0], sc.order[:0]
+		sc.vals, sc.occ = sc.vals[:0], sc.occ[:0]
 		idleScratch.Store(sc)
 	}
 	return x
 }
 
+// tableSize returns the smallest power of two at least 2n, n > 0.
+func tableSize(n int) int { return 1 << bits.Len(uint(2*n-1)) }
+
 // intern fills vals and occ from the fields of ents, at most n of them,
 // through an open-addressing table at most half full.
 func (sc *fieldScratch) intern(ents []Entry, n int) {
-	size := 1
-	for size < 2*n {
-		size <<= 1
-	}
+	size := tableSize(n)
 	if cap(sc.table) < size {
 		sc.table = make([]uint32, size)
 	}
@@ -159,13 +147,13 @@ func (sc *fieldScratch) intern(ents []Entry, n int) {
 				if id == 0 {
 					table[p] = uint32(len(vals)) + 1
 					occ = append(occ, fieldOcc{id: uint32(len(vals)), off: uint32(i)})
-					vals = append(vals, fieldVal{val: f, key: prefixKey(f), hash: h, n: 1, tag: mark})
+					vals = append(vals, fieldVal{val: f, hash: h, n: 1, mark: mark})
 					break
 				}
 				if v := &vals[id-1]; v.hash == h && v.val == f {
-					if v.tag != mark {
+					if v.mark != mark {
 						v.n++
-						v.tag = mark
+						v.mark = mark
 						occ = append(occ, fieldOcc{id: id - 1, off: uint32(i)})
 					}
 					break
@@ -176,44 +164,34 @@ func (sc *fieldScratch) intern(ents []Entry, n int) {
 	sc.vals, sc.occ = vals, occ
 }
 
-// index sorts the interned values and lays their postings out.
+// index lays the interned values' postings and probe table out.
 func (sc *fieldScratch) index() *fieldIndex {
 	vals := sc.vals
 	if len(vals) == 0 {
 		return noFields
 	}
-	order := sc.order
-	for id := range vals {
-		order = append(order, uint32(id))
-	}
-	sc.order = order
-	slices.SortFunc(order, func(a, b uint32) int {
-		va, vb := &vals[a], &vals[b]
-		if va.key != vb.key {
-			return cmp.Compare(va.key, vb.key)
-		}
-		return strings.Compare(va.val, vb.val)
-	})
-	fields := make([]fieldPosting, len(order))
+	fields := make([]fieldPosting, len(vals))
 	lo := uint32(0)
-	for r, id := range order {
-		v := &vals[id]
-		fields[r] = fieldPosting{val: v.val, lo: lo, hi: lo}
-		lo += v.n
-		v.tag = uint32(r)
+	for id := range vals {
+		fields[id] = fieldPosting{val: vals[id].val, lo: lo, hi: lo}
+		lo += vals[id].n
 	}
-	offs := make([]uint16, lo)
+	arena := make([]uint16, int(lo)+tableSize(len(vals)))
+	offs, table := arena[:lo:lo], arena[lo:]
 	for _, o := range sc.occ {
-		f := &fields[vals[o.id].tag]
+		f := &fields[o.id]
 		offs[f.hi] = uint16(o.off)
 		f.hi++
 	}
-	return &fieldIndex{fields: fields, offs: offs}
-}
-
-// search returns the position of the first field not below val.
-func (x *fieldIndex) search(val string) int {
-	return sort.Search(len(x.fields), func(i int) bool { return x.fields[i].val >= val })
+	mask := uint64(len(table) - 1)
+	for id := range vals {
+		p := vals[id].hash & mask
+		for table[p] != 0 {
+			p = (p + 1) & mask
+		}
+		table[p] = uint16(id) + 1
+	}
+	return &fieldIndex{fields: fields, offs: offs, table: table}
 }
 
 // at returns the offsets of the entries carrying the i-th field.
@@ -222,16 +200,28 @@ func (x *fieldIndex) at(i int) []uint16 {
 	return x.offs[f.lo:f.hi]
 }
 
-// postings returns the offsets of the entries carrying the field val.
-func (x *fieldIndex) postings(val string) []uint16 {
-	i := x.search(val)
-	if i == len(x.fields) || x.fields[i].val != val {
+// postings returns the offsets of the entries carrying the field val,
+// whose hash under fieldHashSeed is h.
+//
+//pwlint:noalloc
+func (x *fieldIndex) postings(val string, h uint64) []uint16 {
+	if len(x.table) == 0 {
 		return nil
 	}
-	return x.at(i)
+	mask := uint64(len(x.table) - 1)
+	for p := h & mask; ; p = (p + 1) & mask {
+		id := x.table[p]
+		if id == 0 {
+			return nil
+		}
+		if x.fields[id-1].val == val {
+			return x.at(int(id) - 1)
+		}
+	}
 }
 
-// equal reports whether x and y index the same fields at the same offsets.
+// equal reports whether x and y index the same fields, in the same order,
+// at the same offsets.
 func (x *fieldIndex) equal(y *fieldIndex) bool {
 	if len(x.fields) != len(y.fields) {
 		return false
@@ -483,23 +473,24 @@ func (v *View) Strongest(k int) []Entry {
 }
 
 // WithField returns all entries whose attached info contains the exact
-// ';'-separated field val (e.g. "os=linux"), in ascending ID order. The
-// lookup is a binary search in each bucket's field index: O(B·log F + k)
-// where B is the bucket count and F the distinct fields per bucket — it
-// never scans entries that do not match.
+// ';'-separated field val (e.g. "os=linux"), in ascending ID order. It
+// hashes val once and probes each bucket's field index table: O(B + k)
+// where B is the bucket count and k the hits — it never scans entries
+// that do not match.
 func (v *View) WithField(val string) []Entry {
 	// Two passes, count then fill, so the result is allocated once at its
 	// exact size.
+	h := maphash.String(fieldHashSeed, val)
 	n := 0
 	for _, r := range v.rows {
-		n += len(r.fields().postings(val))
+		n += len(r.fields().postings(val, h))
 	}
 	if n == 0 {
 		return nil
 	}
 	out := make([]Entry, 0, n)
 	for _, r := range v.rows {
-		for _, off := range r.fields().postings(val) {
+		for _, off := range r.fields().postings(val, h) {
 			out = append(out, r.ents[off])
 		}
 	}
@@ -604,11 +595,11 @@ func (v *View) TopK(k int, score func(Entry) (float64, bool)) []Entry {
 			idx++
 		}
 	}
-	sort.Slice(h, func(i, j int) bool {
-		if h[i].s != h[j].s {
-			return h[i].s > h[j].s
+	slices.SortFunc(h, func(a, b scored) int {
+		if c := cmp.Compare(b.s, a.s); c != 0 {
+			return c
 		}
-		return h[i].idx < h[j].idx
+		return cmp.Compare(a.idx, b.idx)
 	})
 	out := make([]Entry, len(h))
 	for i := range h {

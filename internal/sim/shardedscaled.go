@@ -1,10 +1,11 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"math/bits"
-	"sort"
+	"slices"
 
 	"peerwindow/internal/des"
 	"peerwindow/internal/freelist"
@@ -567,11 +568,11 @@ func (s *ShardedScaled) exchange(h des.Time) {
 		sh.shifts = 0
 	}
 	if batch := s.inflight[newStart:]; len(batch) > 1 {
-		sort.Slice(batch, func(i, j int) bool {
-			if batch[i].at != batch[j].at {
-				return batch[i].at < batch[j].at
+		slices.SortFunc(batch, func(a, b shardFlight) int {
+			if c := cmp.Compare(a.at, b.at); c != 0 {
+				return c
 			}
-			return batch[i].seq < batch[j].seq
+			return cmp.Compare(a.seq, b.seq)
 		})
 	}
 	s.recordRate(h, churn)
