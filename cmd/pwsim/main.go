@@ -291,11 +291,8 @@ func mcastTable(n int, seed uint64, spansFile string) *metrics.Table {
 	type tally struct{ delivered, forwards uint64 }
 	before := make(map[*sim.SimNode]tally)
 	for _, sn := range c.Alive() {
-		reg := sn.Node.Metrics()
-		before[sn] = tally{
-			delivered: reg.Counter(core.MetricMulticastDelivered).Value(),
-			forwards:  reg.Counter(core.MetricMulticastForwards).Value(),
-		}
+		m := sn.Node.MetricsSnapshot().Counters
+		before[sn] = tally{delivered: m[core.MetricMulticastDelivered], forwards: m[core.MetricMulticastForwards]}
 	}
 	evBefore := c.SentByType[wire.MsgEvent]
 	mark := spans.Total()
@@ -333,11 +330,11 @@ func mcastTable(n int, seed uint64, spansFile string) *metrics.Table {
 	var maxOut uint64
 	zeroOut := 0
 	for _, sn := range c.Alive() {
-		reg := sn.Node.Metrics()
-		if reg.Counter(core.MetricMulticastDelivered).Value() > before[sn].delivered {
+		m := sn.Node.MetricsSnapshot().Counters
+		if m[core.MetricMulticastDelivered] > before[sn].delivered {
 			delivered++
 		}
-		out := reg.Counter(core.MetricMulticastForwards).Value() - before[sn].forwards
+		out := m[core.MetricMulticastForwards] - before[sn].forwards
 		if out > maxOut {
 			maxOut = out
 		}
@@ -395,14 +392,14 @@ func splitTable(seed uint64) *metrics.Table {
 	// An info change in part 0.
 	before := map[*sim.SimNode]uint64{}
 	for _, sn := range c.Alive() {
-		before[sn] = sn.Node.Metrics().Counter(core.MetricMulticastDelivered).Value()
+		before[sn] = sn.Node.MetricsSnapshot().Counters[core.MetricMulticastDelivered]
 	}
 	parts[0].nodes[0].Node.SetInfo([]byte("part0"))
 	c.Run(2 * des.Minute)
 	informed := [2]int{}
 	for b := range parts {
 		for _, sn := range parts[b].nodes {
-			if sn.Node.Metrics().Counter(core.MetricMulticastDelivered).Value() > before[sn] {
+			if sn.Node.MetricsSnapshot().Counters[core.MetricMulticastDelivered] > before[sn] {
 				informed[b]++
 			}
 		}

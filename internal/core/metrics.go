@@ -113,7 +113,7 @@ type instrument struct {
 }
 
 // nodeInstruments is every instrument of a node, each once. NewNode
-// readies the histograms from it, MetricsSnapshot and Metrics walk it,
+// readies the histograms from it, MetricsSnapshot and Instruments walk it,
 // and its names are checked once, when the program starts.
 var nodeInstruments = func() []instrument {
 	t := []instrument{
@@ -177,26 +177,38 @@ func (m *nodeMetrics) removed(r RemoveReason) {
 	}
 }
 
-// Metrics returns a new registry that holds the node's counters and
-// histograms under their names, for readers that look instruments up by
-// name: an increment through it is the node's own and shows in the next
-// MetricsSnapshot. The gauges are read by MetricsSnapshot alone.
-func (n *Node) Metrics() *metrics.Registry {
-	r := metrics.NewRegistry()
+// Instruments is a node's counters and histograms looked up by name, as
+// Metrics returns them.
+type Instruments struct{ n *Node }
+
+// Metrics returns the node's instruments for readers that look one up by
+// name. In this repository those are the benchmark module (cmd/pwbench)
+// and TestMetricsRegistryIsTheNodes; every other reader takes
+// MetricsSnapshot.
+func (n *Node) Metrics() Instruments { return Instruments{n} }
+
+// Counter returns the node's counter under name, or nil if it has none:
+// an increment through it is the node's own and shows in the next
+// MetricsSnapshot.
+func (in Instruments) Counter(name string) *metrics.Counter {
 	for _, d := range nodeInstruments {
-		switch {
-		case d.counter != nil:
-			r.AddCounter(d.name, d.counter(&n.m))
-		case d.hist != nil:
-			r.AddHistogram(d.name, d.hist(&n.m))
+		if d.name == name && d.counter != nil {
+			return d.counter(&in.n.m)
 		}
 	}
-	return r
+	return nil
 }
+
+// Snapshot captures the node's counters and histograms; the gauges are
+// read by MetricsSnapshot alone.
+func (in Instruments) Snapshot() metrics.Snapshot { return in.n.snapshot(false) }
 
 // MetricsSnapshot captures every protocol instrument plus the
 // instantaneous gauges (level, window size, measured rates).
-func (n *Node) MetricsSnapshot() metrics.Snapshot {
+func (n *Node) MetricsSnapshot() metrics.Snapshot { return n.snapshot(true) }
+
+// snapshot captures the counters and histograms, and the gauges if asked.
+func (n *Node) snapshot(gauges bool) metrics.Snapshot {
 	s := metrics.Snapshot{
 		Counters:   make(map[string]uint64, len(nodeInstruments)),
 		Gauges:     make(map[string]int64, 4),
@@ -208,7 +220,7 @@ func (n *Node) MetricsSnapshot() metrics.Snapshot {
 			s.Counters[d.name] = d.counter(&n.m).Value()
 		case d.hist != nil:
 			s.Histograms[d.name] = d.hist(&n.m).Snapshot()
-		default:
+		case gauges:
 			s.Gauges[d.name] = d.gauge(n)
 		}
 	}

@@ -148,16 +148,15 @@ func TestMetricsSnapshotShape(t *testing.T) {
 	}
 }
 
-// TestMetricsRegistryIsTheNodes: an increment or observation through the
-// registry Metrics returns, the way pwbench's probe and pwsim read a
-// node, is the node's own: the next MetricsSnapshot and the next
-// registry show it.
+// TestMetricsRegistryIsTheNodes: an increment through the counter
+// Metrics returns, the way pwbench's probe reaches a node, is the node's
+// own: the next MetricsSnapshot and the next Metrics show it.
 func TestMetricsRegistryIsTheNodes(t *testing.T) {
 	n := NewNode(quietConfig(), newFakeEnv(1), Observer{}, ptrAt("0000", 0, 1))
 	rounds := n.Metrics().Counter(MetricProbeRounds)
 	rounds.Inc()
 	rounds.Inc()
-	n.Metrics().Histogram(MetricProbeDetectLatency, nil).Observe(3)
+	n.m.detectLatency.Observe(3)
 	n.m.probeRounds.Inc()
 	s := n.MetricsSnapshot()
 	if got := s.Counters[MetricProbeRounds]; got != 3 {
@@ -167,9 +166,9 @@ func TestMetricsRegistryIsTheNodes(t *testing.T) {
 		t.Fatalf("%s = %+v in the snapshot, want one observation in (2.5, 5]", MetricProbeDetectLatency, h)
 	}
 	if got := n.Metrics().Counter(MetricProbeRounds).Value(); got != 3 {
-		t.Fatalf("a second registry reads %s = %d, want 3", MetricProbeRounds, got)
+		t.Fatalf("a second Metrics reads %s = %d, want 3", MetricProbeRounds, got)
 	}
 	if names := len(n.Metrics().Snapshot().Counters); names != 27 {
-		t.Fatalf("the registry holds %d counters, want 27", names)
+		t.Fatalf("Metrics holds %d counters, want 27", names)
 	}
 }

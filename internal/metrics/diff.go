@@ -3,7 +3,7 @@ package metrics
 // Snapshot diffing: the telemetry exporter ships compact deltas rather
 // than full snapshots (a full counter set is ~40 names × ~30 bytes per
 // flush; after convergence almost none of them move between beacons).
-// Diff computes the change between two snapshots of the same registry:
+// Diff computes the change between two snapshots of the same owner:
 // counters as monotone deltas, gauges as last-write passthrough,
 // histograms as bucket-wise subtraction.
 
@@ -12,7 +12,7 @@ import "sort"
 // Diff returns the change from prev to s as a new Snapshot:
 //
 //   - Counters: s minus prev, omitting zero deltas. A counter that went
-//     backwards (a replaced registry, or corrupted transport state) is a
+//     backwards (a replaced owner, or corrupted transport state) is a
 //     monotonicity regression: its full current value is emitted as the
 //     delta (resynchronizing any accumulator) and its name is returned
 //     in regressed, sorted.

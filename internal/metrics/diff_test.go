@@ -5,17 +5,32 @@ import (
 	"testing"
 )
 
-func snapOf(reg *Registry) Snapshot { return reg.Snapshot() }
+// newHist readies a histogram over bounds.
+func newHist(bounds ...float64) *Hist {
+	h := new(Hist)
+	h.Init(bounds)
+	return h
+}
+
+// histSnap snapshots named histograms.
+func histSnap(hs map[string]*Hist) Snapshot {
+	s := Snapshot{Histograms: map[string]HistSnapshot{}}
+	for name, h := range hs {
+		s.Histograms[name] = h.Snapshot()
+	}
+	return s
+}
 
 func TestDiffCounters(t *testing.T) {
-	reg := NewRegistry()
-	a := reg.Counter("a.count")
-	b := reg.Counter("b.count")
+	var a, b Counter
+	snap := func() Snapshot {
+		return Snapshot{Counters: map[string]uint64{"a.count": a.Value(), "b.count": b.Value()}}
+	}
 	a.Add(3)
-	prev := snapOf(reg)
+	prev := snap()
 	a.Add(2)
 	b.Add(7)
-	cur := snapOf(reg)
+	cur := snap()
 
 	d, regressed := cur.Diff(prev)
 	if len(regressed) != 0 {
@@ -56,14 +71,13 @@ func TestDiffGaugePassthrough(t *testing.T) {
 }
 
 func TestDiffHistogramSubtraction(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("h.lat", []float64{1, 2, 4})
+	h := newHist(1, 2, 4)
 	h.Observe(0.5)
 	h.Observe(3)
-	prev := snapOf(reg)
+	prev := histSnap(map[string]*Hist{"h.lat": h})
 	h.Observe(1.5)
 	h.Observe(9) // overflow bucket
-	cur := snapOf(reg)
+	cur := histSnap(map[string]*Hist{"h.lat": h})
 
 	d, regressed := cur.Diff(prev)
 	if len(regressed) != 0 {
@@ -114,12 +128,11 @@ func TestDiffHistogramBoundsChangeIsRegression(t *testing.T) {
 }
 
 func TestHistSnapshotQuantile(t *testing.T) {
-	reg := NewRegistry()
-	h := reg.Histogram("h.lat", []float64{1, 2, 4, 8})
+	h := newHist(1, 2, 4, 8)
 	for i := 0; i < 100; i++ {
 		h.Observe(1.5) // all in (1,2]
 	}
-	s := snapOf(reg).Histograms["h.lat"]
+	s := h.Snapshot()
 	if q := s.Quantile(0.5); q < 1 || q > 2 {
 		t.Fatalf("p50 %v outside containing bucket (1,2]", q)
 	}
@@ -132,11 +145,11 @@ func TestHistSnapshotQuantile(t *testing.T) {
 		t.Fatal("empty histogram quantile should be 0")
 	}
 	// Overflow clamps to the last bound.
-	h2 := reg.Histogram("h.big", []float64{1, 2})
+	h2 := newHist(1, 2)
 	for i := 0; i < 10; i++ {
 		h2.Observe(100)
 	}
-	if q := snapOf(reg).Histograms["h.big"].Quantile(0.99); q != 2 {
+	if q := h2.Snapshot().Quantile(0.99); q != 2 {
 		t.Fatalf("overflow quantile %v want 2 (clamped)", q)
 	}
 }

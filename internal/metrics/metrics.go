@@ -1,8 +1,11 @@
 // Package metrics holds the measurement machinery shared by the protocol
 // and the experiment harness: streaming aggregates, per-level breakdowns
-// (the x-axis of most of the paper's figures), fixed-bucket histograms, a
-// windowed bandwidth meter (what a node uses to decide level shifts), and
-// plain-text table/series rendering for the figure reproductions.
+// (the x-axis of most of the paper's figures), a windowed bandwidth meter
+// (what a node uses to decide level shifts), and plain-text table/series
+// rendering for the figure reproductions. It also holds the runtime
+// instruments — counters and fixed-bucket histograms that their owners
+// keep as fields — and the snapshots, deltas and Prometheus text those
+// owners' readings are exchanged as (registry.go, diff.go).
 package metrics
 
 import (

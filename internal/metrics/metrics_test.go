@@ -1,7 +1,6 @@
 package metrics
 
 import (
-	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -124,17 +123,16 @@ func TestPerLevelNegativePanics(t *testing.T) {
 	p.Add(-1, 0)
 }
 
-// The registry histogram's buckets are upper-inclusive: a value on a
-// bound counts in that bound's bucket, everything at or below the first
-// bound (negatives included) in bucket 0, everything above the last in
-// the overflow bucket.
+// The histogram's buckets are upper-inclusive: a value on a bound counts
+// in that bound's bucket, everything at or below the first bound
+// (negatives included) in bucket 0, everything above the last in the
+// overflow bucket.
 func TestHistogram(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("h", []float64{0, 10, 100, 1000})
+	h := newHist(0, 10, 100, 1000)
 	for _, v := range []float64{-1, 0, 5, 9.99, 10, 50, 999, 1000, 5000} {
 		h.Observe(v)
 	}
-	s := r.Snapshot().Histograms["h"]
+	s := h.Snapshot()
 	want := []uint64{2, 3, 1, 2, 1} // {-1, 0}, {5, 9.99, 10}, {50}, {999, 1000}, {5000}
 	if len(s.Counts) != len(want) {
 		t.Fatalf("%d buckets, want %d", len(s.Counts), len(want))
@@ -150,14 +148,14 @@ func TestHistogram(t *testing.T) {
 }
 
 func TestHistogramValidation(t *testing.T) {
-	for i, bounds := range [][]float64{{}, {1, 1}, {2, 1}} {
+	for _, bounds := range [][]float64{{}, {1, 1}, {2, 1}} {
 		func() {
 			defer func() {
 				if recover() == nil {
 					t.Errorf("bounds %v did not panic", bounds)
 				}
 			}()
-			NewRegistry().Histogram(fmt.Sprint("h", i), bounds)
+			new(Hist).Init(bounds)
 		}()
 	}
 }

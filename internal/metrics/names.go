@@ -1,20 +1,19 @@
 package metrics
 
-import (
-	"fmt"
-	"strings"
-)
+import "strings"
 
 // ValidName reports whether name can name an instrument: it starts with
 // a letter, is '.'-separated non-empty segments of [a-z0-9_-], and does
 // not carry the pw namespace that the Prometheus exposition adds ("pw."
 // or "pw_"). These are exactly the names promName turns into valid pw_*
 // Prometheus names ("net.send.heartbeat-ack" ->
-// "pw_net_send_heartbeat_ack"). Three places enforce it: a Registry when
-// it creates or registers an instrument (a bad name panics), core's
-// instrument table when the program starts (the same), and the telemetry
-// frame decoder (a bad name is a decode error), so neither a typo nor a
-// remote frame can put a malformed line into a /metrics exposition.
+// "pw_net_send_heartbeat_ack"). Two places enforce it: core's instrument
+// table when the program starts (a bad name panics) and the telemetry
+// frame decoder (a bad name is a decode error). Every other owner's names
+// are constants, which a test (udptransport's
+// TestMergedRegistriesMintDisjointNames) checks with ValidName, so
+// neither a typo nor a remote frame can put a malformed line into a
+// /metrics exposition.
 func ValidName(name string) bool {
 	if name == "" || name[0] < 'a' || name[0] > 'z' ||
 		strings.HasPrefix(name, "pw.") || strings.HasPrefix(name, "pw_") {
@@ -32,14 +31,6 @@ func ValidName(name string) bool {
 		}
 	}
 	return true
-}
-
-// mustBeValid panics on a name ValidName rejects: minting one is a
-// programmer error.
-func mustBeValid(name string) {
-	if !ValidName(name) {
-		panic(fmt.Sprintf("metrics: invalid instrument name %q", name))
-	}
 }
 
 // Canonical names of the network-layer instruments, shared by the

@@ -1,13 +1,13 @@
 package metrics
 
-// This file is the runtime observability layer: named counters, gauges
-// and fixed-bucket latency histograms, collected in a Registry that can
-// snapshot itself into plain data or render Prometheus text exposition.
-// Both transports, the simulator's network and the query plane keep
-// their instruments here. The protocol engine (internal/core) holds its
-// own as fields of each node and registers them only in the registry a
-// reader asks it for. The public peerwindow API and the pwnode debug
-// endpoint read the snapshots.
+// This file is the runtime observability layer: counters and
+// fixed-bucket latency histograms, the snapshots their owners take of
+// them, and the Prometheus text exposition of a snapshot. Every owner —
+// a core node, a query store, a transport link, the simulator's network,
+// a telemetry collector — holds its instruments as fields and builds its
+// snapshot over them, one line per instrument; a gauge is not stored but
+// read from the owner's state when the snapshot is taken. The public
+// peerwindow API and the pwnode debug endpoint read the snapshots.
 //
 // All instruments are lock-free on the write path (single atomic add per
 // observation) so instrumentation is safe to leave on in hot paths: the
@@ -20,7 +20,6 @@ import (
 	"math"
 	"sort"
 	"strings"
-	"sync"
 	"sync/atomic"
 )
 
@@ -38,20 +37,6 @@ func (c *Counter) Add(n uint64) { c.v.Add(n) }
 // Value returns the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
-// Gauge is an instantaneous integer value (a level, a list length).
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add shifts the value by d (negative d decrements).
-func (g *Gauge) Add(d int64) { g.v.Add(d) }
-
-// Value returns the current value.
-func (g *Gauge) Value() int64 { return g.v.Load() }
-
 // Hist is a fixed-bucket histogram with cumulative-friendly storage:
 // bucket i counts observations v <= Bounds[i]; one extra bucket counts
 // the overflow (v > last bound). Sum and Count track the exact total so
@@ -67,13 +52,6 @@ type Hist struct {
 
 // maxBounds is the most bounds a histogram takes.
 const maxBounds = 15
-
-// newHist builds a histogram over a copy of bounds.
-func newHist(bounds []float64) *Hist {
-	h := new(Hist)
-	h.Init(append([]float64(nil), bounds...))
-	return h
-}
 
 // Init readies a zero Hist held by value over strictly increasing upper
 // bounds, at most fifteen of them. The histogram keeps bounds, which must
@@ -125,84 +103,11 @@ func DefaultLatencyBounds() []float64 {
 	return []float64{0.1, 0.25, 0.5, 1, 2.5, 5, 10, 15, 30, 60, 120, 300}
 }
 
-// Registry is an ordered collection of named instruments. Get-or-create
-// accessors make wiring idempotent; names are dotted paths
-// ("probe.failures") that render as underscores in Prometheus form.
-type Registry struct {
-	mu       sync.Mutex
-	counters map[string]*Counter
-	gauges   map[string]*Gauge
-	hists    map[string]*Hist
-}
-
-// NewRegistry builds an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{
-		counters: make(map[string]*Counter),
-		gauges:   make(map[string]*Gauge),
-		hists:    make(map[string]*Hist),
-	}
-}
-
-// Counter returns the named counter, creating it on first use. Creating
-// one under a name ValidName rejects panics.
-func (r *Registry) Counter(name string) *Counter {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if c, ok := r.counters[name]; ok {
-		return c
-	}
-	mustBeValid(name)
-	c := &Counter{}
-	r.counters[name] = c
-	return c
-}
-
-// Gauge returns the named gauge, creating it on first use (a bad name
-// panics, as for Counter).
-func (r *Registry) Gauge(name string) *Gauge {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if g, ok := r.gauges[name]; ok {
-		return g
-	}
-	mustBeValid(name)
-	g := &Gauge{}
-	r.gauges[name] = g
-	return g
-}
-
-// Histogram returns the named histogram, creating it with the given
-// bounds on first use (later calls ignore bounds; a bad name panics, as
-// for Counter).
-func (r *Registry) Histogram(name string, bounds []float64) *Hist {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if h, ok := r.hists[name]; ok {
-		return h
-	}
-	mustBeValid(name)
-	h := newHist(bounds)
-	r.hists[name] = h
-	return h
-}
-
-// AddCounter registers c, which lives elsewhere, under name, so the
-// registry reads and hands out that counter (a bad name panics).
-func (r *Registry) AddCounter(name string, c *Counter) {
-	mustBeValid(name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.counters[name] = c
-}
-
-// AddHistogram registers h under name, as AddCounter does a counter.
-func (r *Registry) AddHistogram(name string, h *Hist) {
-	mustBeValid(name)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.hists[name] = h
-}
+// Registry is empty: every owner holds its instruments as fields and
+// takes its own snapshot. It survives, as the type of query.NewStore's
+// parameter, only because the benchmark module (cmd/pwbench) calls
+// NewStore(nil); both go when that module stops doing so.
+type Registry struct{}
 
 // HistSnapshot is one histogram's state at snapshot time.
 type HistSnapshot struct {
@@ -214,33 +119,12 @@ type HistSnapshot struct {
 	Sum    float64
 }
 
-// Snapshot is a point-in-time copy of a registry (or a merge of
-// several). The maps are owned by the caller.
+// Snapshot is a point-in-time copy of one owner's instruments (or a
+// merge of several owners'). The maps are owned by the caller.
 type Snapshot struct {
 	Counters   map[string]uint64
 	Gauges     map[string]int64
 	Histograms map[string]HistSnapshot
-}
-
-// Snapshot copies every instrument's current value.
-func (r *Registry) Snapshot() Snapshot {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := Snapshot{
-		Counters:   make(map[string]uint64, len(r.counters)),
-		Gauges:     make(map[string]int64, len(r.gauges)),
-		Histograms: make(map[string]HistSnapshot, len(r.hists)),
-	}
-	for name, c := range r.counters {
-		s.Counters[name] = c.Value()
-	}
-	for name, g := range r.gauges {
-		s.Gauges[name] = g.Value()
-	}
-	for name, h := range r.hists {
-		s.Histograms[name] = h.Snapshot()
-	}
-	return s
 }
 
 // Snapshot copies the histogram's current state.
@@ -327,34 +211,19 @@ func promFloat(v float64) string {
 // format, every metric name prefixed with "pw_". Output is sorted by name
 // so scrapes diff cleanly.
 func (s Snapshot) WritePrometheus(w io.Writer) error {
-	names := make([]string, 0, len(s.Counters))
-	for name := range s.Counters {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range SortedNames(s.Counters) {
 		pn := promName(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", pn, pn, s.Counters[name]); err != nil {
 			return err
 		}
 	}
-	names = names[:0]
-	for name := range s.Gauges {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range SortedNames(s.Gauges) {
 		pn := promName(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n%s %d\n", pn, pn, s.Gauges[name]); err != nil {
 			return err
 		}
 	}
-	names = names[:0]
-	for name := range s.Histograms {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
+	for _, name := range SortedNames(s.Histograms) {
 		h := s.Histograms[name]
 		pn := promName(name)
 		if _, err := fmt.Fprintf(w, "# TYPE %s histogram\n", pn); err != nil {
@@ -376,4 +245,16 @@ func (s Snapshot) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
+}
+
+// SortedNames returns m's names in ascending order, the order in which
+// every exposition and frame lists instruments, so output is
+// deterministic.
+func SortedNames[V any](m map[string]V) []string {
+	names := make([]string, 0, len(m))
+	for name := range m {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	return names
 }

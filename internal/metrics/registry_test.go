@@ -2,50 +2,27 @@ package metrics
 
 import (
 	"bytes"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 )
 
-func TestRegistryGetOrCreate(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("a.b")
-	if c2 := r.Counter("a.b"); c2 != c {
-		t.Fatal("Counter not idempotent")
-	}
-	g := r.Gauge("g")
-	if g2 := r.Gauge("g"); g2 != g {
-		t.Fatal("Gauge not idempotent")
-	}
-	h := r.Histogram("h", []float64{1, 2})
-	if h2 := r.Histogram("h", []float64{9}); h2 != h {
-		t.Fatal("Histogram not idempotent")
-	}
-}
-
-func TestCounterGaugeBasics(t *testing.T) {
-	r := NewRegistry()
-	c := r.Counter("c")
+func TestCounterBasics(t *testing.T) {
+	var c Counter
 	c.Inc()
 	c.Add(4)
 	if got := c.Value(); got != 5 {
 		t.Fatalf("counter = %d", got)
 	}
-	g := r.Gauge("g")
-	g.Set(7)
-	g.Add(-3)
-	if got := g.Value(); got != 4 {
-		t.Fatalf("gauge = %d", got)
-	}
 }
 
 func TestHistBuckets(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat", []float64{1, 5, 10})
+	h := newHist(1, 5, 10)
 	for _, v := range []float64{0.5, 1, 3, 7, 100} {
 		h.Observe(v)
 	}
-	s := r.Snapshot().Histograms["lat"]
+	s := h.Snapshot()
 	want := []uint64{2, 1, 1, 1} // <=1: {0.5, 1}; <=5: {3}; <=10: {7}; over: {100}
 	for i, w := range want {
 		if s.Counts[i] != w {
@@ -61,8 +38,7 @@ func TestHistBuckets(t *testing.T) {
 }
 
 func TestHistConcurrentObserve(t *testing.T) {
-	r := NewRegistry()
-	h := r.Histogram("lat", []float64{10})
+	h := newHist(10)
 	var wg sync.WaitGroup
 	const goroutines, per = 8, 1000
 	for i := 0; i < goroutines; i++ {
@@ -84,17 +60,19 @@ func TestHistConcurrentObserve(t *testing.T) {
 }
 
 func TestSnapshotMerge(t *testing.T) {
-	a, b := NewRegistry(), NewRegistry()
-	a.Counter("c").Add(2)
-	b.Counter("c").Add(3)
-	b.Counter("only_b").Inc()
-	a.Gauge("g").Set(1)
-	b.Gauge("g").Set(2)
-	a.Histogram("h", []float64{1, 2}).Observe(0.5)
-	b.Histogram("h", []float64{1, 2}).Observe(1.5)
-
-	s := a.Snapshot()
-	s.Merge(b.Snapshot())
+	ha, hb := newHist(1, 2), newHist(1, 2)
+	ha.Observe(0.5)
+	hb.Observe(1.5)
+	s := Snapshot{
+		Counters:   map[string]uint64{"c": 2},
+		Gauges:     map[string]int64{"g": 1},
+		Histograms: map[string]HistSnapshot{"h": ha.Snapshot()},
+	}
+	s.Merge(Snapshot{
+		Counters:   map[string]uint64{"c": 3, "only_b": 1},
+		Gauges:     map[string]int64{"g": 2},
+		Histograms: map[string]HistSnapshot{"h": hb.Snapshot()},
+	})
 	if s.Counters["c"] != 5 || s.Counters["only_b"] != 1 {
 		t.Fatalf("counters = %v", s.Counters)
 	}
@@ -107,45 +85,25 @@ func TestSnapshotMerge(t *testing.T) {
 	}
 }
 
-func TestRegistryRejectsBadNames(t *testing.T) {
-	r := NewRegistry()
-	for kind, mint := range map[string]func(string){
-		"counter":   func(n string) { r.Counter(n) },
-		"gauge":     func(n string) { r.Gauge(n) },
-		"histogram": func(n string) { r.Histogram(n, []float64{1}) },
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s with a malformed name did not panic", kind)
-				}
-			}()
-			mint("Probe Rounds")
-		}()
-	}
-	if s := r.Snapshot(); len(s.Counters)+len(s.Gauges)+len(s.Histograms) != 0 {
-		t.Fatalf("a rejected name was registered: %+v", s)
-	}
-
-	// The check runs only when an instrument is created: fetching one
-	// that exists does not look at its name.
-	c, g, h := &Counter{}, &Gauge{}, newHist([]float64{1})
-	r.counters["Not Checked"], r.gauges["Not Checked"], r.hists["Not Checked"] = c, g, h
-	if r.Counter("Not Checked") != c || r.Gauge("Not Checked") != g || r.Histogram("Not Checked", nil) != h {
-		t.Fatal("re-fetch did not return the existing instrument")
+func TestSortedNames(t *testing.T) {
+	got := SortedNames(map[string]int64{"net.send.ack": 1, "net.hosts": 2, "net.send_bytes": 3})
+	if want := []string{"net.hosts", "net.send.ack", "net.send_bytes"}; !slices.Equal(got, want) {
+		t.Fatalf("SortedNames = %v, want %v", got, want)
 	}
 }
 
 func TestWritePrometheus(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("probe.failures").Add(3)
-	r.Gauge("peer.level").Set(2)
-	h := r.Histogram("probe.detect_latency_seconds", []float64{1, 10})
+	h := newHist(1, 10)
 	h.Observe(0.5)
 	h.Observe(15)
+	s := Snapshot{
+		Counters:   map[string]uint64{"probe.failures": 3},
+		Gauges:     map[string]int64{"peer.level": 2},
+		Histograms: map[string]HistSnapshot{"probe.detect_latency_seconds": h.Snapshot()},
+	}
 
 	var buf bytes.Buffer
-	if err := r.Snapshot().WritePrometheus(&buf); err != nil {
+	if err := s.WritePrometheus(&buf); err != nil {
 		t.Fatal(err)
 	}
 	out := buf.String()

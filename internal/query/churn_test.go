@@ -92,7 +92,7 @@ func verifyAgainstNode(t *testing.T, tr tracked) {
 
 	// The node counts each insertion and eviction where it tells the sink,
 	// so its counters and the store's delta counters must agree.
-	node, store := tr.sn.Node.Metrics().Snapshot().Counters, tr.store.MetricsSnapshot().Counters
+	node, store := tr.sn.Node.MetricsSnapshot().Counters, tr.store.MetricsSnapshot().Counters
 	var removed uint64
 	for name, c := range node {
 		if strings.HasPrefix(name, core.MetricPeersRemovedPrefix) {

@@ -3,7 +3,7 @@ package query
 import "peerwindow/internal/metrics"
 
 // Metric names exported by the query plane, declared once each in the
-// form metrics.ValidName accepts (the registry panics on anything else).
+// form metrics.ValidName accepts.
 const (
 	// MetricQueryEpoch is the epoch of the most recently published view.
 	MetricQueryEpoch = "query.epoch"
@@ -27,30 +27,33 @@ const (
 	MetricQuerySubsDropped = "query.subs.dropped"
 )
 
-// storeMetrics caches the counter and gauge handles a Store updates on its
-// write path, so publishing a view never does a registry map lookup.
+// storeMetrics is a store's counters; the gauges are read from the
+// current view and the subscription list when a snapshot is taken.
 type storeMetrics struct {
-	epoch        *metrics.Gauge
-	entries      *metrics.Gauge
-	buckets      *metrics.Gauge
-	deltaAdd     *metrics.Counter
-	deltaUpdate  *metrics.Counter
-	deltaRemove  *metrics.Counter
-	subsActive   *metrics.Gauge
-	subDelivered *metrics.Counter
-	subDropped   *metrics.Counter
+	deltaAdd, deltaUpdate, deltaRemove metrics.Counter
+	subDelivered, subDropped           metrics.Counter
 }
 
-func newStoreMetrics(reg *metrics.Registry) storeMetrics {
-	return storeMetrics{
-		epoch:        reg.Gauge(MetricQueryEpoch),
-		entries:      reg.Gauge(MetricQueryEntries),
-		buckets:      reg.Gauge(MetricQueryBuckets),
-		deltaAdd:     reg.Counter(MetricQueryDeltasAdd),
-		deltaUpdate:  reg.Counter(MetricQueryDeltasUpdate),
-		deltaRemove:  reg.Counter(MetricQueryDeltasRemove),
-		subsActive:   reg.Gauge(MetricQuerySubsActive),
-		subDelivered: reg.Counter(MetricQuerySubsDelivered),
-		subDropped:   reg.Counter(MetricQuerySubsDropped),
+// MetricsSnapshot returns a point-in-time copy of the store's metrics.
+func (s *Store) MetricsSnapshot() metrics.Snapshot {
+	v := s.View()
+	var subs int
+	if l := s.subs.Load(); l != nil {
+		subs = len(*l)
+	}
+	return metrics.Snapshot{
+		Counters: map[string]uint64{
+			MetricQueryDeltasAdd:     s.m.deltaAdd.Value(),
+			MetricQueryDeltasUpdate:  s.m.deltaUpdate.Value(),
+			MetricQueryDeltasRemove:  s.m.deltaRemove.Value(),
+			MetricQuerySubsDelivered: s.m.subDelivered.Value(),
+			MetricQuerySubsDropped:   s.m.subDropped.Value(),
+		},
+		Gauges: map[string]int64{
+			MetricQueryEpoch:      int64(v.epoch),
+			MetricQueryEntries:    int64(v.total),
+			MetricQueryBuckets:    int64(len(v.rows)),
+			MetricQuerySubsActive: int64(subs),
+		},
 	}
 }

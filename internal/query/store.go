@@ -26,7 +26,6 @@ import (
 type Store struct {
 	cur  atomic.Pointer[View]
 	subs atomic.Pointer[[]*Sub]
-	reg  *metrics.Registry
 	m    storeMetrics
 	// lastDigest is the digest of the most recently published view,
 	// re-verified at the next publish under -tags pwinvariants to prove
@@ -34,14 +33,11 @@ type Store struct {
 	lastDigest uint64
 }
 
-// NewStore returns a store holding the empty epoch-0 view. If reg is nil a
-// private metrics registry is created; either way the query.* series are
-// registered immediately so scrapes see them at zero.
-func NewStore(reg *metrics.Registry) *Store {
-	if reg == nil {
-		reg = metrics.NewRegistry()
-	}
-	s := &Store{reg: reg, m: newStoreMetrics(reg)}
+// NewStore returns a store holding the empty epoch-0 view; its query.*
+// series read zero until the first delta. The argument is unused (see
+// metrics.Registry); pass nil.
+func NewStore(*metrics.Registry) *Store {
+	s := new(Store)
 	v := emptyView()
 	s.cur.Store(v)
 	if invariant.Enabled {
@@ -53,9 +49,6 @@ func NewStore(reg *metrics.Registry) *Store {
 // View returns the current snapshot. It is a single atomic load: wait-free,
 // safe from any goroutine, and the returned view never changes.
 func (s *Store) View() *View { return s.cur.Load() }
-
-// MetricsSnapshot returns a point-in-time copy of the store's metrics.
-func (s *Store) MetricsSnapshot() metrics.Snapshot { return s.reg.Snapshot() }
 
 // Subscribe registers a delta subscription with the given buffer capacity
 // (a non-positive buffer selects the default of 256) and optional filter.
@@ -81,7 +74,6 @@ func (s *Store) Subscribe(buffer int, filter func(Delta) bool) *Sub {
 		}
 	}
 	sub.baseline = s.cur.Load()
-	s.m.subsActive.Add(1)
 	return sub
 }
 
@@ -148,9 +140,6 @@ func (s *Store) publish(nv *View, d Delta) {
 	}
 	d.Epoch = nv.epoch
 	s.cur.Store(nv)
-	s.m.epoch.Set(int64(nv.epoch))
-	s.m.entries.Set(int64(nv.total))
-	s.m.buckets.Set(int64(len(nv.rows)))
 	subs := s.subs.Load()
 	if subs == nil {
 		return

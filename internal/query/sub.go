@@ -112,5 +112,4 @@ func (b *Sub) Close() {
 			break
 		}
 	}
-	s.m.subsActive.Add(-1)
 }

@@ -98,11 +98,9 @@ type Cluster struct {
 	// type, for NetMetrics.
 	bitsByType, droppedByType [wire.MsgTopListResp + 1]uint64
 
-	// netReg carries the harness's own network-layer instruments (the
-	// nodes' registries only see what reaches them); unknownDest counts
-	// sends whose destination address is not in the cluster.
-	netReg      *metrics.Registry
-	unknownDest *metrics.Counter
+	// unknownDest counts sends whose destination address is not in the
+	// cluster (the nodes' instruments only see what reaches them).
+	unknownDest uint64
 
 	// inflight maps the engine sequence number of each pending delivery
 	// event to its record, so a chooser-injected drop (see NoteDropped)
@@ -174,17 +172,14 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		panic(err)
 	}
 	root := xrand.New(cfg.Seed)
-	netReg := metrics.NewRegistry()
 	return &Cluster{
-		cfg:         cfg,
-		Engine:      des.New(),
-		rng:         root.Split(1),
-		netRng:      root.Split(2),
-		Truth:       oracle.NewRegistry(),
-		SentByType:  make(map[wire.MsgType]uint64),
-		netReg:      netReg,
-		unknownDest: netReg.Counter(metrics.MetricNetSendUnknownDest),
-		pool:        new(core.ChunkPool),
+		cfg:        cfg,
+		Engine:     des.New(),
+		rng:        root.Split(1),
+		netRng:     root.Split(2),
+		Truth:      oracle.NewRegistry(),
+		SentByType: make(map[wire.MsgType]uint64),
+		pool:       new(core.ChunkPool),
 	}
 }
 
@@ -192,14 +187,16 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 // per-message-type send, bit and drop counts of the message accounting,
 // unknown-destination sends, and the number of live nodes.
 func (c *Cluster) NetMetrics() metrics.Snapshot {
-	s := c.netReg.Snapshot()
+	s := metrics.Snapshot{
+		Counters: map[string]uint64{metrics.MetricNetSendUnknownDest: c.unknownDest},
+		Gauges:   map[string]int64{metrics.MetricNetHosts: int64(len(c.Alive()))},
+	}
 	for t := wire.MsgEvent; t <= wire.MsgTopListResp; t++ {
 		name := t.String()
 		s.Counters[metrics.MetricNetSendPrefix+name] = c.SentByType[t]
 		s.Counters[metrics.MetricNetSendBitsPrefix+name] = c.bitsByType[t]
 		s.Counters[metrics.MetricNetDropPrefix+name] = c.droppedByType[t]
 	}
-	s.Gauges[metrics.MetricNetHosts] = int64(len(c.Alive()))
 	return s
 }
 
@@ -458,7 +455,7 @@ func (sn *SimNode) Send(msg wire.Message) {
 		// cluster never assigned, or a harness bug. The message vanishes
 		// (the protocol's acks handle it like loss), but the count makes
 		// it visible instead of silently absorbed.
-		c.unknownDest.Inc()
+		c.unknownDest++
 		return
 	}
 	c.deliverAt(c.Engine.Now()+c.latency(sn, dst), key, dst, msg)

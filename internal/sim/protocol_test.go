@@ -23,7 +23,7 @@ func shortLifeWorkload(mean des.Time) workload.Config {
 
 // delivered is the node's count of multicast events accepted first-hand.
 func delivered(sn *SimNode) uint64 {
-	return sn.Node.Metrics().Counter(core.MetricMulticastDelivered).Value()
+	return sn.Node.MetricsSnapshot().Counters[core.MetricMulticastDelivered]
 }
 
 // deliveredBefore snapshots delivered for every live node.
@@ -109,7 +109,7 @@ func TestMulticastOutDegreeConcentratedAtRoot(t *testing.T) {
 	c := smallCluster(t, n, 12)
 	c.Run(time2())
 	forwards := func(sn *SimNode) uint64 {
-		return sn.Node.Metrics().Counter(core.MetricMulticastForwards).Value()
+		return sn.Node.MetricsSnapshot().Counters[core.MetricMulticastForwards]
 	}
 	before := make(map[wire.Addr]uint64)
 	for _, sn := range c.Alive() {

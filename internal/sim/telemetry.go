@@ -134,7 +134,7 @@ func (ct *ClusterTelemetry) flush(sn *SimNode, e *telemetry.Exporter) {
 // FlushAll pushes one final frame from every tracked node — dead ones
 // included (their instruments are frozen at crash state) — so the
 // collector's totals converge to the nodes' final snapshots. Tests call
-// it before comparing collector totals against Metrics() snapshots.
+// it before comparing collector totals against the nodes' MetricsSnapshot.
 func (ct *ClusterTelemetry) FlushAll() {
 	for _, sn := range ct.tracked {
 		ct.flush(sn, ct.exporters[sn.Addr])

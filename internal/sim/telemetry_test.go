@@ -175,7 +175,7 @@ func TestTimeseriesWriteCSVFields(t *testing.T) {
 // TestTelemetryExactTotals is the PR's determinism acceptance test: a
 // seeded run exported through the in-process transport must leave the
 // collector holding exactly — counter for counter, bucket for bucket —
-// what the nodes' own final Metrics() snapshots say.
+// what the nodes' own final MetricsSnapshot says.
 func TestTelemetryExactTotals(t *testing.T) {
 	c := smallCluster(t, 10, 9)
 	ct := c.ExportTelemetry(TelemetryConfig{Interval: 10 * des.Second})

@@ -108,15 +108,10 @@ type Collector struct {
 
 	spans *trace.SpanBuffer
 
-	reg            *metrics.Registry
-	framesReceived *metrics.Counter
-	framesBad      *metrics.Counter
-	framesLate     *metrics.Counter
-	framesMissing  *metrics.Counter
-	spansReceived  *metrics.Counter
-	regressions    *metrics.Counter
-	bytesReceived  *metrics.Counter
-	nodesGauge     *metrics.Gauge
+	// The collector's own counters (SelfMetrics); its telemetry.nodes
+	// gauge is len(nodes).
+	framesReceived, framesBad, framesLate, framesMissing metrics.Counter
+	spansReceived, regressions, bytesReceived            metrics.Counter
 }
 
 // NewCollector builds a collector.
@@ -133,20 +128,7 @@ func NewCollector(cfg CollectorConfig) *Collector {
 	if cfg.BeaconInterval <= 0 {
 		cfg.BeaconInterval = 2 * des.Second
 	}
-	reg := metrics.NewRegistry()
-	c := &Collector{
-		cfg:            cfg,
-		nodes:          make(map[wire.Addr]*nodeState),
-		reg:            reg,
-		framesReceived: reg.Counter(MetricTelemetryFramesReceived),
-		framesBad:      reg.Counter(MetricTelemetryFramesBad),
-		framesLate:     reg.Counter(MetricTelemetryFramesLate),
-		framesMissing:  reg.Counter(MetricTelemetryFramesMissing),
-		spansReceived:  reg.Counter(MetricTelemetrySpansReceived),
-		regressions:    reg.Counter(MetricTelemetryRegressions),
-		bytesReceived:  reg.Counter(MetricTelemetryBytesReceived),
-		nodesGauge:     reg.Gauge(MetricTelemetryNodes),
-	}
+	c := &Collector{cfg: cfg, nodes: make(map[wire.Addr]*nodeState)}
 	if cfg.SpanCapacity > 0 {
 		c.spans = trace.NewSpanBuffer(cfg.SpanCapacity)
 	}
@@ -192,7 +174,6 @@ func (c *Collector) IngestFrame(f *Frame) {
 			ring: make([]Sample, c.cfg.RingCapacity),
 		}
 		c.nodes[f.Node] = ns
-		c.nodesGauge.Set(int64(len(c.nodes)))
 	}
 
 	inOrder := true
@@ -383,7 +364,23 @@ func (c *Collector) Aggregate() metrics.Snapshot {
 }
 
 // SelfMetrics snapshots the collector's own instruments.
-func (c *Collector) SelfMetrics() metrics.Snapshot { return c.reg.Snapshot() }
+func (c *Collector) SelfMetrics() metrics.Snapshot {
+	c.mu.Lock()
+	nodes := len(c.nodes)
+	c.mu.Unlock()
+	return metrics.Snapshot{
+		Counters: map[string]uint64{
+			MetricTelemetryFramesReceived: c.framesReceived.Value(),
+			MetricTelemetryFramesBad:      c.framesBad.Value(),
+			MetricTelemetryFramesLate:     c.framesLate.Value(),
+			MetricTelemetryFramesMissing:  c.framesMissing.Value(),
+			MetricTelemetrySpansReceived:  c.spansReceived.Value(),
+			MetricTelemetryRegressions:    c.regressions.Value(),
+			MetricTelemetryBytesReceived:  c.bytesReceived.Value(),
+		},
+		Gauges: map[string]int64{MetricTelemetryNodes: int64(nodes)},
+	}
+}
 
 // Health computes the current health document.
 func (c *Collector) Health() HealthDoc {
@@ -427,7 +424,7 @@ func (c *Collector) Handler() http.Handler {
 
 func (c *Collector) serveMetrics(w http.ResponseWriter, r *http.Request) {
 	snap := c.Aggregate()
-	snap.Merge(c.reg.Snapshot())
+	snap.Merge(c.SelfMetrics())
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	snap.WritePrometheus(w)
 }

@@ -35,25 +35,31 @@ func TestCollectorAccumulatesDeltas(t *testing.T) {
 	c := newTestCollector(clk)
 	e := exporterTo(c, 1, "n1")
 
-	reg := metrics.NewRegistry()
-	ctr := reg.Counter("probe.sent")
-	h := reg.Histogram("probe.detect_latency_seconds", []float64{1, 10})
+	var ctr metrics.Counter
+	var h metrics.Hist
+	h.Init([]float64{1, 10})
+	snap := func() metrics.Snapshot {
+		return metrics.Snapshot{
+			Counters:   map[string]uint64{"probe.sent": ctr.Value()},
+			Histograms: map[string]metrics.HistSnapshot{"probe.detect_latency_seconds": h.Snapshot()},
+		}
+	}
 
 	ctr.Add(3)
 	h.Observe(0.5)
 	clk.now = 1 * des.Second
-	e.Flush(clk.now, reg.Snapshot(), Beacon{Level: 1, Window: 4})
+	e.Flush(clk.now, snap(), Beacon{Level: 1, Window: 4})
 
 	ctr.Add(4)
 	h.Observe(20)
 	clk.now = 2 * des.Second
-	e.Flush(clk.now, reg.Snapshot(), Beacon{Level: 2, Window: 8})
+	e.Flush(clk.now, snap(), Beacon{Level: 2, Window: 8})
 
 	got, ok := c.NodeTotals(1)
 	if !ok {
 		t.Fatalf("node unknown")
 	}
-	want := reg.Snapshot()
+	want := snap()
 	if got.Counters["probe.sent"] != want.Counters["probe.sent"] {
 		t.Fatalf("counter total %d, want %d", got.Counters["probe.sent"], want.Counters["probe.sent"])
 	}
@@ -92,12 +98,11 @@ func TestCollectorSeqGapAccounting(t *testing.T) {
 	})
 	e := NewExporter(ExporterConfig{Node: 9, Name: "n9"}, sink)
 
-	reg := metrics.NewRegistry()
-	ctr := reg.Counter("a")
+	var ctr metrics.Counter
 	for i := 1; i <= 6; i++ {
 		ctr.Add(uint64(i))
 		clk.now = des.Time(i) * des.Second
-		e.Flush(clk.now, reg.Snapshot(), Beacon{})
+		e.Flush(clk.now, metrics.Snapshot{Counters: map[string]uint64{"a": ctr.Value()}}, Beacon{})
 	}
 
 	_, missing, _, _, ok := c.NodeStats(9)
@@ -210,11 +215,11 @@ func TestCollectorHTTPEndpoints(t *testing.T) {
 	clk := &testClock{}
 	c := newTestCollector(clk)
 	e := exporterTo(c, 7, "n7")
-	reg := metrics.NewRegistry()
-	reg.Counter("probe.sent").Add(11)
-	reg.Gauge("window.size").Set(6)
 	clk.now = 1 * des.Second
-	e.Flush(clk.now, reg.Snapshot(), Beacon{Name: "n7", Level: 1, Window: 6})
+	e.Flush(clk.now, metrics.Snapshot{
+		Counters: map[string]uint64{"probe.sent": 11},
+		Gauges:   map[string]int64{"window.size": 6},
+	}, Beacon{Name: "n7", Level: 1, Window: 6})
 
 	h := c.Handler()
 
@@ -265,15 +270,16 @@ func TestCollectorTimeseriesCSVFields(t *testing.T) {
 	clk := &testClock{}
 	c := newTestCollector(clk)
 	e := exporterTo(c, 7, "n7")
-	reg := metrics.NewRegistry()
-	rounds := reg.Counter("probe.rounds")
-	reg.Gauge("peer.window_size").Set(30)
-	lat := reg.Histogram("probe.detect_latency_seconds", []float64{1, 10, 60})
+	var lat metrics.Hist
+	lat.Init([]float64{1, 10, 60})
 	for i := 1; i <= 2; i++ {
-		rounds.Add(5)
 		lat.Observe(float64(4 * i))
 		clk.now = des.Time(i) * des.Second
-		e.Flush(clk.now, reg.Snapshot(), Beacon{Name: "n7", Level: 1, Window: 30})
+		e.Flush(clk.now, metrics.Snapshot{
+			Counters:   map[string]uint64{"probe.rounds": uint64(5 * i)},
+			Gauges:     map[string]int64{"peer.window_size": 30},
+			Histograms: map[string]metrics.HistSnapshot{"probe.detect_latency_seconds": lat.Snapshot()},
+		}, Beacon{Name: "n7", Level: 1, Window: 30})
 	}
 
 	rec := httptest.NewRecorder()

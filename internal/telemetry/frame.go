@@ -28,7 +28,6 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
 	"peerwindow/internal/des"
 	"peerwindow/internal/metrics"
@@ -36,34 +35,6 @@ import (
 	"peerwindow/internal/trace"
 	"peerwindow/internal/wire"
 )
-
-// sortedKeysU/I/H order map keys so frame encoding is deterministic.
-func sortedKeysU(m map[string]uint64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeysI(m map[string]int64) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
-
-func sortedKeysH(m map[string]metrics.HistSnapshot) []string {
-	out := make([]string, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return out
-}
 
 // frameMagic opens every telemetry datagram: "PWT" plus a format
 // version byte. Unrecognized magic is counted and dropped by the
@@ -186,17 +157,17 @@ func (f *Frame) Marshal() []byte {
 	}
 	if hasMetrics {
 		b = appendUvarint(b, uint64(len(f.Delta.Counters)))
-		for _, name := range sortedKeysU(f.Delta.Counters) {
+		for _, name := range metrics.SortedNames(f.Delta.Counters) {
 			b = appendString(b, name)
 			b = appendUvarint(b, f.Delta.Counters[name])
 		}
 		b = appendUvarint(b, uint64(len(f.Delta.Gauges)))
-		for _, name := range sortedKeysI(f.Delta.Gauges) {
+		for _, name := range metrics.SortedNames(f.Delta.Gauges) {
 			b = appendString(b, name)
 			b = appendVarint(b, f.Delta.Gauges[name])
 		}
 		b = appendUvarint(b, uint64(len(f.Delta.Histograms)))
-		for _, name := range sortedKeysH(f.Delta.Histograms) {
+		for _, name := range metrics.SortedNames(f.Delta.Histograms) {
 			h := f.Delta.Histograms[name]
 			b = appendString(b, name)
 			b = appendUvarint(b, uint64(len(h.Bounds)))

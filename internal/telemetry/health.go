@@ -13,6 +13,7 @@ import (
 	"strings"
 
 	"peerwindow/internal/des"
+	"peerwindow/internal/metrics"
 )
 
 // The detector thresholds. Ages and windows are fixed multiples of the
@@ -194,13 +195,8 @@ func summarize(nodes []NodeHealth) []string {
 			byAlert[a] = append(byAlert[a], name)
 		}
 	}
-	kinds := make([]string, 0, len(byAlert))
-	for k := range byAlert {
-		kinds = append(kinds, k)
-	}
-	sort.Strings(kinds)
-	out := make([]string, 0, len(kinds))
-	for _, k := range kinds {
+	out := make([]string, 0, len(byAlert))
+	for _, k := range metrics.SortedNames(byAlert) {
 		sort.Strings(byAlert[k])
 		out = append(out, k+": "+strings.Join(byAlert[k], ", "))
 	}

@@ -75,13 +75,13 @@ type link struct {
 	// which the host calls with its lock held, touches it.
 	sendBuf []byte
 
-	// reg holds the socket-level instruments.
-	reg                  *metrics.Registry
-	send, recv           [wire.MsgTopListResp + 1]*metrics.Counter
-	sendBytes, recvBytes *metrics.Counter
-	garbage, bulkReject  *metrics.Counter
-	sendErrors           *metrics.Counter
-	bulkSends            *metrics.Gauge
+	// The socket-level instruments (Metrics). bulkSends counts completed
+	// sidecar transfers, exposed as the net.bulk_sends gauge.
+	send, recv           [wire.MsgTopListResp + 1]metrics.Counter
+	sendBytes, recvBytes metrics.Counter
+	garbage, bulkReject  metrics.Counter
+	sendErrors           metrics.Counter
+	bulkSends            metrics.Counter
 }
 
 // Listen binds a UDP socket (addr like "127.0.0.1:0") with its TCP
@@ -118,29 +118,17 @@ func Listen(addr, name string, budget float64, cfg core.Config) (*transport.Host
 	return l.host, nil
 }
 
-// newLink wraps the bound sockets with the link's instruments registered;
-// Listen attaches the host and starts the goroutines.
+// newLink wraps the bound sockets; Listen attaches the host and starts
+// the goroutines.
 func newLink(conn *net.UDPConn, tcp *net.TCPListener) *link {
-	reg := metrics.NewRegistry()
 	l := &link{
-		conn:       conn,
-		tcp:        tcp,
-		start:      time.Now(),
-		inbound:    make(chan struct{}, maxBulkConns),
-		outbound:   make(chan struct{}, maxBulkConns),
-		reg:        reg,
-		sendBytes:  reg.Counter(metrics.MetricNetSendBytes),
-		recvBytes:  reg.Counter(metrics.MetricNetRecvBytes),
-		garbage:    reg.Counter(metrics.MetricNetGarbage),
-		bulkReject: reg.Counter(metrics.MetricNetBulkRejected),
-		sendErrors: reg.Counter(metrics.MetricNetSendErrors),
-		bulkSends:  reg.Gauge(metrics.MetricNetBulkSends),
+		conn:     conn,
+		tcp:      tcp,
+		start:    time.Now(),
+		inbound:  make(chan struct{}, maxBulkConns),
+		outbound: make(chan struct{}, maxBulkConns),
 	}
 	l.ctx, l.cancel = context.WithCancel(context.Background())
-	for t := wire.MsgEvent; t <= wire.MsgTopListResp; t++ {
-		l.send[t] = reg.Counter(metrics.MetricNetSendPrefix + t.String())
-		l.recv[t] = reg.Counter(metrics.MetricNetRecvPrefix + t.String())
-	}
 	return l
 }
 
@@ -148,7 +136,23 @@ func newLink(conn *net.UDPConn, tcp *net.TCPListener) *link {
 func (l *link) Now() des.Time { return des.Time(time.Since(l.start)) }
 
 // Metrics implements transport.Link.
-func (l *link) Metrics() metrics.Snapshot { return l.reg.Snapshot() }
+func (l *link) Metrics() metrics.Snapshot {
+	s := metrics.Snapshot{
+		Counters: map[string]uint64{
+			metrics.MetricNetSendBytes:    l.sendBytes.Value(),
+			metrics.MetricNetRecvBytes:    l.recvBytes.Value(),
+			metrics.MetricNetGarbage:      l.garbage.Value(),
+			metrics.MetricNetBulkRejected: l.bulkReject.Value(),
+			metrics.MetricNetSendErrors:   l.sendErrors.Value(),
+		},
+		Gauges: map[string]int64{metrics.MetricNetBulkSends: int64(l.bulkSends.Value())},
+	}
+	for t := wire.MsgEvent; t <= wire.MsgTopListResp; t++ {
+		s.Counters[metrics.MetricNetSendPrefix+t.String()] = l.send[t].Value()
+		s.Counters[metrics.MetricNetRecvPrefix+t.String()] = l.recv[t].Value()
+	}
+	return s
+}
 
 // Close implements transport.Link. The host calls it after its node has
 // stopped, so no Send races the wait.
@@ -170,7 +174,7 @@ func (l *link) read() {
 		if err != nil {
 			return // socket closed
 		}
-		l.receive(buf[:nr], l.garbage)
+		l.receive(buf[:nr], &l.garbage)
 	}
 }
 
@@ -230,7 +234,7 @@ func (l *link) recvBulk(c net.Conn) {
 		l.bulkReject.Inc()
 		return
 	}
-	l.receive(buf, l.bulkReject)
+	l.receive(buf, &l.bulkReject)
 }
 
 // Send implements transport.Link: one datagram per message. Pointer
