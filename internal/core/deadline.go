@@ -9,9 +9,10 @@ import (
 
 // A node's timers are of two shapes: a timerSlot for a timer the node
 // holds at most one of at a time, and a deadlineQueue for work of which
-// many may wait at once. Both bind their callbacks once, in NewNode, so
-// arming one allocates nothing, and a slot forgets its handle the moment
-// the timer fires, so a node never cancels a spent handle (see Timer).
+// many may wait at once. Their callbacks are method expressions on Node,
+// and each binds one closure, in NewNode, so arming one allocates
+// nothing; a slot forgets its handle the moment the timer fires, so a
+// node never cancels a spent handle (see Timer).
 
 // timerSlot is a timer armed at most once at a time: h is the pending
 // handle, nil when idle, and fire the callback bound by init.
@@ -21,12 +22,13 @@ type timerSlot struct {
 	fire func()
 }
 
-// init binds the slot to its node's Env and callback.
-func (s *timerSlot) init(env Env, fn func()) {
-	s.env = env
+// init binds the slot to node n and its callback fn, a method expression
+// such as (*Node).probeRound.
+func (s *timerSlot) init(n *Node, fn func(*Node)) {
+	s.env = n.env
 	s.fire = func() {
 		s.h = nil // spent: forget it before fn, which may re-arm the slot
-		fn()
+		fn(n)
 	}
 }
 
@@ -81,10 +83,12 @@ type deadlineQueue[T any] struct {
 	// set while the tick runs, so the pushes it makes arm nothing.
 	timer   timerSlot
 	ticking bool
-	// run does a due live entry's work; live, when set, reports whether an
-	// entry still has work to do (nil: every entry does).
-	run  func(T)
-	live func(T) bool
+	// run does a due live entry's work on node; live, when set, reports
+	// whether an entry still has work to do (nil: every entry does). Both
+	// are method expressions on Node.
+	node *Node
+	run  func(*Node, T)
+	live func(*Node, T) bool
 }
 
 // deadlined is one queued entry: v falls due at at.
@@ -105,12 +109,12 @@ type segment[T any] struct {
 // Link implements freelist.Linked.
 func (s *segment[T]) Link() **segment[T] { return &s.next }
 
-// init binds the queue to its node's Env, the pool its segments come
-// from and its work.
-func (q *deadlineQueue[T]) init(env Env, pool *freelist.List[segment[T], *segment[T]], run func(T), live func(T) bool) {
-	q.pool = pool
+// init binds the queue to node n, the pool its segments come from and
+// its work; the tick is the one closure it makes.
+func (q *deadlineQueue[T]) init(n *Node, pool *freelist.List[segment[T], *segment[T]], run func(*Node, T), live func(*Node, T) bool) {
+	q.node, q.pool = n, pool
 	q.run, q.live = run, live
-	q.timer.init(env, q.fire)
+	q.timer = timerSlot{env: n.env, fire: q.fire}
 }
 
 // len returns the number of queued entries, dead ones included.
@@ -181,7 +185,7 @@ func (q *deadlineQueue[T]) pop() T {
 
 // dropDead pops the dead entries off the head.
 func (q *deadlineQueue[T]) dropDead() {
-	for q.live != nil && q.n > 0 && !q.live(q.front().v) {
+	for q.live != nil && q.n > 0 && !q.live(q.node, q.front().v) {
 		q.pop()
 	}
 }
@@ -189,11 +193,12 @@ func (q *deadlineQueue[T]) dropDead() {
 // fire is the tick: run every due entry in queue order, then re-arm for
 // what is left.
 func (q *deadlineQueue[T]) fire() {
+	q.timer.h = nil // spent
 	q.ticking = true
 	now := q.timer.env.Now()
 	for q.n > 0 && q.front().at <= now {
-		if v := q.pop(); q.live == nil || q.live(v) {
-			q.run(v)
+		if v := q.pop(); q.live == nil || q.live(q.node, v) {
+			q.run(q.node, v)
 		}
 	}
 	q.ticking = false
@@ -238,7 +243,7 @@ func (q *deadlineQueue[T]) check() error {
 		if err == nil && i > 0 && e.at < prev {
 			err = fmt.Errorf("deadline queue out of order at entry %d: %v after %v", i, e.at, prev)
 		}
-		live = live || q.live == nil || q.live(e.v)
+		live = live || q.live == nil || q.live(q.node, e.v)
 		prev = e.at
 		i++
 	})

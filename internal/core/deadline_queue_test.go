@@ -66,7 +66,7 @@ func runDeadlineQueueOps(t *testing.T, ops []byte, maxOps int) {
 	env := newFakeEnv(1)
 	var pool freelist.List[segment[uint64], *segment[uint64]]
 	dead := map[uint64]bool{}
-	live := func(v uint64) bool { return !dead[v] }
+	live := func(_ *Node, v uint64) bool { return !dead[v] }
 	var issued uint64
 	fresh := func(q int, follow bool) uint64 {
 		issued++
@@ -80,9 +80,10 @@ func runDeadlineQueueOps(t *testing.T, ops []byte, maxOps int) {
 	var qs [2]deadlineQueue[uint64]
 	var logs [2][]deadlined[uint64]
 	models := [2]*queueModel{{delay: 3 * des.Second}, {delay: 5 * des.Second}}
+	node := &Node{env: env}
 	for i := range qs {
 		q := &qs[i]
-		q.init(env, &pool, func(v uint64) {
+		q.init(node, &pool, func(_ *Node, v uint64) {
 			logs[i] = append(logs[i], deadlined[uint64]{at: env.Now(), v: v})
 			if v&followUp != 0 {
 				q.push(models[i].delay, child(v))

@@ -12,6 +12,7 @@ package core
 
 import (
 	"encoding/binary"
+	"slices"
 	"sort"
 
 	"peerwindow/internal/nodeid"
@@ -109,26 +110,28 @@ func (n *Node) AppendDigest(b []byte) []byte {
 	}
 
 	// Dedup state: the subjects with a sequence, then the dead ones.
-	ids := make([]nodeid.ID, 0, len(n.dedup))
+	recs := make([]dedupSlot, 0, n.dedup.n)
 	dead := 0
-	for id, d := range n.dedup {
-		ids = append(ids, id)
-		if d.dead {
-			dead++
+	for _, s := range n.dedup.slots {
+		if s.r != (dedupRec{}) {
+			recs = append(recs, s)
+			if s.r.dead {
+				dead++
+			}
 		}
 	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i].Less(ids[j]) })
-	b = appendU64(b, uint64(n.sequenced))
-	for _, id := range ids {
-		if seq := n.dedup[id].seq; seq != 0 {
-			b = appendID(b, id)
-			b = appendU64(b, seq)
+	slices.SortFunc(recs, func(a, b dedupSlot) int { return a.id.Compare(b.id) })
+	b = appendU64(b, uint64(n.dedup.sequenced))
+	for _, s := range recs {
+		if s.r.seq != 0 {
+			b = appendID(b, s.id)
+			b = appendU64(b, s.r.seq)
 		}
 	}
 	b = appendU64(b, uint64(dead))
-	for _, id := range ids {
-		if n.dedup[id].dead {
-			b = appendID(b, id)
+	for _, s := range recs {
+		if s.r.dead {
+			b = appendID(b, s.id)
 		}
 	}
 

@@ -248,7 +248,9 @@ func (p *ChunkPool) CheckInvariants(lists []*PeerList) error {
 //     the head, and a queue holding a live entry has its timer armed
 //     outside the tick;
 //   - each pending send has exactly one entry in the ack queue, due no
-//     later than now + AckTimeout.
+//     later than now + AckTimeout;
+//   - the dedup table keeps its rules (dedupTable.check): its counts
+//     match its slots, and every record is reached by its own probe.
 func (n *Node) CheckInvariants() error {
 	if err := n.peers.CheckInvariants(); err != nil {
 		return err
@@ -301,6 +303,9 @@ func (n *Node) CheckInvariants() error {
 		if _, ok := n.peers.Successor(n.self.ID, nil); !ok {
 			return fmt.Errorf("ring successor undefined with %d peers held", n.peers.Len())
 		}
+	}
+	if err := n.dedup.check(); err != nil {
+		return fmt.Errorf("dedup table: %w", err)
 	}
 	return n.checkQueues()
 }

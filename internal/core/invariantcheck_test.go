@@ -362,6 +362,41 @@ func TestNodeInvariantsCatchCorruption(t *testing.T) {
 			},
 			"twice",
 		},
+		"dedup count drift": {
+			func(n *Node) {
+				n.dedup.put(ptrAt("1100", 0, 9).ID, dedupRec{seq: 3})
+				n.dedup.n++
+			},
+			"dedup table counts 2 records",
+		},
+		"dedup sequenced drift": {
+			func(n *Node) {
+				n.dedup.put(ptrAt("1100", 0, 9).ID, dedupRec{dead: true})
+				n.dedup.sequenced++
+			},
+			"1 sequenced",
+		},
+		"dedup record past an empty slot": {
+			func(n *Node) {
+				id := ptrAt("1100", 0, 9).ID
+				n.dedup.put(id, dedupRec{seq: 3})
+				i, _ := n.dedup.index(id)
+				n.dedup.slots[(i+1)%len(n.dedup.slots)] = n.dedup.slots[i]
+				n.dedup.slots[i] = dedupSlot{}
+			},
+			"past the empty slot",
+		},
+		"dedup ID held twice": {
+			func(n *Node) {
+				id := ptrAt("1100", 0, 9).ID
+				n.dedup.put(id, dedupRec{seq: 3})
+				i, _ := n.dedup.index(id)
+				n.dedup.slots[(i+1)%len(n.dedup.slots)] = n.dedup.slots[i]
+				n.dedup.n++
+				n.dedup.sequenced++
+			},
+			"dedup table holds",
+		},
 	}
 	for name, tc := range cases {
 		t.Run(name, func(t *testing.T) {

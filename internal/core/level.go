@@ -4,7 +4,6 @@ import (
 	"errors"
 	"math"
 
-	"peerwindow/internal/des"
 	"peerwindow/internal/nodeid"
 	"peerwindow/internal/trace"
 	"peerwindow/internal/wire"
@@ -234,23 +233,25 @@ func (n *Node) reconcileFrom(donor wire.Pointer, onFail func()) {
 			if n.stopped {
 				return
 			}
-			inResp := make(map[nodeid.ID]bool, len(resp.Pointers))
-			for _, p := range resp.Pointers {
-				if p.ID != n.self.ID {
-					inResp[p.ID] = true
-				}
-			}
-			n.applyPointers(resp.Pointers)
+			batch := n.applyPointers(resp.Pointers)
 			// Entries the donor lacks and that we have not seen since our
 			// own join completed are stale copies from the join snapshot.
 			// Pointers refreshed by a live event after joinedAt are kept
 			// even when the donor lacks them: the donor's own join window
 			// may still be open, and dropping a live member on its word
-			// would trade our error for a copy of its.
+			// would trade our error for a copy of its. Every held ID is
+			// inside our eigenstring and not our own, so the donor has it
+			// exactly when the batch does; both run in ID order, so one
+			// merge walk finds it.
 			var drop []nodeid.ID
-			n.peers.ForEach(func(p wire.Pointer, _, lastSeen des.Time) {
-				if !inResp[p.ID] && lastSeen <= n.joinedAt && p.ID != donor.ID {
-					drop = append(drop, p.ID)
+			i := 0
+			n.peers.walk(0, n.peers.Len(), func(e *entry, s *stamp) {
+				for i < len(batch) && batch[i].ID.Less(e.id) {
+					i++
+				}
+				inResp := i < len(batch) && batch[i].ID == e.id
+				if !inResp && s.lastSeen <= n.joinedAt && e.id != donor.ID {
+					drop = append(drop, e.id)
 				}
 			})
 			for _, id := range drop {

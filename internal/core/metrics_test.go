@@ -17,16 +17,17 @@ import (
 // pin the table to the Metric* constants and the snapshot to the names
 // and shapes readers, the /metrics text and telemetry frames rely on.
 
-// TestNewNodeAllocations: a node's instruments, meters and, on a pooled
-// Env, its storage cost NewNode no allocation of their own.
+// TestNewNodeAllocations: a node's instruments, meters, dedup table and,
+// on a pooled Env, its storage cost NewNode no allocation of their own,
+// and each timer binds one closure.
 func TestNewNodeAllocations(t *testing.T) {
 	cfg := quietConfig()
 	env := &countingEnv{rng: xrand.New(1)}
 	var pooled Env = pooledEnv{env, new(ChunkPool)}
 	own := testing.AllocsPerRun(100, func() { NewNode(cfg, env, Observer{}, ptrAt("0000", 0, 1)) })
 	shared := testing.AllocsPerRun(100, func() { NewNode(cfg, pooled, Observer{}, ptrAt("0000", 0, 1)) })
-	if own > 30 || shared > 30 {
-		t.Fatalf("NewNode makes %v allocations with its own pool, %v with a shared one; want at most 30", own, shared)
+	if own > 12 || shared > 12 {
+		t.Fatalf("NewNode makes %v allocations with its own pool, %v with a shared one; want at most 12", own, shared)
 	}
 	if shared >= own {
 		t.Fatalf("NewNode makes %v allocations with a shared pool, %v with its own: it builds a pool it drops", shared, own)

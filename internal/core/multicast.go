@@ -147,7 +147,7 @@ func (n *Node) stepFailed(p *pendingSend) {
 // §4.2's evidence combined — six consecutive losses are needed for a
 // false positive).
 func (n *Node) verifyFailure(target wire.Pointer) {
-	if n.dedup[target.ID].dead {
+	if n.dedup.get(target.ID).dead {
 		return
 	}
 	hb := wire.Message{Type: wire.MsgHeartbeat, To: target.Addr}
@@ -160,7 +160,7 @@ func (n *Node) verifyFailure(target wire.Pointer) {
 func (n *Node) verifyAnswered(target wire.Pointer) {
 	n.m.failFalseAlarms.Inc()
 	n.moment(trace.SpanFalseAlarm, target.Addr, 0)
-	if !n.stopped && !n.dedup[target.ID].dead && n.eigen.Contains(target.ID) {
+	if !n.stopped && !n.dedup.get(target.ID).dead && n.eigen.Contains(target.ID) {
 		n.upsertPeer(target)
 	}
 }

@@ -30,11 +30,9 @@ type Node struct {
 	crossTop []crossPart
 
 	// seq numbers this node's own announcements; dedup holds one record
-	// per subject (see dedupRec), and sequenced counts the records whose
-	// seq is set.
-	seq       uint64
-	dedup     map[nodeid.ID]dedupRec
-	sequenced int
+	// per subject (see dedupRec).
+	seq   uint64
+	dedup dedupTable
 
 	// pending holds the reliable sends awaiting acks; pool is where their
 	// records and the ring's slot arrays come from and return to, so the
@@ -135,7 +133,6 @@ func NewNode(cfg Config, env Env, _ Observer, self wire.Pointer) *Node {
 		cfg:        cfg,
 		env:        env,
 		self:       self,
-		dedup:      make(map[nodeid.ID]dedupRec),
 		inMeter:    metrics.NewMeter(cfg.MeterWindow),
 		outMeter:   metrics.NewMeter(cfg.MeterWindow),
 		warmTarget: -1,
@@ -148,15 +145,15 @@ func NewNode(cfg Config, env Env, _ Observer, self wire.Pointer) *Node {
 		pool = &ChunkPool{oneNode: true}
 	}
 	n.peers.pool, n.pool = pool, pool
-	n.acks.init(env, &pool.ackSegs, n.onAckTimeout, n.awaited)
-	n.hops.init(env, &pool.hopSegs, n.forwardDue, nil)
-	n.defends.init(env, &pool.defendSegs, n.defendSelf, nil)
-	n.probeWaits.init(env, &pool.waitSegs, n.onProbeTimeout, probeWait.awaited)
-	n.probeTimer.init(env, n.probeRound)
-	n.shiftTimer.init(env, n.onShiftCheck)
-	n.refreshTimer.init(env, n.onRefreshTick)
-	n.warmUpTimer.init(env, n.warmUpStep)
-	n.reconcileTimer.init(env, n.reconcile)
+	n.acks.init(n, &pool.ackSegs, (*Node).onAckTimeout, (*Node).awaited)
+	n.hops.init(n, &pool.hopSegs, (*Node).forwardDue, nil)
+	n.defends.init(n, &pool.defendSegs, (*Node).defendSelf, nil)
+	n.probeWaits.init(n, &pool.waitSegs, (*Node).onProbeTimeout, (*Node).probeAwaited)
+	n.probeTimer.init(n, (*Node).probeRound)
+	n.shiftTimer.init(n, (*Node).onShiftCheck)
+	n.refreshTimer.init(n, (*Node).onRefreshTick)
+	n.warmUpTimer.init(n, (*Node).warmUpStep)
+	n.reconcileTimer.init(n, (*Node).reconcile)
 	n.setLevel(0)
 	return n
 }
@@ -382,6 +379,8 @@ func (n *Node) Stop() {
 		n.pool.putRing(n.pending.slots)
 	}
 	n.pending = pendingRing{}
+	// Nothing reads the dedup records of a stopped node either.
+	n.dedup = dedupTable{}
 }
 
 // Stopped reports whether the node has been stopped.
@@ -583,11 +582,11 @@ func dropID(ps []wire.Pointer, id nodeid.ID) []wire.Pointer {
 // into the peer list through the bulk-merge path: filter (never hold our
 // own pointer or one outside our responsibility region), sort, and
 // MergeSorted, which builds an empty list in one pass and otherwise
-// updates or inserts entry by entry. It returns the number of pointers
-// added.
-func (n *Node) applyPointers(ps []wire.Pointer) int {
+// updates or inserts entry by entry. It returns the filtered batch,
+// sorted by ID.
+func (n *Node) applyPointers(ps []wire.Pointer) []wire.Pointer {
 	if len(ps) == 0 {
-		return 0
+		return nil
 	}
 	batch := make([]wire.Pointer, 0, len(ps))
 	for _, p := range ps {
@@ -596,7 +595,7 @@ func (n *Node) applyPointers(ps []wire.Pointer) int {
 		}
 	}
 	if len(batch) == 0 {
-		return 0
+		return nil
 	}
 	// Stable sort so a (malformed) batch repeating an ID keeps its last
 	// occurrence winning, as repeated Upsert would, which is what
@@ -607,9 +606,8 @@ func (n *Node) applyPointers(ps []wire.Pointer) int {
 	if n.deltas != nil {
 		onNew, onUpdate = n.deltas.PeerAdded, n.deltas.PeerUpdated
 	}
-	added := n.peers.MergeSorted(batch, n.env.Now(), onNew, onUpdate)
-	n.m.peersAdded.Add(uint64(added))
-	return added
+	n.m.peersAdded.Add(uint64(n.peers.MergeSorted(batch, n.env.Now(), onNew, onUpdate)))
+	return batch
 }
 
 // defendSelf re-announces the node AckTimeout after it heard its own
@@ -620,36 +618,16 @@ func (n *Node) defendSelf(struct{}) {
 	}
 }
 
-// dedupRec is the event-dedup state of one subject. seq is the newest
-// announcement sequence applied (0: none yet). dead says the subject's
-// leave was already applied or reported, so that tripping over its
-// residue (a failed multicast target, a probe timeout) does not spawn a
-// fresh leave announcement — without it every encounter would invent a
-// higher sequence number and re-trigger a full multicast.
-type dedupRec struct {
-	seq  uint64
-	dead bool
-}
-
-// putDedup stores r for id over its previous record old, counting the
-// records that gain a sequence.
-func (n *Node) putDedup(id nodeid.ID, old, r dedupRec) {
-	if old.seq == 0 && r.seq != 0 {
-		n.sequenced++
-	}
-	n.dedup[id] = r
-}
-
 // markDead records that id's leave is being reported and returns the
 // sequence number the report carries — one past the newest applied —
 // or false when the leave was already applied or reported.
 func (n *Node) markDead(id nodeid.ID) (uint64, bool) {
-	d := n.dedup[id]
+	d := n.dedup.get(id)
 	if d.dead {
 		return 0, false
 	}
 	d.dead = true
-	n.dedup[id] = d
+	n.dedup.put(id, d)
 	return d.seq + 1, true
 }
 
@@ -661,19 +639,13 @@ func (n *Node) markDead(id nodeid.ID) (uint64, bool) {
 // duplicate multicast hop; the cost of never pruning is unbounded memory
 // on a long-lived node.
 func (n *Node) pruneDedup() {
-	limit := 4*n.peers.Len() + 1024
-	if n.sequenced <= limit {
+	if n.dedup.sequenced <= 4*n.peers.Len()+1024 {
 		return
 	}
-	for id, d := range n.dedup {
-		if d.seq == 0 {
-			continue
-		}
-		if _, held := n.peers.Lookup(id); !held {
-			delete(n.dedup, id)
-			n.sequenced--
-		}
-	}
+	n.dedup.rebuild(len(n.dedup.slots), func(id nodeid.ID, d dedupRec) bool {
+		_, held := n.peers.Lookup(id)
+		return d.seq == 0 || held
+	})
 }
 
 // applyEvent folds a state-changing event into the peer list. The return
@@ -688,7 +660,7 @@ func (n *Node) pruneDedup() {
 // list, falling back to sequence comparison only for repeats.
 func (n *Node) applyEvent(ev wire.Event) bool {
 	subj := ev.Subject
-	d := n.dedup[subj.ID]
+	d := n.dedup.get(subj.ID)
 	if subj.ID == n.self.ID {
 		// Our own announcement travelling the tree: we are an audience
 		// member like any other and must forward it, but there is
@@ -696,7 +668,7 @@ func (n *Node) applyEvent(ev wire.Event) bool {
 		if ev.Seq <= d.seq {
 			return false
 		}
-		n.putDedup(subj.ID, d, dedupRec{seq: ev.Seq, dead: d.dead})
+		n.dedup.put(subj.ID, dedupRec{seq: ev.Seq, dead: d.dead})
 		// Self-defense: if the system believes we left (a false failure
 		// detection slipped past the probe retries), re-announce
 		// ourselves so every window restores our pointer.
@@ -709,7 +681,7 @@ func (n *Node) applyEvent(ev wire.Event) bool {
 	case wire.EventLeave:
 		r := dedupRec{seq: max(d.seq, ev.Seq), dead: true}
 		if r != d {
-			n.putDedup(subj.ID, d, r)
+			n.dedup.put(subj.ID, r)
 		}
 		e, removed := n.removePeer(subj.ID, RemoveLeave)
 		if removed {
@@ -720,7 +692,7 @@ func (n *Node) applyEvent(ev wire.Event) bool {
 		if ev.Seq <= d.seq {
 			return false
 		}
-		n.putDedup(subj.ID, d, dedupRec{seq: ev.Seq})
+		n.dedup.put(subj.ID, dedupRec{seq: ev.Seq})
 		// Only track subjects inside our responsibility region; events
 		// can outrun a level shift, and forwarding must continue either
 		// way.

@@ -803,18 +803,22 @@ func TestDedupStateBounded(t *testing.T) {
 		}
 	}
 	env.run(cfg.ShiftCheckInterval + des.Millisecond)
-	if len(n.dedup) > 4*n.peers.Len()+2048 {
-		t.Fatalf("dedup map grew unbounded: %d records for %d peers",
-			len(n.dedup), n.peers.Len())
-	}
-	sequenced := 0
-	for _, d := range n.dedup {
-		if d.seq != 0 {
+	records, sequenced := 0, 0
+	for _, s := range n.dedup.slots {
+		if s.r != (dedupRec{}) {
+			records++
+		}
+		if s.r.seq != 0 {
 			sequenced++
 		}
 	}
-	if sequenced != n.sequenced {
-		t.Fatalf("%d records carry a sequence, the node counts %d", sequenced, n.sequenced)
+	if records > 4*n.peers.Len()+2048 {
+		t.Fatalf("dedup table grew unbounded: %d records for %d peers",
+			records, n.peers.Len())
+	}
+	if records != n.dedup.n || sequenced != n.dedup.sequenced {
+		t.Fatalf("%d records, %d carrying a sequence; the table counts %d, %d",
+			records, sequenced, n.dedup.n, n.dedup.sequenced)
 	}
 }
 

@@ -23,7 +23,9 @@ type probeWait struct {
 	ackID  uint64
 }
 
-func (w probeWait) awaited() bool { return w.ackID != 0 }
+// probeAwaited reports whether w's heartbeat is still unanswered: the
+// probe queue's liveness test.
+func (*Node) probeAwaited(w probeWait) bool { return w.ackID != 0 }
 
 // scheduleProbe arms the next periodic heartbeat.
 func (n *Node) scheduleProbe() {
