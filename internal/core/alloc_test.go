@@ -385,3 +385,29 @@ func TestPeriodicTimersDoNotAllocate(t *testing.T) {
 	}
 	checkNode(t, n)
 }
+
+// A self-announcement by a node below a stronger peer is a reliable
+// report to a top node whose continuation is data in its record: once
+// the pools are warm, the round allocates only the shuffled copy of the
+// top-node list the report walks.
+func TestReportPathAllocations(t *testing.T) {
+	env := &countingEnv{rng: xrand.New(1), armed: make([]armedTimer, 0, 8)}
+	n := NewNode(quietConfig(), env, Observer{}, ptrAt("0000", 1, 1))
+	n.Restore(1, []wire.Pointer{ptrAt("0100", 0, 2)}, []wire.Pointer{ptrAt("1000", 0, 5), ptrAt("1100", 0, 6)})
+	env.disarm() // the periodic timers never fire here
+	round := func() {
+		n.announce(wire.EventInfoChange)
+		if env.last.Type != wire.MsgReport {
+			t.Fatalf("last send %v, want a report", env.last.Type)
+		}
+		n.HandleMessage(wire.Message{Type: wire.MsgReportAck, From: env.last.To, To: 1, AckID: env.last.AckID})
+		env.disarm()
+	}
+	round() // warm the pools
+	if allocs := testing.AllocsPerRun(200, round); allocs > 1 {
+		t.Errorf("self-announcement answered by its report ack: %v allocs per round, want at most 1", allocs)
+	}
+	if n.pending.n != 0 {
+		t.Fatalf("%d sends still pending after their acks", n.pending.n)
+	}
+}

@@ -11,6 +11,7 @@ package core
 // — plus the dedup/pending bookkeeping that steers future transitions.
 
 import (
+	"cmp"
 	"encoding/binary"
 	"slices"
 	"sort"
@@ -45,9 +46,12 @@ func appendID(b []byte, id nodeid.ID) []byte {
 //     and a row emptied by failed refreshes included;
 //   - the event-dedup state: seen (nodeId, seq) pairs and dead nodeIds,
 //     both sorted;
-//   - a pending-send signature: sorted (type, destination) pairs of the
-//     reliable sends still awaiting acks (ack IDs and retry timers are
-//     excluded — they differ between equivalent interleavings).
+//   - a pending-send signature: sorted (type, kind, one-shot flag,
+//     destination) tuples of the reliable sends still awaiting acks. The
+//     kind and flag name the continuation (sendRules), so a join's
+//     MsgTopListReq and a §4.5 refresh's to the same peer differ. Ack
+//     IDs and retry timers are excluded: they differ between equivalent
+//     interleavings.
 //
 // Virtual timestamps (firstSeen/lastSeen, meters, probe deadlines) are
 // excluded by design: the digest quotients the state space over exact
@@ -137,24 +141,21 @@ func (n *Node) AppendDigest(b []byte) []byte {
 
 	// Pending-send signature.
 	type sig struct {
-		typ uint8
-		to  uint64
+		typ, kind, once byte
+		to              uint64
 	}
 	sigs := make([]sig, 0, n.pending.n)
 	for _, p := range n.pending.slots {
 		if p != nil {
-			sigs = append(sigs, sig{typ: uint8(p.msg.Type), to: uint64(p.msg.To)})
+			sigs = append(sigs, sig{uint8(p.msg.Type), uint8(p.kind), boolByte(p.once), uint64(p.msg.To)})
 		}
 	}
-	sort.Slice(sigs, func(i, j int) bool {
-		if sigs[i].typ != sigs[j].typ {
-			return sigs[i].typ < sigs[j].typ
-		}
-		return sigs[i].to < sigs[j].to
+	slices.SortFunc(sigs, func(x, y sig) int {
+		return cmp.Or(cmp.Compare(x.typ, y.typ), cmp.Compare(x.kind, y.kind), cmp.Compare(x.once, y.once), cmp.Compare(x.to, y.to))
 	})
 	b = appendU64(b, uint64(len(sigs)))
 	for _, s := range sigs {
-		b = append(b, s.typ)
+		b = append(b, s.typ, s.kind, s.once)
 		b = appendU64(b, s.to)
 	}
 	return b

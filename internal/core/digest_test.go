@@ -84,3 +84,30 @@ func TestDigestAppends(t *testing.T) {
 		t.Fatal("nothing appended")
 	}
 }
+
+// TestDigestNamesTheContinuation: pending sends of one type to one
+// destination whose continuations differ, by kind or by one-shot flag,
+// have different futures, so the nodes holding them must not collide.
+func TestDigestNamesTheContinuation(t *testing.T) {
+	top := ptrAt("1000", 0, 6)
+	pending := func(kind sendKind, typ wire.MsgType, once bool) []byte {
+		n := digestNode(1, []wire.Pointer{ptrAt("0001", 2, 2)}, []wire.Pointer{top})
+		p := n.track(kind, wire.Message{Type: typ, To: top.Addr}, top)
+		p.once = once
+		n.arm(p)
+		return n.AppendDigest(nil)
+	}
+	if !bytes.Equal(pending(sendJoinTops, wire.MsgTopListReq, false), pending(sendJoinTops, wire.MsgTopListReq, false)) {
+		t.Fatal("equal states digest differently")
+	}
+	for name, pair := range map[string][2][]byte{
+		"join step 1, §4.5 refresh": {pending(sendJoinTops, wire.MsgTopListReq, false), pending(sendReportRefresh, wire.MsgTopListReq, false)},
+		"join download, reconcile":  {pending(sendJoinPeers, wire.MsgPeerListReq, false), pending(sendReconcile, wire.MsgPeerListReq, false)},
+		"reconcile, raise":          {pending(sendReconcile, wire.MsgPeerListReq, false), pending(sendRaise, wire.MsgPeerListReq, false)},
+		"report, refreshed report":  {pending(sendReport, wire.MsgReport, false), pending(sendReport, wire.MsgReport, true)},
+	} {
+		if bytes.Equal(pair[0], pair[1]) {
+			t.Errorf("%s: equal digests", name)
+		}
+	}
+}

@@ -250,7 +250,8 @@ func (p *ChunkPool) CheckInvariants(lists []*PeerList) error {
 //   - each pending send has exactly one entry in the ack queue, due no
 //     later than now + AckTimeout;
 //   - the dedup table keeps its rules (dedupTable.check): its counts
-//     match its slots, and every record is reached by its own probe.
+//     match its slots, and every record is reached by its own probe;
+//   - each pending send's continuation is well formed (checkSends).
 func (n *Node) CheckInvariants() error {
 	if err := n.peers.CheckInvariants(); err != nil {
 		return err
@@ -307,7 +308,39 @@ func (n *Node) CheckInvariants() error {
 	if err := n.dedup.check(); err != nil {
 		return fmt.Errorf("dedup table: %w", err)
 	}
+	if err := n.checkSends(); err != nil {
+		return err
+	}
 	return n.checkQueues()
+}
+
+// checkSends is CheckInvariants' continuation clause: every pending send
+// has a row in sendRules; a join kind is pending only during a join on a
+// node not yet joined, one at a time; and a kind that walks addresses its
+// first candidate, any other kind its target.
+func (n *Node) checkSends() error {
+	joins := 0
+	for _, p := range n.pending.slots {
+		if p == nil {
+			continue
+		}
+		if int(p.kind) >= len(sendRules) {
+			return fmt.Errorf("pending send %d has no rule for kind %d", p.id, p.kind)
+		}
+		rule, to := sendRules[p.kind], p.target
+		if rule.join {
+			if joins++; joins > 1 || n.joined || n.joinDone == nil {
+				return fmt.Errorf("join send %d pending (%d of them), joined %v, joining %v", p.id, joins, n.joined, n.joinDone != nil)
+			}
+		}
+		if rule.walks && len(p.cands) > 0 {
+			to = p.cands[0]
+		}
+		if to.Addr != p.msg.To || (p.report != nil) != (p.kind == sendReportRefresh) {
+			return fmt.Errorf("pending send %d of kind %d to %v continues at %v, holding a report %v", p.id, p.kind, p.msg.To, to.Addr, p.report != nil)
+		}
+	}
+	return nil
 }
 
 // checkLevels is CheckInvariants' level clause for a list of top
@@ -373,8 +406,9 @@ func (n *Node) checkQueues() error {
 // nodes, which must be every node the pool serves, stopped ones
 // included: each node's queues keep their segment chains, every queue
 // segment and every pending-send record the pool ever allocated is
-// either held by exactly one of the nodes' queues or pending rings, once,
-// or sits on the pool's free list, once, and every free pending-ring
+// either held by exactly one of the nodes' queues or pending rings (or
+// as the report of a pending send), once, or sits on the pool's free
+// list, once, and every free pending-ring
 // slot array is empty, kept under its size and held by no node and no
 // other free entry.
 //
@@ -408,7 +442,7 @@ func (p *ChunkPool) CheckStorage(nodes []*Node) error {
 			held[&n.pending.slots[0]] = true
 		}
 		for _, r := range n.pending.slots {
-			if r != nil {
+			for ; r != nil; r = r.report {
 				sends = append(sends, r)
 			}
 		}

@@ -414,6 +414,78 @@ func TestNodeInvariantsCatchCorruption(t *testing.T) {
 	}
 }
 
+// pendingOf returns n's pending send of kind k; the test fails if there
+// is none.
+func pendingOf(t *testing.T, n *Node, k sendKind) *pendingSend {
+	t.Helper()
+	for _, p := range n.pending.slots {
+		if p != nil && p.kind == k {
+			return p
+		}
+	}
+	t.Fatalf("no pending send of kind %d", k)
+	return nil
+}
+
+// The continuation clause catches a pending send whose continuation does
+// not fit its kind, its addressee or the node's join state.
+func TestSendInvariantsCatchCorruption(t *testing.T) {
+	// joining is a node in join step 1.
+	joining := func() *Node {
+		n := NewNode(quietConfig(), newFakeEnv(5), Observer{}, ptrAt("0000", 0, 1))
+		n.Join(ptrAt("1000", 0, 2), nil)
+		return n
+	}
+	// sending is a joined level-1 node below a stronger peer with a
+	// report to a top node, a §4.5 refresh, a multicast step and a
+	// verification pending.
+	sending := func() *Node {
+		n := NewNode(quietConfig(), newFakeEnv(6), Observer{}, ptrAt("0000", 1, 1))
+		peer := ptrAt("0100", 0, 2)
+		n.Restore(1, []wire.Pointer{peer}, []wire.Pointer{ptrAt("1000", 0, 5), ptrAt("1100", 0, 6)})
+		n.SetInfo([]byte("x"))
+		ev := wire.Event{Kind: wire.EventInfoChange, Subject: ptrAt("0010", 1, 7), Seq: 1}
+		n.reportVia(ev, wire.TraceID{}, nil, false)
+		n.forwardTo(peer, ev, 1, wire.TraceID{}, nil)
+		n.verifyFailure(ptrAt("0110", 1, 8))
+		return n
+	}
+	cases := map[string]struct {
+		build   func() *Node
+		corrupt func(t *testing.T, n *Node)
+		want    string
+	}{
+		"join send on a joined node":         {joining, func(_ *testing.T, n *Node) { n.joined = true }, "join send"},
+		"join send with no join in progress": {joining, func(_ *testing.T, n *Node) { n.joinDone = nil }, "join send"},
+		"two join sends": {joining, func(_ *testing.T, n *Node) {
+			n.arm(n.track(sendJoinPeers, wire.Message{Type: wire.MsgPeerListReq, To: 2}, ptrAt("1000", 0, 2)))
+		}, "join send"},
+		"walk past its addressee": {sending, func(t *testing.T, n *Node) {
+			p := pendingOf(t, n, sendReport)
+			p.cands = p.cands[1:]
+		}, "continues at"},
+		"walk with no candidate":         {sending, func(t *testing.T, n *Node) { pendingOf(t, n, sendReport).cands = nil }, "continues at"},
+		"step to another target":         {sending, func(t *testing.T, n *Node) { pendingOf(t, n, sendMulticastStep).target.Addr = 77 }, "continues at"},
+		"verification of another target": {sending, func(t *testing.T, n *Node) { pendingOf(t, n, sendVerify).target = ptrAt("0111", 1, 9) }, "continues at"},
+		"refresh without its report":     {sending, func(t *testing.T, n *Node) { pendingOf(t, n, sendReportRefresh).report = nil }, "holding a report false"},
+		"kind without a rule":            {sending, func(t *testing.T, n *Node) { pendingOf(t, n, sendVerify).kind = sendKind(len(sendRules)) }, "no rule"},
+	}
+	for _, build := range []func() *Node{joining, sending} {
+		if err := build().CheckInvariants(); err != nil {
+			t.Fatalf("intact node: %v", err)
+		}
+	}
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			n := tc.build()
+			tc.corrupt(t, n)
+			if err := n.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("check: %v, want an error mentioning %q", err, tc.want)
+			}
+		})
+	}
+}
+
 // pooledEnv is a countingEnv whose node draws its storage from a pool
 // shared with other nodes, as a simulator cluster's nodes do.
 type pooledEnv struct {
@@ -427,8 +499,9 @@ func (e pooledEnv) ChunkPool() *ChunkPool { return e.pool }
 // of a queue segment, a pending-send record or a pending-ring slot array.
 func TestStorageInvariantsCatchCorruption(t *testing.T) {
 	// build returns two nodes sharing a pool, each with pending sends in
-	// its ring and entries in its ack and hop queues across several
-	// segments, the second one stopped.
+	// its ring (one of them a §4.5 refresh holding its report) and
+	// entries in its ack and hop queues across several segments, the
+	// second one stopped.
 	build := func() (*ChunkPool, []*Node) {
 		pool := new(ChunkPool)
 		var nodes []*Node
@@ -436,9 +509,12 @@ func TestStorageInvariantsCatchCorruption(t *testing.T) {
 			env := &countingEnv{rng: xrand.New(uint64(i + 1))}
 			n := NewNode(quietConfig(), pooledEnv{env, pool}, Observer{}, ptrAt(bits, 0, wire.Addr(i+1)))
 			for range 2*segLen + 3 {
-				n.sendReliable(wire.Message{Type: wire.MsgTopListReq, To: 9}, 2, nil, nil)
+				n.arm(n.track(sendCrossRefresh, wire.Message{Type: wire.MsgTopListReq, To: 9}, wire.Pointer{Addr: 9}))
 				n.hops.push(n.cfg.ForwardDelay, forwardHop{})
 			}
+			r := n.track(sendReportRefresh, wire.Message{Type: wire.MsgTopListReq, To: 9}, wire.Pointer{Addr: 9})
+			r.report = pool.sends.Get()
+			n.arm(r)
 			nodes = append(nodes, n)
 		}
 		nodes[1].Stop()
@@ -466,6 +542,10 @@ func TestStorageInvariantsCatchCorruption(t *testing.T) {
 		},
 		"pending send released while pending": {
 			func(p *ChunkPool, nodes []*Node) { p.sends.Put(nodes[0].pending.get(nodes[0].nextAckID)) },
+			"pending send in use is on the free list",
+		},
+		"report of a pending refresh released": {
+			func(p *ChunkPool, nodes []*Node) { p.sends.Put(pendingOf(t, nodes[0], sendReportRefresh).report) },
 			"pending send in use is on the free list",
 		},
 		"pending send lost": {

@@ -49,12 +49,14 @@ func EstimateLevel(lT int, wT, wX float64, maxLevel int) int {
 //  4. multicast the joining event around the audience set (via a report
 //     to the top node).
 //
-// done is called exactly once, with nil on success. With cfg.WarmUp the
-// node first enters warmUpLevels below the estimate and raises its level
-// in the background afterwards.
+// done is called once, with nil on success, when the join ends, unless
+// the node is stopped first: Stop drops the join in progress, and done
+// is never called. With cfg.WarmUp the node first enters warmUpLevels
+// below the estimate and raises its level in the background afterwards.
+// Each step is a reliable send whose rules (sendRules) take the next.
 func (n *Node) Join(bootstrap wire.Pointer, done func(error)) {
-	if n.joined || n.stopped {
-		panic("core: Join on a joined or stopped node")
+	if n.joined || n.stopped || n.joinDone != nil {
+		panic("core: Join on a joined, joining or stopped node")
 	}
 	if bootstrap.Addr == n.self.Addr || bootstrap.ID == n.self.ID {
 		panic("core: node cannot bootstrap through itself")
@@ -62,122 +64,110 @@ func (n *Node) Join(bootstrap wire.Pointer, done func(error)) {
 	if done == nil {
 		done = func(error) {}
 	}
+	n.joinDone = done
 	// Step 1: discover top nodes through the bootstrap.
-	msg := wire.Message{Type: wire.MsgTopListReq, To: bootstrap.Addr}
-	n.sendReliable(msg, n.cfg.RetryAttempts,
-		func(resp wire.Message) {
-			tops := resp.Pointers
-			if len(tops) == 0 {
-				// The bootstrap did not know better tops; it may itself
-				// be a top node of a young overlay.
-				tops = []wire.Pointer{bootstrap}
-			}
-			n.joinStep2(tops, done, true)
-		},
-		func() { done(ErrJoinFailed) },
-	)
+	n.arm(n.track(sendJoinTops, wire.Message{Type: wire.MsgTopListReq, To: bootstrap.Addr}, bootstrap))
+}
+
+// endJoin ends the join in progress and hands err to its caller.
+func (n *Node) endJoin(err error) {
+	done := n.joinDone
+	n.joinDone = nil
+	done(err)
+}
+
+// joinFailed is the failure rule of every join step but the top-node
+// walk: the join fails.
+func (n *Node) joinFailed(*pendingSend) { n.endJoin(ErrJoinFailed) }
+
+func (n *Node) joinTopsAnswered(p *pendingSend, resp wire.Message) {
+	tops := resp.Pointers
+	if len(tops) == 0 {
+		// The bootstrap did not know better tops; it may itself be a top
+		// node of a young overlay.
+		tops = []wire.Pointer{p.target}
+	}
+	n.joinStep2(tops, false)
 }
 
 // joinStep2 queries top-node candidates for the level-estimation inputs,
-// walking the list on failure. mayRefer is false after a §4.4 cross-part
-// referral, so a join is referred at most once.
-func (n *Node) joinStep2(tops []wire.Pointer, done func(error), mayRefer bool) {
-	if n.stopped || len(tops) == 0 {
-		done(ErrJoinFailed)
+// walking the list on failure (joinQueryFailed). referred is set after a
+// §4.4 cross-part referral, so a join is referred at most once.
+func (n *Node) joinStep2(tops []wire.Pointer, referred bool) {
+	if len(tops) == 0 {
+		n.endJoin(ErrJoinFailed)
 		return
 	}
-	top := tops[0]
-	msg := wire.Message{Type: wire.MsgJoinQuery, To: top.Addr}
-	n.sendReliable(msg, n.cfg.RetryAttempts,
-		func(resp wire.Message) {
-			z := resp.Sender
-			// §4.4: if the answering top node belongs to a different
-			// part (its eigenstring does not contain our identifier), it
-			// cannot serve our join — ask it for top nodes of our own
-			// part instead.
-			if mayRefer && z.Level > 0 &&
-				z.ID.Prefix(int(z.Level)) != n.self.ID.Prefix(int(z.Level)) {
-				n.crossPartJoin(z, done)
-				return
-			}
-			lT := int(z.Level)
-			wT := float64(resp.Cost)
-			target := EstimateLevel(lT, wT, n.cfg.ThresholdBits, n.cfg.MaxLevel)
-			start := target
-			if n.cfg.WarmUp {
-				start = target + warmUpLevels
-				if start > n.cfg.MaxLevel {
-					start = n.cfg.MaxLevel
-				}
-				if start > target {
-					n.warmTarget = target
-				}
-			}
-			n.setLevel(start)
-			n.joinStep3(z, done)
-		},
-		func() { n.joinStep2(tops[1:], done, mayRefer) },
-	)
+	p := n.track(sendJoinQuery, wire.Message{Type: wire.MsgJoinQuery, To: tops[0].Addr}, wire.Pointer{})
+	p.cands, p.once = tops, referred
+	n.arm(p)
 }
 
-// joinStep3 downloads the peer list slice matching our eigenstring and
-// the top-node list from the answering top node.
-func (n *Node) joinStep3(top wire.Pointer, done func(error)) {
-	if n.stopped {
-		done(ErrJoinFailed)
+func (n *Node) joinQueryFailed(p *pendingSend) { n.joinStep2(p.cands[1:], p.once) }
+
+func (n *Node) joinQueryAnswered(p *pendingSend, resp wire.Message) {
+	z := resp.Sender
+	// §4.4: if the answering top node belongs to a different part (its
+	// eigenstring does not contain our identifier), it cannot serve our
+	// join — ask it for top nodes of our own part instead.
+	if !p.once && z.Level > 0 &&
+		z.ID.Prefix(int(z.Level)) != n.self.ID.Prefix(int(z.Level)) {
+		n.crossPartJoin(z)
 		return
 	}
-	msg := wire.Message{Type: wire.MsgPeerListReq, To: top.Addr, Sender: n.self}
-	n.sendReliable(msg, n.cfg.RetryAttempts,
-		func(resp wire.Message) {
-			n.applyPointers(resp.Pointers)
-			// Fetch the top-node list as well.
-			tl := wire.Message{Type: wire.MsgTopListReq, To: top.Addr}
-			n.sendReliable(tl, n.cfg.RetryAttempts,
-				func(resp wire.Message) {
-					n.mergeTopPointers(resp.Pointers)
-					if len(n.topList) == 0 {
-						n.mergeTopPointers([]wire.Pointer{top})
-					}
-					n.joinStep4(top, done)
-				},
-				func() { done(ErrJoinFailed) },
-			)
-		},
-		func() { done(ErrJoinFailed) },
-	)
+	lT := int(z.Level)
+	wT := float64(resp.Cost)
+	target := EstimateLevel(lT, wT, n.cfg.ThresholdBits, n.cfg.MaxLevel)
+	start := target
+	if n.cfg.WarmUp {
+		start = target + warmUpLevels
+		if start > n.cfg.MaxLevel {
+			start = n.cfg.MaxLevel
+		}
+		if start > target {
+			n.warmTarget = target
+		}
+	}
+	n.setLevel(start)
+	// Step 3: download the peer list slice matching our eigenstring, then
+	// the top-node list, from the answering top node.
+	n.arm(n.track(sendJoinPeers, wire.Message{Type: wire.MsgPeerListReq, To: z.Addr, Sender: n.self}, z))
 }
 
-// joinStep4 announces the join through the top node and goes live.
-func (n *Node) joinStep4(top wire.Pointer, done func(error)) {
-	if n.stopped {
-		done(ErrJoinFailed)
-		return
+func (n *Node) joinPeersAnswered(p *pendingSend, resp wire.Message) {
+	n.applyPointers(resp.Pointers)
+	n.arm(n.track(sendJoinTopList, wire.Message{Type: wire.MsgTopListReq, To: p.target.Addr}, p.target))
+}
+
+func (n *Node) joinTopListAnswered(p *pendingSend, resp wire.Message) {
+	top := p.target
+	n.mergeTopPointers(resp.Pointers)
+	if len(n.topList) == 0 {
+		n.mergeTopPointers([]wire.Pointer{top})
 	}
-	// Seed the announcement sequence from virtual time so a rejoin under
-	// the same identifier can never be deduplicated as stale.
+	// Step 4: announce the join through the top node. Seed the
+	// announcement sequence from virtual time so a rejoin under the same
+	// identifier can never be deduplicated as stale.
 	if s := uint64(n.env.Now()); s > n.seq {
 		n.seq = s
 	}
 	n.seq++
 	ev := wire.Event{Kind: wire.EventJoin, Subject: n.self, Seq: n.seq}
-	msg := wire.Message{Type: wire.MsgReport, To: top.Addr, Event: ev, Trace: n.newTrace()}
-	n.sendReliable(msg, n.cfg.RetryAttempts,
-		func(wire.Message) {
-			n.joined = true
-			n.joinedAt = n.env.Now()
-			n.joinTop = top
-			n.startTimers()
-			if n.warmTarget >= 0 && n.warmTarget < n.Level() {
-				n.warmUpTimer.arm(n.cfg.ShiftCheckInterval)
-			}
-			if n.cfg.ReconcileDelay > 0 {
-				n.reconcileTimer.arm(n.cfg.ReconcileDelay)
-			}
-			done(nil)
-		},
-		func() { done(ErrJoinFailed) },
-	)
+	n.arm(n.track(sendJoinReport, wire.Message{Type: wire.MsgReport, To: top.Addr, Event: ev, Trace: n.newTrace()}, top))
+}
+
+func (n *Node) joinReportAnswered(p *pendingSend, _ wire.Message) {
+	n.joined = true
+	n.joinedAt = n.env.Now()
+	n.joinTop = p.target
+	n.startTimers()
+	if n.warmTarget >= 0 && n.warmTarget < n.Level() {
+		n.warmUpTimer.arm(n.cfg.ShiftCheckInterval)
+	}
+	if n.cfg.ReconcileDelay > 0 {
+		n.reconcileTimer.arm(n.cfg.ReconcileDelay)
+	}
+	n.endJoin(nil)
 }
 
 // reconcile performs one anti-entropy pass: re-download the peer list
@@ -198,7 +188,7 @@ func (n *Node) reconcile() {
 	}
 	n.m.reconcileRuns.Inc()
 	if n.joinTop.Addr != 0 {
-		n.reconcileFrom(n.joinTop, n.reconcileFallback)
+		n.reconcileFrom(n.joinTop, false)
 		return
 	}
 	n.reconcileFallback()
@@ -207,9 +197,6 @@ func (n *Node) reconcile() {
 // reconcileFallback is the donor choice when the join top is unknown or
 // unreachable: a stronger peer, or a top-list entry.
 func (n *Node) reconcileFallback() {
-	if n.stopped || !n.joined {
-		return
-	}
 	donor, ok := n.peers.Strongest()
 	if !ok || int(donor.Level) > n.Level() {
 		if len(n.topList) == 0 {
@@ -220,48 +207,50 @@ func (n *Node) reconcileFallback() {
 	if donor.ID == n.joinTop.ID {
 		return // already tried and failed; leave the window open
 	}
-	n.reconcileFrom(donor, nil)
+	n.reconcileFrom(donor, true)
 }
 
-// reconcileFrom runs the download-and-merge against one donor. onFail,
-// when non-nil, is invoked if the donor never answers; a nil onFail makes
-// the pass best-effort (a failed reconcile just leaves the window open).
-func (n *Node) reconcileFrom(donor wire.Pointer, onFail func()) {
-	msg := wire.Message{Type: wire.MsgPeerListReq, To: donor.Addr, Sender: n.self}
-	n.sendReliable(msg, n.cfg.RetryAttempts,
-		func(resp wire.Message) {
-			if n.stopped {
-				return
-			}
-			batch := n.applyPointers(resp.Pointers)
-			// Entries the donor lacks and that we have not seen since our
-			// own join completed are stale copies from the join snapshot.
-			// Pointers refreshed by a live event after joinedAt are kept
-			// even when the donor lacks them: the donor's own join window
-			// may still be open, and dropping a live member on its word
-			// would trade our error for a copy of its. Every held ID is
-			// inside our eigenstring and not our own, so the donor has it
-			// exactly when the batch does; both run in ID order, so one
-			// merge walk finds it.
-			var drop []nodeid.ID
-			i := 0
-			n.peers.walk(0, n.peers.Len(), func(e *entry, s *stamp) {
-				for i < len(batch) && batch[i].ID.Less(e.id) {
-					i++
-				}
-				inResp := i < len(batch) && batch[i].ID == e.id
-				if !inResp && s.lastSeen <= n.joinedAt && e.id != donor.ID {
-					drop = append(drop, e.id)
-				}
-			})
-			for _, id := range drop {
-				if _, had := n.removePeer(id, RemoveStale); had {
-					n.m.reconcileDrops.Inc()
-				}
-			}
-		},
-		onFail,
-	)
+// reconcileFrom runs the download-and-merge against one donor. If the
+// join top never answers, reconcileFailed falls back; if the last donor
+// never answers, the window stays open.
+func (n *Node) reconcileFrom(donor wire.Pointer, last bool) {
+	p := n.track(sendReconcile, wire.Message{Type: wire.MsgPeerListReq, To: donor.Addr, Sender: n.self}, donor)
+	p.once = last
+	n.arm(p)
+}
+
+func (n *Node) reconcileFailed(p *pendingSend) {
+	if !p.once {
+		n.reconcileFallback()
+	}
+}
+
+func (n *Node) reconcileAnswered(p *pendingSend, resp wire.Message) {
+	batch := n.applyPointers(resp.Pointers)
+	// Entries the donor lacks and that we have not seen since our own
+	// join completed are stale copies from the join snapshot. Pointers
+	// refreshed by a live event after joinedAt are kept even when the
+	// donor lacks them: the donor's own join window may still be open,
+	// and dropping a live member on its word would trade our error for a
+	// copy of its. Every held ID is inside our eigenstring and not our
+	// own, so the donor has it exactly when the batch does; both run in
+	// ID order, so one merge walk finds it.
+	var drop []nodeid.ID
+	i := 0
+	n.peers.walk(0, n.peers.Len(), func(e *entry, s *stamp) {
+		for i < len(batch) && batch[i].ID.Less(e.id) {
+			i++
+		}
+		inResp := i < len(batch) && batch[i].ID == e.id
+		if !inResp && s.lastSeen <= n.joinedAt && e.id != p.target.ID {
+			drop = append(drop, e.id)
+		}
+	})
+	for _, id := range drop {
+		if _, had := n.removePeer(id, RemoveStale); had {
+			n.m.reconcileDrops.Inc()
+		}
+	}
 }
 
 // warmUpStep raises the level one notch toward the warm-up target in the
@@ -275,13 +264,9 @@ func (n *Node) warmUpStep() {
 		n.warmTarget = -1
 		return
 	}
-	n.raiseLevel(func(ok bool) {
-		if !ok {
-			n.warmTarget = -1 // cannot raise further; settle here
-			return
-		}
-		n.warmUpTimer.arm(n.cfg.ShiftCheckInterval)
-	})
+	if !n.raiseLevel(sendWarmRaise) {
+		n.warmTarget = -1 // cannot raise further; settle here
+	}
 }
 
 // onShiftCheck is the §2 autonomy loop: compare the measured input cost
@@ -307,7 +292,7 @@ func (n *Node) onShiftCheck() {
 		// it would only maroon the node in an empty region.
 		n.lowerLevel()
 	case w < budget*shiftUpFactor && n.Level() > 0:
-		n.raiseLevel(nil)
+		n.raiseLevel(sendRaise)
 	}
 }
 
@@ -336,70 +321,62 @@ func (n *Node) lowerLevel() {
 // raiseLevel moves one level up (shorter eigenstring, larger peer list):
 // first download the newly in-scope pointers from a stronger node, then
 // switch and announce (§4.3: "it should first download those required
-// pointers from stronger nodes and then report the event"). done, if not
-// nil, receives whether the raise went through.
-func (n *Node) raiseLevel(done func(ok bool)) {
+// pointers from stronger nodes and then report the event"). kind is
+// sendRaise or, for a warm-up step, sendWarmRaise. It reports whether
+// the download went out.
+func (n *Node) raiseLevel(kind sendKind) bool {
 	if n.Level() == 0 {
-		if done != nil {
-			done(false)
-		}
-		return
+		return false
 	}
 	newLevel := n.Level() - 1
 	// Any peer at a level <= newLevel is stronger than our new self and
-	// covers the expanded region; fall back to the top-node list.
+	// covers the expanded region; fall back to the top-node list. Even
+	// the top of our part may be weaker than our target: a split system
+	// caps how far we can rise (§4.4).
 	donor, ok := n.peers.Strongest()
 	if !ok || int(donor.Level) > newLevel {
-		if len(n.topList) > 0 {
-			donor = n.topList[0]
-			if int(donor.Level) > newLevel {
-				// Even the top of our part is weaker than our target: a
-				// split system caps how far we can rise (§4.4).
-				if done != nil {
-					done(false)
-				}
-				return
-			}
-		} else {
-			if done != nil {
-				done(false)
-			}
-			return
+		if len(n.topList) == 0 || int(n.topList[0].Level) > newLevel {
+			return false
 		}
+		donor = n.topList[0]
 	}
 	req := n.self
 	req.Level = uint8(newLevel)
-	msg := wire.Message{Type: wire.MsgPeerListReq, To: donor.Addr, Sender: req}
-	n.sendReliable(msg, n.cfg.RetryAttempts,
-		func(resp wire.Message) {
-			if n.stopped {
-				return
-			}
-			old := n.Level()
-			if old != newLevel+1 {
-				// A concurrent shift beat us; drop this raise.
-				if done != nil {
-					done(false)
-				}
-				return
-			}
-			n.lastShift = n.env.Now()
-			n.setLevel(newLevel)
-			n.applyPointers(resp.Pointers)
-			n.m.shiftsUp.Inc()
-			n.moment(trace.SpanShiftUp, 0, newLevel)
-			n.announce(wire.EventLevelShift)
-			if done != nil {
-				done(true)
-			}
-		},
-		func() {
-			// The donor is unreachable; if it came from the top-node
-			// list, drop it so the next attempt tries someone else.
-			n.topList = dropID(n.topList, donor.ID)
-			if done != nil {
-				done(false)
-			}
-		},
-	)
+	n.arm(n.track(kind, wire.Message{Type: wire.MsgPeerListReq, To: donor.Addr, Sender: req}, donor))
+	return true
+}
+
+// raised applies a raise's download: it switches to the level the
+// request named and announces, unless a concurrent shift beat us.
+func (n *Node) raised(p *pendingSend, resp wire.Message) {
+	newLevel := int(p.msg.Sender.Level)
+	ok := n.Level() == newLevel+1
+	if ok {
+		n.lastShift = n.env.Now()
+		n.setLevel(newLevel)
+		n.applyPointers(resp.Pointers)
+		n.m.shiftsUp.Inc()
+		n.moment(trace.SpanShiftUp, 0, newLevel)
+		n.announce(wire.EventLevelShift)
+	}
+	n.warmed(p, ok)
+}
+
+// raiseFailed drops the unreachable donor: if it came from the top-node
+// list, the next attempt tries someone else.
+func (n *Node) raiseFailed(p *pendingSend) {
+	n.topList = dropID(n.topList, p.target.ID)
+	n.warmed(p, false)
+}
+
+// warmed ends a warm-up raise: the next step if it went through, or
+// settle here.
+func (n *Node) warmed(p *pendingSend, ok bool) {
+	switch {
+	case p.kind != sendWarmRaise:
+	case ok:
+		n.warmUpTimer.arm(n.cfg.ShiftCheckInterval)
+	default:
+		n.warmTarget = -1
+	}
 }

@@ -92,22 +92,10 @@ func (n *Node) forwardEvent(ev wire.Event, fromStep int, tid wire.TraceID) {
 	}
 }
 
-// sendStep picks the strongest candidate for step s (excluding already
-// failed targets) and forwards the event to it: the redirect path. The
-// candidates share the first s bits of our ID and differ at bit s.
-func (n *Node) sendStep(ev wire.Event, s int, tid wire.TraceID, failed []nodeid.ID) {
-	if s >= nodeid.Bits {
-		return
-	}
-	lo, hi := n.peers.prefixRange(nodeid.EigenstringOf(n.self.ID.FlipBit(s), s+1))
-	if target, ok := n.peers.strongestIn(lo, hi, ev.Subject.ID, failed, n.env.Rand()); ok {
-		n.forwardTo(target, ev, s, tid, failed)
-	}
-}
-
 // forwardTo forwards the event to target as step s+1, reliably; on
-// failure stepFailed drops the stale pointer and redirects.
-func (n *Node) forwardTo(target wire.Pointer, ev wire.Event, s int, tid wire.TraceID, failed []nodeid.ID) {
+// failure stepFailed drops the stale pointer and redirects. failed lists
+// the targets given up on for this step.
+func (n *Node) forwardTo(target wire.Pointer, ev wire.Event, s int, tid wire.TraceID, failed []wire.Pointer) {
 	msg := wire.Message{
 		Type:  wire.MsgEvent,
 		To:    target.Addr,
@@ -117,7 +105,9 @@ func (n *Node) forwardTo(target wire.Pointer, ev wire.Event, s int, tid wire.Tra
 	}
 	n.m.mcForwards.Inc()
 	n.span(tid, trace.SpanForward, 0, target.Addr, s+1, ev)
-	n.sendTracked(msg, sendMulticastStep, target, failed)
+	p := n.track(sendMulticastStep, msg, target)
+	p.cands = failed
+	n.arm(p)
 }
 
 // stepFailed is §4.2's "turn back to line (3)": no response after the
@@ -136,10 +126,15 @@ func (n *Node) stepFailed(p *pendingSend) {
 	if !(ev.Kind == wire.EventLeave && ev.Subject.ID == target.ID) {
 		n.verifyFailure(target)
 	}
+	// Redirect: the strongest candidate for step s that has not failed.
 	// A redirect chain is linear: this record is released once stepFailed
 	// returns and only the next step's record carries the set on, so
 	// appending to its slice cannot change a set another record holds.
-	n.sendStep(ev, s, tid, append(p.failed, target.ID))
+	failed := append(p.cands, target)
+	lo, hi := n.peers.prefixRange(nodeid.EigenstringOf(n.self.ID.FlipBit(s), s+1))
+	if next, ok := n.peers.strongestIn(lo, hi, ev.Subject.ID, failed, n.env.Rand()); ok {
+		n.forwardTo(next, ev, s, tid, failed)
+	}
 }
 
 // verifyFailure double-checks a suspected death with a reliable
@@ -150,24 +145,25 @@ func (n *Node) verifyFailure(target wire.Pointer) {
 	if n.dedup.get(target.ID).dead {
 		return
 	}
-	hb := wire.Message{Type: wire.MsgHeartbeat, To: target.Addr}
-	n.sendTracked(hb, sendVerify, target, nil)
+	n.arm(n.track(sendVerify, wire.Message{Type: wire.MsgHeartbeat, To: target.Addr}, target))
 }
 
 // verifyAnswered handles a suspect that answered its verification
 // heartbeat: alive after all — the earlier send chain lost to the
 // network, not to a death. Restore the pointer we dropped.
-func (n *Node) verifyAnswered(target wire.Pointer) {
+func (n *Node) verifyAnswered(p *pendingSend, _ wire.Message) {
+	target := p.target
 	n.m.failFalseAlarms.Inc()
 	n.moment(trace.SpanFalseAlarm, target.Addr, 0)
-	if !n.stopped && !n.dedup.get(target.ID).dead && n.eigen.Contains(target.ID) {
+	if !n.dedup.get(target.ID).dead && n.eigen.Contains(target.ID) {
 		n.upsertPeer(target)
 	}
 }
 
 // verifyFailed reports the leave of a suspect that stayed silent through
 // the whole verification round.
-func (n *Node) verifyFailed(target wire.Pointer) {
+func (n *Node) verifyFailed(p *pendingSend) {
+	target := p.target
 	seq, ok := n.markDead(target.ID)
 	if !ok {
 		return

@@ -100,8 +100,11 @@ type Node struct {
 
 	joined  bool
 	stopped bool
+	// joinDone is the Join caller's callback while a join is in progress,
+	// nil otherwise (see endJoin).
+	joinDone func(error)
 
-	// joinedAt is when joinStep4 completed (zero for Bootstrap/Restore).
+	// joinedAt is when the join completed (zero for Bootstrap/Restore).
 	// The reconcile pass uses it to tell join-snapshot leftovers from
 	// pointers learned live through events (see reconcile).
 	joinedAt des.Time
@@ -360,6 +363,7 @@ func (n *Node) Stop() {
 	}
 	n.stopped = true
 	n.joined = false
+	n.joinDone = nil // a join in progress ends without its callback
 	for _, t := range []*timerSlot{&n.probeTimer, &n.shiftTimer, &n.refreshTimer, &n.warmUpTimer, &n.reconcileTimer} {
 		t.cancel()
 	}
@@ -483,15 +487,11 @@ func (n *Node) handlePeerListReq(m wire.Message) {
 // another part's tops (§4.4).
 func (n *Node) handleTopListReq(m wire.Message) {
 	var ps []wire.Pointer
-	if m.PartBits == 0 {
+	if want := requestedPart(m); m.PartBits == 0 || want.Contains(n.self.ID) {
+		// PartBits > 0 may ask for our own part after all.
 		ps = n.ownPartTops()
-	} else if part, err := nodeid.FromBytes(m.PartPrefix[:]); err == nil {
-		if want := nodeid.EigenstringOf(part, int(m.PartBits)); want.Contains(n.self.ID) {
-			// The requester asked for our own part after all.
-			ps = n.ownPartTops()
-		} else {
-			ps = n.CrossPartTops(want)
-		}
+	} else {
+		ps = n.CrossPartTops(want)
 	}
 	ps = ps[:min(len(ps), n.cfg.TopListSize)]
 	n.send(wire.Message{Type: wire.MsgTopListResp, To: m.From, AckID: m.AckID, Pointers: ps})

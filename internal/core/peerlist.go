@@ -656,7 +656,7 @@ func (pl *PeerList) splitStep(selfID nodeid.ID, s, lo, hi int) (candLo, candHi, 
 }
 
 // strongestIn picks the strongest audience member of subject among the
-// entries at global indices [lo, hi), skipping the IDs in skip. The scan
+// entries at global indices [lo, hi), skipping the pointers in skip. The scan
 // starts at a random rotation of the range so equal-level ties resolve
 // to a random member — this spreads forwarding load across equally
 // strong nodes and, crucially, means every stale pointer is eventually
@@ -665,7 +665,7 @@ func (pl *PeerList) splitStep(selfID nodeid.ID, s, lo, hi int) (candLo, candHi, 
 // survive forever. A level-0 candidate is globally strongest, so the scan
 // stops at the first one it meets — with level-0-dominated ranges (the
 // common case) the expected scan is short.
-func (pl *PeerList) strongestIn(lo, hi int, subject nodeid.ID, skip []nodeid.ID, rng *xrand.Source) (wire.Pointer, bool) {
+func (pl *PeerList) strongestIn(lo, hi int, subject nodeid.ID, skip []wire.Pointer, rng *xrand.Source) (wire.Pointer, bool) {
 	span := hi - lo
 	if span <= 0 {
 		return wire.Pointer{}, false
@@ -691,7 +691,7 @@ func (pl *PeerList) strongestIn(lo, hi int, subject nodeid.ID, skip []nodeid.ID,
 		if int(cand.level) >= bestLevel {
 			continue
 		}
-		if slices.Contains(skip, cand.id) {
+		if len(skip) > 0 && slices.ContainsFunc(skip, func(p wire.Pointer) bool { return p.ID == cand.id }) {
 			continue
 		}
 		// Audience check: the candidate's eigenstring must be a prefix

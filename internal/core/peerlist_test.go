@@ -243,12 +243,16 @@ func countInPrefix(pl *PeerList, e nodeid.Eigenstring) int {
 	return hi - lo
 }
 
-// stepTarget is the redirect path's pick (Node.sendStep): the strongest
+// stepTarget is the redirect path's pick (Node.stepFailed): the strongest
 // audience member of subject among the entries that share the first s
 // bits of self and differ at bit s, skipping the IDs in skip.
 func stepTarget(pl *PeerList, self nodeid.ID, s int, subject nodeid.ID, skip []nodeid.ID, rng *xrand.Source) (wire.Pointer, bool) {
 	lo, hi := pl.prefixRange(nodeid.EigenstringOf(self.FlipBit(s), s+1))
-	return pl.strongestIn(lo, hi, subject, skip, rng)
+	var failed []wire.Pointer
+	for _, id := range skip {
+		failed = append(failed, wire.Pointer{ID: id})
+	}
+	return pl.strongestIn(lo, hi, subject, failed, rng)
 }
 
 func TestStrongestForStepSelection(t *testing.T) {

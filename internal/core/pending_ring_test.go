@@ -15,7 +15,7 @@ import (
 // heartbeats and far-apart sends make them, and the node is stopped.
 // After every operation the ring must hold exactly the model's sends,
 // each under its own id, every other id must miss, and each send's
-// continuation must have run exactly when the model says.
+// rules must have run exactly when the model says.
 
 // ringModel is the reference: the sends awaiting an ack, by id, each
 // with the time its last attempt runs out.
@@ -50,6 +50,15 @@ func runPendingRingOps(t *testing.T, ops []byte, maxOps int) {
 	m := ringModel{pending: map[uint64]*pendingSend{}, failAt: map[uint64]des.Time{}}
 	responses := map[uint64]int{}
 	var failed []uint64
+	// The sends are of one kind whose rules, for this run, count each
+	// send's answers and failures by ack id.
+	const kind = sendCrossRefresh
+	saved := sendRules[kind]
+	defer func() { sendRules[kind] = saved }()
+	sendRules[kind] = sendRule{
+		answered: func(_ *Node, p *pendingSend, _ wire.Message) { responses[p.id]++ },
+		failed:   func(_ *Node, p *pendingSend) { failed = append(failed, p.id) },
+	}
 
 	finish := func(id uint64) {
 		delete(m.pending, id)
@@ -98,11 +107,9 @@ func runPendingRingOps(t *testing.T, ops []byte, maxOps int) {
 		switch c % 5 {
 		case 0, 1: // arm a send with 1–4 attempts
 			attempts := 1 + int(c>>3)%4
-			var id uint64
-			id = n.sendReliable(wire.Message{Type: wire.MsgTopListReq, To: 2},
-				attempts,
-				func(wire.Message) { responses[id]++ },
-				func() { failed = append(failed, id) })
+			p := n.track(kind, wire.Message{Type: wire.MsgTopListReq, To: 2}, wire.Pointer{Addr: 2})
+			p.attempts = attempts
+			id := n.arm(p)
 			if _, dup := m.pending[id]; dup || id != n.nextAckID {
 				t.Fatalf("step %d: send armed under id %d, next ack id %d", step, id, n.nextAckID)
 			}

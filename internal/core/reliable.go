@@ -3,26 +3,64 @@ package core
 import (
 	"math/bits"
 
-	"peerwindow/internal/nodeid"
 	"peerwindow/internal/trace"
 	"peerwindow/internal/wire"
 )
 
-// sendKind says what happens when a reliable send is answered or runs out
-// of attempts. The per-message paths carry their continuation as data in
-// the pendingSend instead of as closures, so a send allocates nothing.
+// sendKind names a reliable send's row of sendRules. Every send carries
+// its continuation as data in its pendingSend, so a send allocates
+// nothing and the node's pending work can be read.
 type sendKind uint8
 
 const (
-	// sendGeneric runs the onResponse/onFail closures: the join, report
-	// and download paths, which are rare and keep their state in closures.
-	sendGeneric sendKind = iota
-	// sendMulticastStep is one §4.2 tree forward (see stepFailed).
-	sendMulticastStep
-	// sendVerify is the heartbeat round that double-checks a suspected
-	// death (see verifyAnswered, verifyFailed).
-	sendVerify
+	sendMulticastStep sendKind = iota // one §4.2 tree forward
+	sendVerify                        // a heartbeat double-checking a suspected death
+	sendReport                        // a §4.5 report to a top-node candidate
+	sendReportRefresh                 // §4.5: a peer's top-node list, the report's candidates spent
+	sendPassUp                        // a report handed to a stronger peer
+	sendJoinTops                      // §4.3 step 1: the bootstrap's top-node list
+	sendJoinQuery                     // step 2: a top node's level and cost
+	sendJoinRefer                     // §4.4: our part's tops, from a top node of another part
+	sendJoinPeers                     // step 3: the top node's peer list
+	sendJoinTopList                   // step 3: the top node's top-node list
+	sendJoinReport                    // step 4: the join event, through the top node
+	sendReconcile                     // the anti-entropy download after a join
+	sendRaise                         // a §2 level raise's download
+	sendWarmRaise                     // a §4.3 warm-up raise's download
+	sendCrossRefresh                  // §4.5: a remembered part's tops, from one of them
 )
+
+// sendRule is one row of sendRules. answered runs on the send's answer,
+// failed once its attempts have run out; nil does nothing. A kind that
+// walks tries candidates in turn, addressing cands[0], any other kind
+// its target; a join kind is pending only during a join, one at a time.
+type sendRule struct {
+	answered    func(*Node, *pendingSend, wire.Message)
+	failed      func(*Node, *pendingSend)
+	walks, join bool
+}
+
+// sendRules is the one dispatch point of the reliable sends: resolveAck
+// runs the kind's answered rule and onAckTimeout its failed rule. Neither
+// runs on a stopped node (HandleMessage and onAckTimeout refuse one, and
+// Stop releases every pending send), so no rule checks n.stopped.
+var sendRules = [...]sendRule{
+	sendMulticastStep: {failed: (*Node).stepFailed},
+	sendVerify:        {answered: (*Node).verifyAnswered, failed: (*Node).verifyFailed},
+	sendReport:        {failed: (*Node).reportFailed, walks: true},
+	sendReportRefresh: {answered: (*Node).refreshAnswered, failed: (*Node).refreshFailed},
+	sendPassUp:        {failed: (*Node).passUpFailed},
+	sendJoinTops:      {answered: (*Node).joinTopsAnswered, failed: (*Node).joinFailed, join: true},
+	sendJoinQuery:     {answered: (*Node).joinQueryAnswered, failed: (*Node).joinQueryFailed, walks: true, join: true},
+	sendJoinRefer:     {answered: (*Node).joinReferAnswered, failed: (*Node).joinFailed, join: true},
+	sendJoinPeers:     {answered: (*Node).joinPeersAnswered, failed: (*Node).joinFailed, join: true},
+	sendJoinTopList:   {answered: (*Node).joinTopListAnswered, failed: (*Node).joinFailed, join: true},
+	sendJoinReport:    {answered: (*Node).joinReportAnswered, failed: (*Node).joinFailed, join: true},
+	sendReconcile:     {answered: (*Node).reconcileAnswered, failed: (*Node).reconcileFailed},
+	sendRaise:         {answered: (*Node).raised, failed: (*Node).raiseFailed},
+	sendWarmRaise:     {answered: (*Node).raised, failed: (*Node).raiseFailed},
+	sendCrossRefresh:  {answered: (*Node).crossRefreshAnswered, failed: (*Node).crossRefreshFailed},
+}
 
 // pendingSend tracks one reliable request awaiting its ack/response.
 //
@@ -37,17 +75,17 @@ type pendingSend struct {
 	msg      wire.Message
 	attempts int
 	kind     sendKind
+	// once is set when the kind's one-shot fallback is spent: a report's
+	// §4.5 refresh, a join's §4.4 referral, reconcile's second donor.
+	once bool
 
-	// target is the peer a multicast step or verification addresses;
-	// failed lists the targets a multicast step has already given up on
-	// (nil until the first redirect).
+	// target is the addressee of a kind that does not walk; cands are a
+	// walking kind's candidates left, or a multicast step's failed
+	// targets; report holds a §4.5 refresh's event and trace, in a
+	// second record from the pool that is in no ring.
 	target wire.Pointer
-	failed []nodeid.ID
-
-	// sendGeneric only: onResponse fires with the ack/response message;
-	// onFail fires after the attempt budget is exhausted.
-	onResponse func(resp wire.Message)
-	onFail     func()
+	cands  []wire.Pointer
+	report *pendingSend
 
 	// next links the record into the pool's free list while released.
 	next *pendingSend
@@ -59,11 +97,14 @@ func (r *pendingSend) Link() **pendingSend { return &r.next }
 // minPendingRing is the pending ring's first size, a power of two.
 const minPendingRing = 16
 
-// releaseSend blanks a record and returns it to the pool. The caller has
-// already taken it out of its pending ring.
+// releaseSend blanks a record, and the report it holds, and returns them
+// to the pool. The caller has already taken it out of its pending ring.
 //
 //pwlint:noalloc
 func (n *Node) releaseSend(r *pendingSend) {
+	if r.report != nil {
+		n.releaseSend(r.report)
+	}
 	*r = pendingSend{}
 	n.pool.sends.Put(r)
 }
@@ -160,30 +201,13 @@ func (r *pendingRing) remove(p *pendingSend) {
 	r.n--
 }
 
-// sendReliable transmits msg to a single target, retrying up to attempts
-// times with AckTimeout between tries, then calling onFail. The returned
-// ackID is stamped into msg. Responses (any message echoing the ackID)
-// route to onResponse.
-func (n *Node) sendReliable(msg wire.Message, attempts int, onResponse func(wire.Message), onFail func()) uint64 {
+// track takes a record for a reliable send of msg to target, with
+// RetryAttempts tries; the caller completes the continuation and arms it.
+func (n *Node) track(kind sendKind, msg wire.Message, target wire.Pointer) *pendingSend {
 	p := n.pool.sends.Get()
-	p.msg = msg
-	p.attempts = attempts
-	p.onResponse = onResponse
-	p.onFail = onFail
-	return n.arm(p)
-}
-
-// sendTracked is sendReliable for the per-message kinds: RetryAttempts
-// tries, then the kind's failure path with target (and failed) as its
-// arguments.
-func (n *Node) sendTracked(msg wire.Message, kind sendKind, target wire.Pointer, failed []nodeid.ID) {
-	p := n.pool.sends.Get()
-	p.msg = msg
+	p.kind, p.msg, p.target = kind, msg, target
 	p.attempts = n.cfg.RetryAttempts
-	p.kind = kind
-	p.target = target
-	p.failed = failed
-	n.arm(p)
+	return p
 }
 
 // arm registers a filled-in record under a fresh ack id and makes the
@@ -224,15 +248,8 @@ func (n *Node) onAckTimeout(id uint64) {
 	n.pending.remove(p)
 	n.m.ackFailures.Inc()
 	n.span(p.msg.Trace, trace.SpanDrop, 0, p.msg.To, int(p.msg.Step), p.msg.Event)
-	switch p.kind {
-	case sendMulticastStep:
-		n.stepFailed(p)
-	case sendVerify:
-		n.verifyFailed(p.target)
-	default:
-		if p.onFail != nil {
-			p.onFail()
-		}
+	if rule := sendRules[p.kind].failed; rule != nil {
+		rule(n, p)
 	}
 	n.releaseSend(p)
 }
@@ -244,13 +261,8 @@ func (n *Node) resolveAck(id uint64, resp wire.Message) {
 		return // duplicate or late ack
 	}
 	n.pending.remove(p)
-	switch p.kind {
-	case sendVerify:
-		n.verifyAnswered(p.target)
-	case sendGeneric:
-		if p.onResponse != nil {
-			p.onResponse(resp)
-		}
+	if rule := sendRules[p.kind].answered; rule != nil {
+		rule(n, p, resp)
 	}
 	n.releaseSend(p)
 }

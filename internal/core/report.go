@@ -42,9 +42,9 @@ func (n *Node) shuffledTops() []wire.Pointer {
 	return tops
 }
 
-// reportVia tries each candidate top node in turn. refreshed guards the
-// one-shot "ask another node in the peer list for his top-node list as a
-// substitution" fallback of §4.5.
+// reportVia tries each candidate top node in turn (reportFailed walks
+// on). refreshed marks the one-shot "ask another node in the peer list
+// for his top-node list as a substitution" fallback of §4.5 as spent.
 func (n *Node) reportVia(ev wire.Event, tid wire.TraceID, tops []wire.Pointer, refreshed bool) {
 	if n.stopped {
 		return
@@ -52,29 +52,38 @@ func (n *Node) reportVia(ev wire.Event, tid wire.TraceID, tops []wire.Pointer, r
 	if len(tops) == 0 {
 		if !refreshed {
 			if p, ok := n.randomPeer(); ok {
-				msg := wire.Message{Type: wire.MsgTopListReq, To: p.Addr}
-				n.sendReliable(msg, n.cfg.RetryAttempts,
-					func(resp wire.Message) {
-						n.mergeTopPointers(resp.Pointers)
-						n.reportVia(ev, tid, n.shuffledTops(), true)
-					},
-					func() { n.reportVia(ev, tid, nil, true) },
-				)
+				r := n.track(sendReportRefresh, wire.Message{Type: wire.MsgTopListReq, To: p.Addr}, p)
+				r.report = n.pool.sends.Get()
+				r.report.msg = wire.Message{Type: wire.MsgReport, Event: ev, Trace: tid}
+				n.arm(r)
 				return
 			}
 		}
 		n.reportEscalate(ev, tid)
 		return
 	}
-	t := tops[0]
-	msg := wire.Message{Type: wire.MsgReport, To: t.Addr, Event: ev, Trace: tid}
 	n.m.reportsSent.Inc()
-	n.sendReliable(msg, n.cfg.RetryAttempts, nil, func() {
-		// The top node is unreachable: drop it from the list and try the
-		// next one.
-		n.topList = dropID(n.topList, t.ID)
-		n.reportVia(ev, tid, tops[1:], refreshed)
-	})
+	r := n.track(sendReport, wire.Message{Type: wire.MsgReport, To: tops[0].Addr, Event: ev, Trace: tid}, wire.Pointer{})
+	r.cands, r.once = tops, refreshed
+	n.arm(r)
+}
+
+// reportFailed drops the unreachable top node from the list and tries
+// the next candidate.
+func (n *Node) reportFailed(p *pendingSend) {
+	n.topList = dropID(n.topList, p.cands[0].ID)
+	n.reportVia(p.msg.Event, p.msg.Trace, p.cands[1:], p.once)
+}
+
+// refreshAnswered reports through the substitute top-node list;
+// refreshFailed escalates.
+func (n *Node) refreshAnswered(p *pendingSend, resp wire.Message) {
+	n.mergeTopPointers(resp.Pointers)
+	n.reportVia(p.report.msg.Event, p.report.msg.Trace, n.shuffledTops(), true)
+}
+
+func (n *Node) refreshFailed(p *pendingSend) {
+	n.reportVia(p.report.msg.Event, p.report.msg.Trace, nil, true)
 }
 
 // reportEscalate is the degraded path when no top node can be reached.
@@ -86,16 +95,17 @@ func (n *Node) reportEscalate(ev wire.Event, tid wire.TraceID) {
 
 // passUp hands ev to the strongest known peer when it is stronger than
 // us, or originates the multicast here (a top node, or the last resort
-// when that peer is unreachable: it covers at least our own subtree of
-// the audience).
+// when that peer is unreachable, passUpFailed: it covers at least our own
+// subtree of the audience).
 func (n *Node) passUp(ev wire.Event, tid wire.TraceID) {
 	if p, ok := n.peers.Strongest(); ok && int(p.Level) < int(n.self.Level) {
-		msg := wire.Message{Type: wire.MsgReport, To: p.Addr, Event: ev, Trace: tid}
-		n.sendReliable(msg, n.cfg.RetryAttempts, nil, func() { n.originate(ev, tid) })
+		n.arm(n.track(sendPassUp, wire.Message{Type: wire.MsgReport, To: p.Addr, Event: ev, Trace: tid}, p))
 		return
 	}
 	n.originate(ev, tid)
 }
+
+func (n *Node) passUpFailed(p *pendingSend) { n.originate(p.msg.Event, p.msg.Trace) }
 
 // originate applies ev here and, if it was fresh, starts its tree.
 func (n *Node) originate(ev wire.Event, tid wire.TraceID) {

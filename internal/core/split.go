@@ -91,33 +91,30 @@ func (n *Node) captureSplitPointers(dropped []removedPeer, newEigen nodeid.Eigen
 
 // crossPartJoin continues a join whose answering top node Z turned out
 // to belong to a different part than ours (§4.4): ask Z for top nodes of
-// our part, then restart step 2 against them. It runs at most once per
-// join to avoid referral loops.
-func (n *Node) crossPartJoin(z wire.Pointer, done func(error)) {
-	idb := n.self.ID.Bytes()
-	msg := wire.Message{
-		Type:     wire.MsgTopListReq,
-		To:       z.Addr,
-		PartBits: z.Level,
-	}
-	copy(msg.PartPrefix[:], idb[:])
-	n.sendReliable(msg, n.cfg.RetryAttempts,
-		func(resp wire.Message) {
-			if len(resp.Pointers) == 0 {
-				done(ErrJoinFailed)
-				return
-			}
-			n.joinStep2(resp.Pointers, done, false)
-		},
-		func() { done(ErrJoinFailed) },
-	)
+// our part, then restart step 2 against them, referred (at most once per
+// join, to avoid referral loops).
+func (n *Node) crossPartJoin(z wire.Pointer) {
+	msg := wire.Message{Type: wire.MsgTopListReq, To: z.Addr, PartBits: z.Level, PartPrefix: n.self.ID.Bytes()}
+	n.arm(n.track(sendJoinRefer, msg, z))
+}
+
+func (n *Node) joinReferAnswered(_ *pendingSend, resp wire.Message) { n.joinStep2(resp.Pointers, true) }
+
+// requestedPart is the part a MsgTopListReq with PartBits > 0 asks for.
+func requestedPart(m wire.Message) nodeid.Eigenstring {
+	part, _ := nodeid.FromBytes(m.PartPrefix[:]) // 16 bytes: never fails
+	return nodeid.EigenstringOf(part, int(m.PartBits))
 }
 
 // refreshCrossTop implements the §4.5 lazy maintenance: "when a top node
 // T works for another node's joining process, it chooses a live pointer
 // from its top-node list and asks the corresponding node for t−1
 // pointers to top nodes of that part." It refreshes one remembered part
-// per trigger, drawn from the node's own random stream.
+// per trigger, drawn from the node's own random stream, with a single
+// attempt. The request names the part, for crossRefreshAnswered to
+// filter by; a target inside the part answers with its own part's tops
+// either way (handleTopListReq), and every remembered top is inside its
+// part.
 func (n *Node) refreshCrossTop() {
 	if !n.isTopNode() {
 		return
@@ -134,24 +131,28 @@ func (n *Node) refreshCrossTop() {
 	r := live[n.env.Rand().Intn(len(live))]
 	target := r.tops[n.env.Rand().Intn(len(r.tops))]
 	n.m.topListRefreshes.Inc()
-	msg := wire.Message{Type: wire.MsgTopListReq, To: target.Addr}
-	n.sendReliable(msg, 1,
-		func(resp wire.Message) {
-			// Keep only pointers that really belong to that part.
-			keep := resp.Pointers[:0]
-			for _, p := range resp.Pointers {
-				if r.part.Contains(p.ID) {
-					keep = append(keep, p)
-				}
-			}
-			n.rememberCrossPart(r.part, keep)
-		},
-		func() {
-			// Drop the dead pointer; the rest of the part's row
-			// remains.
-			if i, ok := n.findPart(r.part); ok {
-				n.crossTop[i].tops = dropID(n.crossTop[i].tops, target.ID)
-			}
-		},
-	)
+	msg := wire.Message{Type: wire.MsgTopListReq, To: target.Addr, PartBits: uint8(r.part.Len), PartPrefix: r.part.Prefix.Bytes()}
+	p := n.track(sendCrossRefresh, msg, target)
+	p.attempts = 1
+	n.arm(p)
+}
+
+func (n *Node) crossRefreshAnswered(p *pendingSend, resp wire.Message) {
+	// Keep only pointers that really belong to that part.
+	part := requestedPart(p.msg)
+	keep := resp.Pointers[:0]
+	for _, q := range resp.Pointers {
+		if part.Contains(q.ID) {
+			keep = append(keep, q)
+		}
+	}
+	n.rememberCrossPart(part, keep)
+}
+
+// crossRefreshFailed drops the dead pointer; the rest of the part's row
+// remains.
+func (n *Node) crossRefreshFailed(p *pendingSend) {
+	if i, ok := n.findPart(requestedPart(p.msg)); ok {
+		n.crossTop[i].tops = dropID(n.crossTop[i].tops, p.target.ID)
+	}
 }
