@@ -8,7 +8,10 @@ import (
 	"strings"
 	"testing"
 
+	"peerwindow/internal/des"
+	"peerwindow/internal/metrics"
 	"peerwindow/internal/sim"
+	"peerwindow/internal/workload"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/*.golden from the current output")
@@ -31,10 +34,13 @@ func TestMcastTableProperties(t *testing.T) {
 	}
 }
 
-// TestFullFidelityGolden pins the three full-fidelity tables (multicast
-// properties, split system, multicast delay) for seed 1 byte for byte, so
-// a change to how the cluster counts deliveries, forwards or steps cannot
-// move them unnoticed. Regenerate with
+// TestFullFidelityGolden pins the full-fidelity tables for seed 1 byte
+// for byte: multicast properties, split system and multicast delay, which
+// run without churn, and the Fig 5–8 tables of a 250-node run under
+// Gnutella churn with half the departures crashes, which covers the kill,
+// leave and dead-node paths. A change to how the cluster counts
+// deliveries, forwards or steps, or to what a departure leaves behind,
+// cannot move them unnoticed. Regenerate with
 // `go test ./cmd/pwsim -run TestFullFidelityGolden -update`.
 func TestFullFidelityGolden(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
@@ -45,7 +51,8 @@ func TestFullFidelityGolden(t *testing.T) {
 	golden := filepath.Join("testdata", "fullfidelity_seed1.golden")
 	got := mcastTable(64, 1, "").Render() + "\n" +
 		splitTable(1).Render() + "\n" +
-		sim.DelayTable(sim.MeasureMulticastDelay(96, 5, 1)).Render() + "\n"
+		sim.DelayTable(sim.MeasureMulticastDelay(96, 5, 1)).Render() + "\n" +
+		departuresTables()
 	if *updateGolden {
 		if err := os.MkdirAll(filepath.Dir(golden), 0o755); err != nil {
 			t.Fatal(err)
@@ -63,6 +70,20 @@ func TestFullFidelityGolden(t *testing.T) {
 		t.Fatalf("full-fidelity output for seed 1 differs from %s (rerun with -update if the change is intended)\n--- got ---\n%s\n--- want ---\n%s",
 			golden, got, want)
 	}
+}
+
+// departuresTables renders the Fig 5–8 tables of RunCommonFull at 250
+// nodes and seed 1, with lifetimes compressed to 12 minutes so churn
+// replaces about a third of the population in the 30 virtual minutes.
+func departuresTables() string {
+	wl := workload.DefaultConfig()
+	wl.MeanLifetime = 12 * des.Minute
+	r := sim.RunCommonFull(250, wl, 1, 15*des.Minute, 15*des.Minute)
+	var b strings.Builder
+	for _, t := range []*metrics.Table{sim.Fig5Table(r), sim.Fig6Table(r), sim.Fig7Table(r), sim.Fig8Table(r)} {
+		b.WriteString(t.Render() + "\n")
+	}
+	return b.String()
 }
 
 func TestParseHelpers(t *testing.T) {

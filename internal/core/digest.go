@@ -60,7 +60,7 @@ func (n *Node) AppendDigest(b []byte) []byte {
 	// Identity block.
 	b = appendU64(b, uint64(n.self.Addr))
 	b = appendID(b, n.self.ID)
-	b = append(b, n.self.Level, boolByte(n.joined), boolByte(n.stopped))
+	b = append(b, n.self.Level, boolByte(n.phase == phaseJoined), boolByte(n.phase == phaseStopped))
 	b = appendU64(b, uint64(int64(n.warmTarget)))
 	b = appendU64(b, n.seq)
 	b = appendU64(b, uint64(len(n.self.Info)))

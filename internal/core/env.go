@@ -95,7 +95,8 @@ func (r RemoveReason) String() string {
 // stream always holds a bit-identical copy of the peer list. The query
 // plane's snapshot store (internal/query.Store) is the canonical
 // implementation. Implementations must not block and must not call back
-// into the Node.
+// into the Node. Stop releases the list without calls, so the sink keeps
+// the window as of Stop.
 type DeltaSink interface {
 	// PeerAdded is called after a pointer not previously in the list is
 	// inserted.

@@ -251,7 +251,9 @@ func (p *ChunkPool) CheckInvariants(lists []*PeerList) error {
 //     later than now + AckTimeout;
 //   - the dedup table keeps its rules (dedupTable.check): its counts
 //     match its slots, and every record is reached by its own probe;
-//   - each pending send's continuation is well formed (checkSends).
+//   - each pending send's continuation is well formed (checkSends);
+//   - the join callback is set exactly while the node joins, and a
+//     stopped node holds nothing (checkPhase).
 func (n *Node) CheckInvariants() error {
 	if err := n.peers.CheckInvariants(); err != nil {
 		return err
@@ -300,7 +302,7 @@ func (n *Node) CheckInvariants() error {
 		}
 		topSeen[p.ID] = true
 	}
-	if n.joined && n.peers.Len() > 0 {
+	if n.phase == phaseJoined && n.peers.Len() > 0 {
 		if _, ok := n.peers.Successor(n.self.ID, nil); !ok {
 			return fmt.Errorf("ring successor undefined with %d peers held", n.peers.Len())
 		}
@@ -311,13 +313,44 @@ func (n *Node) CheckInvariants() error {
 	if err := n.checkSends(); err != nil {
 		return err
 	}
-	return n.checkQueues()
+	if err := n.checkQueues(); err != nil {
+		return err
+	}
+	return n.checkPhase()
+}
+
+// checkPhase is CheckInvariants' phase clause: the join callback is set
+// exactly while the node joins, and a stopped node holds nothing.
+func (n *Node) checkPhase() error {
+	if (n.joinDone != nil) != (n.phase == phaseJoining) {
+		return fmt.Errorf("join callback set %v in phase %d", n.joinDone != nil, n.phase)
+	}
+	if n.phase != phaseStopped {
+		return nil
+	}
+	for _, c := range []struct {
+		what string
+		held bool
+	}{
+		{"a pending send", n.pending.slots != nil},
+		{"a queued deadline", n.acks.len()+n.hops.len()+n.defends.len()+n.probeWaits.len() > 0},
+		{"an armed timer", slices.ContainsFunc(n.timerSlots(), (*timerSlot).armed)},
+		{"a dedup record", n.dedup.slots != nil},
+		{"a peer list", n.peers.dir != nil || n.peers.stamps.dir != nil || n.peers.info != nil},
+		{"a top list", n.topList != nil},
+		{"a part table", n.crossTop != nil},
+	} {
+		if c.held {
+			return fmt.Errorf("stopped node holds %s", c.what)
+		}
+	}
+	return nil
 }
 
 // checkSends is CheckInvariants' continuation clause: every pending send
-// has a row in sendRules; a join kind is pending only during a join on a
-// node not yet joined, one at a time; and a kind that walks addresses its
-// first candidate, any other kind its target.
+// has a row in sendRules; a join kind is pending only during a join, one
+// at a time; and a kind that walks addresses its first candidate, any
+// other kind its target.
 func (n *Node) checkSends() error {
 	joins := 0
 	for _, p := range n.pending.slots {
@@ -329,8 +362,8 @@ func (n *Node) checkSends() error {
 		}
 		rule, to := sendRules[p.kind], p.target
 		if rule.join {
-			if joins++; joins > 1 || n.joined || n.joinDone == nil {
-				return fmt.Errorf("join send %d pending (%d of them), joined %v, joining %v", p.id, joins, n.joined, n.joinDone != nil)
+			if joins++; joins > 1 || n.phase != phaseJoining {
+				return fmt.Errorf("join send %d pending (%d of them) in phase %d", p.id, joins, n.phase)
 			}
 		}
 		if rule.walks && len(p.cands) > 0 {

@@ -455,8 +455,9 @@ func TestSendInvariantsCatchCorruption(t *testing.T) {
 		corrupt func(t *testing.T, n *Node)
 		want    string
 	}{
-		"join send on a joined node":         {joining, func(_ *testing.T, n *Node) { n.joined = true }, "join send"},
-		"join send with no join in progress": {joining, func(_ *testing.T, n *Node) { n.joinDone = nil }, "join send"},
+		"join send on a joined node":         {joining, func(_ *testing.T, n *Node) { n.phase = phaseJoined }, "join send"},
+		"join send with no join in progress": {joining, func(_ *testing.T, n *Node) { n.phase = phaseIdle }, "join send"},
+		"join without its callback":          {joining, func(_ *testing.T, n *Node) { n.joinDone = nil }, "join callback"},
 		"two join sends": {joining, func(_ *testing.T, n *Node) {
 			n.arm(n.track(sendJoinPeers, wire.Message{Type: wire.MsgPeerListReq, To: 2}, ptrAt("1000", 0, 2)))
 		}, "join send"},
@@ -479,6 +480,40 @@ func TestSendInvariantsCatchCorruption(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			n := tc.build()
 			tc.corrupt(t, n)
+			if err := n.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Fatalf("check: %v, want an error mentioning %q", err, tc.want)
+			}
+		})
+	}
+}
+
+// The phase clause catches a stopped node that still holds or runs
+// something, and a join callback outside a join.
+func TestStoppedNodeInvariantsCatchCorruption(t *testing.T) {
+	peer := ptrAt("0100", 0, 2)
+	cases := map[string]struct {
+		corrupt func(n *Node)
+		want    string
+	}{
+		"armed slot":    {func(n *Node) { n.probeTimer.arm(des.Second) }, "armed timer"},
+		"queued hop":    {func(n *Node) { n.hops.push(n.cfg.ForwardDelay, forwardHop{}) }, "queued deadline"},
+		"pending send":  {func(n *Node) { n.arm(n.track(sendVerify, wire.Message{Type: wire.MsgHeartbeat, To: 2}, peer)) }, "pending send"},
+		"dedup record":  {func(n *Node) { n.dedup.put(peer.ID, dedupRec{seq: 1}) }, "dedup record"},
+		"peer list":     {func(n *Node) { n.peers.Upsert(peer, n.env.Now()) }, "peer list"},
+		"top list":      {func(n *Node) { n.topList = []wire.Pointer{peer} }, "top list"},
+		"part table":    {func(n *Node) { n.rememberCrossPart(nodeid.EigenstringOf(peer.ID, 2), []wire.Pointer{peer}) }, "part table"},
+		"join callback": {func(n *Node) { n.joinDone = func(error) {} }, "join callback"},
+	}
+	stopped := func() *Node {
+		n := newTopNode(t, newFakeEnv(7), peer, ptrAt("1000", 0, 3))
+		n.Stop()
+		return n
+	}
+	checkNode(t, stopped())
+	for name, tc := range cases {
+		t.Run(name, func(t *testing.T) {
+			n := stopped()
+			tc.corrupt(n)
 			if err := n.CheckInvariants(); err == nil || !strings.Contains(err.Error(), tc.want) {
 				t.Fatalf("check: %v, want an error mentioning %q", err, tc.want)
 			}

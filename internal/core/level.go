@@ -55,24 +55,26 @@ func EstimateLevel(lT int, wT, wX float64, maxLevel int) int {
 // below the estimate and raises its level in the background afterwards.
 // Each step is a reliable send whose rules (sendRules) take the next.
 func (n *Node) Join(bootstrap wire.Pointer, done func(error)) {
-	if n.joined || n.stopped || n.joinDone != nil {
-		panic("core: Join on a joined, joining or stopped node")
-	}
+	n.mustBeIdle("Join")
 	if bootstrap.Addr == n.self.Addr || bootstrap.ID == n.self.ID {
 		panic("core: node cannot bootstrap through itself")
 	}
 	if done == nil {
 		done = func(error) {}
 	}
-	n.joinDone = done
+	n.phase, n.joinDone = phaseJoining, done
 	// Step 1: discover top nodes through the bootstrap.
 	n.arm(n.track(sendJoinTops, wire.Message{Type: wire.MsgTopListReq, To: bootstrap.Addr}, bootstrap))
 }
 
-// endJoin ends the join in progress and hands err to its caller.
+// endJoin ends the join in progress and hands err to its caller; a
+// failed join leaves the node idle.
 func (n *Node) endJoin(err error) {
 	done := n.joinDone
 	n.joinDone = nil
+	if err != nil {
+		n.phase = phaseIdle
+	}
 	done(err)
 }
 
@@ -157,10 +159,9 @@ func (n *Node) joinTopListAnswered(p *pendingSend, resp wire.Message) {
 }
 
 func (n *Node) joinReportAnswered(p *pendingSend, _ wire.Message) {
-	n.joined = true
 	n.joinedAt = n.env.Now()
 	n.joinTop = p.target
-	n.startTimers()
+	n.setJoined()
 	if n.warmTarget >= 0 && n.warmTarget < n.Level() {
 		n.warmUpTimer.arm(n.cfg.ShiftCheckInterval)
 	}
@@ -183,9 +184,6 @@ func (n *Node) joinReportAnswered(p *pendingSend, _ wire.Message) {
 // Only when the join top is gone do we fall back to the strongest peer
 // or the top-node list.
 func (n *Node) reconcile() {
-	if n.stopped || !n.joined {
-		return
-	}
 	n.m.reconcileRuns.Inc()
 	if n.joinTop.Addr != 0 {
 		n.reconcileFrom(n.joinTop, false)
@@ -255,11 +253,8 @@ func (n *Node) reconcileAnswered(p *pendingSend, resp wire.Message) {
 
 // warmUpStep raises the level one notch toward the warm-up target in the
 // background (§4.3: "after completing the background downloading, it
-// raises its level").
+// raises its level"). Its slot is armed only while the target is set.
 func (n *Node) warmUpStep() {
-	if n.stopped || !n.joined || n.warmTarget < 0 {
-		return
-	}
 	if n.Level() <= n.warmTarget {
 		n.warmTarget = -1
 		return
@@ -272,9 +267,6 @@ func (n *Node) warmUpStep() {
 // onShiftCheck is the §2 autonomy loop: compare the measured input cost
 // against the budget and shift the level accordingly.
 func (n *Node) onShiftCheck() {
-	if n.stopped || !n.joined {
-		return
-	}
 	n.shiftTimer.arm(n.cfg.ShiftCheckInterval)
 	n.pruneDedup()
 	if n.warmTarget >= 0 {

@@ -77,7 +77,7 @@ func (n *Node) originateMulticast(ev wire.Event, tid wire.TraceID) {
 // into step s's candidates (bit s flipped) and step s+1's range, so each
 // step costs one search.
 func (n *Node) forwardEvent(ev wire.Event, fromStep int, tid wire.TraceID) {
-	if n.stopped || fromStep >= nodeid.Bits {
+	if fromStep >= nodeid.Bits {
 		return
 	}
 	lo, hi := n.peers.prefixRange(nodeid.EigenstringOf(n.self.ID, fromStep))

@@ -98,10 +98,9 @@ type Node struct {
 	// node can spiral several levels in one burst.
 	lastShift des.Time
 
-	joined  bool
-	stopped bool
-	// joinDone is the Join caller's callback while a join is in progress,
-	// nil otherwise (see endJoin).
+	// joinDone is the Join caller's callback while the node is
+	// phaseJoining, nil otherwise (see endJoin).
+	phase    phase
 	joinDone func(error)
 
 	// joinedAt is when the join completed (zero for Bootstrap/Restore).
@@ -118,6 +117,21 @@ type Node struct {
 	// toward (§4.3 warm-up); -1 otherwise.
 	warmTarget int
 }
+
+// phase is where a node is in its life: built, joining (§4.3), a
+// member, or gone by a leave or a crash (§4.1, §4.2). The liveness rule
+// is stated here once: a stopped node runs nothing and holds nothing.
+// HandleMessage refuses it, Stop cancels its timers and pending sends,
+// and only setJoined arms the periodic ones, so no callback or send rule
+// checks the phase again.
+type phase uint8
+
+const (
+	phaseIdle    phase = iota // built; Bootstrap, Restore or Join next
+	phaseJoining              // a Join is in progress
+	phaseJoined               // a member of the overlay
+	phaseStopped              // left or crashed
+)
 
 // NewNode builds a node that is not yet part of any overlay; call
 // Bootstrap or Join next. self.Level is ignored (the join process decides
@@ -171,7 +185,7 @@ func (n *Node) Level() int { return int(n.self.Level) }
 func (n *Node) Eigenstring() nodeid.Eigenstring { return n.eigen }
 
 // Joined reports whether the node has completed joining.
-func (n *Node) Joined() bool { return n.joined }
+func (n *Node) Joined() bool { return n.phase == phaseJoined }
 
 // Peers exposes the peer list for reading. Callers must not mutate it.
 func (n *Node) Peers() *PeerList { return &n.peers }
@@ -289,12 +303,17 @@ func (n *Node) send(msg wire.Message) {
 // Bootstrap makes this node the first member of a fresh overlay: level 0,
 // immediately joined, timers running.
 func (n *Node) Bootstrap() {
-	if n.joined || n.stopped {
-		panic("core: Bootstrap on a joined or stopped node")
-	}
+	n.mustBeIdle("Bootstrap")
 	n.setLevel(0)
-	n.joined = true
-	n.startTimers()
+	n.setJoined()
+}
+
+// mustBeIdle panics unless op, which starts a membership, finds the node
+// new or after a failed join.
+func (n *Node) mustBeIdle(op string) {
+	if n.phase != phaseIdle {
+		panic("core: " + op + " on a joining, joined or stopped node")
+	}
 }
 
 // Restore bulk-loads a node with a known-good state and brings it online
@@ -304,9 +323,7 @@ func (n *Node) Bootstrap() {
 // it is equivalent to a join whose multicast and downloads have fully
 // completed.
 func (n *Node) Restore(level int, peers, tops []wire.Pointer) {
-	if n.joined || n.stopped {
-		panic("core: Restore on a joined or stopped node")
-	}
+	n.mustBeIdle("Restore")
 	if level < 0 || level > n.cfg.MaxLevel {
 		panic(fmt.Sprintf("core: Restore level %d out of range", level))
 	}
@@ -316,15 +333,15 @@ func (n *Node) Restore(level int, peers, tops []wire.Pointer) {
 	if s := uint64(n.env.Now()); s > n.seq {
 		n.seq = s
 	}
-	n.joined = true
-	n.startTimers()
+	n.setJoined()
 }
 
 // Snapshot captures the node's durable state — level, peer list and
 // top-node list — in a form Restore accepts, so an embedding application
 // can persist it across restarts and come back without re-running the
 // full joining download. The snapshot ages like any peer list: restore
-// promptly or rejoin instead.
+// promptly or rejoin instead. Take it before Stop (or Leave), which
+// releases the lists.
 func (n *Node) Snapshot() (level int, peers, tops []wire.Pointer) {
 	return n.Level(), n.peers.Pointers(), n.TopList()
 }
@@ -338,7 +355,7 @@ func (n *Node) Snapshot() (level int, peers, tops []wire.Pointer) {
 // applied the leave have already routed around us, so the corpse is
 // nobody's successor). A surviving originator keeps retrying.
 func (n *Node) Leave() {
-	if !n.joined || n.stopped {
+	if n.phase != phaseJoined {
 		n.Stop()
 		return
 	}
@@ -356,24 +373,22 @@ func (n *Node) Leave() {
 // Stop halts all timers and message processing without any announcement —
 // a crash. The ring probing of some neighbour (§4.1) will eventually
 // detect it. Every timer the node armed is cancelled, so a live host's
-// clock holds no reference to the stopped node.
+// clock holds no reference to the stopped node, and a join in progress
+// ends without its callback. What only a live node reads is given back —
+// pending sends, peer list, top list, part table, dedup records, lifetime
+// aggregates; the identity, counters and meters stay.
 func (n *Node) Stop() {
-	if n.stopped {
+	if n.phase == phaseStopped {
 		return
 	}
-	n.stopped = true
-	n.joined = false
-	n.joinDone = nil // a join in progress ends without its callback
-	for _, t := range []*timerSlot{&n.probeTimer, &n.shiftTimer, &n.refreshTimer, &n.warmUpTimer, &n.reconcileTimer} {
+	n.phase, n.joinDone = phaseStopped, nil
+	for _, t := range n.timerSlots() {
 		t.cancel()
 	}
 	n.acks.stop()
 	n.hops.stop()
 	n.defends.stop()
 	n.probeWaits.stop()
-	// Nothing reads the ring of a stopped node but the checks and the
-	// digest, which find it empty, so its slot array goes back to the
-	// pool.
 	for _, p := range n.pending.slots {
 		if p != nil {
 			n.releaseSend(p)
@@ -383,17 +398,26 @@ func (n *Node) Stop() {
 		n.pool.putRing(n.pending.slots)
 	}
 	n.pending = pendingRing{}
-	// Nothing reads the dedup records of a stopped node either.
 	n.dedup = dedupTable{}
+	n.peers.keep(0, 0) // every chunk and stamp leaf back to the pool
+	n.peers = PeerList{pool: n.pool}
+	n.topList, n.crossTop, n.lifetimes = nil, nil, metrics.PerLevel{}
 }
 
 // Stopped reports whether the node has been stopped.
-func (n *Node) Stopped() bool { return n.stopped }
+func (n *Node) Stopped() bool { return n.phase == phaseStopped }
 
-// startTimers arms the periodic machinery once the node is joined.
-func (n *Node) startTimers() {
+// timerSlots returns the node's single timers.
+func (n *Node) timerSlots() []*timerSlot {
+	return []*timerSlot{&n.probeTimer, &n.shiftTimer, &n.refreshTimer, &n.warmUpTimer, &n.reconcileTimer}
+}
+
+// setJoined makes the node a member and arms the periodic machinery —
+// the one place it is armed.
+func (n *Node) setJoined() {
+	n.phase = phaseJoined
 	n.lastShift = n.env.Now()
-	n.scheduleProbe()
+	n.probeTimer.arm(n.cfg.ProbeInterval)
 	n.shiftTimer.arm(n.cfg.ShiftCheckInterval)
 	if n.cfg.RefreshEnabled {
 		n.lastRefresh = n.env.Now()
@@ -408,7 +432,7 @@ func (n *Node) SetInfo(info []byte) {
 		panic(fmt.Sprintf("core: info %d bytes exceeds %d", len(info), wire.MaxInfoLen))
 	}
 	n.self.Info = append([]byte(nil), info...)
-	if !n.joined {
+	if n.phase != phaseJoined {
 		return
 	}
 	n.seq++
@@ -418,7 +442,7 @@ func (n *Node) SetInfo(info []byte) {
 // HandleMessage processes one incoming message. The Env must call it
 // serially with timer callbacks.
 func (n *Node) HandleMessage(m wire.Message) {
-	if n.stopped {
+	if n.phase == phaseStopped {
 		return
 	}
 	if maintenanceTraffic(m.Type) {
@@ -612,11 +636,7 @@ func (n *Node) applyPointers(ps []wire.Pointer) []wire.Pointer {
 
 // defendSelf re-announces the node AckTimeout after it heard its own
 // leave (see applyEvent).
-func (n *Node) defendSelf(struct{}) {
-	if n.joined && !n.stopped {
-		n.announce(wire.EventRefresh)
-	}
-}
+func (n *Node) defendSelf(struct{}) { n.announce(wire.EventRefresh) }
 
 // markDead records that id's leave is being reported and returns the
 // sequence number the report carries — one past the newest applied —
@@ -672,7 +692,7 @@ func (n *Node) applyEvent(ev wire.Event) bool {
 		// Self-defense: if the system believes we left (a false failure
 		// detection slipped past the probe retries), re-announce
 		// ourselves so every window restores our pointer.
-		if ev.Kind == wire.EventLeave && n.joined && !n.stopped {
+		if ev.Kind == wire.EventLeave {
 			n.defends.push(n.cfg.AckTimeout, struct{}{})
 		}
 		return true

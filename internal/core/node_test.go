@@ -734,37 +734,133 @@ func TestWarmUpStartsWeakAndRises(t *testing.T) {
 	}
 }
 
+// pooledFakeEnv is a fakeEnv whose nodes draw their storage from one
+// shared pool, as a simulator cluster's nodes do.
+type pooledFakeEnv struct {
+	*fakeEnv
+	pool *ChunkPool
+}
+
+func (e pooledFakeEnv) ChunkPool() *ChunkPool { return e.pool }
+
+// TestStopCancelsEverything: Stop on a joined node with every timer slot
+// and deadline queue armed, and on a node in the middle of its join,
+// leaves nothing armed, queued or pending, gives every chunk and stamp
+// leaf back to the shared pool, never calls the join's done, and the
+// nodes neither send nor answer anything afterwards.
 func TestStopCancelsEverything(t *testing.T) {
-	env := newFakeEnv(22)
+	fake := newFakeEnv(22)
+	env := pooledFakeEnv{fake, new(ChunkPool)}
 	cfg := quietConfig()
 	cfg.ProbeInterval = 10 * des.Second
 	cfg.ForwardDelay = des.Second
+	cfg.RefreshEnabled = true
 	peer := ptrAt("0100", 0, 10)
+	peer.Info = []byte("info")
 	n := NewNode(cfg, env, Observer{}, ptrAt("0000", 0, 1))
-	n.Restore(0, []wire.Pointer{peer}, nil)
-	// A forward awaiting its ack, and an event waiting out ForwardDelay.
+	n.Restore(0, []wire.Pointer{peer, ptrAt("1000", 0, 11)}, []wire.Pointer{ptrAt("1100", 0, 12)})
+	n.rememberCrossPart(nodeid.EigenstringOf(ptrAt("1110", 0, 0).ID, 3), []wire.Pointer{ptrAt("1110", 0, 13)})
+	// The two slots Restore leaves idle: warm-up and reconcile.
+	n.warmUpTimer.arm(cfg.ShiftCheckInterval)
+	n.reconcileTimer.arm(des.Minute)
+	// A forward awaiting its ack, an event waiting out ForwardDelay, a
+	// heartbeat waiting out ProbeTimeout and a self-defense waiting out
+	// AckTimeout.
 	deliver(n, peer, 1)
-	env.run(des.Second)
+	fake.run(des.Second)
 	deliver(n, peer, 2)
-	n.Stop()
-	if !n.Stopped() {
-		t.Fatal("not stopped")
+	n.probeOnce()
+	n.applyEvent(wire.Event{Kind: wire.EventLeave, Subject: n.Self(), Seq: 1})
+	for name, s := range map[string]*timerSlot{"probe": &n.probeTimer, "shift": &n.shiftTimer, "refresh": &n.refreshTimer, "warm-up": &n.warmUpTimer, "reconcile": &n.reconcileTimer} {
+		if !s.armed() {
+			t.Fatalf("%s slot not armed before Stop", name)
+		}
 	}
-	if armed := env.engine.Pending(); armed != 0 {
+	if n.acks.len() == 0 || n.hops.len() == 0 || n.defends.len() == 0 || n.probeWaits.len() == 0 {
+		t.Fatalf("before Stop: %d acks, %d hops, %d defends, %d probe waits queued; want some of each",
+			n.acks.len(), n.hops.len(), n.defends.len(), n.probeWaits.len())
+	}
+	if n.dedup.n == 0 || n.peers.info == nil || len(n.topList) == 0 || len(n.crossTop) == 0 {
+		t.Fatal("before Stop: no dedup record, info table, top list or part table")
+	}
+	// A second node in the middle of its join, through the first.
+	joiner := NewNode(cfg, env, Observer{}, ptrAt("0010", 0, 2))
+	done := false
+	joiner.Join(n.Self(), func(error) { done = true })
+	if joiner.pending.n != 1 {
+		t.Fatalf("joiner has %d sends pending, want its join step", joiner.pending.n)
+	}
+
+	nodes := []*Node{n, joiner}
+	for _, x := range nodes {
+		x.Stop()
+		if !x.Stopped() || x.Joined() {
+			t.Fatalf("node %d: stopped %v, joined %v after Stop", x.Self().Addr, x.Stopped(), x.Joined())
+		}
+		checkNode(t, x)
+		if x.acks.len()+x.hops.len()+x.defends.len()+x.probeWaits.len() != 0 || x.pending.n != 0 || x.pending.slots != nil {
+			t.Fatalf("node %d: a queue or the pending ring holds work after Stop", x.Self().Addr)
+		}
+		if x.peers.Len() != 0 || x.peers.dir != nil || x.topList != nil || x.crossTop != nil {
+			t.Fatalf("node %d: peer list, top list or part table held after Stop", x.Self().Addr)
+		}
+	}
+	if armed := fake.engine.Pending(); armed != 0 {
 		t.Fatalf("%d timers still armed after Stop", armed)
 	}
-	if n.acks.len() != 0 || n.hops.len() != 0 {
-		t.Fatalf("after Stop: %d acks and %d hops still queued", n.acks.len(), n.hops.len())
+	if err := env.pool.CheckInvariants([]*PeerList{&n.peers, &joiner.peers}); err != nil {
+		t.Fatal(err)
 	}
-	env.take()
-	env.run(des.Hour)
-	if msgs := env.take(); len(msgs) != 0 {
-		t.Fatalf("stopped node still sent %d messages", len(msgs))
+	if err := env.pool.CheckStorage(nodes); err != nil {
+		t.Fatal(err)
+	}
+	if env.pool.interned != 0 {
+		t.Fatalf("%d chunks still interned after Stop", env.pool.interned)
+	}
+	fake.take()
+	fake.run(des.Hour)
+	if msgs := fake.take(); len(msgs) != 0 {
+		t.Fatalf("stopped nodes still sent %d messages", len(msgs))
+	}
+	if done {
+		t.Fatal("the stopped join called its done")
 	}
 	// Messages to a stopped node are ignored.
 	n.HandleMessage(wire.Message{Type: wire.MsgJoinQuery, From: 9, To: 1, AckID: 1})
-	if msgs := env.take(); len(msgs) != 0 {
+	if msgs := fake.take(); len(msgs) != 0 {
 		t.Fatal("stopped node answered a message")
+	}
+}
+
+// TestMembershipStartsOnlyFromIdle: Bootstrap, Restore and Join each
+// panic on a node that is joining, joined or stopped.
+func TestMembershipStartsOnlyFromIdle(t *testing.T) {
+	boot := ptrAt("1000", 0, 2)
+	joining := func(n *Node) { n.Join(boot, nil) }
+	starts := map[string]func(*Node){
+		"Bootstrap": (*Node).Bootstrap,
+		"Restore":   func(n *Node) { n.Restore(0, nil, nil) },
+		"Join":      joining,
+	}
+	phases := map[string]func(*Node){
+		"joining": joining,
+		"joined":  (*Node).Bootstrap,
+		"stopped": (*Node).Stop,
+	}
+	for start, op := range starts {
+		for phase, enter := range phases {
+			t.Run(start+" on a "+phase+" node", func(t *testing.T) {
+				n := NewNode(quietConfig(), newFakeEnv(24), Observer{}, ptrAt("0000", 0, 1))
+				enter(n)
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s on a %s node did not panic", start, phase)
+					}
+					checkNode(t, n)
+				}()
+				op(n)
+			})
+		}
 	}
 }
 

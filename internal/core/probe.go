@@ -27,18 +27,10 @@ type probeWait struct {
 // probe queue's liveness test.
 func (*Node) probeAwaited(w probeWait) bool { return w.ackID != 0 }
 
-// scheduleProbe arms the next periodic heartbeat.
-func (n *Node) scheduleProbe() {
-	if n.stopped || !n.joined {
-		return
-	}
-	n.probeTimer.arm(n.cfg.ProbeInterval)
-}
-
 // probeRound is the periodic heartbeat: probe, then arm the next round.
 func (n *Node) probeRound() {
 	n.probeOnce()
-	n.scheduleProbe()
+	n.probeTimer.arm(n.cfg.ProbeInterval)
 }
 
 // probeAttempts counts heartbeat tries against the current target; a
@@ -54,9 +46,6 @@ func (n *Node) probeRound() {
 // shifted to a sparse level would otherwise die unnoticed). See
 // DESIGN.md.
 func (n *Node) probeOnce() {
-	if n.stopped {
-		return
-	}
 	target, ok := n.peers.Successor(n.self.ID, nil)
 	if !ok {
 		return // alone in the group; nothing to probe
@@ -99,7 +88,7 @@ func (n *Node) handleProbeAck(ackID uint64) {
 // neighbour failed, reports the leave, and redirects probing to the next
 // neighbour immediately.
 func (n *Node) onProbeTimeout(w probeWait) {
-	if n.stopped || n.probeAckID == 0 {
+	if n.probeAckID == 0 {
 		return
 	}
 	target := w.target

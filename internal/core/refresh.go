@@ -34,9 +34,6 @@ func (n *Node) lifetimeEstimate(level int) des.Time {
 // pointers, and re-announce ourselves when our refresh period has come
 // due.
 func (n *Node) onRefreshTick() {
-	if n.stopped || !n.joined {
-		return
-	}
 	n.refreshTimer.arm(n.cfg.RefreshFloor)
 	now := n.env.Now()
 

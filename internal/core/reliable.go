@@ -42,8 +42,7 @@ type sendRule struct {
 
 // sendRules is the one dispatch point of the reliable sends: resolveAck
 // runs the kind's answered rule and onAckTimeout its failed rule. Neither
-// runs on a stopped node (HandleMessage and onAckTimeout refuse one, and
-// Stop releases every pending send), so no rule checks n.stopped.
+// runs on a stopped node (see phase), so no rule checks the phase.
 var sendRules = [...]sendRule{
 	sendMulticastStep: {failed: (*Node).stepFailed},
 	sendVerify:        {answered: (*Node).verifyAnswered, failed: (*Node).verifyFailed},
@@ -233,12 +232,9 @@ func (n *Node) transmit(p *pendingSend) {
 func (n *Node) awaited(id uint64) bool { return n.pending.get(id) != nil }
 
 // onAckTimeout retries or gives up on the pending send id; the ack queue
-// calls it AckTimeout after each attempt that is still unanswered.
+// calls it AckTimeout after each attempt that is still pending (awaited).
 func (n *Node) onAckTimeout(id uint64) {
 	p := n.pending.get(id)
-	if n.stopped || p == nil {
-		return
-	}
 	if p.attempts > 0 {
 		n.m.ackRetries.Inc()
 		n.span(p.msg.Trace, trace.SpanAckRetry, 0, p.msg.To, int(p.msg.Step), p.msg.Event)

@@ -46,9 +46,6 @@ func (n *Node) shuffledTops() []wire.Pointer {
 // on). refreshed marks the one-shot "ask another node in the peer list
 // for his top-node list as a substitution" fallback of §4.5 as spent.
 func (n *Node) reportVia(ev wire.Event, tid wire.TraceID, tops []wire.Pointer, refreshed bool) {
-	if n.stopped {
-		return
-	}
 	if len(tops) == 0 {
 		if !refreshed {
 			if p, ok := n.randomPeer(); ok {

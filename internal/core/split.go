@@ -69,7 +69,7 @@ func (n *Node) captureSplitPointers(dropped []removedPeer, newEigen nodeid.Eigen
 		return
 	}
 	sibling := newEigen.Sibling()
-	var best []wire.Pointer
+	best := make([]wire.Pointer, 0, n.cfg.TopListSize)
 	minLevel := 256
 	for i := range dropped {
 		p := dropped[i].ptr

@@ -22,10 +22,14 @@
 // no top or part-table row has a level or length above 128; a
 // joined node with peers has a ring successor; each deadline queue keeps
 // its deadlines in order and its timer armed while it holds live work;
-// and each pending send has one ack-queue entry, due by now + AckTimeout.
+// each pending send has one ack-queue entry, due by now + AckTimeout;
+// and a stopped node holds no timer, deadline, pending send, dedup
+// record, peer list, top list or part table. The simulation cluster also
+// panics when a timer fires for a stopped node.
 //
 // CheckPool recounts a cluster's pool against every node it serves, dead
-// ones included. core.ChunkPool.CheckInvariants: each interned chunk is
+// ones included, whose storage Stop has given back.
+// core.ChunkPool.CheckInvariants: each interned chunk is
 // cut by the content rule, hashes to its bucket, is interned once and
 // counts exactly the lists that hold it, and every chunk and every stamp
 // leaf the pool made is held once or free once. core.ChunkPool.

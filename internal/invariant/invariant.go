@@ -34,7 +34,8 @@ func Checks() uint64 { return checks.Load() }
 
 // CheckPool panics when pool violates a chunk-pool or storage invariant
 // (core.ChunkPool.CheckInvariants, CheckStorage); nodes must be every
-// node the pool serves, stopped ones included. The simulation harness
+// node the pool serves, stopped ones included, whose storage must be
+// free. The simulation harness
 // calls it at the end of each run interval, as a full recount costs one
 // pass over every node.
 func CheckPool(pool *core.ChunkPool, nodes []*core.Node) {

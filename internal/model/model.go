@@ -495,8 +495,9 @@ func seqSet(cands []cand) map[uint64]bool {
 }
 
 // applyStep fires one engine step (with the precomputed decision when a
-// chooser is driving) and checks every alive node's protocol invariants,
-// converting failures and handler panics into violations.
+// chooser is driving) and checks every node's protocol invariants, dead
+// ones included (a stopped node must hold nothing), converting failures
+// and handler panics into violations.
 func applyStep(cl *sim.Cluster, shot *oneShot, d des.Decision) (v *Violation) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -507,7 +508,7 @@ func applyStep(cl *sim.Cluster, shot *oneShot, d des.Decision) (v *Violation) {
 		shot.d = d
 	}
 	cl.Engine.Step()
-	for _, sn := range cl.Alive() {
+	for _, sn := range cl.Nodes() {
 		if err := sn.Node.CheckInvariants(); err != nil {
 			return &Violation{Kind: "invariant", Node: uint64(sn.Addr), Detail: err.Error()}
 		}

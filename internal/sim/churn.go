@@ -106,7 +106,7 @@ func (ch *Churn) arrive() {
 		return
 	}
 	sn.Node.Join(boot.Node.Self(), func(err error) {
-		if err != nil || !sn.alive {
+		if err != nil {
 			ch.c.Kill(sn)
 			return
 		}
@@ -120,7 +120,7 @@ func (ch *Churn) arrive() {
 // silent.
 func (ch *Churn) scheduleDeparture(sn *SimNode, life des.Time) {
 	ch.c.Engine.After(life, func() {
-		if !sn.alive {
+		if !sn.Alive() {
 			return
 		}
 		if ch.c.rng.Float64() < ch.cfg.CrashFraction {

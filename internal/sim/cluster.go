@@ -146,7 +146,6 @@ type SimNode struct {
 	Addr   wire.Addr
 	Attach topology.Attachment
 	rng    *xrand.Source
-	alive  bool
 
 	// issueSeq feeds nextKey in keyed mode.
 	issueSeq uint32
@@ -200,18 +199,19 @@ func (c *Cluster) NetMetrics() metrics.Snapshot {
 	return s
 }
 
-// Nodes returns all nodes ever added (including dead ones).
+// Nodes returns all nodes ever added, dead ones included; a dead node
+// keeps its identity and counters, and its lists are empty (Node.Stop).
 func (c *Cluster) Nodes() []*SimNode { return c.nodes }
 
 // Alive reports whether the node is still running (not killed, not
-// departed).
-func (sn *SimNode) Alive() bool { return sn.alive }
+// departed): whether its core.Node is not stopped.
+func (sn *SimNode) Alive() bool { return !sn.Node.Stopped() }
 
 // Alive returns the currently alive nodes.
 func (c *Cluster) Alive() []*SimNode {
 	out := make([]*SimNode, 0, len(c.nodes))
 	for _, n := range c.nodes {
-		if n.alive {
+		if n.Alive() {
 			out = append(out, n)
 		}
 	}
@@ -224,7 +224,7 @@ func (c *Cluster) Alive() []*SimNode {
 func (c *Cluster) RandomJoined(exclude *SimNode) *SimNode {
 	candidates := make([]*SimNode, 0, len(c.nodes))
 	for _, n := range c.nodes {
-		if n.alive && n != exclude && n.Node.Joined() {
+		if n != exclude && n.Node.Joined() {
 			candidates = append(candidates, n)
 		}
 	}
@@ -275,7 +275,6 @@ func (c *Cluster) addNodeAt(addr wire.Addr, attach topology.Attachment, rng *xra
 		Addr:   addr,
 		Attach: attach,
 		rng:    rng,
-		alive:  true,
 	}
 	coreCfg := c.cfg.Core
 	if threshold > 0 {
@@ -332,30 +331,23 @@ func (c *Cluster) Join(sn, bootstrap *SimNode, timeout des.Time) error {
 // updated when the join completes.
 func (c *Cluster) JoinAsync(sn, bootstrap *SimNode) {
 	sn.Node.Join(bootstrap.Node.Self(), func(err error) {
-		if err == nil && sn.alive {
+		if err == nil {
 			c.Truth.Join(sn.Node.Self())
 		}
 	})
 }
 
 // Kill crashes a node without notice; ring probing has to find out
-// (§4.1).
+// (§4.1). On a dead node it does nothing.
 func (c *Cluster) Kill(sn *SimNode) {
-	if !sn.alive {
-		return
-	}
-	sn.alive = false
 	sn.Node.Stop()
 	c.Truth.Leave(sn.Node.Self().ID)
 }
 
-// Leave makes a node depart voluntarily, announcing the leave first.
+// Leave makes a node depart voluntarily, announcing the leave first. On
+// a dead node it does nothing.
 func (c *Cluster) Leave(sn *SimNode) {
-	if !sn.alive {
-		return
-	}
 	sn.Node.Leave()
-	sn.alive = false
 	c.Truth.Leave(sn.Node.Self().ID)
 }
 
@@ -364,7 +356,7 @@ func (c *Cluster) Leave(sn *SimNode) {
 // the protocol itself are picked up here).
 func (c *Cluster) SyncTruth() {
 	for _, sn := range c.nodes {
-		if sn.alive {
+		if sn.Alive() {
 			c.Truth.Update(sn.Node.Self())
 		}
 	}
@@ -380,8 +372,8 @@ func (c *Cluster) Run(d des.Time) {
 }
 
 // checkPool runs the pool's invariant checks against every node ever
-// added, dead ones included: a crashed node keeps its peer list, and with
-// it its holds on the pool's chunks.
+// added, dead ones included: a dead node's peer list is empty, and the
+// checks count every chunk and leaf it gave back on the free lists.
 func (c *Cluster) checkPool() {
 	nodes := make([]*core.Node, len(c.nodes))
 	for i, sn := range c.nodes {
@@ -426,7 +418,7 @@ func (sn *SimNode) Rand() *xrand.Source { return sn.rng }
 func (sn *SimNode) ChunkPool() *core.ChunkPool { return sn.c.pool }
 
 // Send implements core.Env: account, maybe drop, and deliver after the
-// topology latency if the destination is still alive then.
+// topology latency.
 func (sn *SimNode) Send(msg wire.Message) {
 	c := sn.c
 	c.MessagesSent++
@@ -489,18 +481,16 @@ type delivery struct {
 // Link implements freelist.Linked.
 func (d *delivery) Link() **delivery { return &d.next }
 
-// Fire implements des.Action: hand the message to its destination, if
-// still alive, and return the record to the pool.
+// Fire implements des.Action: hand the message to its destination (a
+// stopped node ignores it) and return the record to the pool.
 func (d *delivery) Fire() {
 	c := d.dst.c
 	if c.inflight != nil {
 		delete(c.inflight, d.seq)
 	}
-	if d.dst.alive {
-		d.dst.Node.HandleMessage(d.msg)
-		if invariant.Enabled {
-			invariant.Check(d.dst.Node)
-		}
+	d.dst.Node.HandleMessage(d.msg)
+	if invariant.Enabled {
+		invariant.Check(d.dst.Node)
 	}
 	c.releaseDelivery(d)
 }
@@ -546,14 +536,15 @@ func (c *Cluster) NoteDropped(seq uint64) {
 	c.releaseDelivery(d)
 }
 
-// timerFire is a pending timer: the engine handle and the aliveness guard
-// around the node's callback. It is both the des.Action the engine fires
-// and the core.Timer that SetTimer returns. Records are pooled per
+// timerFire is a pending timer: the engine handle and the node's
+// callback. It is both the des.Action the engine fires and the
+// core.Timer that SetTimer returns. Records are pooled per
 // Cluster; one is live from SetTimer until it fires or is cancelled, and
 // is then reused by a later SetTimer, which the core.Timer contract
 // allows: a node never cancels a fired or cancelled handle. Under the
-// pwinvariants build tag records are never reused, and a Cancel on a
-// spent one panics, so a test run checks that contract.
+// pwinvariants build tag records are never reused, a Cancel on a spent
+// one panics, and so does a timer firing for a stopped node (whose Stop
+// cancels every timer it armed), so a test run checks both contracts.
 type timerFire struct {
 	sn *SimNode
 	fn func()
@@ -577,17 +568,18 @@ func (f *timerFire) Cancel() bool {
 	return true
 }
 
-// Fire implements des.Action: run the node's callback if the node is
-// still alive. The record goes back to the pool first, so a callback
-// that re-arms its timer (most do) reuses it instead of growing the pool.
+// Fire implements des.Action: run the node's callback. The record goes
+// back to the pool first, so a callback that re-arms its timer (most do)
+// reuses it instead of growing the pool.
 func (f *timerFire) Fire() {
 	sn, fn := f.sn, f.fn
 	sn.c.releaseTimerFire(f)
-	if sn.alive {
-		fn()
-		if invariant.Enabled && sn.alive {
-			invariant.Check(sn.Node)
-		}
+	if invariant.Enabled && sn.Node.Stopped() {
+		panic("sim: a timer fired for a stopped node")
+	}
+	fn()
+	if invariant.Enabled {
+		invariant.Check(sn.Node)
 	}
 }
 

@@ -311,7 +311,7 @@ func TestLevelShiftDownWhenOverBudget(t *testing.T) {
 	ch := NewChurn(c, ChurnConfig{Workload: wl, TargetPopulation: target, CrashFraction: 0.5})
 	ch.Start()
 	c.Run(15 * des.Minute)
-	if !victim.alive {
+	if !victim.Alive() {
 		t.Skip("victim died during the soak")
 	}
 	if victim.Node.Level() == 0 {
@@ -531,7 +531,7 @@ func TestSplitPartsOperateIndependently(t *testing.T) {
 	c.Kill(victim)
 	c.Run(10 * des.Minute)
 	for _, sn := range part1 {
-		if !sn.alive {
+		if !sn.Alive() {
 			continue
 		}
 		if _, found := sn.Node.Peers().Lookup(victim.Node.Self().ID); found {

@@ -109,7 +109,7 @@ func (ct *ClusterTelemetry) attach(sn *SimNode) {
 func (ct *ClusterTelemetry) schedule(sn *SimNode, e *telemetry.Exporter) {
 	gap := ct.jittered()
 	ct.c.Engine.After(gap, func() {
-		if ct.stopped || !sn.alive {
+		if ct.stopped || !sn.Alive() {
 			// A killed node stops beaconing — exactly the silence the
 			// collector's staleness detector is there to notice.
 			return

@@ -121,7 +121,7 @@ func (c *Cluster) audienceAddrs(subject nodeid.ID) []uint64 {
 	}
 	if !subjectIn {
 		for _, sn := range c.nodes {
-			if sn.alive && sn.Node.Self().ID == subject {
+			if sn.Alive() && sn.Node.Self().ID == subject {
 				out = append(out, uint64(sn.Addr))
 				break
 			}

@@ -59,9 +59,10 @@ type Host struct {
 	rng   *xrand.Source
 
 	// mu serializes everything that touches the node, satisfying
-	// core.Env's contract; once closed is set nothing runs on the node.
-	mu     sync.Mutex
-	closed bool
+	// core.Env's contract. The host is closed exactly when its node is
+	// stopped (Close, Leave); then it hands the node only inbound
+	// messages, which a stopped node ignores.
+	mu sync.Mutex
 	// quit is closed by Close, so a Join waiting outside the lock returns.
 	quit chan struct{}
 
@@ -113,7 +114,7 @@ func (h *Host) check() {
 func (h *Host) fire() {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
+	if h.node.Stopped() {
 		return
 	}
 	h.wakeAt = -1 // timers armed by the callbacks are covered below
@@ -127,14 +128,11 @@ func (h *Host) fire() {
 }
 
 // Deliver hands one inbound message to the node. Links call it from any
-// goroutine; after Close it is a no-op.
+// goroutine; after Close the node ignores it.
 func (h *Host) Deliver(msg wire.Message) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	h.received.Add(1)
-	if h.closed {
-		return
-	}
 	h.node.HandleMessage(msg)
 	h.check()
 }
@@ -153,11 +151,10 @@ func (h *Host) Leave() { h.stop(true) }
 // the wall timer and the link.
 func (h *Host) stop(polite bool) {
 	h.mu.Lock()
-	if h.closed {
+	if h.node.Stopped() {
 		h.mu.Unlock()
 		return
 	}
-	h.closed = true
 	if polite {
 		h.node.Leave() // announces, then stops
 	} else {
@@ -174,7 +171,7 @@ func (h *Host) stop(polite bool) {
 func read[T any](h *Host, f func(*core.Node) T) (v T) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if !h.closed {
+	if !h.node.Stopped() {
 		v = f(h.node)
 	}
 	return v
@@ -210,23 +207,26 @@ func (h *Host) MetricsSnapshot() metrics.Snapshot {
 // reading a view or subscribing never takes the host's lock.
 func (h *Host) Query() *query.Store { return h.store }
 
-// Bootstrap makes this host the first overlay member.
-func (h *Host) Bootstrap() {
+// drive runs f on the node under the lock and re-validates the node;
+// after Close it does nothing.
+func (h *Host) drive(f func(*core.Node)) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
-		return
+	if !h.node.Stopped() {
+		f(h.node)
+		h.check()
 	}
-	h.node.Bootstrap()
-	h.check()
 }
+
+// Bootstrap makes this host the first overlay member.
+func (h *Host) Bootstrap() { h.drive((*core.Node).Bootstrap) }
 
 // Join runs the §4.3 joining process against a bootstrap pointer and
 // blocks until it completes, fails, or timeout passes.
 func (h *Host) Join(bootstrap wire.Pointer, timeout time.Duration) error {
 	errc := make(chan error, 2) // the outcome and the expiry never block
 	h.mu.Lock()
-	if h.closed {
+	if h.node.Stopped() {
 		h.mu.Unlock()
 		return core.ErrJoinFailed
 	}
@@ -249,27 +249,11 @@ func (h *Host) Join(bootstrap wire.Pointer, timeout time.Duration) error {
 
 // SetInfo replaces the node's attached info and announces the change
 // (§3).
-func (h *Host) SetInfo(info []byte) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return
-	}
-	h.node.SetInfo(info)
-	h.check()
-}
+func (h *Host) SetInfo(info []byte) { h.drive(func(n *core.Node) { n.SetInfo(info) }) }
 
 // SetThreshold adjusts the node's bandwidth budget at runtime (§2
 // autonomy).
-func (h *Host) SetThreshold(w float64) {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	if h.closed {
-		return
-	}
-	h.node.SetThreshold(w)
-	h.check()
-}
+func (h *Host) SetThreshold(w float64) { h.drive(func(n *core.Node) { n.SetThreshold(w) }) }
 
 // EnableSpans attaches a span buffer of the given capacity: the node
 // stamps trace IDs on the events it announces and records the spans of
@@ -282,7 +266,7 @@ func (h *Host) SetThreshold(w float64) {
 func (h *Host) EnableSpans(capacity int) *trace.SpanBuffer {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if h.closed {
+	if h.node.Stopped() {
 		return nil
 	}
 	if h.spans == nil {
