@@ -149,16 +149,15 @@ type ChunkPool struct {
 	out []chunkRef
 
 	// The storage of the pool's nodes' deadline queues, one segment free
-	// list per entry type (deadline.go), and of their pending sends and
-	// pending rings (reliable.go): a message burst grows it once for every
-	// node that shares the pool. rings holds the free slot arrays by size
-	// class (see ringClass).
-	ackSegs    freelist.List[segment[uint64], *segment[uint64]]
-	hopSegs    freelist.List[segment[forwardHop], *segment[forwardHop]]
-	defendSegs freelist.List[segment[struct{}], *segment[struct{}]]
-	waitSegs   freelist.List[segment[probeWait], *segment[probeWait]]
-	sends      freelist.List[pendingSend, *pendingSend]
-	rings      [][][]*pendingSend
+	// list per entry type (deadline.go: ackSegs serves the ack and
+	// probe-wait queues, which both hold ack ids), and of their pending
+	// sends and pending rings (reliable.go): a message burst grows it once
+	// for every node that shares the pool. rings holds the free slot
+	// arrays by size class (see ringClass).
+	ackSegs freelist.List[segment[uint64], *segment[uint64]]
+	hopSegs freelist.List[segment[forwardHop], *segment[forwardHop]]
+	sends   freelist.List[pendingSend, *pendingSend]
+	rings   [][][]*pendingSend
 	// oneNode marks the pool NewNode makes for a node whose Env shares
 	// none. That node's ring only ever grows, so no slot array it drops
 	// would be taken again, and the pool keeps none.

@@ -49,11 +49,11 @@ func (s *timerSlot) cancel() {
 
 // deadlineQueue is a node's FIFO of work that falls due a fixed delay
 // after it was queued: the ack timeouts of reliable sends (AckTimeout),
-// the forward hops of delivered events (ForwardDelay), the rare
-// self-defense re-announcements (AckTimeout) and the heartbeat waits of
-// the ring probe (ProbeTimeout). The delay is a per-node constant, so
-// entries are queued in deadline order and the head is always due first;
-// one Env timer, armed for the head, stands in for a timer per entry.
+// the heartbeat waits of the ring probe (ProbeTimeout) and the forward
+// hops of delivered events (ForwardDelay). The delay is a per-node
+// constant, so entries are queued in deadline order and the head is
+// always due first; one Env timer, armed for the head, stands in for a
+// timer per entry.
 //
 // The rules:
 //   - push appends an entry and arms the timer only when none is armed;
@@ -123,10 +123,6 @@ func (q *deadlineQueue[T]) len() int { return q.n }
 // front returns the head entry; the queue must not be empty.
 func (q *deadlineQueue[T]) front() *deadlined[T] { return &q.head.e[q.hi] }
 
-// back returns the most recently queued entry; the queue must not be
-// empty.
-func (q *deadlineQueue[T]) back() *deadlined[T] { return &q.tail.e[q.ti-1] }
-
 // push queues v to fall due delay from now. delay must be the queue's
 // constant, so the entry lands in deadline order.
 func (q *deadlineQueue[T]) push(delay des.Time, v T) {
@@ -151,15 +147,6 @@ func (q *deadlineQueue[T]) push(delay des.Time, v T) {
 // arm sets the timer for the head's deadline.
 func (q *deadlineQueue[T]) arm() {
 	q.timer.arm(q.front().at - q.timer.env.Now())
-}
-
-// last returns the most recently queued entry, nil when the queue is
-// empty.
-func (q *deadlineQueue[T]) last() *T {
-	if q.n == 0 {
-		return nil
-	}
-	return &q.back().v
 }
 
 // pop removes the head, returning its segment to the pool once the

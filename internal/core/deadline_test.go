@@ -198,8 +198,31 @@ func TestQueueInvariantsCatchCorruption(t *testing.T) {
 			"queued twice",
 		},
 		"timeout beyond AckTimeout": {
-			func(n *Node) { n.acks.back().at += des.Hour },
+			func(n *Node) { n.acks.tail.e[n.acks.ti-1].at += des.Hour },
 			"after now + AckTimeout",
+		},
+		"heartbeat wait beyond ProbeTimeout": {
+			func(n *Node) { n.probeWaits.front().at += des.Hour },
+			"after now + ProbeTimeout",
+		},
+		"heartbeat waiting in the ack queue": {
+			func(n *Node) {
+				n.probeWaits.pop()
+				n.acks.push(n.cfg.AckTimeout, n.probeID)
+			},
+			"waits in the ack queue",
+		},
+		"forward waiting in the probe-wait queue": {
+			func(n *Node) { n.probeWaits.push(n.cfg.ProbeTimeout, n.acks.pop()) },
+			"waits in the probe-wait queue",
+		},
+		"second probe chain": {
+			func(n *Node) { n.probeOnce() },
+			"beside the chain's",
+		},
+		"heartbeat the chain does not name": {
+			func(n *Node) { n.probeID = 0 },
+			"beside the chain's",
 		},
 	}
 	for name, tc := range cases {
@@ -210,6 +233,7 @@ func TestQueueInvariantsCatchCorruption(t *testing.T) {
 			deliver(n, peer, 2)
 			env.now += 100 * des.Millisecond
 			deliver(n, peer, 3) // two hops queued
+			n.probeOnce()       // one heartbeat waiting
 			checkNode(t, n)
 			tc.corrupt(n)
 			err := n.CheckInvariants()

@@ -69,14 +69,15 @@ func defendMesh(t *testing.T) (m *mesh, v *Node, peers []*Node) {
 	return m, all[2], all[:2]
 }
 
-// falseLeave hands peers[0] a leave report about v, as a failure
-// detector that wrongly gave v up would, and runs until the multicast
-// has reached the other peer. Every forwarder drops v before it picks
-// its targets, so v then hears the event from peers[0] directly, as from
-// a forwarder that still held it. It returns the time v applied it.
-func falseLeave(t *testing.T, m *mesh, v *Node, peers []*Node) des.Time {
+// falseLeave hands peers[0] a leave report about v with sequence number
+// seq, as a failure detector that wrongly gave v up would, and runs until
+// the multicast has reached the other peer. Every forwarder drops v
+// before it picks its targets, so v then hears the event from peers[0]
+// directly, as from a forwarder that still held it. It returns the time
+// v applied it.
+func falseLeave(t *testing.T, m *mesh, v *Node, peers []*Node, seq uint64) des.Time {
 	t.Helper()
-	leave := wire.Event{Kind: wire.EventLeave, Subject: v.Self(), Seq: 1}
+	leave := wire.Event{Kind: wire.EventLeave, Subject: v.Self(), Seq: seq}
 	peers[0].HandleMessage(wire.Message{
 		Type: wire.MsgReport, From: 99, To: peers[0].Self().Addr, AckID: 1, Event: leave,
 	})
@@ -89,8 +90,8 @@ func falseLeave(t *testing.T, m *mesh, v *Node, peers []*Node) des.Time {
 			t.Fatalf("node %d still holds v after the leave", p.Self().Addr)
 		}
 	}
-	if v.defends.len() != 1 {
-		t.Fatalf("v queued %d self-defenses, want 1", v.defends.len())
+	if !v.defendTimer.armed() {
+		t.Fatal("v armed no self-defense")
 	}
 	return m.engine.Now()
 }
@@ -100,7 +101,7 @@ func falseLeave(t *testing.T, m *mesh, v *Node, peers []*Node) des.Time {
 // its peers hold it again.
 func TestSelfDefenseReannounces(t *testing.T) {
 	m, v, peers := defendMesh(t)
-	heard := falseLeave(t, m, v, peers)
+	heard := falseLeave(t, m, v, peers, 1)
 	m.engine.Run(heard + quietConfig().AckTimeout + des.Second)
 
 	var refresh []meshSend
@@ -127,7 +128,7 @@ func TestSelfDefenseReannounces(t *testing.T) {
 // deadline sends nothing, and its peers do not hold it again.
 func TestStoppedNodeDoesNotDefend(t *testing.T) {
 	m, v, peers := defendMesh(t)
-	heard := falseLeave(t, m, v, peers)
+	heard := falseLeave(t, m, v, peers, 1)
 	v.Stop()
 	stopped := len(m.log)
 	m.engine.Run(heard + 2*quietConfig().AckTimeout)
@@ -139,6 +140,40 @@ func TestStoppedNodeDoesNotDefend(t *testing.T) {
 	for _, p := range peers {
 		if _, ok := p.Peers().Lookup(v.Self().ID); ok {
 			t.Fatalf("node %d holds the stopped node again", p.Self().Addr)
+		}
+	}
+}
+
+// TestSelfDefenseOutnumbersDetectorLeave: a real detector's leave
+// carries the sequence after the newest one it applied (markDead), the
+// very number a re-announcement at v.seq+1 would carry. Every peer would
+// drop such a refresh as stale, so v must re-announce above the leave.
+// Two false leaves heard before the self-defense fires are answered by
+// that one re-announcement.
+func TestSelfDefenseOutnumbersDetectorLeave(t *testing.T) {
+	m, v, peers := defendMesh(t)
+	seq := v.seq + 1
+	heard := falseLeave(t, m, v, peers, seq)
+	v.HandleMessage(wire.Message{
+		Type: wire.MsgEvent, From: peers[1].Self().Addr, To: v.Self().Addr, AckID: 3, Step: 1,
+		Event: wire.Event{Kind: wire.EventLeave, Subject: v.Self(), Seq: seq + 1},
+	})
+	m.engine.Run(heard + 10*quietConfig().AckTimeout)
+	announced := map[uint64]bool{}
+	for _, s := range m.log {
+		if ev := s.msg.Event; s.msg.From == v.Self().Addr && ev.Kind == wire.EventRefresh && ev.Subject.ID == v.Self().ID {
+			announced[ev.Seq] = true
+			if ev.Seq <= seq+1 {
+				t.Fatalf("v re-announced with sequence %d, not above the leave's %d", ev.Seq, seq+1)
+			}
+		}
+	}
+	if len(announced) != 1 {
+		t.Fatalf("v re-announced %d times, want once", len(announced))
+	}
+	for _, p := range peers {
+		if _, ok := p.Peers().Lookup(v.Self().ID); !ok {
+			t.Fatalf("node %d does not hold v again", p.Self().Addr)
 		}
 	}
 }

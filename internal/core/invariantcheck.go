@@ -10,6 +10,7 @@ import (
 	"fmt"
 	"slices"
 
+	"peerwindow/internal/des"
 	"peerwindow/internal/freelist"
 	"peerwindow/internal/nodeid"
 	"peerwindow/internal/wire"
@@ -247,11 +248,14 @@ func (p *ChunkPool) CheckInvariants(lists []*PeerList) error {
 //   - each deadline queue keeps its rules: deadlines never decrease from
 //     the head, and a queue holding a live entry has its timer armed
 //     outside the tick;
-//   - each pending send has exactly one entry in the ack queue, due no
-//     later than now + AckTimeout;
+//   - each pending send has exactly one entry in a queue of ack ids: a
+//     ring heartbeat in the probe-wait queue, due no later than now +
+//     ProbeTimeout, any other send in the ack queue, due no later than
+//     now + AckTimeout;
 //   - the dedup table keeps its rules (dedupTable.check): its counts
 //     match its slots, and every record is reached by its own probe;
-//   - each pending send's continuation is well formed (checkSends);
+//   - each pending send's continuation is well formed, and at most one
+//     ring heartbeat is pending, the one probeID names (checkSends);
 //   - the join callback is set exactly while the node joins, and a
 //     stopped node holds nothing (checkPhase).
 func (n *Node) CheckInvariants() error {
@@ -333,7 +337,7 @@ func (n *Node) checkPhase() error {
 		held bool
 	}{
 		{"a pending send", n.pending.slots != nil},
-		{"a queued deadline", n.acks.len()+n.hops.len()+n.defends.len()+n.probeWaits.len() > 0},
+		{"a queued deadline", n.acks.len()+n.hops.len()+n.probeWaits.len() > 0},
 		{"an armed timer", slices.ContainsFunc(n.timerSlots(), (*timerSlot).armed)},
 		{"a dedup record", n.dedup.slots != nil},
 		{"a peer list", n.peers.dir != nil || n.peers.stamps.dir != nil || n.peers.info != nil},
@@ -349,8 +353,9 @@ func (n *Node) checkPhase() error {
 
 // checkSends is CheckInvariants' continuation clause: every pending send
 // has a row in sendRules; a join kind is pending only during a join, one
-// at a time; and a kind that walks addresses its first candidate, any
-// other kind its target.
+// at a time; a ring heartbeat is pending only as the one probeID names,
+// so one probe chain runs at a time; and a kind that walks addresses its
+// first candidate, any other kind its target.
 func (n *Node) checkSends() error {
 	joins := 0
 	for _, p := range n.pending.slots {
@@ -359,6 +364,9 @@ func (n *Node) checkSends() error {
 		}
 		if int(p.kind) >= len(sendRules) {
 			return fmt.Errorf("pending send %d has no rule for kind %d", p.id, p.kind)
+		}
+		if p.kind == sendProbe && p.id != n.probeID {
+			return fmt.Errorf("ring heartbeat %d pending beside the chain's, %d", p.id, n.probeID)
 		}
 		rule, to := sendRules[p.kind], p.target
 		if rule.join {
@@ -395,9 +403,6 @@ func (n *Node) checkQueues() error {
 	if err := n.hops.check(); err != nil {
 		return fmt.Errorf("hop queue: %w", err)
 	}
-	if err := n.defends.check(); err != nil {
-		return fmt.Errorf("defend queue: %w", err)
-	}
 	if err := n.probeWaits.check(); err != nil {
 		return fmt.Errorf("probe-wait queue: %w", err)
 	}
@@ -414,23 +419,37 @@ func (n *Node) checkQueues() error {
 		return fmt.Errorf("pending ring holds %d sends, counts %d", held, n.pending.n)
 	}
 	queued := make(map[uint64]int, n.pending.n)
-	limit := n.env.Now() + n.cfg.AckTimeout
 	var err error
-	n.acks.each(func(e *deadlined[uint64]) {
-		if err != nil || !n.awaited(e.v) {
-			return
-		}
-		if queued[e.v]++; queued[e.v] > 1 {
-			err = fmt.Errorf("pending send %d is queued twice", e.v)
-		} else if e.at > limit {
-			err = fmt.Errorf("pending send %d times out at %v, after now + AckTimeout = %v", e.v, e.at, limit)
-		}
-	})
+	for _, w := range []struct {
+		q             *deadlineQueue[uint64]
+		probes        bool
+		name, timeout string
+		limit         des.Time
+	}{
+		{&n.acks, false, "ack queue", "AckTimeout", n.env.Now() + n.cfg.AckTimeout},
+		{&n.probeWaits, true, "probe-wait queue", "ProbeTimeout", n.env.Now() + n.cfg.ProbeTimeout},
+	} {
+		w.q.each(func(e *deadlined[uint64]) {
+			p := n.pending.get(e.v)
+			if err != nil || p == nil {
+				return
+			}
+			queued[e.v]++
+			switch {
+			case (p.kind == sendProbe) != w.probes:
+				err = fmt.Errorf("pending send %d of kind %d waits in the %s", e.v, p.kind, w.name)
+			case queued[e.v] > 1:
+				err = fmt.Errorf("pending send %d is queued twice", e.v)
+			case e.at > w.limit:
+				err = fmt.Errorf("pending send %d times out at %v, after now + %s = %v", e.v, e.at, w.timeout, w.limit)
+			}
+		})
+	}
 	if err != nil {
 		return err
 	}
 	if len(queued) != n.pending.n {
-		return fmt.Errorf("%d sends pending, %d of them in the ack queue", n.pending.n, len(queued))
+		return fmt.Errorf("%d sends pending, %d of them in the ack queue or the probe waits", n.pending.n, len(queued))
 	}
 	return nil
 }
@@ -453,17 +472,13 @@ func (p *ChunkPool) CheckStorage(nodes []*Node) error {
 			return fmt.Errorf("node %v is served by another pool", n.self.ID)
 		}
 	}
-	if err := checkSegments(&p.ackSegs, queuesOf(nodes, func(n *Node) *deadlineQueue[uint64] { return &n.acks })); err != nil {
-		return fmt.Errorf("ack queues: %w", err)
+	acks := func(n *Node) *deadlineQueue[uint64] { return &n.acks }
+	waits := func(n *Node) *deadlineQueue[uint64] { return &n.probeWaits }
+	if err := checkSegments(&p.ackSegs, queuesOf(nodes, acks, waits)); err != nil {
+		return fmt.Errorf("ack and probe-wait queues: %w", err)
 	}
 	if err := checkSegments(&p.hopSegs, queuesOf(nodes, func(n *Node) *deadlineQueue[forwardHop] { return &n.hops })); err != nil {
 		return fmt.Errorf("hop queues: %w", err)
-	}
-	if err := checkSegments(&p.defendSegs, queuesOf(nodes, func(n *Node) *deadlineQueue[struct{}] { return &n.defends })); err != nil {
-		return fmt.Errorf("defend queues: %w", err)
-	}
-	if err := checkSegments(&p.waitSegs, queuesOf(nodes, func(n *Node) *deadlineQueue[probeWait] { return &n.probeWaits })); err != nil {
-		return fmt.Errorf("probe-wait queues: %w", err)
 	}
 	var sends []*pendingSend
 	held := make(map[**pendingSend]bool, len(nodes))
@@ -496,11 +511,13 @@ func (p *ChunkPool) CheckStorage(nodes []*Node) error {
 	return p.sends.Check("pending send", sends, nil)
 }
 
-// queuesOf returns the queue of one entry type of each node.
-func queuesOf[T any](nodes []*Node, queue func(*Node) *deadlineQueue[T]) []*deadlineQueue[T] {
-	qs := make([]*deadlineQueue[T], len(nodes))
-	for i, n := range nodes {
-		qs[i] = queue(n)
+// queuesOf returns the queues of one entry type of each node.
+func queuesOf[T any](nodes []*Node, queues ...func(*Node) *deadlineQueue[T]) []*deadlineQueue[T] {
+	qs := make([]*deadlineQueue[T], 0, len(nodes)*len(queues))
+	for _, n := range nodes {
+		for _, q := range queues {
+			qs = append(qs, q(n))
+		}
 	}
 	return qs
 }

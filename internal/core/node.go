@@ -42,24 +42,22 @@ type Node struct {
 	pool      *ChunkPool
 
 	// The deadline queues (deadline.go): acks holds the ack id of every
-	// attempt awaiting its AckTimeout, hops the delivered events waiting
-	// out ForwardDelay, defends the self-defense re-announcements
-	// (applyEvent) waiting out AckTimeout, and probeWaits the heartbeats
-	// waiting out ProbeTimeout. Each arms one Env timer, and draws its
+	// attempt awaiting its AckTimeout, probeWaits that of every ring
+	// heartbeat awaiting its ProbeTimeout, and hops the delivered events
+	// waiting out ForwardDelay. Each arms one Env timer, and draws its
 	// segments from the node's pool.
 	acks       deadlineQueue[uint64]
+	probeWaits deadlineQueue[uint64]
 	hops       deadlineQueue[forwardHop]
-	defends    deadlineQueue[struct{}]
-	probeWaits deadlineQueue[probeWait]
 
-	// Probing state (§4.1). probeTimer is the periodic round; probeAckID
-	// is the ack id of the newest heartbeat, 0 once it is answered or has
-	// timed out. probeStart is when the current round's first heartbeat
-	// went out — the zero point of the detection-latency histogram.
-	probeTimer    timerSlot
-	probeAckID    uint64
-	probeAttempts int
-	probeStart    des.Time
+	// Probing state (§4.1). probeTimer is the periodic round; probeID is
+	// the ack id of the current chain's heartbeat, a pending sendProbe
+	// until the chain ends. probeStart is when the current target's first
+	// heartbeat went out — the zero point of the detection-latency
+	// histogram.
+	probeTimer timerSlot
+	probeID    uint64
+	probeStart des.Time
 
 	// Bandwidth meters: in drives level shifting; out is reported for
 	// figure 8.
@@ -86,11 +84,13 @@ type Node struct {
 	deltas DeltaSink
 
 	// The other single timers (deadline.go): the §2 shift check, the §4.6
-	// refresh tick, the §4.3 warm-up step and the §4.3 reconcile pass.
+	// refresh tick, the §4.3 warm-up step, the §4.3 reconcile pass and
+	// the self-defense re-announcement (applyEvent).
 	shiftTimer     timerSlot
 	refreshTimer   timerSlot
 	warmUpTimer    timerSlot
 	reconcileTimer timerSlot
+	defendTimer    timerSlot
 
 	// lastShift is when the node last changed level (or joined); level
 	// checks are suppressed for one MeterWindow afterwards so the meter
@@ -163,14 +163,14 @@ func NewNode(cfg Config, env Env, _ Observer, self wire.Pointer) *Node {
 	}
 	n.peers.pool, n.pool = pool, pool
 	n.acks.init(n, &pool.ackSegs, (*Node).onAckTimeout, (*Node).awaited)
+	n.probeWaits.init(n, &pool.ackSegs, (*Node).onAckTimeout, (*Node).awaited)
 	n.hops.init(n, &pool.hopSegs, (*Node).forwardDue, nil)
-	n.defends.init(n, &pool.defendSegs, (*Node).defendSelf, nil)
-	n.probeWaits.init(n, &pool.waitSegs, (*Node).onProbeTimeout, (*Node).probeAwaited)
 	n.probeTimer.init(n, (*Node).probeRound)
 	n.shiftTimer.init(n, (*Node).onShiftCheck)
 	n.refreshTimer.init(n, (*Node).onRefreshTick)
 	n.warmUpTimer.init(n, (*Node).warmUpStep)
 	n.reconcileTimer.init(n, (*Node).reconcile)
+	n.defendTimer.init(n, (*Node).defendSelf)
 	n.setLevel(0)
 	return n
 }
@@ -387,7 +387,6 @@ func (n *Node) Stop() {
 	}
 	n.acks.stop()
 	n.hops.stop()
-	n.defends.stop()
 	n.probeWaits.stop()
 	for _, p := range n.pending.slots {
 		if p != nil {
@@ -409,7 +408,7 @@ func (n *Node) Stopped() bool { return n.phase == phaseStopped }
 
 // timerSlots returns the node's single timers.
 func (n *Node) timerSlots() []*timerSlot {
-	return []*timerSlot{&n.probeTimer, &n.shiftTimer, &n.refreshTimer, &n.warmUpTimer, &n.reconcileTimer}
+	return []*timerSlot{&n.probeTimer, &n.shiftTimer, &n.refreshTimer, &n.warmUpTimer, &n.reconcileTimer, &n.defendTimer}
 }
 
 // setJoined makes the node a member and arms the periodic machinery —
@@ -456,13 +455,7 @@ func (n *Node) HandleMessage(m wire.Message) {
 	case wire.MsgHeartbeat:
 		n.send(wire.Message{Type: wire.MsgHeartbeatAck, To: m.From, AckID: m.AckID})
 	case wire.MsgHeartbeatAck:
-		// Ring-probe acks match probeAckID; verification probes (sent
-		// through the reliable machinery) resolve like any other ack.
-		if m.AckID == n.probeAckID {
-			n.handleProbeAck(m.AckID)
-		} else {
-			n.resolveAck(m.AckID, m)
-		}
+		n.resolveAck(m.AckID, m)
 	case wire.MsgReport:
 		n.handleReport(m)
 	case wire.MsgReportAck:
@@ -634,9 +627,9 @@ func (n *Node) applyPointers(ps []wire.Pointer) []wire.Pointer {
 	return batch
 }
 
-// defendSelf re-announces the node AckTimeout after it heard its own
-// leave (see applyEvent).
-func (n *Node) defendSelf(struct{}) { n.announce(wire.EventRefresh) }
+// defendSelf re-announces the node AckTimeout after it first heard its
+// own leave (see applyEvent).
+func (n *Node) defendSelf() { n.announce(wire.EventRefresh) }
 
 // markDead records that id's leave is being reported and returns the
 // sequence number the report carries — one past the newest applied —
@@ -689,11 +682,15 @@ func (n *Node) applyEvent(ev wire.Event) bool {
 			return false
 		}
 		n.dedup.put(subj.ID, dedupRec{seq: ev.Seq, dead: d.dead})
+		// A detector's leave carries the sequence after our newest
+		// applied one, so the re-announcement must outnumber it.
+		n.seq = max(n.seq, ev.Seq)
 		// Self-defense: if the system believes we left (a false failure
 		// detection slipped past the probe retries), re-announce
-		// ourselves so every window restores our pointer.
-		if ev.Kind == wire.EventLeave {
-			n.defends.push(n.cfg.AckTimeout, struct{}{})
+		// ourselves so every window restores our pointer. One armed
+		// timer answers every leave heard before it fires.
+		if ev.Kind == wire.EventLeave && !n.defendTimer.armed() {
+			n.defendTimer.arm(n.cfg.AckTimeout)
 		}
 		return true
 	}

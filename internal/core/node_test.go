@@ -743,8 +743,8 @@ type pooledFakeEnv struct {
 
 func (e pooledFakeEnv) ChunkPool() *ChunkPool { return e.pool }
 
-// TestStopCancelsEverything: Stop on a joined node with every timer slot
-// and deadline queue armed, and on a node in the middle of its join,
+// TestStopCancelsEverything: Stop on a joined node with all six timer
+// slots and all three deadline queues armed, and on a node in the middle of its join,
 // leaves nothing armed, queued or pending, gives every chunk and stamp
 // leaf back to the shared pool, never calls the join's done, and the
 // nodes neither send nor answer anything afterwards.
@@ -771,14 +771,19 @@ func TestStopCancelsEverything(t *testing.T) {
 	deliver(n, peer, 2)
 	n.probeOnce()
 	n.applyEvent(wire.Event{Kind: wire.EventLeave, Subject: n.Self(), Seq: 1})
-	for name, s := range map[string]*timerSlot{"probe": &n.probeTimer, "shift": &n.shiftTimer, "refresh": &n.refreshTimer, "warm-up": &n.warmUpTimer, "reconcile": &n.reconcileTimer} {
+	slots := map[string]*timerSlot{"probe": &n.probeTimer, "shift": &n.shiftTimer, "refresh": &n.refreshTimer,
+		"warm-up": &n.warmUpTimer, "reconcile": &n.reconcileTimer, "defend": &n.defendTimer}
+	if len(slots) != len(n.timerSlots()) {
+		t.Fatalf("the test arms %d slots, the node has %d", len(slots), len(n.timerSlots()))
+	}
+	for name, s := range slots {
 		if !s.armed() {
 			t.Fatalf("%s slot not armed before Stop", name)
 		}
 	}
-	if n.acks.len() == 0 || n.hops.len() == 0 || n.defends.len() == 0 || n.probeWaits.len() == 0 {
-		t.Fatalf("before Stop: %d acks, %d hops, %d defends, %d probe waits queued; want some of each",
-			n.acks.len(), n.hops.len(), n.defends.len(), n.probeWaits.len())
+	if n.acks.len() == 0 || n.probeWaits.len() == 0 || n.hops.len() == 0 {
+		t.Fatalf("before Stop: %d acks, %d probe waits, %d hops queued; want some of each",
+			n.acks.len(), n.probeWaits.len(), n.hops.len())
 	}
 	if n.dedup.n == 0 || n.peers.info == nil || len(n.topList) == 0 || len(n.crossTop) == 0 {
 		t.Fatal("before Stop: no dedup record, info table, top list or part table")
@@ -798,7 +803,7 @@ func TestStopCancelsEverything(t *testing.T) {
 			t.Fatalf("node %d: stopped %v, joined %v after Stop", x.Self().Addr, x.Stopped(), x.Joined())
 		}
 		checkNode(t, x)
-		if x.acks.len()+x.hops.len()+x.defends.len()+x.probeWaits.len() != 0 || x.pending.n != 0 || x.pending.slots != nil {
+		if x.acks.len()+x.probeWaits.len()+x.hops.len() != 0 || x.pending.n != 0 || x.pending.slots != nil {
 			t.Fatalf("node %d: a queue or the pending ring holds work after Stop", x.Self().Addr)
 		}
 		if x.peers.Len() != 0 || x.peers.dir != nil || x.topList != nil || x.crossTop != nil {

@@ -10,7 +10,8 @@ import (
 )
 
 // The pending ring (reliable.go) against a map[uint64]*pendingSend
-// model: reliable sends are armed, acked — live, late, duplicate and
+// model: reliable sends and ring heartbeats, which wait in separate
+// queues, are armed, acked — live, late, duplicate and
 // never-issued ids — and left to time out, ack ids jump ahead the way
 // heartbeats and far-apart sends make them, and the node is stopped.
 // After every operation the ring must hold exactly the model's sends,
@@ -50,14 +51,16 @@ func runPendingRingOps(t *testing.T, ops []byte, maxOps int) {
 	m := ringModel{pending: map[uint64]*pendingSend{}, failAt: map[uint64]des.Time{}}
 	responses := map[uint64]int{}
 	var failed []uint64
-	// The sends are of one kind whose rules, for this run, count each
-	// send's answers and failures by ack id.
+	// The sends are of one kind, or ring heartbeats, whose rules, for
+	// this run, count each send's answers and failures by ack id.
 	const kind = sendCrossRefresh
-	saved := sendRules[kind]
-	defer func() { sendRules[kind] = saved }()
-	sendRules[kind] = sendRule{
-		answered: func(_ *Node, p *pendingSend, _ wire.Message) { responses[p.id]++ },
-		failed:   func(_ *Node, p *pendingSend) { failed = append(failed, p.id) },
+	saved := sendRules
+	defer func() { sendRules = saved }()
+	for _, k := range []sendKind{kind, sendProbe} {
+		sendRules[k] = sendRule{
+			answered: func(_ *Node, p *pendingSend, _ wire.Message) { responses[p.id]++ },
+			failed:   func(_ *Node, p *pendingSend) { failed = append(failed, p.id) },
+		}
 	}
 
 	finish := func(id uint64) {
@@ -69,6 +72,9 @@ func runPendingRingOps(t *testing.T, ops []byte, maxOps int) {
 		t.Helper()
 		if n.pending.n != len(m.pending) {
 			t.Fatalf("step %d (%s): ring holds %d sends, model %d", step, what, n.pending.n, len(m.pending))
+		}
+		if err := n.checkSends(); err != nil {
+			t.Fatalf("step %d (%s): %v", step, what, err)
 		}
 		if err := n.checkQueues(); err != nil {
 			t.Fatalf("step %d (%s): %v", step, what, err)
@@ -105,11 +111,18 @@ func runPendingRingOps(t *testing.T, ops []byte, maxOps int) {
 	for step := 0; len(ops) > 0 && step < maxOps; step++ {
 		c := next()
 		switch c % 5 {
-		case 0, 1: // arm a send with 1–4 attempts
+		case 0, 1: // arm a send, or a heartbeat when no chain is pending, with 1–4 attempts
 			attempts := 1 + int(c>>3)%4
-			p := n.track(kind, wire.Message{Type: wire.MsgTopListReq, To: 2}, wire.Pointer{Addr: 2})
+			k, msg, timeout := kind, wire.Message{Type: wire.MsgTopListReq, To: 2}, cfg.AckTimeout
+			if c>>5&1 == 1 && n.pending.get(n.probeID) == nil {
+				k, msg, timeout = sendProbe, wire.Message{Type: wire.MsgHeartbeat, To: 2}, cfg.ProbeTimeout
+			}
+			p := n.track(k, msg, wire.Pointer{Addr: 2})
 			p.attempts = attempts
 			id := n.arm(p)
+			if k == sendProbe {
+				n.probeID = id
+			}
 			if _, dup := m.pending[id]; dup || id != n.nextAckID {
 				t.Fatalf("step %d: send armed under id %d, next ack id %d", step, id, n.nextAckID)
 			}
@@ -118,7 +131,7 @@ func runPendingRingOps(t *testing.T, ops []byte, maxOps int) {
 				t.Fatalf("step %d: send %d not pending after it was armed", step, id)
 			}
 			m.pending[id] = rec
-			m.failAt[id] = env.Now() + des.Time(attempts)*cfg.AckTimeout
+			m.failAt[id] = env.Now() + des.Time(attempts)*timeout
 			check(step, "arm")
 		case 2: // ack a live, finished or never-issued id
 			b := next()
@@ -224,6 +237,9 @@ func FuzzPendingRing(f *testing.F) {
 	f.Add([]byte{0, 8, 16, 4, 1, 12, 2, 0, 2, 8, 0, 2, 16, 5, 3, 200, 1, 18, 0, 10, 0, 56})
 	f.Add([]byte{24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 24, 3, 40, 2, 8, 1})
 	f.Add([]byte{0, 12, 1, 0, 12, 1, 0, 12, 1, 2, 0, 2, 0, 2, 8, 3, 255, 3, 255})
+	// Heartbeats beside sends: one answered, one left to time out while
+	// sends come and go, a third armed after it failed.
+	f.Add([]byte{40, 0, 2, 0, 1, 41, 3, 30, 0, 3, 120, 40, 8, 3, 255, 249})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		runPendingRingOps(t, ops, fuzzMaxRingOps)
 	})

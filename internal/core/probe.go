@@ -13,29 +13,22 @@ import (
 // immediately redirects its probing to the next neighbour — which is what
 // makes the detector resilient to concurrent failures (the figure 3
 // example: A detects B, then redirects to C and detects C too).
+//
+// A heartbeat is a reliable send of kind sendProbe: it is tracked,
+// retried and answered like every other request (reliable.go), except
+// that its attempts wait out ProbeTimeout in probeWaits, and a neighbour
+// is only declared failed after RetryAttempts silent heartbeats, so a
+// single lost heartbeat or ack cannot evict a live node.
 
-// probeWait is a heartbeat waiting out ProbeTimeout: its target and its
-// ack id, zeroed when the ack comes back. A round can start while the
-// previous round's redirect chain still waits, so several can be queued;
-// each fires with its own target.
-type probeWait struct {
-	target wire.Pointer
-	ackID  uint64
-}
-
-// probeAwaited reports whether w's heartbeat is still unanswered: the
-// probe queue's liveness test.
-func (*Node) probeAwaited(w probeWait) bool { return w.ackID != 0 }
-
-// probeRound is the periodic heartbeat: probe, then arm the next round.
+// probeRound is the periodic heartbeat: start a chain unless the
+// previous chain's heartbeat is still pending, then arm the next round.
+// So one chain walks the ring at a time, however long its redirects take.
 func (n *Node) probeRound() {
-	n.probeOnce()
+	if n.pending.get(n.probeID) == nil {
+		n.probeOnce()
+	}
 	n.probeTimer.arm(n.cfg.ProbeInterval)
 }
-
-// probeAttempts counts heartbeat tries against the current target; a
-// neighbour is only declared failed after RetryAttempts silent probes,
-// so a single lost heartbeat or ack cannot evict a live node.
 
 // probeOnce heartbeats the current right neighbour: the next-larger
 // nodeId in the whole peer list. The paper draws the circle within one
@@ -50,58 +43,19 @@ func (n *Node) probeOnce() {
 	if !ok {
 		return // alone in the group; nothing to probe
 	}
-	n.probeAttempts = 0
 	n.probeStart = n.env.Now()
 	n.m.probeRounds.Inc()
 	n.moment(trace.SpanProbeRound, target.Addr, 0)
-	n.probeSend(target)
+	n.probeID = n.arm(n.track(sendProbe, wire.Message{Type: wire.MsgHeartbeat, To: target.Addr}, target))
 }
 
-// probeSend transmits one heartbeat attempt and arms its timeout.
-func (n *Node) probeSend(target wire.Pointer) {
-	n.probeAttempts++
-	if n.probeAttempts > 1 {
-		n.m.probeRetries.Inc()
-		n.moment(trace.SpanProbeRetry, target.Addr, n.probeAttempts)
-	}
-	msg := wire.Message{Type: wire.MsgHeartbeat, To: target.Addr}
-	n.nextAckID++
-	n.probeAckID = n.nextAckID
-	msg.AckID = n.probeAckID
-	n.send(msg)
-	n.probeWaits.push(n.cfg.ProbeTimeout, probeWait{target: target, ackID: n.probeAckID})
-}
-
-// handleProbeAck clears the outstanding probe if the ack matches. Only
-// the newest heartbeat can match, and its wait is the last one queued.
-func (n *Node) handleProbeAck(ackID uint64) {
-	if ackID != n.probeAckID {
-		return // stale ack from an earlier round
-	}
-	n.probeAckID = 0
-	if w := n.probeWaits.last(); w != nil && w.ackID == ackID {
-		w.ackID = 0
-	}
-}
-
-// onProbeTimeout retries an unanswered heartbeat, or declares the
-// neighbour failed, reports the leave, and redirects probing to the next
+// probeFailed declares a neighbour that stayed silent through every
+// heartbeat failed, reports the leave, and redirects probing to the next
 // neighbour immediately.
-func (n *Node) onProbeTimeout(w probeWait) {
-	if n.probeAckID == 0 {
-		return
-	}
-	target := w.target
-	n.probeAckID = 0
-	if n.probeAttempts < n.cfg.RetryAttempts {
-		// Retry before declaring death: a lost heartbeat must not evict
-		// a live neighbour.
-		n.probeSend(target)
-		return
-	}
-	detectLatency := n.env.Now() - n.probeStart
+func (n *Node) probeFailed(p *pendingSend) {
+	target := p.target
 	n.m.probeFailures.Inc()
-	n.m.detectLatency.Observe(detectLatency.Seconds())
+	n.m.detectLatency.Observe((n.env.Now() - n.probeStart).Seconds())
 	n.moment(trace.SpanProbeDetect, target.Addr, 0)
 	if e, ok := n.removePeer(target.ID, RemoveStale); ok {
 		n.lifetimes.Add(int(e.ptr.Level), float64(n.env.Now()-e.firstSeen))

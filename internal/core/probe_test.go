@@ -66,33 +66,38 @@ func overlapNode() (*Node, *beatLog) {
 }
 
 // Two consecutive ring neighbours crash, so the redirect chain that finds
-// them outlasts ProbeInterval: the next round starts while a wait of the
-// chain is pending, and two or three probe waits are armed at once. Each
-// fires with its own target, in the order pinned below (recorded before
-// the probe waits became a deadline queue), and Stop disarms them all.
+// them outlasts ProbeInterval. One chain walks the ring at a time (§4.1):
+// each dead neighbour is detected RetryAttempts × ProbeTimeout after its
+// first heartbeat, and a round that falls due while the chain's
+// heartbeat is still pending starts nothing. Stop disarms the chain.
 func TestOverlappingProbeRounds(t *testing.T) {
 	n, env := overlapNode()
 	env.advance(n, 60*des.Second)
 	want := []string{
 		"12→10", "17→10", "22→10", // round 1: b is silent
-		"24→10",          // round 2 starts while round 1's last wait is pending
-		"27→10", "29→10", // each of the two waits retries b
-		"32→11",          // b declared dead: redirect to c
-		"34→10",          // round 2's wait still fires with b
-		"36→11",          // round 3
-		"37→11", "39→10", // the waits of 32 and 34, each with its own target
-		"41→12",          // c declared dead: redirect to d, which answers
-		"48→12", "60→12", // rounds 4 and 5; the waits of 37 and 39 find nothing outstanding
+		"27→11", "32→11", "37→11", // b declared dead: redirect to c; round 2 (24 s) is skipped
+		"42→12",          // c declared dead: redirect to d, which answers; round 3 (36 s) was skipped
+		"48→12", "60→12", // rounds 4 and 5
 	}
 	if !reflect.DeepEqual(env.beats, want) {
 		t.Fatalf("heartbeats (seconds→addr):\n got %q\nwant %q", env.beats, want)
 	}
+	if got := n.m.probeRounds.Value(); got != 5 {
+		t.Fatalf("probe.rounds = %d, want 5: three chains and two redirects", got)
+	}
 
 	n, env = overlapNode()
 	env.advance(n, 40*des.Second)
-	if k := n.probeWaits.len(); k != 3 {
-		t.Fatalf("%d probe waits queued at 40 s, want 3 (of 36, 37 and 39): the case is not exercised", k)
+	probes := 0
+	for _, p := range n.pending.slots {
+		if p != nil && p.kind == sendProbe {
+			probes++
+		}
 	}
+	if probes != 1 || n.pending.get(n.probeID) == nil || n.probeWaits.len() != 1 {
+		t.Fatalf("%d probe sends pending at 40 s, %d waits queued; want the chain's one", probes, n.probeWaits.len())
+	}
+	checkNode(t, n)
 	n.Stop()
 	if armed := env.engine.Pending(); armed != 0 {
 		t.Fatalf("%d timers still armed after Stop", armed)

@@ -28,6 +28,7 @@ const (
 	sendRaise                         // a §2 level raise's download
 	sendWarmRaise                     // a §4.3 warm-up raise's download
 	sendCrossRefresh                  // §4.5: a remembered part's tops, from one of them
+	sendProbe                         // §4.1: the ring heartbeat to the right neighbour
 )
 
 // sendRule is one row of sendRules. answered runs on the send's answer,
@@ -59,6 +60,7 @@ var sendRules = [...]sendRule{
 	sendRaise:         {answered: (*Node).raised, failed: (*Node).raiseFailed},
 	sendWarmRaise:     {answered: (*Node).raised, failed: (*Node).raiseFailed},
 	sendCrossRefresh:  {answered: (*Node).crossRefreshAnswered, failed: (*Node).crossRefreshFailed},
+	sendProbe:         {failed: (*Node).probeFailed},
 }
 
 // pendingSend tracks one reliable request awaiting its ack/response.
@@ -220,30 +222,46 @@ func (n *Node) arm(p *pendingSend) uint64 {
 	return p.id
 }
 
-// transmit performs one attempt and queues its timeout AckTimeout later.
+// transmit performs one attempt and queues its timeout: a heartbeat of
+// the ring probe ProbeTimeout later in probeWaits, any other send
+// AckTimeout later in acks.
 func (n *Node) transmit(p *pendingSend) {
 	p.attempts--
 	n.send(p.msg)
-	n.acks.push(n.cfg.AckTimeout, p.id)
+	if p.kind == sendProbe {
+		n.probeWaits.push(n.cfg.ProbeTimeout, p.id)
+	} else {
+		n.acks.push(n.cfg.AckTimeout, p.id)
+	}
 }
 
-// awaited reports whether ack id is still pending: the ack queue's
-// liveness test.
+// awaited reports whether ack id is still pending: the liveness test of
+// the ack and probe-wait queues.
 func (n *Node) awaited(id uint64) bool { return n.pending.get(id) != nil }
 
-// onAckTimeout retries or gives up on the pending send id; the ack queue
-// calls it AckTimeout after each attempt that is still pending (awaited).
+// onAckTimeout retries or gives up on the pending send id; the ack and
+// probe-wait queues call it after each attempt that is still pending
+// (awaited). A heartbeat's retries and failures count as the probe's
+// (see probeFailed), any other send's as the ack's.
 func (n *Node) onAckTimeout(id uint64) {
 	p := n.pending.get(id)
+	probe := p.kind == sendProbe
 	if p.attempts > 0 {
-		n.m.ackRetries.Inc()
-		n.span(p.msg.Trace, trace.SpanAckRetry, 0, p.msg.To, int(p.msg.Step), p.msg.Event)
+		if probe {
+			n.m.probeRetries.Inc()
+			n.moment(trace.SpanProbeRetry, p.msg.To, n.cfg.RetryAttempts-p.attempts+1)
+		} else {
+			n.m.ackRetries.Inc()
+			n.span(p.msg.Trace, trace.SpanAckRetry, 0, p.msg.To, int(p.msg.Step), p.msg.Event)
+		}
 		n.transmit(p)
 		return
 	}
 	n.pending.remove(p)
-	n.m.ackFailures.Inc()
-	n.span(p.msg.Trace, trace.SpanDrop, 0, p.msg.To, int(p.msg.Step), p.msg.Event)
+	if !probe {
+		n.m.ackFailures.Inc()
+		n.span(p.msg.Trace, trace.SpanDrop, 0, p.msg.To, int(p.msg.Step), p.msg.Event)
+	}
 	if rule := sendRules[p.kind].failed; rule != nil {
 		rule(n, p)
 	}

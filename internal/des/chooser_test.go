@@ -169,7 +169,7 @@ func TestChooserHandleSemantics(t *testing.T) {
 
 // scheduleForms schedules one event through each entry point: a func
 // through AtKey, and an Action through Schedule. Both must behave alike
-// under Cancel, Pending, Seq and a chooser's Drop.
+// under Cancel, Pending and a chooser's Drop.
 var scheduleForms = map[string]func(e *Engine, t Time, tag EventTag, fired *int) Handle{
 	"func": func(e *Engine, t Time, tag EventTag, fired *int) Handle {
 		return e.AtKey(t, 0, tag, func() { *fired++ })
@@ -187,16 +187,15 @@ func TestActionEventsBehaveLikeFuncEvents(t *testing.T) {
 			a := schedule(e, Second, EventTag{Owner: 1, Kind: 1}, &fired)
 			b := schedule(e, 2*Second, EventTag{Owner: 2, Kind: 1}, &fired)
 			c := schedule(e, 3*Second, EventTag{Owner: 3, Kind: 2}, &fired)
-			if !a.Pending() || a.Seq() != 0 || b.Seq() != 1 || c.Seq() != 2 || e.Pending() != 3 {
-				t.Fatalf("after scheduling: pending %v, seqs %d %d %d, engine pending %d",
-					a.Pending(), a.Seq(), b.Seq(), c.Seq(), e.Pending())
+			if !a.Pending() || e.Pending() != 3 {
+				t.Fatalf("after scheduling: pending %v, engine pending %d", a.Pending(), e.Pending())
 			}
-			if !a.Cancel() || a.Cancel() || a.Pending() || a.Seq() != 0 || e.Pending() != 2 {
+			if !a.Cancel() || a.Cancel() || a.Pending() || e.Pending() != 2 {
 				t.Fatal("cancel: the first cancel must succeed, the second fail, and the handle go inert")
 			}
 			// The chooser drops b (offered first) and fires c.
 			e.SetChooser(chooserFunc(func(now Time, cs []Choice) Decision {
-				if cs[0].Seq == b.Seq() {
+				if cs[0].Tag.Owner == 2 {
 					return Decision{Index: 0, Drop: true}
 				}
 				return Decision{Index: 0}

@@ -89,7 +89,10 @@ type event struct {
 // the event's turn comes. A caller that keeps pooled records (the
 // simulator's message deliveries and timers) makes each record an Action
 // and schedules it with Schedule, so an event binds no closure; a
-// pointer converts to an Action without allocating.
+// pointer converts to an Action without allocating. When a chooser drops
+// the event instead (Decision.Drop), the engine calls the action's Drop
+// method, if it has one, so the record can account for the loss and be
+// reused.
 type Action interface {
 	Fire()
 }
@@ -174,20 +177,6 @@ func (h Handle) Cancel() bool {
 	h.e.live--
 	h.e.maybeCompact()
 	return true
-}
-
-// Seq returns the engine-wide scheduling sequence number of the event —
-// the same number a Chooser sees in Choice.Seq — or 0 when the handle is
-// zero or the event already fired or was cancelled.
-func (h Handle) Seq() uint64 {
-	if h.e == nil {
-		return 0
-	}
-	ev := &h.e.slab[h.slot]
-	if ev.gen != h.gen || ev.act == nil {
-		return 0
-	}
-	return ev.seq
 }
 
 // Pending reports whether the event is still scheduled to fire.
@@ -551,6 +540,9 @@ func (e *Engine) chosenStep() bool {
 	if d.Drop {
 		e.dropped++
 		e.maybeCompact()
+		if dr, ok := a.(interface{ Drop() }); ok {
+			dr.Drop()
+		}
 		return true
 	}
 	if ev.at > e.now {

@@ -365,9 +365,6 @@ func exec(opts Options, prefix []Step, mode execMode, spans trace.SpanSink, st *
 				v.Schedule.Steps = applied(pos + 1)
 				return execOut{violation: v}, nil
 			}
-			if rec.Drop {
-				cl.NoteDropped(rec.Seq)
-			}
 			pos++
 			continue
 		}

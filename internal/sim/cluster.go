@@ -102,12 +102,6 @@ type Cluster struct {
 	// cluster (the nodes' instruments only see what reaches them).
 	unknownDest uint64
 
-	// inflight maps the engine sequence number of each pending delivery
-	// event to its record, so a chooser-injected drop (see NoteDropped)
-	// can be recorded as a trace span. Only maintained when a span sink
-	// is attached; nil otherwise.
-	inflight map[uint64]*delivery
-
 	// deliveries and timers hold fired delivery and timerFire records for
 	// reuse (see those types), so Send and SetTimer allocate nothing once
 	// the lists are warm.
@@ -463,17 +457,12 @@ func (c *Cluster) local(addr wire.Addr) *SimNode {
 
 // delivery is one message in flight: the engine event (a des.Action)
 // that hands msg to dst. Records are pooled per Cluster. One is live from
-// deliverAt until it fires — or until NoteDropped, when a chooser
-// discards its event — and only then returns to the pool, so the engine
-// never holds a recycled record. A delivery dropped without NoteDropped
-// (no span sink attached) is never reused; the collector takes it with
-// its block.
+// deliverAt until it fires, or until a chooser drops its event (Drop),
+// and only then returns to the pool, so the engine never holds a
+// recycled record.
 type delivery struct {
 	dst *SimNode
 	msg wire.Message
-	// seq is the engine sequence number of the delivery event, the
-	// inflight key; set only while the cluster keeps an inflight map.
-	seq uint64
 	// next links the record into the free list while released.
 	next *delivery
 }
@@ -485,12 +474,21 @@ func (d *delivery) Link() **delivery { return &d.next }
 // stopped node ignores it) and return the record to the pool.
 func (d *delivery) Fire() {
 	c := d.dst.c
-	if c.inflight != nil {
-		delete(c.inflight, d.seq)
-	}
 	d.dst.Node.HandleMessage(d.msg)
 	if invariant.Enabled {
 		invariant.Check(d.dst.Node)
+	}
+	c.releaseDelivery(d)
+}
+
+// Drop is called by the engine when a chooser discards the delivery (the
+// model checker's network-loss branch): the message gets the same
+// SpanDrop a random network loss would, and the record goes back to the
+// pool, since its event will never fire.
+func (d *delivery) Drop() {
+	c := d.dst.c
+	if c.cfg.Spans != nil {
+		c.cfg.Spans.RecordSpan(trace.DropSpan(c.Engine.Now(), &d.msg))
 	}
 	c.releaseDelivery(d)
 }
@@ -509,31 +507,7 @@ func (c *Cluster) releaseDelivery(d *delivery) {
 func (c *Cluster) deliverAt(at des.Time, key uint64, dst *SimNode, msg wire.Message) {
 	d := c.deliveries.Get()
 	d.dst, d.msg = dst, msg
-	h := c.Engine.Schedule(at, key, des.EventTag{Owner: uint64(msg.To), Kind: TagDeliver}, d)
-	if c.cfg.Spans != nil {
-		d.seq = h.Seq()
-		if c.inflight == nil {
-			c.inflight = make(map[uint64]*delivery)
-		}
-		c.inflight[d.seq] = d
-	}
-}
-
-// NoteDropped records a chooser-injected drop of the pending delivery
-// with the given engine sequence number: the model checker discards the
-// event inside the engine, where the message content is out of reach, so
-// it reports the seq back here for span accounting: the message gets the
-// same SpanDrop a random network loss would, and the delivery's record
-// goes back to the pool, since its event will never fire. An unknown seq
-// is a no-op.
-func (c *Cluster) NoteDropped(seq uint64) {
-	d, ok := c.inflight[seq]
-	if !ok {
-		return
-	}
-	delete(c.inflight, seq)
-	c.cfg.Spans.RecordSpan(trace.DropSpan(c.Engine.Now(), &d.msg))
-	c.releaseDelivery(d)
+	c.Engine.Schedule(at, key, des.EventTag{Owner: uint64(msg.To), Kind: TagDeliver}, d)
 }
 
 // timerFire is a pending timer: the engine handle and the node's

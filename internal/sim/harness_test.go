@@ -123,23 +123,25 @@ func mustPanic(t *testing.T, what string, fn func()) {
 	fn()
 }
 
-// dropSeq is a chooser that drops the event with one sequence number.
-type dropSeq uint64
+// dropDelivery is a chooser that drops the first runnable message
+// delivery.
+type dropDelivery struct{}
 
-func (s dropSeq) Choose(_ des.Time, choices []des.Choice) des.Decision {
+func (dropDelivery) Choose(_ des.Time, choices []des.Choice) des.Decision {
 	for i, ch := range choices {
-		if ch.Seq == uint64(s) {
+		if ch.Tag.Kind == TagDeliver {
 			return des.Decision{Index: i, Drop: true}
 		}
 	}
-	panic("sim: delivery to drop is not runnable")
+	panic("sim: no delivery to drop is runnable")
 }
 
 // TestClusterDroppedDeliveryIsRecycled: a delivery the model checker
-// drops never fires, goes back to the pool through NoteDropped, and the
-// next send that reuses the record is delivered intact.
+// drops never fires, records the drop span and goes back to the pool
+// through its Drop, and the next send that reuses the record is
+// delivered intact.
 func TestClusterDroppedDeliveryIsRecycled(t *testing.T) {
-	spans := trace.NewSpanBuffer(64) // a span sink makes the cluster track deliveries in flight
+	spans := trace.NewSpanBuffer(64)
 	c := NewCluster(ClusterConfig{Core: core.DefaultConfig(), Seed: 45, Spans: spans})
 	a, b := c.AddNode(1e9), c.AddNode(1e9)
 	c.Bootstrap(a)
@@ -147,38 +149,43 @@ func TestClusterDroppedDeliveryIsRecycled(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.Run(5 * des.Second)
-	if len(c.inflight) != 0 {
-		t.Fatalf("%d deliveries still in flight in a settled cluster", len(c.inflight))
+	// With nothing in flight, every delivery record is on the free list.
+	if err := c.deliveries.Check("delivery", nil, nil); err != nil {
+		t.Fatalf("a settled cluster holds a delivery: %v", err)
+	}
+	drops := func() (k int) {
+		for _, s := range spans.Snapshot() {
+			if s.Kind == trace.SpanDrop && s.Child == uint64(b.Addr) {
+				k++
+			}
+		}
+		return k
 	}
 
-	inFlight := func() *delivery {
-		t.Helper()
-		if len(c.inflight) != 1 {
-			t.Fatalf("%d deliveries in flight, want 1", len(c.inflight))
-		}
-		for _, d := range c.inflight {
-			return d
-		}
-		return nil
-	}
 	acks := c.SentByType[wire.MsgHeartbeatAck]
 	a.Send(wire.Message{Type: wire.MsgHeartbeat, From: a.Addr, To: b.Addr, AckID: 77})
-	lost := inFlight()
-	c.Engine.SetChooser(dropSeq(lost.seq))
+	if c.deliveries.Check("delivery", nil, nil) == nil {
+		t.Fatal("the send holds no delivery record; the case is not exercised")
+	}
+	c.Engine.SetChooser(dropDelivery{})
 	c.Engine.Step()
 	c.Engine.SetChooser(nil)
-	c.NoteDropped(lost.seq)
-	if c.Engine.Dropped() != 1 || len(c.inflight) != 0 {
-		t.Fatalf("dropped=%d inflight=%d after the drop", c.Engine.Dropped(), len(c.inflight))
+	if c.Engine.Dropped() != 1 || drops() != 1 {
+		t.Fatalf("dropped=%d, %d drop spans after the drop; want 1 and 1", c.Engine.Dropped(), drops())
+	}
+	if err := c.deliveries.Check("delivery", nil, nil); err != nil {
+		t.Fatalf("the dropped delivery did not go back to the pool: %v", err)
 	}
 
+	lost := c.deliveries.Get() // the free list's head: the record just dropped
+	c.deliveries.Put(lost)
+	made := c.deliveries.Made()
 	a.Send(wire.Message{Type: wire.MsgHeartbeat, From: a.Addr, To: b.Addr, AckID: 78})
-	next := inFlight()
-	if next != lost {
+	if c.deliveries.Made() != made || lost.dst != b {
 		t.Fatal("the next send did not recycle the dropped delivery's record; the case is not exercised")
 	}
-	if next.dst != b || next.msg.AckID != 78 || next.msg.Type != wire.MsgHeartbeat {
-		t.Fatalf("recycled delivery carries dst=%v msg=%+v", next.dst.Addr, next.msg)
+	if lost.msg.AckID != 78 || lost.msg.Type != wire.MsgHeartbeat {
+		t.Fatalf("recycled delivery carries msg=%+v", lost.msg)
 	}
 	c.Run(des.Second)
 	if got := c.SentByType[wire.MsgHeartbeatAck] - acks; got != 1 {
